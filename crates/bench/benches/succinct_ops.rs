@@ -1,8 +1,9 @@
-//! Criterion microbenchmarks of the succinct hot path the PR overhauled:
-//! position-sampled `select0`/`select1`, branch-free `rank1`, the fused
-//! single-probe Elias–Fano `predecessor` (against the retained two-probe
-//! baseline and the uncompressed alternatives), and the `EfCursor`
-//! sorted-batch walk against per-probe restarts.
+//! Criterion microbenchmarks of the succinct hot path: position-sampled
+//! `select0`/`select1`, branch-free `rank1`, the dispatched SIMD kernels at
+//! every level the host supports, and the `EfCursor` sorted-batch walk
+//! against per-probe restarts of the fused predecessor (the single-probe
+//! `predecessor` itself is raced against uncompressed alternatives in
+//! `benches/ef_predecessor.rs`).
 //!
 //! The paper-scale regime mirrors Grafite at ~16 bits/key: n = 1M codes in
 //! a universe of n·2^14, which puts the Elias–Fano high bits at the ~1/3
@@ -12,9 +13,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use grafite_succinct::simd;
-use grafite_succinct::{
-    BitVec, BucketedArray, EliasFano, PredecessorSearch, RsBitVec, SampledIndex,
-};
+use grafite_succinct::{BitVec, EliasFano, RsBitVec};
 use grafite_workloads::WorkloadRng;
 
 const N: usize = 1_000_000;
@@ -148,64 +147,16 @@ fn bench_simd_kernels(c: &mut Criterion) {
     }
 }
 
-fn bench_predecessor(c: &mut Criterion) {
+fn bench_cursor_batch(c: &mut Criterion) {
     let universe = (N as u64) << 14; // ~16 bits/key Elias-Fano regime
     let mut rng = WorkloadRng::new(7);
     let values = paper_scale_values(&mut rng, universe);
     let ef = EliasFano::new(&values, universe);
-    let probes: Vec<u64> = (0..PROBE_COUNT).map(|_| rng.below(universe)).collect();
-
-    let mut group = c.benchmark_group("ef_predecessor_1M");
-    group
-        .sample_size(30)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(1));
-    group.bench_function("fused_one_probe", |b| {
-        let mut i = 0;
-        b.iter(|| {
-            let y = probes[i % probes.len()];
-            i += 1;
-            std::hint::black_box(ef.predecessor(y))
-        })
-    });
-    group.bench_function("baseline_two_probe", |b| {
-        let mut i = 0;
-        b.iter(|| {
-            let y = probes[i % probes.len()];
-            i += 1;
-            std::hint::black_box(ef.predecessor_two_probe(y))
-        })
-    });
-    group.bench_function("sorted_vec_binary_search", |b| {
-        let mut i = 0;
-        b.iter(|| {
-            let y = probes[i % probes.len()];
-            i += 1;
-            let idx = values.partition_point(|&v| v <= y);
-            std::hint::black_box(if idx > 0 { Some(values[idx - 1]) } else { None })
-        })
-    });
-    // Bake-off alternatives behind the same trait: an uncompressed
-    // cache-line-bucketed array and a two-level sampled-search index.
-    let bucketed = BucketedArray::new(&values);
-    let sampled = SampledIndex::new(&values);
-    let alternatives: [&dyn PredecessorSearch; 2] = [&bucketed, &sampled];
-    for s in alternatives {
-        group.bench_function(format!("bakeoff_{}", s.name()), |b| {
-            let mut i = 0;
-            b.iter(|| {
-                let y = probes[i % probes.len()];
-                i += 1;
-                std::hint::black_box(s.predecessor(y))
-            })
-        });
-    }
-    group.finish();
+    let mut sorted_probes: Vec<u64> = (0..PROBE_COUNT).map(|_| rng.below(universe)).collect();
+    sorted_probes.sort_unstable();
 
     // Whole-batch comparison: the cursor's monotone walk over sorted probes
     // versus restarting a fused probe per query.
-    let mut sorted_probes = probes.clone();
-    sorted_probes.sort_unstable();
     let mut group = c.benchmark_group("ef_batch_8k_sorted");
     group
         .sample_size(20)
@@ -224,18 +175,6 @@ fn bench_predecessor(c: &mut Criterion) {
             std::hint::black_box(hits)
         })
     });
-    group.bench_function("cursor_bitwise_baseline", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            let mut cur = ef.cursor();
-            for &y in &sorted_probes {
-                if cur.predecessor_bitwise(y).is_some() {
-                    hits += 1;
-                }
-            }
-            std::hint::black_box(hits)
-        })
-    });
     group.bench_function("per_probe_restart", |b| {
         b.iter(|| {
             let mut hits = 0usize;
@@ -248,18 +187,12 @@ fn bench_predecessor(c: &mut Criterion) {
         })
     });
     group.finish();
-
-    eprintln!(
-        "[space] elias-fano: {:.2} bits/key over {} codes",
-        ef.size_in_bits() as f64 / values.len() as f64,
-        values.len()
-    );
 }
 
 criterion_group!(
     benches,
     bench_rank_select,
     bench_simd_kernels,
-    bench_predecessor
+    bench_cursor_batch
 );
 criterion_main!(benches);

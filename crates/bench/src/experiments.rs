@@ -1217,9 +1217,9 @@ fn best_ns_per_op<T>(reps: usize, ops: usize, mut f: impl FnMut() -> T) -> f64 {
 }
 
 /// The succinct hot-path experiment: micro timings of the fused Elias–Fano
-/// `predecessor` against the retained two-probe baseline (and the
-/// uncompressed sorted-vec alternative, which doubles as a
-/// machine-speed normalizer), plus filter-level Grafite/Bucketing query
+/// `predecessor` against the uncompressed sorted-vec alternative (which
+/// doubles as a machine-speed normalizer), each vectorized kernel against
+/// its forced-scalar twin, plus filter-level Grafite/Bucketing query
 /// latency, scalar and batched. Prints a table and writes the
 /// machine-readable `BENCH_query.json` that CI's perf-smoke step diffs
 /// against the committed baseline in `results/` — this file is the repo's
@@ -1251,15 +1251,6 @@ pub fn hotpath(cfg: &RunConfig) {
         for _ in 0..MICRO_ROUNDS {
             for &y in &probes {
                 acc ^= ef.predecessor(y).unwrap_or(0);
-            }
-        }
-        acc
-    });
-    let two_probe_ns = best_ns_per_op(reps, micro_ops, || {
-        let mut acc = 0u64;
-        for _ in 0..MICRO_ROUNDS {
-            for &y in &probes {
-                acc ^= ef.predecessor_two_probe(y).unwrap_or(0);
             }
         }
         acc
@@ -1349,27 +1340,6 @@ pub fn hotpath(cfg: &RunConfig) {
         })
     };
 
-    // Cursor batch: the monotone EfCursor walk (whole-word consume +
-    // dispatched zero-run skip) against the retained per-bit walk.
-    let mut sorted_probes = probes.clone();
-    sorted_probes.sort_unstable();
-    let cursor_scalar_ns = best_ns_per_op(reps, MICRO_PROBES, || {
-        let mut acc = 0u64;
-        let mut cur = ef.cursor();
-        for &y in &sorted_probes {
-            acc ^= cur.predecessor_bitwise(y).unwrap_or(0);
-        }
-        acc
-    });
-    let cursor_simd_ns = best_ns_per_op(reps, MICRO_PROBES, || {
-        let mut acc = 0u64;
-        let mut cur = ef.cursor();
-        for &y in &sorted_probes {
-            acc ^= cur.predecessor(y).unwrap_or(0);
-        }
-        acc
-    });
-
     let kernels = [
         ("rank1", time_rank(SimdLevel::Scalar), time_rank(active)),
         (
@@ -1378,38 +1348,7 @@ pub fn hotpath(cfg: &RunConfig) {
             time_select(active),
         ),
         ("low_partition", time_lp(SimdLevel::Scalar), time_lp(active)),
-        ("cursor_batch", cursor_scalar_ns, cursor_simd_ns),
     ];
-
-    // --- bake-off: predecessor structures over the same values/probes ---
-    use grafite_succinct::{BucketedArray, PredecessorSearch, SampledIndex};
-    let bucketed = BucketedArray::new(&values);
-    let sampled = SampledIndex::new(&values);
-    let structures: [&dyn PredecessorSearch; 3] = [&ef, &bucketed, &sampled];
-    // Spot-check agreement before timing anything.
-    for &y in sorted_probes.iter().take(256) {
-        let idx = values.partition_point(|&v| v <= y);
-        let want = if idx > 0 { Some(values[idx - 1]) } else { None };
-        for s in structures {
-            assert_eq!(s.predecessor(y), want, "{} diverged at {y}", s.name());
-        }
-    }
-    let bakeoff: Vec<(&'static str, f64, f64)> = structures
-        .iter()
-        .map(|s| {
-            let ns = best_ns_per_op(reps, micro_ops, || {
-                let mut acc = 0u64;
-                for _ in 0..MICRO_ROUNDS {
-                    for &y in &probes {
-                        acc ^= s.predecessor(y).unwrap_or(0);
-                    }
-                }
-                acc
-            });
-            let bpk = s.size_in_bits() as f64 / values.len() as f64;
-            (s.name(), ns, bpk)
-        })
-        .collect();
 
     // --- macro: filter-level query latency at 16 bits/key ---
     let keys: Vec<u64> = (0..cfg.n).map(|_| rng.next_u64()).collect();
@@ -1426,17 +1365,11 @@ pub fn hotpath(cfg: &RunConfig) {
     let mut table = Table::new(&["metric", "ns/op", "notes"]);
     let mut metrics = crate::report::JsonObject::new();
     metrics.num("ef_predecessor_fused_ns", fused_ns);
-    metrics.num("ef_predecessor_two_probe_ns", two_probe_ns);
     metrics.num("sorted_vec_predecessor_ns", sorted_vec_ns);
     table.row(vec![
         "ef_predecessor_fused".into(),
         format!("{fused_ns:.1}"),
         "one select0 + word-local scans".into(),
-    ]);
-    table.row(vec![
-        "ef_predecessor_two_probe".into(),
-        format!("{two_probe_ns:.1}"),
-        "seed algorithm on the new directories".into(),
     ]);
     table.row(vec![
         "sorted_vec_predecessor".into(),
@@ -1458,15 +1391,6 @@ pub fn hotpath(cfg: &RunConfig) {
                 scalar_ns / simd_ns,
                 active.name()
             ),
-        ]);
-    }
-    for &(name, ns, bpk) in &bakeoff {
-        metrics.num(&format!("bakeoff_{name}_predecessor_ns"), ns);
-        metrics.num(&format!("bakeoff_{name}_bits_per_key"), bpk);
-        table.row(vec![
-            format!("bakeoff_{name}"),
-            format!("{ns:.1}"),
-            format!("predecessor structure, {bpk:.1} bits/key"),
         ]);
     }
 
@@ -1513,13 +1437,6 @@ pub fn hotpath(cfg: &RunConfig) {
         ]);
     }
 
-    let speedup = two_probe_ns / fused_ns;
-    metrics.num("speedup_fused_vs_two_probe", speedup);
-    table.row(vec![
-        "speedup_fused_vs_two_probe".into(),
-        format!("{speedup:.2}x"),
-        "acceptance target: >= 1.5x".into(),
-    ]);
     table.print();
     let _ = table.write_csv(&cfg.out_dir, "hotpath");
 

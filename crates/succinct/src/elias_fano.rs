@@ -414,53 +414,6 @@ impl<S: AsRef<[u64]>> EliasFano<S> {
         self.pred_entry(y).map(|(_, v)| v)
     }
 
-    /// The seed implementation of `predecessor` — two `select0` probes plus
-    /// a binary search through [`IntVec::get`] — kept as the measured
-    /// baseline for the fused path. Benches and equivalence tests call it;
-    /// it is not part of the public API surface.
-    #[doc(hidden)]
-    pub fn predecessor_two_probe(&self, y: u64) -> Option<u64> {
-        if self.n == 0 || y < self.first {
-            return None;
-        }
-        if y >= self.last {
-            return Some(self.last);
-        }
-        let p = y >> self.low_bits;
-        let y_lo = y & self.low_mask();
-        let (start, end) = self.bucket_two_select(p);
-        let (mut lo, mut hi) = (start, end);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.low.get(mid) <= y_lo {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo > start {
-            Some((p << self.low_bits) | self.low.get(lo - 1))
-        } else if start > 0 {
-            Some(self.get(start - 1))
-        } else {
-            None
-        }
-    }
-
-    /// The seed's two-probe bucket locate, serving only
-    /// [`EliasFano::predecessor_two_probe`].
-    #[inline]
-    fn bucket_two_select(&self, p: u64) -> (usize, usize) {
-        let p = p as usize;
-        let start = if p == 0 {
-            0
-        } else {
-            self.high.select0(p - 1) - (p - 1)
-        };
-        let end = self.high.select0(p) - p;
-        (start, end)
-    }
-
     /// The smallest stored value `>= y`, or `None` if every value is `< y`.
     pub fn successor(&self, y: u64) -> Option<u64> {
         if self.n == 0 || y > self.last {
@@ -677,28 +630,10 @@ impl<S: AsRef<[u64]>> EfCursor<'_, S> {
         }
         let words = ef.high.bits().words();
         while self.idx < ef.n {
-            if self.word == 0 {
-                // Zero-run skip through H (vectorized where available):
-                // idx < n guarantees a set bit remains ahead.
-                let nz = crate::simd::next_nonzero_word(words, self.word_idx + 1)
-                    .expect("H holds a set bit for every remaining element");
-                self.word_idx = nz;
-                self.word = words[nz];
-            }
-            // Whole-word consume: element indices rise one per set bit, so
-            // `hi = pos - idx` is non-decreasing along the walk. If even the
-            // *last* one of the frontier word lands in a bucket below p,
-            // every one in the word is a predecessor of y and the word can
-            // be accepted wholesale — bit-identical to stepping, without
-            // the per-bit loop.
-            let ones = self.word.count_ones() as usize;
-            let last_pos =
-                self.word_idx * WORD_BITS + (WORD_BITS - 1 - self.word.leading_zeros() as usize);
-            if ((last_pos - (self.idx + ones - 1)) as u64) < p {
-                self.prev = Some((self.idx + ones - 1, last_pos));
-                self.idx += ones;
-                self.word = 0;
-                continue;
+            // idx < n guarantees a set bit remains ahead in H.
+            while self.word == 0 {
+                self.word_idx += 1;
+                self.word = words[self.word_idx];
             }
             let pos = self.word_idx * WORD_BITS + self.word.trailing_zeros() as usize;
             let hi = (pos - self.idx) as u64;
@@ -707,55 +642,6 @@ impl<S: AsRef<[u64]>> EfCursor<'_, S> {
             }
             // Elements below bucket p are `<= y` by construction; only
             // bucket p's own elements need their low bits compared.
-            if hi == p && ef.low.get(self.idx) > y_lo {
-                break;
-            }
-            self.prev = Some((self.idx, pos));
-            self.word &= self.word - 1;
-            self.idx += 1;
-        }
-        self.prev
-            .map(|(i, pos)| (((pos - i) as u64) << ef.low_bits) | ef.low.get(i))
-    }
-
-    /// The PR 5 per-bit frontier walk, kept verbatim as the measured
-    /// baseline for the word-consuming walk above (mirroring
-    /// [`EliasFano::predecessor_two_probe`]). Benches and equivalence tests
-    /// call it; it is not part of the public API surface.
-    #[doc(hidden)]
-    pub fn predecessor_bitwise(&mut self, y: u64) -> Option<u64> {
-        #[cfg(debug_assertions)]
-        {
-            debug_assert!(y >= self.last_y, "cursor probes must be non-decreasing");
-            self.last_y = y;
-        }
-        let ef = self.ef;
-        if ef.n == 0 || y < ef.first {
-            return None;
-        }
-        if y >= ef.last {
-            return Some(ef.last);
-        }
-        let p = y >> ef.low_bits;
-        let y_lo = y & ef.low_mask();
-        if (p as usize + self.idx).saturating_sub(self.word_idx * WORD_BITS) > GALLOP_BITS {
-            let (idx, v) = ef.pred_entry(y).expect("y >= first implies a predecessor");
-            let pos = ((v >> ef.low_bits) as usize) + idx;
-            self.prev = Some((idx, pos));
-            self.reposition_after(pos, idx);
-            return Some(v);
-        }
-        let words = ef.high.bits().words();
-        while self.idx < ef.n {
-            while self.word == 0 {
-                self.word_idx += 1;
-                self.word = words[self.word_idx];
-            }
-            let pos = self.word_idx * WORD_BITS + self.word.trailing_zeros() as usize;
-            let hi = (pos - self.idx) as u64;
-            if hi > p {
-                break;
-            }
             if hi == p && ef.low.get(self.idx) > y_lo {
                 break;
             }
@@ -821,24 +707,16 @@ mod tests {
             sorted_probes.push(y);
             let expect = reference_predecessor(&set, y);
             assert_eq!(ef.predecessor(y), expect, "pred({y})");
-            assert_eq!(ef.predecessor_two_probe(y), expect, "pred2({y})");
             assert_eq!(ef.successor(y), reference_successor(&set, y), "succ({y})");
             let expect_rank = values.iter().filter(|&&v| v < y).count();
             assert_eq!(ef.rank(y), expect_rank, "rank({y})");
         }
-        // The cursor answers the same probes identically when sorted, on
-        // both the word-consuming walk and the per-bit baseline.
+        // The cursor answers the same probes identically when sorted.
         sorted_probes.sort_unstable();
         let mut cur = ef.cursor();
-        let mut cur_bitwise = ef.cursor();
         for &y in &sorted_probes {
             let expect = reference_predecessor(&set, y);
             assert_eq!(cur.predecessor(y), expect, "cursor pred({y})");
-            assert_eq!(
-                cur_bitwise.predecessor_bitwise(y),
-                expect,
-                "cursor bitwise pred({y})"
-            );
         }
     }
 

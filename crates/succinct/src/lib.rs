@@ -43,7 +43,6 @@ pub mod elias_fano;
 pub mod golomb;
 pub mod intvec;
 pub mod io;
-pub mod predecessor;
 pub mod rs_bitvec;
 pub mod simd;
 
@@ -51,7 +50,6 @@ pub use bitvec::{BitVec, BitVecView};
 pub use elias_fano::{EfCursor, EliasFano, EliasFanoView};
 pub use golomb::{GolombRiceSeq, GolombRiceSeqView};
 pub use intvec::{IntVec, IntVecView};
-pub use predecessor::{BucketedArray, PredecessorSearch, SampledIndex};
 pub use rs_bitvec::{RsBitVec, RsBitVecView};
 pub use simd::SimdLevel;
 

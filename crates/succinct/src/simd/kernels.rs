@@ -14,7 +14,7 @@
 //!   (feature-gated intrinsics are callable without `unsafe` inside
 //!   them since target_feature 1.1); `unsafe` appears only at the two
 //!   places it is irreducible — calling a `#[target_feature]` function
-//!   from a non-annotated caller, and raw-pointer loads/gathers — and
+//!   from a non-annotated caller, and raw-pointer gathers — and
 //!   each such block carries its own `// safety:` justification.
 #![allow(unsafe_code)]
 
@@ -302,39 +302,4 @@ pub fn low_partition_avx2(
     // detection above just confirmed; its in-bounds obligations are
     // discharged at its own gather sites.
     unsafe { low_partition_avx2_inner(words, width, start, end, cmp_target) }
-}
-
-// ---------------------------------------------------------------------------
-// next_nonzero_word — vector zero-run skipping
-// ---------------------------------------------------------------------------
-
-/// AVX2 zero-run skip: test 4 words at a time with `vptest`, then let
-/// the scalar scan pinpoint the word inside the hit quad.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn next_nonzero_word_avx2_inner(words: &[u64], from: usize) -> Option<usize> {
-    let mut i = from;
-    while i + 4 <= words.len() {
-        // safety: i + 4 <= words.len() by the loop condition, so the
-        // unaligned 32-byte load covers only in-bounds elements.
-        let v = unsafe { _mm256_loadu_si256(words.as_ptr().add(i) as *const __m256i) };
-        if _mm256_testz_si256(v, v) == 0 {
-            break;
-        }
-        i += 4;
-    }
-    scalar::next_nonzero_word(words, i)
-}
-
-/// AVX2 zero-run skip; scalar fallback when AVX2 is absent.
-#[cfg(target_arch = "x86_64")]
-pub fn next_nonzero_word_avx2(words: &[u64], from: usize) -> Option<usize> {
-    if std::arch::is_x86_feature_detected!("avx2") && from <= words.len() {
-        // safety: the callee only requires AVX2, which the runtime
-        // detection above just confirmed; its load bounds are
-        // discharged at its own load site.
-        unsafe { next_nonzero_word_avx2_inner(words, from) }
-    } else {
-        scalar::next_nonzero_word(words, from)
-    }
 }

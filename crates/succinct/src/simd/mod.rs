@@ -1,21 +1,19 @@
 //! Runtime-dispatched vector kernels for the succinct hot paths.
 //!
-//! Four kernels sit on the query-time critical path — the masked 8-word
-//! block rank, in-word select, the Elias-Fano low-bits partition probe,
-//! and zero-word skipping for cursor walks. Each has a portable scalar
-//! reference implementation ([`scalar`]) and, on x86_64, vector
-//! variants ([`kernels`]) selected once per process by CPU feature
-//! detection. The dispatchers here are the only entry points the rest
-//! of the crate uses.
+//! Three kernels sit on the query-time critical path — the masked 8-word
+//! block rank, in-word select, and the Elias-Fano low-bits partition
+//! probe. Each has a portable scalar reference implementation
+//! ([`scalar`]) and, on x86_64, vector variants ([`kernels`]) selected
+//! once per process by CPU feature detection. The dispatchers here are
+//! the only entry points the rest of the crate uses.
 //!
-//! Dispatch levels form a total order `Scalar < Sse2 < Avx2` on x86_64
-//! (`Neon` is an aarch64 placeholder that currently delegates to
-//! scalar). The detected level can be *capped* with the `GRAFITE_SIMD`
-//! environment variable (`scalar`, `sse2`, `avx2`, `neon`,
-//! case-insensitive) — forcing a level above what the CPU supports is
-//! clamped down, so setting `GRAFITE_SIMD=avx2` on a non-AVX2 machine
-//! is safe and simply yields the best available level. Every vector
-//! kernel is property-tested for bit-identical agreement with its
+//! Dispatch levels form a total order `Scalar < Sse2 < Avx2`; other
+//! architectures run the scalar kernels. The detected level can be
+//! *capped* with the `GRAFITE_SIMD` environment variable (`scalar`,
+//! `sse2`, `avx2`, case-insensitive) — forcing a level above what the CPU
+//! supports is clamped down, so setting `GRAFITE_SIMD=avx2` on a non-AVX2
+//! machine is safe and simply yields the best available level. Every
+//! vector kernel is property-tested for bit-identical agreement with its
 //! scalar reference (`tests/simd_agreement.rs`), and the `*_at` entry
 //! points let those tests pin a specific level without touching the
 //! process-global cache.
@@ -37,9 +35,6 @@ pub enum SimdLevel {
     Sse2 = 1,
     /// x86_64 AVX2 (+ BMI2 PDEP select when the CPU has it).
     Avx2 = 2,
-    /// aarch64 NEON — detection placeholder; kernels delegate to
-    /// scalar until vector implementations land.
-    Neon = 3,
 }
 
 impl SimdLevel {
@@ -49,7 +44,6 @@ impl SimdLevel {
             SimdLevel::Scalar => "scalar",
             SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
-            SimdLevel::Neon => "neon",
         }
     }
 
@@ -57,7 +51,6 @@ impl SimdLevel {
         match v {
             1 => SimdLevel::Sse2,
             2 => SimdLevel::Avx2,
-            3 => SimdLevel::Neon,
             _ => SimdLevel::Scalar,
         }
     }
@@ -67,7 +60,6 @@ impl SimdLevel {
             "scalar" | "off" | "0" => Some(SimdLevel::Scalar),
             "sse2" => Some(SimdLevel::Sse2),
             "avx2" => Some(SimdLevel::Avx2),
-            "neon" => Some(SimdLevel::Neon),
             _ => None,
         }
     }
@@ -83,32 +75,18 @@ pub fn detect_level() -> SimdLevel {
         if std::arch::is_x86_feature_detected!("sse2") {
             return SimdLevel::Sse2;
         }
-        SimdLevel::Scalar
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        SimdLevel::Neon
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        SimdLevel::Scalar
-    }
+    SimdLevel::Scalar
 }
 
 /// All levels worth exercising on this machine: scalar, plus every
 /// hardware tier up to the detected one. Agreement tests iterate this.
 pub fn available_levels() -> Vec<SimdLevel> {
     let top = detect_level();
-    let mut levels = vec![SimdLevel::Scalar];
-    for l in [SimdLevel::Sse2, SimdLevel::Avx2] {
-        if l <= top {
-            levels.push(l);
-        }
-    }
-    if top == SimdLevel::Neon {
-        levels.push(SimdLevel::Neon);
-    }
-    levels
+    [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2]
+        .into_iter()
+        .filter(|&l| l <= top)
+        .collect()
 }
 
 /// 0 = not yet resolved; otherwise `SimdLevel as u8 + 1`.
@@ -125,19 +103,10 @@ pub fn level() -> SimdLevel {
         return SimdLevel::from_u8(cached - 1);
     }
     let detected = detect_level();
+    // A request above the hardware clamps down to what is actually
+    // available; an unrecognised value is ignored.
     let effective = match std::env::var("GRAFITE_SIMD") {
-        Ok(v) => match SimdLevel::parse(&v) {
-            // Neon requested on non-aarch64 (or any level above the
-            // hardware) clamps down to what is actually available.
-            Some(req) => {
-                if req == SimdLevel::Neon && detected != SimdLevel::Neon {
-                    SimdLevel::Scalar
-                } else {
-                    req.min(detected)
-                }
-            }
-            None => detected,
-        },
+        Ok(v) => SimdLevel::parse(&v).map_or(detected, |req| req.min(detected)),
         Err(_) => detected,
     };
     // ordering: see the load above — write-once memo of a pure value.
@@ -165,7 +134,7 @@ pub fn rank1_x8_at(level: SimdLevel, words: &[u64], upto: usize) -> usize {
     match level {
         SimdLevel::Avx2 => return kernels::rank1_x8_avx2(words, upto),
         SimdLevel::Sse2 => return kernels::rank1_x8_sse2(words, upto),
-        SimdLevel::Scalar | SimdLevel::Neon => {}
+        SimdLevel::Scalar => {}
     }
     let _ = level;
     scalar::rank1_x8(words, upto)
@@ -225,23 +194,6 @@ pub fn low_partition_at(
     scalar::low_partition(words, width, start, end, y_lo, include_equal)
 }
 
-/// Index of the first non-zero word at or after `from`, or `None`.
-#[inline]
-pub fn next_nonzero_word(words: &[u64], from: usize) -> Option<usize> {
-    next_nonzero_word_at(level(), words, from)
-}
-
-/// [`next_nonzero_word`] pinned to an explicit dispatch level.
-#[inline]
-pub fn next_nonzero_word_at(level: SimdLevel, words: &[u64], from: usize) -> Option<usize> {
-    #[cfg(target_arch = "x86_64")]
-    if level == SimdLevel::Avx2 {
-        return kernels::next_nonzero_word_avx2(words, from);
-    }
-    let _ = level;
-    scalar::next_nonzero_word(words, from)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,7 +203,7 @@ mod tests {
         assert_eq!(SimdLevel::parse("scalar"), Some(SimdLevel::Scalar));
         assert_eq!(SimdLevel::parse("AVX2 "), Some(SimdLevel::Avx2));
         assert_eq!(SimdLevel::parse("sse2"), Some(SimdLevel::Sse2));
-        assert_eq!(SimdLevel::parse("neon"), Some(SimdLevel::Neon));
+        assert_eq!(SimdLevel::parse("neon"), None);
         assert_eq!(SimdLevel::parse("bogus"), None);
     }
 
@@ -260,11 +212,11 @@ mod tests {
         let levels = available_levels();
         assert_eq!(levels[0], SimdLevel::Scalar);
         assert!(levels.windows(2).all(|w| w[0] < w[1]));
-        assert!(levels.contains(&detect_level()) || detect_level() == SimdLevel::Scalar);
+        assert_eq!(levels.last(), Some(&detect_level()));
     }
 
     #[test]
     fn level_is_at_most_detected() {
-        assert!(level() <= detect_level() || detect_level() == SimdLevel::Neon);
+        assert!(level() <= detect_level());
     }
 }

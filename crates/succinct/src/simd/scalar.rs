@@ -76,16 +76,6 @@ pub fn low_partition(
     end
 }
 
-/// Index of the first non-zero word at or after `from`, or `None` if every
-/// remaining word is zero.
-#[inline]
-pub fn next_nonzero_word(words: &[u64], from: usize) -> Option<usize> {
-    words[from.min(words.len())..]
-        .iter()
-        .position(|&w| w != 0)
-        .map(|p| from + p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,13 +115,5 @@ mod tests {
                 assert_eq!(low_partition(&words, 5, 0, vals.len(), y, eq), want);
             }
         }
-    }
-
-    #[test]
-    fn nonzero_scan() {
-        assert_eq!(next_nonzero_word(&[0, 0, 4, 0, 1], 0), Some(2));
-        assert_eq!(next_nonzero_word(&[0, 0, 4, 0, 1], 3), Some(4));
-        assert_eq!(next_nonzero_word(&[0, 0], 0), None);
-        assert_eq!(next_nonzero_word(&[1], 5), None);
     }
 }

@@ -14,18 +14,15 @@ the CI runner. The gate fails when:
 
   * any normalized query metric regresses by more than REGRESSION_TOLERANCE
     against the committed baseline, or
-  * the in-run fused-vs-two-probe predecessor speedup (a fully
-    machine-independent ratio) drops below SPEEDUP_FLOOR, or
   * the run used SIMD dispatch (`simd_active`) but fewer than
     KERNEL_SPEEDUP_MIN_KERNELS of the vectorized kernels beat their
     forced-scalar twins by KERNEL_SPEEDUP_FLOOR (an in-run ratio, so it is
-    machine-independent too).
+    machine-independent).
 
-`kernel_*` and `bakeoff_*` metrics are excluded from the normalized
-baseline diff: kernel rows depend on which dispatch level the runner
-supports (a scalar-forced CI leg would trivially "regress" them), and the
-bake-off rows exist to be compared against each other within one run, not
-across machines. They are still carried in the report for trend reading.
+`kernel_*` metrics are excluded from the normalized baseline diff: kernel
+rows depend on which dispatch level the runner supports (a scalar-forced CI
+leg would trivially "regress" them). They are still carried in the report
+for trend reading.
 
 Serve mode (`serve` + one file): checks a `repro serve` report against the
 serving cold-start acceptance floors — the measured manifest must be at
@@ -49,11 +46,6 @@ import sys
 
 # A normalized metric may grow by at most 25% before the gate fails.
 REGRESSION_TOLERANCE = 1.25
-# The fused predecessor must stay comfortably ahead of the two-probe
-# baseline; the committed measurement is ~1.7x, the acceptance target 1.5x,
-# and the floor leaves headroom for shared-runner noise (observed spread on
-# busy machines reaches ~±15% even on min-of-N timings).
-SPEEDUP_FLOOR = 1.3
 
 # When the fresh run dispatched SIMD kernels, at least this many of them
 # must beat their forced-scalar twins by this factor. The committed
@@ -64,9 +56,9 @@ KERNEL_SPEEDUP_MIN_KERNELS = 2
 
 NORMALIZER = "sorted_vec_predecessor_ns"
 
-# Metric prefixes excluded from the normalized baseline diff (see the
-# module docstring).
-UNGATED_PREFIXES = ("kernel_", "bakeoff_")
+# Metric prefix excluded from the normalized baseline diff (see the module
+# docstring).
+UNGATED_PREFIX = "kernel_"
 
 # Serve-mode floors: the measured manifest must be >= 100 MB (so the
 # cold-start comparison is about a store that actually hurts to read
@@ -172,7 +164,7 @@ def normalized(metrics):
         key: value / scale
         for key, value in metrics.items()
         if key.endswith("_ns") and key != NORMALIZER
-        and not key.startswith(UNGATED_PREFIXES)
+        and not key.startswith(UNGATED_PREFIX)
     }
 
 
@@ -227,14 +219,6 @@ def main():
             failures.append(
                 f"{key}: normalized regression {ratio:.2f}x exceeds "
                 f"{REGRESSION_TOLERANCE}x")
-
-    speedup = fresh.get("speedup_fused_vs_two_probe", 0.0)
-    print(f"  fused-vs-two-probe speedup: {speedup:.2f}x "
-          f"(floor {SPEEDUP_FLOOR}x)")
-    if speedup < SPEEDUP_FLOOR:
-        failures.append(
-            f"fused predecessor speedup {speedup:.2f}x fell below the "
-            f"{SPEEDUP_FLOOR}x floor")
 
     check_kernel_speedups(fresh, failures)
 
