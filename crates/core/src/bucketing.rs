@@ -269,11 +269,7 @@ impl PersistentFilter for BucketingFilter {
         if s == 0 {
             return Err(FilterError::corrupt("zero bucket size"));
         }
-        let buckets = if header.legacy_directories() {
-            EliasFano::read_from_v1(src)?
-        } else {
-            EliasFano::read_from(src)?
-        };
+        let buckets = EliasFano::read_from(src)?;
         Ok(Self {
             s,
             buckets,
@@ -667,11 +663,7 @@ impl PersistentFilter for WorkloadAwareBucketing {
             return Err(FilterError::corrupt("region table lengths differ"));
         }
         let region_offsets = src.take(n_offsets)?;
-        let buckets = if header.legacy_directories() {
-            EliasFano::read_from_v1(src)?
-        } else {
-            EliasFano::read_from(src)?
-        };
+        let buckets = EliasFano::read_from(src)?;
         Ok(Self {
             region_starts,
             region_log2_s,

@@ -1,12 +1,12 @@
 //! The Grafite range filter (paper Section 3).
 
 use grafite_hash::{LocalityHash, PairwiseHash};
-use grafite_succinct::io::{DecodeError, MappedCursor, MappedSource, WordSource, WordWriter};
+use grafite_succinct::io::{MappedCursor, MappedSource, WordSource, WordWriter};
 use grafite_succinct::EliasFano;
 
 use crate::error::FilterError;
 use crate::parallel::Parallelism;
-use crate::persist::{spec_id, Header, FORMAT_VERSION};
+use crate::persist::{spec_id, Header};
 use crate::sort;
 use crate::traits::{BuildableFilter, FilterConfig, PersistentFilter, RangeFilter, DEFAULT_SEED};
 
@@ -118,15 +118,7 @@ impl<'a> GrafiteFilterView<'a> {
         if header.spec_id != spec_id::GRAFITE {
             return Err(FilterError::SpecMismatch(header.spec_id));
         }
-        if header.legacy_directories() {
-            // A borrowed view cannot hold the rebuilt select directories a
-            // v1 blob needs; load it owned (and re-save) instead.
-            return Err(FilterError::UnsupportedFormatVersion {
-                found: header.version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        Self::decode_payload(&mut cur, &header, EliasFano::read_from)
+        Self::decode_payload(&mut cur, &header)
     }
 }
 
@@ -136,21 +128,13 @@ impl MappedGrafiteFilter {
     /// rebuilt — the Elias–Fano arrays and their directories are sub-ranges
     /// of `source`'s buffer — but the result is `'static` and can be moved
     /// into a `Box<dyn PersistentFilter>` and shared across threads, which
-    /// a borrowed view cannot. Legacy v1 blobs are rejected for the same
-    /// reason views reject them (their directories must be rebuilt, which
-    /// only the owned path can hold).
+    /// a borrowed view cannot.
     pub fn open_mapped(source: &MappedSource) -> Result<Self, FilterError> {
         let (header, mut cur) = Header::payload_cursor_mapped(source)?;
         if header.spec_id != spec_id::GRAFITE {
             return Err(FilterError::SpecMismatch(header.spec_id));
         }
-        if header.legacy_directories() {
-            return Err(FilterError::UnsupportedFormatVersion {
-                found: header.version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        Self::decode_payload(&mut cur, &header, EliasFano::read_from)
+        Self::decode_payload(&mut cur, &header)
     }
 }
 
@@ -167,13 +151,10 @@ impl<S: AsRef<[u64]>> GrafiteFilter<S> {
         self.codes.write_to(w)?;
         Ok(())
     }
-    /// Shared payload codec for the owned and view load paths. `read_ef`
-    /// selects the Elias–Fano decoder: the current-format reader, or the
-    /// legacy-v1 reader (owned only) that rebuilds select directories.
+    /// Shared payload codec for the owned, view and mapped load paths.
     fn decode_payload<Src: WordSource<Storage = S>>(
         src: &mut Src,
         header: &Header,
-        read_ef: fn(&mut Src) -> Result<EliasFano<S>, DecodeError>,
     ) -> Result<Self, FilterError> {
         let c1 = src.word()?;
         let c2 = src.word()?;
@@ -183,7 +164,7 @@ impl<S: AsRef<[u64]>> GrafiteFilter<S> {
             return Err(FilterError::corrupt("pairwise hash parameters"));
         }
         let h = LocalityHash::from_pairwise(PairwiseHash::with_params(c1, c2, p, r));
-        let codes = read_ef(src)?;
+        let codes = EliasFano::read_from(src)?;
         if codes.universe() != r {
             return Err(FilterError::corrupt("code universe differs from r"));
         }
@@ -402,11 +383,7 @@ impl PersistentFilter for GrafiteFilter {
         src: &mut Src,
         header: &Header,
     ) -> Result<Self, FilterError> {
-        if header.legacy_directories() {
-            Self::decode_payload(src, header, EliasFano::read_from_v1)
-        } else {
-            Self::decode_payload(src, header, EliasFano::read_from)
-        }
+        Self::decode_payload(src, header)
     }
 }
 
@@ -425,23 +402,16 @@ impl PersistentFilter for MappedGrafiteFilter {
 
     /// Owned source, mapped storage: the payload words are read once into
     /// a fresh shared buffer and the filter's containers become sub-ranges
-    /// of it. Legacy v1 blobs are rejected as in
-    /// [`MappedGrafiteFilter::open_mapped`].
+    /// of it.
     fn read_payload<Src: WordSource<Storage = Vec<u64>>>(
         src: &mut Src,
         header: &Header,
     ) -> Result<Self, FilterError> {
-        if header.legacy_directories() {
-            return Err(FilterError::UnsupportedFormatVersion {
-                found: header.version,
-                supported: FORMAT_VERSION,
-            });
-        }
         let need = usize::try_from(header.payload_words)
             .map_err(|_| FilterError::corrupt("payload length overflows usize"))?;
         let words = src.take(need).map_err(FilterError::from)?;
         let mut cur = MappedCursor::new(MappedSource::from_words(words));
-        Self::decode_payload(&mut cur, header, EliasFano::read_from)
+        Self::decode_payload(&mut cur, header)
     }
 }
 

@@ -24,22 +24,23 @@
 //! # Versioning policy
 //!
 //! [`FORMAT_VERSION`] is bumped on *any* incompatible change to the header
-//! or to any filter's payload encoding; readers reject versions outside
-//! `MIN_FORMAT_VERSION..=FORMAT_VERSION` with
-//! [`FilterError::UnsupportedFormatVersion`] rather than guessing. Spec ids
+//! or to any filter's payload encoding; readers accept exactly
+//! [`FORMAT_VERSION`] and reject every other version with
+//! [`FilterError::UnsupportedFormatVersion`] rather than guessing — the
+//! same one-version policy the store manifest follows. Spec ids
 //! are append-only: an id, once assigned (see [`spec_id`]), is never
 //! reused for a different family.
 //!
 //! Version history:
 //!
 //! * **v1** — the original layout; `RsBitVec` select directories stored as
-//!   block-index *hints*.
+//!   block-index *hints*, which loaders had to rebuild. **No longer
+//!   readable**: a v1 blob fails with
+//!   [`FilterError::UnsupportedFormatVersion`] on every load path.
 //! * **v2** (current) — `RsBitVec` select directories store the exact
 //!   position of every 512th one/zero (the position-sampled scheme of the
-//!   succinct hot-path overhaul). v1 blobs still load on the **owned**
-//!   path: decoders rebuild the position samples from the bits in one
-//!   linear pass. Zero-copy views require v2 (a borrowed view cannot hold
-//!   rebuilt directories).
+//!   succinct hot-path overhaul), so owned loads and zero-copy views alike
+//!   read every directory verbatim.
 //!
 //! # Threat model
 //!
@@ -66,11 +67,6 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"GRAFILT\0");
 
 /// The on-disk format version this build writes (and reads).
 pub const FORMAT_VERSION: u32 = 2;
-
-/// The oldest format version readers still accept. v1 blobs load through
-/// the legacy owned path, which rebuilds the `RsBitVec` select directories
-/// (see the module docs' version history).
-pub const MIN_FORMAT_VERSION: u32 = 1;
 
 /// Header size in bytes (five words).
 pub const HEADER_BYTES: usize = HEADER_WORDS * 8;
@@ -156,8 +152,8 @@ pub fn words_of_bytes(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
 /// The parsed five-word blob header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Header {
-    /// Format version the blob was written with (within
-    /// `MIN_FORMAT_VERSION..=FORMAT_VERSION` after a successful parse).
+    /// Format version the blob was written with (always
+    /// [`FORMAT_VERSION`] after a successful parse).
     pub version: u32,
     /// Which filter family the payload encodes (see [`spec_id`]).
     pub spec_id: u32,
@@ -175,14 +171,6 @@ impl Header {
     #[inline]
     pub fn spec_version_word(&self) -> u64 {
         ((self.version as u64) << 32) | self.spec_id as u64
-    }
-
-    /// Whether this blob was written by the legacy v1 format, whose
-    /// `RsBitVec` select directories must be rebuilt on load (owned path
-    /// only — decoders dispatch on this).
-    #[inline]
-    pub fn legacy_directories(&self) -> bool {
-        self.version < 2
     }
 
     /// Serializes the header into `out`.
@@ -205,7 +193,7 @@ impl Header {
             return Err(FilterError::BadMagic(magic));
         }
         let version = (spec_version >> 32) as u32;
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(FilterError::UnsupportedFormatVersion {
                 found: version,
                 supported: FORMAT_VERSION,
@@ -386,47 +374,6 @@ mod tests {
         assert_eq!(payload_words, &[1, 2, 3]);
     }
 
-    /// A v1 header (the legacy directory layout) still parses — readers
-    /// dispatch on it — while versions outside the supported range fail
-    /// typed.
-    #[test]
-    fn legacy_v1_header_accepted() {
-        let payload: Vec<u8> = [7u64, 8].iter().flat_map(|w| w.to_le_bytes()).collect();
-        let mut header = Header {
-            version: MIN_FORMAT_VERSION,
-            spec_id: spec_id::BUCKETING,
-            n_keys: 3,
-            payload_words: 2,
-            checksum: 0,
-        };
-        header.checksum = blob_checksum(
-            header.spec_version_word(),
-            header.n_keys,
-            header.payload_words,
-            words_of_bytes(&payload),
-        );
-        let mut blob = Vec::new();
-        header.write(&mut blob).unwrap();
-        blob.extend_from_slice(&payload);
-        let (parsed, _) = Header::parse(&blob).unwrap();
-        assert_eq!(parsed.version, 1);
-        assert!(parsed.legacy_directories());
-        let (fresh, _) = Header::parse(&sample_blob()).unwrap();
-        assert!(!fresh.legacy_directories());
-        // Version 0 and FORMAT_VERSION + 1 are both out of range.
-        for bad_version in [0u32, FORMAT_VERSION + 1] {
-            let mut bad = blob.clone();
-            bad[12..16].copy_from_slice(&bad_version.to_le_bytes());
-            assert_eq!(
-                Header::parse(&bad),
-                Err(FilterError::UnsupportedFormatVersion {
-                    found: bad_version,
-                    supported: FORMAT_VERSION
-                })
-            );
-        }
-    }
-
     #[test]
     fn bad_magic_is_typed() {
         let mut blob = sample_blob();
@@ -437,17 +384,22 @@ mod tests {
         ));
     }
 
+    /// Every version but the current one fails typed — including the
+    /// retired v1.
     #[test]
     fn wrong_version_is_typed() {
-        let mut blob = sample_blob();
-        blob[12] = 9; // low byte of the version half of word 1
-        assert_eq!(
-            Header::parse(&blob),
-            Err(FilterError::UnsupportedFormatVersion {
-                found: 9,
-                supported: FORMAT_VERSION
-            })
-        );
+        for bad_version in [0u32, 1, FORMAT_VERSION + 1, 9] {
+            let mut blob = sample_blob();
+            // The version half of word 1.
+            blob[12..16].copy_from_slice(&bad_version.to_le_bytes());
+            assert_eq!(
+                Header::parse(&blob),
+                Err(FilterError::UnsupportedFormatVersion {
+                    found: bad_version,
+                    supported: FORMAT_VERSION
+                })
+            );
+        }
     }
 
     #[test]

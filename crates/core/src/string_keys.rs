@@ -353,11 +353,7 @@ impl PersistentFilter for StringGrafite {
             return Err(FilterError::corrupt("string-Grafite exponent out of range"));
         }
         let seed = src.word()?;
-        let codes = if header.legacy_directories() {
-            EliasFano::read_from_v1(src)?
-        } else {
-            EliasFano::read_from(src)?
-        };
+        let codes = EliasFano::read_from(src)?;
         // lint:allow(k is validated to 1..=60 above, the shift cannot overflow)
         if codes.universe() != 1u64 << k {
             return Err(FilterError::corrupt("code universe differs from 2^k"));

@@ -264,11 +264,7 @@ impl PersistentFilter for Proteus {
             return Err(FilterError::corrupt("Proteus stage flags inconsistent"));
         }
         let fst = if has_fst == 1 {
-            Some(if header.legacy_directories() {
-                Fst::read_from_v1(src)?
-            } else {
-                Fst::read_from(src)?
-            })
+            Some(Fst::read_from(src)?)
         } else {
             None
         };

@@ -183,11 +183,7 @@ impl PersistentFilter for Surf {
             _ => return Err(FilterError::corrupt("SuRF suffix length")),
         };
         let suffixes = IntVec::read_from(src)?;
-        let fst = if header.legacy_directories() {
-            FstDs::read_from_v1(src)?
-        } else {
-            FstDs::read_from(src)?
-        };
+        let fst = FstDs::read_from(src)?;
         if suffixes.width() != mode.bits() || suffixes.len() != fst.num_leaves() {
             return Err(FilterError::corrupt("SuRF suffix table shape"));
         }

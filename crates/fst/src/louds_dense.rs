@@ -315,37 +315,12 @@ impl FstDs {
     pub fn read_from<Src: WordSource<Storage = Vec<u64>>>(
         src: &mut Src,
     ) -> Result<Self, DecodeError> {
-        Self::read_from_impl(src, false)
-    }
-
-    /// Reads the **format-v1** stream (legacy select-hint directories in
-    /// every embedded [`RsBitVec`]); position samples are rebuilt on load.
-    pub fn read_from_v1<Src: WordSource<Storage = Vec<u64>>>(
-        src: &mut Src,
-    ) -> Result<Self, DecodeError> {
-        Self::read_from_impl(src, true)
-    }
-
-    fn read_from_impl<Src: WordSource<Storage = Vec<u64>>>(
-        src: &mut Src,
-        legacy: bool,
-    ) -> Result<Self, DecodeError> {
         let dense_nodes = src.length()?;
         let dense_leaves = src.length()?;
         let dense_depth = src.length()?;
-        let (labels, has_child, sparse) = if legacy {
-            (
-                RsBitVec::read_from_v1(src)?,
-                RsBitVec::read_from_v1(src)?,
-                Fst::read_from_v1(src)?,
-            )
-        } else {
-            (
-                RsBitVec::read_from(src)?,
-                RsBitVec::read_from(src)?,
-                Fst::read_from(src)?,
-            )
-        };
+        let labels = RsBitVec::read_from(src)?;
+        let has_child = RsBitVec::read_from(src)?;
+        let sparse = Fst::read_from(src)?;
         // `checked_mul` matters here: a crafted `dense_nodes` close to
         // `usize::MAX` must not wrap into a small product that happens to
         // equal `labels.len()` and slip past the size check.

@@ -102,34 +102,13 @@ impl Fst {
     pub fn read_from<Src: WordSource<Storage = Vec<u64>>>(
         src: &mut Src,
     ) -> Result<Self, DecodeError> {
-        Self::read_from_impl(src, false)
-    }
-
-    /// Reads the **format-v1** stream, whose embedded
-    /// [`RsBitVec`]s store the legacy block-index select hints; their
-    /// position-sampled directories are rebuilt on load.
-    pub fn read_from_v1<Src: WordSource<Storage = Vec<u64>>>(
-        src: &mut Src,
-    ) -> Result<Self, DecodeError> {
-        Self::read_from_impl(src, true)
-    }
-
-    fn read_from_impl<Src: WordSource<Storage = Vec<u64>>>(
-        src: &mut Src,
-        legacy: bool,
-    ) -> Result<Self, DecodeError> {
         let n_labels = src.length()?;
         let num_nodes = src.length()?;
         let num_leaves = src.length()?;
         let num_roots = src.length()?;
         let labels = src.take_bytes(n_labels)?;
-        let read_rs = if legacy {
-            RsBitVec::read_from_v1
-        } else {
-            RsBitVec::read_from
-        };
-        let has_child = read_rs(src)?;
-        let louds = read_rs(src)?;
+        let has_child = RsBitVec::read_from(src)?;
+        let louds = RsBitVec::read_from(src)?;
         if has_child.len() != n_labels || louds.len() != n_labels {
             return Err(DecodeError::Invalid("trie parallel array lengths differ"));
         }

@@ -393,14 +393,14 @@ impl MappedManifest {
         Ok((keys, filter))
     }
 
-    /// Parses one shard blob, picking the zero-copy Grafite view path when
-    /// the blob supports it.
+    /// Parses one shard blob, taking the zero-copy mapped path for Grafite
+    /// blobs.
     fn load_filter(&self, blob: &[u8]) -> Result<DynRangeFilter, FilterError> {
         let header = Header::peek(blob)?;
         if header.spec_id != self.config.family.spec_id() {
             return Err(FilterError::SpecMismatch(header.spec_id));
         }
-        if header.spec_id == spec_id::GRAFITE && !header.legacy_directories() {
+        if header.spec_id == spec_id::GRAFITE {
             // One byte→word conversion pass, then every container in the
             // filter is a sub-range of the same shared buffer.
             let source = MappedSource::from_le_bytes(blob).map_err(FilterError::from)?;

@@ -205,23 +205,7 @@ impl EliasFano {
             last: values[n - 1],
         }
     }
-
-    /// Reads the **format-v1** stream (whose embedded [`RsBitVec`] stores
-    /// the legacy block-index select hints): the bits and rank directory
-    /// load verbatim, the select position samples are rebuilt. Owned
-    /// storage only.
-    pub fn read_from_v1<Src: WordSource<Storage = Vec<u64>>>(
-        src: &mut Src,
-    ) -> Result<Self, DecodeError> {
-        let head = Self::read_head(src)?;
-        let low = IntVec::read_from(src)?;
-        let high = RsBitVec::read_from_v1(src)?;
-        Self::validate_parts(head, low, high)
-    }
 }
-
-/// The five scalar header words of an Elias–Fano stream.
-type EfHead = (usize, u64, usize, u64, u64);
 
 impl<S: AsRef<[u64]>> EliasFano<S> {
     /// Number of stored values.
@@ -525,7 +509,11 @@ impl<S: AsRef<[u64]>> EliasFano<S> {
         Ok(w.words_written() - before)
     }
 
-    fn read_head<Src: WordSource<Storage = S>>(src: &mut Src) -> Result<EfHead, DecodeError> {
+    /// Reads back what [`EliasFano::write_to`] wrote; storage kind follows
+    /// the source, so a [`crate::io::WordCursor`] yields a zero-copy
+    /// [`EliasFanoView`] ready to answer `predecessor` queries without any
+    /// rebuilding.
+    pub fn read_from<Src: WordSource<Storage = S>>(src: &mut Src) -> Result<Self, DecodeError> {
         let n = src.length()?;
         let universe = src.word()?;
         let low_bits = src.length()?;
@@ -534,15 +522,8 @@ impl<S: AsRef<[u64]>> EliasFano<S> {
         }
         let first = src.word()?;
         let last = src.word()?;
-        Ok((n, universe, low_bits, first, last))
-    }
-
-    fn validate_parts(
-        head: EfHead,
-        low: IntVec<S>,
-        high: RsBitVec<S>,
-    ) -> Result<Self, DecodeError> {
-        let (n, universe, low_bits, first, last) = head;
+        let low = IntVec::read_from(src)?;
+        let high = RsBitVec::read_from(src)?;
         if low.len() != n || low.width() != low_bits {
             return Err(DecodeError::Invalid("Elias-Fano low array shape"));
         }
@@ -561,17 +542,6 @@ impl<S: AsRef<[u64]>> EliasFano<S> {
             first,
             last,
         })
-    }
-
-    /// Reads back what [`EliasFano::write_to`] wrote; storage kind follows
-    /// the source, so a [`crate::io::WordCursor`] yields a zero-copy
-    /// [`EliasFanoView`] ready to answer `predecessor` queries without any
-    /// rebuilding. For format-v1 streams use [`EliasFano::read_from_v1`].
-    pub fn read_from<Src: WordSource<Storage = S>>(src: &mut Src) -> Result<Self, DecodeError> {
-        let head = Self::read_head(src)?;
-        let low = IntVec::read_from(src)?;
-        let high = RsBitVec::read_from(src)?;
-        Self::validate_parts(head, low, high)
     }
 }
 

@@ -34,9 +34,7 @@
 //! store: the rank/select directories serialize alongside the bits and are
 //! read back **verbatim** — loading never recomputes them, and the
 //! [`RsBitVecView`] variant answers queries directly out of a loaded
-//! buffer. Blobs written by the format-v1 layout (block-index hints) load
-//! through [`RsBitVec::read_from_v1`], which rebuilds the position samples
-//! from the bits in one O(n/64) pass.
+//! buffer.
 
 use crate::bitvec::BitVec;
 use crate::io::{DecodeError, WordSource, WordWriter};
@@ -128,10 +126,6 @@ impl RsBitVec {
         }
         blocks.push(acc);
         let ones = acc as usize;
-        Self::assemble(bits, blocks, ones)
-    }
-
-    fn assemble(bits: BitVec, blocks: Vec<u64>, ones: usize) -> Self {
         let zeros = bits.len() - ones;
         let (select1_pos, select0_pos, seen) = build_select_samples(&bits, ones, zeros);
         debug_assert_eq!(seen, ones, "rank directory inconsistent with bits");
@@ -142,59 +136,6 @@ impl RsBitVec {
             select0_pos,
             ones,
         }
-    }
-
-    /// Reads the **format-v1** layout (select directories stored as
-    /// block-index *hints* rather than positions) and upgrades it: the bits
-    /// and the rank directory come back verbatim, the position samples are
-    /// rebuilt in one O(n/64) word pass. Owned storage only — a zero-copy
-    /// view cannot hold rebuilt directories.
-    pub fn read_from_v1<Src: WordSource<Storage = Vec<u64>>>(
-        src: &mut Src,
-    ) -> Result<Self, DecodeError> {
-        let ones = src.length()?;
-        let bits = BitVec::read_from(src)?;
-        if ones > bits.len() {
-            return Err(DecodeError::Invalid("rank directory total exceeds length"));
-        }
-        let n_blocks = crate::div_ceil(bits.len().max(1), BLOCK_BITS);
-        let blocks_len = src.length()?;
-        if n_blocks.checked_add(1) != Some(blocks_len) {
-            return Err(DecodeError::Invalid("rank directory block count"));
-        }
-        let blocks = src.take(blocks_len)?;
-        if blocks.windows(2).any(|w| matches!(w, [a, b] if a > b))
-            || blocks.last() != Some(&(ones as u64))
-        {
-            return Err(DecodeError::Invalid("rank directory inconsistent"));
-        }
-        let zeros = bits.len() - ones;
-        // The v1 hints are consumed and validated but not kept: the v2
-        // position samples are rebuilt from the bits below.
-        let h1_len = src.length()?;
-        if h1_len != ones.div_ceil(SELECT_SAMPLE) {
-            return Err(DecodeError::Invalid("select1 hint count"));
-        }
-        let h1 = src.take(h1_len)?;
-        let h0_len = src.length()?;
-        if h0_len != zeros.div_ceil(SELECT_SAMPLE) {
-            return Err(DecodeError::Invalid("select0 hint count"));
-        }
-        let h0 = src.take(h0_len)?;
-        if h1.iter().chain(&h0).any(|&h| h >= n_blocks as u64) {
-            return Err(DecodeError::Invalid("select hint out of range"));
-        }
-        let (select1_pos, select0_pos, seen) = build_select_samples(&bits, ones, zeros);
-        if seen != ones {
-            return Err(DecodeError::Invalid("rank directory total mismatches bits"));
-        }
-        Ok(Self {
-            bits,
-            blocks,
-            select1_pos,
-            select0_pos,
-            ones,
-        })
     }
 }
 
@@ -462,8 +403,7 @@ impl<S: AsRef<[u64]>> RsBitVec<S> {
     /// Reads back what [`RsBitVec::write_to`] wrote. The rank/select
     /// directories come back verbatim from the stream — nothing is rebuilt,
     /// which is what makes cold loads O(size) copies (owned) or O(1)
-    /// (borrowed view). For blobs written by the v1 layout use
-    /// [`RsBitVec::read_from_v1`].
+    /// (borrowed view).
     pub fn read_from<Src: WordSource<Storage = S>>(src: &mut Src) -> Result<Self, DecodeError> {
         let ones = src.length()?;
         let bits = BitVec::read_from(src)?;
@@ -516,64 +456,6 @@ impl<S: AsRef<[u64]>> RsBitVec<S> {
             ones,
         })
     }
-}
-
-/// Test support, not public API: hand-encodes the **frozen format-v1**
-/// stream layout (block-index select hints) for a pattern, exactly as the
-/// seed's `write_to` produced it. This is the single reference encoder
-/// behind every v1-compatibility suite — the unit tests here and the
-/// property tests in `tests/proptests.rs` — so a fix to the reference
-/// encoding lands in one place.
-#[doc(hidden)]
-pub fn encode_v1_for_tests(pattern: &[bool]) -> Vec<u64> {
-    let len = pattern.len();
-    let n_words = crate::div_ceil(len.max(1), WORD_BITS);
-    let mut words = vec![0u64; n_words];
-    for (i, &b) in pattern.iter().enumerate() {
-        if b {
-            words[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
-        }
-    }
-    let n_blocks = crate::div_ceil(len.max(1), BLOCK_BITS);
-    let mut blocks = Vec::with_capacity(n_blocks + 1);
-    let mut acc = 0u64;
-    for b in 0..n_blocks {
-        blocks.push(acc);
-        for w in words
-            .iter()
-            .take(((b + 1) * BLOCK_WORDS).min(n_words))
-            .skip(b * BLOCK_WORDS)
-        {
-            acc += w.count_ones() as u64;
-        }
-    }
-    blocks.push(acc);
-    let ones = acc as usize;
-    let zeros = len - ones;
-    let (mut h1, mut h0) = (Vec::new(), Vec::new());
-    let (mut next1, mut next0) = (0usize, 0usize);
-    for b in 0..n_blocks {
-        let ones_through = blocks[b + 1] as usize;
-        let bits_through = ((b + 1) * BLOCK_BITS).min(len);
-        let zeros_through = bits_through - ones_through;
-        while next1 < ones && next1 < ones_through {
-            h1.push(b as u64);
-            next1 += SELECT_SAMPLE;
-        }
-        while next0 < zeros && next0 < zeros_through {
-            h0.push(b as u64);
-            next0 += SELECT_SAMPLE;
-        }
-    }
-    let mut out = vec![ones as u64, len as u64, n_words as u64];
-    out.extend_from_slice(&words);
-    out.push(blocks.len() as u64);
-    out.extend_from_slice(&blocks);
-    out.push(h1.len() as u64);
-    out.extend_from_slice(&h1);
-    out.push(h0.len() as u64);
-    out.extend_from_slice(&h0);
-    out
 }
 
 #[cfg(test)]
@@ -708,58 +590,6 @@ mod tests {
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
             .collect()
-    }
-
-    use super::encode_v1_for_tests as encode_v1;
-
-    #[test]
-    fn legacy_v1_stream_loads_and_answers() {
-        use crate::io::ReadSource;
-        let mut state = 77u64;
-        let pattern: Vec<bool> = (0..9000)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                state & 7 < 3
-            })
-            .collect();
-        let words = encode_v1(&pattern);
-        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        let legacy = RsBitVec::read_from_v1(&mut ReadSource::new(bytes.as_slice())).unwrap();
-        let fresh = RsBitVec::new(pattern.iter().copied().collect());
-        assert_eq!(legacy.count_ones(), fresh.count_ones());
-        for pos in 0..=pattern.len() {
-            assert_eq!(legacy.rank1(pos), fresh.rank1(pos), "rank1({pos})");
-        }
-        for k in 0..fresh.count_ones() {
-            assert_eq!(legacy.select1(k), fresh.select1(k), "select1({k})");
-        }
-        for k in 0..fresh.count_zeros() {
-            assert_eq!(legacy.select0(k), fresh.select0(k), "select0({k})");
-        }
-        // Re-serializing the upgraded structure produces the v2 image.
-        assert_eq!(serialize(&legacy), serialize(&fresh));
-    }
-
-    #[test]
-    fn legacy_v1_rejects_corrupt_streams() {
-        use crate::io::ReadSource;
-        let pattern: Vec<bool> = (0..1200).map(|i| i % 3 == 0).collect();
-        let words = encode_v1(&pattern);
-        let as_bytes =
-            |ws: &[u64]| -> Vec<u8> { ws.iter().flat_map(|w| w.to_le_bytes()).collect() };
-        // Claimed ones above the length.
-        let mut bad = words.clone();
-        bad[0] = 5000;
-        assert!(RsBitVec::read_from_v1(&mut ReadSource::new(as_bytes(&bad).as_slice())).is_err());
-        // Claimed ones consistent with the directory but not the bits.
-        let mut bad = words.clone();
-        bad[0] -= 1;
-        let dir_last = 3 + crate::div_ceil(1200, WORD_BITS) + 1 + crate::div_ceil(1200, BLOCK_BITS);
-        bad[dir_last] -= 1;
-        assert!(matches!(
-            RsBitVec::read_from_v1(&mut ReadSource::new(as_bytes(&bad).as_slice())),
-            Err(DecodeError::Invalid("rank directory total mismatches bits"))
-        ));
     }
 
     #[test]

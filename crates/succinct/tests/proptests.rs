@@ -31,45 +31,6 @@ fn serialize(
     (bytes, words)
 }
 
-// The frozen v1 `RsBitVec` reference encoder is shared with the unit
-// tests: one copy, maintained in the library as doc(hidden) test support.
-use grafite_succinct::rs_bitvec::encode_v1_for_tests as encode_rsbitvec_v1;
-
-/// Hand-encodes the **format-v1** Elias–Fano stream: the five scalar head
-/// words and the low array are layout-identical across versions; only the
-/// embedded high `RsBitVec` uses the legacy directory encoding.
-fn encode_elias_fano_v1(values: &[u64], universe: u64) -> Vec<u64> {
-    let n = values.len();
-    let (low_bits, high_pattern, first, last) = if n == 0 {
-        (0usize, vec![false], 0u64, 0u64)
-    } else {
-        let low_bits = if universe > n as u64 {
-            (universe / n as u64).ilog2() as usize
-        } else {
-            0
-        };
-        let hi_max = (universe - 1) >> low_bits;
-        let mut high = vec![false; hi_max as usize + n + 1];
-        for (i, &v) in values.iter().enumerate() {
-            high[(v >> low_bits) as usize + i] = true;
-        }
-        (low_bits, high, values[0], values[n - 1])
-    };
-    let mask = if low_bits == 0 {
-        0
-    } else {
-        (1u64 << low_bits) - 1
-    };
-    let lows: Vec<u64> = values.iter().map(|&v| v & mask).collect();
-    // The IntVec layout is version-invariant: serialize it with the library.
-    let iv = IntVec::from_slice(low_bits, &lows);
-    let (_, iv_words) = serialize(|w| iv.write_to(w));
-    let mut out = vec![n as u64, universe, low_bits as u64, first, last];
-    out.extend_from_slice(&iv_words);
-    out.extend_from_slice(&encode_rsbitvec_v1(&high_pattern));
-    out
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -303,55 +264,6 @@ proptest! {
             prop_assert_eq!(ef.predecessor(y), expect, "fused pred({})", y);
             prop_assert_eq!(cursor.predecessor(y), expect, "cursor pred({})", y);
             prop_assert_eq!(ef.successor(y), set.range(y..).next().copied(), "succ({})", y);
-        }
-    }
-
-    /// Format-v1 compatibility at the stream level: a hand-encoded v1
-    /// `RsBitVec` stream (legacy block-index hints) loads through
-    /// `read_from_v1` and answers identically to a freshly built structure,
-    /// and re-serializes as the v2 image.
-    #[test]
-    fn v1_rsbitvec_stream_loads_and_answers(pattern in prop::collection::vec(any::<bool>(), 1..4096)) {
-        let stream = encode_rsbitvec_v1(&pattern);
-        let bytes: Vec<u8> = stream.iter().flat_map(|w| w.to_le_bytes()).collect();
-        let legacy = RsBitVec::read_from_v1(&mut ReadSource::new(bytes.as_slice())).unwrap();
-        let fresh = RsBitVec::new(pattern.iter().copied().collect());
-        prop_assert_eq!(legacy.count_ones(), fresh.count_ones());
-        for pos in 0..=pattern.len() {
-            prop_assert_eq!(legacy.rank1(pos), fresh.rank1(pos));
-        }
-        for k in 0..fresh.count_ones() {
-            prop_assert_eq!(legacy.select1(k), fresh.select1(k));
-        }
-        for k in 0..fresh.count_zeros() {
-            prop_assert_eq!(legacy.select0(k), fresh.select0(k));
-        }
-        let (_, legacy_words) = serialize(|w| legacy.write_to(w));
-        let (_, fresh_words) = serialize(|w| fresh.write_to(w));
-        prop_assert_eq!(legacy_words, fresh_words, "re-serialization must be the v2 image");
-    }
-
-    /// Same at the Elias–Fano level: a v1 stream (v2 scalar head + low
-    /// array + v1 high bit vector) loads through `read_from_v1` and answers
-    /// the full operation set identically to a fresh encode.
-    #[test]
-    fn v1_elias_fano_stream_loads_and_answers(
-        mut values in prop::collection::vec(0u64..200_000, 0..500),
-        probes in prop::collection::vec(0u64..200_000, 1..100),
-        universe_slack in 1u64..1000,
-    ) {
-        values.sort_unstable();
-        let universe = values.last().copied().unwrap_or(0) + universe_slack;
-        let fresh = EliasFano::new(&values, universe);
-        let stream = encode_elias_fano_v1(&values, universe);
-        let bytes: Vec<u8> = stream.iter().flat_map(|w| w.to_le_bytes()).collect();
-        let legacy = EliasFano::read_from_v1(&mut ReadSource::new(bytes.as_slice())).unwrap();
-        prop_assert!(legacy == fresh);
-        for &y in &probes {
-            let y = y.min(universe - 1);
-            prop_assert_eq!(legacy.predecessor(y), fresh.predecessor(y));
-            prop_assert_eq!(legacy.successor(y), fresh.successor(y));
-            prop_assert_eq!(legacy.rank(y), fresh.rank(y));
         }
     }
 

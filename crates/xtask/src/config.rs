@@ -26,10 +26,6 @@ pub const UNTRUSTED_FILES: &[&str] = &[
 /// names.
 pub const UNTRUSTED_FNS: &[&str] = &[
     "read_from",
-    "read_from_v1",
-    "read_from_impl",
-    "read_head",
-    "validate_parts",
     "read_payload",
     "decode_payload",
     "deserialize",
@@ -85,7 +81,7 @@ pub const UNSAFE_KERNEL_FILES: &[&str] = &["crates/succinct/src/simd/kernels.rs"
 pub const SAFETY_JUSTIFICATION: &str = "safety:";
 
 /// How many lines above an `unsafe` token L6 searches for the
-/// justification comment. Wider than L5's window: soundness arguments
+/// justification comment. Wider than L8's window: soundness arguments
 /// for gathers and raw loads legitimately run several comment lines.
 pub const SAFETY_COMMENT_WINDOW: usize = 5;
 
@@ -263,19 +259,19 @@ pub const ORDERING_CLASSES: &[&str] = &[
 /// The keyword introducing pairing targets in the `// ordering:` grammar.
 pub const ORDERING_PAIRS_WITH: &str = "pairs-with";
 
-/// Where the atomic-ordering audit (L5) looks. Every
+/// Where the atomics audit (L8) looks. Every
 /// `Ordering::{Relaxed,Acquire,Release,AcqRel,SeqCst}` in these trees must
 /// carry an `// ordering:` justification comment.
 pub const ATOMIC_AUDIT_GLOBS: &[&str] = &["crates/store/src/", "crates/server/src/"];
 
-/// The atomic memory orderings L5 recognizes (`std::cmp::Ordering`'s
+/// The atomic memory orderings L8 recognizes (`std::cmp::Ordering`'s
 /// variants deliberately excluded).
 pub const ATOMIC_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
-/// The comment marker that justifies an atomic ordering for L5.
+/// The comment marker that justifies an atomic ordering for L8.
 pub const ORDERING_JUSTIFICATION: &str = "ordering:";
 
-/// How many lines above an `Ordering::` use L5 searches for the
+/// How many lines above an `Ordering::` use L8 searches for the
 /// justification comment.
 pub const ORDERING_COMMENT_WINDOW: usize = 3;
 

@@ -1,6 +1,6 @@
 //! Repo-specific static analysis for the Grafite workspace.
 //!
-//! `cargo run -p xtask -- lint` runs eight lints (see [`lints`]) that
+//! `cargo run -p xtask -- lint` runs seven lints (see [`lints`]) that
 //! encode this repository's correctness contract:
 //!
 //! - **L1 panic-freedom** — no `unwrap`/`expect`/panicking macros/bare
@@ -11,8 +11,6 @@
 //!   with the committed golden blobs;
 //! - **L4 unchecked arithmetic** — no bare `+`/`*`/`<<` on
 //!   length/offset-*named* values in untrusted scopes;
-//! - **L5 atomic-ordering audit** — every atomic `Ordering::` in the
-//!   audited crates carries an `// ordering:` comment;
 //! - **L6 unsafe-kernel confinement** — `unsafe` only in the allowlisted
 //!   SIMD kernel module, every block `// safety:`-justified;
 //! - **L7 dataflow taint** — a value *derived from attacker bytes*
@@ -20,14 +18,16 @@
 //!   index, raw-read offset, or shift amount without passing a
 //!   `checked_*`/`saturating_*`/`min`/`clamp` sanitizer or an explicit
 //!   bounds comparison ([`dataflow`]);
-//! - **L8 happens-before pairing** — every `// ordering:` comment follows
-//!   the machine-checkable grammar in [`config`], and every declared
-//!   publish edge resolves to a live Release/Acquire partner site.
+//! - **L8 happens-before pairing** — every atomic `Ordering::` in the
+//!   audited crates carries an `// ordering:` comment that follows the
+//!   machine-checkable grammar in [`config`], and every declared publish
+//!   edge resolves to a live Release/Acquire partner site.
+//!
+//! There is no L5: lint ids are never reused.
 //!
 //! L1/L4 and L7 are complementary: L4 is the cheap name heuristic, L7 is
 //! the provenance analysis that catches laundering through neutral
-//! names. L5 and L8 are likewise layered: L5 demands a justification
-//! exists, L8 demands it parses and its pairing claims are true.
+//! names.
 //!
 //! The crate is dependency-free and fully offline: plain `std::fs` walks
 //! plus a hand-rolled Rust lexer ([`scan`]) that masks comments and
@@ -54,7 +54,7 @@ use lints::{Finding, Scopes, Sink};
 use scan::{AllowUse, SourceFile};
 
 /// The lint ids, in report order.
-pub const LINT_IDS: [&str; 8] = ["L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8"];
+pub const LINT_IDS: [&str; 7] = ["L1", "L2", "L3", "L4", "L6", "L7", "L8"];
 
 /// Per-lint cost and yield, for the summary footer and the CI step
 /// summary.
@@ -116,11 +116,11 @@ fn walk_rs(root: &Path, prefix: &str) -> Vec<String> {
     out
 }
 
-/// Runs all eight lints from `root` and returns the combined report.
+/// Runs all seven lints from `root` and returns the combined report.
 ///
 /// Every `.rs` file any scoped lint cares about is read from disk and
 /// tokenized exactly once; the resulting [`SourceFile`] cache is shared
-/// by L1/L4/L5/L6/L7/L8 (L2/L3 additionally read manifests and golden
+/// by L1/L4/L6/L7/L8 (L2/L3 additionally read manifests and golden
 /// blobs, which are not Rust sources).
 pub fn run_lints(root: &Path) -> LintReport {
     let mut sink = Sink::default();
@@ -176,7 +176,7 @@ pub fn run_lints(root: &Path) -> LintReport {
         });
     }
 
-    // L5 + L8 site collection over the atomic-audit globs; L6 over the
+    // L8 site collection over the atomic-audit globs; L6 over the
     // unsafe-scan globs.
     let mut sites = Vec::new();
     for (rel, file) in &cache {
@@ -184,9 +184,6 @@ pub fn run_lints(root: &Path) -> LintReport {
             .iter()
             .any(|g| rel.starts_with(g))
         {
-            timed(&mut wall, "L5", &mut sink, &mut |s| {
-                lints::atomics::check(file, s);
-            });
             let t = Instant::now();
             sites.extend(lints::happens_before::collect(file, &mut sink));
             *wall.entry("L8").or_default() += t.elapsed();

@@ -1,14 +1,13 @@
 //! L3 — format-constant consistency.
 //!
 //! The persistence contract lives in three places that can drift apart:
-//! the constants in `crates/core/src/persist.rs` (`FORMAT_VERSION`,
-//! `MIN_FORMAT_VERSION`, the `spec_id` table), the store manifest codec
-//! (`STORE_FORMAT_VERSION`), and the committed golden blobs under
-//! `tests/golden/`. This lint re-derives each side *statically* — the
-//! constants lexically from source, the blob headers from their first 16
-//! bytes — and cross-checks them, so that bumping `FORMAT_VERSION` without
-//! regenerating `tests/golden/v{N}/`, or retiring v1 support while frozen
-//! v1 blobs are still committed, fails before any test runs.
+//! the constants in `crates/core/src/persist.rs` (`FORMAT_VERSION`, the
+//! `spec_id` table), the store manifest codec (`STORE_FORMAT_VERSION`), and
+//! the committed golden blobs under `tests/golden/v{FORMAT_VERSION}/`. This
+//! lint re-derives each side *statically* — the constants lexically from
+//! source, the blob headers from their first 16 bytes — and cross-checks
+//! them, so that bumping `FORMAT_VERSION` without regenerating the golden
+//! set fails before any test runs.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -123,18 +122,15 @@ fn read_blob_head(path: &Path) -> Result<(u32, u32), String> {
     Ok((word1 as u32, (word1 >> 32) as u32))
 }
 
-/// Cross-checks one golden directory against the spec table.
-///
-/// `expected_versions` is the inclusive range a blob's header version may
-/// carry: exactly `FORMAT_VERSION` for the current set, the accepted
-/// `MIN..=FORMAT` window for the frozen v1 set.
+/// Cross-checks the golden directory for `format_version` against the
+/// spec table: every blob header must carry exactly that version.
 fn check_golden_dir(
     root: &Path,
-    rel_dir: &str,
-    expected_versions: std::ops::RangeInclusive<u32>,
+    format_version: u32,
     spec_table: &BTreeMap<String, u32>,
     sink: &mut Sink,
 ) {
+    let rel_dir = format!("tests/golden/v{format_version}");
     let manifest_rel = format!("{rel_dir}/manifest.txt");
     let manifest_text = match std::fs::read_to_string(root.join(&manifest_rel)) {
         Ok(t) => t,
@@ -145,7 +141,8 @@ fn check_golden_dir(
                 1,
                 format!(
                     "golden manifest missing ({e}): a FORMAT_VERSION bump requires regenerating \
-                     this golden set (cargo test regenerates via GOLDEN_REGEN=1)"
+                     this golden set (cargo test --test format_golden -- --ignored \
+                     regenerate_golden_files)"
                 ),
             );
             return;
@@ -182,16 +179,14 @@ fn check_golden_dir(
                         ),
                     );
                 }
-                if !expected_versions.contains(&version) {
+                if version != format_version {
                     sink.emit_unconditional(
                         blob_rel,
                         "L3",
                         1,
                         format!(
-                            "header format version {version} is outside the accepted range \
-                             {}..={} — regenerate the goldens or widen MIN/FORMAT_VERSION",
-                            expected_versions.start(),
-                            expected_versions.end()
+                            "header format version {version} differs from FORMAT_VERSION \
+                             {format_version} — regenerate the goldens"
                         ),
                     );
                 }
@@ -230,23 +225,6 @@ pub fn check(root: &Path, sink: &mut Sink) {
         );
         return;
     };
-    let Some(min_version) = parse_u32_const(&persist, "MIN_FORMAT_VERSION") else {
-        sink.emit_unconditional(
-            persist_rel.into(),
-            "L3",
-            1,
-            "MIN_FORMAT_VERSION: u32 constant not found".into(),
-        );
-        return;
-    };
-    if min_version > format_version {
-        sink.emit_unconditional(
-            persist_rel.into(),
-            "L3",
-            1,
-            format!("MIN_FORMAT_VERSION ({min_version}) exceeds FORMAT_VERSION ({format_version})"),
-        );
-    }
     let spec_table = parse_spec_table(&persist);
     if spec_table.is_empty() {
         sink.emit_unconditional(
@@ -270,25 +248,9 @@ pub fn check(root: &Path, sink: &mut Sink) {
         );
     }
 
-    // Current golden set: must exist for the *current* FORMAT_VERSION and
-    // carry exactly that version in every header.
-    check_golden_dir(
-        root,
-        &format!("tests/golden/v{format_version}"),
-        format_version..=format_version,
-        &spec_table,
-        sink,
-    );
-    // Frozen v1 set at the golden root: still within the accepted window.
-    // Retiring v1 support (bumping MIN_FORMAT_VERSION) while these blobs
-    // remain committed fails here — delete or migrate them deliberately.
-    check_golden_dir(
-        root,
-        "tests/golden",
-        min_version..=format_version,
-        &spec_table,
-        sink,
-    );
+    // The golden set must exist for the *current* FORMAT_VERSION and carry
+    // exactly that version in every header.
+    check_golden_dir(root, format_version, &spec_table, sink);
 
     // Store manifest codec: the version constant must exist and be ≥ 1.
     let store_rel = "crates/store/src/manifest.rs";

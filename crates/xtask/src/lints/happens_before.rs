@@ -1,9 +1,11 @@
 //! L8 — atomics happens-before checker.
 //!
-//! L5 proves every atomic ordering in the audited crates *has* an
-//! `// ordering:` comment; L8 proves the comment *means something*. Each
-//! comment must follow the machine-checkable grammar documented in
-//! [`crate::config`]:
+//! Every atomic `Ordering::{Relaxed, Acquire, Release, AcqRel, SeqCst}` in
+//! the audited crates — fences included — must carry an `// ordering:`
+//! comment on the same line or within the few lines above. Memory-ordering
+//! bugs do not show up in tests on x86; the comment is the only reviewable
+//! artifact, so L8 also proves it *means something*. Each comment must
+//! follow the machine-checkable grammar documented in [`crate::config`]:
 //!
 //! ```text
 //! // ordering: <class> [pairs-with <var>.<method>[, <var>.<method>…]] [; prose]
@@ -23,8 +25,8 @@
 //!   variable with a compatible ordering — a `Release` store must reach an
 //!   `Acquire`-side load, and vice versa.
 //!
-//! Sites with *no* `// ordering:` comment at all are L5's findings; L8
-//! stays silent on them so nothing double-reports.
+//! `std::cmp` comparison `Ordering`s (`Less`/`Equal`/`Greater`) are not
+//! atomic orderings and are ignored.
 
 use std::collections::BTreeMap;
 
@@ -146,8 +148,8 @@ fn parse_decl(comment: &str) -> Result<OrderingDecl, String> {
     })
 }
 
-/// Collects every atomic site in `file`, emitting grammar and
-/// class-consistency violations as it goes. Well-formed sites are
+/// Collects every atomic site in `file`, emitting missing-comment, grammar
+/// and class-consistency violations as it goes. Well-formed sites are
 /// returned for the global pairing pass ([`check_global`]).
 pub fn collect(file: &SourceFile, sink: &mut Sink) -> Vec<AtomicSite> {
     let toks = &file.tokens;
@@ -164,12 +166,30 @@ pub fn collect(file: &SourceFile, sink: &mut Sink) -> Vec<AtomicSite> {
         if !ATOMIC_ORDERINGS.contains(&variant.as_str()) {
             continue;
         }
+        // Nearest `// ordering:` comment at or above the site. Checked
+        // before the call walk so fences need a justification too.
+        let lo = t.line.saturating_sub(ORDERING_COMMENT_WINDOW);
+        let comment = (lo..=t.line).rev().find_map(|l| {
+            file.comment_on(l)
+                .filter(|c| c.contains(ORDERING_JUSTIFICATION))
+        });
+        if comment.is_none() {
+            sink.emit(
+                file,
+                "L8",
+                t.line,
+                format!(
+                    "`Ordering::{variant}` without an `// ordering:` justification within \
+                     {ORDERING_COMMENT_WINDOW} lines"
+                ),
+            );
+        }
         // Walk back to the enclosing atomic call: `<var> . <method> (`.
         let Some(j) = (0..i).rev().find(|&j| {
             ATOMIC_OP_METHODS.contains(&toks[j].text.as_str())
                 && toks.get(j + 1).is_some_and(|n| n.text == "(")
         }) else {
-            continue; // fences etc.: L5 already demands a comment
+            continue; // fences etc.: no call to pair
         };
         // compare_exchange passes two orderings; count the call once.
         if last_call == Some(j) {
@@ -182,13 +202,6 @@ pub fn collect(file: &SourceFile, sink: &mut Sink) -> Vec<AtomicSite> {
         };
         let method = toks[j].text.clone();
 
-        // Nearest `// ordering:` comment at or above the site. Absence is
-        // L5's finding, not ours.
-        let lo = t.line.saturating_sub(ORDERING_COMMENT_WINDOW);
-        let comment = (lo..=t.line).rev().find_map(|l| {
-            file.comment_on(l)
-                .filter(|c| c.contains(ORDERING_JUSTIFICATION))
-        });
         let Some(comment) = comment else {
             sites.push(AtomicSite {
                 file: file.rel.clone(),
@@ -471,14 +484,36 @@ mod tests {
     }
 
     #[test]
-    fn missing_comment_is_left_to_l5() {
+    fn missing_comment_is_reported_as_l8() {
         let (found, sites) = run(&[(
             "a.rs",
             "fn f(c: &C) {\n    c.hits.fetch_add(1, Ordering::Relaxed);\n}",
         )]);
-        assert!(found.is_empty(), "L5 owns absent comments: {found:?}");
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(
+            found[0].contains("[L8]") && found[0].contains("Relaxed"),
+            "{found:?}"
+        );
         assert_eq!(sites.len(), 1);
         assert!(sites[0].decl.is_none());
+    }
+
+    /// Fences have no call to pair but still need a justification.
+    #[test]
+    fn unjustified_ordering_flags() {
+        let (found, sites) = run(&[("a.rs", "fn f() {\n    fence(Ordering::SeqCst);\n}")]);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(sites.is_empty());
+    }
+
+    #[test]
+    fn cmp_ordering_is_ignored() {
+        let (found, sites) = run(&[(
+            "a.rs",
+            "fn f(a: u32, b: u32) -> bool { a.cmp(&b) == Ordering::Less }",
+        )]);
+        assert!(found.is_empty(), "{found:?}");
+        assert!(sites.is_empty());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The eight repo-specific lints behind `cargo run -p xtask -- lint`.
+//! The seven repo-specific lints behind `cargo run -p xtask -- lint`.
 //!
 //! | id | name | what it proves |
 //! |---|---|---|
@@ -6,17 +6,15 @@
 //! | L2 | crate-header conformance | every workspace crate forbids `unsafe_code` (gated crates may deny) and warns on `missing_docs` |
 //! | L3 | format-constant consistency | version/spec-id constants agree with the committed golden blobs |
 //! | L4 | unchecked arithmetic | no bare `+`/`*`/`<<` on length/offset-typed values in untrusted scopes |
-//! | L5 | atomic-ordering audit | every atomic `Ordering::` in the audited crates carries an `// ordering:` justification |
 //! | L6 | unsafe-kernel confinement | `unsafe` appears only in the allowlisted SIMD kernel module, every block `// safety:`-justified |
 //! | L7 | dataflow taint | no untrusted value reaches an allocation size / index / shift / raw read without a guard |
-//! | L8 | happens-before pairing | every `// ordering:` comment parses under the grammar and every `Release` names a live `Acquire` partner |
+//! | L8 | happens-before pairing | every atomic `Ordering::` in the audited crates carries an `// ordering:` comment that parses under the grammar, and every `Release` names a live `Acquire` partner |
 //!
 //! L1, L4, L7, and L8 honour the `// lint:allow(reason)` escape hatch
 //! (same line or the line directly above); suppressions are counted and
 //! reported, never silent.
 
 pub mod arithmetic;
-pub mod atomics;
 pub mod format_consts;
 pub mod happens_before;
 pub mod headers;
@@ -29,7 +27,7 @@ use crate::scan::{AllowUse, SourceFile};
 /// One lint violation, pointing at `file:line`.
 #[derive(Clone, Debug)]
 pub struct Finding {
-    /// Lint id (`"L1"`…`"L6"`).
+    /// Lint id (one of [`crate::LINT_IDS`]).
     pub lint: &'static str,
     /// Workspace-relative path.
     pub file: String,

@@ -10,7 +10,7 @@
 //!   such, never an inline waiver;
 //! * inside an allowlisted file, every `unsafe` token must carry a
 //!   `// safety: …` justification on the same line or within the few
-//!   lines above (mirroring L5's `// ordering:` discipline), stating the
+//!   lines above (mirroring L8's `// ordering:` discipline), stating the
 //!   invariant that makes the block sound — the CPU-feature check, the
 //!   bounds argument for a raw load or gather.
 //!

@@ -9,9 +9,9 @@ fn usage() -> ExitCode {
     eprintln!("usage: cargo run -p xtask -- lint");
     eprintln!();
     eprintln!("Runs the repo-specific lints (L1 panic-freedom, L2 crate headers,");
-    eprintln!("L3 format-constant consistency, L4 unchecked arithmetic, L5 atomic");
-    eprintln!("orderings, L6 unsafe-kernel confinement, L7 dataflow taint, L8");
-    eprintln!("happens-before pairing). Exits 1 if any violation is found.");
+    eprintln!("L3 format-constant consistency, L4 unchecked arithmetic, L6 unsafe-kernel");
+    eprintln!("confinement, L7 dataflow taint, L8 atomics happens-before pairing).");
+    eprintln!("Exits 1 if any violation is found.");
     ExitCode::from(2)
 }
 

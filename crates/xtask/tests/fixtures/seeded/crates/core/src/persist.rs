@@ -1,7 +1,6 @@
 //! Seeded L3: version bumped with no regenerated goldens.
 
 pub const FORMAT_VERSION: u32 = 9;
-pub const MIN_FORMAT_VERSION: u32 = 1;
 
 /// Spec table stub.
 pub mod spec_id {

@@ -1,4 +1,4 @@
-//! Seeded L5 and store-version violations.
+//! Seeded missing-`// ordering:` (L8) and store-version violations.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -19,36 +19,29 @@ use grafite::{
 };
 use proptest::prelude::*;
 
-fn golden_dirs() -> [PathBuf; 2] {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    [root.clone(), root.join("v2")]
+/// The committed golden set (`tests/golden/v2/`, one blob per format
+/// family).
+fn golden_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/v2")
 }
 
 /// Every committed golden blob: `(label, bytes)`.
 fn golden_blobs() -> Vec<(String, Vec<u8>)> {
-    let mut out = Vec::new();
-    for dir in golden_dirs() {
-        let mut entries: Vec<_> = std::fs::read_dir(&dir)
-            .expect("golden dir")
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "bin"))
-            .collect();
-        entries.sort();
-        for path in entries {
-            let label = format!(
-                "{}/{}",
-                dir.file_name().unwrap().to_string_lossy(),
-                path.file_name().unwrap().to_string_lossy()
-            );
-            out.push((label, std::fs::read(&path).expect("golden blob")));
-        }
-    }
-    assert!(
-        out.len() >= 24,
-        "expected both golden sets, got {}",
-        out.len()
-    );
+    let mut entries: Vec<_> = std::fs::read_dir(golden_dir())
+        .expect("golden dir")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "bin"))
+        .collect();
+    entries.sort();
+    let out: Vec<_> = entries
+        .into_iter()
+        .map(|path| {
+            let label = format!("v2/{}", path.file_name().unwrap().to_string_lossy());
+            (label, std::fs::read(&path).expect("golden blob"))
+        })
+        .collect();
+    assert_eq!(out.len(), 12, "expected all 12 current goldens");
     out
 }
 
@@ -156,9 +149,7 @@ proptest! {
         flips in 1usize..8,
     ) {
         let registry = standard_registry();
-        let blob = std::fs::read(
-            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/v2/grafite.bin"),
-        ).expect("golden blob");
+        let blob = std::fs::read(golden_dir().join("grafite.bin")).expect("golden blob");
         let mut bad = blob.clone();
         let mut state = seed;
         let mut next = move || {

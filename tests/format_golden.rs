@@ -1,16 +1,13 @@
 //! Format-stability goldens: one small serialized filter per family is
-//! committed under `tests/golden/` (the frozen **v1** set, written before
-//! the position-sampled select directories) and `tests/golden/v2/` (the
-//! current format). This suite asserts current code still loads each one —
-//! v1 through the legacy rebuild-on-load path, v2 verbatim — and answers
-//! the fixed probe workload exactly as recorded in the per-set
-//! `manifest.txt`, catching silent format breaks (a payload re-ordering, a
-//! changed directory layout, a checksum rule drift) that round-trip tests
-//! alone cannot see.
+//! committed under `tests/golden/v{FORMAT_VERSION}/`. This suite asserts
+//! current code still loads each one and answers the fixed probe workload
+//! exactly as recorded in that directory's `manifest.txt`, catching silent
+//! format breaks (a payload re-ordering, a changed directory layout, a
+//! checksum rule drift) that round-trip tests alone cannot see. Blobs of any
+//! other format version — the retired v1 included — must be refused typed.
 //!
-//! The v1 set is **frozen**: never regenerate it. After an *intentional*
-//! format change (bump `grafite_core::persist::FORMAT_VERSION` first!)
-//! regenerate the current set with:
+//! After an *intentional* format change (bump
+//! `grafite_core::persist::FORMAT_VERSION` first!) regenerate the set with:
 //!
 //! ```text
 //! cargo test --test format_golden -- --ignored regenerate_golden_files
@@ -23,14 +20,9 @@ use grafite_core::registry::FilterSpec;
 use grafite_core::{FilterConfig, FilterError, PersistentFilter, StringGrafite};
 use grafite_filters::standard_registry;
 
+/// The current-format golden set.
 fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
-
-/// The current-format golden set lives one level down; the parent directory
-/// holds the frozen v1 blobs.
-fn golden_v2_dir() -> PathBuf {
-    golden_dir().join("v2")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/v2")
 }
 
 /// 257 deterministic keys — small enough for a few-KB blob per family,
@@ -93,14 +85,13 @@ fn string_golden_words() -> Vec<String> {
     (0..200).map(|i| format!("golden-{i:04}-key")).collect()
 }
 
-/// Writes every **current-format** golden blob and its manifest under
-/// `tests/golden/v2/`. `#[ignore]`d: run explicitly (see module docs) only
-/// when the format intentionally changes. The v1 set in the parent
-/// directory is frozen and never rewritten.
+/// Writes every golden blob and its manifest under `tests/golden/v2/`.
+/// `#[ignore]`d: run explicitly (see module docs) only when the format
+/// intentionally changes.
 #[test]
 #[ignore = "regenerates the committed golden files; run explicitly on intentional format changes"]
 fn regenerate_golden_files() {
-    let dir = golden_v2_dir();
+    let dir = golden_dir();
     std::fs::create_dir_all(&dir).unwrap();
     let keys = golden_keys();
     let (cfg, sample) = golden_config(&keys);
@@ -138,8 +129,8 @@ fn regenerate_golden_files() {
     std::fs::write(dir.join("manifest.txt"), manifest).unwrap();
 }
 
-fn read_manifest(dir: &std::path::Path) -> BTreeMap<String, (u32, u64)> {
-    let path = dir.join("manifest.txt");
+fn read_manifest() -> BTreeMap<String, (u32, u64)> {
+    let path = golden_dir().join("manifest.txt");
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|_| panic!("{} missing — run the regenerate test", path.display()));
     text.lines()
@@ -154,43 +145,32 @@ fn read_manifest(dir: &std::path::Path) -> BTreeMap<String, (u32, u64)> {
         .collect()
 }
 
-/// Loads and probes every golden blob in `dir`, asserting the recorded
-/// answers. Covers both the frozen v1 set (legacy rebuild-on-load) and the
-/// current v2 set (verbatim directories) — `generation` only labels the
-/// failure messages.
-fn check_golden_set(dir: &std::path::Path, generation: &str) {
+/// Loads and probes every committed golden blob, asserting the recorded
+/// answers.
+#[test]
+fn committed_goldens_still_load_and_answer_identically() {
+    let dir = golden_dir();
     let keys = golden_keys();
     let probes = golden_probes(&keys);
     let registry = standard_registry();
-    let manifest = read_manifest(dir);
+    let manifest = read_manifest();
     for (name, spec) in families() {
         let (want_spec, want_fp) = manifest[&name];
         let blob = std::fs::read(dir.join(format!("{name}.bin")))
-            .unwrap_or_else(|e| panic!("{generation} golden blob for {name} missing: {e}"));
+            .unwrap_or_else(|e| panic!("golden blob for {name} missing: {e}"));
         let filter = registry
             .load(&blob)
-            .unwrap_or_else(|e| panic!("{generation} golden {name} no longer loads: {e}"));
-        assert_eq!(
-            filter.spec_id(),
-            want_spec,
-            "{generation}/{name}: spec id drifted"
-        );
+            .unwrap_or_else(|e| panic!("golden {name} no longer loads: {e}"));
+        assert_eq!(filter.spec_id(), want_spec, "{name}: spec id drifted");
         assert_eq!(
             filter.spec_id(),
             spec.spec_id(),
-            "{generation}/{name}: registry mapping drifted"
+            "{name}: registry mapping drifted"
         );
-        assert_eq!(
-            filter.num_keys(),
-            keys.len(),
-            "{generation}/{name}: key count drifted"
-        );
+        assert_eq!(filter.num_keys(), keys.len(), "{name}: key count drifted");
         // No false negatives on the golden key set…
         for &k in &keys {
-            assert!(
-                filter.may_contain(k),
-                "{generation}/{name}: golden blob lost key {k}"
-            );
+            assert!(filter.may_contain(k), "{name}: golden blob lost key {k}");
         }
         // …and the exact recorded answers on the full probe workload.
         let mut answers = Vec::new();
@@ -198,7 +178,7 @@ fn check_golden_set(dir: &std::path::Path, generation: &str) {
         assert_eq!(
             fingerprint(answers),
             want_fp,
-            "{generation}/{name}: loaded answers drifted from the committed fingerprint — \
+            "{name}: loaded answers drifted from the committed fingerprint — \
              the on-disk format changed semantically; if intentional, bump \
              FORMAT_VERSION and regenerate"
         );
@@ -207,58 +187,18 @@ fn check_golden_set(dir: &std::path::Path, generation: &str) {
     let (want_spec, want_fp) = manifest[STRING_GRAFITE_FILE];
     let blob = std::fs::read(dir.join(format!("{STRING_GRAFITE_FILE}.bin"))).unwrap();
     let sg = StringGrafite::deserialize(&blob)
-        .unwrap_or_else(|e| panic!("{generation} string_grafite golden no longer loads: {e}"));
+        .unwrap_or_else(|e| panic!("string_grafite golden no longer loads: {e}"));
     assert_eq!(sg.spec_id(), want_spec);
     for w in string_golden_words() {
-        assert!(
-            sg.may_contain(w.as_bytes()),
-            "{generation} string golden lost {w}"
-        );
+        assert!(sg.may_contain(w.as_bytes()), "string golden lost {w}");
     }
     let mut answers = Vec::new();
     grafite_core::RangeFilter::may_contain_ranges(&sg, &probes, &mut answers);
     assert_eq!(
         fingerprint(answers),
         want_fp,
-        "{generation} string_grafite answers drifted"
+        "string_grafite answers drifted"
     );
-}
-
-#[test]
-fn committed_goldens_still_load_and_answer_identically() {
-    check_golden_set(&golden_v2_dir(), "v2");
-}
-
-/// The frozen v1 blobs (legacy select-hint directories) must keep loading
-/// through the rebuild-on-load path and answering identically.
-#[test]
-fn legacy_v1_goldens_still_load_and_answer_identically() {
-    check_golden_set(&golden_dir(), "v1");
-}
-
-/// A v1 blob must answer the probe workload **bit-identically** to a
-/// freshly built (v2) filter of the same configuration: the directory
-/// overhaul changed the layout, never the answers. The two manifests are
-/// therefore identical fingerprint-for-fingerprint, and a loaded v1 filter
-/// re-serializes as a byte-identical v2 blob.
-#[test]
-fn v1_goldens_answer_identically_to_fresh_v2_filters() {
-    let v1 = read_manifest(&golden_dir());
-    let v2 = read_manifest(&golden_v2_dir());
-    assert_eq!(
-        v1, v2,
-        "v1 and v2 manifests must agree: same spec ids, same answer fingerprints"
-    );
-    let registry = standard_registry();
-    for (name, _) in families() {
-        let v1_blob = std::fs::read(golden_dir().join(format!("{name}.bin"))).unwrap();
-        let v2_blob = std::fs::read(golden_v2_dir().join(format!("{name}.bin"))).unwrap();
-        let upgraded = registry.load(&v1_blob).unwrap().to_bytes();
-        assert_eq!(
-            upgraded, v2_blob,
-            "{name}: loading a v1 blob and re-serializing must produce the v2 image"
-        );
-    }
 }
 
 /// Corrupt, truncated, and wrong-version variants of a committed golden
@@ -267,15 +207,15 @@ fn v1_goldens_answer_identically_to_fresh_v2_filters() {
 #[test]
 fn corrupted_goldens_fail_typed() {
     let registry = standard_registry();
-    let blob = std::fs::read(golden_v2_dir().join("grafite.bin")).unwrap();
+    let blob = std::fs::read(golden_dir().join("grafite.bin")).unwrap();
 
     // Bad magic.
     let mut bad = blob.clone();
     bad[0] ^= 0x5A;
     assert!(matches!(registry.load(&bad), Err(FilterError::BadMagic(_))));
 
-    // Unsupported format versions on either side of the accepted range.
-    for version in [0u32, 9] {
+    // Unsupported format versions on either side of the accepted one.
+    for version in [0u32, 1, 9] {
         let mut bad = blob.clone();
         bad[12..16].copy_from_slice(&version.to_le_bytes());
         assert!(
@@ -287,16 +227,6 @@ fn corrupted_goldens_fail_typed() {
         );
     }
 
-    // A v2 blob whose version word is rewritten to v1 still fails: the
-    // checksum covers the spec/version word, so version skew cannot
-    // smuggle a v2 payload through the legacy decoder.
-    let mut bad = blob.clone();
-    bad[12..16].copy_from_slice(&1u32.to_le_bytes());
-    assert!(matches!(
-        registry.load(&bad),
-        Err(FilterError::ChecksumMismatch { .. })
-    ));
-
     // Unknown spec id.
     let mut bad = blob.clone();
     bad[8] = 250;
@@ -305,19 +235,15 @@ fn corrupted_goldens_fail_typed() {
         Err(FilterError::UnknownSpecId(250))
     ));
 
-    // Truncations: **every** prefix length must fail typed, never panic —
-    // on both the v2 blob and its frozen v1 counterpart. (The full
-    // every-blob, every-header-bit sweep lives in `tests/corruption_sweep.rs`;
-    // this keeps the strict TruncatedBuffer-variant assertion close to the
-    // other golden checks.)
-    let v1_blob = std::fs::read(golden_dir().join("grafite.bin")).unwrap();
-    for blob in [&blob, &v1_blob] {
-        for cut in 0..blob.len() {
-            match registry.load(&blob[..cut]) {
-                Err(FilterError::TruncatedBuffer { .. }) => {}
-                Err(other) => panic!("truncation at {cut} gave error {other:?}"),
-                Ok(_) => panic!("truncation at {cut} unexpectedly loaded"),
-            }
+    // Truncations: **every** prefix length must fail typed, never panic.
+    // (The full every-blob, every-header-bit sweep lives in
+    // `tests/corruption_sweep.rs`; this keeps the strict
+    // TruncatedBuffer-variant assertion close to the other golden checks.)
+    for cut in 0..blob.len() {
+        match registry.load(&blob[..cut]) {
+            Err(FilterError::TruncatedBuffer { .. }) => {}
+            Err(other) => panic!("truncation at {cut} gave error {other:?}"),
+            Ok(_) => panic!("truncation at {cut} unexpectedly loaded"),
         }
     }
 
@@ -346,27 +272,55 @@ fn corrupted_goldens_fail_typed() {
     ));
 }
 
-/// Zero-copy views require the current format: a legacy v1 blob cannot
-/// back a borrowed view (its directories must be rebuilt), so the view
-/// constructor rejects it typed while the owned load path accepts it.
+/// The retired v1 format is refused on every load path. The input is the
+/// v2 Grafite golden restamped as version 1 with its checksum recomputed,
+/// so the version word is the only thing that differs from a loadable blob.
 #[test]
-fn v1_blobs_load_owned_but_not_as_views() {
-    use grafite_core::persist::bytes_to_words;
-    use grafite_core::{GrafiteFilter, GrafiteFilterView, RangeFilter};
-    let v1_blob = std::fs::read(golden_dir().join("grafite.bin")).unwrap();
-    let words = bytes_to_words(&v1_blob).unwrap();
-    assert!(matches!(
-        GrafiteFilterView::view(&words),
-        Err(FilterError::UnsupportedFormatVersion { found: 1, .. })
-    ));
-    let owned: GrafiteFilter = GrafiteFilter::deserialize(&v1_blob).expect("owned legacy load");
-    // And the v2 image of the same filter views fine.
-    let v2_words = bytes_to_words(&owned.to_bytes()).unwrap();
-    let view = GrafiteFilterView::view(&v2_words).expect("v2 view");
-    for probe in (0..2000u64).map(|i| i.wrapping_mul(0xDEAD_BEEF_CAFE)) {
+fn v1_blobs_are_refused_on_every_load_path() {
+    use grafite_core::persist::{blob_checksum, bytes_to_words, words_of_bytes, HEADER_BYTES};
+    use grafite_core::{GrafiteFilter, GrafiteFilterView, Header, MappedGrafiteFilter};
+    use grafite_succinct::io::MappedSource;
+
+    let mut blob = std::fs::read(golden_dir().join("grafite.bin")).unwrap();
+    let mut header = Header::peek(&blob).unwrap();
+    header.version = 1;
+    header.checksum = blob_checksum(
+        header.spec_version_word(),
+        header.n_keys,
+        header.payload_words,
+        words_of_bytes(&blob[HEADER_BYTES..]),
+    );
+    let mut header_bytes = Vec::new();
+    header.write(&mut header_bytes).unwrap();
+    blob[..HEADER_BYTES].copy_from_slice(&header_bytes);
+    let words = bytes_to_words(&blob).unwrap();
+    let source = MappedSource::from_le_bytes(&blob).unwrap();
+
+    let refused = |path: &str, err: FilterError| {
         assert_eq!(
-            view.may_contain_range(probe, probe.saturating_add(64)),
-            owned.may_contain_range(probe, probe.saturating_add(64)),
+            err,
+            FilterError::UnsupportedFormatVersion {
+                found: 1,
+                supported: 2
+            },
+            "{path} did not refuse the v1 blob"
         );
-    }
+    };
+    refused(
+        "Registry::load",
+        standard_registry().load(&blob).err().unwrap(),
+    );
+    refused(
+        "GrafiteFilter::deserialize",
+        <GrafiteFilter>::deserialize(&blob).err().unwrap(),
+    );
+    refused(
+        "GrafiteFilterView::view",
+        GrafiteFilterView::view(&words).err().unwrap(),
+    );
+    refused(
+        "MappedGrafiteFilter::open_mapped",
+        MappedGrafiteFilter::open_mapped(&source).err().unwrap(),
+    );
+    refused("Header::peek", Header::peek(&blob).err().unwrap());
 }
