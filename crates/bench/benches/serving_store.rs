@@ -1,7 +1,7 @@
 //! Criterion microbenchmark: the serving store's query and update paths.
 //!
 //! Measures (a) batched snapshot queries as the shard count grows — the
-//! scatter/gather overhead over a bare single filter — and (b) `apply`
+//! routing overhead over a bare single filter — and (b) `apply`
 //! latency when an update batch dirties exactly one of the shards, which is
 //! the store's incremental-rebuild selling point over a full rebuild.
 

@@ -7,7 +7,7 @@
 //! experiments:
 //!   fig1  fig3  fig4  fig5  fig6  fig7  table1  fb  normal_check  serving
 //!   serve  scale  hotpath  sort_ablation  ablation_pow2
-//!   ablation_snarf_overflow  ablation_batch  ablation_rosetta_tuning
+//!   ablation_snarf_overflow  ablation_rosetta_tuning
 //!   ablation_bucketing  ablation_wa_bucketing  all
 //!
 //! `serve` builds a >=100MB manifest to time mapped vs eager cold starts
@@ -76,7 +76,6 @@ fn main() {
         "sort_ablation" => experiments::sort_ablation(&cfg),
         "ablation_pow2" => experiments::ablation_pow2(&cfg),
         "ablation_snarf_overflow" => experiments::ablation_snarf_overflow(&cfg),
-        "ablation_batch" => experiments::ablation_batch(&cfg),
         "ablation_rosetta_tuning" => experiments::ablation_rosetta_tuning(&cfg),
         "ablation_bucketing" => experiments::ablation_bucketing(&cfg),
         "ablation_wa_bucketing" => experiments::ablation_wa_bucketing(&cfg),
@@ -98,7 +97,7 @@ fn usage_and_exit() -> ! {
     eprintln!(
         "usage: repro <fig1|fig3|fig4|fig5|fig6|fig7|table1|fb|normal_check|serving|\
          serve|scale|hotpath|sort_ablation|ablation_pow2|ablation_snarf_overflow|\
-         ablation_batch|ablation_rosetta_tuning|ablation_bucketing|ablation_wa_bucketing|all> \
+         ablation_rosetta_tuning|ablation_bucketing|ablation_wa_bucketing|all> \
          [--n N] [--queries Q] [--seed S] [--out DIR] \
          [--data DIR] [--budgets 8,12,...]"
     );

@@ -9,7 +9,7 @@ use grafite_workloads::{
     uncorrelated_queries, RangeQuery,
 };
 
-use crate::harness::{fmt_fpr, measure, measure_batch, time_it, RunConfig};
+use crate::harness::{fmt_fpr, measure, time_it, RunConfig};
 use crate::registry::{build_spec, FilterConfig, FilterSpec};
 use crate::report::Table;
 
@@ -498,57 +498,6 @@ pub fn ablation_snarf_overflow(cfg: &RunConfig) {
     let _ = table.write_csv(&cfg.out_dir, "ablation_snarf_overflow");
 }
 
-/// Ablation: the batch query API — Grafite's sorted-batch
-/// `may_contain_ranges` (one forward pass over the Elias–Fano codes)
-/// against the one-at-a-time path, plus the default batch loop of a filter
-/// without a specialisation for reference. Asserts the batched answers
-/// match the scalar ones before reporting timings.
-pub fn ablation_batch(cfg: &RunConfig) {
-    println!("== Ablation: batched range queries (sorted batch, one EF pass) ==");
-    let keys = sosd::dataset_or_synthetic(Dataset::Uniform, cfg.n, cfg.seed, &cfg.data_dir);
-    let mut table = Table::new(&["range", "filter", "path", "bits/key", "fpr", "ns/query"]);
-    for &(l, size_name) in &RANGE_SIZES {
-        let mut queries = queries_as_pairs(&uncorrelated_queries(&keys, cfg.queries, l, cfg.seed));
-        if queries.is_empty() {
-            continue;
-        }
-        queries.sort_unstable();
-        let ranges: Vec<grafite_workloads::RangeQuery> = queries
-            .iter()
-            .map(|&(lo, hi)| grafite_workloads::RangeQuery { lo, hi })
-            .collect();
-        let fc = FilterConfig::new(&keys)
-            .bits_per_key(16.0)
-            .max_range(l)
-            .seed(cfg.seed);
-        for spec in [FilterSpec::Grafite, FilterSpec::Bucketing] {
-            let Some(filter) = build_spec(spec, &fc) else {
-                continue;
-            };
-            let scalar = measure(filter.as_ref(), &ranges);
-            let batched = measure_batch(filter.as_ref(), &queries);
-            assert_eq!(
-                scalar.positive_rate,
-                batched.positive_rate,
-                "{} batch answers diverged from the per-query path",
-                spec.label()
-            );
-            for (path, m) in [("one-at-a-time", scalar), ("batched", batched)] {
-                table.row(vec![
-                    size_name.to_string(),
-                    spec.label().to_string(),
-                    path.to_string(),
-                    format!("{:.1}", m.bits_per_key),
-                    fmt_fpr(m.positive_rate),
-                    format!("{:.0}", m.ns_per_query),
-                ]);
-            }
-        }
-    }
-    table.print();
-    let _ = table.write_csv(&cfg.out_dir, "ablation_batch");
-}
-
 /// Ablation: Rosetta with and without sample-based level re-weighting.
 pub fn ablation_rosetta_tuning(cfg: &RunConfig) {
     println!("== Ablation: Rosetta sample tuning ==");
@@ -861,7 +810,7 @@ pub fn serving(cfg: &RunConfig) {
 
     // Coalescing: concurrent single-probe submitters route through the
     // grafite-server combining batcher, so overlapping submissions merge
-    // into one sorted store batch. The coalescing factor (probes per
+    // into one store batch. The coalescing factor (probes per
     // executed batch) and the tail of the per-submit latency are the two
     // numbers an operator watches.
     let mut coalescing = Table::new(&[
@@ -1220,7 +1169,7 @@ fn best_ns_per_op<T>(reps: usize, ops: usize, mut f: impl FnMut() -> T) -> f64 {
 /// `predecessor` against the uncompressed sorted-vec alternative (which
 /// doubles as a machine-speed normalizer), each vectorized kernel against
 /// its forced-scalar twin, plus filter-level Grafite/Bucketing query
-/// latency, scalar and batched. Prints a table and writes the
+/// latency. Prints a table and writes the
 /// machine-readable `BENCH_query.json` that CI's perf-smoke step diffs
 /// against the committed baseline in `results/` — this file is the repo's
 /// query-performance trajectory.
@@ -1411,20 +1360,6 @@ pub fn hotpath(cfg: &RunConfig) {
             format!("{scalar:.1}"),
             format!("fpr={} bpk={bpk:.1}", fmt_fpr(fpr)),
         ]);
-        if l > 1 {
-            let mut pairs = queries_as_pairs(&queries);
-            pairs.sort_unstable();
-            let mut batched = f64::INFINITY;
-            for _ in 0..reps {
-                batched = batched.min(measure_batch(&grafite, &pairs).ns_per_query);
-            }
-            metrics.num(&format!("grafite_batch_{size_name}_ns"), batched);
-            table.row(vec![
-                format!("grafite_batch_{size_name}"),
-                format!("{batched:.1}"),
-                "sorted batch through EfCursor".into(),
-            ]);
-        }
         let mut bucketing_ns = f64::INFINITY;
         for _ in 0..reps {
             bucketing_ns = bucketing_ns.min(measure(&bucketing, &queries).ns_per_query);
@@ -1466,7 +1401,6 @@ pub fn all(cfg: &RunConfig) {
     sort_ablation(cfg);
     ablation_pow2(cfg);
     ablation_snarf_overflow(cfg);
-    ablation_batch(cfg);
     ablation_rosetta_tuning(cfg);
     ablation_bucketing(cfg);
     ablation_wa_bucketing(cfg);

@@ -79,24 +79,6 @@ pub fn measure(filter: &dyn PersistentFilter, queries: &[RangeQuery]) -> Measure
     }
 }
 
-/// Runs the batch through `RangeFilter::may_contain_ranges` in one call —
-/// the batched counterpart of [`measure`]. With a filter that specialises
-/// the batch path (e.g. Grafite's sorted-batch forward scan) this measures
-/// the specialisation; answers are identical to [`measure`]'s by contract.
-pub fn measure_batch(filter: &dyn PersistentFilter, queries: &[(u64, u64)]) -> Measurement {
-    assert!(!queries.is_empty(), "empty query batch");
-    let mut out = Vec::with_capacity(queries.len());
-    let start = Instant::now();
-    filter.may_contain_ranges(black_box(queries), &mut out);
-    let elapsed = start.elapsed();
-    let positives = out.iter().filter(|&&hit| hit).count();
-    Measurement {
-        positive_rate: positives as f64 / queries.len() as f64,
-        ns_per_query: elapsed.as_nanos() as f64 / queries.len() as f64,
-        bits_per_key: measured_bits_per_key(filter),
-    }
-}
-
 /// Times a construction closure, returning (seconds, its output).
 pub fn time_it<T>(f: impl FnOnce() -> T) -> (f64, T) {
     let start = Instant::now();

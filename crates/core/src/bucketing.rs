@@ -18,47 +18,6 @@ use crate::error::FilterError;
 use crate::persist::{spec_id, Header};
 use crate::traits::{BuildableFilter, FilterConfig, PersistentFilter, RangeFilter};
 
-/// Batches smaller than this take the scalar path: the sort-and-cursor
-/// bookkeeping of the batch specialisation cannot pay for itself.
-const BATCH_MIN_QUERIES: usize = 32;
-
-/// Sorted-probe batch resolution shared by the two bucketing variants: map
-/// each query to a `(bucket(b), bucket(a))` probe through the monotone
-/// `bucket` function, sort, and resolve every probe with one
-/// [`grafite_succinct::EfCursor`] pass over the bucket sequence.
-fn batch_bucket_probes(
-    buckets: &EliasFano,
-    bucket: impl Fn(u64) -> u64,
-    queries: &[(u64, u64)],
-    out: &mut Vec<bool>,
-) {
-    out.resize(queries.len(), false);
-    let mut probes: Vec<(u64, u64, u32)> = queries
-        .iter()
-        .enumerate()
-        .map(|(i, &(a, b))| {
-            debug_assert!(a <= b, "inverted range [{a}, {b}]");
-            (bucket(b), bucket(a), i as u32)
-        })
-        .collect();
-    probes.sort_unstable();
-    let mut cursor = buckets.cursor();
-    // Identical `(bucket(b), bucket(a))` probes sit adjacent after the
-    // sort; the answer depends only on that pair, so duplicates reuse it
-    // without advancing the cursor.
-    let mut prev: Option<(u64, u64, bool)> = None;
-    for &(pb, pa, i) in &probes {
-        let hit = match prev {
-            Some((ppb, ppa, phit)) if ppb == pb && ppa == pa => phit,
-            _ => cursor.predecessor(pb).is_some_and(|bk| bk >= pa),
-        };
-        prev = Some((pb, pa, hit));
-        if hit {
-            out[i as usize] = true;
-        }
-    }
-}
-
 /// The Bucketing heuristic range filter.
 #[derive(Clone, Debug)]
 pub struct BucketingFilter {
@@ -115,22 +74,6 @@ impl RangeFilter for BucketingFilter {
             Some(bucket) => bucket >= bucket_id(a, self.s),
             None => false,
         }
-    }
-
-    /// Batch specialisation: bucket ids are monotone in the key, so sorted
-    /// probes resolve with one cursor pass over the Elias–Fano bucket
-    /// sequence. Answers are bit-identical to the scalar path.
-    fn may_contain_ranges(&self, queries: &[(u64, u64)], out: &mut Vec<bool>) {
-        out.clear();
-        if self.n_keys == 0 {
-            out.resize(queries.len(), false);
-            return;
-        }
-        if queries.len() < BATCH_MIN_QUERIES {
-            out.extend(queries.iter().map(|&(a, b)| self.may_contain_range(a, b)));
-            return;
-        }
-        batch_bucket_probes(&self.buckets, |k| bucket_id(k, self.s), queries, out);
     }
 
     fn size_in_bits(&self) -> usize {
@@ -440,9 +383,6 @@ mod tests {
             .map(|&(a, b)| f.may_contain_range(a, b))
             .collect();
         assert_eq!(batched, singles, "batch diverged from scalar path");
-        // Small batches (fallback loop) answer identically too.
-        f.may_contain_ranges(&queries[..7], &mut batched);
-        assert_eq!(batched, &singles[..7]);
     }
 
     #[test]
@@ -695,21 +635,6 @@ impl RangeFilter for WorkloadAwareBucketing {
             Some(bucket) => bucket >= self.bucket_of(a),
             None => false,
         }
-    }
-
-    /// Batch specialisation: `bucket_of` is monotone, so the same
-    /// sorted-probe cursor pass as plain [`BucketingFilter`] applies.
-    fn may_contain_ranges(&self, queries: &[(u64, u64)], out: &mut Vec<bool>) {
-        out.clear();
-        if self.n_keys == 0 {
-            out.resize(queries.len(), false);
-            return;
-        }
-        if queries.len() < BATCH_MIN_QUERIES {
-            out.extend(queries.iter().map(|&(a, b)| self.may_contain_range(a, b)));
-            return;
-        }
-        batch_bucket_probes(&self.buckets, |k| self.bucket_of(k), queries, out);
     }
 
     fn size_in_bits(&self) -> usize {

@@ -14,10 +14,6 @@ use crate::traits::{BuildableFilter, FilterConfig, PersistentFilter, RangeFilter
 /// prime must exceed `r` (see [`grafite_hash::pairwise::MERSENNE_61`]).
 pub const MAX_REDUCED_UNIVERSE: u64 = grafite_hash::pairwise::MERSENNE_61 - 1;
 
-/// Batches smaller than this always take the one-at-a-time path: the
-/// sort-and-cursor bookkeeping cannot pay for itself.
-const BATCH_MIN_QUERIES: usize = 32;
-
 /// The Grafite approximate range-emptiness filter.
 ///
 /// Built over a set of `u64` keys with either an (ε, L) target — false
@@ -276,77 +272,6 @@ impl<S: AsRef<[u64]>> RangeFilter for GrafiteFilter<S> {
             self.query_within_block(b_first, b) || self.query_within_block(a, b_first - 1)
         } else {
             true
-        }
-    }
-
-    /// Batch specialisation: instead of one Elias–Fano predecessor search
-    /// per query, collect every non-wrapped hashed sub-interval as a probe
-    /// point, sort the probes, and resolve all of them with one
-    /// [`grafite_succinct::EfCursor`] pass: the cursor walks the high bits
-    /// of `H` with monotone state, galloping over gaps, instead of
-    /// restarting a predecessor probe per query. Wrapped sub-intervals and
-    /// block-spanning queries stay `O(1)` as in the scalar path. Answers
-    /// are bit-identical to the per-query path; small batches (where the
-    /// sort cannot amortise) fall through to the default loop.
-    fn may_contain_ranges(&self, queries: &[(u64, u64)], out: &mut Vec<bool>) {
-        out.clear();
-        if self.n_keys == 0 {
-            out.resize(queries.len(), false);
-            return;
-        }
-        if queries.len() < BATCH_MIN_QUERIES {
-            out.extend(queries.iter().map(|&(a, b)| self.may_contain_range(a, b)));
-            return;
-        }
-        out.resize(queries.len(), false);
-        // (h(b), h(a), query index) for every sub-interval that needs a
-        // predecessor probe. A query contributes 0, 1, or 2 entries.
-        let mut probes: Vec<(u64, u64, u32)> = Vec::with_capacity(queries.len());
-        let (first, last) = (self.codes.first(), self.codes.last());
-        let push_sub =
-            |probes: &mut Vec<(u64, u64, u32)>, answered: &mut bool, a: u64, b: u64, i: usize| {
-                if *answered {
-                    return;
-                }
-                let (ha, hb) = (self.h.eval(a), self.h.eval(b));
-                if ha <= hb {
-                    probes.push((hb, ha, i as u32));
-                } else if first <= hb || last >= ha {
-                    // Wrapped image [ha, r) ∪ [0, hb]: O(1), no probe needed.
-                    *answered = true;
-                }
-            };
-        for (i, &(a, b)) in queries.iter().enumerate() {
-            debug_assert!(a <= b, "inverted range [{a}, {b}]");
-            let (block_a, block_b) = (self.h.block(a), self.h.block(b));
-            if block_a == block_b {
-                push_sub(&mut probes, &mut out[i], a, b, i);
-            } else if block_b == block_a + 1 {
-                let b_first = b - b % self.r;
-                push_sub(&mut probes, &mut out[i], b_first, b, i);
-                push_sub(&mut probes, &mut out[i], a, b_first - 1, i);
-            } else {
-                out[i] = true;
-            }
-        }
-        // Ascending h(b) keeps the cursor's probes monotone: each probe
-        // resumes where the previous one stopped, answering exactly what
-        // `EliasFano::predecessor(hb)` would.
-        probes.sort_unstable();
-        let mut cursor = self.codes.cursor();
-        // After the sort, identical `(h(b), h(a))` probes sit adjacent;
-        // the answer is a pure function of that pair, so duplicates reuse
-        // it without touching the cursor.
-        let mut prev: Option<(u64, u64, bool)> = None;
-        for &(hb, ha, i) in &probes {
-            let hit = match prev {
-                Some((phb, pha, phit)) if phb == hb && pha == ha => phit,
-                _ => cursor.predecessor(hb).is_some_and(|p| p >= ha),
-            };
-            prev = Some((hb, ha, hit));
-            if hit {
-                out[i as usize] = true;
-            }
         }
     }
 
@@ -868,7 +793,6 @@ mod tests {
                 .seed(2)
                 .build(&keys)
                 .unwrap();
-            // Large batch: takes the forward-scan path.
             let queries = batch_probe_queries(&f, &keys, 2000);
             let mut batched = Vec::new();
             f.may_contain_ranges(&queries, &mut batched);
@@ -880,23 +804,6 @@ mod tests {
                 batched, singles,
                 "bpk={bpk} batch diverged from per-query path"
             );
-            // Small batch: takes the fallback loop; answers still identical.
-            let small = &queries[..8];
-            f.may_contain_ranges(small, &mut batched);
-            assert_eq!(
-                batched,
-                &singles[..8],
-                "bpk={bpk} small-batch fallback diverged"
-            );
-            // Heavy duplication: every query repeated, exercising the
-            // adjacent-identical-probe reuse in the sorted pass.
-            let dup: Vec<(u64, u64)> = queries
-                .iter()
-                .flat_map(|&q| std::iter::repeat(q).take(3))
-                .collect();
-            let dup_singles: Vec<bool> = singles.iter().flat_map(|&s| [s; 3]).collect();
-            f.may_contain_ranges(&dup, &mut batched);
-            assert_eq!(batched, dup_singles, "bpk={bpk} duplicated batch diverged");
         }
     }
 

@@ -29,7 +29,7 @@
 //! let filter = GrafiteFilter::build(&cfg).unwrap();
 //! assert!(filter.may_contain_range(1_500, 2_500)); // contains 2_000
 //!
-//! // Batched queries: identical answers, one pass for large batches.
+//! // Batched queries: one answer per range, in query order.
 //! let mut out = Vec::new();
 //! filter.may_contain_ranges(&[(0, 99), (1_500, 2_500)], &mut out);
 //! assert_eq!(out[1], true);

@@ -239,10 +239,6 @@ impl StringGrafite {
     }
 }
 
-/// Batches smaller than this take the scalar path (mirrors
-/// `GrafiteFilter`'s batch gate).
-const BATCH_MIN_QUERIES: usize = 32;
-
 /// The integer view over the embedded universe, so `StringGrafite` plugs
 /// into every harness that speaks [`RangeFilter`]. Probes are interpreted
 /// as already-embedded keys (what a [`KeyCodec`] produces); the inherent
@@ -253,65 +249,6 @@ impl RangeFilter for StringGrafite {
     fn may_contain_range(&self, a: u64, b: u64) -> bool {
         debug_assert!(a <= b, "inverted range [{a}, {b}]");
         self.query_embedded(a, b)
-    }
-
-    /// Batch specialisation mirroring `GrafiteFilter`'s: every non-wrapped
-    /// hashed sub-interval becomes a sorted probe resolved with one
-    /// [`grafite_succinct::EfCursor`] pass over the code sequence.
-    fn may_contain_ranges(&self, queries: &[(u64, u64)], out: &mut Vec<bool>) {
-        out.clear();
-        if self.n_keys == 0 {
-            out.resize(queries.len(), false);
-            return;
-        }
-        if queries.len() < BATCH_MIN_QUERIES {
-            out.extend(queries.iter().map(|&(a, b)| self.query_embedded(a, b)));
-            return;
-        }
-        out.resize(queries.len(), false);
-        let mut probes: Vec<(u64, u64, u32)> = Vec::with_capacity(queries.len());
-        let (first, last) = (self.codes.first(), self.codes.last());
-        let push_sub =
-            |probes: &mut Vec<(u64, u64, u32)>, answered: &mut bool, a: u64, b: u64, i: usize| {
-                if *answered {
-                    return;
-                }
-                let (ha, hb) = (self.h(a), self.h(b));
-                if ha <= hb {
-                    probes.push((hb, ha, i as u32));
-                } else if first <= hb || last >= ha {
-                    // Wrapped image [ha, r) ∪ [0, hb]: O(1), no probe needed.
-                    *answered = true;
-                }
-            };
-        for (i, &(a, b)) in queries.iter().enumerate() {
-            debug_assert!(a <= b, "inverted range [{a}, {b}]");
-            let (block_a, block_b) = (a >> self.k, b >> self.k);
-            if block_a == block_b {
-                push_sub(&mut probes, &mut out[i], a, b, i);
-            } else if block_b == block_a + 1 {
-                let b_first = b & !(self.r() - 1);
-                push_sub(&mut probes, &mut out[i], b_first, b, i);
-                push_sub(&mut probes, &mut out[i], a, b_first - 1, i);
-            } else {
-                out[i] = true;
-            }
-        }
-        probes.sort_unstable();
-        let mut cursor = self.codes.cursor();
-        // Adjacent identical `(h(b), h(a))` probes reuse the previous
-        // answer — it is a pure function of the pair.
-        let mut prev: Option<(u64, u64, bool)> = None;
-        for &(hb, ha, i) in &probes {
-            let hit = match prev {
-                Some((phb, pha, phit)) if phb == hb && pha == ha => phit,
-                _ => cursor.predecessor(hb).is_some_and(|p| p >= ha),
-            };
-            prev = Some((hb, ha, hit));
-            if hit {
-                out[i as usize] = true;
-            }
-        }
     }
 
     fn size_in_bits(&self) -> usize {
@@ -535,8 +472,6 @@ mod tests {
             .map(|&(a, b)| RangeFilter::may_contain_range(&f, a, b))
             .collect();
         assert_eq!(batched, singles, "string batch diverged from scalar path");
-        RangeFilter::may_contain_ranges(&f, &queries[..6], &mut batched);
-        assert_eq!(batched, &singles[..6], "small-batch fallback diverged");
     }
 
     #[test]

@@ -49,10 +49,9 @@ pub trait RangeFilter {
     /// [`RangeFilter::may_contain_range`].
     ///
     /// The default implementation is a plain loop over
-    /// `may_contain_range`. Implementations may specialise it — e.g.
-    /// `GrafiteFilter` answers large batches in one forward pass over its
-    /// Elias–Fano codes — but must return **exactly** the answers the
-    /// one-at-a-time path returns, in query order.
+    /// `may_contain_range`, and every filter in this workspace uses it. An
+    /// override must return **exactly** the answers the one-at-a-time path
+    /// returns, in query order.
     fn may_contain_ranges(&self, queries: &[(u64, u64)], out: &mut Vec<bool>) {
         out.clear();
         out.reserve(queries.len());

@@ -1,7 +1,9 @@
 //! Request coalescing: concurrently arriving probes from many connection
-//! threads merge into one store batch, so a filter family's batch
-//! specialisation (Grafite's one-pass sorted probe over the Elias–Fano
-//! sequence) runs once per *coalesced* batch instead of once per request.
+//! threads merge into one store batch, executed by one leader against one
+//! snapshot. The store answers every probe of that batch through its
+//! per-query path ([`grafite_store::Snapshot::query_ranges`]); what a
+//! coalesced batch shares is the snapshot load, the handoff and the
+//! adjacent-duplicate collapse below, not a batch-specific probe kernel.
 //!
 //! The combining protocol is leader/follower: the first thread to find no
 //! batch in flight becomes the leader, takes everything queued so far

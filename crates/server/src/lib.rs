@@ -8,8 +8,8 @@
 //! need but a deployment does:
 //!
 //! * **Request coalescing** ([`Batcher`]): probes arriving concurrently on
-//!   different connections merge into one store batch, so Grafite's
-//!   one-pass sorted probe amortizes across clients.
+//!   different connections merge into one store batch, run by one leader
+//!   against one snapshot.
 //! * **Mapped cold starts and hot reloads**: the binary serves a saved
 //!   manifest through [`FilterStore::open_mapped`] — `O(shards)` small
 //!   reads, shards materialize on first probe — and `RELOAD` swaps in a
@@ -51,6 +51,7 @@ pub mod telemetry;
 
 pub use batch::Batcher;
 pub use client::{ApplySummary, Client};
+pub use grafite_store::Histogram;
 pub use protocol::{Frame, ProtocolError, MAX_FRAME};
 pub use server::{serve, ServerHandle};
-pub use telemetry::{Histogram, Telemetry};
+pub use telemetry::Telemetry;

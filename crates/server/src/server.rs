@@ -3,7 +3,7 @@
 //! shared [`FilterStore`].
 //!
 //! Single probes and batches both route through the [`Batcher`], so
-//! concurrent load coalesces into the store's sorted batch path. `RELOAD`
+//! concurrent load coalesces into one store batch per leader. `RELOAD`
 //! swaps manifests atomically under the store's writer lock: in-flight
 //! queries finish on the snapshot they already hold, and not one of them
 //! fails or blocks during the swap. Positive answers are spot-checked

@@ -11,13 +11,18 @@
 //! * rebuild (apply) durations,
 //! * an observed-false-positive estimator: every positive answer the
 //!   server can refute against the snapshot's retained keys counts as a
-//!   confirmed false positive, so `fp.observed_rate` converges on the
-//!   store's real FPR under live traffic.
+//!   confirmed false positive. `fp.observed_rate` is refuted ÷ positives,
+//!   the share of positive answers that were false: a false-*discovery*
+//!   rate, not the FPR (false positives over all empty-range probes).
+//!
+//! Every latency and duration histogram is the store's [`Histogram`], the
+//! same type [`StoreStats`](grafite_store::StoreStats) records shard builds
+//! into.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use grafite_store::FilterStore;
+use grafite_store::{FilterStore, Histogram};
 
 /// Relaxed monotonic add — every counter in this module goes through here.
 fn add(counter: &AtomicU64, n: u64) {
@@ -31,70 +36,6 @@ fn get(counter: &AtomicU64) -> u64 {
     // ordering: Relaxed-counter; statistical snapshot read — slight
     // tearing across counters is acceptable for telemetry.
     counter.load(Ordering::Relaxed)
-}
-
-/// A log₂-bucketed streaming histogram of `u64` samples: bucket `i` holds
-/// samples whose bit length is `i` (value 0 lands in bucket 0). Quantiles
-/// come back as the upper bound of the bucket the rank falls in — within
-/// 2× of the true value, which is all a latency dashboard needs.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; 64],
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-impl Histogram {
-    /// Records one sample.
-    pub fn record(&self, value: u64) {
-        let idx = (64 - value.leading_zeros() as usize).min(63);
-        if let Some(bucket) = self.buckets.get(idx) {
-            add(bucket, 1);
-        }
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(get).sum()
-    }
-
-    /// The approximate `num/den` quantile: the upper bound of the bucket
-    /// holding that rank (0 when empty).
-    pub fn quantile(&self, num: u64, den: u64) -> u64 {
-        let total = self.count();
-        if total == 0 || den == 0 {
-            return 0;
-        }
-        let rank = (total as u128)
-            .saturating_mul(num as u128)
-            .div_ceil(den as u128)
-            .max(1) as u64;
-        let mut seen = 0u64;
-        for (idx, bucket) in self.buckets.iter().enumerate() {
-            seen = seen.saturating_add(get(bucket));
-            if seen >= rank {
-                return upper_bound(idx);
-            }
-        }
-        upper_bound(63)
-    }
-}
-
-/// The largest value bucket `idx` can hold.
-fn upper_bound(idx: usize) -> u64 {
-    if idx == 0 {
-        0
-    } else if idx >= 63 {
-        u64::MAX
-    } else {
-        (1u64 << idx) - 1
-    }
 }
 
 /// Labels for the six request verbs, indexed by `verb - 1`.
@@ -257,8 +198,9 @@ impl Telemetry {
         get(&self.batched_probes) as f64 / batches as f64
     }
 
-    /// The observed false-positive rate: refuted positives over all
-    /// positives (0.0 before the first positive).
+    /// Refuted positives over all positives (0.0 before the first
+    /// positive): the false-*discovery* rate of the answers served. It is
+    /// not the FPR, whose denominator would be every empty-range probe.
     pub fn observed_fp_rate(&self) -> f64 {
         let positives = get(&self.positives);
         if positives == 0 {
@@ -342,8 +284,8 @@ pub fn render_json(t: &Telemetry, store: &FilterStore) -> String {
         stats.is_degraded(),
     ));
     // Construction parallelism: worker threads of the last build/rebuild
-    // fan-out plus the per-shard build wall-time histogram (log2 buckets,
-    // microseconds — bucket i counts builds in [2^i, 2^(i+1)) µs).
+    // fan-out plus the per-shard build wall-time histogram (16 log2
+    // buckets, microseconds — bucket i counts builds in [2^i, 2^(i+1)) µs).
     out.push_str(&format!(
         "\"rebuild_workers\":{},\"shard_build_us_log2\":[",
         stats.rebuild_workers()

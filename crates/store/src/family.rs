@@ -116,11 +116,9 @@ impl FamilySpec {
 /// any servable family.
 ///
 /// This is the value a [`FilterStore`](crate::FilterStore) shard holds: it
-/// answers the full [`RangeFilter`] contract — batched queries forward to
-/// the concrete filter, so family specialisations like Grafite's one-pass
-/// sorted-probe batch survive the erasure — and it serializes through the
-/// wrapped [`PersistentFilter`], so a shard blob is exactly the filter's own
-/// versioned flat-byte format.
+/// answers the full [`RangeFilter`] contract by forwarding to the concrete
+/// filter, and it serializes through the wrapped [`PersistentFilter`], so a
+/// shard blob is exactly the filter's own versioned flat-byte format.
 pub struct DynRangeFilter {
     family: FamilySpec,
     inner: Box<dyn PersistentFilter>,
@@ -208,8 +206,8 @@ impl RangeFilter for DynRangeFilter {
         self.inner.may_contain_range(a, b)
     }
 
-    /// Forwards to the wrapped filter so its batch specialisation (e.g.
-    /// Grafite's one-pass sorted probe) is reused through the erasure.
+    /// Forwards the whole batch to the wrapped filter: one virtual call per
+    /// batch rather than one per query.
     fn may_contain_ranges(&self, queries: &[(u64, u64)], out: &mut Vec<bool>) {
         self.inner.may_contain_ranges(queries, out);
     }

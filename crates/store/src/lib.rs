@@ -26,7 +26,9 @@
 //!   a shared word buffer — so a multi-gigabyte store cold-starts in
 //!   milliseconds and hot-reloads without dropping in-flight queries.
 //! * [`StoreStats`] — always-on operational counters (lazy loads, load
-//!   failures, reloads) the serving front end scrapes into its telemetry.
+//!   failures, reloads, shard-build times) the serving front end scrapes
+//!   into its telemetry, recorded through the one [`Histogram`] type the
+//!   server's latency telemetry also uses.
 //!
 //! # Example
 //!
@@ -69,7 +71,7 @@ pub mod store;
 pub use family::{DynRangeFilter, FamilySpec};
 pub use manifest::{MANIFEST_HEADER_WORDS, STORE_FORMAT_VERSION, STORE_MAGIC};
 pub use mapped::MappedManifest;
-pub use stats::{StoreStats, BUILD_HIST_BUCKETS};
+pub use stats::{Histogram, StoreStats};
 pub use store::{
     ApplyReport, FilterStore, Partitioning, Routing, Shard, Snapshot, StoreConfig, Update,
 };

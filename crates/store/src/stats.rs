@@ -1,6 +1,6 @@
 //! Operational counters for the serving store: cheap, always-on atomics
 //! the serving front end (`grafite-server`) scrapes into its telemetry
-//! export.
+//! export, and the [`Histogram`] both crates record durations into.
 //!
 //! The counters are deliberately *store-level* facts — lazy shard
 //! materializations, materialization failures, manifest reloads — not
@@ -10,11 +10,80 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Number of log2 buckets in the per-shard build wall-time histogram:
-/// bucket `i` counts shard builds that took `[2^i, 2^(i+1))` microseconds
-/// (bucket 0 absorbs sub-microsecond builds, the last bucket everything
-/// from ~half a minute up).
-pub const BUILD_HIST_BUCKETS: usize = 16;
+/// A log₂-bucketed streaming histogram of `u64` samples: bucket `i` holds
+/// samples whose bit length is `i` (value 0 lands in bucket 0). Quantiles
+/// come back as the upper bound of the bucket the rank falls in — within
+/// 2× of the true value, which is all a latency dashboard needs.
+#[derive(Debug)]
+pub struct Histogram {
+    buckets: [AtomicU64; 64],
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Self {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+}
+
+impl Histogram {
+    /// Records one sample.
+    pub fn record(&self, value: u64) {
+        let idx = (64 - value.leading_zeros() as usize).min(63);
+        if let Some(bucket) = self.buckets.get(idx) {
+            // ordering: Relaxed-counter; pure monotonic event counter,
+            // nothing synchronizes on it.
+            bucket.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Snapshot of every bucket's count: entry `i` counts the samples of
+    /// bit length `i`.
+    pub(crate) fn counts(&self) -> [u64; 64] {
+        // ordering: Relaxed-counter; statistical snapshot read — slight
+        // tearing across buckets is acceptable for telemetry.
+        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
+    }
+
+    /// Total samples recorded.
+    pub fn count(&self) -> u64 {
+        self.counts().iter().sum()
+    }
+
+    /// The approximate `num/den` quantile: the upper bound of the bucket
+    /// holding that rank (0 when empty).
+    pub fn quantile(&self, num: u64, den: u64) -> u64 {
+        let counts = self.counts();
+        let total: u64 = counts.iter().sum();
+        if total == 0 || den == 0 {
+            return 0;
+        }
+        let rank = (total as u128)
+            .saturating_mul(num as u128)
+            .div_ceil(den as u128)
+            .max(1) as u64;
+        let mut seen = 0u64;
+        for (idx, &count) in counts.iter().enumerate() {
+            seen = seen.saturating_add(count);
+            if seen >= rank {
+                return upper_bound(idx);
+            }
+        }
+        upper_bound(63)
+    }
+}
+
+/// The largest value bucket `idx` of a [`Histogram`] can hold.
+fn upper_bound(idx: usize) -> u64 {
+    if idx == 0 {
+        0
+    } else if idx >= 63 {
+        u64::MAX
+    } else {
+        (1u64 << idx) - 1
+    }
+}
 
 /// Monotonic counters shared by a [`FilterStore`](crate::FilterStore) and
 /// every lazy shard it hands out. All methods are lock-free and safe to
@@ -32,9 +101,8 @@ pub struct StoreStats {
     /// Worker-thread count of the most recent build or update-batch
     /// rebuild fan-out (0 until the first one).
     rebuild_workers: AtomicU64,
-    /// Per-shard build wall times, log2-bucketed by microsecond (see
-    /// [`BUILD_HIST_BUCKETS`]).
-    shard_build_hist: [AtomicU64; BUILD_HIST_BUCKETS],
+    /// Per-shard build wall times in microseconds.
+    shard_build_us: Histogram,
 }
 
 impl StoreStats {
@@ -106,13 +174,9 @@ impl StoreStats {
         self.rebuild_workers.store(workers, Ordering::Relaxed);
     }
 
-    /// Records one shard build's wall time into the log2 histogram.
+    /// Records one shard build's wall time into the microsecond histogram.
     pub(crate) fn record_shard_build(&self, nanos: u64) {
-        let micros = nanos / 1_000;
-        let bucket = (micros.max(1).ilog2() as usize).min(BUILD_HIST_BUCKETS - 1);
-        // ordering: Relaxed-counter; pure monotonic event counter, nothing
-        // synchronizes on it.
-        self.shard_build_hist[bucket].fetch_add(1, Ordering::Relaxed);
+        self.shard_build_us.record(nanos / 1_000);
     }
 
     /// Worker threads used by the most recent build or update-batch
@@ -124,13 +188,16 @@ impl StoreStats {
         self.rebuild_workers.load(Ordering::Relaxed)
     }
 
-    /// Snapshot of the per-shard build wall-time histogram: entry `i`
-    /// counts builds that took `[2^i, 2^(i+1))` microseconds.
-    pub fn shard_build_histogram(&self) -> [u64; BUILD_HIST_BUCKETS] {
-        // ordering: Relaxed-counter; independent reads for reporting, no
-        // ordering relationship with other memory is implied.
-        let load = |i: usize| self.shard_build_hist[i].load(Ordering::Relaxed);
-        std::array::from_fn(load)
+    /// The per-shard build wall-time histogram folded into the 16 entries
+    /// the `STATS` export carries: entry `i` counts builds that took
+    /// `[2^i, 2^(i+1))` microseconds, i.e. histogram bucket `i + 1`; entry 0
+    /// also takes sub-microsecond builds and entry 15 everything longer.
+    pub fn shard_build_histogram(&self) -> [u64; 16] {
+        let mut out = [0u64; 16];
+        for (idx, count) in self.shard_build_us.counts().into_iter().enumerate() {
+            out[idx.saturating_sub(1).min(15)] += count;
+        }
+        out
     }
 }
 
@@ -157,7 +224,7 @@ mod tests {
     fn rebuild_telemetry_buckets_and_gauge() {
         let stats = StoreStats::default();
         assert_eq!(stats.rebuild_workers(), 0);
-        assert_eq!(stats.shard_build_histogram(), [0; BUILD_HIST_BUCKETS]);
+        assert_eq!(stats.shard_build_histogram(), [0; 16]);
         stats.record_rebuild_workers(8);
         stats.record_rebuild_workers(4); // gauge: last write wins
         assert_eq!(stats.rebuild_workers(), 4);
@@ -169,7 +236,7 @@ mod tests {
         assert_eq!(hist[0], 1);
         assert_eq!(hist[1], 1);
         assert_eq!(hist[9], 1);
-        assert_eq!(hist[BUILD_HIST_BUCKETS - 1], 1);
+        assert_eq!(hist[15], 1);
         assert_eq!(hist.iter().sum::<u64>(), 4);
     }
 }

@@ -477,90 +477,14 @@ impl Snapshot {
         self.may_contain_range(x, x)
     }
 
-    /// Calls `f(shard, clamped_query)` for every shard the routing maps
-    /// `[a, b]` to — the one routing walk both batch passes share.
-    #[inline]
-    fn for_each_target(&self, a: u64, b: u64, mut f: impl FnMut(usize, (u64, u64))) {
-        match &self.routing {
-            Routing::Range { .. } => {
-                let (sa, sb) = (self.routing.shard_of(a), self.routing.shard_of(b));
-                for s in sa..=sb {
-                    let (lo, hi) = self.routing.shard_span(s);
-                    f(s, (a.max(lo), b.min(hi)));
-                }
-            }
-            Routing::Hash { .. } => {
-                if a == b {
-                    f(self.routing.shard_of(a), (a, b));
-                } else {
-                    // A width-above-one range can hold keys of any shard.
-                    for s in 0..self.shards.len() {
-                        f(s, (a, b));
-                    }
-                }
-            }
-        }
-    }
-
     /// Answers a batch of closed ranges, one `bool` per query, into `out`
     /// (cleared first) — the serving counterpart of
-    /// [`RangeFilter::may_contain_ranges`].
-    ///
-    /// The batch is routed shard by shard: each shard receives its
-    /// sub-batch (clamped to the shard's span under range routing) in the
-    /// caller's query order through one `may_contain_ranges` call, so a
-    /// family's batch specialisation — e.g. Grafite's one-pass sorted
-    /// probe — runs once per shard, and answers scatter back to their
-    /// query's position. The scatter is a count-then-fill pass over two
-    /// flat arrays: a constant number of allocations per call, however
-    /// many shards the store has.
+    /// [`RangeFilter::may_contain_ranges`]. Each query takes the
+    /// [`Snapshot::may_contain_range`] path, so a batch answers exactly what
+    /// its queries answer one at a time.
     pub fn query_ranges(&self, queries: &[(u64, u64)], out: &mut Vec<bool>) {
         out.clear();
-        if queries.is_empty() {
-            return;
-        }
-        let n_shards = self.shards.len();
-        if n_shards == 1 {
-            self.shards[0].filter().may_contain_ranges(queries, out);
-            return;
-        }
-        out.resize(queries.len(), false);
-        // Count pass: offsets[s + 1] = number of sub-queries shard s gets.
-        let mut offsets = vec![0usize; n_shards + 1];
-        for &(a, b) in queries {
-            debug_assert!(a <= b, "inverted range [{a}, {b}]");
-            self.for_each_target(a, b, |s, _| offsets[s + 1] += 1);
-        }
-        for s in 0..n_shards {
-            offsets[s + 1] += offsets[s];
-        }
-        // Fill pass: each shard's slice, in the caller's query order.
-        let total = offsets[n_shards];
-        let mut slot_q = vec![(0u64, 0u64); total];
-        let mut slot_idx = vec![0u32; total];
-        let mut cursor = offsets[..n_shards].to_vec();
-        for (i, &(a, b)) in queries.iter().enumerate() {
-            self.for_each_target(a, b, |s, q| {
-                slot_q[cursor[s]] = q;
-                slot_idx[cursor[s]] = i as u32;
-                cursor[s] += 1;
-            });
-        }
-        let mut answers = Vec::new();
-        for s in 0..n_shards {
-            let (lo, hi) = (offsets[s], offsets[s + 1]);
-            if lo == hi {
-                continue;
-            }
-            self.shards[s]
-                .filter()
-                .may_contain_ranges(&slot_q[lo..hi], &mut answers);
-            for (&i, &hit) in slot_idx[lo..hi].iter().zip(&answers) {
-                if hit {
-                    out[i as usize] = true;
-                }
-            }
-        }
+        out.extend(queries.iter().map(|&(a, b)| self.may_contain_range(a, b)));
     }
 }
 

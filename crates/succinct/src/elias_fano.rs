@@ -22,8 +22,9 @@
 //! probe; buckets are a couple of elements at the paper's densities, so the
 //! sequential probe wins on every real workload (a binary search remains as
 //! the fallback for adversarially deep buckets). `successor` and `rank`
-//! share the same machinery, and batch callers walk `H` with monotone state
-//! through an [`EfCursor`] instead of restarting per probe.
+//! share the same machinery. An [`EfCursor`] can walk `H` with monotone
+//! state for sorted probes; no filter uses it, because the per-probe fused
+//! path is as fast or faster at every batch shape the filters serve.
 
 use crate::intvec::IntVec;
 use crate::io::{DecodeError, WordSource, WordWriter};
@@ -40,8 +41,8 @@ const RUN_SCAN_WORDS: usize = 8;
 /// probe; deeper (adversarially duplicated) buckets binary-search instead.
 const LINEAR_SCAN_MAX: usize = 48;
 
-/// When a cursor's target bucket starts more than this many `H` bits past
-/// the scan frontier, the cursor jumps with one fused probe instead of
+/// When an [`EfCursor`]'s target bucket starts more than this many `H` bits
+/// past the scan frontier, the cursor jumps with one fused probe instead of
 /// walking the gap. The walk costs a few ns per set bit passed and a fused
 /// probe ~100 ns, so the crossover sits at a few dozen bits of `H`.
 const GALLOP_BITS: usize = 64;
@@ -465,7 +466,8 @@ impl<S: AsRef<[u64]>> EliasFano<S> {
     }
 
     /// A stateful cursor for resolving a **non-decreasing** sequence of
-    /// predecessor probes in one forward pass — see [`EfCursor`].
+    /// predecessor probes with monotone state — see [`EfCursor`]. No filter
+    /// calls it; it is kept as a measured kernel of the benchmarks.
     pub fn cursor(&self) -> EfCursor<'_, S> {
         let words = self.high.bits().words();
         EfCursor {
@@ -549,8 +551,12 @@ impl<S: AsRef<[u64]>> EliasFano<S> {
 /// `predecessor` probes with monotone state: the cursor remembers its
 /// position in `H` and the last element it decoded, so a batch of sorted
 /// probes walks the high bits once instead of restarting a probe per query.
-/// Gaps larger than a couple of kilobits are skipped with one fused probe
+/// Gaps wider than a few dozen bits of `H` are skipped with one fused probe
 /// (galloping), so sparse batches never degrade to a full scan.
+///
+/// No filter uses the cursor: their batches answer through the per-probe
+/// [`EliasFano::predecessor`], which was as fast or faster on every served
+/// batch shape. It stays as a benchmarked kernel only.
 ///
 /// Answers are bit-identical to [`EliasFano::predecessor`]; feeding probes
 /// out of order is a contract violation (debug-asserted).

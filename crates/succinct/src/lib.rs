@@ -13,7 +13,8 @@
 //!   Elias \[14\] and Fano \[16\], extended with the `predecessor`, `successor`,
 //!   and `rank` operations that Section 3 of the paper builds Grafite's query
 //!   algorithm on, plus an [`EfCursor`] that resolves sorted batches of
-//!   predecessor probes with monotone state.
+//!   predecessor probes with monotone state (benchmarked, used by no
+//!   filter).
 //! * [`GolombRiceSeq`] — a block-compressed monotone sequence with Golomb–Rice
 //!   coded gaps, used as the compressed bit array of our SNARF reproduction.
 //!

@@ -47,8 +47,7 @@ fn main() {
     );
 
     // Measure the empirical false-positive rate on empty ranges — with the
-    // batch API: a sorted batch is answered in one forward pass over the
-    // filter's Elias–Fano codes, with answers identical to the scalar path.
+    // batch API, whose answers are identical to the scalar path.
     let mut sorted = keys.clone();
     sorted.sort_unstable();
     sorted.dedup();

@@ -68,8 +68,7 @@ fn main() {
     let addr = handle.addr();
     println!("serving on {addr}");
 
-    // ── Query: a single probe, then one sorted batch — the server feeds
-    //    batches straight into Grafite's one-pass probe ──────────────────
+    // ── Query: a single probe, then one batch ───────────────────────────
     let mut client = Client::connect(addr).expect("connect");
     assert!(
         client.query(keys[7], keys[7]).expect("QUERY round-trip"),

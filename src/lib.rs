@@ -47,8 +47,7 @@
 //! let filter = GrafiteFilter::build(&cfg).unwrap();
 //! assert!(filter.may_contain_range(48, 50)); // a true positive: no false negatives, ever
 //!
-//! // Batched queries return exactly the per-query answers; Grafite resolves
-//! // large batches in one forward pass over its Elias–Fano codes.
+//! // Batched queries return exactly the per-query answers, in query order.
 //! let mut out = Vec::new();
 //! filter.may_contain_ranges(&[(0, 8), (48, 50)], &mut out);
 //! assert_eq!(out, [false, true]);

@@ -7,7 +7,9 @@
 //! time and the registry's error reporting at run time.
 
 use grafite::grafite_core::registry::{FilterSpec, Registry};
-use grafite::grafite_core::{BuildableFilter, FilterConfig, FilterError, RangeFilter};
+use grafite::grafite_core::{
+    BuildableFilter, FilterConfig, FilterError, RangeFilter, StringGrafite, WorkloadAwareBucketing,
+};
 use grafite::grafite_filters::standard_registry;
 
 /// Keys stressing universe edges, adjacent runs, duplicates, and a
@@ -136,21 +138,32 @@ fn batch_answers_equal_one_at_a_time_for_every_spec() {
         .max_range(64)
         .sample(&sample)
         .seed(7);
+    // The 11 registry specs plus the two servable families outside it.
     for spec in FilterSpec::ALL {
         let filter = registry.build(spec, &cfg).unwrap();
-        let singles: Vec<bool> = queries
-            .iter()
-            .map(|&(a, b)| filter.may_contain_range(a, b))
-            .collect();
-        let mut batched = vec![true; 3]; // stale: must be cleared by the call
-        filter.may_contain_ranges(&queries, &mut batched);
-        assert_eq!(
-            batched,
-            singles,
-            "{}: batch answers differ from the one-at-a-time path",
-            spec.label()
-        );
+        assert_batch_equals_singles(spec.label(), filter.as_ref(), &queries);
     }
+    let string = StringGrafite::build(&cfg).unwrap();
+    assert_batch_equals_singles("StringGrafite", &string, &queries);
+    let workload_aware = WorkloadAwareBucketing::build(&cfg).unwrap();
+    assert_batch_equals_singles("WorkloadAwareBucketing", &workload_aware, &queries);
+}
+
+fn assert_batch_equals_singles<F: RangeFilter + ?Sized>(
+    label: &str,
+    filter: &F,
+    queries: &[(u64, u64)],
+) {
+    let singles: Vec<bool> = queries
+        .iter()
+        .map(|&(a, b)| filter.may_contain_range(a, b))
+        .collect();
+    let mut batched = vec![true; 3]; // stale: must be cleared by the call
+    filter.may_contain_ranges(queries, &mut batched);
+    assert_eq!(
+        batched, singles,
+        "{label}: batch answers differ from the one-at-a-time path"
+    );
 }
 
 #[test]
@@ -213,7 +226,7 @@ fn empty_and_single_key_sets_conform() {
 
 #[test]
 fn typed_build_entry_points_compile_and_agree() {
-    use grafite::grafite_core::{GrafiteFilter, GrafiteTuning, StringGrafite};
+    use grafite::grafite_core::{GrafiteFilter, GrafiteTuning};
     use grafite::grafite_filters::{
         Proteus, REncoder, REncoderTuning, REncoderVariant, Rosetta, Snarf, SuffixStyle, Surf,
         SurfTuning,

@@ -62,7 +62,7 @@ fn assert_bit_identical(
             "{label}: answer diverged on [{a}, {b}]"
         );
     }
-    // Batch path (exercises Grafite's forward-scan specialisation).
+    // Batch path.
     let (mut want, mut got) = (Vec::new(), Vec::new());
     built.may_contain_ranges(queries, &mut want);
     loaded.may_contain_ranges(queries, &mut got);
