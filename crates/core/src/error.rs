@@ -91,12 +91,13 @@ pub enum FilterError {
     /// ≥ 32) load through their typed `PersistentFilter::deserialize`
     /// instead.
     UnknownSpecId(u32),
-    /// A shard of a mapped store failed to materialize from its recorded
-    /// blob extent on first touch. The serving layer treats the shard as
-    /// *pass-all* (no false negatives are ever introduced) and surfaces
-    /// this error through its stats instead of failing queries.
+    /// A shard of a store manifest failed to load from its recorded keys
+    /// and blob extent. An eager open fails with it; a mapped store treats
+    /// the shard as *pass-all* on first touch (no false negatives are ever
+    /// introduced) and surfaces this error through its stats instead of
+    /// failing queries.
     ShardLoad {
-        /// Index of the shard whose lazy materialization failed.
+        /// Index of the shard that failed to load.
         shard: u32,
         /// The underlying load failure
         /// ([`std::error::Error::source`] reports it).

@@ -235,6 +235,12 @@ impl Registry {
         self.builders[spec.index()].is_some()
     }
 
+    /// Whether a loader is registered for `spec`.
+    #[inline]
+    pub fn has_loader(&self, spec: FilterSpec) -> bool {
+        self.loaders[spec.index()].is_some()
+    }
+
     /// The specs with a registered builder, in declaration order.
     pub fn registered(&self) -> impl Iterator<Item = FilterSpec> + '_ {
         FilterSpec::ALL

@@ -312,9 +312,9 @@ fn dispatch(frame: &Frame, shared: &Shared) -> Result<Reply, String> {
 }
 
 /// Answers probes through the batcher and feeds the telemetry: per-shard
-/// probe counts, and retained-key refutation of positive answers (the
-/// observed-FP estimator). Refutation is exact — the snapshot retains
-/// every key — so `refuted == answered true but no key in range`.
+/// probe counts, negative answers, and retained-key refutation of positive
+/// answers (the observed-FP estimator). Refutation is exact — the snapshot
+/// retains every key — so `refuted == answered true but no key in range`.
 fn answer_probes(shared: &Shared, queries: &[(u64, u64)]) -> Vec<bool> {
     let snap = shared.store.snapshot();
     for &(a, _b) in queries {
@@ -323,11 +323,15 @@ fn answer_probes(shared: &Shared, queries: &[(u64, u64)]) -> Vec<bool> {
             .record_shard_probe(snap.routing().shard_of(a));
     }
     let answers = shared.batcher.submit(queries);
+    let mut negatives = 0u64;
     for (&(a, b), &hit) in queries.iter().zip(&answers) {
         if hit {
             shared.telemetry.record_positive(!truth(&snap, a, b));
+        } else {
+            negatives += 1;
         }
     }
+    shared.telemetry.record_negatives(negatives);
     answers
 }
 

@@ -11,9 +11,12 @@
 //! * rebuild (apply) durations,
 //! * an observed-false-positive estimator: every positive answer the
 //!   server can refute against the snapshot's retained keys counts as a
-//!   confirmed false positive. `fp.observed_rate` is refuted ÷ positives,
+//!   confirmed false positive, and every negative answer is a true
+//!   negative (a range filter never answers a false negative).
+//!   `fp.fpr` is refuted ÷ (refuted + negatives), the false-positive rate
+//!   over empty-range probes. `fp.observed_rate` is refuted ÷ positives,
 //!   the share of positive answers that were false: a false-*discovery*
-//!   rate, not the FPR (false positives over all empty-range probes).
+//!   rate, not the FPR.
 //!
 //! Every latency and duration histogram is the store's [`Histogram`], the
 //! same type [`StoreStats`](grafite_store::StoreStats) records shard builds
@@ -85,6 +88,7 @@ pub struct Telemetry {
     dedup_hits: AtomicU64,
     positives: AtomicU64,
     refuted: AtomicU64,
+    negatives: AtomicU64,
     rebuild_us: Histogram,
     bad_frames: AtomicU64,
 }
@@ -104,6 +108,7 @@ impl Telemetry {
             dedup_hits: AtomicU64::new(0),
             positives: AtomicU64::new(0),
             refuted: AtomicU64::new(0),
+            negatives: AtomicU64::new(0),
             rebuild_us: Histogram::default(),
             bad_frames: AtomicU64::new(0),
         }
@@ -173,6 +178,28 @@ impl Telemetry {
         }
     }
 
+    /// Records `n` negative answers (each a true negative: the filter
+    /// never answers a false negative).
+    pub fn record_negatives(&self, n: u64) {
+        add(&self.negatives, n);
+    }
+
+    /// Positive answers served.
+    pub fn positives(&self) -> u64 {
+        get(&self.positives)
+    }
+
+    /// Positive answers the retained keys refuted (confirmed false
+    /// positives).
+    pub fn refuted(&self) -> u64 {
+        get(&self.refuted)
+    }
+
+    /// Negative answers served.
+    pub fn negatives(&self) -> u64 {
+        get(&self.negatives)
+    }
+
     /// Records one `apply` rebuild duration in microseconds.
     pub fn record_rebuild(&self, duration_us: u64) {
         self.rebuild_us.record(duration_us);
@@ -207,6 +234,17 @@ impl Telemetry {
             return 0.0;
         }
         get(&self.refuted) as f64 / positives as f64
+    }
+
+    /// The false-positive rate over empty-range probes: refuted ÷
+    /// (refuted + negatives), 0.0 before the first empty-range probe.
+    pub fn fpr(&self) -> f64 {
+        let refuted = get(&self.refuted);
+        let empty = refuted.saturating_add(get(&self.negatives));
+        if empty == 0 {
+            return 0.0;
+        }
+        refuted as f64 / empty as f64
     }
 }
 
@@ -262,10 +300,12 @@ pub fn render_json(t: &Telemetry, store: &FilterStore) -> String {
     }
     out.push_str("],");
     out.push_str(&format!(
-        "\"fp\":{{\"positives\":{},\"refuted\":{},\"observed_rate\":{:.6}}},",
-        get(&t.positives),
-        get(&t.refuted),
+        "\"fp\":{{\"positives\":{},\"refuted\":{},\"observed_rate\":{:.6},\"negatives\":{},\"fpr\":{:.6}}},",
+        t.positives(),
+        t.refuted(),
         t.observed_fp_rate(),
+        t.negatives(),
+        t.fpr(),
     ));
     out.push_str(&format!(
         "\"rebuild_us\":{{\"count\":{},\"p50\":{},\"p99\":{}}},",
@@ -342,10 +382,12 @@ mod tests {
         assert_eq!(t.dedup_hits(), 3);
         t.record_positive(true);
         t.record_positive(false);
+        t.record_negatives(3);
         t.record_shard_probe(2);
         t.record_shard_probe(99); // out of range: dropped, no panic
         assert_eq!(t.total_errors(), 2);
         assert!((t.coalescing_factor() - 5.0).abs() < 1e-9);
         assert!((t.observed_fp_rate() - 0.5).abs() < 1e-9);
+        assert!((t.fpr() - 0.25).abs() < 1e-9);
     }
 }

@@ -186,6 +186,69 @@ fn stats_report_coalescing_and_fp_estimation() {
     handle.join();
 }
 
+/// `fp.negatives` and `fp.fpr` against ground truth: the false positives
+/// and true negatives of a fixed probe set, computed from the direct
+/// store's answers and its retained keys.
+#[test]
+fn stats_fpr_matches_ground_truth() {
+    let keys = test_keys(3000, 6);
+    let mut sorted = keys.clone();
+    sorted.sort_unstable();
+    let direct = build_store(&keys, 4).snapshot();
+    let handle = serve(Arc::new(build_store(&keys, 4)), "127.0.0.1:0", None).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    let batched: Vec<(u64, u64)> = (0..4000u64)
+        .map(|i| {
+            let a = i.wrapping_mul(0xD134_2543_DE82_EF95) >> 1;
+            (a, a.saturating_add(i % 61))
+        })
+        .chain(keys.iter().step_by(50).map(|&k| (k, k)))
+        .collect();
+    for chunk in batched.chunks(500) {
+        client.query_batch(chunk).unwrap();
+    }
+    let singles: Vec<(u64, u64)> = batched.iter().copied().step_by(97).collect();
+    for &(a, b) in &singles {
+        client.query(a, b).unwrap();
+    }
+
+    let (mut positives, mut false_positives, mut true_negatives) = (0u64, 0u64, 0u64);
+    for &(a, b) in batched.iter().chain(&singles) {
+        let holds_key = sorted
+            .get(sorted.partition_point(|&k| k < a))
+            .is_some_and(|&k| k <= b);
+        if direct.may_contain_range(a, b) {
+            positives += 1;
+            false_positives += u64::from(!holds_key);
+        } else {
+            true_negatives += 1;
+        }
+    }
+    assert!(
+        false_positives > 0 && true_negatives > 0,
+        "vacuous probe set"
+    );
+
+    let telemetry = handle.telemetry();
+    assert_eq!(telemetry.positives(), positives);
+    assert_eq!(telemetry.refuted(), false_positives);
+    assert_eq!(telemetry.negatives(), true_negatives);
+    let fpr = false_positives as f64 / (false_positives + true_negatives) as f64;
+    assert!((telemetry.fpr() - fpr).abs() < 1e-12);
+
+    let stats = client.stats_json().unwrap();
+    assert!(
+        stats.contains(&format!(
+            "\"negatives\":{true_negatives},\"fpr\":{fpr:.6}}}"
+        )),
+        "stats: {stats}"
+    );
+
+    client.shutdown().unwrap();
+    handle.join();
+}
+
 /// Raw-socket corruption sweep: every frame prefix/verb/payload mutation
 /// must produce a typed ERR response (or a clean disconnect) and must
 /// leave the server serving the *next* connection — never a panic, never

@@ -153,10 +153,10 @@ impl DynRangeFilter {
         family.load(registry, bytes)
     }
 
-    /// Wraps a pre-boxed filter under an explicit family — the mapped load
-    /// path's entry point, where the concrete type (e.g. a
+    /// Wraps a pre-boxed filter under an explicit family — the manifest
+    /// shard loader's entry point, where the concrete type (e.g. a
     /// `GrafiteFilter<MappedSource>` or a pass-all placeholder) is chosen
-    /// per shard at materialization time.
+    /// per shard at load time.
     pub(crate) fn from_boxed(family: FamilySpec, inner: Box<dyn PersistentFilter>) -> Self {
         Self { family, inner }
     }

@@ -16,15 +16,17 @@
 //!   query lock-free while one writer applies [`Update`] batches by
 //!   rebuilding only the dirty shards and atomically swapping snapshots.
 //! * [`manifest`] — the versioned multi-shard on-disk format
-//!   ([`FilterStore::save_to`] / [`FilterStore::open`]): per-shard blobs in
-//!   the `grafite_core::persist` flat-byte format plus routing metadata,
-//!   so a store built offline revives on another machine with one call.
-//! * [`mapped`] — the lazy open path ([`FilterStore::open_mapped`] /
-//!   [`FilterStore::reload_mapped`]): the manifest file is *indexed* in
-//!   `O(shards)` small reads instead of parsed whole, and each shard
-//!   materializes from disk on first touch — Grafite shards zero-copy over
-//!   a shared word buffer — so a multi-gigabyte store cold-starts in
-//!   milliseconds and hot-reloads without dropping in-flight queries.
+//!   ([`FilterStore::save_to`]) and its one reader: per-shard blobs in the
+//!   `grafite_core::persist` flat-byte format plus routing metadata, so a
+//!   store built offline revives on another machine with one call. One
+//!   scan and one shard loader back both opens, which differ only in how
+//!   they materialize shards: [`FilterStore::open`] loads every shard up
+//!   front and fails typed; [`FilterStore::open_mapped`] /
+//!   [`FilterStore::reload_mapped`] scan the file in `O(shards)` small
+//!   reads and load each shard on first touch, failing open — so a
+//!   multi-gigabyte store cold-starts in milliseconds and hot-reloads
+//!   without dropping in-flight queries. Grafite shards load zero-copy over
+//!   a shared word buffer on both paths.
 //! * [`StoreStats`] — always-on operational counters (lazy loads, load
 //!   failures, reloads, shard-build times) the serving front end scrapes
 //!   into its telemetry, recorded through the one [`Histogram`] type the
@@ -64,13 +66,12 @@
 
 pub mod family;
 pub mod manifest;
-pub mod mapped;
+mod mapped;
 pub mod stats;
 pub mod store;
 
 pub use family::{DynRangeFilter, FamilySpec};
 pub use manifest::{MANIFEST_HEADER_WORDS, STORE_FORMAT_VERSION, STORE_MAGIC};
-pub use mapped::MappedManifest;
 pub use stats::{Histogram, StoreStats};
 pub use store::{
     ApplyReport, FilterStore, Partitioning, Routing, Shard, Snapshot, StoreConfig, Update,

@@ -26,9 +26,9 @@
 //!
 //! * the **metadata checksum**: [`checksum_words`] over header words 1–8,
 //!   the routing words, the sample words, and every per-shard framing word
-//!   (key count, keys checksum, blob length) — exactly the words the lazy
-//!   scan of [`crate::mapped`] reads, so a scan that never touches key or
-//!   blob bytes still authenticates everything it routes by;
+//!   (key count, keys checksum, blob length) — exactly the words the scan
+//!   reads, so a scan that never touches key or blob bytes still
+//!   authenticates everything it routes by;
 //! * routing words — range routing: `S` interval-start keys (word 2 names
 //!   the kind; hash routing has no body words, its seed is header word 7);
 //! * the tuning sample: a pair count followed by `lo, hi` words per pair;
@@ -43,17 +43,54 @@
 //! as [`grafite_core::persist`]: accidental damage surfaces as typed
 //! [`FilterError`]s, while deliberate forgery requires provenance checks
 //! upstream.
+//!
+//! # Validation model
+//!
+//! One reader serves both open paths: a scan over the header, routing
+//! table, tuning sample and per-shard framing, and a per-shard loader. They
+//! read through a positioned-read source — the manifest bytes in memory
+//! for [`FilterStore::open`](crate::FilterStore::open), the file for
+//! [`FilterStore::open_mapped`](crate::FilterStore::open_mapped) — and
+//! differ only in how they materialize shards.
+//!
+//! * **Scan** (both paths): magic, version and family fail typed first; a
+//!   registry family whose loader the registry lacks is
+//!   [`FilterError::Unregistered`]. The body must fit the image, and the
+//!   metadata checksum authenticates every word the scan routes by. This
+//!   matters for correctness, not just hygiene: routing damage re-routes
+//!   keys to healthy shards that never stored them, a false negative no
+//!   per-shard check could ever catch, so it must fail *before* the store
+//!   opens.
+//! * **Shard load** (both paths): the keys verify against the shard's
+//!   scan-authenticated keys checksum and are re-checked for ordering and
+//!   routing membership; the filter blob must name the manifest's family
+//!   and carries its own header checksum (verified by its loader); and the
+//!   blob's key count must agree with the manifest's. Grafite blobs load
+//!   zero-copy as a `MappedGrafiteFilter`, every other family through
+//!   [`FamilySpec::load`].
+//! * **Eager** ([`FilterStore::open`](crate::FilterStore::open)) also
+//!   verifies the whole-body checksum (header word 9, the only check that
+//!   covers blob padding) between the header checks and the walk, then
+//!   loads every shard and fails typed: the first failure comes back as
+//!   [`FilterError::ShardLoad`] naming the shard.
+//! * **Lazy** ([`FilterStore::open_mapped`](crate::FilterStore::open_mapped))
+//!   stops at the scan. Each shard loads on first touch and **fails open**:
+//!   a shard that fails to load serves a pass-all placeholder — the
+//!   no-false-negative contract survives, queries degrade to `true` on that
+//!   shard — and the failure is recorded in the store's
+//!   [`StoreStats`](crate::StoreStats) and the shard's
+//!   [`load_error`](crate::Shard::load_error).
 
+use std::borrow::Cow;
 use std::io;
-use std::sync::Arc;
 
-use grafite_core::persist::checksum_words;
+use grafite_core::persist::{checksum_words, spec_id, Header};
 use grafite_core::registry::Registry;
-use grafite_core::{FilterError, RangeFilter};
-use grafite_succinct::io::{le_word, WordCursor, WordSource, WordWriter};
+use grafite_core::{FilterError, MappedGrafiteFilter, RangeFilter};
+use grafite_succinct::io::{le_word, MappedSource, WordWriter};
 
-use crate::family::FamilySpec;
-use crate::store::{Partitioning, Routing, Shard, Snapshot, StoreConfig};
+use crate::family::{DynRangeFilter, FamilySpec};
+use crate::store::{Partitioning, Routing, Snapshot, StoreConfig};
 
 /// `b"GRAFSHRD"` read as a little-endian word: the first 8 bytes of every
 /// store manifest (distinct from the per-filter `GRAFILT\0` magic, so a
@@ -154,250 +191,388 @@ pub fn write(
         .saturating_add(rest.len()))
 }
 
-/// The validated ten-word manifest header — everything the open paths
-/// (eager [`read`] and the lazy mapped scan of [`crate::mapped`]) agree on
-/// before touching the body.
-pub(crate) struct ManifestHead {
-    /// The shard filter family.
-    pub(crate) family: FamilySpec,
-    /// Routing kind word ([`ROUTING_RANGE`] / [`ROUTING_HASH`], already
-    /// range-checked).
-    pub(crate) routing_kind: u64,
-    /// Shard count (at least 1).
-    pub(crate) n_shards: usize,
-    /// Total distinct keys across shards, per the header.
-    pub(crate) total_keys: u64,
-    /// Per-shard space budget.
-    pub(crate) bits_per_key: f64,
-    /// The workload's max range size.
-    pub(crate) max_range: u64,
-    /// Seed for filter components and hash routing.
-    pub(crate) seed: u64,
-    /// Body length in words.
-    pub(crate) body_words: u64,
-    /// Checksum over header words 1–8 and the body words.
-    pub(crate) checksum: u64,
-}
+/// Header length in bytes: where the body starts.
+const HEADER_BYTES: u64 = (MANIFEST_HEADER_WORDS as u64) * 8;
 
-impl ManifestHead {
-    /// Validates the fixed header fields: magic, version, family, shard
-    /// count, budget, and routing kind. Body extent and checksum are the
-    /// caller's job (the eager path checks both; the mapped path defers the
-    /// body checksum to per-shard validation).
-    pub(crate) fn validate(head: [u64; MANIFEST_HEADER_WORDS]) -> Result<Self, FilterError> {
-        let [magic, spec_version, routing_kind, n_shards_w, total_keys, bits_w, max_range, seed, body_words, checksum] =
-            head;
-        if magic != STORE_MAGIC {
-            return Err(FilterError::BadMagic(magic));
-        }
-        let version = (spec_version >> 32) as u32;
-        if version != STORE_FORMAT_VERSION {
-            return Err(FilterError::UnsupportedFormatVersion {
-                found: version,
-                supported: STORE_FORMAT_VERSION,
-            });
-        }
-        let spec_id = spec_version as u32;
-        let family =
-            FamilySpec::from_spec_id(spec_id).ok_or(FilterError::UnknownSpecId(spec_id))?;
-        let n_shards = usize::try_from(n_shards_w)
-            .ok()
-            .filter(|&s| s >= 1)
-            .ok_or_else(|| FilterError::corrupt("shard count out of range"))?;
-        let bits_per_key = f64::from_bits(bits_w);
-        if !(bits_per_key.is_finite() && bits_per_key > 0.0) {
-            return Err(FilterError::corrupt(
-                "store bits-per-key not a positive float",
-            ));
-        }
-        if !matches!(routing_kind, ROUTING_RANGE | ROUTING_HASH) {
-            return Err(FilterError::corrupt("unknown routing kind"));
-        }
-        Ok(Self {
-            family,
-            routing_kind,
-            n_shards,
-            total_keys,
-            bits_per_key,
-            max_range,
-            seed,
-            body_words,
-            checksum,
-        })
-    }
-
-    /// The routing table and partitioning named by the header plus the
-    /// routing body words (range-interval starts; empty for hash routing).
-    pub(crate) fn routing(&self, starts: Vec<u64>) -> Result<(Routing, Partitioning), FilterError> {
-        match self.routing_kind {
-            ROUTING_RANGE => {
-                if starts.first() != Some(&0)
-                    || !starts.windows(2).all(|w| matches!(w, [a, b] if a < b))
-                {
-                    return Err(FilterError::corrupt(
-                        "range routing starts not strictly increasing from 0",
-                    ));
-                }
-                Ok((
-                    Routing::Range { starts },
-                    Partitioning::Range {
-                        shards: self.n_shards,
-                    },
-                ))
-            }
-            _ => {
-                let shards = u32::try_from(self.n_shards)
-                    .map_err(|_| FilterError::corrupt("hash shard count above u32"))?;
-                Ok((
-                    Routing::Hash {
-                        shards,
-                        seed: self.seed,
-                    },
-                    Partitioning::Hash {
-                        shards: self.n_shards,
-                    },
-                ))
-            }
-        }
-    }
-
-    /// The reconstructed [`StoreConfig`] (given the body's tuning sample).
-    pub(crate) fn config(
-        &self,
-        partitioning: Partitioning,
-        sample: Vec<(u64, u64)>,
-    ) -> StoreConfig {
-        StoreConfig::new(self.family)
-            .bits_per_key(self.bits_per_key)
-            .max_range(self.max_range)
-            .seed(self.seed)
-            .sample(sample)
-            .partitioning(partitioning)
+/// A `TruncatedBuffer` for a read ending at byte `needed` of a `have`-byte
+/// image.
+fn truncated(needed: u64, have: u64) -> FilterError {
+    FilterError::TruncatedBuffer {
+        needed: usize::try_from(needed).unwrap_or(usize::MAX),
+        have: usize::try_from(have).unwrap_or(usize::MAX),
     }
 }
 
-/// Parses and validates a manifest, loading every shard filter through
-/// `registry` (or the family's typed loader for non-registry families).
-/// Returns the reconstructed configuration, routing, and shards.
-#[allow(clippy::type_complexity)]
-pub fn read(
-    registry: &Registry,
-    bytes: &[u8],
-) -> Result<(StoreConfig, Routing, Vec<Arc<Shard>>), FilterError> {
-    let header_bytes = MANIFEST_HEADER_WORDS * 8;
-    if bytes.len() < header_bytes {
-        return Err(FilterError::TruncatedBuffer {
-            needed: header_bytes,
-            have: bytes.len(),
-        });
-    }
-    let mut raw_head = [0u64; MANIFEST_HEADER_WORDS];
-    for (w, c) in raw_head.iter_mut().zip(bytes.chunks_exact(8)) {
-        *w = le_word(c);
-    }
-    let head = ManifestHead::validate(raw_head)?;
-    let n_shards = head.n_shards;
-    let total_keys = head.total_keys;
-    let body_end = usize::try_from(head.body_words)
-        .ok()
-        .and_then(|bw| bw.checked_add(MANIFEST_HEADER_WORDS))
-        .and_then(|w| w.checked_mul(8))
-        .ok_or_else(|| FilterError::corrupt("manifest body length overflows usize"))?;
-    let body_bytes = bytes
-        .get(header_bytes..body_end)
-        .ok_or(FilterError::TruncatedBuffer {
-            needed: body_end,
-            have: bytes.len(),
-        })?;
-    let body: Vec<u64> = body_bytes.chunks_exact(8).map(le_word).collect();
-    let actual = checksum_words(
-        raw_head
-            .iter()
-            .skip(1)
-            .take(MANIFEST_HEADER_WORDS - 2)
-            .copied()
-            .chain(body.iter().copied()),
-    );
-    if actual != head.checksum {
-        return Err(FilterError::ChecksumMismatch {
-            expected: head.checksum,
-            actual,
-        });
+/// Positioned reads over a manifest image — an in-memory `&[u8]` for the
+/// eager open, a file for the lazy one (`crate::mapped`). [`scan`] and
+/// [`Manifest::load_shard`] read through nothing else.
+pub(crate) trait ManifestSource {
+    /// The image length in bytes.
+    fn size(&self) -> u64;
+
+    /// `len` bytes at `pos`, which the caller has checked lie inside
+    /// [`ManifestSource::size`].
+    fn read_in_bounds(&self, pos: u64, len: usize) -> Result<Cow<'_, [u8]>, FilterError>;
+
+    /// `len` bytes at absolute offset `pos`; a read past the end of the
+    /// image is a [`FilterError::TruncatedBuffer`].
+    fn bytes_at(&self, pos: u64, len: usize) -> Result<Cow<'_, [u8]>, FilterError> {
+        let end = pos.saturating_add(len as u64);
+        if end > self.size() {
+            return Err(truncated(end, self.size()));
+        }
+        self.read_in_bounds(pos, len)
     }
 
-    let mut cursor = WordCursor::new(&body);
-    // The metadata checksum exists for the lazy scan (which never sees the
-    // whole body); the full-body checksum above already covers every word
-    // it covers, so the eager path just steps over it.
-    let _meta_checksum = cursor.word()?;
-    let routing_starts = match head.routing_kind {
-        ROUTING_RANGE => cursor.take(n_shards)?.to_vec(),
-        _ => Vec::new(),
-    };
-    let (routing, partitioning) = head.routing(routing_starts)?;
-    let sample_len = cursor.length()?;
-    let mut sample = Vec::with_capacity(sample_len.min(1 << 20));
-    for _ in 0..sample_len {
-        let lo = cursor.word()?;
-        let hi = cursor.word()?;
-        sample.push((lo, hi));
-    }
-    let config = head.config(partitioning, sample);
-
-    // `n_shards` is attacker-controlled until the per-shard reads below
-    // bound it against the body length; clamp the capacity hint so a
-    // forged count cannot force a huge up-front allocation (range routing
-    // already fails fast at the `cursor.take(n_shards)` above, but hash
-    // routing reaches here unchecked).
-    let mut shards = Vec::with_capacity(n_shards.min(1 << 20));
-    let mut keys_total = 0u64;
-    for s in 0..n_shards {
-        let n_keys = cursor.length()?;
-        let keys: Vec<u64> = cursor.take(n_keys)?.to_vec();
-        if !keys.windows(2).all(|w| matches!(w, [a, b] if a < b)) {
-            return Err(FilterError::corrupt("shard keys not strictly increasing"));
-        }
-        if keys.iter().any(|&k| routing.shard_of(k) != s) {
-            return Err(FilterError::corrupt(
-                "shard key routes to a different shard",
-            ));
-        }
-        let keys_checksum = cursor.word()?;
-        let keys_actual = checksum_words(keys.iter().copied());
-        if keys_actual != keys_checksum {
-            return Err(FilterError::ChecksumMismatch {
-                expected: keys_checksum,
-                actual: keys_actual,
-            });
-        }
-        keys_total = keys_total.saturating_add(keys.len() as u64);
-        let blob_len = cursor.length()?;
-        // The blob sits word-aligned inside `bytes`; advance the cursor
-        // over its padded words (bounds-checking in the process) and hand
-        // the loader a sub-slice of the original buffer rather than a
-        // `take_bytes` copy.
-        let blob = cursor
-            .position()
+    /// `n` little-endian words at absolute offset `pos`.
+    fn words_at(&self, pos: u64, n: usize) -> Result<Vec<u64>, FilterError> {
+        let len = n
             .checked_mul(8)
-            .and_then(|off| off.checked_add(header_bytes))
-            .and_then(|blob_start| {
-                let blob_end = blob_start.checked_add(blob_len)?;
-                bytes.get(blob_start..blob_end)
-            })
-            .ok_or(FilterError::corrupt("shard blob extent exceeds manifest"))?;
-        let _ = cursor.take(blob_len.div_ceil(8))?;
-        let filter = config.family.load(registry, blob)?;
-        if filter.num_keys() != keys.len() {
+            .ok_or(FilterError::corrupt("word read length overflows usize"))?;
+        Ok(self
+            .bytes_at(pos, len)?
+            .chunks_exact(8)
+            .map(le_word)
+            .collect())
+    }
+
+    /// One little-endian word at absolute offset `pos`.
+    fn word_at(&self, pos: u64) -> Result<u64, FilterError> {
+        Ok(le_word(&self.bytes_at(pos, 8)?))
+    }
+}
+
+impl ManifestSource for &[u8] {
+    fn size(&self) -> u64 {
+        self.len() as u64
+    }
+
+    fn read_in_bounds(&self, pos: u64, len: usize) -> Result<Cow<'_, [u8]>, FilterError> {
+        usize::try_from(pos)
+            .ok()
+            .and_then(|start| self.get(start..start.checked_add(len)?))
+            .map(Cow::Borrowed)
+            .ok_or_else(|| truncated(pos.saturating_add(len as u64), self.size()))
+    }
+}
+
+/// Which body checksum [`scan`] verifies.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Verify {
+    /// The whole-body checksum (header word 9) and the metadata checksum:
+    /// the eager open, which reads every byte anyway. Only this checksum
+    /// covers the blob padding bytes.
+    WholeBody,
+    /// The metadata checksum only: the lazy open, which must not read the
+    /// key and blob bytes it defers to [`Manifest::load_shard`].
+    Metadata,
+}
+
+/// Where one shard's records live inside the manifest, in absolute byte
+/// offsets. Recorded by [`scan`], consumed by [`Manifest::load_shard`].
+#[derive(Clone, Copy, Debug)]
+struct ShardExtent {
+    /// Number of keys in the shard, per the manifest.
+    n_keys: usize,
+    /// Byte offset of the first key word.
+    keys_start: u64,
+    /// Expected [`checksum_words`] over the shard's keys, per the manifest.
+    keys_checksum: u64,
+    /// Byte offset of the shard's filter blob.
+    blob_start: u64,
+    /// Blob length in bytes (unpadded).
+    blob_len: usize,
+}
+
+/// A scanned manifest: configuration, routing, and the byte extent of every
+/// shard's keys and blob, with those bytes still in `source`.
+pub(crate) struct Manifest<S> {
+    source: S,
+    registry: Registry,
+    /// The reconstructed store configuration.
+    pub(crate) config: StoreConfig,
+    /// The routing table.
+    pub(crate) routing: Routing,
+    extents: Vec<ShardExtent>,
+}
+
+impl<S> std::fmt::Debug for Manifest<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Manifest")
+            .field("family", &self.config.family)
+            .field("num_shards", &self.extents.len())
+            .finish_non_exhaustive()
+    }
+}
+
+/// The one reader of the manifest layout. Validates the header (magic,
+/// version, family, the registry's loader for it, shard count, budget,
+/// routing kind) and the body extent; under [`Verify::WholeBody`] checks the
+/// whole-body checksum; then walks the routing table, the tuning sample and
+/// the per-shard framing, recording each shard's extents without reading
+/// its keys or blob, and verifies the metadata checksum and the total key
+/// count. `O(shards)` small reads, independent of the store's size.
+pub(crate) fn scan<S: ManifestSource>(
+    registry: &Registry,
+    source: S,
+    verify: Verify,
+) -> Result<Manifest<S>, FilterError> {
+    let head = source.words_at(0, MANIFEST_HEADER_WORDS)?;
+    let &[magic, spec_version, routing_kind, n_shards_w, total_keys, bits_w, max_range, seed, body_words, checksum] =
+        head.as_slice()
+    else {
+        return Err(FilterError::corrupt("manifest header length"));
+    };
+    if magic != STORE_MAGIC {
+        return Err(FilterError::BadMagic(magic));
+    }
+    let version = (spec_version >> 32) as u32;
+    if version != STORE_FORMAT_VERSION {
+        return Err(FilterError::UnsupportedFormatVersion {
+            found: version,
+            supported: STORE_FORMAT_VERSION,
+        });
+    }
+    let spec_id = spec_version as u32;
+    let family = FamilySpec::from_spec_id(spec_id).ok_or(FilterError::UnknownSpecId(spec_id))?;
+    if let FamilySpec::Registry(spec) = family {
+        if !registry.has_loader(spec) {
+            return Err(FilterError::Unregistered(spec.label()));
+        }
+    }
+    let n_shards = usize::try_from(n_shards_w)
+        .ok()
+        .filter(|&s| s >= 1)
+        .ok_or_else(|| FilterError::corrupt("shard count out of range"))?;
+    let bits_per_key = f64::from_bits(bits_w);
+    if !(bits_per_key.is_finite() && bits_per_key > 0.0) {
+        return Err(FilterError::corrupt(
+            "store bits-per-key not a positive float",
+        ));
+    }
+    if !matches!(routing_kind, ROUTING_RANGE | ROUTING_HASH) {
+        return Err(FilterError::corrupt("unknown routing kind"));
+    }
+    let body_end = body_words
+        .checked_mul(8)
+        .and_then(|b| b.checked_add(HEADER_BYTES))
+        .unwrap_or(u64::MAX);
+    if body_end > source.size() {
+        return Err(truncated(body_end, source.size()));
+    }
+    if verify == Verify::WholeBody {
+        let body_len = usize::try_from(body_end.saturating_sub(HEADER_BYTES))
+            .map_err(|_| FilterError::corrupt("manifest body length overflows usize"))?;
+        let body = source.bytes_at(HEADER_BYTES, body_len)?;
+        let actual = checksum_words(
+            head.iter()
+                .skip(1)
+                .take(MANIFEST_HEADER_WORDS - 2)
+                .copied()
+                .chain(body.chunks_exact(8).map(le_word)),
+        );
+        if actual != checksum {
+            return Err(FilterError::ChecksumMismatch {
+                expected: checksum,
+                actual,
+            });
+        }
+    }
+
+    // Claims `bytes` from the body at the running position, bounds-checked
+    // against the declared body extent; returns the start.
+    let mut pos = HEADER_BYTES;
+    let mut claim = |bytes: u64| -> Result<u64, FilterError> {
+        let start = pos;
+        pos = start
+            .checked_add(bytes)
+            .filter(|&e| e <= body_end)
+            .ok_or(FilterError::corrupt("manifest record exceeds body"))?;
+        Ok(start)
+    };
+    let words = |n: usize| -> Result<u64, FilterError> {
+        (n as u64)
+            .checked_mul(8)
+            .ok_or(FilterError::corrupt("manifest record length overflows"))
+    };
+
+    // Everything the scan routes by — header fields, routing starts,
+    // sample, per-shard framing words — must authenticate against the
+    // metadata checksum, or a flipped routing byte could silently send keys
+    // to a healthy shard that never stored them (a false negative no
+    // per-shard check can catch). `framing` accumulates those words as they
+    // are read; the checksum is verified once the walk completes.
+    let mut framing: Vec<u64> = head
+        .iter()
+        .skip(1)
+        .take(MANIFEST_HEADER_WORDS - 2)
+        .copied()
+        .collect();
+    let meta_expected = source.word_at(claim(8)?)?;
+
+    let (routing, partitioning) = if routing_kind == ROUTING_RANGE {
+        let starts = source.words_at(claim(words(n_shards)?)?, n_shards)?;
+        framing.extend_from_slice(&starts);
+        if starts.first() != Some(&0) || !starts.windows(2).all(|w| matches!(w, [a, b] if a < b)) {
             return Err(FilterError::corrupt(
-                "shard blob key count differs from manifest",
+                "range routing starts not strictly increasing from 0",
             ));
         }
-        shards.push(Arc::new(Shard::from_parts(keys, filter)));
+        (
+            Routing::Range { starts },
+            Partitioning::Range { shards: n_shards },
+        )
+    } else {
+        let shards = u32::try_from(n_shards)
+            .map_err(|_| FilterError::corrupt("hash shard count above u32"))?;
+        (
+            Routing::Hash { shards, seed },
+            Partitioning::Hash { shards: n_shards },
+        )
+    };
+
+    let sample_len = usize::try_from(source.word_at(claim(8)?)?)
+        .map_err(|_| FilterError::corrupt("sample length overflows usize"))?;
+    framing.push(sample_len as u64);
+    let sample_words = sample_len
+        .checked_mul(2)
+        .ok_or(FilterError::corrupt("sample length overflows usize"))?;
+    let sample_raw = source.words_at(claim(words(sample_words)?)?, sample_words)?;
+    framing.extend_from_slice(&sample_raw);
+    let sample: Vec<(u64, u64)> = sample_raw
+        .chunks_exact(2)
+        .filter_map(|pair| match pair {
+            [lo, hi] => Some((*lo, *hi)),
+            _ => None,
+        })
+        .collect();
+
+    // `n_shards` is attacker-controlled until the claims below bound it
+    // against the body length; clamp the capacity hint so a forged count
+    // cannot force a huge up-front allocation.
+    let mut extents = Vec::with_capacity(n_shards.min(1 << 20));
+    let mut keys_total: u64 = 0;
+    for _ in 0..n_shards {
+        let n_keys = usize::try_from(source.word_at(claim(8)?)?)
+            .map_err(|_| FilterError::corrupt("shard key count overflows usize"))?;
+        let keys_start = claim(words(n_keys)?)?;
+        let keys_checksum = source.word_at(claim(8)?)?;
+        let blob_len = usize::try_from(source.word_at(claim(8)?)?)
+            .map_err(|_| FilterError::corrupt("shard blob length overflows usize"))?;
+        let blob_start = claim(words(blob_len.div_ceil(8))?)?;
+        keys_total = keys_total.saturating_add(n_keys as u64);
+        framing.push(n_keys as u64);
+        framing.push(keys_checksum);
+        framing.push(blob_len as u64);
+        extents.push(ShardExtent {
+            n_keys,
+            keys_start,
+            keys_checksum,
+            blob_start,
+            blob_len,
+        });
+    }
+    let meta_actual = checksum_words(framing.iter().copied());
+    if meta_actual != meta_expected {
+        return Err(FilterError::ChecksumMismatch {
+            expected: meta_expected,
+            actual: meta_actual,
+        });
     }
     if keys_total != total_keys {
         return Err(FilterError::corrupt(
             "total key count differs from shard sum",
         ));
     }
-    Ok((config, routing, shards))
+    let config = StoreConfig::new(family)
+        .bits_per_key(bits_per_key)
+        .max_range(max_range)
+        .seed(seed)
+        .sample(sample)
+        .partitioning(partitioning);
+    Ok(Manifest {
+        source,
+        registry: registry.clone(),
+        config,
+        routing,
+        extents,
+    })
+}
+
+impl<S: ManifestSource> Manifest<S> {
+    /// Number of shards the manifest records.
+    pub(crate) fn num_shards(&self) -> usize {
+        self.extents.len()
+    }
+
+    /// The recorded key count of one shard (0 for an out-of-range index).
+    pub(crate) fn shard_key_count(&self, shard: u32) -> usize {
+        self.extents.get(shard as usize).map_or(0, |ext| ext.n_keys)
+    }
+
+    /// The one shard loader: reads one shard's keys and blob from its
+    /// recorded extents, checks the keys checksum, key ordering, routing
+    /// membership, the blob's spec and its own checksummed header, and the
+    /// blob-vs-manifest key count, and parses the filter — zero-copy over a
+    /// shared word buffer for Grafite blobs, through the family codec
+    /// otherwise. Failures come back as [`FilterError::ShardLoad`] naming
+    /// the shard.
+    pub(crate) fn load_shard(&self, shard: u32) -> Result<(Vec<u64>, DynRangeFilter), FilterError> {
+        self.load_shard_inner(shard)
+            .map_err(|e| FilterError::ShardLoad {
+                shard,
+                source: Box::new(e),
+            })
+    }
+
+    fn load_shard_inner(&self, shard: u32) -> Result<(Vec<u64>, DynRangeFilter), FilterError> {
+        let ext = *self
+            .extents
+            .get(shard as usize)
+            .ok_or(FilterError::corrupt("shard index out of range"))?;
+        let keys = self.source.words_at(ext.keys_start, ext.n_keys)?;
+        let keys_actual = checksum_words(keys.iter().copied());
+        if keys_actual != ext.keys_checksum {
+            return Err(FilterError::ChecksumMismatch {
+                expected: ext.keys_checksum,
+                actual: keys_actual,
+            });
+        }
+        if !keys.windows(2).all(|w| matches!(w, [a, b] if a < b)) {
+            return Err(FilterError::corrupt("shard keys not strictly increasing"));
+        }
+        let shard_idx = shard as usize;
+        if keys.iter().any(|&k| self.routing.shard_of(k) != shard_idx) {
+            return Err(FilterError::corrupt(
+                "shard key routes to a different shard",
+            ));
+        }
+        let filter = self.load_filter(&self.source.bytes_at(ext.blob_start, ext.blob_len)?)?;
+        if filter.num_keys() != keys.len() {
+            return Err(FilterError::corrupt(
+                "shard blob key count differs from manifest",
+            ));
+        }
+        Ok((keys, filter))
+    }
+
+    /// Parses one shard blob, taking the zero-copy mapped path for Grafite
+    /// blobs.
+    fn load_filter(&self, blob: &[u8]) -> Result<DynRangeFilter, FilterError> {
+        let header = Header::peek(blob)?;
+        if header.spec_id != self.config.family.spec_id() {
+            return Err(FilterError::SpecMismatch(header.spec_id));
+        }
+        if header.spec_id == spec_id::GRAFITE {
+            // One byte→word conversion pass, then every container in the
+            // filter is a sub-range of the same shared buffer.
+            let source = MappedSource::from_le_bytes(blob).map_err(FilterError::from)?;
+            let filter = MappedGrafiteFilter::open_mapped(&source)?;
+            return Ok(DynRangeFilter::from_boxed(
+                self.config.family,
+                Box::new(filter),
+            ));
+        }
+        self.config.family.load(&self.registry, blob)
+    }
 }

@@ -28,8 +28,8 @@ use grafite_core::registry::Registry;
 use grafite_core::{sort, FilterConfig, FilterError, Parallelism, RangeFilter, DEFAULT_SEED};
 
 use crate::family::{DynRangeFilter, FamilySpec};
-use crate::manifest;
-use crate::mapped::{MappedManifest, ShardSource};
+use crate::manifest::{self, Verify};
+use crate::mapped::{self, MappedManifest, ShardSource};
 use crate::stats::StoreStats;
 
 /// How a [`FilterStore`] splits the key space across shards.
@@ -318,7 +318,7 @@ impl Shard {
     }
 
     /// A shard materialized from birth (the build and eager-open paths).
-    fn eager(keys: Vec<u64>, filter: DynRangeFilter) -> Self {
+    pub(crate) fn eager(keys: Vec<u64>, filter: DynRangeFilter) -> Self {
         let cell = OnceLock::new();
         let _ = cell.set(LoadedShard {
             keys,
@@ -326,12 +326,6 @@ impl Shard {
             error: None,
         });
         Self { cell, source: None }
-    }
-
-    /// Reassembles a shard from already-validated parts (the manifest
-    /// reader's entry point).
-    pub(crate) fn from_parts(keys: Vec<u64>, filter: DynRangeFilter) -> Self {
-        Self::eager(keys, filter)
     }
 
     /// A shard that materializes lazily from a mapped manifest.
@@ -567,7 +561,7 @@ pub struct ApplyReport {
 /// consistency model and [`StoreConfig`] for the knobs.
 pub struct FilterStore {
     registry: Registry,
-    /// Behind a lock because [`FilterStore::reload`] may install a manifest
+    /// Behind a lock because [`FilterStore::reload_mapped`] may install a manifest
     /// with a different configuration; readers touch it only through
     /// [`FilterStore::config`]'s clone.
     config: RwLock<StoreConfig>,
@@ -662,7 +656,7 @@ impl FilterStore {
     }
 
     /// The configuration the store currently builds and rebuilds with
-    /// (cloned: a concurrent [`FilterStore::reload`] may replace it).
+    /// (cloned: a concurrent [`FilterStore::reload_mapped`] may replace it).
     pub fn config(&self) -> StoreConfig {
         self.config.read().expect("store lock poisoned").clone()
     }
@@ -838,11 +832,26 @@ impl FilterStore {
     /// — possibly on another machine. Shard filters load rebuild-free
     /// through the family's persistence codec; the returned store answers
     /// bit-identically to the one that was saved, and keeps accepting
-    /// updates under its original configuration.
+    /// updates under its original configuration. Every shard loads up
+    /// front: the first that fails comes back as
+    /// [`FilterError::ShardLoad`]. See [`crate::manifest`] for the
+    /// validation model.
     pub fn open(registry: &Registry, bytes: &[u8]) -> Result<Self, FilterError> {
-        let (config, routing, shards) = manifest::read(registry, bytes)?;
+        let manifest = manifest::scan(registry, bytes, Verify::WholeBody)?;
+        let shards = (0..manifest.num_shards())
+            .map(|i| {
+                let (keys, filter) = manifest.load_shard(u32::try_from(i).unwrap_or(u32::MAX))?;
+                Ok(Arc::new(Shard::eager(keys, filter)))
+            })
+            .collect::<Result<_, FilterError>>()?;
         let stats = Arc::new(StoreStats::default());
-        Ok(Self::from_parts(registry, config, routing, shards, stats))
+        Ok(Self::from_parts(
+            registry,
+            manifest.config,
+            manifest.routing,
+            shards,
+            stats,
+        ))
     }
 
     /// Opens the manifest file at `path` *lazily*: scans only the header,
@@ -853,19 +862,12 @@ impl FilterStore {
     /// fail validation at materialization time degrades to pass-all (no
     /// false negatives) and records the failure in
     /// [`FilterStore::stats`] and [`Shard::load_error`]. See
-    /// [`crate::mapped`] for the validation model.
+    /// [`crate::manifest`] for the validation model.
     pub fn open_mapped(registry: &Registry, path: &Path) -> Result<Self, FilterError> {
-        let manifest = Arc::new(MappedManifest::scan(registry, path)?);
+        let manifest = Arc::new(mapped::scan_file(registry, path)?);
         let stats = Arc::new(StoreStats::default());
         let (config, routing, shards) = Self::lazy_parts(&manifest, &stats);
-        Ok(Self {
-            registry: registry.clone(),
-            config: RwLock::new(config),
-            stats,
-            current: RwLock::new(Arc::new(Snapshot::from_parts(routing, shards, 0))),
-            published_version: AtomicU64::new(0),
-            writer: Mutex::new(()),
-        })
+        Ok(Self::from_parts(registry, config, routing, shards, stats))
     }
 
     /// Lazy shards (plus config and routing) over a scanned manifest.
@@ -883,36 +885,20 @@ impl FilterStore {
                 Arc::new(Shard::from_source(source))
             })
             .collect();
-        (
-            manifest.config().clone(),
-            manifest.routing().clone(),
-            shards,
-        )
-    }
-
-    /// Hot-reloads the store from manifest `bytes`: parses and validates
-    /// the whole manifest eagerly, then atomically swaps in the new
-    /// snapshot (and its configuration) at `current version + 1`. In-flight
-    /// queries keep their old snapshot and finish unaffected; queries
-    /// taking a snapshot after the swap see only the new state. On error
-    /// the store is unchanged. Returns the new version.
-    pub fn reload(&self, bytes: &[u8]) -> Result<u64, FilterError> {
-        let (config, routing, shards) = manifest::read(&self.registry, bytes)?;
-        Ok(self.install(config, routing, shards))
+        (manifest.config.clone(), manifest.routing.clone(), shards)
     }
 
     /// Hot-reloads from the manifest file at `path` through the lazy
-    /// mapped path (see [`FilterStore::open_mapped`]): the swap installs
-    /// unmaterialized shards, so the reload itself is `O(shards)` however
-    /// large the store. Returns the new version.
+    /// mapped path (see [`FilterStore::open_mapped`]), then atomically
+    /// swaps in the new snapshot (and its configuration) at `current
+    /// version + 1`. The swap installs unmaterialized shards, so the reload
+    /// itself is `O(shards)` however large the store. In-flight queries
+    /// keep their old snapshot and finish unaffected; queries taking a
+    /// snapshot after the swap see only the new state. On error the store
+    /// is unchanged. Returns the new version.
     pub fn reload_mapped(&self, path: &Path) -> Result<u64, FilterError> {
-        let manifest = Arc::new(MappedManifest::scan(&self.registry, path)?);
+        let manifest = Arc::new(mapped::scan_file(&self.registry, path)?);
         let (config, routing, shards) = Self::lazy_parts(&manifest, &self.stats);
-        Ok(self.install(config, routing, shards))
-    }
-
-    /// Swaps in a fully-prepared replacement state under the writer lock.
-    fn install(&self, config: StoreConfig, routing: Routing, shards: Vec<Arc<Shard>>) -> u64 {
         let _writer = self.writer.lock().expect("writer lock poisoned");
         let version = self.snapshot().version() + 1;
         *self.config.write().expect("store lock poisoned") = config;
@@ -922,7 +908,7 @@ impl FilterStore {
         // publishes the snapshot swap above to lock-free version pollers.
         self.published_version.store(version, Ordering::Release);
         self.stats.record_reload();
-        version
+        Ok(version)
     }
 
     /// The version of the most recently installed snapshot, without

@@ -13,13 +13,21 @@
 //!   fails typed at `open_mapped` or degrades the damaged shard to a
 //!   fail-open placeholder — present keys still answer `true`, the load
 //!   error is retained, and `save_to`/`apply` refuse the degraded store.
+//! * Both opens share one reader: a registry without the family's loader
+//!   fails both with `Unregistered`, and shard damage that only the
+//!   per-shard checks can see (manifest checksums re-forged) fails the
+//!   eager open with `ShardLoad` naming the shard and degrades exactly that
+//!   shard of a mapped store.
 
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use grafite::grafite_core::persist::checksum_words;
 use grafite::{
-    standard_registry, FamilySpec, FilterError, FilterStore, Partitioning, StoreConfig, Update,
+    standard_registry, FamilySpec, FilterError, FilterStore, Partitioning, Registry, StoreConfig,
+    Update,
 };
 
 fn lcg(state: &mut u64) -> u64 {
@@ -283,10 +291,11 @@ fn reload_mapped_under_concurrent_readers_drops_zero_queries() {
     let _ = std::fs::remove_file(&new_path);
 }
 
-/// `reload` from bytes behaves like `reload_mapped` from a file, and a
-/// missing manifest path fails typed without touching the served store.
+/// `reload_mapped` from a freshly written replacement file serves the new
+/// key set, and a missing manifest path fails typed without touching the
+/// served store.
 #[test]
-fn reload_from_bytes_and_missing_paths() {
+fn reload_mapped_from_a_temp_file_and_missing_paths() {
     let registry = standard_registry();
     let keys_a = dataset(400, 0xAAAA);
     let keys_b = dataset(400, 0xBBBB);
@@ -300,9 +309,9 @@ fn reload_from_bytes_and_missing_paths() {
         .unwrap()
     };
     let served = build(&keys_a);
-    let replacement = build(&keys_b).to_bytes();
+    let replacement = temp_manifest("reload-replacement", &build(&keys_b).to_bytes());
 
-    assert_eq!(served.reload(&replacement).unwrap(), 1);
+    assert_eq!(served.reload_mapped(&replacement).unwrap(), 1);
     for &k in keys_b.iter().step_by(7) {
         assert!(served.may_contain(k), "post-reload FN at {k}");
     }
@@ -319,6 +328,7 @@ fn reload_from_bytes_and_missing_paths() {
         1,
         "failed reload bumped the version"
     );
+    let _ = std::fs::remove_file(&replacement);
 }
 
 /// Byte-flip sweep over a saved manifest: every corruption either fails
@@ -407,4 +417,150 @@ fn corrupted_mapped_manifests_fail_typed_or_fail_open() {
     // `clean_opens` may legitimately be zero if every byte is covered by a
     // checksum; it exists so the compiler sees the counter used.
     let _ = clean_opens;
+}
+
+/// A registry that cannot load the manifest's family fails both opens with
+/// `Unregistered` before any shard is touched — including Grafite, whose
+/// shards would otherwise load zero-copy without consulting the registry.
+#[test]
+fn unregistered_family_fails_both_opens() {
+    let registry = standard_registry();
+    let keys = dataset(500, 0x5EED);
+    let sample = sample_queries(&keys);
+    for spec in [grafite::FilterSpec::Grafite, grafite::FilterSpec::Snarf] {
+        let config = store_config(
+            FamilySpec::Registry(spec),
+            sample.clone(),
+            Partitioning::Range { shards: 3 },
+        );
+        let bytes = FilterStore::build(&registry, config, &keys)
+            .unwrap()
+            .to_bytes();
+        let path = temp_manifest(&format!("unregistered-{}", spec.label()), &bytes);
+        let eager = FilterStore::open(&Registry::empty(), &bytes);
+        assert!(
+            matches!(eager, Err(FilterError::Unregistered(_))),
+            "{}: open gave {:?}",
+            spec.label(),
+            eager.err()
+        );
+        let mapped = FilterStore::open_mapped(&Registry::empty(), &path);
+        assert!(
+            matches!(mapped, Err(FilterError::Unregistered(_))),
+            "{}: open_mapped gave {:?}",
+            spec.label(),
+            mapped.err()
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+fn word_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+/// An independent walk of the manifest layout: the byte range of every
+/// shard blob, and the framing words the metadata checksum covers.
+fn manifest_layout(bytes: &[u8]) -> (Vec<Range<usize>>, Vec<u64>) {
+    let mut framing: Vec<u64> = (1..9).map(|w| word_at(bytes, 8 * w)).collect();
+    let n_shards = word_at(bytes, 24) as usize;
+    let mut at = 88; // the ten header words, then the metadata checksum
+    if word_at(bytes, 16) == 0 {
+        // Range routing: one start key per shard.
+        framing.extend((0..n_shards).map(|s| word_at(bytes, at + 8 * s)));
+        at += 8 * n_shards;
+    }
+    let sample_words = 2 * word_at(bytes, at) as usize;
+    framing.extend((0..=sample_words).map(|w| word_at(bytes, at + 8 * w)));
+    at += 8 * (1 + sample_words);
+    let mut blobs = Vec::new();
+    for _ in 0..n_shards {
+        let n_keys = word_at(bytes, at) as usize;
+        let keys_checksum = word_at(bytes, at + 8 + 8 * n_keys);
+        at += 16 + 8 * n_keys;
+        let blob_len = word_at(bytes, at) as usize;
+        at += 8;
+        framing.extend([n_keys as u64, keys_checksum, blob_len as u64]);
+        blobs.push(at..at + blob_len);
+        at += blob_len.div_ceil(8) * 8;
+    }
+    (blobs, framing)
+}
+
+/// Recomputes the metadata checksum (body word 0) and the whole-body
+/// checksum (header word 9) over an edited manifest, so only the per-shard
+/// checks can catch the edit.
+fn reforge_checksums(bytes: &mut [u8]) {
+    let (_, framing) = manifest_layout(bytes);
+    let meta = checksum_words(framing);
+    bytes[80..88].copy_from_slice(&meta.to_le_bytes());
+    let body_words = word_at(bytes, 64) as usize;
+    let covered = (1..9).chain(10..10 + body_words);
+    let whole = checksum_words(covered.map(|w| word_at(bytes, 8 * w)));
+    bytes[72..80].copy_from_slice(&whole.to_le_bytes());
+}
+
+/// One flipped byte inside shard `i`'s blob, under re-forged manifest
+/// checksums: eager `open` fails with `ShardLoad { shard: i }`, and
+/// `open_mapped` degrades exactly shard `i`, counts one load error, and
+/// loses no key.
+#[test]
+fn shard_damage_under_reforged_checksums_is_caught_per_shard() {
+    let registry = standard_registry();
+    let keys = dataset(800, 0xF00D);
+    for spec in [grafite::FilterSpec::Grafite, grafite::FilterSpec::Bucketing] {
+        let config = store_config(
+            FamilySpec::Registry(spec),
+            Vec::new(),
+            Partitioning::Range { shards: 4 },
+        );
+        let bytes = FilterStore::build(&registry, config, &keys)
+            .unwrap()
+            .to_bytes();
+        let mut reforged = bytes.clone();
+        reforge_checksums(&mut reforged);
+        assert_eq!(reforged, bytes, "the test-side layout walk is wrong");
+
+        let (blobs, _) = manifest_layout(&bytes);
+        for (target, blob) in blobs.iter().enumerate() {
+            let mut bad = bytes.clone();
+            bad[blob.start + blob.len() / 2] ^= 0x5A;
+            reforge_checksums(&mut bad);
+
+            match FilterStore::open(&registry, &bad) {
+                Err(FilterError::ShardLoad { shard, .. }) => assert_eq!(
+                    shard as usize,
+                    target,
+                    "{}: eager open blamed the wrong shard",
+                    spec.label()
+                ),
+                other => panic!(
+                    "{} shard {target}: eager open gave {:?}",
+                    spec.label(),
+                    other.err()
+                ),
+            }
+
+            let path = temp_manifest(&format!("reforged-{}-{target}", spec.label()), &bad);
+            let mapped = FilterStore::open_mapped(&registry, &path).unwrap();
+            let snap = mapped.snapshot();
+            for &k in &keys {
+                assert!(
+                    snap.may_contain(k),
+                    "{} shard {target}: lost key {k}",
+                    spec.label()
+                );
+            }
+            let degraded: Vec<usize> = snap
+                .shards()
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.load_error().is_some())
+                .map(|(i, _)| i)
+                .collect();
+            assert_eq!(degraded, vec![target], "{}", spec.label());
+            assert_eq!(mapped.stats().shard_load_errors(), 1, "{}", spec.label());
+            let _ = std::fs::remove_file(&path);
+        }
+    }
 }
