@@ -1,7 +1,9 @@
 //! A minimal blocking client for the [`crate::protocol`] frame protocol:
-//! one TCP stream, one in-flight request at a time.
+//! one TCP stream, one in-flight request at a time. Each request is one
+//! write (`TCP_NODELAY` is set, so it leaves at once) and each response is
+//! read through a buffer, so a round trip costs one read syscall.
 
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::protocol::{self, verb, ProtocolError};
@@ -20,7 +22,9 @@ pub struct ApplySummary {
 
 /// A connected client.
 pub struct Client {
-    stream: TcpStream,
+    /// The connection; requests are written to the stream underneath,
+    /// responses are read through the buffer.
+    stream: BufReader<TcpStream>,
 }
 
 impl std::fmt::Debug for Client {
@@ -34,12 +38,14 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Self { stream })
+        Ok(Self {
+            stream: BufReader::with_capacity(protocol::READ_BUFFER, stream),
+        })
     }
 
     /// One request/response round trip; checks the response verb.
     fn call(&mut self, request: u8, payload: &[u8]) -> Result<Vec<u8>, ProtocolError> {
-        protocol::write_frame(&mut self.stream, request, payload)?;
+        protocol::write_frame(self.stream.get_mut(), request, payload)?;
         let frame = protocol::read_frame(&mut self.stream)?;
         if frame.verb == verb::ERR {
             return Err(ProtocolError::Remote(

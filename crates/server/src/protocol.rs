@@ -117,27 +117,17 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
+/// The read buffer both ends put in front of their socket: one `read`
+/// syscall fills it with a whole request or response — a 512-probe
+/// `BATCH_QUERY` is 8 KiB — plus whatever the peer pipelined behind it.
+pub(crate) const READ_BUFFER: usize = 64 << 10;
+
 /// Reads one frame. The declared length is validated against
 /// [`MAX_FRAME`] *before* the payload buffer is allocated.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, ProtocolError> {
     let mut len_bytes = [0u8; 4];
     r.read_exact(&mut len_bytes)?;
-    finish_frame(u32::from_le_bytes(len_bytes), r)
-}
-
-/// Reads the rest of a frame whose *first* length byte the caller already
-/// consumed — the server's poll loop peels one byte to distinguish "idle"
-/// from "frame incoming" without ever losing stream position.
-pub fn read_frame_continuing(first: u8, r: &mut impl Read) -> Result<Frame, ProtocolError> {
-    let mut rest = [0u8; 3];
-    r.read_exact(&mut rest)?;
-    let [b1, b2, b3] = rest;
-    finish_frame(u32::from_le_bytes([first, b1, b2, b3]), r)
-}
-
-/// Validates a declared length and reads the verb + payload behind it.
-fn finish_frame(declared: u32, r: &mut impl Read) -> Result<Frame, ProtocolError> {
-    let len = declared as usize;
+    let len = u32::from_le_bytes(len_bytes) as usize;
     if len == 0 {
         return Err(ProtocolError::EmptyFrame);
     }
@@ -154,7 +144,11 @@ fn finish_frame(declared: u32, r: &mut impl Read) -> Result<Frame, ProtocolError
     Ok(Frame { verb, payload })
 }
 
-/// Writes one frame (length prefix, verb, payload).
+/// Writes one frame (length prefix, verb, payload) with a single
+/// `write_all` of one assembled buffer, so an unbuffered socket sends it
+/// as one segment: three small writes would let Nagle's algorithm hold
+/// the tail back until the peer's delayed ACK, ~40 ms per response.
+/// Nothing is written if the payload exceeds [`MAX_FRAME`].
 pub fn write_frame(w: &mut impl Write, verb: u8, payload: &[u8]) -> Result<(), ProtocolError> {
     let total = payload
         .len()
@@ -168,9 +162,11 @@ pub fn write_frame(w: &mut impl Write, verb: u8, payload: &[u8]) -> Result<(), P
         len: total,
         max: MAX_FRAME,
     })?;
-    w.write_all(&prefix.to_le_bytes())?;
-    w.write_all(&[verb])?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(total.saturating_add(4));
+    frame.extend_from_slice(&prefix.to_le_bytes());
+    frame.push(verb);
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -372,6 +368,47 @@ mod tests {
         let frame = read_frame(&mut buf.as_slice()).unwrap();
         assert_eq!(frame.verb, verb::QUERY);
         assert_eq!(decode_query(&frame.payload).unwrap(), (3, 9));
+    }
+
+    /// A `Write` double that records every `write` call.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_issues_one_write() {
+        for payload in [vec![], vec![0xAB], vec![0x5A; 64 << 10]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, verb::BATCH_QUERY, &payload).unwrap();
+            assert_eq!(w.writes, 1, "{}-byte payload", payload.len());
+            let mut want = u32::try_from(payload.len() + 1)
+                .unwrap()
+                .to_le_bytes()
+                .to_vec();
+            want.push(verb::BATCH_QUERY);
+            want.extend_from_slice(&payload);
+            assert_eq!(w.bytes, want, "{}-byte payload", payload.len());
+        }
+        let mut w = CountingWriter::default();
+        assert!(matches!(
+            write_frame(&mut w, verb::BATCH_QUERY, &vec![0; MAX_FRAME]),
+            Err(ProtocolError::Oversized { .. })
+        ));
+        assert_eq!((w.writes, w.bytes.len()), (0, 0), "oversized frame wrote");
     }
 
     #[test]

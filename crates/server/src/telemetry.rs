@@ -9,6 +9,9 @@
 //! * per-shard probe counts (which shards the routing sends traffic to),
 //! * batch coalescing: how many probes each executed batch carried,
 //! * rebuild (apply) durations,
+//! * transient accept errors the acceptor backed off from and survived
+//!   (`accept_errors`; they fail no request, so they stay out of
+//!   `total_errors`),
 //! * an observed-false-positive estimator: every positive answer the
 //!   server can refute against the snapshot's retained keys counts as a
 //!   confirmed false positive, and every negative answer is a true
@@ -91,6 +94,7 @@ pub struct Telemetry {
     negatives: AtomicU64,
     rebuild_us: Histogram,
     bad_frames: AtomicU64,
+    accept_errors: AtomicU64,
 }
 
 impl Telemetry {
@@ -111,6 +115,7 @@ impl Telemetry {
             negatives: AtomicU64::new(0),
             rebuild_us: Histogram::default(),
             bad_frames: AtomicU64::new(0),
+            accept_errors: AtomicU64::new(0),
         }
     }
 
@@ -142,6 +147,17 @@ impl Telemetry {
     /// than any per-verb error slot.
     pub fn record_bad_frame(&self) {
         add(&self.bad_frames, 1);
+    }
+
+    /// Records one transient `accept` error the acceptor backed off from.
+    pub fn record_accept_error(&self) {
+        add(&self.accept_errors, 1);
+    }
+
+    /// Transient `accept` errors survived. Not part of
+    /// [`Telemetry::total_errors`]: no request failed.
+    pub fn accept_errors(&self) -> u64 {
+        get(&self.accept_errors)
     }
 
     /// Records one probe routed to `shard`.
@@ -283,6 +299,7 @@ pub fn render_json(t: &Telemetry, store: &FilterStore) -> String {
     out.push_str("},");
     push_kv(&mut out, "bad_frames", &format!("{}", get(&t.bad_frames)));
     push_kv(&mut out, "total_errors", &format!("{}", t.total_errors()));
+    push_kv(&mut out, "accept_errors", &format!("{}", t.accept_errors()));
     out.push_str("\"batch\":{");
     out.push_str(&format!(
         "\"batches\":{},\"probes\":{},\"dedup_hits\":{},\"coalescing_factor\":{:.3}}},",
@@ -385,7 +402,9 @@ mod tests {
         t.record_negatives(3);
         t.record_shard_probe(2);
         t.record_shard_probe(99); // out of range: dropped, no panic
-        assert_eq!(t.total_errors(), 2);
+        t.record_accept_error();
+        assert_eq!(t.accept_errors(), 1);
+        assert_eq!(t.total_errors(), 2, "accept errors fail no request");
         assert!((t.coalescing_factor() - 5.0).abs() < 1e-9);
         assert!((t.observed_fp_rate() - 0.5).abs() < 1e-9);
         assert!((t.fpr() - 0.25).abs() < 1e-9);

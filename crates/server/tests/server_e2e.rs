@@ -1,13 +1,15 @@
 //! End-to-end tests over a live server: bit-identical answers vs the
 //! direct store, atomic hot reload under concurrent readers, APPLY and
-//! STATS round trips, and an exhaustive frame-corruption sweep proving
-//! the server survives arbitrary garbage.
+//! STATS round trips, wire latency, pipelined and split frames, and an
+//! exhaustive frame-corruption sweep proving the server survives
+//! arbitrary garbage.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use grafite_core::registry::{FilterSpec, Registry};
 use grafite_server::protocol::{self, verb};
@@ -178,6 +180,7 @@ fn stats_report_coalescing_and_fp_estimation() {
     assert!(stats.contains("\"coalescing_factor\":"));
     assert!(stats.contains("\"observed_rate\":"));
     assert!(stats.contains("\"shard_probes\":["));
+    assert!(stats.contains("\"accept_errors\":0,"), "stats: {stats}");
     let telemetry = handle.telemetry();
     assert!(telemetry.coalescing_factor() >= 1.0);
     assert_eq!(telemetry.total_errors(), 0);
@@ -247,6 +250,140 @@ fn stats_fpr_matches_ground_truth() {
 
     client.shutdown().unwrap();
     handle.join();
+}
+
+/// The p50 a round trip must beat. A Nagle stall (a frame split over
+/// several writes, no `TCP_NODELAY`) makes every response wait ~40 ms for
+/// the peer's delayed ACK; the ceiling is generous enough for an
+/// unoptimized build on a loaded machine.
+const ROUND_TRIP_CEILING: Duration = Duration::from_millis(5);
+
+/// The median of `samples` (sorted in place).
+fn p50(samples: &mut [Duration]) -> Duration {
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
+/// A request costs one round trip, not a Nagle stall.
+#[test]
+fn loopback_round_trip_is_not_stalled() {
+    let keys = test_keys(4000, 7);
+    let handle = serve(Arc::new(build_store(&keys, 4)), "127.0.0.1:0", None).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    let mut singles: Vec<Duration> = (0..200u64)
+        .map(|i| {
+            let a = i.wrapping_mul(0xD134_2543_DE82_EF95) >> 1;
+            let started = Instant::now();
+            client.query(a, a.saturating_add(i % 61)).unwrap();
+            started.elapsed()
+        })
+        .collect();
+    let mut batches: Vec<Duration> = (0..50u64)
+        .map(|round| {
+            let batch: Vec<(u64, u64)> = (0..512u64)
+                .map(|i| {
+                    let a = (round * 512 + i).wrapping_mul(0xD134_2543_DE82_EF95) >> 1;
+                    (a, a.saturating_add(i % 61))
+                })
+                .collect();
+            let started = Instant::now();
+            client.query_batch(&batch).unwrap();
+            started.elapsed()
+        })
+        .collect();
+    let (query_p50, batch_p50) = (p50(&mut singles), p50(&mut batches));
+    assert!(query_p50 < ROUND_TRIP_CEILING, "QUERY p50 {query_p50:?}");
+    assert!(
+        batch_p50 < ROUND_TRIP_CEILING,
+        "BATCH_QUERY x512 p50 {batch_p50:?}"
+    );
+
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+/// Reads one response frame from a raw stream and checks its verb.
+fn read_ok(stream: &mut TcpStream, request: u8) -> Vec<u8> {
+    let frame = protocol::read_frame(stream).unwrap();
+    assert_eq!(frame.verb, protocol::ok_verb(request));
+    frame.payload
+}
+
+/// Frames written back to back in one `write` are all answered, in order
+/// and without a stall: the server's read buffer may hold several frames
+/// at once.
+#[test]
+fn pipelined_frames_are_answered_in_order() {
+    let keys = test_keys(3000, 8);
+    let direct = build_store(&keys, 3).snapshot();
+    let handle = serve(Arc::new(build_store(&keys, 3)), "127.0.0.1:0", None).unwrap();
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+
+    let miss = (1..u64::MAX)
+        .find(|&x| !direct.may_contain_range(x, x))
+        .unwrap();
+    let mut rounds: Vec<Duration> = (1..=21u64)
+        .map(|round| {
+            let key = keys[round as usize];
+            let probes = [(key, key), (miss, miss.saturating_add(round % 2))];
+            let mut bytes = Vec::new();
+            for &(a, b) in &probes {
+                protocol::write_frame(&mut bytes, verb::QUERY, &protocol::encode_query(a, b))
+                    .unwrap();
+            }
+            protocol::write_frame(&mut bytes, verb::STATS, &[]).unwrap();
+            let started = Instant::now();
+            stream.write_all(&bytes).unwrap();
+            for &(a, b) in &probes {
+                let payload = read_ok(&mut stream, verb::QUERY);
+                let want = u8::from(direct.may_contain_range(a, b));
+                assert_eq!(payload, [want], "round {round} [{a}, {b}]");
+            }
+            let stats = String::from_utf8(read_ok(&mut stream, verb::STATS)).unwrap();
+            let elapsed = started.elapsed();
+            let served = format!("\"query\":{{\"count\":{},", 2 * round);
+            assert!(stats.contains(&served), "round {round} stats: {stats}");
+            elapsed
+        })
+        .collect();
+    let round_p50 = p50(&mut rounds);
+    assert!(
+        round_p50 < ROUND_TRIP_CEILING,
+        "pipelined round p50 {round_p50:?}"
+    );
+
+    drop(stream);
+    handle.shutdown();
+}
+
+/// A frame that trickles in one byte at a time, each pause well inside
+/// the server's poll interval, is still one frame.
+#[test]
+fn split_frame_is_served() {
+    let keys = test_keys(2000, 9);
+    let handle = serve(Arc::new(build_store(&keys, 2)), "127.0.0.1:0", None).unwrap();
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+
+    let key = keys[17];
+    let mut bytes = Vec::new();
+    protocol::write_frame(&mut bytes, verb::QUERY, &protocol::encode_query(key, key)).unwrap();
+    for byte in &bytes {
+        stream.write_all(std::slice::from_ref(byte)).unwrap();
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(read_ok(&mut stream, verb::QUERY), [1], "key {key}");
+
+    drop(stream);
+    handle.shutdown();
 }
 
 /// Raw-socket corruption sweep: every frame prefix/verb/payload mutation
