@@ -69,7 +69,10 @@ fn serving_store(c: &mut Criterion) {
     let store = FilterStore::build(registry, config, &keys).expect("feasible");
     let snap = store.snapshot();
     let mut fresh = snap.routing().shard_span(0).0;
-    while snap.shards()[0].keys().binary_search(&fresh).is_ok() {
+    while snap.shards()[0]
+        .holds_key(fresh, fresh)
+        .expect("built shards hold their keys in memory")
+    {
         fresh += 1;
     }
     let mut present = false;

@@ -782,7 +782,10 @@ pub fn serving(cfg: &RunConfig) {
             for s in 0..dirty_target {
                 let (lo, _) = snap.routing().shard_span(s);
                 let mut candidate = lo;
-                while snap.shards()[s].keys().binary_search(&candidate).is_ok() {
+                while snap.shards()[s]
+                    .holds_key(candidate, candidate)
+                    .expect("built shards hold their keys in memory")
+                {
                     candidate += 1;
                 }
                 inserts.push(Update::Insert(candidate));

@@ -115,11 +115,36 @@ pub mod spec_id {
 /// [`blob_checksum`]. Computable from the byte image and the word image
 /// alike without copying either.
 pub fn checksum_words(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut acc = 0xCBF2_9CE4_8422_2325u64;
-    for w in words {
-        acc = (acc ^ w).wrapping_mul(0x0000_0100_0000_01B3);
+    let mut acc = Checksum::default();
+    acc.update(words);
+    acc.value()
+}
+
+/// The running state of [`checksum_words`], for a word sequence that
+/// arrives in pieces: feeding the pieces in order through
+/// [`Checksum::update`] gives exactly `checksum_words` over their
+/// concatenation, without holding the whole sequence at once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Checksum(u64);
+
+impl Default for Checksum {
+    fn default() -> Self {
+        Self(0xCBF2_9CE4_8422_2325)
     }
-    acc
+}
+
+impl Checksum {
+    /// Folds the next words of the sequence in.
+    pub fn update(&mut self, words: impl IntoIterator<Item = u64>) {
+        for w in words {
+            self.0 = (self.0 ^ w).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// The checksum of every word folded in so far.
+    pub fn value(&self) -> u64 {
+        self.0
+    }
 }
 
 /// The checksum recorded in header word 4: [`checksum_words`] over header
@@ -419,6 +444,19 @@ mod tests {
                 have: blob.len() - 1
             })
         );
+    }
+
+    #[test]
+    fn streamed_checksum_equals_one_shot_checksum() {
+        let words: Vec<u64> = (0..1000u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+        for piece in [1usize, 7, 256, 1000] {
+            let mut streamed = Checksum::default();
+            for chunk in words.chunks(piece) {
+                streamed.update(chunk.iter().copied());
+            }
+            assert_eq!(streamed.value(), checksum_words(words.iter().copied()));
+        }
+        assert_eq!(Checksum::default().value(), checksum_words([]));
     }
 
     #[test]

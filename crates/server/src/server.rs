@@ -6,9 +6,9 @@
 //! concurrent load coalesces into one store batch per leader. `RELOAD`
 //! swaps manifests atomically under the store's writer lock: in-flight
 //! queries finish on the snapshot they already hold, and not one of them
-//! fails or blocks during the swap. Positive answers are spot-checked
-//! against the retained keys of the shards the query routes to, to feed
-//! the observed-FP estimator in [`Telemetry`].
+//! fails or blocks during the swap. One positive answer in
+//! [`REFUTE_EVERY`] is checked against the keys of the shards the query
+//! routes to, to feed the sampled observed-FP estimator in [`Telemetry`].
 //!
 //! On the wire, a request costs one read and one write syscall on each
 //! end. [`protocol::write_frame`] sends a frame as one buffer, and both
@@ -29,11 +29,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use grafite_store::{FilterStore, Routing, Shard, Snapshot, Update};
+use grafite_core::FilterError;
+use grafite_store::{FilterStore, Routing, Snapshot, Update};
 
 use crate::batch::Batcher;
 use crate::protocol::{self, verb, Frame, ProtocolError};
-use crate::telemetry::Telemetry;
+use crate::telemetry::{Telemetry, REFUTE_EVERY};
 
 /// How long a connection read blocks before re-checking the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
@@ -386,9 +387,11 @@ fn dispatch(frame: &Frame, shared: &Shared) -> Result<Reply, String> {
 }
 
 /// Answers probes through the batcher and feeds the telemetry: per-shard
-/// probe counts, negative answers, and retained-key refutation of positive
-/// answers (the observed-FP estimator). Refutation is exact — the snapshot
-/// retains every key — so `refuted == answered true but no key in range`.
+/// probe counts, negative answers, and the observed-FP estimator. Every
+/// [`REFUTE_EVERY`]-th positive answer, counted across all connections, is
+/// refuted against the keys of the shards it routes to, so the refutation
+/// reads stay a fixed small share of the traffic; the estimator scales the
+/// sample up. A positive whose refutation read fails goes unsampled.
 fn answer_probes(shared: &Shared, queries: &[(u64, u64)]) -> Vec<bool> {
     let snap = shared.store.snapshot();
     for &(a, _b) in queries {
@@ -397,22 +400,30 @@ fn answer_probes(shared: &Shared, queries: &[(u64, u64)]) -> Vec<bool> {
             .record_shard_probe(snap.routing().shard_of(a));
     }
     let answers = shared.batcher.submit(queries);
-    let mut negatives = 0u64;
-    for (&(a, b), &hit) in queries.iter().zip(&answers) {
-        if hit {
-            shared.telemetry.record_positive(!truth(&snap, a, b));
-        } else {
-            negatives += 1;
+    let hits = answers.iter().filter(|&&hit| hit).count() as u64;
+    shared
+        .telemetry
+        .record_negatives((answers.len() as u64).saturating_sub(hits));
+    // This request's positives are numbered `first..first + hits`; number
+    // `p` is sampled iff `p % REFUTE_EVERY == 0`.
+    let first = shared.telemetry.record_positives(hits);
+    let skip = (REFUTE_EVERY - first % REFUTE_EVERY) % REFUTE_EVERY;
+    let positives = queries
+        .iter()
+        .zip(&answers)
+        .filter_map(|(&range, &hit)| hit.then_some(range));
+    for (a, b) in positives.skip(skip as usize).step_by(REFUTE_EVERY as usize) {
+        if let Ok(holds) = truth(&snap, a, b) {
+            shared.telemetry.record_sample(!holds);
         }
     }
-    shared.telemetry.record_negatives(negatives);
     answers
 }
 
-/// Ground truth from the retained keys: does `[a, b]` hold a key? Only
-/// the shards [`Snapshot::may_contain_range`] routes the range to can hold
-/// one, so only their keys are searched.
-fn truth(snap: &Snapshot, a: u64, b: u64) -> bool {
+/// Ground truth from the shard keys: does `[a, b]` hold a key? Only the
+/// shards [`Snapshot::may_contain_range`] routes the range to can hold
+/// one, so only they are searched.
+fn truth(snap: &Snapshot, a: u64, b: u64) -> Result<bool, FilterError> {
     let shards = snap.shards();
     let routing = snap.routing();
     let routed = match routing {
@@ -423,17 +434,12 @@ fn truth(snap: &Snapshot, a: u64, b: u64) -> bool {
         }
         Routing::Hash { .. } => Some(shards),
     };
-    routed
-        .unwrap_or(shards)
-        .iter()
-        .any(|shard| holds_key(shard, a, b))
-}
-
-/// Whether `shard` retains a key in `[a, b]`.
-fn holds_key(shard: &Shard, a: u64, b: u64) -> bool {
-    let keys = shard.keys();
-    let at = keys.partition_point(|&k| k < a);
-    keys.get(at).is_some_and(|&k| k <= b)
+    for shard in routed.unwrap_or(shards) {
+        if shard.holds_key(a, b)? {
+            return Ok(true);
+        }
+    }
+    Ok(false)
 }
 
 #[cfg(test)]
@@ -485,14 +491,24 @@ mod tests {
         assert_eq!(wake_addr(bound), bound);
     }
 
-    /// Routed refutation against the exhaustive search of every shard,
-    /// for both partitionings, on the built snapshot and after an `apply`.
+    /// Routed refutation against a resident binary search over every
+    /// shard's verified keys, for both partitionings, on a built store and
+    /// on a mapped one (fences in memory, key blocks read from the file),
+    /// before and after an `apply` that rebuilds one shard. Besides random
+    /// ranges, the probes sit on every shard's fence edges: key indices 0,
+    /// 255, 256, 257 and the last key, ranges straddling two fence blocks,
+    /// and ranges before a shard's first key or after its last.
     #[test]
     fn routed_truth_matches_every_shard_truth() {
+        use grafite_store::manifest::FENCE_EVERY;
+
         let keys: Vec<u64> = (0..4000u64)
             .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20)
             .collect();
-        let probes: Vec<(u64, u64)> = keys
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let random: Vec<(u64, u64)> = keys
             .iter()
             .step_by(7)
             .flat_map(|&k| [(k, k), (k.saturating_sub(3), k), (k + 1, k + 1)])
@@ -502,34 +518,117 @@ mod tests {
             }))
             .chain([(0, u64::MAX), (u64::MAX, u64::MAX)])
             .collect();
-        let exhaustive = |snap: &Snapshot, a, b| snap.shards().iter().any(|s| holds_key(s, a, b));
-        for partitioning in [
+        let shard_keys = |snap: &Snapshot| -> Vec<Vec<u64>> {
+            snap.shards()
+                .iter()
+                .map(|s| s.read_keys().unwrap().into_owned())
+                .collect()
+        };
+        let fence_edges = |shard_keys: &[Vec<u64>]| -> Vec<(u64, u64)> {
+            let mut out = Vec::new();
+            for keys in shard_keys {
+                let (Some(&first), Some(&last)) = (keys.first(), keys.last()) else {
+                    continue;
+                };
+                assert!(
+                    keys.len() > 2 * FENCE_EVERY,
+                    "shards too small for fence edges"
+                );
+                for i in [0, 255, 256, 257, 511, 512, keys.len() - 1] {
+                    let k = keys[i];
+                    out.extend([
+                        (k, k),
+                        (k.saturating_sub(1), k.saturating_sub(1)),
+                        (k.saturating_add(1), k.saturating_add(1)),
+                    ]);
+                }
+                out.extend([
+                    (keys[250], keys[260]),
+                    (keys[250] + 1, keys[260] - 1),
+                    (keys[255] + 1, keys[256] - 1),
+                    (keys[255] + 1, keys[256]),
+                    (keys[256] + 1, keys[257] - 1),
+                    (keys[100] + 1, keys[400] - 1),
+                    (keys[255], keys[511]),
+                    (0, first.saturating_sub(1)),
+                    (last.saturating_add(1), u64::MAX),
+                ]);
+            }
+            out
+        };
+        let resident = |shard_keys: &[Vec<u64>], a: u64, b: u64| {
+            shard_keys.iter().any(|keys| {
+                let at = keys.partition_point(|&k| k < a);
+                keys.get(at).is_some_and(|&k| k <= b)
+            })
+        };
+        let registry = Registry::new();
+        for (p, partitioning) in [
             Partitioning::Range { shards: 6 },
             Partitioning::Hash { shards: 6 },
-        ] {
+        ]
+        .into_iter()
+        .enumerate()
+        {
             let config = StoreConfig::new(FamilySpec::Registry(FilterSpec::Grafite))
                 .bits_per_key(12.0)
                 .max_range(64)
                 .partitioning(partitioning);
-            let store = FilterStore::build(&Registry::new(), config, &keys).unwrap();
-            let before = store.snapshot();
-            let updates: Vec<Update> = keys
-                .iter()
-                .step_by(3)
-                .map(|&k| Update::Delete(k))
-                .chain((0..500u64).map(|i| Update::Insert(i * 1_000_003)))
-                .collect();
-            store.apply(&updates).unwrap();
-            let after = store.snapshot();
-            for snap in [&before, &after] {
-                let mut positives = 0;
-                for &(a, b) in &probes {
-                    let want = exhaustive(snap, a, b);
-                    assert_eq!(truth(snap, a, b), want, "{partitioning:?} [{a}, {b}]");
-                    positives += usize::from(want);
+            let built = FilterStore::build(&registry, config, &keys).unwrap();
+            let path = std::env::temp_dir()
+                .join(format!("grafite-server-truth-{p}-{}", std::process::id()));
+            std::fs::write(&path, built.to_bytes()).unwrap();
+            let mapped = FilterStore::open_mapped(&registry, &path).unwrap();
+            for store in [&built, &mapped] {
+                let before = store.snapshot();
+                let mut union: Vec<u64> = shard_keys(&before).concat();
+                union.sort_unstable();
+                assert_eq!(union, sorted, "{partitioning:?}: shard keys lost");
+                // Deletes and inserts that all route to shard 1.
+                let target = &shard_keys(&before)[1];
+                let updates: Vec<Update> = target
+                    .iter()
+                    .step_by(3)
+                    .take(100)
+                    .map(|&k| Update::Delete(k))
+                    .chain(
+                        target
+                            .iter()
+                            .map(|&k| k + 1)
+                            .filter(|&k| before.routing().shard_of(k) == 1)
+                            .take(50)
+                            .map(Update::Insert),
+                    )
+                    .collect();
+                let report = store.apply(&updates).unwrap();
+                assert_eq!(report.dirty_shards, 1);
+                let after = store.snapshot();
+                for snap in [&before, &after] {
+                    let truth_keys = shard_keys(snap);
+                    let probes: Vec<(u64, u64)> = random
+                        .iter()
+                        .copied()
+                        .chain(fence_edges(&truth_keys))
+                        .collect();
+                    let mut positives = 0;
+                    for &(a, b) in &probes {
+                        let want = resident(&truth_keys, a, b);
+                        assert_eq!(
+                            truth(snap, a, b).unwrap(),
+                            want,
+                            "{partitioning:?} [{a}, {b}]"
+                        );
+                        positives += usize::from(want);
+                    }
+                    assert!(positives > 0 && positives < probes.len(), "vacuous probes");
                 }
-                assert!(positives > 0 && positives < probes.len(), "vacuous probes");
             }
+            assert!(
+                mapped.snapshot().shards()[0].resident_key_bytes()
+                    < mapped.snapshot().shards()[0].num_keys() * 8,
+                "{partitioning:?}: the mapped store's clean shards must stay on disk"
+            );
+            let _ = std::fs::remove_file(&path);
         }
     }
 }

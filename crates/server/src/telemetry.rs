@@ -12,14 +12,21 @@
 //! * transient accept errors the acceptor backed off from and survived
 //!   (`accept_errors`; they fail no request, so they stay out of
 //!   `total_errors`),
-//! * an observed-false-positive estimator: every positive answer the
-//!   server can refute against the snapshot's retained keys counts as a
-//!   confirmed false positive, and every negative answer is a true
-//!   negative (a range filter never answers a false negative).
-//!   `fp.fpr` is refuted ÷ (refuted + negatives), the false-positive rate
-//!   over empty-range probes. `fp.observed_rate` is refuted ÷ positives,
-//!   the share of positive answers that were false: a false-*discovery*
-//!   rate, not the FPR.
+//! * an observed-false-positive estimator. Every negative answer is a
+//!   true negative (a range filter never answers a false negative). One
+//!   positive answer in [`REFUTE_EVERY`] (`fp.sample_every`), numbered in
+//!   the order the server records them, is checked against the shard keys
+//!   (`fp.sampled`); a positive they refute is a confirmed false positive
+//!   (`fp.refuted`). `fp.observed_rate` is refuted ÷ sampled, the estimated
+//!   share of positive answers that were false: a false-*discovery* rate,
+//!   not the FPR. `fp.fpr` estimates the false-positive rate over
+//!   empty-range probes as F ÷ (F + negatives), with F = observed_rate ×
+//!   positives. Both are 0 before the first sample. The sample's key reads
+//!   on a mapped store are not checksum-verified, so a file damaged after
+//!   open can skew these estimates but no answer,
+//! * the bytes of shard keys held in memory (`store.resident_key_bytes`):
+//!   every key of a built, eagerly opened or rebuilt shard, only the fences
+//!   of a mapped one.
 //!
 //! Every latency and duration histogram is the store's [`Histogram`], the
 //! same type [`StoreStats`](grafite_store::StoreStats) records shard builds
@@ -43,6 +50,10 @@ fn get(counter: &AtomicU64) -> u64 {
     // tearing across counters is acceptable for telemetry.
     counter.load(Ordering::Relaxed)
 }
+
+/// The server checks one positive answer in this many against the shard
+/// keys (see [`Telemetry::record_positives`]): the sample behind `fp.*`.
+pub const REFUTE_EVERY: u64 = 64;
 
 /// Labels for the six request verbs, indexed by `verb - 1`.
 const VERB_LABELS: [&str; 6] = [
@@ -90,6 +101,7 @@ pub struct Telemetry {
     batched_probes: AtomicU64,
     dedup_hits: AtomicU64,
     positives: AtomicU64,
+    sampled: AtomicU64,
     refuted: AtomicU64,
     negatives: AtomicU64,
     rebuild_us: Histogram,
@@ -111,6 +123,7 @@ impl Telemetry {
             batched_probes: AtomicU64::new(0),
             dedup_hits: AtomicU64::new(0),
             positives: AtomicU64::new(0),
+            sampled: AtomicU64::new(0),
             refuted: AtomicU64::new(0),
             negatives: AtomicU64::new(0),
             rebuild_us: Histogram::default(),
@@ -185,10 +198,19 @@ impl Telemetry {
         get(&self.dedup_hits)
     }
 
-    /// Records one positive answer and whether the retained-key check
-    /// refuted it (refuted = confirmed false positive).
-    pub fn record_positive(&self, refuted: bool) {
-        add(&self.positives, 1);
+    /// Records `n` positive answers and returns the number of the first:
+    /// positives are numbered `0, 1, 2, …` in the order they are recorded,
+    /// and the server refutes number `p` iff `p % REFUTE_EVERY == 0`.
+    pub fn record_positives(&self, n: u64) -> u64 {
+        // ordering: Relaxed-counter; the returned count only numbers
+        // positives for sampling, nothing synchronizes on it.
+        self.positives.fetch_add(n, Ordering::Relaxed)
+    }
+
+    /// Records one sampled positive and whether the key check refuted it
+    /// (refuted = confirmed false positive).
+    pub fn record_sample(&self, refuted: bool) {
+        add(&self.sampled, 1);
         if refuted {
             add(&self.refuted, 1);
         }
@@ -205,7 +227,12 @@ impl Telemetry {
         get(&self.positives)
     }
 
-    /// Positive answers the retained keys refuted (confirmed false
+    /// Positive answers checked against the shard keys.
+    pub fn sampled(&self) -> u64 {
+        get(&self.sampled)
+    }
+
+    /// Sampled positives the shard keys refuted (confirmed false
     /// positives).
     pub fn refuted(&self) -> u64 {
         get(&self.refuted)
@@ -234,34 +261,36 @@ impl Telemetry {
     /// The mean number of probes per executed batch (the coalescing
     /// factor; 0.0 before the first batch).
     pub fn coalescing_factor(&self) -> f64 {
-        let batches = get(&self.batches);
-        if batches == 0 {
-            return 0.0;
-        }
-        get(&self.batched_probes) as f64 / batches as f64
+        ratio(get(&self.batched_probes), get(&self.batches))
     }
 
-    /// Refuted positives over all positives (0.0 before the first
-    /// positive): the false-*discovery* rate of the answers served. It is
-    /// not the FPR, whose denominator would be every empty-range probe.
+    /// The estimated share of positive answers that were false, refuted ÷
+    /// sampled (0.0 before the first sample): a false-*discovery* rate, not
+    /// the FPR, whose denominator would be every empty-range probe.
     pub fn observed_fp_rate(&self) -> f64 {
-        let positives = get(&self.positives);
-        if positives == 0 {
-            return 0.0;
-        }
-        get(&self.refuted) as f64 / positives as f64
+        ratio(get(&self.refuted), get(&self.sampled))
     }
 
-    /// The false-positive rate over empty-range probes: refuted ÷
-    /// (refuted + negatives), 0.0 before the first empty-range probe.
+    /// The estimated false-positive rate over empty-range probes: the
+    /// false positives estimated from the sample, `observed_fp_rate ×
+    /// positives`, over themselves plus the negatives (0.0 before the first
+    /// sample or empty-range probe).
     pub fn fpr(&self) -> f64 {
-        let refuted = get(&self.refuted);
-        let empty = refuted.saturating_add(get(&self.negatives));
-        if empty == 0 {
+        let false_positives = self.observed_fp_rate() * get(&self.positives) as f64;
+        let empty = false_positives + get(&self.negatives) as f64;
+        if empty == 0.0 {
             return 0.0;
         }
-        refuted as f64 / empty as f64
+        false_positives / empty
     }
+}
+
+/// `num / den`, or 0.0 when `den` is 0.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        return 0.0;
+    }
+    num as f64 / den as f64
 }
 
 /// Renders the full telemetry state — plus the store's own counters and
@@ -317,8 +346,9 @@ pub fn render_json(t: &Telemetry, store: &FilterStore) -> String {
     }
     out.push_str("],");
     out.push_str(&format!(
-        "\"fp\":{{\"positives\":{},\"refuted\":{},\"observed_rate\":{:.6},\"negatives\":{},\"fpr\":{:.6}}},",
+        "\"fp\":{{\"positives\":{},\"sample_every\":{REFUTE_EVERY},\"sampled\":{},\"refuted\":{},\"observed_rate\":{:.6},\"negatives\":{},\"fpr\":{:.6}}},",
         t.positives(),
+        t.sampled(),
         t.refuted(),
         t.observed_fp_rate(),
         t.negatives(),
@@ -331,10 +361,11 @@ pub fn render_json(t: &Telemetry, store: &FilterStore) -> String {
         t.rebuild_us.quantile(99, 100),
     ));
     out.push_str(&format!(
-        "\"store\":{{\"version\":{},\"published_version\":{},\"num_shards\":{},\"lazy_shard_loads\":{},\"shard_load_errors\":{},\"reloads\":{},\"degraded\":{},",
+        "\"store\":{{\"version\":{},\"published_version\":{},\"num_shards\":{},\"resident_key_bytes\":{},\"lazy_shard_loads\":{},\"shard_load_errors\":{},\"reloads\":{},\"degraded\":{},",
         snap.version(),
         store.version(),
         snap.num_shards(),
+        snap.resident_key_bytes(),
         stats.lazy_shard_loads(),
         stats.shard_load_errors(),
         stats.reloads(),
@@ -397,8 +428,9 @@ mod tests {
         t.record_batch(2);
         t.record_dedup_hits(3);
         assert_eq!(t.dedup_hits(), 3);
-        t.record_positive(true);
-        t.record_positive(false);
+        assert_eq!(t.record_positives(2), 0);
+        t.record_sample(true);
+        t.record_sample(false);
         t.record_negatives(3);
         t.record_shard_probe(2);
         t.record_shard_probe(99); // out of range: dropped, no panic
@@ -408,5 +440,60 @@ mod tests {
         assert!((t.coalescing_factor() - 5.0).abs() < 1e-9);
         assert!((t.observed_fp_rate() - 0.5).abs() < 1e-9);
         assert!((t.fpr() - 0.25).abs() < 1e-9);
+    }
+
+    /// The estimator scales the sample up to every positive, and reports
+    /// 0.0 — never NaN — when a denominator is empty.
+    #[test]
+    fn fp_estimator_edge_cases() {
+        let fp_json = |t: &Telemetry| {
+            let json = render_json(t, &empty_store());
+            let at = json.find("\"fp\":").expect("fp object");
+            json[at..at + json[at..].find('}').expect("fp object ends") + 1].to_string()
+        };
+
+        let t = Telemetry::new(1);
+        assert_eq!((t.observed_fp_rate(), t.fpr()), (0.0, 0.0));
+        assert_eq!(
+            fp_json(&t),
+            "\"fp\":{\"positives\":0,\"sample_every\":64,\"sampled\":0,\"refuted\":0,\
+             \"observed_rate\":0.000000,\"negatives\":0,\"fpr\":0.000000}"
+        );
+
+        // Positives and negatives, but no sample yet: no estimate.
+        assert_eq!(t.record_positives(10), 0);
+        t.record_negatives(5);
+        assert_eq!((t.observed_fp_rate(), t.fpr()), (0.0, 0.0));
+        assert!(!fp_json(&t).contains("NaN"));
+
+        // Numbering continues across calls.
+        assert_eq!(t.record_positives(3), 10);
+
+        // Every sample refuted, no negatives: every empty probe was a FP.
+        let t = Telemetry::new(1);
+        t.record_positives(REFUTE_EVERY * 4);
+        for _ in 0..4 {
+            t.record_sample(true);
+        }
+        assert_eq!((t.observed_fp_rate(), t.fpr()), (1.0, 1.0));
+
+        // One of two samples refuted over 128 positives estimates 64 FPs;
+        // with 192 negatives that is an FPR of 64 / 256.
+        let t = Telemetry::new(1);
+        t.record_positives(128);
+        t.record_sample(true);
+        t.record_sample(false);
+        t.record_negatives(192);
+        assert_eq!(t.observed_fp_rate(), 0.5);
+        assert_eq!(t.fpr(), 0.25);
+        assert!(fp_json(&t).contains("\"sampled\":2,\"refuted\":1,\"observed_rate\":0.500000,\"negatives\":192,\"fpr\":0.250000}"));
+    }
+
+    fn empty_store() -> FilterStore {
+        let config = grafite_store::StoreConfig::new(grafite_store::FamilySpec::Registry(
+            grafite_core::registry::FilterSpec::Grafite,
+        ));
+        FilterStore::build(&grafite_core::registry::Registry::new(), config, &[])
+            .expect("an empty store builds")
     }
 }

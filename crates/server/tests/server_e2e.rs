@@ -13,7 +13,9 @@ use std::time::{Duration, Instant};
 
 use grafite_core::registry::{FilterSpec, Registry};
 use grafite_server::protocol::{self, verb};
+use grafite_server::telemetry::REFUTE_EVERY;
 use grafite_server::{serve, Client};
+use grafite_store::manifest::FENCE_EVERY;
 use grafite_store::{FamilySpec, FilterStore, Partitioning, StoreConfig};
 
 fn test_keys(n: u64, seed: u64) -> Vec<u64> {
@@ -189,9 +191,11 @@ fn stats_report_coalescing_and_fp_estimation() {
     handle.join();
 }
 
-/// `fp.negatives` and `fp.fpr` against ground truth: the false positives
-/// and true negatives of a fixed probe set, computed from the direct
-/// store's answers and its retained keys.
+/// `fp.*` against ground truth on one connection, where positives are
+/// numbered in the order the probes were sent: the sampled positives are
+/// numbers 0, 64, 128, …, the refuted ones are the false positives among
+/// them (from the direct store's answers and the key set), and
+/// `observed_rate` and `fpr` are the estimates they give.
 #[test]
 fn stats_fpr_matches_ground_truth() {
     let keys = test_keys(3000, 6);
@@ -201,7 +205,7 @@ fn stats_fpr_matches_ground_truth() {
     let handle = serve(Arc::new(build_store(&keys, 4)), "127.0.0.1:0", None).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
 
-    let batched: Vec<(u64, u64)> = (0..4000u64)
+    let batched: Vec<(u64, u64)> = (0..40_000u64)
         .map(|i| {
             let a = i.wrapping_mul(0xD134_2543_DE82_EF95) >> 1;
             (a, a.saturating_add(i % 61))
@@ -216,40 +220,103 @@ fn stats_fpr_matches_ground_truth() {
         client.query(a, b).unwrap();
     }
 
-    let (mut positives, mut false_positives, mut true_negatives) = (0u64, 0u64, 0u64);
+    let every = REFUTE_EVERY;
+    let (mut positives, mut sampled, mut refuted, mut negatives) = (0u64, 0u64, 0u64, 0u64);
+    let mut false_positives = 0u64;
     for &(a, b) in batched.iter().chain(&singles) {
         let holds_key = sorted
             .get(sorted.partition_point(|&k| k < a))
             .is_some_and(|&k| k <= b);
         if direct.may_contain_range(a, b) {
+            if positives % every == 0 {
+                sampled += 1;
+                refuted += u64::from(!holds_key);
+            }
             positives += 1;
             false_positives += u64::from(!holds_key);
         } else {
-            true_negatives += 1;
+            negatives += 1;
         }
     }
     assert!(
-        false_positives > 0 && true_negatives > 0,
-        "vacuous probe set"
+        refuted > 0 && refuted < sampled && false_positives > refuted && negatives > 0,
+        "vacuous probe set: {sampled} sampled, {refuted} refuted"
     );
 
     let telemetry = handle.telemetry();
     assert_eq!(telemetry.positives(), positives);
-    assert_eq!(telemetry.refuted(), false_positives);
-    assert_eq!(telemetry.negatives(), true_negatives);
-    let fpr = false_positives as f64 / (false_positives + true_negatives) as f64;
+    assert_eq!(telemetry.sampled(), sampled);
+    assert_eq!(telemetry.refuted(), refuted);
+    assert_eq!(telemetry.negatives(), negatives);
+    let observed_rate = refuted as f64 / sampled as f64;
+    let estimated_fps = observed_rate * positives as f64;
+    let fpr = estimated_fps / (estimated_fps + negatives as f64);
+    assert!((telemetry.observed_fp_rate() - observed_rate).abs() < 1e-12);
     assert!((telemetry.fpr() - fpr).abs() < 1e-12);
 
     let stats = client.stats_json().unwrap();
     assert!(
         stats.contains(&format!(
-            "\"negatives\":{true_negatives},\"fpr\":{fpr:.6}}}"
+            "\"fp\":{{\"positives\":{positives},\"sample_every\":{every},\"sampled\":{sampled},\
+             \"refuted\":{refuted},\"observed_rate\":{observed_rate:.6},\
+             \"negatives\":{negatives},\"fpr\":{fpr:.6}}}"
         )),
         "stats: {stats}"
     );
 
     client.shutdown().unwrap();
     handle.join();
+}
+
+/// `store.resident_key_bytes` against ground truth on a mapped store:
+/// 0 before any shard loads, 8·Σ⌈nᵢ/256⌉ (the fences) once every shard
+/// has, and after an `APPLY` rebuilds shard `i`, larger by exactly its new
+/// key count's bytes minus its fences' bytes.
+#[test]
+fn stats_resident_key_bytes_match_ground_truth() {
+    let keys = test_keys(5000, 8);
+    let store = build_store(&keys, 5);
+    let path = save_manifest(&store, "resident");
+    let mapped = FilterStore::open_mapped(&Registry::new(), &path).unwrap();
+    let handle = serve(Arc::new(mapped), "127.0.0.1:0", Some(path.clone())).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let resident = |client: &mut Client| -> usize {
+        let stats = client.stats_json().unwrap();
+        let at = stats.find("\"resident_key_bytes\":").expect("field") + 21;
+        let digits: String = stats[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().unwrap()
+    };
+    assert_eq!(resident(&mut client), 0);
+
+    let snap = store.snapshot();
+    let starts: Vec<(u64, u64)> = (0..snap.num_shards())
+        .map(|s| snap.routing().shard_span(s).0)
+        .map(|k| (k, k))
+        .collect();
+    client.query_batch(&starts).unwrap();
+    let counts: Vec<usize> = snap.shards().iter().map(|s| s.num_keys()).collect();
+    let fence_bytes = |n: usize| 8 * n.div_ceil(FENCE_EVERY);
+    let warm: usize = counts.iter().map(|&n| fence_bytes(n)).sum();
+    assert_eq!(resident(&mut client), warm);
+
+    // One fresh key in shard 2 dirties exactly that shard.
+    let (lo, _) = snap.routing().shard_span(2);
+    let fresh = (lo..)
+        .find(|&k| !snap.shards()[2].holds_key(k, k).unwrap())
+        .unwrap();
+    let summary = client.apply(&[(true, fresh)]).unwrap();
+    assert_eq!(summary.inserted, 1);
+    assert_eq!(
+        resident(&mut client),
+        warm - fence_bytes(counts[2]) + 8 * (counts[2] + 1)
+    );
+
+    client.shutdown().unwrap();
+    handle.join();
+    let _ = std::fs::remove_file(&path);
 }
 
 /// The p50 a round trip must beat. A Nagle stall (a frame split over

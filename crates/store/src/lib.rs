@@ -26,7 +26,9 @@
 //!   reads and load each shard on first touch, failing open — so a
 //!   multi-gigabyte store cold-starts in milliseconds and hot-reloads
 //!   without dropping in-flight queries. Grafite shards load zero-copy over
-//!   a shared word buffer on both paths.
+//!   a shared word buffer on both paths. A mapped shard keeps only its
+//!   filter and one key in 256 resident; [`Shard::read_keys`] re-reads
+//!   and re-verifies the rest when `apply` or `save_to` needs them.
 //! * [`StoreStats`] — always-on operational counters (lazy loads, load
 //!   failures, reloads, shard-build times) the serving front end scrapes
 //!   into its telemetry, recorded through the one [`Histogram`] type the

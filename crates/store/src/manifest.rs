@@ -61,10 +61,11 @@
 //!   keys to healthy shards that never stored them, a false negative no
 //!   per-shard check could ever catch, so it must fail *before* the store
 //!   opens.
-//! * **Shard load** (both paths): the keys verify against the shard's
-//!   scan-authenticated keys checksum and are re-checked for ordering and
-//!   routing membership; the filter blob must name the manifest's family
-//!   and carries its own header checksum (verified by its loader); and the
+//! * **Shard load** (both paths): the keys are streamed from the image in
+//!   64 KiB reads, never held whole, and verified on the way: the keys
+//!   checksum against the scan-authenticated one, strict ordering, and
+//!   routing membership. The filter blob must name the manifest's family and
+//!   carries its own header checksum (verified by its loader), and the
 //!   blob's key count must agree with the manifest's. Grafite blobs load
 //!   zero-copy as a `MappedGrafiteFilter`, every other family through
 //!   [`FamilySpec::load`].
@@ -72,19 +73,32 @@
 //!   verifies the whole-body checksum (header word 9, the only check that
 //!   covers blob padding) between the header checks and the walk, then
 //!   loads every shard and fails typed: the first failure comes back as
-//!   [`FilterError::ShardLoad`] naming the shard.
+//!   [`FilterError::ShardLoad`] naming the shard. Its shards keep all their
+//!   keys in memory.
 //! * **Lazy** ([`FilterStore::open_mapped`](crate::FilterStore::open_mapped))
 //!   stops at the scan. Each shard loads on first touch and **fails open**:
 //!   a shard that fails to load serves a pass-all placeholder — the
 //!   no-false-negative contract survives, queries degrade to `true` on that
 //!   shard — and the failure is recorded in the store's
 //!   [`StoreStats`](crate::StoreStats) and the shard's
-//!   [`load_error`](crate::Shard::load_error).
+//!   [`load_error`](crate::Shard::load_error). A loaded lazy shard keeps
+//!   only its filter and every [`FENCE_EVERY`]-th key resident; the rest of
+//!   its keys stay in the file.
+//! * **Keys read after load** (lazy shards only). Queries never read keys.
+//!   [`Shard::read_keys`](crate::Shard::read_keys), which `apply` and
+//!   `save_to` go through, re-reads all of a shard's keys and re-verifies
+//!   them with the load-time checks, so damage to the file after open fails
+//!   those calls typed (a [`FilterError::ChecksumMismatch`]) and leaves the
+//!   store unchanged. [`Shard::holds_key`](crate::Shard::holds_key), which
+//!   the server's sampled false-positive refutation uses, reads one block
+//!   of at most 255 keys between two fences and does **not** verify it: a
+//!   damaged file can skew that telemetry, never an answer.
 
 use std::borrow::Cow;
 use std::io;
+use std::ops::Range;
 
-use grafite_core::persist::{checksum_words, spec_id, Header};
+use grafite_core::persist::{checksum_words, spec_id, Checksum, Header};
 use grafite_core::registry::Registry;
 use grafite_core::{FilterError, MappedGrafiteFilter, RangeFilter};
 use grafite_succinct::io::{le_word, MappedSource, WordWriter};
@@ -105,6 +119,14 @@ pub const STORE_FORMAT_VERSION: u32 = 2;
 
 /// Header length in words.
 pub const MANIFEST_HEADER_WORDS: usize = 10;
+
+/// A mapped shard keeps one key in this many resident — keys `0, 256,
+/// 512, …` of its sorted keys, its *fences* — so an exact membership check
+/// reads at most one block of 255 keys between two fences from the file.
+pub const FENCE_EVERY: usize = 256;
+
+/// Keys per positioned read when a shard's keys are streamed: 64 KiB.
+const STREAM_WORDS: usize = 8192;
 
 pub(crate) const ROUTING_RANGE: u64 = 0;
 pub(crate) const ROUTING_HASH: u64 = 1;
@@ -138,8 +160,8 @@ pub fn write(
             framing.push(hi);
         }
         for shard in snapshot.shards() {
-            let keys = shard.keys();
-            w.prefixed(keys)?;
+            let keys = shard.read_keys()?;
+            w.prefixed(&keys)?;
             let keys_checksum = checksum_words(keys.iter().copied());
             w.word(keys_checksum)?;
             let blob = shard.filter().to_bytes();
@@ -510,50 +532,114 @@ impl<S: ManifestSource> Manifest<S> {
         self.extents.get(shard as usize).map_or(0, |ext| ext.n_keys)
     }
 
-    /// The one shard loader: reads one shard's keys and blob from its
-    /// recorded extents, checks the keys checksum, key ordering, routing
-    /// membership, the blob's spec and its own checksummed header, and the
-    /// blob-vs-manifest key count, and parses the filter — zero-copy over a
-    /// shared word buffer for Grafite blobs, through the family codec
+    /// The one shard loader: streams one shard's keys from its recorded
+    /// extent through [`Manifest::read_keys`]' checks, keeping every
+    /// `stride`-th key (1 keeps them all, [`FENCE_EVERY`] keeps the fences);
+    /// then reads the blob, checks its spec, its own checksummed header and
+    /// the blob-vs-manifest key count, and parses the filter — zero-copy
+    /// over a shared word buffer for Grafite blobs, through the family codec
     /// otherwise. Failures come back as [`FilterError::ShardLoad`] naming
     /// the shard.
-    pub(crate) fn load_shard(&self, shard: u32) -> Result<(Vec<u64>, DynRangeFilter), FilterError> {
-        self.load_shard_inner(shard)
+    pub(crate) fn load_shard(
+        &self,
+        shard: u32,
+        stride: usize,
+    ) -> Result<(Vec<u64>, DynRangeFilter), FilterError> {
+        self.load_shard_inner(shard, stride)
             .map_err(|e| FilterError::ShardLoad {
                 shard,
                 source: Box::new(e),
             })
     }
 
-    fn load_shard_inner(&self, shard: u32) -> Result<(Vec<u64>, DynRangeFilter), FilterError> {
-        let ext = *self
-            .extents
-            .get(shard as usize)
-            .ok_or(FilterError::corrupt("shard index out of range"))?;
-        let keys = self.source.words_at(ext.keys_start, ext.n_keys)?;
-        let keys_actual = checksum_words(keys.iter().copied());
-        if keys_actual != ext.keys_checksum {
-            return Err(FilterError::ChecksumMismatch {
-                expected: ext.keys_checksum,
-                actual: keys_actual,
-            });
-        }
-        if !keys.windows(2).all(|w| matches!(w, [a, b] if a < b)) {
-            return Err(FilterError::corrupt("shard keys not strictly increasing"));
-        }
-        let shard_idx = shard as usize;
-        if keys.iter().any(|&k| self.routing.shard_of(k) != shard_idx) {
-            return Err(FilterError::corrupt(
-                "shard key routes to a different shard",
-            ));
-        }
+    fn load_shard_inner(
+        &self,
+        shard: u32,
+        stride: usize,
+    ) -> Result<(Vec<u64>, DynRangeFilter), FilterError> {
+        let kept = self.read_keys(shard, stride)?;
+        let ext = self.extent(shard)?;
         let filter = self.load_filter(&self.source.bytes_at(ext.blob_start, ext.blob_len)?)?;
-        if filter.num_keys() != keys.len() {
+        if filter.num_keys() != ext.n_keys {
             return Err(FilterError::corrupt(
                 "shard blob key count differs from manifest",
             ));
         }
-        Ok((keys, filter))
+        Ok((kept, filter))
+    }
+
+    /// Keys `range` of one shard (indices into its sorted keys), in one
+    /// positioned read and **unverified**: the keys checksum covers the
+    /// whole shard, so a partial read cannot check it. Only sampled
+    /// refutation reads keys this way.
+    pub(crate) fn key_block(
+        &self,
+        shard: u32,
+        range: Range<usize>,
+    ) -> Result<Vec<u64>, FilterError> {
+        let ext = self.extent(shard)?;
+        if range.start > range.end || range.end > ext.n_keys {
+            return Err(FilterError::corrupt("key block outside the shard"));
+        }
+        let offset = (range.start as u64).saturating_mul(8);
+        self.source
+            .words_at(ext.keys_start.saturating_add(offset), range.len())
+    }
+
+    fn extent(&self, shard: u32) -> Result<ShardExtent, FilterError> {
+        self.extents
+            .get(shard as usize)
+            .copied()
+            .ok_or(FilterError::corrupt("shard index out of range"))
+    }
+
+    /// Streams one shard's keys from the image in [`STREAM_WORDS`]-key
+    /// reads, so at most one chunk of them is in memory beyond what the
+    /// caller keeps, and returns every `stride`-th key (indices `0, stride,
+    /// 2·stride, …`; 1 returns them all). Verifies, in this order of
+    /// precedence: the keys checksum, strict ordering, and that every key
+    /// routes to `shard`. The shard load runs it once; `apply` and
+    /// `save_to` run it again on a mapped shard, with stride 1.
+    pub(crate) fn read_keys(&self, shard: u32, stride: usize) -> Result<Vec<u64>, FilterError> {
+        let ext = self.extent(shard)?;
+        let stride = stride.max(1);
+        let mut kept = Vec::with_capacity(ext.n_keys.div_ceil(stride));
+        let mut checksum = Checksum::default();
+        let (mut ordered, mut routed) = (true, true);
+        let mut prev: Option<u64> = None;
+        for start in (0..ext.n_keys).step_by(STREAM_WORDS) {
+            let n = ext.n_keys.saturating_sub(start).min(STREAM_WORDS);
+            let pos = ext
+                .keys_start
+                .saturating_add((start as u64).saturating_mul(8));
+            let bytes = self.source.bytes_at(pos, n.saturating_mul(8))?;
+            for (i, key) in bytes.chunks_exact(8).map(le_word).enumerate() {
+                checksum.update([key]);
+                if let Some(p) = prev {
+                    ordered &= p < key;
+                }
+                routed &= self.routing.shard_of(key) == shard as usize;
+                if start.saturating_add(i) % stride == 0 {
+                    kept.push(key);
+                }
+                prev = Some(key);
+            }
+        }
+        if checksum.value() != ext.keys_checksum {
+            return Err(FilterError::ChecksumMismatch {
+                expected: ext.keys_checksum,
+                actual: checksum.value(),
+            });
+        }
+        if !ordered {
+            return Err(FilterError::corrupt("shard keys not strictly increasing"));
+        }
+        if !routed {
+            return Err(FilterError::corrupt(
+                "shard key routes to a different shard",
+            ));
+        }
+        Ok(kept)
     }
 
     /// Parses one shard blob, taking the zero-copy mapped path for Grafite

@@ -3,7 +3,13 @@
 //! small positioned reads, never touching key or blob bytes — so a
 //! multi-gigabyte store cold-starts in milliseconds. Shards materialize on
 //! first touch through the same reader's shard loader and fail open (see
-//! the [validation model](crate::manifest#validation-model)).
+//! the [validation model](crate::manifest#validation-model)). A
+//! materialized shard holds its filter and one key in
+//! [`FENCE_EVERY`](crate::manifest::FENCE_EVERY) as fences; its other keys
+//! are read from the file again only when `apply` or `save_to` needs them
+//! all, or when the server's sampled refutation reads one block between
+//! two fences. Fences cost 64/256 = 0.25 bits per key, where resident
+//! keys would cost 64.
 //!
 //! This crate forbids `unsafe`, so "mapped" means demand-paged through
 //! ordinary positioned reads rather than a raw `mmap(2)`: the operating
@@ -28,9 +34,9 @@ use grafite_core::{FilterError, PersistentFilter, RangeFilter};
 use grafite_succinct::io::{WordSource, WordWriter};
 
 use crate::family::{DynRangeFilter, FamilySpec};
-use crate::manifest::{self, Manifest, ManifestSource, Verify};
+use crate::manifest::{self, Manifest, ManifestSource, Verify, FENCE_EVERY};
 use crate::stats::StoreStats;
-use crate::store::LoadedShard;
+use crate::store::{LoadedShard, ShardKeys};
 
 /// A poisoned file lock surfaces as a typed i/o failure, never a panic.
 /// (Only the non-unix fallback path holds a lock at all.)
@@ -116,22 +122,27 @@ impl ShardSource {
         }
     }
 
-    /// Materializes the shard, failing open: on any load error the shard
+    /// Materializes the shard with only its fences resident, failing
+    /// open: on any load error the shard
     /// becomes a pass-all placeholder (no false negatives, every query on
     /// it answers `true`), the error is retained on the shard, and the
     /// store's stats record it.
     pub(crate) fn materialize(&self) -> LoadedShard {
         self.stats.record_lazy_load();
-        match self.manifest.load_shard(self.index) {
-            Ok((keys, filter)) => LoadedShard {
-                keys,
+        match self.manifest.load_shard(self.index, FENCE_EVERY) {
+            Ok((fences, filter)) => LoadedShard {
+                keys: ShardKeys::OnDisk {
+                    fences,
+                    manifest: Arc::clone(&self.manifest),
+                    index: self.index,
+                },
                 filter,
                 error: None,
             },
             Err(error) => {
                 self.stats.record_load_error();
                 LoadedShard {
-                    keys: Vec::new(),
+                    keys: ShardKeys::Resident(Vec::new()),
                     filter: pass_all(
                         self.manifest.config.family,
                         self.manifest.shard_key_count(self.index),

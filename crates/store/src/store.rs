@@ -19,6 +19,7 @@
 //!   a key present in the snapshot's key set always answers `true`, before,
 //!   during, and after concurrent `apply` calls.
 
+use std::borrow::Cow;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,7 +29,7 @@ use grafite_core::registry::Registry;
 use grafite_core::{sort, FilterConfig, FilterError, Parallelism, RangeFilter, DEFAULT_SEED};
 
 use crate::family::{DynRangeFilter, FamilySpec};
-use crate::manifest::{self, Verify};
+use crate::manifest::{self, Verify, FENCE_EVERY};
 use crate::mapped::{self, MappedManifest, ShardSource};
 use crate::stats::StoreStats;
 
@@ -273,15 +274,85 @@ impl StoreConfig {
 /// shards that failed to load — the retained error behind the pass-all
 /// fallback.
 pub(crate) struct LoadedShard {
-    pub(crate) keys: Vec<u64>,
+    pub(crate) keys: ShardKeys,
     pub(crate) filter: DynRangeFilter,
     pub(crate) error: Option<FilterError>,
 }
 
+/// Where a shard's sorted, deduplicated keys live.
+pub(crate) enum ShardKeys {
+    /// Every key in memory: built, eagerly opened and `apply`-rebuilt
+    /// shards (and degraded shards, which hold none).
+    Resident(Vec<u64>),
+    /// A mapped shard: the keys stay in the manifest file, and only its
+    /// fences — every [`FENCE_EVERY`]-th key — are resident.
+    OnDisk {
+        fences: Vec<u64>,
+        manifest: Arc<MappedManifest>,
+        index: u32,
+    },
+}
+
+impl ShardKeys {
+    fn len(&self) -> usize {
+        match self {
+            ShardKeys::Resident(keys) => keys.len(),
+            ShardKeys::OnDisk {
+                manifest, index, ..
+            } => manifest.shard_key_count(*index),
+        }
+    }
+
+    /// Keys held in memory: all of them, or the fences.
+    fn resident_len(&self) -> usize {
+        match self {
+            ShardKeys::Resident(keys) => keys.len(),
+            ShardKeys::OnDisk { fences, .. } => fences.len(),
+        }
+    }
+
+    fn holds_key(&self, a: u64, b: u64) -> Result<bool, FilterError> {
+        let first_at_least_a = |keys: &[u64]| keys.get(keys.partition_point(|&k| k < a)).copied();
+        match self {
+            ShardKeys::Resident(keys) => Ok(first_at_least_a(keys).is_some_and(|k| k <= b)),
+            ShardKeys::OnDisk {
+                fences,
+                manifest,
+                index,
+            } => {
+                // Fence `j` is key `j·FENCE_EVERY`. The first key ≥ `a` is
+                // either fence `j` (the first fence ≥ `a`) or sits among the
+                // keys strictly between fences `j − 1` and `j`.
+                let j = fences.partition_point(|&f| f < a);
+                if fences.get(j).is_some_and(|&f| f <= b) {
+                    return Ok(true);
+                }
+                let Some(block) = j.checked_sub(1) else {
+                    return Ok(false);
+                };
+                let from = block * FENCE_EVERY + 1;
+                let to = (from + FENCE_EVERY - 1).min(manifest.shard_key_count(*index));
+                let keys = manifest.key_block(*index, from.min(to)..to)?;
+                Ok(first_at_least_a(&keys).is_some_and(|k| k <= b))
+            }
+        }
+    }
+
+    fn read(&self) -> Result<Cow<'_, [u64]>, FilterError> {
+        match self {
+            ShardKeys::Resident(keys) => Ok(Cow::Borrowed(keys)),
+            ShardKeys::OnDisk {
+                manifest, index, ..
+            } => manifest.read_keys(*index, 1).map(Cow::Owned),
+        }
+    }
+}
+
 /// One shard of the store. Eagerly built shards hold their keys and filter
 /// from construction; shards of a mapped store ([`FilterStore::open_mapped`])
-/// hold only a lazy source and materialize — read their keys and blob
-/// from the manifest file — on first touch, memoized thereafter.
+/// hold only a lazy source and materialize — read their blob, and verify
+/// their keys while keeping only the fences — from the manifest file on
+/// first touch, memoized thereafter.
 pub struct Shard {
     cell: OnceLock<LoadedShard>,
     source: Option<ShardSource>,
@@ -321,7 +392,7 @@ impl Shard {
     pub(crate) fn eager(keys: Vec<u64>, filter: DynRangeFilter) -> Self {
         let cell = OnceLock::new();
         let _ = cell.set(LoadedShard {
-            keys,
+            keys: ShardKeys::Resident(keys),
             filter,
             error: None,
         });
@@ -349,9 +420,38 @@ impl Shard {
         }
     }
 
+    /// Number of keys the shard holds (materializes the shard; a degraded
+    /// shard holds none).
+    pub fn num_keys(&self) -> usize {
+        self.loaded().keys.len()
+    }
+
+    /// Whether the shard holds a key in `[a, b]`, exactly (materializes
+    /// the shard). Resident keys answer by binary search. A mapped shard
+    /// searches its fences and then makes at most one positioned read of
+    /// the up to 255 keys between two fences; that read is not verified
+    /// against the keys checksum (see the
+    /// [validation model](crate::manifest#validation-model)), and a failed
+    /// read is an error.
+    pub fn holds_key(&self, a: u64, b: u64) -> Result<bool, FilterError> {
+        self.loaded().keys.holds_key(a, b)
+    }
+
     /// The shard's sorted, deduplicated keys (materializes the shard).
-    pub fn keys(&self) -> &[u64] {
-        &self.loaded().keys
+    /// Resident keys are borrowed. A mapped shard re-reads them from its
+    /// manifest file and re-verifies them — checksum, ordering, routing —
+    /// so a file damaged since the shard loaded fails typed here.
+    pub fn read_keys(&self) -> Result<Cow<'_, [u64]>, FilterError> {
+        self.loaded().keys.read()
+    }
+
+    /// Bytes of keys this shard holds in memory — all its keys, or a
+    /// mapped shard's fences; 0 while a lazy shard is unmaterialized (does
+    /// not materialize it).
+    pub fn resident_key_bytes(&self) -> usize {
+        self.cell
+            .get()
+            .map_or(0, |loaded| loaded.keys.resident_len() * 8)
     }
 
     /// The filter serving this shard (materializes the shard).
@@ -406,7 +506,13 @@ impl Snapshot {
 
     /// Total distinct keys across shards (materializes every lazy shard).
     pub fn num_keys(&self) -> usize {
-        self.shards.iter().map(|s| s.keys().len()).sum()
+        self.shards.iter().map(|s| s.num_keys()).sum()
+    }
+
+    /// Bytes of keys held in memory across the materialized shards (see
+    /// [`Shard::resident_key_bytes`]; materializes nothing).
+    pub fn resident_key_bytes(&self) -> usize {
+        self.shards.iter().map(|s| s.resident_key_bytes()).sum()
     }
 
     /// Total serialized footprint of the shard filters, in bits
@@ -734,7 +840,7 @@ impl FilterStore {
             if let Some(err) = old.load_error() {
                 return Err(err.clone());
             }
-            let old_keys = old.keys();
+            let old_keys = old.read_keys()?;
             let mut keys: Vec<u64> = Vec::with_capacity(old_keys.len());
             let (mut inserted, mut deleted) = (0usize, 0usize);
             let mut oi = 0usize;
@@ -840,7 +946,8 @@ impl FilterStore {
         let manifest = manifest::scan(registry, bytes, Verify::WholeBody)?;
         let shards = (0..manifest.num_shards())
             .map(|i| {
-                let (keys, filter) = manifest.load_shard(u32::try_from(i).unwrap_or(u32::MAX))?;
+                let (keys, filter) =
+                    manifest.load_shard(u32::try_from(i).unwrap_or(u32::MAX), 1)?;
                 Ok(Arc::new(Shard::eager(keys, filter)))
             })
             .collect::<Result<_, FilterError>>()?;

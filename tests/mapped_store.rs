@@ -564,3 +564,76 @@ fn shard_damage_under_reforged_checksums_is_caught_per_shard() {
         }
     }
 }
+
+/// Damage to the file after `open_mapped` and warm-up. Queries answer as
+/// before: the filters are in memory. `apply` to the damaged shard and
+/// `save_to` re-read its keys, fail `ChecksumMismatch`, and leave the
+/// version unchanged, while other shards keep accepting updates. Before
+/// the damage, the warmed store writes back exactly its file.
+#[test]
+fn key_damage_after_open_fails_typed_where_keys_are_read() {
+    use std::io::{Seek, SeekFrom, Write};
+
+    let registry = standard_registry();
+    let keys = dataset(3000, 0xDA6E);
+    let config = store_config(
+        FamilySpec::Registry(grafite::FilterSpec::Grafite),
+        Vec::new(),
+        Partitioning::Range { shards: 4 },
+    );
+    let bytes = FilterStore::build(&registry, config, &keys)
+        .unwrap()
+        .to_bytes();
+    let path = temp_manifest("damage-after-open", &bytes);
+    let mapped = FilterStore::open_mapped(&registry, &path).unwrap();
+    let snap = mapped.snapshot();
+    let queries = probes(&keys);
+    let mut before = Vec::new();
+    snap.query_ranges(&queries, &mut before);
+    assert!(snap.shards().iter().all(|s| s.is_materialized()));
+    assert_eq!(
+        mapped.to_bytes(),
+        bytes,
+        "warmed store re-serializes differently"
+    );
+
+    // Flip a byte of shard 1's key 300 in the file.
+    let (blobs, _) = manifest_layout(&bytes);
+    let shard_keys = snap.shards()[1].read_keys().unwrap().into_owned();
+    let at = blobs[1].start - 16 - 8 * (shard_keys.len() - 300);
+    assert_eq!(word_at(&bytes, at), shard_keys[300], "key offset is wrong");
+    let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    file.seek(SeekFrom::Start(at as u64)).unwrap();
+    file.write_all(&[bytes[at] ^ 0x5A]).unwrap();
+    drop(file);
+
+    let mut after = Vec::new();
+    snap.query_ranges(&queries, &mut after);
+    assert_eq!(after, before, "file damage changed an answer");
+    let version = mapped.version();
+    let into_shard_1 = Update::Insert(shard_keys[10] + 1);
+    assert!(
+        matches!(
+            mapped.apply(&[into_shard_1]),
+            Err(FilterError::ChecksumMismatch { .. })
+        ),
+        "apply rebuilt from damaged keys"
+    );
+    assert_eq!(mapped.version(), version);
+    assert_eq!(mapped.snapshot().version(), version);
+    let mut sink = Vec::new();
+    assert!(
+        matches!(
+            mapped.save_to(&mut sink),
+            Err(FilterError::ChecksumMismatch { .. })
+        ),
+        "save_to wrote damaged keys"
+    );
+    let (lo, _) = snap.routing().shard_span(0);
+    let into_shard_0 = (lo..).find(|&k| !snap.shards()[0].holds_key(k, k).unwrap());
+    let report = mapped
+        .apply(&[Update::Insert(into_shard_0.unwrap())])
+        .unwrap();
+    assert_eq!(report.version, version + 1);
+    let _ = std::fs::remove_file(&path);
+}
