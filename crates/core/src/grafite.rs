@@ -232,7 +232,7 @@ impl<S: AsRef<[u64]>> GrafiteFilter<S> {
         if block_a == block_b {
             self.count_within_block(a, b)
         } else if block_b == block_a + 1 {
-            let b_first = b - b % self.r;
+            let b_first = block_b * self.r;
             self.count_within_block(a, b_first - 1) + self.count_within_block(b_first, b)
         } else {
             self.codes.len()
@@ -266,9 +266,9 @@ impl<S: AsRef<[u64]>> RangeFilter for GrafiteFilter<S> {
         if block_a == block_b {
             self.query_within_block(a, b)
         } else if block_b == block_a + 1 {
-            // Split at b' = b − (b mod r), the first value of b's block
+            // Split at b' = ⌊b/r⌋·r = b − (b mod r), the first value of b's block
             // (footnote 2); each sub-range lies within a single block.
-            let b_first = b - b % self.r;
+            let b_first = block_b * self.r;
             self.query_within_block(b_first, b) || self.query_within_block(a, b_first - 1)
         } else {
             true

@@ -8,12 +8,35 @@
 //!
 //! * [`std_sort`] — `slice::sort_unstable` (pdqsort), the default;
 //! * [`radix_sort`] — an LSD radix sort with 8-bit digits;
-//! * [`partition_radix_sort`] — an MSD top-byte counting partition into
-//!   disjoint output ranges, then per-partition LSD radix on
-//!   `std::thread::scope` workers. No k-way merge: the partitions are
-//!   already in global order, so workers never synchronize on data and the
-//!   serial fraction is one O(n) scatter. This is the sort the Grafite
-//!   hash→sort→encode build path runs.
+//! * [`partition_radix_sort`] — an MSD counting partition into disjoint
+//!   output ranges, then per-partition LSD radix on `std::thread::scope`
+//!   workers. No k-way merge: the partitions are already in global order,
+//!   so workers never synchronize on data, and every pass over the data
+//!   but the varying-bits scan runs on the workers. This is the sort the
+//!   Grafite hash→sort→encode build path runs.
+//!
+//! # The partition digit
+//!
+//! Grafite codes live in `[0, r)` with `r = n·2^(B−2)`: a 125k-key shard at
+//! 16 bits/key has codes below 2^31, so their top byte is always zero. A
+//! partition on bits 56–63 would put every code into one partition and one
+//! worker. [`partition_radix_sort`] instead partitions on the 8 bits just
+//! below the highest bit in which the input varies, found as the OR of
+//! every `x ^ data[0]`. Bits above that one are equal across the input, so
+//! ordering by the partition digit and then by the bits below it is the
+//! global order, whatever range the values occupy. An input with no
+//! varying bit is already sorted and returns at once.
+//!
+//! # One-pass histograms
+//!
+//! An LSD radix sort's digit histograms do not depend on the order of the
+//! values, so all of them are counted in one read pass before the first
+//! scatter. A digit whose histogram puts every value into one bucket is
+//! constant across the input, and its scatter pass is skipped without
+//! reading the data again. Digits above the highest varying bit are not
+//! counted at all.
+
+use std::ops::Range;
 
 /// Below this input size [`partition_radix_sort`] runs the serial
 /// [`radix_sort`] regardless of the requested thread count: thread spawn
@@ -26,7 +49,7 @@ pub fn std_sort(data: &mut [u64]) {
     data.sort_unstable();
 }
 
-/// LSD radix sort with 8-bit digits (8 stable counting passes).
+/// LSD radix sort with 8-bit digits (at most 8 stable counting passes).
 ///
 /// Skips passes whose digit is constant across the input — on keys from a
 /// small universe this makes it adaptive. The scatter passes ping-pong
@@ -39,60 +62,166 @@ pub fn radix_sort(data: &mut [u64]) {
 }
 
 /// [`radix_sort`] with a caller-provided scratch buffer (`buf.len() >=
-/// data.len()`), so a worker sorting many partitions reuses one allocation
-/// instead of reallocating per partition.
+/// data.len()`), so a caller sorting many inputs reuses one allocation.
 ///
 /// # Panics
 /// Panics if `buf` is shorter than `data`.
 pub fn radix_sort_with_scratch(data: &mut [u64], buf: &mut [u64]) {
     let n = data.len();
-    if n <= 1 {
-        return;
-    }
     assert!(buf.len() >= n, "scratch buffer shorter than input");
     let buf = &mut buf[..n];
-    let mut in_data = true;
-    {
-        let mut src: &mut [u64] = data;
-        let mut dst: &mut [u64] = buf;
-        for pass in 0..8u32 {
-            let shift = pass * 8;
-            let mut counts = [0usize; 256];
-            for &x in src.iter() {
-                counts[((x >> shift) & 0xFF) as usize] += 1;
-            }
-            if counts.contains(&n) {
-                continue; // constant digit: nothing to do this pass
-            }
-            let mut offsets = [0usize; 256];
-            let mut acc = 0usize;
-            for d in 0..256 {
-                offsets[d] = acc;
-                acc += counts[d];
-            }
-            for &x in src.iter() {
-                let d = ((x >> shift) & 0xFF) as usize;
-                dst[offsets[d]] = x;
-                offsets[d] += 1;
-            }
-            std::mem::swap(&mut src, &mut dst);
-            in_data = !in_data;
-        }
-    }
+    let bits = significant_bits(varying_bits(data));
     // An even number of scatter passes lands back in `data`; otherwise the
     // sorted run sits in the scratch buffer and needs the one copy.
-    if !in_data {
+    if lsd_ping_pong(data, buf, bits, &mut [[0; 256]; 8]) {
         data.copy_from_slice(buf);
     }
 }
 
-/// Parallel partition-then-sort: an MSD counting pass on the top byte
-/// splits the input into up to 256 partitions that are *already in global
-/// order*, then each partition — a disjoint contiguous range of one shared
-/// scratch buffer — is LSD-radix-sorted on the remaining bytes by scoped
-/// workers. There is no merge step and no inter-worker communication; the
-/// only serial work is the O(n) stable scatter that materializes the
-/// partitions.
+/// The bits in which the values of `data` differ: the OR of every
+/// `x ^ data[0]`. Zero when `data` holds fewer than two distinct values.
+fn varying_bits(data: &[u64]) -> u64 {
+    let Some(&first) = data.first() else {
+        return 0;
+    };
+    data.iter().fold(0, |acc, &x| acc | (x ^ first))
+}
+
+/// The number of low bits a sort has to look at: one past the highest set
+/// bit of `varying`.
+fn significant_bits(varying: u64) -> u32 {
+    64 - varying.leading_zeros()
+}
+
+/// One 256-bucket histogram per 8-bit digit of a `u64`.
+type DigitCounts = [[usize; 256]; 8];
+
+/// Where each bucket's run starts when the buckets of `counts` are laid
+/// out in order from `base`: its exclusive prefix sums.
+fn bucket_starts(counts: &[usize; 256], base: usize) -> [usize; 256] {
+    let mut starts = [0usize; 256];
+    let mut acc = base;
+    for (start, &count) in starts.iter_mut().zip(counts) {
+        *start = acc;
+        acc += count;
+    }
+    starts
+}
+
+/// LSD-sorts `a` on its low `bits` bits, ping-ponging with `b` (same
+/// length), and returns whether the sorted run ended in `b`. The caller
+/// guarantees that the bits at and above `bits` are equal across `a`.
+/// `counts` is reusable histogram space; only the digits in play are
+/// cleared and counted.
+fn lsd_ping_pong(a: &mut [u64], b: &mut [u64], bits: u32, counts: &mut DigitCounts) -> bool {
+    let n = a.len();
+    let digits = (bits.div_ceil(8) as usize).min(8);
+    if n <= 1 || digits == 0 {
+        return false;
+    }
+    let counts = &mut counts[..digits];
+    counts.iter_mut().for_each(|hist| hist.fill(0));
+    // Every digit histogram in one read pass.
+    for &x in a.iter() {
+        for d in 0..digits {
+            counts[d][((x >> (8 * d)) & 0xFF) as usize] += 1;
+        }
+    }
+    let mut in_b = false;
+    let (mut src, mut dst) = (a, b);
+    for (d, hist) in counts.iter().enumerate() {
+        let shift = 8 * d as u32;
+        if hist[((src[0] >> shift) & 0xFF) as usize] == n {
+            continue; // constant digit: nothing to do this pass
+        }
+        let mut offsets = bucket_starts(hist, 0);
+        for &x in src.iter() {
+            let digit = ((x >> shift) & 0xFF) as usize;
+            dst[offsets[digit]] = x;
+            offsets[digit] += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+        in_b = !in_b;
+    }
+    in_b
+}
+
+/// The shift of the partition digit: the 8 bits just below the highest
+/// varying bit, or bits 0–7 when fewer than 8 bits vary.
+fn partition_shift(varying: u64) -> u32 {
+    significant_bits(varying).saturating_sub(8)
+}
+
+/// Phase 1 of [`partition_radix_sort`]: each scoped worker counts the
+/// partition digits of one `chunk_len` chunk of `data` and scatters the
+/// chunk, stably and by digit, into the matching chunk of `scratch`.
+/// Returns each chunk's histogram.
+fn scatter_chunks(
+    data: &[u64],
+    scratch: &mut [u64],
+    shift: u32,
+    chunk_len: usize,
+) -> Vec<[usize; 256]> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = data
+            .chunks(chunk_len)
+            .zip(scratch.chunks_mut(chunk_len))
+            .map(|(src, dst)| {
+                scope.spawn(move || {
+                    let mut counts = [0usize; 256];
+                    for &x in src {
+                        counts[((x >> shift) & 0xFF) as usize] += 1;
+                    }
+                    let mut cursors = bucket_starts(&counts, 0);
+                    for &x in src {
+                        let d = ((x >> shift) & 0xFF) as usize;
+                        dst[cursors[d]] = x;
+                        cursors[d] += 1;
+                    }
+                    counts
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("scatter worker panicked"))
+            .collect()
+    })
+}
+
+/// Splits the 256 partition digits into at most `threads` contiguous digit
+/// ranges of roughly `n/threads` values each (the last range absorbs any
+/// remainder), so each worker owns one contiguous range of the output.
+fn group_partitions(counts: &[usize; 256], n: usize, threads: usize) -> Vec<Range<usize>> {
+    let target = n.div_ceil(threads);
+    let mut groups = Vec::with_capacity(threads);
+    let (mut from, mut total) = (0usize, 0usize);
+    for (d, &count) in counts.iter().enumerate() {
+        if total > 0 && total + count > target && groups.len() + 1 < threads {
+            groups.push(from..d);
+            (from, total) = (d, 0);
+        }
+        total += count;
+    }
+    groups.push(from..256);
+    groups
+}
+
+/// Parallel partition-then-sort. The input splits on the partition digit
+/// (see the module docs) into up to 256 partitions that are *already in
+/// global order*, in two scoped phases with no merge step:
+///
+/// 1. Each worker counts and stably scatters one chunk of the input by
+///    digit into its own chunk of a scratch buffer.
+/// 2. Each worker owns a contiguous range of digits, and so a contiguous
+///    range of the output. Per partition it gathers the partition's pieces
+///    from every chunk (in chunk order, so the gather is stable) into a
+///    small reusable buffer, then LSD-radix-sorts it on the bits below the
+///    digit, ping-ponging into its output range so the result lands in
+///    `data`.
+///
+/// Workers write only to memory they own, so the only serial work is the
+/// varying-bits scan and the 256-entry offset sums.
 ///
 /// The result is identical to `sort_unstable` (and therefore to
 /// [`radix_sort`]) for **every** input and thread count: `u64` has one
@@ -105,95 +234,57 @@ pub fn partition_radix_sort(data: &mut [u64], threads: usize) {
         radix_sort(data);
         return;
     }
-
-    // Phase 1: top-byte histogram, computed in parallel over immutable
-    // chunks (shared reads need no synchronization).
+    let varying = varying_bits(data);
+    if varying == 0 {
+        return; // every value is equal
+    }
+    let shift = partition_shift(varying);
     let chunk_len = n.div_ceil(threads);
-    let mut counts = [0usize; 256];
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = data
-            .chunks(chunk_len)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut local = [0usize; 256];
-                    for &x in chunk {
-                        local[(x >> 56) as usize] += 1;
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            let local = handle.join().expect("histogram worker panicked");
-            for (total, part) in counts.iter_mut().zip(local) {
-                *total += part;
-            }
-        }
-    });
-
-    // Phase 2: one stable scatter into the scratch buffer's disjoint
-    // per-digit ranges. Serial by design: safe Rust cannot hand the
-    // interleaved write positions of a shared scatter to multiple threads,
-    // and this single sequential pass is dominated by the seven parallel
-    // radix passes below.
     let mut scratch = vec![0u64; n];
-    let mut cursors = [0usize; 256];
-    let mut acc = 0usize;
-    for d in 0..256 {
-        cursors[d] = acc;
-        acc += counts[d];
-    }
-    for &x in data.iter() {
-        let d = (x >> 56) as usize;
-        scratch[cursors[d]] = x;
-        cursors[d] += 1;
+    let chunk_counts = scatter_chunks(data, &mut scratch, shift, chunk_len);
+
+    // Where partition `d`'s piece of chunk `c` starts in `scratch`.
+    let piece_starts: Vec<[usize; 256]> = chunk_counts
+        .iter()
+        .enumerate()
+        .map(|(c, local)| bucket_starts(local, c * chunk_len))
+        .collect();
+    let mut counts = [0usize; 256];
+    for local in &chunk_counts {
+        counts
+            .iter_mut()
+            .zip(local)
+            .for_each(|(total, l)| *total += l);
     }
 
-    // Phase 3: group the non-empty partitions into at most `threads`
-    // contiguous runs of roughly n/threads values each (the tail group
-    // absorbs any remainder), so each worker owns one contiguous `&mut`
-    // range of the scratch buffer and one reusable radix scratch.
-    let target = n.div_ceil(threads);
-    let mut groups: Vec<Vec<usize>> = Vec::with_capacity(threads);
-    let mut current: Vec<usize> = Vec::new();
-    let mut current_total = 0usize;
-    for &count in counts.iter().filter(|&&c| c > 0) {
-        if !current.is_empty() && current_total + count > target && groups.len() + 1 < threads {
-            groups.push(std::mem::take(&mut current));
-            current_total = 0;
-        }
-        current.push(count);
-        current_total += count;
-    }
-    if !current.is_empty() {
-        groups.push(current);
-    }
-
+    let groups = group_partitions(&counts, n, threads);
+    let (scratch, counts) = (&scratch, &counts);
+    let (chunk_counts, piece_starts) = (&chunk_counts, &piece_starts);
     std::thread::scope(|scope| {
-        let mut rest: &mut [u64] = &mut scratch;
-        for lens in &groups {
-            let total: usize = lens.iter().sum();
-            let (group_slice, tail) = rest.split_at_mut(total);
+        let mut rest: &mut [u64] = data;
+        for digits in groups {
+            let total: usize = counts[digits.clone()].iter().sum();
+            let (mut out, tail) = std::mem::take(&mut rest).split_at_mut(total);
             rest = tail;
             scope.spawn(move || {
-                // One scratch per worker, grown to its largest partition
-                // and reused across all of them.
                 let mut buf: Vec<u64> = Vec::new();
-                let mut remaining = group_slice;
-                for &len in lens {
-                    let (partition, tail) = remaining.split_at_mut(len);
-                    remaining = tail;
-                    if partition.len() > 1 {
-                        if buf.len() < partition.len() {
-                            buf.resize(partition.len(), 0);
-                        }
-                        radix_sort_with_scratch(partition, &mut buf);
+                let mut hist = [[0; 256]; 8];
+                for d in digits {
+                    let (part, tail) = std::mem::take(&mut out).split_at_mut(counts[d]);
+                    out = tail;
+                    buf.clear();
+                    for (starts, local) in piece_starts.iter().zip(chunk_counts) {
+                        buf.extend_from_slice(&scratch[starts[d]..starts[d] + local[d]]);
+                    }
+                    // Within a partition every bit at or above `shift` is
+                    // equal, so only the bits below it are sorted.
+                    if !lsd_ping_pong(&mut buf, part, shift, &mut hist) {
+                        part.copy_from_slice(&buf);
                     }
                 }
             });
         }
     });
-    data.copy_from_slice(&scratch);
 }
 
 #[cfg(test)]
@@ -318,6 +409,80 @@ mod tests {
                 expect.sort_unstable();
                 partition_radix_sort(&mut got, threads);
                 assert_eq!(got, expect, "shape {i} threads {threads}");
+            }
+        }
+    }
+
+    /// Grafite-code-shaped and degenerate inputs just above the parallel
+    /// threshold: codes below `n·2^14` and `2^35`, a common nonzero 40-bit
+    /// prefix, all-equal, two distinct values, only bit 0 varying, and
+    /// full-range values.
+    #[test]
+    fn partition_matches_std_on_code_shaped_inputs() {
+        let n = PARTITION_PARALLEL_MIN + 7;
+        let raw = pseudo_random(n, 17);
+        let prefix = 0x00A5_C396_F1E7_u64 << 24;
+        let shapes: Vec<(&str, Vec<u64>)> = vec![
+            (
+                "below n*2^14",
+                raw.iter().map(|x| x % ((n as u64) << 14)).collect(),
+            ),
+            ("below 2^35", raw.iter().map(|x| x >> 29).collect()),
+            (
+                "40-bit prefix",
+                raw.iter().map(|x| prefix | (x >> 40)).collect(),
+            ),
+            ("all equal", vec![0x0123_4567_89AB_CDEF; n]),
+            (
+                "two values",
+                raw.iter()
+                    .map(|x| if x >> 63 == 0 { 5 } else { 1 << 40 })
+                    .collect(),
+            ),
+            (
+                "bit 0 only",
+                raw.iter().map(|x| 0xF0F0_0000 | (x >> 63)).collect(),
+            ),
+            ("full range", raw.clone()),
+        ];
+        for (name, shape) in shapes {
+            let mut expect = shape.clone();
+            expect.sort_unstable();
+            for threads in [1usize, 2, 3, 8] {
+                let mut got = shape.clone();
+                partition_radix_sort(&mut got, threads);
+                assert_eq!(got, expect, "{name}, threads {threads}");
+            }
+        }
+    }
+
+    /// Codes below 2^31 — a 125k-key shard at 16 bits/key — must spread
+    /// over many partitions and give every worker a share, or the parallel
+    /// path silently degenerates to one worker.
+    #[test]
+    fn grafite_codes_split_across_workers() {
+        let n = 125_000;
+        let codes: Vec<u64> = pseudo_random(n, 23).iter().map(|x| x >> 33).collect();
+        let shift = partition_shift(varying_bits(&codes));
+        assert_eq!(shift, 23, "partition digit should be bits 23..31");
+        for threads in [2usize, 3, 8] {
+            let mut scratch = vec![0; n];
+            let chunk_counts = scatter_chunks(&codes, &mut scratch, shift, n.div_ceil(threads));
+            let mut counts = [0usize; 256];
+            for local in &chunk_counts {
+                counts.iter_mut().zip(local).for_each(|(c, l)| *c += l);
+            }
+            let partitions = counts.iter().filter(|&&c| c > 0).count();
+            assert!(partitions > 1, "all codes fell into one partition");
+            let groups = group_partitions(&counts, n, threads);
+            assert_eq!(groups.len(), threads, "threads {threads}: {groups:?}");
+            // Every worker gets a share of roughly n/threads.
+            for digits in groups {
+                let share: usize = counts[digits].iter().sum();
+                assert!(
+                    share * threads * 2 > n,
+                    "threads {threads}: share {share} of {n}"
+                );
             }
         }
     }

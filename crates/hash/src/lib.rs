@@ -15,6 +15,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod divide;
 pub mod locality;
 pub mod mix;
 pub mod pairwise;

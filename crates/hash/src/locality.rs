@@ -8,36 +8,46 @@
 //! `1/r`. This is exactly what lets a range `[a, b]` of length at most `r`
 //! be answered by at most two contiguous range probes in the reduced
 //! universe (paper conditions (2) and footnote 2).
+//!
+//! # Division-free evaluation
+//!
+//! Both the build (one evaluation per key) and every probe (one or two per
+//! query) divide by `r`. [`LocalityHash`] precomputes `⌈2^128/r⌉` when it is
+//! drawn, so `⌊x/r⌋` is the high part of one 64×128-bit product and
+//! `x mod r = x − ⌊x/r⌋·r` (Lemire, Kaser and Kurz's exact method). It is
+//! exact, not approximate: `⌈2^128/r⌉·r` exceeds `2^128` by less than `r`,
+//! and for any `x < 2^64` that excess shifts `x/r` by less than `1/r` — never
+//! enough to cross the next integer (the full argument is in the
+//! crate-private `divide` module). The inner hash's `mod r` reuses the same
+//! constant, and its `mod p` folds (see [`crate::pairwise`]). Every code and
+//! block index is the one the division form gives, so filters built before
+//! and after are byte-identical.
 
 use crate::pairwise::PairwiseHash;
 
 /// The reduction `h(x) = (q(⌊x/r⌋) + x) mod r` for an arbitrary modulus `r`.
 #[derive(Clone, Copy, Debug)]
 pub struct LocalityHash {
+    /// Also holds `r` with its reciprocal precomputed.
     q: PairwiseHash,
-    r: u64,
 }
 
 impl LocalityHash {
     /// Draws a reduction into `[0, r)` with parameters derived from `seed`.
     pub fn from_seed(seed: u64, r: u64) -> Self {
-        Self {
-            q: PairwiseHash::from_seed(seed, r),
-            r,
-        }
+        Self::from_pairwise(PairwiseHash::from_seed(seed, r))
     }
 
     /// Builds from an explicit inner hash (tests use the paper's Example 3.2
     /// parameters).
     pub fn from_pairwise(q: PairwiseHash) -> Self {
-        let r = q.range();
-        Self { q, r }
+        Self { q }
     }
 
     /// The reduced universe size `r`.
     #[inline]
     pub fn r(&self) -> u64 {
-        self.r
+        self.q.range()
     }
 
     /// The inner pairwise-independent hash (for persistence).
@@ -49,11 +59,13 @@ impl LocalityHash {
     /// Evaluates `h(x)`.
     #[inline]
     pub fn eval(&self, x: u64) -> u64 {
+        let (block, offset) = self.q.range_divisor().div_rem(x);
         // (q + x) mod r with both addends already < r: a single conditional
-        // subtraction replaces the division.
-        let s = self.q.eval(x / self.r) + x % self.r;
-        if s >= self.r {
-            s - self.r
+        // subtraction replaces the reduction.
+        let s = self.q.eval(block) + offset;
+        let r = self.r();
+        if s >= r {
+            s - r
         } else {
             s
         }
@@ -63,7 +75,7 @@ impl LocalityHash {
     /// mapped by the same translation.
     #[inline]
     pub fn block(&self, x: u64) -> u64 {
-        x / self.r
+        self.q.range_divisor().div(x)
     }
 }
 
@@ -117,6 +129,52 @@ impl LocalityHashPow2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mix::SplitMix64;
+
+    /// `h` in its division form, for comparison.
+    fn by_division(h: &LocalityHash, x: u64) -> (u64, u64) {
+        let r = h.r();
+        let s = h.pairwise().eval(x / r) as u128 + (x % r) as u128;
+        ((s % r as u128) as u64, x / r)
+    }
+
+    #[test]
+    fn agrees_with_division_across_block_boundaries() {
+        let mut gen = SplitMix64::new(0xB10C);
+        let mut rs = vec![
+            1u64,
+            2,
+            3,
+            100,
+            999,
+            1 << 20,
+            (1 << 31) - 1,
+            1 << 31,
+            (1 << 31) + 1,
+        ];
+        for _ in 0..40 {
+            let bits = 1 + gen.next_below(60);
+            rs.push(1 + gen.next_below(1 << bits));
+        }
+        for r in rs {
+            let h = LocalityHash::from_seed(r ^ 0x77, r);
+            // Keys at r = 1 map everything to 0, one key per block.
+            for block in [0u64, 1, 2, 1000, u64::MAX / r - 1, u64::MAX / r] {
+                let first = block.saturating_mul(r);
+                for x in [first, first.saturating_add(r - 1), first.saturating_sub(1)] {
+                    assert_eq!((h.eval(x), h.block(x)), by_division(&h, x), "r={r} x={x}");
+                }
+            }
+            for _ in 0..500 {
+                let x = gen.next_u64() >> gen.next_below(64);
+                assert_eq!((h.eval(x), h.block(x)), by_division(&h, x), "r={r} x={x}");
+            }
+        }
+        let one = LocalityHash::from_seed(9, 1);
+        for x in [0, 1, 12345, u64::MAX] {
+            assert_eq!((one.eval(x), one.block(x)), (0, x));
+        }
+    }
 
     /// The full worked Example 3.2 of the paper.
     #[test]

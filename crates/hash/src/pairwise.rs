@@ -5,8 +5,28 @@
 //! `0 < c1 < p`, `0 <= c2 < p` are drawn at random. Pairwise independence
 //! holds for inputs below `p`; Grafite's inputs are block indices
 //! `⌊x/r⌋ < u/r`, far below our default prime `2^61 − 1` for every
-//! configuration in the paper (and a debug assertion guards the domain).
+//! configuration in the paper. Evaluation itself is exact for every 64-bit
+//! input; only the independence guarantee needs `x < p`.
+//!
+//! # Division-free evaluation
+//!
+//! Neither modulus costs a divide instruction on the default path:
+//!
+//! * **`mod p` for `p = 2^61 − 1`** folds. Since `2^61 ≡ 1 (mod p)`, a
+//!   value `t = hi·2^61 + lo` is congruent to `hi + lo`. With `c1, c2 < p`
+//!   and any `x < 2^64`, `t = c1·x + c2 < 2^125`, so `hi < 2^64`; folding
+//!   `hi` once more and the sum once more leaves a value of at most
+//!   `p + 1`, and one conditional subtraction makes it the exact residue.
+//!   Any other prime (such as the `2^31 − 1` of the paper's Example 3.2)
+//!   takes the generic `%`.
+//! * **`mod r`** multiplies by the `⌈2^128/r⌉` precomputed when the
+//!   function is drawn, which is exact for every 64-bit dividend (Lemire,
+//!   Kaser and Kurz; the proof is in the crate-private `divide` module).
+//!
+//! The evaluated function is unchanged: both forms compute
+//! `((c1·x + c2) mod p) mod r` exactly, and nothing new is persisted.
 
+use crate::divide::Divisor;
 use crate::mix::SplitMix64;
 
 /// The Mersenne prime `2^61 − 1`, the default modulus.
@@ -19,7 +39,7 @@ pub struct PairwiseHash {
     c1: u64,
     c2: u64,
     p: u64,
-    r: u64,
+    r: Divisor,
 }
 
 impl PairwiseHash {
@@ -46,24 +66,36 @@ impl PairwiseHash {
         assert!(r < p, "prime {p} must exceed range {r}");
         assert!(c1 > 0 && c1 < p, "c1 must be in [1, p)");
         assert!(c2 < p, "c2 must be in [0, p)");
-        Self { c1, c2, p, r }
+        Self {
+            c1,
+            c2,
+            p,
+            r: Divisor::new(r),
+        }
     }
 
     /// Evaluates the hash.
     #[inline]
     pub fn eval(&self, x: u64) -> u64 {
-        debug_assert!(
-            x < self.p,
-            "input {x} outside the pairwise-independence domain [0, {})",
-            self.p
-        );
-        let v = (self.c1 as u128 * x as u128 + self.c2 as u128) % self.p as u128;
-        (v % self.r as u128) as u64
+        let t = self.c1 as u128 * x as u128 + self.c2 as u128;
+        let v = if self.p == MERSENNE_61 {
+            mod_mersenne_61(t)
+        } else {
+            (t % self.p as u128) as u64
+        };
+        self.r.rem(v)
     }
 
     /// The output range `r`.
     #[inline]
     pub fn range(&self) -> u64 {
+        self.r.get()
+    }
+
+    /// The output range as a precomputed divisor, shared with
+    /// [`crate::LocalityHash`]'s block arithmetic.
+    #[inline]
+    pub(crate) fn range_divisor(&self) -> Divisor {
         self.r
     }
 
@@ -93,9 +125,110 @@ impl PairwiseHash {
     }
 }
 
+/// `t mod (2^61 − 1)` for `t < 2^125` (see the module docs).
+#[inline]
+fn mod_mersenne_61(t: u128) -> u64 {
+    debug_assert!(t < 1 << 125);
+    let lo = t as u64 & MERSENNE_61;
+    let hi = (t >> 61) as u64;
+    // lo + hi's two 61-bit pieces: below 2^62 + 8.
+    let s = lo + (hi & MERSENNE_61) + (hi >> 61);
+    // One more fold: at most p + 1.
+    let s = (s & MERSENNE_61) + (s >> 61);
+    if s >= MERSENNE_61 {
+        s - MERSENNE_61
+    } else {
+        s
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The definition, evaluated with 128-bit divisions.
+    fn reference(c1: u64, c2: u64, p: u64, r: u64, x: u64) -> u64 {
+        let v = (c1 as u128 * x as u128 + c2 as u128) % p as u128;
+        (v % r as u128) as u64
+    }
+
+    #[test]
+    fn mersenne_fold_matches_reference_at_the_extremes() {
+        let p = MERSENNE_61;
+        for (c1, c2) in [
+            (p - 1, p - 1),
+            (1, 0),
+            (p - 1, 0),
+            (1, p - 1),
+            (1 << 60, 12345),
+        ] {
+            for r in [1u64, 2, 3, 100, 1 << 31, (1 << 31) + 1, p - 1] {
+                let q = PairwiseHash::with_params(c1, c2, p, r);
+                for x in [0u64, 1, p - 1, p, p + 1, 1 << 63, u64::MAX - 1, u64::MAX] {
+                    assert_eq!(
+                        q.eval(x),
+                        reference(c1, c2, p, r, x),
+                        "c1={c1} c2={c2} r={r} x={x}"
+                    );
+                }
+            }
+        }
+        let q = PairwiseHash::with_params(p - 1, p - 1, p, 1 << 40);
+        assert_eq!(
+            q.eval(u64::MAX),
+            reference(p - 1, p - 1, p, 1 << 40, u64::MAX)
+        );
+        // Values that land exactly on p and p + 1 before the final subtraction.
+        for t in [
+            p as u128,
+            p as u128 + 1,
+            2 * p as u128,
+            (p as u128) << 61,
+            (1u128 << 125) - 1,
+        ] {
+            assert_eq!(mod_mersenne_61(t) as u128, t % p as u128, "t={t}");
+        }
+    }
+
+    #[test]
+    fn eval_matches_reference_on_random_parameters() {
+        let mut gen = SplitMix64::new(0x5EED);
+        for _ in 0..20_000 {
+            let p = MERSENNE_61;
+            let c1 = 1 + gen.next_below(p - 1);
+            let c2 = gen.next_below(p);
+            let r = 1 + (gen.next_u64() >> (gen.next_below(64) as u32)) % (p - 1);
+            let x = gen.next_below(p) >> (gen.next_below(61) as u32);
+            let q = PairwiseHash::with_params(c1, c2, p, r);
+            assert_eq!(
+                q.eval(x),
+                reference(c1, c2, p, r, x),
+                "c1={c1} c2={c2} r={r} x={x}"
+            );
+        }
+    }
+
+    #[test]
+    fn generic_prime_path_matches_reference() {
+        // Example 3.2's prime, and a 64-bit prime the fold does not cover.
+        let mut gen = SplitMix64::new(0x31);
+        for p in [(1u64 << 31) - 1, 0xFFFF_FFFF_FFFF_FFC5] {
+            for _ in 0..5_000 {
+                let c1 = 1 + gen.next_below(p - 1);
+                let c2 = gen.next_below(p);
+                let r = 1 + gen.next_below(p - 1);
+                let x = gen.next_below(p);
+                let q = PairwiseHash::with_params(c1, c2, p, r);
+                assert_eq!(
+                    q.eval(x),
+                    reference(c1, c2, p, r, x),
+                    "p={p} c1={c1} c2={c2} r={r} x={x}"
+                );
+            }
+            let q = PairwiseHash::with_params(p - 1, p - 1, p, p - 1);
+            assert_eq!(q.eval(p - 1), reference(p - 1, p - 1, p, p - 1, p - 1));
+        }
+    }
 
     #[test]
     fn paper_example_parameters() {

@@ -34,11 +34,13 @@ Build mode (`build` + one file): checks a `repro scale` report against the
 parallel-construction acceptance floors. Determinism is unconditional:
 `bpk_drift` must be exactly 0 and `bytes_identical` must be 1 — a parallel
 build that produces different bytes is a correctness bug, not a perf
-miss. The BUILD_SPEEDUP_FLOOR on the in-run 8-thread-vs-serial build
-throughput ratio applies only when the recording machine had at least two
-cores (`config.cores`): a one-core machine physically cannot speed the
-build up, so its report records throughput and determinism but cannot
-attest to scaling — CI's fresh multi-core run enforces the floor there.
+miss. Two scaling floors apply only when the recording machine had at
+least two cores (`config.cores`): BUILD_SPEEDUP_FLOOR on the in-run
+8-thread-vs-serial store build throughput ratio, and FILTER_SPEEDUP_FLOOR
+on the same ratio for one filter's hash->sort->encode pipeline. A one-core
+machine physically cannot speed the build up, so its report records
+throughput and determinism but cannot attest to scaling — CI's fresh
+multi-core run enforces the floors there.
 """
 
 import json
@@ -72,6 +74,13 @@ MAPPED_SPEEDUP_FLOOR = 10.0
 # one (the paper's §6.6 reports 1.5-2.0x from 2-8 sort threads alone, and
 # the shard fan-out multiplies that), enforced only on >= 2-core machines.
 BUILD_SPEEDUP_FLOOR = 1.5
+
+# Build-mode floor for a single filter: the 8-thread Grafite build must be
+# >= 1.2x its serial twin on >= 2-core machines. Grafite codes sit far below
+# 2^64, so a sort that partitions on the top byte leaves one worker with
+# all of them and the parallel build runs slower than the serial one; this
+# floor catches that.
+FILTER_SPEEDUP_FLOOR = 1.2
 
 
 def metrics_of(path, schema):
@@ -134,17 +143,21 @@ def check_build(path):
     if not isinstance(drift, (int, float)) or drift != 0:
         failures.append(f"bpk_drift is {drift!r}, must be exactly 0")
 
-    speedup = metrics.get("speedup_at_8_threads", 0.0)
-    if isinstance(cores, (int, float)) and cores >= 2:
-        print(f"  speedup_at_8_threads: {speedup:.2f}x "
-              f"(floor {BUILD_SPEEDUP_FLOOR}x, {cores} cores)")
-        if not isinstance(speedup, (int, float)) or speedup < BUILD_SPEEDUP_FLOOR:
-            failures.append(
-                f"8-thread build speedup {speedup}x below the "
-                f"{BUILD_SPEEDUP_FLOOR}x floor on a {cores}-core machine")
-    else:
-        print(f"  speedup_at_8_threads: {speedup:.2f}x recorded on "
-              f"{cores} core(s); floor waived (determinism still gated)")
+    for key, floor in (("speedup_at_8_threads", BUILD_SPEEDUP_FLOOR),
+                       ("filter_speedup_at_8_threads", FILTER_SPEEDUP_FLOOR)):
+        speedup = metrics.get(key, 0.0)
+        if not isinstance(speedup, (int, float)):
+            failures.append(f"{key} is {speedup!r}, not a number")
+            continue
+        if isinstance(cores, (int, float)) and cores >= 2:
+            print(f"  {key}: {speedup:.2f}x (floor {floor}x, {cores} cores)")
+            if speedup < floor:
+                failures.append(
+                    f"{key} {speedup}x below the {floor}x floor on a "
+                    f"{cores}-core machine")
+        else:
+            print(f"  {key}: {speedup:.2f}x recorded on {cores} core(s); "
+                  "floor waived (determinism still gated)")
 
     if failures:
         print("\nbuild perf gate FAILED:")
