@@ -1,6 +1,9 @@
-//! One function per table/figure of the paper's evaluation (§6), plus the
-//! ablations called out in DESIGN.md §5. Each prints the paper's rows/series
-//! as a text table and writes a CSV under the configured output directory.
+//! One function per table/figure of the paper's evaluation (§6), plus
+//! ablations of choices the paper discusses without plotting (the
+//! `ablation_*` functions), and the experiments behind the committed
+//! `results/BENCH_*.json` baselines (`serve`, `scale`, `hotpath`). Each
+//! prints the paper's rows/series as a text table and writes a CSV under
+//! the configured output directory.
 
 use grafite_core::{sort, BucketingFilter, GrafiteFilter, RangeFilter};
 use grafite_filters::Snarf;
@@ -677,228 +680,6 @@ pub fn ablation_wa_bucketing(cfg: &RunConfig) {
     let _ = table.write_csv(&cfg.out_dir, "ablation_wa_bucketing");
 }
 
-/// Serving-layer experiments over the `grafite-store` crate: concurrent
-/// snapshot query throughput (scaling the reader thread count past 4) and
-/// per-shard rebuild latency under update batches that dirty a controlled
-/// number of shards.
-pub fn serving(cfg: &RunConfig) {
-    use grafite_store::{FamilySpec, FilterStore, Partitioning, StoreConfig, Update};
-
-    println!("== Serving: concurrent snapshot throughput and shard rebuild latency ==");
-    let keys = sosd::dataset_or_synthetic(Dataset::Uniform, cfg.n, cfg.seed, &cfg.data_dir);
-    let l = 32u64;
-    let queries = queries_as_pairs(&uncorrelated_queries(
-        &keys,
-        cfg.queries,
-        l,
-        cfg.seed ^ 0x5E17,
-    ));
-    let registry = crate::registry::standard();
-    let shards = 8usize;
-    let families = [
-        FamilySpec::Registry(FilterSpec::Grafite),
-        FamilySpec::Registry(FilterSpec::Bucketing),
-    ];
-
-    // Throughput: every thread queries its own clone of one immutable
-    // snapshot — the lock-free path a serving process lives on.
-    const REPS: usize = 5;
-    let mut throughput = Table::new(&[
-        "filter",
-        "partitioning",
-        "shards",
-        "threads",
-        "Mq/s",
-        "ns/query",
-    ]);
-    for family in families {
-        for partitioning in [
-            Partitioning::Range { shards },
-            Partitioning::Hash { shards },
-        ] {
-            let config = StoreConfig::new(family)
-                .bits_per_key(16.0)
-                .max_range(l)
-                .seed(cfg.seed)
-                .partitioning(partitioning);
-            let store = match FilterStore::build(registry, config, &keys) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("  [skip] {}: {e}", family.label());
-                    continue;
-                }
-            };
-            let partitioning_label = match partitioning {
-                Partitioning::Range { .. } => "range",
-                Partitioning::Hash { .. } => "hash",
-            };
-            for threads in [1usize, 2, 4, 8] {
-                let start = std::time::Instant::now();
-                std::thread::scope(|scope| {
-                    for _ in 0..threads {
-                        scope.spawn(|| {
-                            let snap = store.snapshot();
-                            let mut out = Vec::new();
-                            for _ in 0..REPS {
-                                snap.query_ranges(std::hint::black_box(&queries), &mut out);
-                                std::hint::black_box(out.len());
-                            }
-                        });
-                    }
-                });
-                let secs = start.elapsed().as_secs_f64();
-                let answered = (threads * REPS * queries.len()) as f64;
-                throughput.row(vec![
-                    family.label().to_string(),
-                    partitioning_label.to_string(),
-                    shards.to_string(),
-                    threads.to_string(),
-                    format!("{:.2}", answered / secs / 1e6),
-                    format!("{:.0}", secs * 1e9 / answered),
-                ]);
-            }
-        }
-    }
-    throughput.print();
-    let _ = throughput.write_csv(&cfg.out_dir, "serving_throughput");
-
-    // Rebuild latency: update batches crafted to dirty exactly k of the 8
-    // range-partitioned shards; each dirty shard rebuilds its filter from
-    // its retained keys, clean shards are shared by `Arc`.
-    let mut rebuild = Table::new(&[
-        "filter",
-        "dirty_shards",
-        "rebuilt_keys",
-        "ms_total",
-        "ms_per_shard",
-    ]);
-    for family in families {
-        let config = StoreConfig::new(family)
-            .bits_per_key(16.0)
-            .max_range(l)
-            .seed(cfg.seed)
-            .partitioning(Partitioning::Range { shards });
-        let store = match FilterStore::build(registry, config, &keys) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("  [skip] {}: {e}", family.label());
-                continue;
-            }
-        };
-        for dirty_target in [1usize, 2, 4, 8] {
-            let snap = store.snapshot();
-            let dirty_target = dirty_target.min(snap.num_shards());
-            // One fresh key per target shard dirties exactly that shard.
-            let mut inserts = Vec::with_capacity(dirty_target);
-            for s in 0..dirty_target {
-                let (lo, _) = snap.routing().shard_span(s);
-                let mut candidate = lo;
-                while snap.shards()[s]
-                    .holds_key(candidate, candidate)
-                    .expect("built shards hold their keys in memory")
-                {
-                    candidate += 1;
-                }
-                inserts.push(Update::Insert(candidate));
-            }
-            let (secs, report) = time_it(|| {
-                store
-                    .apply(&inserts)
-                    .expect("rebuild under original config")
-            });
-            rebuild.row(vec![
-                family.label().to_string(),
-                report.dirty_shards.to_string(),
-                report.rebuilt_keys.to_string(),
-                format!("{:.2}", secs * 1e3),
-                format!("{:.2}", secs * 1e3 / report.dirty_shards.max(1) as f64),
-            ]);
-            // Undo outside the timed region so every row rebuilds from the
-            // same base.
-            let undo: Vec<Update> = inserts.iter().map(|u| Update::Delete(u.key())).collect();
-            store.apply(&undo).expect("undo");
-        }
-    }
-    rebuild.print();
-    let _ = rebuild.write_csv(&cfg.out_dir, "serving_rebuild");
-
-    // Coalescing: concurrent single-probe submitters route through the
-    // grafite-server combining batcher, so overlapping submissions merge
-    // into one store batch. The coalescing factor (probes per
-    // executed batch) and the tail of the per-submit latency are the two
-    // numbers an operator watches.
-    let mut coalescing = Table::new(&[
-        "filter",
-        "threads",
-        "probes",
-        "Mq/s",
-        "coalescing_factor",
-        "p50_us",
-        "p99_us",
-    ]);
-    for family in families {
-        let config = StoreConfig::new(family)
-            .bits_per_key(16.0)
-            .max_range(l)
-            .seed(cfg.seed)
-            .partitioning(Partitioning::Range { shards });
-        let store = match FilterStore::build(registry, config, &keys) {
-            Ok(s) => std::sync::Arc::new(s),
-            Err(e) => {
-                eprintln!("  [skip] {}: {e}", family.label());
-                continue;
-            }
-        };
-        for threads in [1usize, 2, 4, 8] {
-            let telemetry = std::sync::Arc::new(grafite_server::Telemetry::new(shards));
-            let batcher = grafite_server::Batcher::new(
-                std::sync::Arc::clone(&store),
-                std::sync::Arc::clone(&telemetry),
-            );
-            let per_thread = (cfg.queries / threads).max(1);
-            let start = std::time::Instant::now();
-            let mut latencies_us: Vec<u64> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let batcher = &batcher;
-                        let queries = &queries;
-                        scope.spawn(move || {
-                            let mut lat = Vec::with_capacity(per_thread);
-                            for q in queries.iter().cycle().skip(t * 131).take(per_thread) {
-                                let t0 = std::time::Instant::now();
-                                std::hint::black_box(batcher.submit(std::slice::from_ref(q)));
-                                lat.push(t0.elapsed().as_micros() as u64);
-                            }
-                            lat
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("submitter thread"))
-                    .collect()
-            });
-            let secs = start.elapsed().as_secs_f64();
-            latencies_us.sort_unstable();
-            let quantile = |num: usize| -> u64 {
-                let rank = (latencies_us.len() * num).div_ceil(100).max(1);
-                latencies_us[rank - 1]
-            };
-            coalescing.row(vec![
-                family.label().to_string(),
-                threads.to_string(),
-                latencies_us.len().to_string(),
-                format!("{:.3}", latencies_us.len() as f64 / secs / 1e6),
-                format!("{:.2}", telemetry.coalescing_factor()),
-                quantile(50).to_string(),
-                quantile(99).to_string(),
-            ]);
-        }
-    }
-    coalescing.print();
-    let _ = coalescing.write_csv(&cfg.out_dir, "serving_coalescing");
-}
-
 /// The serving cold-start experiment behind `results/BENCH_serve.json`:
 /// saves a ≥100 MB multi-shard manifest, then times the eager
 /// [`open`](grafite_store::FilterStore::open) path (read the whole file,
@@ -1426,6 +1207,5 @@ pub fn all(cfg: &RunConfig) {
     ablation_bucketing(cfg);
     ablation_wa_bucketing(cfg);
     normal_check(cfg);
-    serving(cfg);
     hotpath(cfg);
 }

@@ -11,7 +11,8 @@
 //! The defining feature is the **CPFPR auto-tuner**: given the keys, a
 //! sample of the query workload, and a space budget, Proteus picks the
 //! `(l1, l2)` pair minimising the modelled FPR. We reproduce the tuner at
-//! byte granularity for `l1` (our FST is byte-based; DESIGN.md §3) and
+//! byte granularity for `l1` (a deviation: our FST is byte-based, so the
+//! trie can only cut keys at multiples of 8 bits) and
 //! 4-bit granularity for `l2`, evaluating the exact trie/prefix structure
 //! on the key set and the analytic Bloom FPR on the sampled queries — the
 //! same shape as Knorr et al.'s Algorithm 1.

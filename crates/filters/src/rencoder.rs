@@ -41,7 +41,8 @@ const MAX_PROBES: usize = 1 << 14;
 /// Storing all 16 rounds, as a literal reading of the description would
 /// have it, costs ≥ 5·16 bits set per key and saturates any realistic bit
 /// budget; the published space bound `O(n(k + log(1/ε)))` implies the real
-/// implementation also bounds the stored levels. Documented in DESIGN.md §3.
+/// implementation also bounds the stored levels. This bound is our choice,
+/// not a parameter the paper states.
 const DEFAULT_ROUNDS: u32 = 4;
 
 /// Which REncoder variant to build.

@@ -6,8 +6,10 @@
 //! datasets come from the SOSD benchmark suite and are not redistributable;
 //! this crate synthesises statistically similar stand-ins (see
 //! [`datasets`]) and transparently loads the real SOSD binaries when the
-//! user drops them into a data directory (see [`sosd`]). DESIGN.md §3
-//! documents why the substitution preserves the paper's comparisons.
+//! user drops them into a data directory (see [`sosd`]). The stand-ins
+//! mimic each dataset's gap structure, which is what decides a range
+//! filter's FPR, so the comparisons between filters carry over; absolute
+//! FPRs and times need not match the paper's.
 //!
 //! Query workloads follow §6.1 exactly: batches of emptiness queries
 //! `[x, x + L − 1]` with point (`L = 2^0`), small (`L = 2^5`) and large
