@@ -693,9 +693,11 @@ pub fn serve(cfg: &RunConfig) {
     use grafite_store::{FamilySpec, FilterStore, Partitioning, StoreConfig};
 
     println!("== serve: mapped cold-start vs eager open on a >=100MB manifest ==");
-    // Keys dominate the manifest (8 bytes each, plus ~2 blob bytes at 16
-    // bits/key), so 12M keys lands comfortably above the 100 MB floor.
-    let n = cfg.n.max(12_000_000);
+    // Uniform keys cost ~5.3 bytes each as blocked Elias–Fano (about 40
+    // low bits plus 2–3 high bits at a 2^40 mean gap) plus ~2 filter bytes
+    // at 16 bits/key: 16M keys make a ~118 MB manifest, above the 100 MB
+    // floor.
+    let n = cfg.n.max(16_000_000);
     let shards = 64usize;
     let keys = sosd::dataset_or_synthetic(Dataset::Uniform, n, cfg.seed, &cfg.data_dir);
     let registry = crate::registry::standard();

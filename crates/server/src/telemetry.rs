@@ -25,8 +25,12 @@
 //!   on a mapped store are not checksum-verified, so a file damaged after
 //!   open can skew these estimates but no answer,
 //! * the bytes of shard keys held in memory (`store.resident_key_bytes`):
-//!   every key of a built, eagerly opened or rebuilt shard, only the fences
-//!   of a mapped one.
+//!   every key of a built, eagerly opened or rebuilt shard, only the block
+//!   directory of a mapped one,
+//! * the store's footprint by layer (`store.space`, from
+//!   [`FilterStore::space`]): the key count and the bytes of filters,
+//!   retained keys in memory, key records left in the manifest file, and
+//!   manifest framing — divide by `num_keys` for bytes per key.
 //!
 //! Every latency and duration histogram is the store's [`Histogram`], the
 //! same type [`StoreStats`](grafite_store::StoreStats) records shard builds
@@ -370,6 +374,15 @@ pub fn render_json(t: &Telemetry, store: &FilterStore) -> String {
         stats.shard_load_errors(),
         stats.reloads(),
         stats.is_degraded(),
+    ));
+    let space = store.space();
+    out.push_str(&format!(
+        "\"space\":{{\"num_keys\":{},\"filter_bytes\":{},\"keys_resident_bytes\":{},\"keys_on_disk_bytes\":{},\"framing_bytes\":{}}},",
+        space.num_keys,
+        space.filter_bytes,
+        space.keys_resident_bytes,
+        space.keys_on_disk_bytes,
+        space.framing_bytes,
     ));
     // Construction parallelism: worker threads of the last build/rebuild
     // fan-out plus the per-shard build wall-time histogram (16 log2

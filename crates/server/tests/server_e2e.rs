@@ -268,27 +268,35 @@ fn stats_fpr_matches_ground_truth() {
     handle.join();
 }
 
+/// The unsigned integer after `"field":` in a `STATS` document.
+fn stats_field(stats: &str, field: &str) -> usize {
+    let key = format!("\"{field}\":");
+    let at = stats.find(&key).expect("field") + key.len();
+    let digits: String = stats[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().unwrap()
+}
+
 /// `store.resident_key_bytes` against ground truth on a mapped store:
-/// 0 before any shard loads, 8·Σ⌈nᵢ/256⌉ (the fences) once every shard
-/// has, and after an `APPLY` rebuilds shard `i`, larger by exactly its new
-/// key count's bytes minus its fences' bytes.
+/// 0 before any shard loads, 16·Σ⌈nᵢ/256⌉ (the block directories: a fence
+/// and an offset/width word per block) once every shard has, and after an
+/// `APPLY` rebuilds shard `i`, larger by exactly its new key count's bytes
+/// minus its directory's bytes. Alongside, `store.space` by layer: once
+/// warmed, filter + keys on disk + framing is the manifest's length and
+/// keys in memory are the directories.
 #[test]
 fn stats_resident_key_bytes_match_ground_truth() {
     let keys = test_keys(5000, 8);
     let store = build_store(&keys, 5);
     let path = save_manifest(&store, "resident");
+    let manifest_len = std::fs::metadata(&path).unwrap().len() as usize;
     let mapped = FilterStore::open_mapped(&Registry::new(), &path).unwrap();
     let handle = serve(Arc::new(mapped), "127.0.0.1:0", Some(path.clone())).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
-    let resident = |client: &mut Client| -> usize {
-        let stats = client.stats_json().unwrap();
-        let at = stats.find("\"resident_key_bytes\":").expect("field") + 21;
-        let digits: String = stats[at..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect();
-        digits.parse().unwrap()
-    };
+    let resident =
+        |client: &mut Client| stats_field(&client.stats_json().unwrap(), "resident_key_bytes");
     assert_eq!(resident(&mut client), 0);
 
     let snap = store.snapshot();
@@ -298,9 +306,21 @@ fn stats_resident_key_bytes_match_ground_truth() {
         .collect();
     client.query_batch(&starts).unwrap();
     let counts: Vec<usize> = snap.shards().iter().map(|s| s.num_keys()).collect();
-    let fence_bytes = |n: usize| 8 * n.div_ceil(FENCE_EVERY);
+    let fence_bytes = |n: usize| 16 * n.div_ceil(FENCE_EVERY);
     let warm: usize = counts.iter().map(|&n| fence_bytes(n)).sum();
     assert_eq!(resident(&mut client), warm);
+    let stats = client.stats_json().unwrap();
+    assert_eq!(
+        stats_field(&stats, "num_keys"),
+        counts.iter().sum::<usize>()
+    );
+    assert_eq!(stats_field(&stats, "keys_resident_bytes"), warm);
+    assert_eq!(
+        stats_field(&stats, "filter_bytes")
+            + stats_field(&stats, "keys_on_disk_bytes")
+            + stats_field(&stats, "framing_bytes"),
+        manifest_len
+    );
 
     // One fresh key in shard 2 dirties exactly that shard.
     let (lo, _) = snap.routing().shard_span(2);

@@ -26,9 +26,11 @@
 //!   reads and load each shard on first touch, failing open — so a
 //!   multi-gigabyte store cold-starts in milliseconds and hot-reloads
 //!   without dropping in-flight queries. Grafite shards load zero-copy over
-//!   a shared word buffer on both paths. A mapped shard keeps only its
-//!   filter and one key in 256 resident; [`Shard::read_keys`] re-reads
-//!   and re-verifies the rest when `apply` or `save_to` needs them.
+//!   a shared word buffer on both paths. Shard keys are stored as blocked
+//!   Elias–Fano, 256 keys a block; a mapped shard keeps only its filter
+//!   and its block directory resident, and [`Shard::read_keys`] re-reads,
+//!   decodes and re-verifies the keys when `apply` or `save_to` needs them.
+//!   [`FilterStore::space`] reports the footprint by layer.
 //! * [`StoreStats`] — always-on operational counters (lazy loads, load
 //!   failures, reloads, shard-build times) the serving front end scrapes
 //!   into its telemetry, recorded through the one [`Histogram`] type the
@@ -76,5 +78,6 @@ pub use family::{DynRangeFilter, FamilySpec};
 pub use manifest::{MANIFEST_HEADER_WORDS, STORE_FORMAT_VERSION, STORE_MAGIC};
 pub use stats::{Histogram, StoreStats};
 pub use store::{
-    ApplyReport, FilterStore, Partitioning, Routing, Shard, Snapshot, StoreConfig, Update,
+    ApplyReport, FilterStore, Partitioning, Routing, Shard, Snapshot, StoreConfig, StoreSpace,
+    Update,
 };

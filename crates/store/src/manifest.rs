@@ -26,23 +26,36 @@
 //!
 //! * the **metadata checksum**: [`checksum_words`] over header words 1–8,
 //!   the routing words, the sample words, and every per-shard framing word
-//!   (key count, keys checksum, blob length) — exactly the words the scan
-//!   reads, so a scan that never touches key or blob bytes still
-//!   authenticates everything it routes by;
+//!   (key count, keys checksum, key-block length, blob length) — exactly
+//!   the words the scan reads, so a scan that never touches key or blob
+//!   bytes still authenticates everything it routes by;
 //! * routing words — range routing: `S` interval-start keys (word 2 names
 //!   the kind; hash routing has no body words, its seed is header word 7);
 //! * the tuning sample: a pair count followed by `lo, hi` words per pair;
-//! * per shard: the key count, the sorted keys, a [`checksum_words`] over
-//!   the keys, the shard blob's byte length, and the blob itself
-//!   ([`grafite_core::persist`] header included) zero-padded to a word
-//!   boundary.
+//! * per shard, a key record and a filter blob:
+//!   - four framing words: the key count `n`, a [`checksum_words`] over
+//!     the sorted keys, the length in words of the encoded key blocks, and
+//!     the blob's byte length;
+//!   - the **block directory**, two words per block of [`FENCE_EVERY`]
+//!     keys (the last block may be shorter): the block's first key (its
+//!     *fence*), then its word offset among the encoded blocks shifted
+//!     left 8 bits, ORed with its low-bit width `l`;
+//!   - the **encoded key blocks**, back to back: each block's keys after
+//!     its fence as Elias–Fano offsets from the fence
+//!     ([`grafite_succinct::ef_block`]), `l = floor(log2(span / count))` low
+//!     bits per key plus the unary high parts;
+//!   - the blob itself ([`grafite_core::persist`] header included),
+//!     zero-padded to a word boundary.
 //!
 //! Shard keys ride in the manifest because updates rebuild dirty shards
-//! from them; each shard blob additionally carries its own header and
-//! checksum, so a manifest is two nested layers of the same threat model
-//! as [`grafite_core::persist`]: accidental damage surfaces as typed
-//! [`FilterError`]s, while deliberate forgery requires provenance checks
-//! upstream.
+//! from them. Blocked Elias–Fano (the partitioned layout of Ottaviano and
+//! Venturini, SIGIR 2014) stores them in at most `l + 3` bits each, `l`
+//! about the log2 of the mean gap between keys, plus 0.5 bits of
+//! directory, where raw words cost 64. Each shard blob additionally
+//! carries its own header and checksum, so a manifest is two nested layers
+//! of the same threat model as [`grafite_core::persist`]: accidental damage
+//! surfaces as typed [`FilterError`]s, while deliberate forgery requires
+//! provenance checks upstream.
 //!
 //! # Validation model
 //!
@@ -61,14 +74,19 @@
 //!   keys to healthy shards that never stored them, a false negative no
 //!   per-shard check could ever catch, so it must fail *before* the store
 //!   opens.
-//! * **Shard load** (both paths): the keys are streamed from the image in
-//!   64 KiB reads, never held whole, and verified on the way: the keys
-//!   checksum against the scan-authenticated one, strict ordering, and
-//!   routing membership. The filter blob must name the manifest's family and
-//!   carries its own header checksum (verified by its loader), and the
-//!   blob's key count must agree with the manifest's. Grafite blobs load
-//!   zero-copy as a `MappedGrafiteFilter`, every other family through
-//!   [`FamilySpec::load`].
+//! * **Shard load** (both paths): the block directory is read, then the
+//!   key blocks are streamed from the image in reads of whole blocks up to
+//!   32 KiB, never held whole, each decoded and verified on the way: the
+//!   keys checksum (over the decoded key values) against the
+//!   scan-authenticated one, strict ordering within and across blocks, and
+//!   routing membership. A directory or block that does not decode fails
+//!   the checksum too: its keys are not the checksummed ones. The decoder
+//!   accepts only the canonical encoding, so any change to a key record
+//!   either fails to decode or changes a key. The filter blob must name the
+//!   manifest's family and carries its own header checksum (verified by its
+//!   loader), and the blob's key count must agree with the manifest's.
+//!   Grafite blobs load zero-copy as a `MappedGrafiteFilter`, every other
+//!   family through [`FamilySpec::load`].
 //! * **Eager** ([`FilterStore::open`](crate::FilterStore::open)) also
 //!   verifies the whole-body checksum (header word 9, the only check that
 //!   covers blob padding) between the header checks and the walk, then
@@ -82,17 +100,18 @@
 //!   shard — and the failure is recorded in the store's
 //!   [`StoreStats`](crate::StoreStats) and the shard's
 //!   [`load_error`](crate::Shard::load_error). A loaded lazy shard keeps
-//!   only its filter and every [`FENCE_EVERY`]-th key resident; the rest of
-//!   its keys stay in the file.
+//!   only its filter and its verified block directory resident (16 bytes
+//!   per [`FENCE_EVERY`] keys); its key blocks stay in the file.
 //! * **Keys read after load** (lazy shards only). Queries never read keys.
 //!   [`Shard::read_keys`](crate::Shard::read_keys), which `apply` and
 //!   `save_to` go through, re-reads all of a shard's keys and re-verifies
 //!   them with the load-time checks, so damage to the file after open fails
 //!   those calls typed (a [`FilterError::ChecksumMismatch`]) and leaves the
 //!   store unchanged. [`Shard::holds_key`](crate::Shard::holds_key), which
-//!   the server's sampled false-positive refutation uses, reads one block
-//!   of at most 255 keys between two fences and does **not** verify it: a
-//!   damaged file can skew that telemetry, never an answer.
+//!   the server's sampled false-positive refutation uses, decodes one block
+//!   of at most [`FENCE_EVERY`] keys, located through the resident
+//!   directory, and does **not** verify it against the checksum: a damaged
+//!   file makes it fail typed or skews that telemetry, never an answer.
 
 use std::borrow::Cow;
 use std::io;
@@ -101,6 +120,7 @@ use std::ops::Range;
 use grafite_core::persist::{checksum_words, spec_id, Checksum, Header};
 use grafite_core::registry::Registry;
 use grafite_core::{FilterError, MappedGrafiteFilter, RangeFilter};
+use grafite_succinct::ef_block;
 use grafite_succinct::io::{le_word, MappedSource, WordWriter};
 
 use crate::family::{DynRangeFilter, FamilySpec};
@@ -114,19 +134,29 @@ pub const STORE_MAGIC: u64 = u64::from_le_bytes(*b"GRAFSHRD");
 /// The manifest format version this build writes and reads. Bumped on any
 /// incompatible change, exactly like
 /// [`grafite_core::persist::FORMAT_VERSION`] (the two version independently:
-/// a manifest change does not invalidate filter blobs).
-pub const STORE_FORMAT_VERSION: u32 = 2;
+/// a manifest change does not invalidate filter blobs). Version 3 stores
+/// shard keys as blocked Elias–Fano; version 2 manifests, which stored raw
+/// key words, are refused with [`FilterError::UnsupportedFormatVersion`].
+pub const STORE_FORMAT_VERSION: u32 = 3;
 
 /// Header length in words.
 pub const MANIFEST_HEADER_WORDS: usize = 10;
 
-/// A mapped shard keeps one key in this many resident — keys `0, 256,
-/// 512, …` of its sorted keys, its *fences* — so an exact membership check
-/// reads at most one block of 255 keys between two fences from the file.
+/// Keys per encoded key block. A block's first key — keys `0, 256, 512, …`
+/// of a shard's sorted keys — is its *fence*, stored raw in the block
+/// directory; the block encodes the rest as offsets from it. A mapped shard
+/// keeps the directory resident, so an exact membership check decodes at
+/// most one block of 256 keys from the file.
 pub const FENCE_EVERY: usize = 256;
 
-/// Keys per positioned read when a shard's keys are streamed: 64 KiB.
-const STREAM_WORDS: usize = 8192;
+/// Upper bound on the words of one positioned read when a shard's key
+/// blocks are streamed (32 KiB, about 8k keys; a read always takes at
+/// least one block).
+const STREAM_WORDS: usize = 4096;
+
+/// Per-shard framing words ahead of the block directory: key count, keys
+/// checksum, key-block length in words, blob length in bytes.
+pub(crate) const SHARD_FRAMING_WORDS: usize = 4;
 
 pub(crate) const ROUTING_RANGE: u64 = 0;
 pub(crate) const ROUTING_HASH: u64 = 1;
@@ -161,15 +191,19 @@ pub fn write(
         }
         for shard in snapshot.shards() {
             let keys = shard.read_keys()?;
-            w.prefixed(&keys)?;
-            let keys_checksum = checksum_words(keys.iter().copied());
-            w.word(keys_checksum)?;
+            let (directory, blocks) = encode_keys(&keys);
             let blob = shard.filter().to_bytes();
-            w.word(blob.len() as u64)?;
+            let record: [u64; SHARD_FRAMING_WORDS] = [
+                keys.len() as u64,
+                checksum_words(keys.iter().copied()),
+                blocks.len() as u64,
+                blob.len() as u64,
+            ];
+            w.words(&record)?;
+            w.words(&directory)?;
+            w.words(&blocks)?;
             w.bytes_padded(&blob)?;
-            framing.push(keys.len() as u64);
-            framing.push(keys_checksum);
-            framing.push(blob.len() as u64);
+            framing.extend_from_slice(&record);
         }
     }
     debug_assert_eq!(rest.len() % 8, 0);
@@ -211,6 +245,59 @@ pub fn write(
     Ok((MANIFEST_HEADER_WORDS.saturating_mul(8))
         .saturating_add(8)
         .saturating_add(rest.len()))
+}
+
+/// Encodes a shard's sorted keys as blocks of [`FENCE_EVERY`]: the block
+/// directory (fence, then `offset << 8 | l`, per block) and the encoded
+/// blocks.
+fn encode_keys(keys: &[u64]) -> (Vec<u64>, Vec<u64>) {
+    let mut directory = Vec::with_capacity(keys.len().div_ceil(FENCE_EVERY).saturating_mul(2));
+    // Blocks cost `l + 2` to `l + 3` bits per key; half a word per key is
+    // a close first guess at today's key densities.
+    let mut blocks = Vec::with_capacity(keys.len() / 2);
+    for block in keys.chunks(FENCE_EVERY) {
+        // A shard's blocks would need 2^56 words before the shift lost bits.
+        let offset = (blocks.len() as u64).saturating_mul(1 << 8);
+        let l = ef_block::encode(block, &mut blocks);
+        directory.extend(block.first());
+        directory.push(offset | u64::from(l));
+    }
+    (directory, blocks)
+}
+
+/// A shard's block directory, as read from its key record: per block of
+/// [`FENCE_EVERY`] keys, the fence and the packed `offset << 8 | l` word.
+/// [`Manifest::read_keys`] verifies it (with the blocks it locates); a
+/// mapped shard keeps the verified copy resident to find one block.
+pub(crate) struct KeyDirectory {
+    /// The first key of every block.
+    pub(crate) fences: Vec<u64>,
+    /// Per block, its word offset among the shard's encoded blocks shifted
+    /// left 8 bits, ORed with its low-bit width.
+    blocks: Vec<u64>,
+}
+
+impl KeyDirectory {
+    /// Bytes the directory occupies, in memory and in the file.
+    pub(crate) fn bytes(&self) -> usize {
+        self.fences
+            .len()
+            .saturating_add(self.blocks.len())
+            .saturating_mul(8)
+    }
+
+    /// Block `j`'s word range among `total` encoded words and its low-bit
+    /// width; `None` for a directory that does not lay the blocks out in
+    /// order inside `total`.
+    fn block(&self, j: usize, total: usize) -> Option<(Range<usize>, u32)> {
+        let packed = *self.blocks.get(j)?;
+        let start = usize::try_from(packed >> 8).ok()?;
+        let end = match self.blocks.get(j.saturating_add(1)) {
+            Some(next) => usize::try_from(next >> 8).ok()?,
+            None => total,
+        };
+        (start <= end && end <= total).then_some((start..end, (packed & 0xFF) as u32))
+    }
 }
 
 /// Header length in bytes: where the body starts.
@@ -296,14 +383,25 @@ pub(crate) enum Verify {
 struct ShardExtent {
     /// Number of keys in the shard, per the manifest.
     n_keys: usize,
-    /// Byte offset of the first key word.
-    keys_start: u64,
     /// Expected [`checksum_words`] over the shard's keys, per the manifest.
     keys_checksum: u64,
+    /// Byte offset of the block directory.
+    directory_start: u64,
+    /// Byte offset of the first encoded key block.
+    blocks_start: u64,
+    /// Length of the encoded key blocks in words.
+    block_words: usize,
     /// Byte offset of the shard's filter blob.
     blob_start: u64,
     /// Blob length in bytes (unpadded).
     blob_len: usize,
+}
+
+impl ShardExtent {
+    /// Number of key blocks (and of directory entries).
+    fn num_blocks(&self) -> usize {
+        self.n_keys.div_ceil(FENCE_EVERY)
+    }
 }
 
 /// A scanned manifest: configuration, routing, and the byte extent of every
@@ -475,21 +573,29 @@ pub(crate) fn scan<S: ManifestSource>(
     let mut extents = Vec::with_capacity(n_shards.min(1 << 20));
     let mut keys_total: u64 = 0;
     for _ in 0..n_shards {
-        let n_keys = usize::try_from(source.word_at(claim(8)?)?)
-            .map_err(|_| FilterError::corrupt("shard key count overflows usize"))?;
-        let keys_start = claim(words(n_keys)?)?;
-        let keys_checksum = source.word_at(claim(8)?)?;
-        let blob_len = usize::try_from(source.word_at(claim(8)?)?)
-            .map_err(|_| FilterError::corrupt("shard blob length overflows usize"))?;
+        let record = source.words_at(claim(words(SHARD_FRAMING_WORDS)?)?, SHARD_FRAMING_WORDS)?;
+        let &[n_keys_w, keys_checksum, block_words_w, blob_len_w] = record.as_slice() else {
+            return Err(FilterError::corrupt("shard framing length"));
+        };
+        let length = |w: u64| {
+            usize::try_from(w).map_err(|_| FilterError::corrupt("shard length overflows usize"))
+        };
+        let (n_keys, block_words, blob_len) = (
+            length(n_keys_w)?,
+            length(block_words_w)?,
+            length(blob_len_w)?,
+        );
+        let directory_start = claim(words(n_keys.div_ceil(FENCE_EVERY))?.saturating_mul(2))?;
+        let blocks_start = claim(words(block_words)?)?;
         let blob_start = claim(words(blob_len.div_ceil(8))?)?;
-        keys_total = keys_total.saturating_add(n_keys as u64);
-        framing.push(n_keys as u64);
-        framing.push(keys_checksum);
-        framing.push(blob_len as u64);
+        keys_total = keys_total.saturating_add(n_keys_w);
+        framing.extend_from_slice(&record);
         extents.push(ShardExtent {
             n_keys,
-            keys_start,
             keys_checksum,
+            directory_start,
+            blocks_start,
+            block_words,
             blob_start,
             blob_len,
         });
@@ -532,20 +638,32 @@ impl<S: ManifestSource> Manifest<S> {
         self.extents.get(shard as usize).map_or(0, |ext| ext.n_keys)
     }
 
-    /// The one shard loader: streams one shard's keys from its recorded
-    /// extent through [`Manifest::read_keys`]' checks, keeping every
-    /// `stride`-th key (1 keeps them all, [`FENCE_EVERY`] keeps the fences);
-    /// then reads the blob, checks its spec, its own checksummed header and
-    /// the blob-vs-manifest key count, and parses the filter — zero-copy
-    /// over a shared word buffer for Grafite blobs, through the family codec
-    /// otherwise. Failures come back as [`FilterError::ShardLoad`] naming
-    /// the shard.
+    /// Bytes of one shard's filter blob and of its key record (directory
+    /// plus encoded blocks) in the image; `(0, 0)` for an out-of-range
+    /// index.
+    pub(crate) fn shard_bytes(&self, shard: u32) -> (usize, usize) {
+        self.extents.get(shard as usize).map_or((0, 0), |ext| {
+            let words = ext
+                .num_blocks()
+                .saturating_mul(2)
+                .saturating_add(ext.block_words);
+            (ext.blob_len, words.saturating_mul(8))
+        })
+    }
+
+    /// The one shard loader: streams one shard's key blocks through
+    /// [`Manifest::read_keys`]' checks — keeping every key when `keep_keys`,
+    /// only the verified block directory otherwise — then reads the blob,
+    /// checks its spec, its own checksummed header and the blob-vs-manifest
+    /// key count, and parses the filter — zero-copy over a shared word
+    /// buffer for Grafite blobs, through the family codec otherwise.
+    /// Failures come back as [`FilterError::ShardLoad`] naming the shard.
     pub(crate) fn load_shard(
         &self,
         shard: u32,
-        stride: usize,
-    ) -> Result<(Vec<u64>, DynRangeFilter), FilterError> {
-        self.load_shard_inner(shard, stride)
+        keep_keys: bool,
+    ) -> Result<(Vec<u64>, KeyDirectory, DynRangeFilter), FilterError> {
+        self.load_shard_inner(shard, keep_keys)
             .map_err(|e| FilterError::ShardLoad {
                 shard,
                 source: Box::new(e),
@@ -555,9 +673,10 @@ impl<S: ManifestSource> Manifest<S> {
     fn load_shard_inner(
         &self,
         shard: u32,
-        stride: usize,
-    ) -> Result<(Vec<u64>, DynRangeFilter), FilterError> {
-        let kept = self.read_keys(shard, stride)?;
+        keep_keys: bool,
+    ) -> Result<(Vec<u64>, KeyDirectory, DynRangeFilter), FilterError> {
+        let mut keys = Vec::new();
+        let directory = self.walk_keys(shard, &mut keys, keep_keys)?;
         let ext = self.extent(shard)?;
         let filter = self.load_filter(&self.source.bytes_at(ext.blob_start, ext.blob_len)?)?;
         if filter.num_keys() != ext.n_keys {
@@ -565,25 +684,40 @@ impl<S: ManifestSource> Manifest<S> {
                 "shard blob key count differs from manifest",
             ));
         }
-        Ok((kept, filter))
+        Ok((keys, directory, filter))
     }
 
-    /// Keys `range` of one shard (indices into its sorted keys), in one
-    /// positioned read and **unverified**: the keys checksum covers the
-    /// whole shard, so a partial read cannot check it. Only sampled
-    /// refutation reads keys this way.
+    /// Decodes key block `block` of one shard — keys `block · FENCE_EVERY`
+    /// onwards, at most [`FENCE_EVERY`] of them — located through
+    /// `directory`, the shard's verified resident copy, in one positioned
+    /// read and **unverified**: the keys checksum covers the whole shard,
+    /// so one block cannot check it. Only sampled refutation reads keys
+    /// this way. Damaged words fail typed or decode wrong keys, never
+    /// panic.
     pub(crate) fn key_block(
         &self,
         shard: u32,
-        range: Range<usize>,
+        directory: &KeyDirectory,
+        block: usize,
     ) -> Result<Vec<u64>, FilterError> {
         let ext = self.extent(shard)?;
-        if range.start > range.end || range.end > ext.n_keys {
-            return Err(FilterError::corrupt("key block outside the shard"));
-        }
-        let offset = (range.start as u64).saturating_mul(8);
-        self.source
-            .words_at(ext.keys_start.saturating_add(offset), range.len())
+        let (fence, (range, l)) = directory
+            .fences
+            .get(block)
+            .zip(directory.block(block, ext.block_words))
+            .ok_or(FilterError::corrupt("key block outside the shard"))?;
+        let len = ext
+            .n_keys
+            .saturating_sub(block.saturating_mul(FENCE_EVERY))
+            .min(FENCE_EVERY);
+        let words = self.source.words_at(
+            ext.blocks_start
+                .saturating_add((range.start as u64).saturating_mul(8)),
+            range.len(),
+        )?;
+        let mut keys = Vec::with_capacity(len);
+        ef_block::decode(&words, *fence, len, l, &mut keys).map_err(FilterError::from)?;
+        Ok(keys)
     }
 
     fn extent(&self, shard: u32) -> Result<ShardExtent, FilterError> {
@@ -593,43 +727,124 @@ impl<S: ManifestSource> Manifest<S> {
             .ok_or(FilterError::corrupt("shard index out of range"))
     }
 
-    /// Streams one shard's keys from the image in [`STREAM_WORDS`]-key
-    /// reads, so at most one chunk of them is in memory beyond what the
-    /// caller keeps, and returns every `stride`-th key (indices `0, stride,
-    /// 2·stride, …`; 1 returns them all). Verifies, in this order of
-    /// precedence: the keys checksum, strict ordering, and that every key
-    /// routes to `shard`. The shard load runs it once; `apply` and
-    /// `save_to` run it again on a mapped shard, with stride 1.
-    pub(crate) fn read_keys(&self, shard: u32, stride: usize) -> Result<Vec<u64>, FilterError> {
+    /// All of one shard's keys, decoded and verified as
+    /// [`Manifest::walk_keys`] describes. `apply` and `save_to` run it on a
+    /// mapped shard.
+    pub(crate) fn read_keys(&self, shard: u32) -> Result<Vec<u64>, FilterError> {
+        let mut keys = Vec::new();
+        self.walk_keys(shard, &mut keys, true)?;
+        Ok(keys)
+    }
+
+    /// Reads one shard's block directory, then streams its key blocks from
+    /// the image in reads of whole blocks up to [`STREAM_WORDS`] words, so
+    /// at most one read of them is in memory beyond the keys the caller
+    /// keeps, and decodes each into `keys` (which holds every key when
+    /// `keep`, at most one block otherwise). Verifies, in this order of
+    /// precedence: the keys checksum over the decoded keys — a directory or
+    /// block that does not decode fails it too — strict ordering, and that
+    /// every key routes to `shard`. Returns the verified directory.
+    fn walk_keys(
+        &self,
+        shard: u32,
+        keys: &mut Vec<u64>,
+        keep: bool,
+    ) -> Result<KeyDirectory, FilterError> {
         let ext = self.extent(shard)?;
-        let stride = stride.max(1);
-        let mut kept = Vec::with_capacity(ext.n_keys.div_ceil(stride));
+        let n_blocks = ext.num_blocks();
+        let raw = self
+            .source
+            .words_at(ext.directory_start, n_blocks.saturating_mul(2))?;
+        let directory = KeyDirectory {
+            fences: raw.iter().step_by(2).copied().collect(),
+            blocks: raw.iter().skip(1).step_by(2).copied().collect(),
+        };
+        if keep {
+            keys.reserve(ext.n_keys);
+        }
         let mut checksum = Checksum::default();
         let (mut ordered, mut routed) = (true, true);
         let mut prev: Option<u64> = None;
-        for start in (0..ext.n_keys).step_by(STREAM_WORDS) {
-            let n = ext.n_keys.saturating_sub(start).min(STREAM_WORDS);
-            let pos = ext
-                .keys_start
-                .saturating_add((start as u64).saturating_mul(8));
-            let bytes = self.source.bytes_at(pos, n.saturating_mul(8))?;
-            for (i, key) in bytes.chunks_exact(8).map(le_word).enumerate() {
-                checksum.update([key]);
-                if let Some(p) = prev {
-                    ordered &= p < key;
+        let routing = &self.routing;
+        let span = match routing {
+            Routing::Range { .. } => Some(routing.shard_span(shard as usize)),
+            Routing::Hash { .. } => None,
+        };
+        let mismatch = |checksum: &Checksum| FilterError::ChecksumMismatch {
+            expected: ext.keys_checksum,
+            actual: checksum.value(),
+        };
+        let mut words: Vec<u64> = Vec::new();
+        let mut block = 0usize;
+        while block < n_blocks {
+            // One read: this block and every following one that still
+            // ends within STREAM_WORDS of its start.
+            let (first, _) = directory
+                .block(block, ext.block_words)
+                .ok_or_else(|| mismatch(&checksum))?;
+            let mut end_block = block.saturating_add(1);
+            let mut read_end = first.end;
+            while let Some((next, _)) = directory.block(end_block, ext.block_words) {
+                if next.end - first.start > STREAM_WORDS {
+                    break;
                 }
-                routed &= self.routing.shard_of(key) == shard as usize;
-                if start.saturating_add(i) % stride == 0 {
-                    kept.push(key);
-                }
-                prev = Some(key);
+                read_end = next.end;
+                end_block = end_block.saturating_add(1);
             }
+            let bytes = self.source.bytes_at(
+                ext.blocks_start
+                    .saturating_add((first.start as u64).saturating_mul(8)),
+                (read_end - first.start).saturating_mul(8),
+            )?;
+            words.clear();
+            words.extend(bytes.chunks_exact(8).map(le_word));
+            for j in block..end_block {
+                let (range, l) = directory
+                    .block(j, ext.block_words)
+                    .ok_or_else(|| mismatch(&checksum))?;
+                let len = ext
+                    .n_keys
+                    .saturating_sub(j.saturating_mul(FENCE_EVERY))
+                    .min(FENCE_EVERY);
+                if !keep {
+                    keys.clear();
+                }
+                let from = keys.len();
+                let fence = directory.fences.get(j).copied().unwrap_or_default();
+                words
+                    .get(range.start - first.start..range.end - first.start)
+                    .ok_or_else(|| mismatch(&checksum))
+                    .and_then(|w| {
+                        ef_block::decode(w, fence, len, l, keys).map_err(|_| mismatch(&checksum))
+                    })?;
+                let decoded = keys.get(from..).unwrap_or_default();
+                checksum.update(decoded.iter().copied());
+                ordered &= match (prev, decoded.first()) {
+                    (Some(p), Some(&k)) => p < k,
+                    _ => true,
+                } && decoded.windows(2).all(|w| matches!(w, [a, b] if a < b));
+                routed &= match span {
+                    Some((lo, hi)) => decoded.iter().all(|&k| lo <= k && k <= hi),
+                    None => decoded
+                        .iter()
+                        .all(|&k| routing.shard_of(k) == shard as usize),
+                };
+                prev = decoded.last().copied().or(prev);
+            }
+            block = end_block;
+        }
+        // Each block decoded from exactly its canonical words, so the
+        // layout is canonical once the first block starts at word 0 (the
+        // last one ends at `block_words` by construction).
+        if directory
+            .blocks
+            .first()
+            .map_or(ext.block_words != 0, |&b| b >> 8 != 0)
+        {
+            return Err(mismatch(&checksum));
         }
         if checksum.value() != ext.keys_checksum {
-            return Err(FilterError::ChecksumMismatch {
-                expected: ext.keys_checksum,
-                actual: checksum.value(),
-            });
+            return Err(mismatch(&checksum));
         }
         if !ordered {
             return Err(FilterError::corrupt("shard keys not strictly increasing"));
@@ -639,7 +854,10 @@ impl<S: ManifestSource> Manifest<S> {
                 "shard key routes to a different shard",
             ));
         }
-        Ok(kept)
+        if !keep {
+            keys.clear();
+        }
+        Ok(directory)
     }
 
     /// Parses one shard blob, taking the zero-copy mapped path for Grafite

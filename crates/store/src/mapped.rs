@@ -4,12 +4,13 @@
 //! multi-gigabyte store cold-starts in milliseconds. Shards materialize on
 //! first touch through the same reader's shard loader and fail open (see
 //! the [validation model](crate::manifest#validation-model)). A
-//! materialized shard holds its filter and one key in
-//! [`FENCE_EVERY`](crate::manifest::FENCE_EVERY) as fences; its other keys
-//! are read from the file again only when `apply` or `save_to` needs them
-//! all, or when the server's sampled refutation reads one block between
-//! two fences. Fences cost 64/256 = 0.25 bits per key, where resident
-//! keys would cost 64.
+//! materialized shard holds its filter and its block directory — the
+//! fence (first key) of every block of
+//! [`FENCE_EVERY`](crate::manifest::FENCE_EVERY) keys, plus the block's
+//! offset and low-bit width; its keys are read from the file again only
+//! when `apply` or `save_to` needs them all, or when the server's sampled
+//! refutation decodes one block. The directory costs 128/256 = 0.5 bits
+//! per key, where resident keys would cost 64.
 //!
 //! This crate forbids `unsafe`, so "mapped" means demand-paged through
 //! ordinary positioned reads rather than a raw `mmap(2)`: the operating
@@ -34,7 +35,7 @@ use grafite_core::{FilterError, PersistentFilter, RangeFilter};
 use grafite_succinct::io::{WordSource, WordWriter};
 
 use crate::family::{DynRangeFilter, FamilySpec};
-use crate::manifest::{self, Manifest, ManifestSource, Verify, FENCE_EVERY};
+use crate::manifest::{self, Manifest, ManifestSource, Verify};
 use crate::stats::StoreStats;
 use crate::store::{LoadedShard, ShardKeys};
 
@@ -122,17 +123,27 @@ impl ShardSource {
         }
     }
 
-    /// Materializes the shard with only its fences resident, failing
-    /// open: on any load error the shard
+    /// Keys the manifest records for this shard.
+    pub(crate) fn key_count(&self) -> usize {
+        self.manifest.shard_key_count(self.index)
+    }
+
+    /// Bytes of this shard's filter blob and key record in the file.
+    pub(crate) fn shard_bytes(&self) -> (usize, usize) {
+        self.manifest.shard_bytes(self.index)
+    }
+
+    /// Materializes the shard with only its block directory resident,
+    /// failing open: on any load error the shard
     /// becomes a pass-all placeholder (no false negatives, every query on
     /// it answers `true`), the error is retained on the shard, and the
     /// store's stats record it.
     pub(crate) fn materialize(&self) -> LoadedShard {
         self.stats.record_lazy_load();
-        match self.manifest.load_shard(self.index, FENCE_EVERY) {
-            Ok((fences, filter)) => LoadedShard {
+        match self.manifest.load_shard(self.index, false) {
+            Ok((_, directory, filter)) => LoadedShard {
                 keys: ShardKeys::OnDisk {
-                    fences,
+                    directory,
                     manifest: Arc::clone(&self.manifest),
                     index: self.index,
                 },

@@ -29,7 +29,7 @@ use grafite_core::registry::Registry;
 use grafite_core::{sort, FilterConfig, FilterError, Parallelism, RangeFilter, DEFAULT_SEED};
 
 use crate::family::{DynRangeFilter, FamilySpec};
-use crate::manifest::{self, Verify, FENCE_EVERY};
+use crate::manifest::{self, KeyDirectory, Verify, MANIFEST_HEADER_WORDS, SHARD_FRAMING_WORDS};
 use crate::mapped::{self, MappedManifest, ShardSource};
 use crate::stats::StoreStats;
 
@@ -284,10 +284,10 @@ pub(crate) enum ShardKeys {
     /// Every key in memory: built, eagerly opened and `apply`-rebuilt
     /// shards (and degraded shards, which hold none).
     Resident(Vec<u64>),
-    /// A mapped shard: the keys stay in the manifest file, and only its
-    /// fences — every [`FENCE_EVERY`]-th key — are resident.
+    /// A mapped shard: the keys stay in the manifest file as blocked
+    /// Elias–Fano, and only the verified block directory is resident.
     OnDisk {
-        fences: Vec<u64>,
+        directory: KeyDirectory,
         manifest: Arc<MappedManifest>,
         index: u32,
     },
@@ -303,11 +303,11 @@ impl ShardKeys {
         }
     }
 
-    /// Keys held in memory: all of them, or the fences.
-    fn resident_len(&self) -> usize {
+    /// Bytes of keys held in memory: all of them, or the block directory.
+    fn resident_bytes(&self) -> usize {
         match self {
-            ShardKeys::Resident(keys) => keys.len(),
-            ShardKeys::OnDisk { fences, .. } => fences.len(),
+            ShardKeys::Resident(keys) => keys.len() * 8,
+            ShardKeys::OnDisk { directory, .. } => directory.bytes(),
         }
     }
 
@@ -316,13 +316,13 @@ impl ShardKeys {
         match self {
             ShardKeys::Resident(keys) => Ok(first_at_least_a(keys).is_some_and(|k| k <= b)),
             ShardKeys::OnDisk {
-                fences,
+                directory,
                 manifest,
                 index,
             } => {
-                // Fence `j` is key `j·FENCE_EVERY`. The first key ≥ `a` is
-                // either fence `j` (the first fence ≥ `a`) or sits among the
-                // keys strictly between fences `j − 1` and `j`.
+                // The first key ≥ `a` is either fence `j` (the first fence
+                // ≥ `a`) or sits in block `j − 1`, after its fence.
+                let fences = &directory.fences;
                 let j = fences.partition_point(|&f| f < a);
                 if fences.get(j).is_some_and(|&f| f <= b) {
                     return Ok(true);
@@ -330,9 +330,7 @@ impl ShardKeys {
                 let Some(block) = j.checked_sub(1) else {
                     return Ok(false);
                 };
-                let from = block * FENCE_EVERY + 1;
-                let to = (from + FENCE_EVERY - 1).min(manifest.shard_key_count(*index));
-                let keys = manifest.key_block(*index, from.min(to)..to)?;
+                let keys = manifest.key_block(*index, directory, block)?;
                 Ok(first_at_least_a(&keys).is_some_and(|k| k <= b))
             }
         }
@@ -343,16 +341,57 @@ impl ShardKeys {
             ShardKeys::Resident(keys) => Ok(Cow::Borrowed(keys)),
             ShardKeys::OnDisk {
                 manifest, index, ..
-            } => manifest.read_keys(*index, 1).map(Cow::Owned),
+            } => manifest.read_keys(*index).map(Cow::Owned),
+        }
+    }
+}
+
+/// A store's footprint by layer, in bytes: what [`FilterStore::space`]
+/// reports and the server's `STATS` export carries. For a freshly opened
+/// mapped store, `filter_bytes + keys_on_disk_bytes + framing_bytes` is
+/// the manifest file's length.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StoreSpace {
+    /// Keys the store holds (a mapped shard's count comes from its
+    /// manifest, so nothing materializes).
+    pub num_keys: usize,
+    /// Filter blobs, headers included: a mapped shard's as its manifest
+    /// stores it, any other shard's as it would serialize.
+    pub filter_bytes: usize,
+    /// Retained keys held in memory: 8 bytes per key of a built, eagerly
+    /// opened or rebuilt shard; the block directory of a materialized
+    /// mapped shard (16 bytes per block of
+    /// [`FENCE_EVERY`](crate::manifest::FENCE_EVERY) keys); nothing for an
+    /// unmaterialized one.
+    pub keys_resident_bytes: usize,
+    /// Key records (block directory plus encoded blocks) that mapped shards
+    /// keep in their manifest file; 0 for shards whose keys are resident.
+    pub keys_on_disk_bytes: usize,
+    /// The rest of a manifest of this store: the header, the metadata
+    /// checksum, the routing table, the tuning sample, and per shard its
+    /// framing words and blob padding.
+    pub framing_bytes: usize,
+}
+
+impl std::ops::Add for StoreSpace {
+    type Output = Self;
+
+    fn add(self, rhs: Self) -> Self {
+        Self {
+            num_keys: self.num_keys + rhs.num_keys,
+            filter_bytes: self.filter_bytes + rhs.filter_bytes,
+            keys_resident_bytes: self.keys_resident_bytes + rhs.keys_resident_bytes,
+            keys_on_disk_bytes: self.keys_on_disk_bytes + rhs.keys_on_disk_bytes,
+            framing_bytes: self.framing_bytes + rhs.framing_bytes,
         }
     }
 }
 
 /// One shard of the store. Eagerly built shards hold their keys and filter
 /// from construction; shards of a mapped store ([`FilterStore::open_mapped`])
-/// hold only a lazy source and materialize — read their blob, and verify
-/// their keys while keeping only the fences — from the manifest file on
-/// first touch, memoized thereafter.
+/// hold only a lazy source and materialize — read their blob, and decode
+/// and verify their keys while keeping only the block directory — from the
+/// manifest file on first touch, memoized thereafter.
 pub struct Shard {
     cell: OnceLock<LoadedShard>,
     source: Option<ShardSource>,
@@ -428,30 +467,57 @@ impl Shard {
 
     /// Whether the shard holds a key in `[a, b]`, exactly (materializes
     /// the shard). Resident keys answer by binary search. A mapped shard
-    /// searches its fences and then makes at most one positioned read of
-    /// the up to 255 keys between two fences; that read is not verified
-    /// against the keys checksum (see the
-    /// [validation model](crate::manifest#validation-model)), and a failed
+    /// searches the fences of its resident block directory, then makes at
+    /// most one positioned read and decodes one block of at most
+    /// [`FENCE_EVERY`](crate::manifest::FENCE_EVERY) keys. That block is
+    /// not verified against the keys checksum (see the
+    /// [validation model](crate::manifest#validation-model)): damaged
+    /// bytes return an error or a wrong answer, never a panic, and a failed
     /// read is an error.
     pub fn holds_key(&self, a: u64, b: u64) -> Result<bool, FilterError> {
         self.loaded().keys.holds_key(a, b)
     }
 
     /// The shard's sorted, deduplicated keys (materializes the shard).
-    /// Resident keys are borrowed. A mapped shard re-reads them from its
-    /// manifest file and re-verifies them — checksum, ordering, routing —
-    /// so a file damaged since the shard loaded fails typed here.
+    /// Resident keys are borrowed. A mapped shard re-reads and decodes
+    /// them from its manifest file and re-verifies them — checksum,
+    /// ordering, routing — so a file damaged since the shard loaded fails
+    /// typed here.
     pub fn read_keys(&self) -> Result<Cow<'_, [u64]>, FilterError> {
         self.loaded().keys.read()
     }
 
     /// Bytes of keys this shard holds in memory — all its keys, or a
-    /// mapped shard's fences; 0 while a lazy shard is unmaterialized (does
-    /// not materialize it).
+    /// mapped shard's block directory; 0 while a lazy shard is
+    /// unmaterialized (does not materialize it).
     pub fn resident_key_bytes(&self) -> usize {
         self.cell
             .get()
-            .map_or(0, |loaded| loaded.keys.resident_len() * 8)
+            .map_or(0, |loaded| loaded.keys.resident_bytes())
+    }
+
+    /// This shard's bytes by layer (see [`StoreSpace`]; the store-wide
+    /// header, routing and sample are not counted here). Does not
+    /// materialize a lazy shard.
+    fn space(&self) -> StoreSpace {
+        let (num_keys, filter_bytes, keys_on_disk_bytes) = match &self.source {
+            Some(source) => {
+                let (blob, keys) = source.shard_bytes();
+                (source.key_count(), blob, keys)
+            }
+            None => {
+                let loaded = self.loaded();
+                (loaded.keys.len(), loaded.filter.serialized_bits() / 8, 0)
+            }
+        };
+        StoreSpace {
+            num_keys,
+            filter_bytes,
+            keys_resident_bytes: self.resident_key_bytes(),
+            keys_on_disk_bytes,
+            framing_bytes: SHARD_FRAMING_WORDS * 8 + filter_bytes.next_multiple_of(8)
+                - filter_bytes,
+        }
     }
 
     /// The filter serving this shard (materializes the shard).
@@ -946,8 +1012,8 @@ impl FilterStore {
         let manifest = manifest::scan(registry, bytes, Verify::WholeBody)?;
         let shards = (0..manifest.num_shards())
             .map(|i| {
-                let (keys, filter) =
-                    manifest.load_shard(u32::try_from(i).unwrap_or(u32::MAX), 1)?;
+                let (keys, _, filter) =
+                    manifest.load_shard(u32::try_from(i).unwrap_or(u32::MAX), true)?;
                 Ok(Arc::new(Shard::eager(keys, filter)))
             })
             .collect::<Result<_, FilterError>>()?;
@@ -1052,6 +1118,27 @@ impl FilterStore {
     /// Total distinct keys in the current snapshot.
     pub fn num_keys(&self) -> usize {
         self.snapshot().num_keys()
+    }
+
+    /// The current snapshot's footprint by layer (see [`StoreSpace`]).
+    /// Materializes no lazy shard.
+    pub fn space(&self) -> StoreSpace {
+        let snap = self.snapshot();
+        let routing_words = match snap.routing() {
+            Routing::Range { starts } => starts.len(),
+            Routing::Hash { .. } => 0,
+        };
+        // Header, metadata checksum, routing, then the sample's length
+        // word and pairs.
+        let head_words =
+            MANIFEST_HEADER_WORDS + 1 + routing_words + 1 + 2 * self.config().sample.len();
+        snap.shards().iter().map(|s| s.space()).fold(
+            StoreSpace {
+                framing_bytes: head_words * 8,
+                ..StoreSpace::default()
+            },
+            |acc, shard| acc + shard,
+        )
     }
 }
 

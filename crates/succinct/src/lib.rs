@@ -15,6 +15,9 @@
 //!   algorithm on, plus an [`EfCursor`] that resolves sorted batches of
 //!   predecessor probes with monotone state (benchmarked, used by no
 //!   filter).
+//! * [`ef_block`] — blocked Elias–Fano: a short run of keys encoded as
+//!   Elias–Fano offsets from its first key, decoded whole (the store
+//!   manifest's retained-key records).
 //! * [`GolombRiceSeq`] — a block-compressed monotone sequence with Golomb–Rice
 //!   coded gaps, used as the compressed bit array of our SNARF reproduction.
 //!
@@ -40,6 +43,7 @@
 
 pub mod bitvec;
 pub mod broadword;
+pub mod ef_block;
 pub mod elias_fano;
 pub mod golomb;
 pub mod intvec;

@@ -27,6 +27,7 @@ pub const UNTRUSTED_FILES: &[&str] = &[
 pub const UNTRUSTED_FNS: &[&str] = &[
     "read_from",
     "read_payload",
+    "decode",
     "decode_payload",
     "deserialize",
     "view",

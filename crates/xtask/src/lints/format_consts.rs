@@ -3,11 +3,13 @@
 //! The persistence contract lives in three places that can drift apart:
 //! the constants in `crates/core/src/persist.rs` (`FORMAT_VERSION`, the
 //! `spec_id` table), the store manifest codec (`STORE_FORMAT_VERSION`), and
-//! the committed golden blobs under `tests/golden/v{FORMAT_VERSION}/`. This
-//! lint re-derives each side *statically* — the constants lexically from
-//! source, the blob headers from their first 16 bytes — and cross-checks
-//! them, so that bumping `FORMAT_VERSION` without regenerating the golden
-//! set fails before any test runs.
+//! the committed golden blobs under `tests/golden/v{FORMAT_VERSION}/` and
+//! the golden store manifest under
+//! `tests/golden/store_v{STORE_FORMAT_VERSION}/`. This lint re-derives each
+//! side *statically* — the constants lexically from source, the blob and
+//! manifest headers from their first 16 bytes — and cross-checks them, so
+//! that bumping either version without committing its golden set fails
+//! before any test runs.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -17,6 +19,13 @@ use crate::scan::SourceFile;
 
 /// The blob magic, kept in sync with `grafite_core::persist::MAGIC`.
 const BLOB_MAGIC: [u8; 8] = *b"GRAFILT\0";
+
+/// The store manifest magic, kept in sync with
+/// `grafite_store::manifest::STORE_MAGIC`.
+const STORE_MAGIC: [u8; 8] = *b"GRAFSHRD";
+
+/// The golden store manifest's file name inside `tests/golden/store_v{N}/`.
+const STORE_GOLDEN_FILE: &str = "store.bin";
 
 /// Spec ids every golden set must cover: the paper's eleven-way registry.
 const REQUIRED_SPEC_IDS: std::ops::RangeInclusive<u32> = 1..=11;
@@ -99,8 +108,10 @@ fn parse_manifest(text: &str) -> Vec<ManifestEntry> {
         .collect()
 }
 
-/// The `(spec_id, version)` pair from a blob's second header word.
-fn read_blob_head(path: &Path) -> Result<(u32, u32), String> {
+/// The `(low, high)` halves of the second header word of a file whose
+/// first word must be `magic`: a blob's or a store manifest's spec id and
+/// format version.
+fn read_head(path: &Path, magic: &[u8; 8]) -> Result<(u32, u32), String> {
     let bytes = std::fs::read(path).map_err(|e| format!("unreadable: {e}"))?;
     let Some(head) = bytes.get(..16) else {
         return Err(format!(
@@ -108,8 +119,11 @@ fn read_blob_head(path: &Path) -> Result<(u32, u32), String> {
             bytes.len()
         ));
     };
-    if head[..8] != BLOB_MAGIC {
-        return Err("magic is not GRAFILT".into());
+    if head[..8] != magic[..] {
+        return Err(format!(
+            "magic is not {}",
+            String::from_utf8_lossy(magic).trim_end_matches('\0')
+        ));
     }
     let word1 = head
         .get(8..16)
@@ -165,7 +179,7 @@ fn check_golden_dir(
             );
         }
         let blob_rel = format!("{rel_dir}/{}.bin", entry.name);
-        match read_blob_head(&root.join(&blob_rel)) {
+        match read_head(&root.join(&blob_rel), &BLOB_MAGIC) {
             Err(why) => sink.emit_unconditional(blob_rel, "L3", 1, format!("golden blob {why}")),
             Ok((spec, version)) => {
                 if spec != entry.id {
@@ -202,6 +216,34 @@ fn check_golden_dir(
                 format!("registry spec id {id} has no golden blob in this set"),
             );
         }
+    }
+}
+
+/// The golden store manifest for `store_version` must exist and carry
+/// exactly that version in its header.
+fn check_store_golden(root: &Path, store_version: u32, sink: &mut Sink) {
+    let rel = format!("tests/golden/store_v{store_version}/{STORE_GOLDEN_FILE}");
+    match read_head(&root.join(&rel), &STORE_MAGIC) {
+        Err(why) => sink.emit_unconditional(
+            rel,
+            "L3",
+            1,
+            format!(
+                "golden store manifest {why}: a STORE_FORMAT_VERSION bump requires committing \
+                 this golden (cargo test --test format_golden -- --ignored \
+                 regenerate_store_golden)"
+            ),
+        ),
+        Ok((_, version)) if version != store_version => sink.emit_unconditional(
+            rel,
+            "L3",
+            1,
+            format!(
+                "header store format version {version} differs from STORE_FORMAT_VERSION \
+                 {store_version} — regenerate the store golden"
+            ),
+        ),
+        Ok(_) => {}
     }
 }
 
@@ -271,7 +313,7 @@ pub fn check(root: &Path, sink: &mut Sink) {
                     1,
                     "STORE_FORMAT_VERSION must be ≥ 1".into(),
                 ),
-                Some(_) => {}
+                Some(version) => check_store_golden(root, version, sink),
             }
         }
     }
@@ -306,6 +348,36 @@ mod tests {
     }
 
     #[test]
+    fn store_golden_must_exist_and_match_the_version() {
+        let dir = std::env::temp_dir().join(format!("xtask_l3_store_{}", std::process::id()));
+        let golden = dir.join("tests/golden/store_v3");
+        std::fs::create_dir_all(&golden).unwrap();
+        let count = |version: u32| {
+            let mut sink = Sink::default();
+            check_store_golden(&dir, version, &mut sink);
+            sink.findings.len()
+        };
+        // A bump to 4 with no `store_v4/` set fails; so does a missing file.
+        assert_eq!(count(4), 1);
+        assert_eq!(count(3), 1);
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&STORE_MAGIC);
+        bytes.extend_from_slice(&((1u64) | (3u64 << 32)).to_le_bytes());
+        std::fs::write(golden.join(STORE_GOLDEN_FILE), &bytes).unwrap();
+        assert_eq!(count(3), 0);
+        // A golden stamped with another version fails.
+        bytes[12] = 2;
+        std::fs::write(golden.join(STORE_GOLDEN_FILE), &bytes).unwrap();
+        assert_eq!(count(3), 1);
+        // A filter blob is not a store manifest.
+        bytes[..8].copy_from_slice(&BLOB_MAGIC);
+        bytes[12] = 3;
+        std::fs::write(golden.join(STORE_GOLDEN_FILE), &bytes).unwrap();
+        assert_eq!(count(3), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn blob_head_decodes_spec_and_version() {
         let dir = std::env::temp_dir().join("xtask_l3_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -314,6 +386,6 @@ mod tests {
         bytes.extend_from_slice(&BLOB_MAGIC);
         bytes.extend_from_slice(&((7u64) | (2u64 << 32)).to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(read_blob_head(&path), Ok((7, 2)));
+        assert_eq!(read_head(&path, &BLOB_MAGIC), Ok((7, 2)));
     }
 }

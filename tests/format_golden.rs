@@ -12,6 +12,18 @@
 //! ```text
 //! cargo test --test format_golden -- --ignored regenerate_golden_files
 //! ```
+//!
+//! The store manifest has its own golden: one small multi-shard manifest
+//! under `tests/golden/store_v{STORE_FORMAT_VERSION}/`, which must re-open,
+//! re-serialize byte-identically and answer as recorded
+//! (`tests/mapped_store.rs` re-stamps it with other versions and checks
+//! both opens refuse it). After an intentional
+//! manifest change (bump `grafite_store::STORE_FORMAT_VERSION` first),
+//! regenerate it with:
+//!
+//! ```text
+//! cargo test --test format_golden -- --ignored regenerate_store_golden
+//! ```
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -323,4 +335,121 @@ fn v1_blobs_are_refused_on_every_load_path() {
         MappedGrafiteFilter::open_mapped(&source).err().unwrap(),
     );
     refused("Header::peek", Header::peek(&blob).err().unwrap());
+}
+
+/// The current store-manifest golden set.
+fn store_golden_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!(
+        "tests/golden/store_v{}",
+        grafite_store::STORE_FORMAT_VERSION
+    ))
+}
+
+/// 1200 deterministic keys in three range shards of about 400: every shard
+/// holds a full key block and a short one.
+fn store_golden_keys() -> Vec<u64> {
+    golden_keys_n(1200).into_iter().map(|k| k >> 8).collect()
+}
+
+fn golden_keys_n(n: usize) -> Vec<u64> {
+    let mut state = 0x5707E_u64 ^ 0x9E3779B97F4A7C15;
+    (0..n)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state
+        })
+        .collect()
+}
+
+fn store_golden_config(threads: usize) -> grafite_store::StoreConfig {
+    use grafite_store::{FamilySpec, Partitioning, StoreConfig};
+    StoreConfig::new(FamilySpec::Registry(FilterSpec::Grafite))
+        .bits_per_key(16.0)
+        .max_range(64)
+        .seed(0x601D)
+        .sample((0..4u64).map(|i| (i << 50, (i << 50) + 63)).collect())
+        .partitioning(Partitioning::Range { shards: 3 })
+        .parallelism(grafite_core::Parallelism::fixed(threads))
+}
+
+/// FNV-1a over the store's answers on the golden probes.
+fn store_fingerprint(store: &grafite_store::FilterStore) -> u64 {
+    let mut answers = Vec::new();
+    store.query_ranges(&golden_probes(&store_golden_keys()), &mut answers);
+    fingerprint(answers)
+}
+
+/// Writes the store golden (`store.bin`) and its answer fingerprint
+/// (`answers.txt`) under `tests/golden/store_v{N}/`. `#[ignore]`d: run
+/// explicitly (see module docs) only when the manifest format
+/// intentionally changes.
+#[test]
+#[ignore = "regenerates the committed store golden; run explicitly on intentional manifest changes"]
+fn regenerate_store_golden() {
+    let dir = store_golden_dir();
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = grafite_store::FilterStore::build(
+        &standard_registry(),
+        store_golden_config(1),
+        &store_golden_keys(),
+    )
+    .unwrap();
+    std::fs::write(dir.join("store.bin"), store.to_bytes()).unwrap();
+    std::fs::write(
+        dir.join("answers.txt"),
+        format!("{:#018x}\n", store_fingerprint(&store)),
+    )
+    .unwrap();
+}
+
+/// The committed store golden opens eagerly and lazily, answers exactly as
+/// recorded, and re-serializes byte-identically; serial and parallel
+/// builds of its keys write it byte for byte.
+#[test]
+fn committed_store_golden_reserializes_and_answers_identically() {
+    use grafite_store::FilterStore;
+
+    let dir = store_golden_dir();
+    let path = dir.join("store.bin");
+    let golden = std::fs::read(&path).unwrap_or_else(|e| {
+        panic!(
+            "{} missing — run regenerate_store_golden: {e}",
+            path.display()
+        )
+    });
+    let text = std::fs::read_to_string(dir.join("answers.txt")).unwrap();
+    let want = u64::from_str_radix(text.trim().trim_start_matches("0x"), 16).unwrap();
+    let registry = standard_registry();
+
+    let eager = FilterStore::open(&registry, &golden).unwrap();
+    let mapped = FilterStore::open_mapped(&registry, &path).unwrap();
+    for (what, store) in [("open", &eager), ("open_mapped", &mapped)] {
+        assert_eq!(
+            store_fingerprint(store),
+            want,
+            "{what}: store golden answers drifted — if the manifest format changed \
+             intentionally, bump STORE_FORMAT_VERSION and regenerate"
+        );
+        for &k in &store_golden_keys() {
+            assert!(store.may_contain(k), "{what}: store golden lost key {k}");
+        }
+        assert!(
+            store.to_bytes() == golden,
+            "{what}: re-serialization differs from the golden"
+        );
+    }
+    for threads in [1, 4] {
+        let built = FilterStore::build(
+            &registry,
+            store_golden_config(threads),
+            &store_golden_keys(),
+        )
+        .unwrap();
+        assert!(
+            built.to_bytes() == golden,
+            "a {threads}-thread build writes a different manifest"
+        );
+    }
 }

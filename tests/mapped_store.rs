@@ -13,6 +13,13 @@
 //!   fails typed at `open_mapped` or degrades the damaged shard to a
 //!   fail-open placeholder — present keys still answer `true`, the load
 //!   error is retained, and `save_to`/`apply` refuse the degraded store.
+//!   Every byte of one shard's blocked Elias–Fano key record, flipped in
+//!   turn, degrades exactly that shard; damage after open fails the calls
+//!   that re-read keys with `ChecksumMismatch`.
+//! * Manifests of any other store format version — v2 included — are
+//!   refused typed by both opens.
+//! * `FilterStore::space` adds up: a mapped store's filter, key-record and
+//!   framing bytes are its manifest's length.
 //! * Both opens share one reader: a registry without the family's loader
 //!   fails both with `Unregistered`, and shard damage that only the
 //!   per-shard checks can see (manifest checksums re-forged) fails the
@@ -25,6 +32,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use grafite::grafite_core::persist::checksum_words;
+use grafite::grafite_store::STORE_FORMAT_VERSION;
 use grafite::{
     standard_registry, FamilySpec, FilterError, FilterStore, Partitioning, Registry, StoreConfig,
     Update,
@@ -459,9 +467,19 @@ fn word_at(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
 }
 
-/// An independent walk of the manifest layout: the byte range of every
-/// shard blob, and the framing words the metadata checksum covers.
-fn manifest_layout(bytes: &[u8]) -> (Vec<Range<usize>>, Vec<u64>) {
+/// Where one shard's records sit in a manifest, in bytes.
+struct ShardLayout {
+    /// The key record: block directory, then the encoded key blocks.
+    keys: Range<usize>,
+    /// The encoded key blocks alone.
+    blocks: Range<usize>,
+    /// The filter blob (unpadded).
+    blob: Range<usize>,
+}
+
+/// An independent walk of the manifest layout: every shard's key record
+/// and blob, and the framing words the metadata checksum covers.
+fn manifest_layout(bytes: &[u8]) -> (Vec<ShardLayout>, Vec<u64>) {
     let mut framing: Vec<u64> = (1..9).map(|w| word_at(bytes, 8 * w)).collect();
     let n_shards = word_at(bytes, 24) as usize;
     let mut at = 88; // the ten header words, then the metadata checksum
@@ -473,18 +491,22 @@ fn manifest_layout(bytes: &[u8]) -> (Vec<Range<usize>>, Vec<u64>) {
     let sample_words = 2 * word_at(bytes, at) as usize;
     framing.extend((0..=sample_words).map(|w| word_at(bytes, at + 8 * w)));
     at += 8 * (1 + sample_words);
-    let mut blobs = Vec::new();
+    let mut shards = Vec::new();
     for _ in 0..n_shards {
-        let n_keys = word_at(bytes, at) as usize;
-        let keys_checksum = word_at(bytes, at + 8 + 8 * n_keys);
-        at += 16 + 8 * n_keys;
-        let blob_len = word_at(bytes, at) as usize;
-        at += 8;
-        framing.extend([n_keys as u64, keys_checksum, blob_len as u64]);
-        blobs.push(at..at + blob_len);
-        at += blob_len.div_ceil(8) * 8;
+        // Key count, keys checksum, key-block words, blob length.
+        let record: Vec<u64> = (0..4).map(|w| word_at(bytes, at + 8 * w)).collect();
+        framing.extend(&record);
+        at += 32;
+        let directory = 16 * (record[0] as usize).div_ceil(256);
+        let keys = at..at + directory + 8 * record[2] as usize;
+        let blocks = at + directory..keys.end;
+        at = keys.end;
+        let blob = at..at + record[3] as usize;
+        at += blob.len().div_ceil(8) * 8;
+        shards.push(ShardLayout { keys, blocks, blob });
     }
-    (blobs, framing)
+    assert_eq!(at, bytes.len(), "the layout walk missed bytes");
+    (shards, framing)
 }
 
 /// Recomputes the metadata checksum (body word 0) and the whole-body
@@ -521,8 +543,8 @@ fn shard_damage_under_reforged_checksums_is_caught_per_shard() {
         reforge_checksums(&mut reforged);
         assert_eq!(reforged, bytes, "the test-side layout walk is wrong");
 
-        let (blobs, _) = manifest_layout(&bytes);
-        for (target, blob) in blobs.iter().enumerate() {
+        let (shards, _) = manifest_layout(&bytes);
+        for (target, ShardLayout { blob, .. }) in shards.iter().enumerate() {
             let mut bad = bytes.clone();
             bad[blob.start + blob.len() / 2] ^= 0x5A;
             reforge_checksums(&mut bad);
@@ -566,10 +588,12 @@ fn shard_damage_under_reforged_checksums_is_caught_per_shard() {
 }
 
 /// Damage to the file after `open_mapped` and warm-up. Queries answer as
-/// before: the filters are in memory. `apply` to the damaged shard and
-/// `save_to` re-read its keys, fail `ChecksumMismatch`, and leave the
-/// version unchanged, while other shards keep accepting updates. Before
-/// the damage, the warmed store writes back exactly its file.
+/// before: the filters are in memory. `holds_key` on the damaged block
+/// answers or fails typed, never panics. `read_keys`, and `apply` to the
+/// damaged shard and `save_to`, which re-read its keys, fail
+/// `ChecksumMismatch` and leave the version unchanged, while other shards
+/// keep accepting updates. Before the damage, the warmed store writes back
+/// exactly its file.
 #[test]
 fn key_damage_after_open_fails_typed_where_keys_are_read() {
     use std::io::{Seek, SeekFrom, Write};
@@ -597,16 +621,40 @@ fn key_damage_after_open_fails_typed_where_keys_are_read() {
         "warmed store re-serializes differently"
     );
 
-    // Flip a byte of shard 1's key 300 in the file.
-    let (blobs, _) = manifest_layout(&bytes);
+    // Flip a byte in the middle of shard 1's encoded key blocks in the
+    // file. The walk is right if the block directory opens with the
+    // shard's first key, and block 1's fence is its key 256.
+    let (layout, _) = manifest_layout(&bytes);
     let shard_keys = snap.shards()[1].read_keys().unwrap().into_owned();
-    let at = blobs[1].start - 16 - 8 * (shard_keys.len() - 300);
-    assert_eq!(word_at(&bytes, at), shard_keys[300], "key offset is wrong");
+    assert!(shard_keys.len() > 2 * 256);
+    let directory = layout[1].keys.start;
+    assert_eq!(
+        word_at(&bytes, directory),
+        shard_keys[0],
+        "directory offset is wrong"
+    );
+    assert_eq!(word_at(&bytes, directory + 16), shard_keys[256]);
+    let blocks = &layout[1].blocks;
+    let at = blocks.start + blocks.len() / 2;
     let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
     file.seek(SeekFrom::Start(at as u64)).unwrap();
     file.write_all(&[bytes[at] ^ 0x5A]).unwrap();
     drop(file);
 
+    // Sampled refutation reads the damaged block unverified: an error or
+    // an answer, never a panic.
+    for &k in shard_keys.iter().step_by(7) {
+        for (a, b) in [(k, k), (k + 1, k + 1), (k.saturating_sub(3), k + 3)] {
+            let _ = snap.shards()[1].holds_key(a, b);
+        }
+    }
+    assert!(
+        matches!(
+            snap.shards()[1].read_keys(),
+            Err(FilterError::ChecksumMismatch { .. })
+        ),
+        "read_keys returned damaged keys"
+    );
     let mut after = Vec::new();
     snap.query_ranges(&queries, &mut after);
     assert_eq!(after, before, "file damage changed an answer");
@@ -636,4 +684,151 @@ fn key_damage_after_open_fails_typed_where_keys_are_read() {
         .unwrap();
     assert_eq!(report.version, version + 1);
     let _ = std::fs::remove_file(&path);
+}
+
+/// Every byte of one shard's key record — block directory and encoded
+/// key blocks — flipped in turn. The metadata checksum does not cover
+/// those bytes, so `open_mapped` succeeds; that shard, and only it,
+/// degrades to pass-all when it loads, with a `ChecksumMismatch` inside its
+/// `ShardLoad`, and no key answers `false`.
+#[test]
+fn every_key_record_flip_degrades_only_its_shard() {
+    let registry = standard_registry();
+    let keys = dataset(900, 0xB10C);
+    let config = store_config(
+        FamilySpec::Registry(grafite::FilterSpec::Grafite),
+        Vec::new(),
+        Partitioning::Range { shards: 3 },
+    );
+    let bytes = FilterStore::build(&registry, config, &keys)
+        .unwrap()
+        .to_bytes();
+    let (layout, _) = manifest_layout(&bytes);
+    let target = 1;
+    let record = layout[target].keys.clone();
+    assert!(
+        record.len() > 16 * 2 && layout[target].blocks.start > record.start,
+        "the target shard needs two blocks"
+    );
+    let path = std::env::temp_dir().join(format!("grafite-mapped-flips-{}", std::process::id()));
+    for at in record {
+        let mut bad = bytes.clone();
+        bad[at] ^= 1 << (at % 8);
+        std::fs::write(&path, &bad).unwrap();
+        let mapped = FilterStore::open_mapped(&registry, &path)
+            .unwrap_or_else(|e| panic!("byte {at}: open_mapped failed: {e}"));
+        let snap = mapped.snapshot();
+        for &k in &keys {
+            assert!(snap.may_contain(k), "byte {at}: false negative at {k}");
+        }
+        for (i, shard) in snap.shards().iter().enumerate() {
+            match (i == target, shard.load_error()) {
+                (true, Some(FilterError::ShardLoad { shard, source })) => {
+                    assert_eq!(*shard as usize, target);
+                    assert!(
+                        matches!(**source, FilterError::ChecksumMismatch { .. }),
+                        "byte {at}: {source}"
+                    );
+                }
+                (false, None) => {}
+                (_, err) => panic!("byte {at}: shard {i} load error {err:?}"),
+            }
+        }
+        assert_eq!(mapped.stats().shard_load_errors(), 1, "byte {at}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// `FilterStore::space` against ground truth. A built or eagerly opened
+/// store holds 8 bytes per key in memory and none on disk. A mapped store
+/// holds nothing before its shards load and their block directories (16
+/// bytes per block of 256 keys) after; cold or warm, its filters, key
+/// records and framing add up to the manifest's length.
+#[test]
+fn space_by_layer_matches_ground_truth() {
+    let registry = standard_registry();
+    let keys = dataset(2500, 0x5BACE);
+    let sample = sample_queries(&keys);
+    for spec in [grafite::FilterSpec::Grafite, grafite::FilterSpec::Bucketing] {
+        for partitioning in [
+            Partitioning::Range { shards: 4 },
+            Partitioning::Hash { shards: 3 },
+        ] {
+            let what = format!("{}/{partitioning:?}", spec.label());
+            let config = store_config(FamilySpec::Registry(spec), sample.clone(), partitioning);
+            let built = FilterStore::build(&registry, config, &keys).unwrap();
+            let bytes = built.to_bytes();
+            let eager = FilterStore::open(&registry, &bytes).unwrap();
+            for store in [&built, &eager] {
+                let space = store.space();
+                assert_eq!(space.num_keys, keys.len(), "{what}");
+                assert_eq!(space.keys_resident_bytes, 8 * keys.len(), "{what}");
+                assert_eq!(space.keys_on_disk_bytes, 0, "{what}");
+            }
+
+            let path = temp_manifest(&format!("space-{}-{partitioning:?}", spec.label()), &bytes);
+            let mapped = FilterStore::open_mapped(&registry, &path).unwrap();
+            let cold = mapped.space();
+            assert_eq!(
+                mapped.stats().lazy_shard_loads(),
+                0,
+                "{what}: space materialized"
+            );
+            assert_eq!(cold.keys_resident_bytes, 0, "{what}");
+            assert_eq!(cold.num_keys, keys.len(), "{what}");
+            let directories: usize = mapped
+                .snapshot()
+                .shards()
+                .iter()
+                .map(|s| 16 * s.num_keys().div_ceil(256))
+                .sum();
+            let warm = mapped.space();
+            assert_eq!(warm.keys_resident_bytes, directories, "{what}");
+            for space in [cold, warm] {
+                assert_eq!(
+                    space.filter_bytes + space.keys_on_disk_bytes + space.framing_bytes,
+                    bytes.len(),
+                    "{what}: layers do not add up to the manifest"
+                );
+                assert_eq!(space.filter_bytes, eager.space().filter_bytes, "{what}");
+                assert_eq!(space.framing_bytes, eager.space().framing_bytes, "{what}");
+            }
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+}
+
+/// Version 2 manifests (raw key words) and any other foreign version are
+/// refused typed by both opens. The input is the committed store golden
+/// re-stamped with the version and its checksums re-forged, so the version
+/// word is the only thing wrong with it.
+#[test]
+fn v2_store_manifests_are_refused_by_both_opens() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!(
+        "tests/golden/store_v{STORE_FORMAT_VERSION}/store.bin"
+    ));
+    let golden = std::fs::read(path).unwrap();
+    let registry = standard_registry();
+    let restamp = |version: u32| {
+        let mut bytes = golden.clone();
+        let spec = word_at(&bytes, 8) & 0xFFFF_FFFF;
+        bytes[8..16].copy_from_slice(&((u64::from(version) << 32) | spec).to_le_bytes());
+        reforge_checksums(&mut bytes);
+        bytes
+    };
+    assert!(
+        restamp(STORE_FORMAT_VERSION) == golden,
+        "the re-stamp changed more than the version"
+    );
+    for version in [2u32, 1, STORE_FORMAT_VERSION + 1] {
+        let old = restamp(version);
+        let path = temp_manifest(&format!("store-v{version}"), &old);
+        let want = FilterError::UnsupportedFormatVersion {
+            found: version,
+            supported: STORE_FORMAT_VERSION,
+        };
+        assert_eq!(FilterStore::open(&registry, &old).err(), Some(want.clone()));
+        assert_eq!(FilterStore::open_mapped(&registry, &path).err(), Some(want));
+        let _ = std::fs::remove_file(&path);
+    }
 }
