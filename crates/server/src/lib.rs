@@ -7,15 +7,15 @@
 //! with three properties the paper's static benchmark setting doesn't
 //! need but a deployment does:
 //!
-//! * **Request coalescing** ([`Batcher`]): probes arriving concurrently on
-//!   different connections merge into one store batch, run by one leader
-//!   against one snapshot.
+//! * **One snapshot per request**: each connection thread answers its own
+//!   probes against one store snapshot, which also routes them and refutes
+//!   the sampled positive; no request waits on another connection's.
 //! * **Mapped cold starts and hot reloads**: the binary serves a saved
 //!   manifest through [`FilterStore::open_mapped`] — `O(shards)` small
 //!   reads, shards materialize on first probe — and `RELOAD` swaps in a
 //!   new manifest atomically without failing one in-flight query.
 //! * **Operational telemetry** ([`Telemetry`]): per-verb counts and
-//!   latency histograms, per-shard traffic, batch-coalescing factor,
+//!   latency histograms, per-shard traffic, probes per request,
 //!   rebuild durations, and an observed-FP estimator fed by retained-key
 //!   refutation — all plain atomics, exported as JSON over `STATS`.
 //!

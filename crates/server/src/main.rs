@@ -11,7 +11,10 @@ use std::sync::Arc;
 
 use grafite_core::registry::{FilterSpec, Registry};
 use grafite_server::{serve, Client};
-use grafite_store::{FamilySpec, FilterStore, Partitioning, StoreConfig};
+use grafite_store::{FamilySpec, FilterStore, Partitioning, Snapshot, StoreConfig};
+
+/// How many connections the smoke's single probes run from at once.
+const SMOKE_CONNECTIONS: usize = 4;
 
 const USAGE: &str = "\
 usage:
@@ -23,8 +26,10 @@ gen    builds a range-partitioned Grafite store over a deterministic key
        set and writes its manifest to --out.
 serve  maps the manifest lazily and serves it until a SHUTDOWN frame.
 smoke  starts an ephemeral server on the manifest, replays queries through
-       the network and directly against the store, fails on any answer
-       mismatch or non-zero error counter, and prints the STATS JSON.
+       the network (single probes from 4 concurrent connections) and
+       directly against the store, fails on any answer mismatch, non-zero
+       error counter, or STATS request count that differs from what it
+       sent, and prints the STATS JSON.
 ";
 
 fn main() -> ExitCode {
@@ -138,7 +143,8 @@ fn cmd_smoke(args: &[String]) -> Result<(), String> {
     let addr = handle.addr();
     let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
 
-    // Mixed single and batch probes, bit-compared against the direct store.
+    // Batch probes on one connection, then single probes from several at
+    // once, all bit-compared against the direct store.
     let queries: Vec<(u64, u64)> = (0..n_queries)
         .map(|i| {
             let a = i.wrapping_mul(0xD134_2543_DE82_EF95) >> 1;
@@ -154,21 +160,13 @@ fn cmd_smoke(args: &[String]) -> Result<(), String> {
             }
         }
     }
-    for &(a, b) in queries.iter().step_by(997) {
-        let hit = client.query(a, b).map_err(|e| e.to_string())?;
-        if hit != snap.may_contain_range(a, b) {
-            mismatches += 1;
-        }
-    }
+    let singles: Vec<(u64, u64)> = queries.iter().copied().step_by(997).collect();
+    mismatches += query_concurrently(addr, &singles, &snap)?;
 
     // Reload mid-session, then probe again on the new snapshot.
     let version = client.reload(None).map_err(|e| e.to_string())?;
-    for &(a, b) in queries.iter().step_by(1013) {
-        let hit = client.query(a, b).map_err(|e| e.to_string())?;
-        if hit != snap.may_contain_range(a, b) {
-            mismatches += 1;
-        }
-    }
+    let reloaded: Vec<(u64, u64)> = queries.iter().copied().step_by(1013).collect();
+    mismatches += query_concurrently(addr, &reloaded, &snap)?;
 
     let stats = client.stats_json().map_err(|e| e.to_string())?;
     client.shutdown().map_err(|e| e.to_string())?;
@@ -184,13 +182,82 @@ fn cmd_smoke(args: &[String]) -> Result<(), String> {
             "{mismatches} answers diverged from the direct store"
         ));
     }
+    let n_singles = (singles.len() + reloaded.len()) as u64;
+    for (object, field, sent) in [
+        ("query", "count", n_singles),
+        ("batch_query", "count", queries.chunks(512).len() as u64),
+        ("batch", "probes", queries.len() as u64 + n_singles),
+    ] {
+        let counted = stats_count(&stats, object, field);
+        if counted != Some(sent) {
+            return Err(format!(
+                "STATS {object}.{field} is {counted:?}, but the smoke sent {sent}"
+            ));
+        }
+    }
     if stats.contains("\"total_errors\":0,") {
         println!(
             "smoke ok: {} probes, reload -> v{version}, zero errors",
-            queries.len()
+            queries.len() as u64 + n_singles
         );
         Ok(())
     } else {
         Err("server reported non-zero error counters".to_string())
+    }
+}
+
+/// Sends each of `probes` as one `QUERY`, spread over [`SMOKE_CONNECTIONS`]
+/// concurrent connections, and counts the answers that differ from `snap`.
+fn query_concurrently(
+    addr: std::net::SocketAddr,
+    probes: &[(u64, u64)],
+    snap: &Snapshot,
+) -> Result<u64, String> {
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..SMOKE_CONNECTIONS)
+            .map(|c| {
+                scope.spawn(move || -> Result<u64, String> {
+                    let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
+                    let mut mismatches = 0u64;
+                    for &(a, b) in probes.iter().skip(c).step_by(SMOKE_CONNECTIONS) {
+                        let hit = client.query(a, b).map_err(|e| e.to_string())?;
+                        mismatches += u64::from(hit != snap.may_contain_range(a, b));
+                    }
+                    Ok(mismatches)
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| {
+                w.join()
+                    .unwrap_or_else(|_| Err("a smoke connection thread panicked".to_string()))
+            })
+            .sum()
+    })
+}
+
+/// The unsigned integer at `"field":` inside the STATS object `"object":{`.
+fn stats_count(stats: &str, object: &str, field: &str) -> Option<u64> {
+    let body = &stats[stats.find(&format!("\"{object}\":{{"))?..];
+    let key = format!("\"{field}\":");
+    let value = &body[body.find(&key)? + key.len()..];
+    let digits = value
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(value.len());
+    value[..digits].parse().ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::stats_count;
+
+    #[test]
+    fn stats_count_reads_the_named_object() {
+        let stats = r#"{"verbs":{"query":{"count":41,"errors":0},"batch_query":{"count":40,"errors":2}},"batch":{"batches":81,"probes":20041,"dedup_hits":0}}"#;
+        assert_eq!(stats_count(stats, "query", "count"), Some(41));
+        assert_eq!(stats_count(stats, "batch_query", "count"), Some(40));
+        assert_eq!(stats_count(stats, "batch", "probes"), Some(20041));
+        assert_eq!(stats_count(stats, "apply", "count"), None);
     }
 }

@@ -2,8 +2,10 @@
 //! an acceptor) speaking the [`crate::protocol`] frame protocol over a
 //! shared [`FilterStore`].
 //!
-//! Single probes and batches both route through the [`Batcher`], so
-//! concurrent load coalesces into one store batch per leader. `RELOAD`
+//! Each connection thread answers its own probes: a `QUERY` or
+//! `BATCH_QUERY` loads one snapshot, which answers every probe of the
+//! request, routes them for the per-shard traffic counts, and refutes the
+//! sampled positive. No request waits on another connection's. `RELOAD`
 //! swaps manifests atomically under the store's writer lock: in-flight
 //! queries finish on the snapshot they already hold, and not one of them
 //! fails or blocks during the swap. One positive answer in
@@ -23,6 +25,7 @@
 
 use std::io::{self, BufRead, BufReader};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -32,7 +35,6 @@ use std::time::{Duration, Instant};
 use grafite_core::FilterError;
 use grafite_store::{FilterStore, Routing, Snapshot, Update};
 
-use crate::batch::Batcher;
 use crate::protocol::{self, verb, Frame, ProtocolError};
 use crate::telemetry::{Telemetry, REFUTE_EVERY};
 
@@ -106,7 +108,6 @@ impl ServerHandle {
 /// Everything the connection handlers share.
 struct Shared {
     store: Arc<FilterStore>,
-    batcher: Batcher,
     telemetry: Arc<Telemetry>,
     stop: Arc<AtomicBool>,
     /// The bound address, which a `SHUTDOWN` connects to to wake the
@@ -129,7 +130,6 @@ pub fn serve(
     let telemetry = Arc::new(Telemetry::new(store.snapshot().num_shards()));
     let stop = Arc::new(AtomicBool::new(false));
     let shared = Arc::new(Shared {
-        batcher: Batcher::new(Arc::clone(&store), Arc::clone(&telemetry)),
         store: Arc::clone(&store),
         telemetry: Arc::clone(&telemetry),
         stop: Arc::clone(&stop),
@@ -386,27 +386,34 @@ fn dispatch(frame: &Frame, shared: &Shared) -> Result<Reply, String> {
     }
 }
 
-/// Answers probes through the batcher and feeds the telemetry: per-shard
-/// probe counts, negative answers, and the observed-FP estimator. Every
+/// Answers probes on the calling connection thread and feeds the
+/// telemetry: the request as one store batch, per-shard probe counts,
+/// negative answers, and the observed-FP estimator. One snapshot answers,
+/// routes and refutes the whole request, so a concurrent `APPLY` or
+/// `RELOAD` can never make a sampled positive look refuted. Every
 /// [`REFUTE_EVERY`]-th positive answer, counted across all connections, is
 /// refuted against the keys of the shards it routes to, so the refutation
 /// reads stay a fixed small share of the traffic; the estimator scales the
 /// sample up. A positive whose refutation read fails goes unsampled.
 fn answer_probes(shared: &Shared, queries: &[(u64, u64)]) -> Vec<bool> {
     let snap = shared.store.snapshot();
-    for &(a, _b) in queries {
-        shared
-            .telemetry
-            .record_shard_probe(snap.routing().shard_of(a));
+    let telemetry = &shared.telemetry;
+    let mut answers = Vec::with_capacity(queries.len());
+    snap.query_ranges(queries, &mut answers);
+    telemetry.record_batch(queries.len() as u64);
+    // One atomic add per touched shard per request, not one per probe.
+    let mut shard_probes = vec![0u64; snap.num_shards()];
+    for &(a, b) in queries {
+        if let Some(counts) = shard_probes.get_mut(routed_shards(snap.routing(), a, b)) {
+            counts.iter_mut().for_each(|count| *count += 1);
+        }
     }
-    let answers = shared.batcher.submit(queries);
+    telemetry.record_shard_probes(&shard_probes);
     let hits = answers.iter().filter(|&&hit| hit).count() as u64;
-    shared
-        .telemetry
-        .record_negatives((answers.len() as u64).saturating_sub(hits));
+    telemetry.record_negatives((answers.len() as u64).saturating_sub(hits));
     // This request's positives are numbered `first..first + hits`; number
     // `p` is sampled iff `p % REFUTE_EVERY == 0`.
-    let first = shared.telemetry.record_positives(hits);
+    let first = telemetry.record_positives(hits);
     let skip = (REFUTE_EVERY - first % REFUTE_EVERY) % REFUTE_EVERY;
     let positives = queries
         .iter()
@@ -414,10 +421,24 @@ fn answer_probes(shared: &Shared, queries: &[(u64, u64)]) -> Vec<bool> {
         .filter_map(|(&range, &hit)| hit.then_some(range));
     for (a, b) in positives.skip(skip as usize).step_by(REFUTE_EVERY as usize) {
         if let Ok(holds) = truth(&snap, a, b) {
-            shared.telemetry.record_sample(!holds);
+            telemetry.record_sample(!holds);
         }
     }
     answers
+}
+
+/// The shards [`Snapshot::may_contain_range`] routes `[a, b]` to: under
+/// range routing every shard from `a`'s to `b`'s, under hash routing the
+/// key's shard for a point and every shard for a wider range.
+fn routed_shards(routing: &Routing, a: u64, b: u64) -> Range<usize> {
+    match routing {
+        Routing::Range { .. } => routing.shard_of(a)..routing.shard_of(b) + 1,
+        Routing::Hash { .. } if a == b => {
+            let shard = routing.shard_of(a);
+            shard..shard + 1
+        }
+        Routing::Hash { .. } => 0..routing.num_shards(),
+    }
 }
 
 /// Ground truth from the shard keys: does `[a, b]` hold a key? Only the
@@ -425,16 +446,10 @@ fn answer_probes(shared: &Shared, queries: &[(u64, u64)]) -> Vec<bool> {
 /// one, so only they are searched.
 fn truth(snap: &Snapshot, a: u64, b: u64) -> Result<bool, FilterError> {
     let shards = snap.shards();
-    let routing = snap.routing();
-    let routed = match routing {
-        Routing::Range { .. } => shards.get(routing.shard_of(a)..=routing.shard_of(b)),
-        Routing::Hash { .. } if a == b => {
-            let shard = routing.shard_of(a);
-            shards.get(shard..=shard)
-        }
-        Routing::Hash { .. } => Some(shards),
-    };
-    for shard in routed.unwrap_or(shards) {
+    for shard in shards
+        .get(routed_shards(snap.routing(), a, b))
+        .unwrap_or(shards)
+    {
         if shard.holds_key(a, b)? {
             return Ok(true);
         }

@@ -6,8 +6,14 @@
 //!
 //! * per-verb request counts, error counts, and log₂-bucketed latency
 //!   histograms (approximate p50/p99 in microseconds),
-//! * per-shard probe counts (which shards the routing sends traffic to),
-//! * batch coalescing: how many probes each executed batch carried,
+//! * per-shard probe counts (which shards the routing sends traffic to;
+//!   a range counts once in every shard it routes to),
+//! * store batches (`batch.*`): each `QUERY` or `BATCH_QUERY` is answered
+//!   as one store batch on its connection thread, so `batch.batches`
+//!   counts those requests, `batch.probes` the probes answered, and
+//!   `batch.coalescing_factor` is probes per request. No batch merges
+//!   requests, so `batch.dedup_hits` is always 0; the fields keep the v1
+//!   schema,
 //! * rebuild (apply) durations,
 //! * transient accept errors the acceptor backed off from and survived
 //!   (`accept_errors`; they fail no request, so they stay out of
@@ -103,7 +109,6 @@ pub struct Telemetry {
     shard_probes: Vec<AtomicU64>,
     batches: AtomicU64,
     batched_probes: AtomicU64,
-    dedup_hits: AtomicU64,
     positives: AtomicU64,
     sampled: AtomicU64,
     refuted: AtomicU64,
@@ -125,7 +130,6 @@ impl Telemetry {
             shard_probes: (0..num_shards).map(|_| AtomicU64::new(0)).collect(),
             batches: AtomicU64::new(0),
             batched_probes: AtomicU64::new(0),
-            dedup_hits: AtomicU64::new(0),
             positives: AtomicU64::new(0),
             sampled: AtomicU64::new(0),
             refuted: AtomicU64::new(0),
@@ -177,29 +181,31 @@ impl Telemetry {
         get(&self.accept_errors)
     }
 
-    /// Records one probe routed to `shard`.
-    pub fn record_shard_probe(&self, shard: usize) {
-        if let Some(slot) = self.shard_probes.get(shard) {
-            add(slot, 1);
+    /// Records one request's per-shard traffic: `counts[i]` probes routed
+    /// to shard `i`. Costs one atomic add per touched shard.
+    pub fn record_shard_probes(&self, counts: &[u64]) {
+        for (slot, &n) in self.shard_probes.iter().zip(counts) {
+            if n > 0 {
+                add(slot, n);
+            }
         }
     }
 
-    /// Records one executed batch carrying `probes` coalesced probes.
+    /// Records one store batch answering `probes` probes (one `QUERY` or
+    /// `BATCH_QUERY` request).
     pub fn record_batch(&self, probes: u64) {
         add(&self.batches, 1);
         add(&self.batched_probes, probes);
     }
 
-    /// Records `n` probes the batcher answered from an adjacent duplicate
-    /// instead of probing the store.
-    pub fn record_dedup_hits(&self, n: u64) {
-        add(&self.dedup_hits, n);
+    /// Store batches answered: one per `QUERY` or `BATCH_QUERY`.
+    pub fn batches(&self) -> u64 {
+        get(&self.batches)
     }
 
-    /// Probes answered by adjacent-duplicate reuse rather than a store
-    /// probe.
-    pub fn dedup_hits(&self) -> u64 {
-        get(&self.dedup_hits)
+    /// Probes answered across all store batches.
+    pub fn batched_probes(&self) -> u64 {
+        get(&self.batched_probes)
     }
 
     /// Records `n` positive answers and returns the number of the first:
@@ -262,8 +268,9 @@ impl Telemetry {
             .saturating_add(get(&self.bad_frames))
     }
 
-    /// The mean number of probes per executed batch (the coalescing
-    /// factor; 0.0 before the first batch).
+    /// The mean number of probes per store batch, i.e. per `QUERY` or
+    /// `BATCH_QUERY` request (STATS `batch.coalescing_factor`; 0.0 before
+    /// the first batch).
     pub fn coalescing_factor(&self) -> f64 {
         ratio(get(&self.batched_probes), get(&self.batches))
     }
@@ -335,10 +342,9 @@ pub fn render_json(t: &Telemetry, store: &FilterStore) -> String {
     push_kv(&mut out, "accept_errors", &format!("{}", t.accept_errors()));
     out.push_str("\"batch\":{");
     out.push_str(&format!(
-        "\"batches\":{},\"probes\":{},\"dedup_hits\":{},\"coalescing_factor\":{:.3}}},",
-        get(&t.batches),
-        get(&t.batched_probes),
-        get(&t.dedup_hits),
+        "\"batches\":{},\"probes\":{},\"dedup_hits\":0,\"coalescing_factor\":{:.3}}},",
+        t.batches(),
+        t.batched_probes(),
         t.coalescing_factor(),
     ));
     out.push_str("\"shard_probes\":[");
@@ -439,14 +445,14 @@ mod tests {
         t.record_bad_frame();
         t.record_batch(8);
         t.record_batch(2);
-        t.record_dedup_hits(3);
-        assert_eq!(t.dedup_hits(), 3);
+        assert_eq!((t.batches(), t.batched_probes()), (2, 10));
         assert_eq!(t.record_positives(2), 0);
         t.record_sample(true);
         t.record_sample(false);
         t.record_negatives(3);
-        t.record_shard_probe(2);
-        t.record_shard_probe(99); // out of range: dropped, no panic
+        t.record_shard_probes(&[0, 1, 3, 0, 7]); // shard 4 is out of range: dropped
+        let shard_probes: Vec<u64> = t.shard_probes.iter().map(get).collect();
+        assert_eq!(shard_probes, [0, 1, 3, 0]);
         t.record_accept_error();
         assert_eq!(t.accept_errors(), 1);
         assert_eq!(t.total_errors(), 2, "accept errors fail no request");

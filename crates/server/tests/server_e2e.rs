@@ -1,13 +1,14 @@
 //! End-to-end tests over a live server: bit-identical answers vs the
-//! direct store, atomic hot reload under concurrent readers, APPLY and
-//! STATS round trips, wire latency, pipelined and split frames, and an
-//! exhaustive frame-corruption sweep proving the server survives
-//! arbitrary garbage.
+//! direct store from one connection and from eight at once, atomic hot
+//! reload under concurrent readers, one snapshot per request across a
+//! concurrent APPLY, APPLY and STATS round trips against ground truth,
+//! wire latency, pipelined and split frames, and an exhaustive
+//! frame-corruption sweep proving the server survives arbitrary garbage.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -16,7 +17,7 @@ use grafite_server::protocol::{self, verb};
 use grafite_server::telemetry::REFUTE_EVERY;
 use grafite_server::{serve, Client};
 use grafite_store::manifest::FENCE_EVERY;
-use grafite_store::{FamilySpec, FilterStore, Partitioning, StoreConfig};
+use grafite_store::{FamilySpec, FilterStore, Partitioning, Routing, StoreConfig, Update};
 
 fn test_keys(n: u64, seed: u64) -> Vec<u64> {
     (0..n)
@@ -162,8 +163,11 @@ fn reload_under_concurrent_readers_drops_zero_queries() {
     let _ = std::fs::remove_file(&new_path);
 }
 
+/// Each `QUERY` and `BATCH_QUERY` is one store batch: after 64 QUERYs
+/// and one 512-probe BATCH_QUERY, STATS `batch.*` counts exactly 65
+/// batches of 576 probes, 576/65 probes per request, and no dedup hits.
 #[test]
-fn stats_report_coalescing_and_fp_estimation() {
+fn stats_count_each_request_as_one_store_batch() {
     let keys = test_keys(3000, 4);
     let handle = serve(Arc::new(build_store(&keys, 4)), "127.0.0.1:0", None).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
@@ -179,14 +183,230 @@ fn stats_report_coalescing_and_fp_estimation() {
 
     let stats = client.stats_json().unwrap();
     assert!(stats.contains("\"schema\":\"grafite-server-stats-v1\""));
-    assert!(stats.contains("\"coalescing_factor\":"));
+    let factor = 576.0 / 65.0;
+    assert!(
+        stats.contains(&format!(
+            "\"batch\":{{\"batches\":65,\"probes\":576,\"dedup_hits\":0,\"coalescing_factor\":{factor:.3}}}"
+        )),
+        "stats: {stats}"
+    );
     assert!(stats.contains("\"observed_rate\":"));
     assert!(stats.contains("\"shard_probes\":["));
     assert!(stats.contains("\"accept_errors\":0,"), "stats: {stats}");
     let telemetry = handle.telemetry();
-    assert!(telemetry.coalescing_factor() >= 1.0);
+    assert_eq!((telemetry.batches(), telemetry.batched_probes()), (65, 576));
+    assert_eq!(telemetry.coalescing_factor(), factor);
     assert_eq!(telemetry.total_errors(), 0);
 
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+/// Eight connections at once, each sending 200 QUERYs and a few
+/// BATCH_QUERYs, every answer bit-identical to the direct snapshot: each
+/// connection thread answers its own probes, and no connection gets
+/// another's answers.
+#[test]
+fn concurrent_connections_answer_like_the_direct_store() {
+    let keys = test_keys(2000, 10);
+    let direct = build_store(&keys, 4).snapshot();
+    let handle = serve(Arc::new(build_store(&keys, 4)), "127.0.0.1:0", None).unwrap();
+    let addr = handle.addr();
+    let probe = |t: u64, i: u64| {
+        let a = (t * 7919 + i).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 1;
+        (a, a.saturating_add(i % 32))
+    };
+    std::thread::scope(|scope| {
+        for t in 0..8u64 {
+            let direct = &direct;
+            let keys = &keys;
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                for i in 0..200u64 {
+                    let (a, b) = probe(t, i);
+                    let want = direct.may_contain_range(a, b);
+                    assert_eq!(client.query(a, b).unwrap(), want, "[{a}, {b}]");
+                }
+                for round in 0..4u64 {
+                    let batch: Vec<(u64, u64)> = (0..100u64)
+                        .map(|i| match i % 4 {
+                            0 => {
+                                let k = keys[((t * 4 + round) * 100 + i) as usize % keys.len()];
+                                (k, k)
+                            }
+                            _ => probe(t, 1000 + round * 100 + i),
+                        })
+                        .collect();
+                    let want: Vec<bool> = batch
+                        .iter()
+                        .map(|&(a, b)| direct.may_contain_range(a, b))
+                        .collect();
+                    assert_eq!(client.query_batch(&batch).unwrap(), want, "round {round}");
+                }
+            });
+        }
+    });
+    let telemetry = handle.telemetry();
+    assert_eq!(telemetry.batches(), 8 * (200 + 4));
+    assert_eq!(telemetry.batched_probes(), 8 * (200 + 4 * 100));
+    assert_eq!(telemetry.total_errors(), 0);
+
+    handle.shutdown();
+}
+
+/// STATS `shard_probes` against ground truth from the routing: a probe
+/// counts once in every shard it routes to. Under range routing that is
+/// every shard from `a`'s to `b`'s; under hash routing it is the key's
+/// shard for a point and every shard for a wider range.
+#[test]
+fn shard_probes_count_every_routed_shard() {
+    let keys = test_keys(3000, 11);
+    for partitioning in [
+        Partitioning::Range { shards: 5 },
+        Partitioning::Hash { shards: 5 },
+    ] {
+        let config = StoreConfig::new(FamilySpec::Registry(FilterSpec::Grafite))
+            .bits_per_key(14.0)
+            .max_range(64)
+            .partitioning(partitioning);
+        let store = FilterStore::build(&Registry::new(), config, &keys).unwrap();
+        let snap = store.snapshot();
+        let routing = snap.routing().clone();
+        let handle = serve(Arc::new(store), "127.0.0.1:0", None).unwrap();
+        let mut client = Client::connect(handle.addr()).unwrap();
+
+        // Points, ranges inside one shard, ranges across each range-routing
+        // boundary, and one range over the whole universe.
+        let n = snap.num_shards();
+        let mut probes: Vec<(u64, u64)> = keys.iter().step_by(41).map(|&k| (k, k)).collect();
+        probes.extend(keys.iter().step_by(53).map(|&k| (k, k.saturating_add(9))));
+        let boundaries: Vec<u64> = match &routing {
+            Routing::Range { starts } => starts[1..].to_vec(),
+            Routing::Hash { .. } => keys.iter().step_by(600).copied().collect(),
+        };
+        for lo in boundaries {
+            probes.push((lo.saturating_sub(3), lo.saturating_add(3)));
+            probes.push((lo.saturating_sub(1), lo));
+        }
+        probes.push((0, u64::MAX));
+        let (singles, batched) = probes.split_at(probes.len() / 3);
+        for &(a, b) in singles {
+            client.query(a, b).unwrap();
+        }
+        for chunk in batched.chunks(20) {
+            client.query_batch(chunk).unwrap();
+        }
+
+        let mut want = vec![0u64; n];
+        for &(a, b) in &probes {
+            let routed = match routing {
+                Routing::Range { .. } => routing.shard_of(a)..=routing.shard_of(b),
+                Routing::Hash { .. } if a == b => routing.shard_of(a)..=routing.shard_of(a),
+                Routing::Hash { .. } => 0..=n - 1,
+            };
+            for s in routed {
+                want[s] += 1;
+            }
+        }
+        assert!(
+            want.iter().sum::<u64>() > probes.len() as u64,
+            "{partitioning:?}: no probe spans shards"
+        );
+        let listed: Vec<String> = want.iter().map(u64::to_string).collect();
+        let stats = client.stats_json().unwrap();
+        assert!(
+            stats.contains(&format!("\"shard_probes\":[{}]", listed.join(","))),
+            "{partitioning:?} stats: {stats}"
+        );
+
+        client.shutdown().unwrap();
+        handle.join();
+    }
+}
+
+/// One snapshot answers, routes and refutes each request, so an `APPLY`
+/// landing mid-request can never make a freshly inserted key look like a
+/// confirmed false positive. One connection APPLYs batches of fresh keys
+/// while three others QUERY the keys whose APPLY has returned (which must
+/// answer true) and BATCH_QUERY the batch in flight. Every fresh key was
+/// chosen to answer negative on every snapshot before its insert (checked
+/// on a replica store that applies the same batches), so a positive is
+/// always a true one and `fp.refuted` must stay 0.
+#[test]
+fn apply_between_queries_never_refutes_a_fresh_key() {
+    const BATCHES: usize = 24;
+    const BATCH: usize = 40;
+    let keys = test_keys(3000, 12);
+    let replica = build_store(&keys, 3);
+    let mut snapshots = vec![replica.snapshot()];
+    let mut fresh: Vec<Vec<u64>> = Vec::new();
+    let mut candidates =
+        (0u64..).map(|i| i.wrapping_add(0x5EED).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 1);
+    for _ in 0..BATCHES {
+        let batch: Vec<u64> = candidates
+            .by_ref()
+            .filter(|&k| {
+                !keys.contains(&k)
+                    && !fresh.iter().flatten().any(|&f| f == k)
+                    && snapshots.iter().all(|snap| !snap.may_contain(k))
+            })
+            .take(BATCH)
+            .collect();
+        let updates: Vec<Update> = batch.iter().map(|&k| Update::Insert(k)).collect();
+        replica.apply(&updates).unwrap();
+        snapshots.push(replica.snapshot());
+        fresh.push(batch);
+    }
+
+    let handle = serve(Arc::new(build_store(&keys, 3)), "127.0.0.1:0", None).unwrap();
+    let addr = handle.addr();
+    let applied = AtomicUsize::new(0);
+    let in_flight_probes = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let (applied, in_flight_probes, fresh) = (&applied, &in_flight_probes, &fresh);
+        scope.spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            for batch in fresh {
+                let inserts: Vec<(bool, u64)> = batch.iter().map(|&k| (true, k)).collect();
+                client.apply(&inserts).unwrap();
+                applied.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        for t in 0..3usize {
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                let mut i = t;
+                loop {
+                    let done = applied.load(Ordering::SeqCst);
+                    if let Some(batch) = fresh.get(done) {
+                        let probes: Vec<(u64, u64)> = batch.iter().map(|&k| (k, k)).collect();
+                        client.query_batch(&probes).unwrap();
+                        in_flight_probes.fetch_add(probes.len(), Ordering::SeqCst);
+                    }
+                    if done > 0 {
+                        let k = fresh[i % done][(i / done) % BATCH];
+                        assert!(
+                            client.query(k, k).unwrap(),
+                            "applied key {k} answered false"
+                        );
+                    }
+                    if done == BATCHES {
+                        return;
+                    }
+                    i += 1;
+                }
+            });
+        }
+    });
+    assert!(in_flight_probes.into_inner() > 0, "no probe raced an APPLY");
+
+    let telemetry = handle.telemetry();
+    assert!(telemetry.sampled() > 0, "no positive was sampled");
+    assert_eq!(telemetry.refuted(), 0, "a fresh key was refuted");
+    let mut client = Client::connect(addr).unwrap();
+    let stats = client.stats_json().unwrap();
+    assert!(stats.contains("\"refuted\":0,"), "stats: {stats}");
+    assert!(stats.contains("\"total_errors\":0,"), "stats: {stats}");
     client.shutdown().unwrap();
     handle.join();
 }

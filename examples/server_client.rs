@@ -87,8 +87,8 @@ fn main() {
         served.stats().lazy_shard_loads()
     );
 
-    // Concurrent connections: probes that arrive together coalesce into
-    // one store batch (the STATS export below reports the factor).
+    // Concurrent connections: each connection thread answers its own
+    // probes against one store snapshot, without waiting on the others.
     thread::scope(|scope| {
         for t in 0..4u64 {
             let probes = &probes;
