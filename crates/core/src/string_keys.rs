@@ -291,7 +291,6 @@ impl PersistentFilter for StringGrafite {
         }
         let seed = src.word()?;
         let codes = EliasFano::read_from(src)?;
-        // lint:allow(k is validated to 1..=60 above, the shift cannot overflow)
         if codes.universe() != 1u64 << k {
             return Err(FilterError::corrupt("code universe differs from 2^k"));
         }

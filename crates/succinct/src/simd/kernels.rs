@@ -131,53 +131,6 @@ pub fn rank1_x8_avx2(words: &[u64], upto: usize) -> usize {
     }
 }
 
-/// SSE2 masked block rank: scalar mask construction (cheap), then a
-/// 128-bit SWAR popcount over word pairs finished with `_mm_sad_epu8`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-fn rank1_x8_sse2_inner(words: &[u64], upto: usize) -> usize {
-    let buf = pad8(words);
-    let mut masked = [0u64; 8];
-    for (j, m) in masked.iter_mut().enumerate() {
-        let take = upto.saturating_sub(j * WORD_BITS).min(WORD_BITS);
-        *m = buf[j] & scalar::mask_low(take);
-    }
-    let m33 = _mm_set1_epi8(0x33);
-    let m0f = _mm_set1_epi8(0x0f);
-    let zero = _mm_setzero_si128();
-    let mut total = zero;
-    for pair in 0..4usize {
-        let v = _mm_set_epi64x(masked[pair * 2 + 1] as i64, masked[pair * 2] as i64);
-        // SWAR bit-pair / nibble / byte reduction, then SAD to u64 sums.
-        let v = _mm_sub_epi8(
-            v,
-            _mm_and_si128(_mm_srli_epi64::<1>(v), _mm_set1_epi8(0x55)),
-        );
-        let v = _mm_add_epi8(
-            _mm_and_si128(v, m33),
-            _mm_and_si128(_mm_srli_epi64::<2>(v), m33),
-        );
-        let v = _mm_and_si128(_mm_add_epi8(v, _mm_srli_epi64::<4>(v)), m0f);
-        total = _mm_add_epi64(total, _mm_sad_epu8(v, zero));
-    }
-    (_mm_cvtsi128_si64(total) + _mm_cvtsi128_si64(_mm_unpackhi_epi64(total, total))) as usize
-}
-
-/// SSE2 masked block rank. SSE2 is baseline on x86_64, but keep the
-/// detection-or-fallback shape for uniformity (and 32-bit safety).
-#[cfg(target_arch = "x86_64")]
-pub fn rank1_x8_sse2(words: &[u64], upto: usize) -> usize {
-    debug_assert!(words.len() <= 8 && upto <= 8 * WORD_BITS);
-    if std::arch::is_x86_feature_detected!("sse2") {
-        // safety: the callee only requires SSE2, which the runtime
-        // detection above just confirmed; all its loads go through safe
-        // value-constructor intrinsics on a stack copy.
-        unsafe { rank1_x8_sse2_inner(words, upto) }
-    } else {
-        scalar::rank1_x8(words, upto)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // low_partition — AVX2 gather over packed fields
 // ---------------------------------------------------------------------------

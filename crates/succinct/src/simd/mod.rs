@@ -7,10 +7,11 @@
 //! once per process by CPU feature detection. The dispatchers here are
 //! the only entry points the rest of the crate uses.
 //!
-//! Dispatch levels form a total order `Scalar < Sse2 < Avx2`; other
-//! architectures run the scalar kernels. The detected level can be
-//! *capped* with the `GRAFITE_SIMD` environment variable (`scalar`,
-//! `sse2`, `avx2`, case-insensitive) — forcing a level above what the CPU
+//! Dispatch levels form a total order `Scalar < Avx2`; other
+//! architectures, and x86_64 CPUs without AVX2, run the scalar kernels.
+//! The detected level can be *capped* with the `GRAFITE_SIMD`
+//! environment variable (`scalar` or `avx2`, case-insensitive; other
+//! values are ignored) — forcing a level above what the CPU
 //! supports is clamped down, so setting `GRAFITE_SIMD=avx2` on a non-AVX2
 //! machine is safe and simply yields the best available level. Every
 //! vector kernel is property-tested for bit-identical agreement with its
@@ -31,10 +32,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum SimdLevel {
     /// Portable scalar reference kernels (always available).
     Scalar = 0,
-    /// x86_64 SSE2 (baseline on the 64-bit ISA).
-    Sse2 = 1,
     /// x86_64 AVX2 (+ BMI2 PDEP select when the CPU has it).
-    Avx2 = 2,
+    Avx2 = 1,
 }
 
 impl SimdLevel {
@@ -42,15 +41,13 @@ impl SimdLevel {
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
         }
     }
 
     fn from_u8(v: u8) -> SimdLevel {
         match v {
-            1 => SimdLevel::Sse2,
-            2 => SimdLevel::Avx2,
+            1 => SimdLevel::Avx2,
             _ => SimdLevel::Scalar,
         }
     }
@@ -58,7 +55,6 @@ impl SimdLevel {
     fn parse(s: &str) -> Option<SimdLevel> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" | "off" | "0" => Some(SimdLevel::Scalar),
-            "sse2" => Some(SimdLevel::Sse2),
             "avx2" => Some(SimdLevel::Avx2),
             _ => None,
         }
@@ -72,9 +68,6 @@ pub fn detect_level() -> SimdLevel {
         if std::arch::is_x86_feature_detected!("avx2") {
             return SimdLevel::Avx2;
         }
-        if std::arch::is_x86_feature_detected!("sse2") {
-            return SimdLevel::Sse2;
-        }
     }
     SimdLevel::Scalar
 }
@@ -83,7 +76,7 @@ pub fn detect_level() -> SimdLevel {
 /// hardware tier up to the detected one. Agreement tests iterate this.
 pub fn available_levels() -> Vec<SimdLevel> {
     let top = detect_level();
-    [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2]
+    [SimdLevel::Scalar, SimdLevel::Avx2]
         .into_iter()
         .filter(|&l| l <= top)
         .collect()
@@ -131,10 +124,8 @@ pub fn rank1_x8(words: &[u64], upto: usize) -> usize {
 #[inline]
 pub fn rank1_x8_at(level: SimdLevel, words: &[u64], upto: usize) -> usize {
     #[cfg(target_arch = "x86_64")]
-    match level {
-        SimdLevel::Avx2 => return kernels::rank1_x8_avx2(words, upto),
-        SimdLevel::Sse2 => return kernels::rank1_x8_sse2(words, upto),
-        SimdLevel::Scalar => {}
+    if level == SimdLevel::Avx2 {
+        return kernels::rank1_x8_avx2(words, upto);
     }
     let _ = level;
     scalar::rank1_x8(words, upto)
@@ -202,7 +193,7 @@ mod tests {
     fn parse_accepts_known_names() {
         assert_eq!(SimdLevel::parse("scalar"), Some(SimdLevel::Scalar));
         assert_eq!(SimdLevel::parse("AVX2 "), Some(SimdLevel::Avx2));
-        assert_eq!(SimdLevel::parse("sse2"), Some(SimdLevel::Sse2));
+        assert_eq!(SimdLevel::parse("sse2"), None);
         assert_eq!(SimdLevel::parse("neon"), None);
         assert_eq!(SimdLevel::parse("bogus"), None);
     }

@@ -12,7 +12,7 @@ use crate::WORD_BITS;
 
 /// The low `n` bits set, for `n` in `0..=64`.
 #[inline]
-pub(crate) fn mask_low(n: usize) -> u64 {
+fn mask_low(n: usize) -> u64 {
     1u64.checked_shl(n as u32).map_or(!0, |m| m.wrapping_sub(1))
 }
 

@@ -10,8 +10,8 @@
 
 /// Files whose **entire** (non-`#[cfg(test)]`) contents consume untrusted
 /// bytes: the word-stream primitives, the blob header codec, and the store
-/// manifest parser. L1 (panic-freedom) and L4 (unchecked arithmetic) apply
-/// to every line.
+/// manifest parser. L1 (panic-freedom) and L7 (dataflow taint) apply to
+/// every line.
 pub const UNTRUSTED_FILES: &[&str] = &[
     "crates/succinct/src/io.rs",
     "crates/core/src/persist.rs",
@@ -22,7 +22,7 @@ pub const UNTRUSTED_FILES: &[&str] = &[
 
 /// Function names that decode untrusted bytes wherever they appear inside
 /// [`UNTRUSTED_FN_GLOBS`] files: the `read_from`/view/deserialize family.
-/// L1 and L4 apply inside the body of every function with one of these
+/// L1 and L7 apply inside the body of every function with one of these
 /// names.
 pub const UNTRUSTED_FNS: &[&str] = &[
     "read_from",
@@ -108,55 +108,6 @@ pub const UNSAFE_SCAN_GLOBS: &[&str] = &[
     "crates/xtask/src/",
 ];
 
-/// Identifier fragments that mark a value as length/offset-typed for the
-/// L4 unchecked-arithmetic heuristic. Matching is case-insensitive
-/// substring over each operand identifier.
-pub const OFFSET_NAME_FRAGMENTS: &[&str] = &[
-    "len",
-    "pos",
-    "offset",
-    "idx",
-    "index",
-    "start",
-    "end",
-    "count",
-    "word",
-    "byte",
-    "need",
-    "have",
-    "size",
-    "chunk",
-    "block",
-    "shard",
-    "blob",
-    "sample",
-    "key",
-    "width",
-    "depth",
-    "node",
-    "leaf",
-    "label",
-    "ones",
-    "zeros",
-    "remaining",
-    "total",
-];
-
-/// Short identifiers that are length/offset-typed only as exact matches
-/// (loop counters and the conventional `n`).
-pub const OFFSET_NAME_EXACT: &[&str] = &["n", "i", "j", "k", "s", "m"];
-
-/// Arithmetic method-call names whose *result* is already overflow-safe:
-/// a flagged operator whose operand is produced by one of these does not
-/// need a second layer of checking. (`min`/`clamp` bound the value; the
-/// [`SAFE_RESULT_PREFIXES`] families are explicit already.)
-pub const SAFE_RESULT_METHODS: &[&str] = &["min", "clamp"];
-
-/// Method-name prefixes whose result is overflow-explicit (L4) — the one
-/// shared spelling of the `checked_`/`saturating_`/`wrapping_` families,
-/// consumed by both the arithmetic lint and the taint sanitizer set.
-pub const SAFE_RESULT_PREFIXES: &[&str] = &["checked_", "saturating_", "wrapping_"];
-
 // ---------------------------------------------------------------------------
 // L7 — dataflow taint. Sources are where attacker-controlled values enter a
 // function; sinks are the operations a hostile length/offset must never
@@ -191,8 +142,9 @@ pub const TAINT_SOURCE_PARAMS: &[&str] = &[
 pub const TAINT_FILL_CALLS: &[&str] = &["read_exact", "read_exact_at", "read_at", "read"];
 
 /// Call names whose argument is an allocation size, raw offset, or length
-/// (L7 sinks). `vec![_; n]`, slice indexing, and shift amounts are
-/// recognized structurally by the lint rather than by name.
+/// (L7 sinks). `vec![_; n]`, slice indexing, shift amounts, and bare
+/// `+`/`*` operands are recognized structurally by the lint rather than by
+/// name.
 pub const TAINT_SINK_CALLS: &[&str] = &[
     "with_capacity",
     "reserve",
@@ -206,9 +158,8 @@ pub const TAINT_SINK_CALLS: &[&str] = &[
 ];
 
 /// Method names that launder taint for L7 (the value is bounded by a
-/// trusted operand). Note `wrapping_*` is deliberately *not* here even
-/// though L4 accepts it: a wrapped attacker length is overflow-explicit
-/// but still attacker-sized.
+/// trusted operand). Note `wrapping_*` is deliberately *not* here: a
+/// wrapped attacker length is overflow-explicit but still attacker-sized.
 pub const TAINT_SANITIZER_METHODS: &[&str] = &["min", "clamp"];
 
 /// Method-name prefixes that launder taint for L7.

@@ -25,6 +25,9 @@ pub enum SinkKind {
     ShiftAmount,
     /// Bare slice index `buf[i]`.
     SliceIndex,
+    /// Operand of a bare `+` / `*` / `+=` / `*=`, which wraps silently in
+    /// release builds.
+    Arithmetic,
 }
 
 impl SinkKind {
@@ -35,6 +38,7 @@ impl SinkKind {
             SinkKind::VecRepeat => "`vec![_; n]` length",
             SinkKind::ShiftAmount => "shift amount",
             SinkKind::SliceIndex => "slice index",
+            SinkKind::Arithmetic => "arithmetic operand of",
         }
     }
 }
@@ -314,6 +318,64 @@ fn sink_args(toks: &[Token]) -> (Vec<String>, bool, bool) {
     (vars, has_source, sanitized)
 }
 
+/// Whether `t` can end an operand, making a following `+`/`*` binary
+/// rather than a deref (`&mut *x`) or a pointer type (`as *const T`).
+fn ends_operand(t: &Token) -> bool {
+    (t.is_ident && !NON_INDEX_KEYWORDS.contains(&t.text.as_str()))
+        || matches!(t.text.as_str(), ")" | "]" | "?")
+        || t.text.starts_with(|c: char| c.is_ascii_digit())
+}
+
+/// Whether `t` continues a postfix operand chain (`self.n`, `f(x)?`,
+/// `v[i] as usize`); bracketed groups are taken whole by the callers.
+fn in_operand(t: &Token) -> bool {
+    t.is_ident
+        || matches!(t.text.as_str(), "." | "::" | "?")
+        || t.text.starts_with(|c: char| c.is_ascii_digit())
+}
+
+/// The operand chain ending just before the operator at `op`; `None` for
+/// a lifetime bound (`'a + Send`).
+fn left_operand(toks: &[Token], op: usize) -> Option<&[Token]> {
+    let mut depth = 0usize;
+    let mut start = op;
+    while let Some(k) = start.checked_sub(1) {
+        match toks[k].text.as_str() {
+            ")" | "]" => depth += 1,
+            "(" | "[" if depth == 0 => break,
+            "(" | "[" => depth -= 1,
+            "'" if depth == 0 => return None,
+            _ if depth == 0 && !in_operand(&toks[k]) => break,
+            _ => {}
+        }
+        start = k;
+    }
+    Some(&toks[start..op])
+}
+
+/// The operand chain after the operator at `op`, unary `&`/`*`/`-`/`!`
+/// prefixes included.
+fn right_operand(toks: &[Token], op: usize) -> &[Token] {
+    let rest = &toks[op + 1..];
+    let prefix = rest
+        .iter()
+        .take_while(|t| matches!(t.text.as_str(), "&" | "*" | "-" | "!"))
+        .count();
+    let mut depth = 0usize;
+    let mut end = prefix;
+    for t in &rest[prefix..] {
+        match t.text.as_str() {
+            "(" | "[" => depth += 1,
+            ")" | "]" if depth == 0 => break,
+            ")" | "]" => depth -= 1,
+            _ if depth == 0 && !in_operand(t) => break,
+            _ => {}
+        }
+        end += 1;
+    }
+    &rest[..end]
+}
+
 /// Builds the [`Stmt`] summary for one fragment.
 fn analyze_fragment(frag: &[Token]) -> Stmt {
     let mut st = Stmt {
@@ -341,7 +403,7 @@ fn analyze_fragment(frag: &[Token]) -> Stmt {
     }
     let compound_at = frag
         .iter()
-        .position(|t| matches!(t.text.as_str(), "+=" | "-=" | "*=" | "<<="));
+        .position(|t| matches!(t.text.as_str(), "+=" | "-=" | "*=" | "<<=" | ">>="));
 
     let is_for = frag.first().is_some_and(|t| t.text == "for");
     let for_in = is_for
@@ -482,7 +544,7 @@ fn analyze_fragment(frag: &[Token]) -> Stmt {
 
     // --- shift amounts ---------------------------------------------------
     for (i, t) in scan_range.iter().enumerate() {
-        if !matches!(t.text.as_str(), "<<" | ">>" | "<<=") {
+        if !matches!(t.text.as_str(), "<<" | ">>" | "<<=" | ">>=") {
             continue;
         }
         // The right operand: an ident chain (possibly parenthesized).
@@ -504,6 +566,42 @@ fn analyze_fragment(frag: &[Token]) -> Stmt {
                 arg_has_source: false,
                 arg_sanitized,
             });
+        }
+    }
+
+    // --- arithmetic operands ----------------------------------------------
+    // Subtraction is left to the hardened-profile sweep (most `a - b`
+    // sites sit behind an `a >= b` guard); `/` and `%` cannot overflow on
+    // unsigned operands.
+    for (i, t) in scan_range.iter().enumerate() {
+        let binary = match t.text.as_str() {
+            "+=" | "*=" => true,
+            "+" | "*" => i
+                .checked_sub(1)
+                .is_some_and(|p| ends_operand(&scan_range[p])),
+            _ => false,
+        };
+        if !binary {
+            continue;
+        }
+        for operand in [
+            left_operand(scan_range, i),
+            Some(right_operand(scan_range, i)),
+        ]
+        .into_iter()
+        .flatten()
+        {
+            let (arg_vars, arg_has_source, arg_sanitized) = sink_args(operand);
+            if !arg_vars.is_empty() || arg_has_source {
+                st.sinks.push(SinkUse {
+                    kind: SinkKind::Arithmetic,
+                    callee: t.text.clone(),
+                    line: t.line,
+                    arg_vars,
+                    arg_has_source,
+                    arg_sanitized,
+                });
+            }
         }
     }
 

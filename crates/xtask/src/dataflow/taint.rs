@@ -15,7 +15,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::config::TAINT_SOURCE_PARAMS;
-use crate::dataflow::stmt::{FnFlow, SinkKind};
+use crate::dataflow::stmt::FnFlow;
 
 /// One taint violation inside a function.
 #[derive(Clone, Debug)]
@@ -143,16 +143,6 @@ pub fn analyze(flow: &FnFlow) -> Vec<TaintFinding> {
         .collect()
 }
 
-/// Convenience: which sink kinds exist (used by tests to assert coverage).
-pub fn sink_kinds() -> [SinkKind; 4] {
-    [
-        SinkKind::SizedCall,
-        SinkKind::VecRepeat,
-        SinkKind::ShiftAmount,
-        SinkKind::SliceIndex,
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,7 +205,7 @@ mod tests {
 
     #[test]
     fn taint_survives_value_laundering_through_locals() {
-        // The flow L4's name heuristic cannot see: neutral names all the way.
+        // Neutral names all the way: only provenance connects them.
         let found = run(
             "fn f(payload: &[u8]) -> Vec<u8> {\n    let quota = u32_at(payload, 0).unwrap_or(0) as usize;\n    let budget = quota;\n    Vec::with_capacity(budget)\n}",
         );
@@ -238,6 +228,104 @@ mod tests {
         );
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found[0].message.contains("shift"), "{}", found[0].message);
+    }
+
+    #[test]
+    fn tainted_shift_right_assign_flags() {
+        let found = run(
+            "fn f(payload: &[u8], mut x: u64) -> u64 {\n    let w = u32_at(payload, 0).unwrap_or(0);\n    x >>= w;\n    x\n}",
+        );
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].line, 3);
+        assert!(found[0].message.contains("`>>=`"), "{}", found[0].message);
+    }
+
+    #[test]
+    fn tainted_parameter_as_shift_width_flags() {
+        // The shift amount is a parameter straight off the untrusted
+        // surface, with no decode call in between.
+        let found = run("fn f(declared: u32) -> u64 {\n    1u64 << declared\n}");
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].line, 2);
+        assert!(found[0].message.contains("shift"), "{}", found[0].message);
+    }
+
+    #[test]
+    fn guarded_shift_is_silent() {
+        // The string-Grafite `read_payload` shape: the exponent is range
+        // checked before it sizes a shift.
+        let found = run(
+            "fn read_payload(src: &mut S, codes: &C) -> Option<u64> {\n    let k = src.word()?;\n    if k == 0 || k >= 61 {\n        return None;\n    }\n    if codes.universe() != 1u64 << k {\n        return None;\n    }\n    Some(k)\n}",
+        );
+        assert!(found.is_empty(), "{found:?}");
+    }
+
+    #[test]
+    fn bare_ops_on_tainted_operands_flag() {
+        let found = run(
+            "fn f(payload: &[u8]) -> usize {\n    let n = u32_at(payload, 0).unwrap_or(0) as usize;\n    let pos = u32_at(payload, 4).unwrap_or(0) as usize;\n    n + pos * 8\n}",
+        );
+        assert_eq!(found.len(), 2, "{found:?}");
+        assert!(found.iter().all(|f| f.line == 4), "{found:?}");
+        assert!(found[0].message.contains("arithmetic"), "{found:?}");
+    }
+
+    #[test]
+    fn checked_and_clamped_arithmetic_passes() {
+        let found = run(
+            "fn f(payload: &[u8], cap: usize) -> Option<usize> {\n    let n = u32_at(payload, 0).unwrap_or(0) as usize;\n    n.checked_add(cap)?.checked_mul(8)\n}",
+        );
+        assert!(found.is_empty(), "{found:?}");
+        let found = run(
+            "fn g(payload: &[u8]) -> usize {\n    let n = u32_at(payload, 0).unwrap_or(0) as usize;\n    n.min(1024) * 8 + n.clamp(1, 64)\n}",
+        );
+        assert!(found.is_empty(), "{found:?}");
+    }
+
+    #[test]
+    fn untainted_arithmetic_passes_whatever_its_names() {
+        let found = run("fn f(len: usize, pos: usize) -> usize { len + pos * 8 }");
+        assert!(found.is_empty(), "{found:?}");
+        let found = run("fn g(words: &[u64]) -> usize { words.len() + 1 }");
+        assert!(found.is_empty(), "{found:?}");
+    }
+
+    #[test]
+    fn tainted_compound_add_flags() {
+        let found = run(
+            "fn f(payload: &[u8]) -> usize {\n    let mut pos = u32_at(payload, 0).unwrap_or(0) as usize;\n    pos += 1;\n    pos\n}",
+        );
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].line, 3);
+    }
+
+    #[test]
+    fn deref_lifetimes_and_trait_bounds_pass() {
+        // `buf` is tainted, but `'buf + Send` is a bound, not a sum, and
+        // `*x` is a deref, not a product.
+        let found = run(
+            "fn f<'buf>(buf: &'buf [u8]) -> u8 {\n    let r: &(dyn 'buf + Send + Sync) = &buf;\n    let x = &buf[0];\n    let y = *x;\n    y\n}",
+        );
+        assert!(found.is_empty(), "{found:?}");
+    }
+
+    #[test]
+    fn tainted_field_paths_and_derefs_flag() {
+        let found = run("fn f(frame: &H) -> u64 {\n    40 + frame.payload_words\n}");
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].line, 2);
+        let found = run("fn g(frame: &H) -> u64 {\n    let w = &frame.words;\n    40 * *w\n}");
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].line, 3);
+    }
+
+    #[test]
+    fn wrapping_arithmetic_does_not_launder() {
+        let found = run(
+            "fn f(payload: &[u8]) -> usize {\n    let n = u32_at(payload, 0).unwrap_or(0) as usize;\n    n.wrapping_mul(8) + 1\n}",
+        );
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].line, 3);
     }
 
     #[test]

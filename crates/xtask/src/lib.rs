@@ -1,6 +1,6 @@
 //! Repo-specific static analysis for the Grafite workspace.
 //!
-//! `cargo run -p xtask -- lint` runs seven lints (see [`lints`]) that
+//! `cargo run -p xtask -- lint` runs six lints (see [`lints`]) that
 //! encode this repository's correctness contract:
 //!
 //! - **L1 panic-freedom** — no `unwrap`/`expect`/panicking macros/bare
@@ -9,25 +9,19 @@
 //!   (gated crates may deny) and warns on `missing_docs`;
 //! - **L3 format-constant consistency** — version/spec-id constants agree
 //!   with the committed golden blobs;
-//! - **L4 unchecked arithmetic** — no bare `+`/`*`/`<<` on
-//!   length/offset-*named* values in untrusted scopes;
 //! - **L6 unsafe-kernel confinement** — `unsafe` only in the allowlisted
 //!   SIMD kernel module, every block `// safety:`-justified;
 //! - **L7 dataflow taint** — a value *derived from attacker bytes*
 //!   (whatever it is named) never reaches an allocation size, slice
-//!   index, raw-read offset, or shift amount without passing a
-//!   `checked_*`/`saturating_*`/`min`/`clamp` sanitizer or an explicit
-//!   bounds comparison ([`dataflow`]);
+//!   index, raw-read offset, shift amount, or bare `+`/`*` operand
+//!   without passing a `checked_*`/`saturating_*`/`min`/`clamp`
+//!   sanitizer or an explicit bounds comparison ([`dataflow`]);
 //! - **L8 happens-before pairing** — every atomic `Ordering::` in the
 //!   audited crates carries an `// ordering:` comment that follows the
 //!   machine-checkable grammar in [`config`], and every declared publish
 //!   edge resolves to a live Release/Acquire partner site.
 //!
-//! There is no L5: lint ids are never reused.
-//!
-//! L1/L4 and L7 are complementary: L4 is the cheap name heuristic, L7 is
-//! the provenance analysis that catches laundering through neutral
-//! names.
+//! There are no L4 or L5: lint ids are never reused.
 //!
 //! The crate is dependency-free and fully offline: plain `std::fs` walks
 //! plus a hand-rolled Rust lexer ([`scan`]) that masks comments and
@@ -54,7 +48,7 @@ use lints::{Finding, Scopes, Sink};
 use scan::{AllowUse, SourceFile};
 
 /// The lint ids, in report order.
-pub const LINT_IDS: [&str; 7] = ["L1", "L2", "L3", "L4", "L6", "L7", "L8"];
+pub const LINT_IDS: [&str; 6] = ["L1", "L2", "L3", "L6", "L7", "L8"];
 
 /// Per-lint cost and yield, for the summary footer and the CI step
 /// summary.
@@ -116,11 +110,11 @@ fn walk_rs(root: &Path, prefix: &str) -> Vec<String> {
     out
 }
 
-/// Runs all seven lints from `root` and returns the combined report.
+/// Runs all six lints from `root` and returns the combined report.
 ///
 /// Every `.rs` file any scoped lint cares about is read from disk and
 /// tokenized exactly once; the resulting [`SourceFile`] cache is shared
-/// by L1/L4/L6/L7/L8 (L2/L3 additionally read manifests and golden
+/// by L1/L6/L7/L8 (L2/L3 additionally read manifests and golden
 /// blobs, which are not Rust sources).
 pub fn run_lints(root: &Path) -> LintReport {
     let mut sink = Sink::default();
@@ -160,16 +154,13 @@ pub fn run_lints(root: &Path) -> LintReport {
         *wall.entry(lint).or_default() += t.elapsed();
     };
 
-    // L1/L4/L7 share one untrusted-surface scope decision per file.
+    // L1/L7 share one untrusted-surface scope decision per file.
     for file in cache.values() {
         let Some(scopes) = Scopes::untrusted(file) else {
             continue;
         };
         timed(&mut wall, "L1", &mut sink, &mut |s| {
             lints::panic_freedom::check(file, &scopes, s);
-        });
-        timed(&mut wall, "L4", &mut sink, &mut |s| {
-            lints::arithmetic::check(file, &scopes, s);
         });
         timed(&mut wall, "L7", &mut sink, &mut |s| {
             lints::taint::check(file, &scopes, s);

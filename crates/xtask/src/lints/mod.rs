@@ -1,20 +1,18 @@
-//! The seven repo-specific lints behind `cargo run -p xtask -- lint`.
+//! The six repo-specific lints behind `cargo run -p xtask -- lint`.
 //!
 //! | id | name | what it proves |
 //! |---|---|---|
 //! | L1 | panic-freedom | no `unwrap`/`expect`/`panic!`-family macro/bare indexing in untrusted-input scopes |
 //! | L2 | crate-header conformance | every workspace crate forbids `unsafe_code` (gated crates may deny) and warns on `missing_docs` |
 //! | L3 | format-constant consistency | version/spec-id constants agree with the committed golden blobs |
-//! | L4 | unchecked arithmetic | no bare `+`/`*`/`<<` on length/offset-typed values in untrusted scopes |
 //! | L6 | unsafe-kernel confinement | `unsafe` appears only in the allowlisted SIMD kernel module, every block `// safety:`-justified |
-//! | L7 | dataflow taint | no untrusted value reaches an allocation size / index / shift / raw read without a guard |
+//! | L7 | dataflow taint | no untrusted value reaches an allocation size / index / shift / raw read / bare `+`/`*` without a guard |
 //! | L8 | happens-before pairing | every atomic `Ordering::` in the audited crates carries an `// ordering:` comment that parses under the grammar, and every `Release` names a live `Acquire` partner |
 //!
-//! L1, L4, L7, and L8 honour the `// lint:allow(reason)` escape hatch
+//! L1, L7, and L8 honour the `// lint:allow(reason)` escape hatch
 //! (same line or the line directly above); suppressions are counted and
 //! reported, never silent.
 
-pub mod arithmetic;
 pub mod format_consts;
 pub mod happens_before;
 pub mod headers;
@@ -118,8 +116,8 @@ impl Scopes {
     /// The shared untrusted-surface scope for `file`, from the single
     /// policy table in [`crate::config`]: the whole file when its path is
     /// in `UNTRUSTED_FILES`, the bodies of the `UNTRUSTED_FNS` family when
-    /// it sits under `UNTRUSTED_FN_GLOBS`, `None` otherwise. L1, L4, and
-    /// L7 all scope through this one decision.
+    /// it sits under `UNTRUSTED_FN_GLOBS`, `None` otherwise. L1 and L7
+    /// both scope through this one decision.
     pub fn untrusted(file: &SourceFile) -> Option<Scopes> {
         let rel = file.rel.as_str();
         if crate::config::UNTRUSTED_FILES.contains(&rel) {
@@ -151,18 +149,19 @@ mod tests {
     use super::*;
 
     /// Both scoped lints must consume the one untrusted-surface table:
-    /// a violation inside a `read_from` body under a fn-glob path flags
-    /// for L1 and L4 through the *same* `Scopes::untrusted` decision,
-    /// while the identical code outside that scope stays silent.
+    /// a bare index and decoded-value arithmetic inside a `read_from` body
+    /// under a fn-glob path flag for L1 and L7 through the *same*
+    /// `Scopes::untrusted` decision, while the identical code outside that
+    /// scope stays silent.
     #[test]
     fn panic_freedom_and_arithmetic_share_the_untrusted_table() {
         let src = "\
-pub fn read_from(v: &[u64], len: usize) -> u64 {
-    let x = v[len + 1];
+pub fn read_from(words: &[u64]) -> u64 {
+    let x = words[words[0] as usize + 1];
     x
 }
-pub fn trusted_helper(v: &[u64], len: usize) -> u64 {
-    let x = v[len + 1];
+pub fn trusted_helper(words: &[u64]) -> u64 {
+    let x = words[words[0] as usize + 1];
     x
 }
 ";
@@ -171,11 +170,16 @@ pub fn trusted_helper(v: &[u64], len: usize) -> u64 {
         let scopes = Scopes::untrusted(&file).expect("read_from body must be in scope");
         let mut sink = Sink::default();
         crate::lints::panic_freedom::check(&file, &scopes, &mut sink);
-        crate::lints::arithmetic::check(&file, &scopes, &mut sink);
+        crate::lints::taint::check(&file, &scopes, &mut sink);
         let lines: Vec<(&'static str, usize)> =
             sink.findings.iter().map(|f| (f.lint, f.line)).collect();
         assert!(lines.contains(&("L1", 2)), "{lines:?}");
-        assert!(lines.contains(&("L4", 2)), "{lines:?}");
+        assert!(
+            sink.findings
+                .iter()
+                .any(|f| f.lint == "L7" && f.line == 2 && f.message.contains("arithmetic")),
+            "{lines:?}"
+        );
         assert!(
             lines.iter().all(|&(_, l)| l == 2),
             "the trusted twin must stay out of scope: {lines:?}"

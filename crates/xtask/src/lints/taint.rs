@@ -1,15 +1,15 @@
 //! L7 — dataflow taint analysis for untrusted-input scopes.
 //!
-//! L4 asks "does this *name* look like a length?"; L7 asks "did this
-//! *value* come from attacker bytes?". Sources are the word-stream and
+//! L7 asks "did this *value* come from attacker bytes?", not "does this
+//! *name* look like a length?". Sources are the word-stream and
 //! frame-payload decoders plus attacker-named parameters
 //! ([`crate::config::TAINT_SOURCE_CALLS`] /
 //! [`crate::config::TAINT_SOURCE_PARAMS`]); sinks are allocation sizes,
-//! `vec![_; n]` lengths, slice indices, raw-read offsets, and shift
-//! amounts; taint clears only through `checked_*`/`saturating_*`
-//! arithmetic, `min`/`clamp`, or an explicit bounds comparison (which
-//! vouches for the whole definition chain it compares). Scoping is the
-//! same single untrusted-surface table L1/L4 use
+//! `vec![_; n]` lengths, slice indices, raw-read offsets, shift amounts,
+//! and operands of bare `+`/`*`/`+=`/`*=`; taint clears only through
+//! `checked_*`/`saturating_*` arithmetic, `min`/`clamp`, or an explicit
+//! bounds comparison (which vouches for the whole definition chain it
+//! compares). Scoping is the same single untrusted-surface table L1 uses
 //! ([`crate::lints::Scopes::untrusted`]); `// lint:allow(reason)` applies
 //! as everywhere else.
 
@@ -58,8 +58,8 @@ mod tests {
 
     #[test]
     fn provenance_beats_name_heuristics() {
-        // `quota` has no length-ish name, so L4 is blind to it; L7 tracks
-        // the value from the decode call to the allocation.
+        // `quota` has no length-ish name; L7 tracks the value from the
+        // decode call to the allocation.
         let found = run(
             "fn decode(payload: &[u8]) -> Vec<u8> {\n    let quota = u32_at(payload, 0).unwrap_or(0) as usize;\n    Vec::with_capacity(quota)\n}",
         );

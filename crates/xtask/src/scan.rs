@@ -18,7 +18,7 @@
 /// One lexical token of the masked source.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Token {
-    /// Token text (identifier/number spelling, or a 1–2 char operator).
+    /// Token text (identifier/number spelling, or a 1–3 char operator).
     pub text: String,
     /// 1-based line.
     pub line: usize,
@@ -120,7 +120,7 @@ impl SourceFile {
 
     /// Every function item with a body in the file, in source order,
     /// including nested and `impl`-block functions. Backbone of both the
-    /// named-function scoping (L1/L4) and the dataflow layer (L7).
+    /// named-function scoping (L1) and the dataflow layer (L7).
     pub fn fn_spans(&self) -> Vec<FnSpan> {
         let mut out = Vec::new();
         let toks = &self.tokens;
@@ -503,6 +503,7 @@ fn tokenize(masked: &str) -> Vec<Token> {
             (b'<', _, Some([b'<', b'<', b'='])) => "<<=",
             (b'<', Some([b'<', b'<']), _) => "<<",
             (b'<', Some([b'<', b'=']), _) => "<=",
+            (b'>', _, Some([b'>', b'>', b'='])) => ">>=",
             (b'>', Some([b'>', b'>']), _) => ">>",
             (b'>', Some([b'>', b'=']), _) => ">=",
             (b'=', Some([b'=', b'=']), _) => "==",

@@ -56,8 +56,6 @@ fn seeded_fixture_fires_every_lint() {
     expect("L1", "crates/core/src/persist.rs", 12);
     // L2 header conformance: the fixture root crate has no headers.
     expect("L2", "src/lib.rs", 1);
-    // L4 unchecked arithmetic: `v.len() + 1`.
-    expect("L4", "crates/succinct/src/io.rs", 5);
     // L3 format constants: FORMAT_VERSION=9 has no tests/golden/v9 set,
     // and STORE_FORMAT_VERSION=0 is out of range.
     expect("L3", "tests/golden/v9/manifest.txt", 1);
@@ -66,9 +64,10 @@ fn seeded_fixture_fires_every_lint() {
     // allowlisted kernel file, and any `unsafe` outside the allowlist.
     expect("L6", "crates/succinct/src/simd/kernels.rs", 12);
     expect("L6", "crates/core/src/persist.rs", 16);
-    // L7 dataflow taint: the frame-declared `quota` (a name the L4
-    // heuristic has no opinion about) reaches `with_capacity` unlaundered.
+    // L7 dataflow taint: the frame-declared `quota` reaches
+    // `with_capacity` unlaundered, and a decoded word reaches a bare `*`.
     expect("L7", "crates/server/src/protocol.rs", 6);
+    expect("L7", "crates/succinct/src/io.rs", 5);
     // L8 happens-before: `Ordering::Relaxed` with no `// ordering:`
     // comment at all…
     expect("L8", "crates/store/src/manifest.rs", 8);
@@ -97,10 +96,16 @@ fn seeded_fixture_fires_every_lint() {
             .any(|(l, f, n)| l == "L7" && f == "crates/server/src/protocol.rs" && *n == 13),
         "a bounded allocation size must pass the taint lint"
     );
+    // Nor may the `checked_mul` twin (io.rs line 14).
+    assert!(
+        !got.iter()
+            .any(|(l, f, n)| l == "L7" && f == "crates/succinct/src/io.rs" && *n == 14),
+        "checked arithmetic must pass the taint lint"
+    );
     assert_eq!(
         got.iter().filter(|(l, _, _)| l == "L7").count(),
-        1,
-        "exactly one taint violation is seeded"
+        2,
+        "exactly two taint violations are seeded"
     );
     // One finding per seeded defect: a malformed declaration is dropped
     // from the global pairing pass rather than reported twice.

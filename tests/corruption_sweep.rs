@@ -1,5 +1,5 @@
 //! Corruption sweep: the dynamic twin of `cargo run -p xtask -- lint`'s
-//! static panic-freedom pass (L1/L4).
+//! static untrusted-input passes (L1/L7).
 //!
 //! The lint proves the untrusted load paths *contain* no panicking
 //! operations; this suite proves the paths *behave*: every truncation
