@@ -1,7 +1,7 @@
 //! A classic Bloom filter over `u64` items.
 
 use grafite_hash::mix::murmur_mix64;
-use grafite_succinct::io::{DecodeError, WordSource, WordWriter};
+use grafite_succinct::io::{DecodeError, WordReader, WordWriter};
 use grafite_succinct::BitVec;
 
 /// A Bloom filter with `k` hash functions realised by double hashing
@@ -119,9 +119,7 @@ impl BloomFilter {
     }
 
     /// Reads back what [`BloomFilter::write_to`] wrote.
-    pub fn read_from<Src: WordSource<Storage = Vec<u64>>>(
-        src: &mut Src,
-    ) -> Result<Self, DecodeError> {
+    pub fn read_from(src: &mut WordReader<'_>) -> Result<Self, DecodeError> {
         let m = src.word()?;
         let k = src.word()?;
         if m == 0 || k == 0 || k > u32::MAX as u64 {

@@ -1,7 +1,7 @@
 //! The Prefix Bloom Filter (paper §2): hash fixed-length key prefixes into a
 //! Bloom filter; a range query probes every prefix overlapping the range.
 
-use grafite_succinct::io::{DecodeError, WordSource, WordWriter};
+use grafite_succinct::io::{DecodeError, WordReader, WordWriter};
 
 use crate::bloom::BloomFilter;
 
@@ -104,9 +104,7 @@ impl PrefixBloomFilter {
     }
 
     /// Reads back what [`PrefixBloomFilter::write_to`] wrote.
-    pub fn read_from<Src: WordSource<Storage = Vec<u64>>>(
-        src: &mut Src,
-    ) -> Result<Self, DecodeError> {
+    pub fn read_from(src: &mut WordReader<'_>) -> Result<Self, DecodeError> {
         let prefix_len = src.word()?;
         if !(1..=64).contains(&prefix_len) {
             return Err(DecodeError::Invalid("prefix length out of range"));

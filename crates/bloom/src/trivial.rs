@@ -6,7 +6,7 @@
 use crate::bloom::BloomFilter;
 use grafite_core::persist::{spec_id, Header};
 use grafite_core::{BuildableFilter, FilterConfig, FilterError, PersistentFilter, RangeFilter};
-use grafite_succinct::io::{WordSource, WordWriter};
+use grafite_succinct::io::{WordReader, WordWriter};
 
 /// The trivial Bloom-filter-based range filter.
 #[derive(Clone, Debug)]
@@ -80,10 +80,7 @@ impl PersistentFilter for TrivialRangeFilter {
         Ok(())
     }
 
-    fn read_payload<Src: WordSource<Storage = Vec<u64>>>(
-        src: &mut Src,
-        header: &Header,
-    ) -> Result<Self, FilterError> {
+    fn read_payload(src: &mut WordReader<'_>, header: &Header) -> Result<Self, FilterError> {
         let max_range = src.word()?;
         let bloom = BloomFilter::read_from(src)?;
         Ok(Self {

@@ -11,7 +11,7 @@
 //! nothing more sophisticated is needed. Like every heuristic filter it
 //! offers no FPR guarantee and stops filtering under key–query correlation.
 
-use grafite_succinct::io::{WordSource, WordWriter};
+use grafite_succinct::io::{WordReader, WordWriter};
 use grafite_succinct::EliasFano;
 
 use crate::error::FilterError;
@@ -204,10 +204,7 @@ impl PersistentFilter for BucketingFilter {
         Ok(())
     }
 
-    fn read_payload<Src: WordSource<Storage = Vec<u64>>>(
-        src: &mut Src,
-        header: &Header,
-    ) -> Result<Self, FilterError> {
+    fn read_payload(src: &mut WordReader<'_>, header: &Header) -> Result<Self, FilterError> {
         let s = src.word()?;
         if s == 0 {
             return Err(FilterError::corrupt("zero bucket size"));
@@ -578,10 +575,7 @@ impl PersistentFilter for WorkloadAwareBucketing {
         Ok(())
     }
 
-    fn read_payload<Src: WordSource<Storage = Vec<u64>>>(
-        src: &mut Src,
-        header: &Header,
-    ) -> Result<Self, FilterError> {
+    fn read_payload(src: &mut WordReader<'_>, header: &Header) -> Result<Self, FilterError> {
         let n = src.length()?;
         let region_starts = src.take(n)?;
         if region_starts.is_empty() {

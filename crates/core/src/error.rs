@@ -103,15 +103,11 @@ pub enum FilterError {
         /// ([`std::error::Error::source`] reports it).
         source: Box<FilterError>,
     },
-    /// The byte sink or source failed while (de)serializing.
+    /// A byte sink or a file read failed while (de)serializing. Decoding
+    /// an in-memory blob never produces it.
     Io {
         /// The i/o failure kind.
         kind: std::io::ErrorKind,
-        /// The succinct-layer decode error underneath, when the failure
-        /// surfaced while decoding a word stream ([`std::error::Error::source`]
-        /// reports it); `None` when the filter layer hit the i/o error
-        /// directly.
-        source: Option<DecodeError>,
     },
 }
 
@@ -198,13 +194,11 @@ impl fmt::Display for FilterError {
 
 impl std::error::Error for FilterError {
     /// The storage-level [`DecodeError`] a [`FilterError::CorruptPayload`]
-    /// or [`FilterError::Io`] wraps, when the failure originated in the
-    /// succinct word decoders rather than the filter layer itself.
+    /// wraps, when the failure originated in the succinct word decoders
+    /// rather than the filter layer itself.
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            FilterError::CorruptPayload { source, .. } | FilterError::Io { source, .. } => {
-                source.as_ref().map(|e| e as _)
-            }
+            FilterError::CorruptPayload { source, .. } => source.as_ref().map(|e| e as _),
             FilterError::ShardLoad { source, .. } => Some(source.as_ref() as _),
             _ => None,
         }
@@ -212,18 +206,16 @@ impl std::error::Error for FilterError {
 }
 
 impl From<DecodeError> for FilterError {
+    /// Word counts become byte counts. A forged length word can make them
+    /// arbitrarily large, so the conversion saturates rather than wrap.
     fn from(e: DecodeError) -> Self {
         match e {
             DecodeError::Truncated { needed, have } => FilterError::TruncatedBuffer {
-                needed: needed * 8,
-                have: have * 8,
+                needed: needed.saturating_mul(8),
+                have: have.saturating_mul(8),
             },
             DecodeError::Invalid(what) => FilterError::CorruptPayload {
                 what,
-                source: Some(e),
-            },
-            DecodeError::Io(kind) => FilterError::Io {
-                kind,
                 source: Some(e),
             },
         }
@@ -232,10 +224,7 @@ impl From<DecodeError> for FilterError {
 
 impl From<std::io::Error> for FilterError {
     fn from(e: std::io::Error) -> Self {
-        FilterError::Io {
-            kind: e.kind(),
-            source: None,
-        }
+        FilterError::Io { kind: e.kind() }
     }
 }
 
@@ -259,18 +248,6 @@ mod tests {
         ));
         let src = err.source().expect("decode-born corruption must chain");
         assert_eq!(src.downcast_ref::<DecodeError>(), Some(&invalid));
-
-        let io = DecodeError::Io(std::io::ErrorKind::BrokenPipe);
-        let err = FilterError::from(io.clone());
-        assert!(matches!(
-            err,
-            FilterError::Io {
-                kind: std::io::ErrorKind::BrokenPipe,
-                ..
-            }
-        ));
-        let src = err.source().expect("decode-born i/o failure must chain");
-        assert_eq!(src.downcast_ref::<DecodeError>(), Some(&io));
     }
 
     /// Filter-level checks have no storage error underneath: no source.
@@ -292,6 +269,19 @@ mod tests {
             FilterError::TruncatedBuffer {
                 needed: 24,
                 have: 8
+            }
+        );
+        // A forged length can claim any word count: the byte count
+        // saturates instead of overflowing.
+        let err = FilterError::from(DecodeError::Truncated {
+            needed: usize::MAX / 4,
+            have: usize::MAX,
+        });
+        assert_eq!(
+            err,
+            FilterError::TruncatedBuffer {
+                needed: usize::MAX,
+                have: usize::MAX
             }
         );
     }

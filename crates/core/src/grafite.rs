@@ -1,7 +1,7 @@
 //! The Grafite range filter (paper Section 3).
 
 use grafite_hash::{LocalityHash, PairwiseHash};
-use grafite_succinct::io::{MappedCursor, MappedSource, WordSource, WordWriter};
+use grafite_succinct::io::{WordReader, WordWriter};
 use grafite_succinct::EliasFano;
 
 use crate::error::FilterError;
@@ -28,26 +28,13 @@ pub const MAX_REDUCED_UNIVERSE: u64 = grafite_hash::pairwise::MERSENNE_61 - 1;
 /// probability at most `min{1, ℓ/2^(B−2)}`. Query time is a constant number
 /// of Elias–Fano predecessor probes (each a `O(log(L/ε))`-step binary search
 /// within one high-bucket).
-///
-/// Like the succinct containers it is built on, the filter is generic over
-/// its word store: [`GrafiteFilterView`] answers queries zero-copy out of a
-/// loaded word buffer (see [`GrafiteFilter::view`]).
 #[derive(Clone, Debug)]
-pub struct GrafiteFilter<S = Vec<u64>> {
+pub struct GrafiteFilter {
     h: LocalityHash,
-    codes: EliasFano<S>,
+    codes: EliasFano,
     n_keys: usize,
     r: u64,
 }
-
-/// A Grafite filter borrowing its Elias–Fano storage (directories
-/// included) from a loaded `&[u64]` buffer.
-pub type GrafiteFilterView<'a> = GrafiteFilter<&'a [u64]>;
-
-/// A Grafite filter owning its Elias–Fano storage by reference count — the
-/// `'static`, thread-shareable twin of [`GrafiteFilterView`], used by the
-/// mapped store/serving path (see [`MappedGrafiteFilter::open_mapped`]).
-pub type MappedGrafiteFilter = GrafiteFilter<MappedSource>;
 
 impl GrafiteFilter {
     /// Starts building a filter. See [`GrafiteBuilder`].
@@ -100,76 +87,6 @@ impl GrafiteFilter {
             n_keys: keys.len(),
             r,
         }
-    }
-}
-
-impl<'a> GrafiteFilterView<'a> {
-    /// Opens a serialized Grafite filter as a zero-copy view over `words`
-    /// (header included, e.g. a memory-mapped blob reinterpreted as words):
-    /// the Elias–Fano low/high arrays and their rank/select directories all
-    /// borrow from the buffer, nothing is copied or rebuilt, and the view
-    /// answers the full [`RangeFilter`] contract.
-    pub fn view(words: &'a [u64]) -> Result<Self, FilterError> {
-        let (header, mut cur) = Header::payload_cursor(words)?;
-        if header.spec_id != spec_id::GRAFITE {
-            return Err(FilterError::SpecMismatch(header.spec_id));
-        }
-        Self::decode_payload(&mut cur, &header)
-    }
-}
-
-impl MappedGrafiteFilter {
-    /// Opens a serialized Grafite filter (header included) over a shared
-    /// word buffer: like [`GrafiteFilterView::view`], nothing is copied or
-    /// rebuilt — the Elias–Fano arrays and their directories are sub-ranges
-    /// of `source`'s buffer — but the result is `'static` and can be moved
-    /// into a `Box<dyn PersistentFilter>` and shared across threads, which
-    /// a borrowed view cannot.
-    pub fn open_mapped(source: &MappedSource) -> Result<Self, FilterError> {
-        let (header, mut cur) = Header::payload_cursor_mapped(source)?;
-        if header.spec_id != spec_id::GRAFITE {
-            return Err(FilterError::SpecMismatch(header.spec_id));
-        }
-        Self::decode_payload(&mut cur, &header)
-    }
-}
-
-impl<S: AsRef<[u64]>> GrafiteFilter<S> {
-    /// Payload writer shared by every storage type: `[c1, c2, p, r]` (the
-    /// locality hash, fully determined by its pairwise parameters) followed
-    /// by the Elias–Fano code sequence.
-    fn write_payload_words(&self, w: &mut WordWriter<'_>) -> std::io::Result<()> {
-        let q = self.h.pairwise();
-        w.word(q.c1())?;
-        w.word(q.c2())?;
-        w.word(q.prime())?;
-        w.word(self.r)?;
-        self.codes.write_to(w)?;
-        Ok(())
-    }
-    /// Shared payload codec for the owned, view and mapped load paths.
-    fn decode_payload<Src: WordSource<Storage = S>>(
-        src: &mut Src,
-        header: &Header,
-    ) -> Result<Self, FilterError> {
-        let c1 = src.word()?;
-        let c2 = src.word()?;
-        let p = src.word()?;
-        let r = src.word()?;
-        if !PairwiseHash::params_valid(c1, c2, p, r) {
-            return Err(FilterError::corrupt("pairwise hash parameters"));
-        }
-        let h = LocalityHash::from_pairwise(PairwiseHash::with_params(c1, c2, p, r));
-        let codes = EliasFano::read_from(src)?;
-        if codes.universe() != r {
-            return Err(FilterError::corrupt("code universe differs from r"));
-        }
-        Ok(Self {
-            h,
-            codes,
-            n_keys: header.n_keys as usize,
-            r,
-        })
     }
 
     /// The reduced universe size `r = nL/ε`.
@@ -252,7 +169,7 @@ impl<S: AsRef<[u64]>> GrafiteFilter<S> {
     }
 }
 
-impl<S: AsRef<[u64]>> RangeFilter for GrafiteFilter<S> {
+impl RangeFilter for GrafiteFilter {
     /// Algorithm 2 of the paper plus the two structural cases: footnote 2's
     /// split when `[a, b]` crosses one `r`-block boundary, and an immediate
     /// "not empty" when it spans two or more boundaries (then it contains a
@@ -301,42 +218,34 @@ impl PersistentFilter for GrafiteFilter {
     /// Payload: `[c1, c2, p, r]` (the locality hash, fully determined by
     /// its pairwise parameters) followed by the Elias–Fano code sequence.
     fn write_payload(&self, w: &mut WordWriter<'_>) -> std::io::Result<()> {
-        self.write_payload_words(w)
+        let q = self.h.pairwise();
+        w.word(q.c1())?;
+        w.word(q.c2())?;
+        w.word(q.prime())?;
+        w.word(self.r)?;
+        self.codes.write_to(w)?;
+        Ok(())
     }
 
-    fn read_payload<Src: WordSource<Storage = Vec<u64>>>(
-        src: &mut Src,
-        header: &Header,
-    ) -> Result<Self, FilterError> {
-        Self::decode_payload(src, header)
-    }
-}
-
-impl PersistentFilter for MappedGrafiteFilter {
-    fn spec_id(&self) -> u32 {
-        spec_id::GRAFITE
-    }
-
-    fn spec_ids() -> &'static [u32] {
-        &[spec_id::GRAFITE]
-    }
-
-    fn write_payload(&self, w: &mut WordWriter<'_>) -> std::io::Result<()> {
-        self.write_payload_words(w)
-    }
-
-    /// Owned source, mapped storage: the payload words are read once into
-    /// a fresh shared buffer and the filter's containers become sub-ranges
-    /// of it.
-    fn read_payload<Src: WordSource<Storage = Vec<u64>>>(
-        src: &mut Src,
-        header: &Header,
-    ) -> Result<Self, FilterError> {
-        let need = usize::try_from(header.payload_words)
-            .map_err(|_| FilterError::corrupt("payload length overflows usize"))?;
-        let words = src.take(need).map_err(FilterError::from)?;
-        let mut cur = MappedCursor::new(MappedSource::from_words(words));
-        Self::decode_payload(&mut cur, header)
+    fn read_payload(src: &mut WordReader<'_>, header: &Header) -> Result<Self, FilterError> {
+        let c1 = src.word()?;
+        let c2 = src.word()?;
+        let p = src.word()?;
+        let r = src.word()?;
+        if !PairwiseHash::params_valid(c1, c2, p, r) {
+            return Err(FilterError::corrupt("pairwise hash parameters"));
+        }
+        let h = LocalityHash::from_pairwise(PairwiseHash::with_params(c1, c2, p, r));
+        let codes = EliasFano::read_from(src)?;
+        if codes.universe() != r {
+            return Err(FilterError::corrupt("code universe differs from r"));
+        }
+        Ok(Self {
+            h,
+            codes,
+            n_keys: header.n_keys as usize,
+            r,
+        })
     }
 }
 
@@ -884,7 +793,6 @@ mod tests {
 #[cfg(test)]
 mod persist_tests {
     use super::*;
-    use crate::persist::bytes_to_words;
 
     #[test]
     fn filter_roundtrips_through_flat_bytes() {
@@ -914,89 +822,6 @@ mod persist_tests {
     }
 
     #[test]
-    fn view_answers_zero_copy_out_of_the_blob() {
-        let keys: Vec<u64> = (0..800u64).map(|i| i.wrapping_mul(0xDEADBEEF17)).collect();
-        let filter = GrafiteFilter::builder()
-            .bits_per_key(12.0)
-            .seed(5)
-            .build(&keys)
-            .unwrap();
-        let words = bytes_to_words(&filter.to_bytes()).unwrap();
-        let view = GrafiteFilterView::view(&words).expect("view");
-        assert_eq!(view.num_keys(), filter.num_keys());
-        for probe in 0..3000u64 {
-            let a = probe.wrapping_mul(0x1234567);
-            let b = a.saturating_add(77);
-            assert_eq!(view.may_contain_range(a, b), filter.may_contain_range(a, b));
-        }
-        // Batch path too.
-        let queries: Vec<(u64, u64)> = (0..500u64).map(|i| (i * 1000, i * 1000 + 64)).collect();
-        let (mut via_view, mut via_filter) = (Vec::new(), Vec::new());
-        view.may_contain_ranges(&queries, &mut via_view);
-        filter.may_contain_ranges(&queries, &mut via_filter);
-        assert_eq!(via_view, via_filter);
-    }
-
-    /// The mapped path — `open_mapped` over a shared buffer and the owned
-    /// `deserialize` of `MappedGrafiteFilter` — answers bit-identically to
-    /// the owned filter, and its clones share (not copy) the storage.
-    #[test]
-    fn mapped_open_matches_owned_filter() {
-        let keys: Vec<u64> = (0..1200u64)
-            .map(|i| i.wrapping_mul(0x000A_5A51_2349))
-            .collect();
-        let filter = GrafiteFilter::builder()
-            .bits_per_key(13.0)
-            .seed(8)
-            .build(&keys)
-            .unwrap();
-        let bytes = filter.to_bytes();
-        let source = MappedSource::from_le_bytes(&bytes).unwrap();
-        let mapped = MappedGrafiteFilter::open_mapped(&source).expect("open_mapped");
-        let owned_src = MappedGrafiteFilter::deserialize(&bytes).expect("deserialize");
-        assert_eq!(mapped.num_keys(), filter.num_keys());
-        assert_eq!(mapped.reduced_universe(), filter.reduced_universe());
-        for probe in 0..3000u64 {
-            let a = probe.wrapping_mul(0x9E3779B9);
-            let b = a.saturating_add(128);
-            let expect = filter.may_contain_range(a, b);
-            assert_eq!(mapped.may_contain_range(a, b), expect);
-            assert_eq!(owned_src.may_contain_range(a, b), expect);
-        }
-        // Batch path too, and re-serialization is byte-identical.
-        let queries: Vec<(u64, u64)> = (0..400u64).map(|i| (i * 977, i * 977 + 50)).collect();
-        let (mut via_mapped, mut via_owned) = (Vec::new(), Vec::new());
-        mapped.may_contain_ranges(&queries, &mut via_mapped);
-        filter.may_contain_ranges(&queries, &mut via_owned);
-        assert_eq!(via_mapped, via_owned);
-        assert_eq!(mapped.to_bytes(), bytes);
-    }
-
-    /// Mapped loading is as hardened as the owned path: corruption,
-    /// truncation, and foreign specs come back typed, never a panic.
-    #[test]
-    fn mapped_open_rejects_foreign_bytes_typed() {
-        let filter = GrafiteFilter::builder()
-            .bits_per_key(8.0)
-            .build(&[5u64, 6, 7])
-            .unwrap();
-        let bytes = filter.to_bytes();
-        let mut corrupt = bytes.clone();
-        let last = corrupt.len() - 1;
-        corrupt[last] ^= 0xFF;
-        let source = MappedSource::from_le_bytes(&corrupt).unwrap();
-        assert!(matches!(
-            MappedGrafiteFilter::open_mapped(&source),
-            Err(FilterError::ChecksumMismatch { .. })
-        ));
-        let short = MappedSource::from_le_bytes(&bytes[..bytes.len() - 8]).unwrap();
-        assert!(matches!(
-            MappedGrafiteFilter::open_mapped(&short),
-            Err(FilterError::TruncatedBuffer { .. })
-        ));
-    }
-
-    #[test]
     fn foreign_bytes_are_rejected_typed() {
         let keys = [1u64, 2, 3];
         let filter = GrafiteFilter::builder()
@@ -1005,14 +830,14 @@ mod persist_tests {
             .unwrap();
         let bytes = filter.to_bytes();
         assert!(matches!(
-            GrafiteFilter::<Vec<u64>>::deserialize(&bytes[..bytes.len() - 3]),
+            GrafiteFilter::deserialize(&bytes[..bytes.len() - 3]),
             Err(FilterError::TruncatedBuffer { .. })
         ));
         let mut corrupt = bytes.clone();
         let last = corrupt.len() - 1;
         corrupt[last] ^= 0xFF;
         assert!(matches!(
-            GrafiteFilter::<Vec<u64>>::deserialize(&corrupt),
+            GrafiteFilter::deserialize(&corrupt),
             Err(FilterError::ChecksumMismatch { .. })
         ));
     }

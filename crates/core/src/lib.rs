@@ -56,9 +56,7 @@ pub mod traits;
 
 pub use bucketing::{BucketingBuilder, BucketingFilter, BucketingTuning, WorkloadAwareBucketing};
 pub use error::FilterError;
-pub use grafite::{
-    GrafiteBuilder, GrafiteFilter, GrafiteFilterView, GrafiteTuning, MappedGrafiteFilter,
-};
+pub use grafite::{GrafiteBuilder, GrafiteFilter, GrafiteTuning};
 pub use parallel::{Parallelism, THREADS_ENV};
 pub use persist::{Header, FORMAT_VERSION, MAGIC};
 pub use registry::{BuilderFn, FilterSpec, LoaderFn, Registry};

@@ -16,10 +16,10 @@
 //!
 //! The payload is the filter's structural fields followed by its succinct
 //! containers in `grafite-succinct`'s word encoding — rank/select
-//! directories included, so loading is **rebuild-free**. Everything is
-//! word-aligned, which is what lets view types parse straight out of an
-//! in-memory `&[u64]` buffer (e.g. one backed by a memory-mapped file)
-//! without copying.
+//! directories included, so loading is **rebuild-free**: [`Header::parse`]
+//! verifies the blob and hands back the checksummed payload slice, which
+//! one bounds-checked [`WordReader`](grafite_succinct::io::WordReader)
+//! copies into owned containers.
 //!
 //! # Versioning policy
 //!
@@ -39,8 +39,7 @@
 //!   [`FilterError::UnsupportedFormatVersion`] on every load path.
 //! * **v2** (current) — `RsBitVec` select directories store the exact
 //!   position of every 512th one/zero (the position-sampled scheme of the
-//!   succinct hot-path overhaul), so owned loads and zero-copy views alike
-//!   read every directory verbatim.
+//!   succinct hot-path overhaul), so loads read every directory verbatim.
 //!
 //! # Threat model
 //!
@@ -57,7 +56,7 @@
 
 use std::io;
 
-use grafite_succinct::io::{le_word, MappedCursor, MappedSource, WordCursor};
+use grafite_succinct::io::le_word;
 
 use crate::error::FilterError;
 
@@ -297,67 +296,6 @@ impl Header {
         header.verify_checksum(words_of_bytes(payload))?;
         Ok((header, payload))
     }
-
-    /// [`Header::parse`] over a word buffer — the zero-copy path: the
-    /// returned payload slice borrows from `words`, and a
-    /// [`WordCursor`] over it parses view structures that
-    /// answer queries straight out of the buffer.
-    pub fn parse_words(words: &[u64]) -> Result<(Self, &[u64]), FilterError> {
-        let &[w0, w1, w2, w3, w4, ..] = words else {
-            return Err(FilterError::TruncatedBuffer {
-                needed: HEADER_BYTES,
-                have: words.len().saturating_mul(8),
-            });
-        };
-        let header = Self::validate([w0, w1, w2, w3, w4], words.len().saturating_mul(8))?;
-        let payload = usize::try_from(header.payload_words)
-            .ok()
-            .and_then(|pw| pw.checked_add(HEADER_WORDS))
-            .and_then(|end| words.get(HEADER_WORDS..end))
-            .ok_or(FilterError::corrupt("payload extent exceeds buffer"))?;
-        header.verify_checksum(payload.iter().copied())?;
-        Ok((header, payload))
-    }
-
-    /// Convenience: parse the header and hand back a cursor over the
-    /// payload, ready for view parsing.
-    pub fn payload_cursor(words: &[u64]) -> Result<(Self, WordCursor<'_>), FilterError> {
-        let (header, payload) = Self::parse_words(words)?;
-        Ok((header, WordCursor::new(payload)))
-    }
-
-    /// [`Header::payload_cursor`] over a shared [`MappedSource`] buffer —
-    /// the mapped load path: the header is parsed and checksummed exactly
-    /// like [`Header::parse_words`], and the returned cursor yields
-    /// sub-range `MappedSource`s, so structures parsed from it *own* the
-    /// buffer by reference count (`'static`, thread-shareable) instead of
-    /// borrowing it.
-    pub fn payload_cursor_mapped(
-        source: &MappedSource,
-    ) -> Result<(Self, MappedCursor), FilterError> {
-        // Full validation (magic, version, extent, checksum) over the word
-        // image, then a zero-copy slice of the same shared buffer.
-        let (header, _) = Self::parse_words(source.as_ref())?;
-        let end = usize::try_from(header.payload_words)
-            .ok()
-            .and_then(|pw| pw.checked_add(HEADER_WORDS))
-            .ok_or(FilterError::corrupt("payload length overflows usize"))?;
-        let payload = source.slice(HEADER_WORDS..end).map_err(FilterError::from)?;
-        Ok((header, MappedCursor::new(payload)))
-    }
-}
-
-/// Reinterprets a blob's byte image as its word image (one copy). Useful
-/// when bytes came from `std::fs::read` but the zero-copy
-/// [`Header::parse_words`] path is wanted for the parse itself.
-pub fn bytes_to_words(bytes: &[u8]) -> Result<Vec<u64>, FilterError> {
-    if bytes.len() % 8 != 0 {
-        return Err(FilterError::TruncatedBuffer {
-            needed: bytes.len().next_multiple_of(8),
-            have: bytes.len(),
-        });
-    }
-    Ok(bytes.chunks_exact(8).map(le_word).collect())
 }
 
 #[cfg(test)]
@@ -393,10 +331,15 @@ mod tests {
         assert_eq!(h.n_keys, 99);
         assert_eq!(payload.len(), 24);
 
-        let words = bytes_to_words(&blob).unwrap();
-        let (hw, payload_words) = Header::parse_words(&words).unwrap();
-        assert_eq!(hw, h);
-        assert_eq!(payload_words, &[1, 2, 3]);
+        assert_eq!(words_of_bytes(payload).collect::<Vec<_>>(), [1, 2, 3]);
+        // The header's word image is the blob's first five words.
+        let mut written = Vec::new();
+        h.write(&mut written).unwrap();
+        assert_eq!(written, blob[..HEADER_BYTES]);
+        assert_eq!(
+            words_of_bytes(&written).collect::<Vec<_>>(),
+            [MAGIC, h.spec_version_word(), 99, 3, h.checksum]
+        );
     }
 
     #[test]
@@ -491,10 +434,9 @@ mod tests {
         let mut blob = sample_blob();
         blob[16] ^= 0x40;
         assert!(Header::peek(&blob).is_ok());
-        // …but the full parse both paths use for actual loading catches it.
-        let words = bytes_to_words(&blob).unwrap();
+        // …but the full parse every load goes through catches it.
         assert!(matches!(
-            Header::parse_words(&words),
+            Header::parse(&blob),
             Err(FilterError::ChecksumMismatch { .. })
         ));
     }

@@ -17,7 +17,7 @@
 //! plugs into the same harnesses as every integer filter.
 
 use grafite_hash::xxhash::xxh64;
-use grafite_succinct::io::{WordSource, WordWriter};
+use grafite_succinct::io::{WordReader, WordWriter};
 use grafite_succinct::EliasFano;
 
 use crate::error::FilterError;
@@ -281,10 +281,7 @@ impl PersistentFilter for StringGrafite {
         Ok(())
     }
 
-    fn read_payload<Src: WordSource<Storage = Vec<u64>>>(
-        src: &mut Src,
-        header: &Header,
-    ) -> Result<Self, FilterError> {
+    fn read_payload(src: &mut WordReader<'_>, header: &Header) -> Result<Self, FilterError> {
         let k = src.word()?;
         if k == 0 || k >= 61 {
             return Err(FilterError::corrupt("string-Grafite exponent out of range"));

@@ -6,7 +6,7 @@
 
 use std::io;
 
-use grafite_succinct::io::{CountingSink, ReadSource, WordSource, WordWriter};
+use grafite_succinct::io::{CountingSink, WordReader, WordWriter};
 
 use crate::error::FilterError;
 use crate::parallel::Parallelism;
@@ -212,10 +212,7 @@ pub trait PersistentFilter: RangeFilter + Send + Sync {
     /// id (already validated against
     /// [`spec_ids`](PersistentFilter::spec_ids)). Must not rebuild derived
     /// structure — directories come verbatim from the stream.
-    fn read_payload<Src: WordSource<Storage = Vec<u64>>>(
-        src: &mut Src,
-        header: &Header,
-    ) -> Result<Self, FilterError>
+    fn read_payload(src: &mut WordReader<'_>, header: &Header) -> Result<Self, FilterError>
     where
         Self: Sized;
 
@@ -280,8 +277,7 @@ pub trait PersistentFilter: RangeFilter + Send + Sync {
         if !Self::spec_ids().contains(&header.spec_id) {
             return Err(FilterError::SpecMismatch(header.spec_id));
         }
-        let mut src = ReadSource::new(payload);
-        Self::read_payload(&mut src, &header)
+        Self::read_payload(&mut WordReader::new(payload), &header)
     }
 }
 

@@ -21,7 +21,7 @@ use grafite_bloom::{BloomFilter, PrefixBloomFilter};
 use grafite_core::persist::{spec_id, Header};
 use grafite_core::{BuildableFilter, FilterConfig, FilterError, PersistentFilter, RangeFilter};
 use grafite_fst::{builder, Fst, Lookup};
-use grafite_succinct::io::{WordSource, WordWriter};
+use grafite_succinct::io::{WordReader, WordWriter};
 
 /// Max Bloom probes per query before giving up ("maybe").
 const MAX_PROBES: u64 = 1 << 12;
@@ -247,10 +247,7 @@ impl PersistentFilter for Proteus {
         Ok(())
     }
 
-    fn read_payload<Src: WordSource<Storage = Vec<u64>>>(
-        src: &mut Src,
-        header: &Header,
-    ) -> Result<Self, FilterError> {
+    fn read_payload(src: &mut WordReader<'_>, header: &Header) -> Result<Self, FilterError> {
         let l1_bytes = src.word()?;
         if l1_bytes > 8 {
             return Err(FilterError::corrupt("Proteus trie depth above 8 bytes"));

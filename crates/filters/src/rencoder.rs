@@ -23,7 +23,7 @@
 use grafite_core::persist::{spec_id, Header};
 use grafite_core::{BuildableFilter, FilterConfig, FilterError, PersistentFilter, RangeFilter};
 use grafite_hash::mix::murmur_mix64;
-use grafite_succinct::io::{WordSource, WordWriter};
+use grafite_succinct::io::{WordReader, WordWriter};
 use grafite_succinct::BitVec;
 
 use crate::dyadic::cover;
@@ -272,10 +272,7 @@ impl PersistentFilter for REncoder {
         Ok(())
     }
 
-    fn read_payload<Src: WordSource<Storage = Vec<u64>>>(
-        src: &mut Src,
-        header: &Header,
-    ) -> Result<Self, FilterError> {
+    fn read_payload(src: &mut WordReader<'_>, header: &Header) -> Result<Self, FilterError> {
         let variant_name = match header.spec_id {
             spec_id::RENCODER_SS => "REncoderSS",
             spec_id::RENCODER_SE => "REncoderSE",

@@ -18,7 +18,7 @@
 use grafite_bloom::BloomFilter;
 use grafite_core::persist::{spec_id, Header};
 use grafite_core::{BuildableFilter, FilterConfig, FilterError, PersistentFilter, RangeFilter};
-use grafite_succinct::io::{WordSource, WordWriter};
+use grafite_succinct::io::{WordReader, WordWriter};
 
 use crate::dyadic::cover;
 
@@ -214,10 +214,7 @@ impl PersistentFilter for Rosetta {
         Ok(())
     }
 
-    fn read_payload<Src: WordSource<Storage = Vec<u64>>>(
-        src: &mut Src,
-        header: &Header,
-    ) -> Result<Self, FilterError> {
+    fn read_payload(src: &mut WordReader<'_>, header: &Header) -> Result<Self, FilterError> {
         let min_level = src.word()?;
         if !(1..=64).contains(&min_level) {
             return Err(FilterError::corrupt("Rosetta level out of range"));

@@ -17,7 +17,7 @@
 
 use grafite_core::persist::{spec_id, Header};
 use grafite_core::{BuildableFilter, FilterConfig, FilterError, PersistentFilter, RangeFilter};
-use grafite_succinct::io::{WordSource, WordWriter};
+use grafite_succinct::io::{WordReader, WordWriter};
 use grafite_succinct::GolombRiceSeq;
 
 /// Spline sampling period (one spline knot every `t` keys), the SNARF
@@ -167,10 +167,7 @@ impl PersistentFilter for Snarf {
         Ok(())
     }
 
-    fn read_payload<Src: WordSource<Storage = Vec<u64>>>(
-        src: &mut Src,
-        header: &Header,
-    ) -> Result<Self, FilterError> {
+    fn read_payload(src: &mut WordReader<'_>, header: &Header) -> Result<Self, FilterError> {
         let n = src.length()?;
         let k_scale = src.word()?;
         if k_scale < 2 {

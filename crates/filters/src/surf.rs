@@ -20,7 +20,7 @@ use grafite_core::persist::{spec_id, Header};
 use grafite_core::{BuildableFilter, FilterConfig, FilterError, PersistentFilter, RangeFilter};
 use grafite_fst::{builder, FstDs, Lookup};
 use grafite_hash::mix::murmur_mix64;
-use grafite_succinct::io::{WordSource, WordWriter};
+use grafite_succinct::io::{WordReader, WordWriter};
 use grafite_succinct::IntVec;
 
 /// Suffix policy for SuRF leaves.
@@ -171,10 +171,7 @@ impl PersistentFilter for Surf {
         Ok(())
     }
 
-    fn read_payload<Src: WordSource<Storage = Vec<u64>>>(
-        src: &mut Src,
-        header: &Header,
-    ) -> Result<Self, FilterError> {
+    fn read_payload(src: &mut WordReader<'_>, header: &Header) -> Result<Self, FilterError> {
         let bits = src.word()?;
         let mode = match (header.spec_id, bits) {
             (spec_id::SURF_BASE, 0) => SuffixMode::Base,

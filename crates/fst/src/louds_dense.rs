@@ -16,7 +16,7 @@
 //! [`crate::builder::build_forest`] so leaf indices keep a single global
 //! level-order numbering across both halves.
 
-use grafite_succinct::io::{DecodeError, WordSource, WordWriter};
+use grafite_succinct::io::{DecodeError, WordReader, WordWriter};
 use grafite_succinct::{BitVec, RsBitVec};
 
 use crate::builder::{build_forest, BuildResult};
@@ -312,9 +312,7 @@ impl FstDs {
 
     /// Reads back what [`FstDs::write_to`] wrote — rebuild-free, like every
     /// loader in the workspace.
-    pub fn read_from<Src: WordSource<Storage = Vec<u64>>>(
-        src: &mut Src,
-    ) -> Result<Self, DecodeError> {
+    pub fn read_from(src: &mut WordReader<'_>) -> Result<Self, DecodeError> {
         let dense_nodes = src.length()?;
         let dense_leaves = src.length()?;
         let dense_depth = src.length()?;

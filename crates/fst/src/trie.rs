@@ -2,7 +2,7 @@
 //! iteration, and the `seek` (lower-bound) operation SuRF's range queries
 //! are built on.
 
-use grafite_succinct::io::{DecodeError, WordSource, WordWriter};
+use grafite_succinct::io::{DecodeError, WordReader, WordWriter};
 use grafite_succinct::RsBitVec;
 
 /// A LOUDS-Sparse encoded trie over a prefix-free byte-string set.
@@ -99,9 +99,7 @@ impl Fst {
     }
 
     /// Reads back what [`Fst::write_to`] wrote.
-    pub fn read_from<Src: WordSource<Storage = Vec<u64>>>(
-        src: &mut Src,
-    ) -> Result<Self, DecodeError> {
+    pub fn read_from(src: &mut WordReader<'_>) -> Result<Self, DecodeError> {
         let n_labels = src.length()?;
         let num_nodes = src.length()?;
         let num_leaves = src.length()?;

@@ -25,7 +25,6 @@
 
 use std::io::{self, BufRead, BufReader};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -33,7 +32,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use grafite_core::FilterError;
-use grafite_store::{FilterStore, Routing, Snapshot, Update};
+use grafite_store::{FilterStore, Snapshot, Update};
 
 use crate::protocol::{self, verb, Frame, ProtocolError};
 use crate::telemetry::{Telemetry, REFUTE_EVERY};
@@ -404,7 +403,7 @@ fn answer_probes(shared: &Shared, queries: &[(u64, u64)]) -> Vec<bool> {
     // One atomic add per touched shard per request, not one per probe.
     let mut shard_probes = vec![0u64; snap.num_shards()];
     for &(a, b) in queries {
-        if let Some(counts) = shard_probes.get_mut(routed_shards(snap.routing(), a, b)) {
+        if let Some(counts) = shard_probes.get_mut(snap.routing().shards_for(a, b)) {
             counts.iter_mut().for_each(|count| *count += 1);
         }
     }
@@ -427,27 +426,13 @@ fn answer_probes(shared: &Shared, queries: &[(u64, u64)]) -> Vec<bool> {
     answers
 }
 
-/// The shards [`Snapshot::may_contain_range`] routes `[a, b]` to: under
-/// range routing every shard from `a`'s to `b`'s, under hash routing the
-/// key's shard for a point and every shard for a wider range.
-fn routed_shards(routing: &Routing, a: u64, b: u64) -> Range<usize> {
-    match routing {
-        Routing::Range { .. } => routing.shard_of(a)..routing.shard_of(b) + 1,
-        Routing::Hash { .. } if a == b => {
-            let shard = routing.shard_of(a);
-            shard..shard + 1
-        }
-        Routing::Hash { .. } => 0..routing.num_shards(),
-    }
-}
-
 /// Ground truth from the shard keys: does `[a, b]` hold a key? Only the
 /// shards [`Snapshot::may_contain_range`] routes the range to can hold
 /// one, so only they are searched.
 fn truth(snap: &Snapshot, a: u64, b: u64) -> Result<bool, FilterError> {
     let shards = snap.shards();
     for shard in shards
-        .get(routed_shards(snap.routing(), a, b))
+        .get(snap.routing().shards_for(a, b))
         .unwrap_or(shards)
     {
         if shard.holds_key(a, b)? {

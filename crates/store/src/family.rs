@@ -153,10 +153,8 @@ impl DynRangeFilter {
         family.load(registry, bytes)
     }
 
-    /// Wraps a pre-boxed filter under an explicit family — the manifest
-    /// shard loader's entry point, where the concrete type (e.g. a
-    /// `GrafiteFilter<MappedSource>` or a pass-all placeholder) is chosen
-    /// per shard at load time.
+    /// Wraps a pre-boxed filter under an explicit family — how a mapped
+    /// shard that failed to load serves its pass-all placeholder.
     pub(crate) fn from_boxed(family: FamilySpec, inner: Box<dyn PersistentFilter>) -> Self {
         Self { family, inner }
     }

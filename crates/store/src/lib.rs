@@ -25,11 +25,12 @@
 //!   [`FilterStore::reload_mapped`] scan the file in `O(shards)` small
 //!   reads and load each shard on first touch, failing open — so a
 //!   multi-gigabyte store cold-starts in milliseconds and hot-reloads
-//!   without dropping in-flight queries. Grafite shards load zero-copy over
-//!   a shared word buffer on both paths. Shard keys are stored as blocked
-//!   Elias–Fano, 256 keys a block; a mapped shard keeps only its filter
-//!   and its block directory resident, and [`Shard::read_keys`] re-reads,
-//!   decodes and re-verifies the keys when `apply` or `save_to` needs them.
+//!   without dropping in-flight queries. Every family's shard blob loads
+//!   through [`FamilySpec::load`] on both paths. Shard keys are stored as
+//!   blocked Elias–Fano, 256 keys a block; a mapped shard keeps only its
+//!   filter and its block directory resident, and [`Shard::read_keys`]
+//!   re-reads, decodes and re-verifies the keys when `apply` or `save_to`
+//!   needs them.
 //!   [`FilterStore::space`] reports the footprint by layer.
 //! * [`StoreStats`] — always-on operational counters (lazy loads, load
 //!   failures, reloads, shard-build times) the serving front end scrapes

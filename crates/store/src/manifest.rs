@@ -85,8 +85,7 @@
 //!   either fails to decode or changes a key. The filter blob must name the
 //!   manifest's family and carries its own header checksum (verified by its
 //!   loader), and the blob's key count must agree with the manifest's.
-//!   Grafite blobs load zero-copy as a `MappedGrafiteFilter`, every other
-//!   family through [`FamilySpec::load`].
+//!   Every family's blob loads through [`FamilySpec::load`].
 //! * **Eager** ([`FilterStore::open`](crate::FilterStore::open)) also
 //!   verifies the whole-body checksum (header word 9, the only check that
 //!   covers blob padding) between the header checks and the walk, then
@@ -117,11 +116,11 @@ use std::borrow::Cow;
 use std::io;
 use std::ops::Range;
 
-use grafite_core::persist::{checksum_words, spec_id, Checksum, Header};
+use grafite_core::persist::{checksum_words, Checksum};
 use grafite_core::registry::Registry;
-use grafite_core::{FilterError, MappedGrafiteFilter, RangeFilter};
+use grafite_core::{FilterError, RangeFilter};
 use grafite_succinct::ef_block;
-use grafite_succinct::io::{le_word, MappedSource, WordWriter};
+use grafite_succinct::io::{le_word, WordWriter};
 
 use crate::family::{DynRangeFilter, FamilySpec};
 use crate::store::{Partitioning, Routing, Snapshot, StoreConfig};
@@ -655,8 +654,7 @@ impl<S: ManifestSource> Manifest<S> {
     /// [`Manifest::read_keys`]' checks — keeping every key when `keep_keys`,
     /// only the verified block directory otherwise — then reads the blob,
     /// checks its spec, its own checksummed header and the blob-vs-manifest
-    /// key count, and parses the filter — zero-copy over a shared word
-    /// buffer for Grafite blobs, through the family codec otherwise.
+    /// key count, and parses the filter through the family codec.
     /// Failures come back as [`FilterError::ShardLoad`] naming the shard.
     pub(crate) fn load_shard(
         &self,
@@ -678,7 +676,8 @@ impl<S: ManifestSource> Manifest<S> {
         let mut keys = Vec::new();
         let directory = self.walk_keys(shard, &mut keys, keep_keys)?;
         let ext = self.extent(shard)?;
-        let filter = self.load_filter(&self.source.bytes_at(ext.blob_start, ext.blob_len)?)?;
+        let blob = self.source.bytes_at(ext.blob_start, ext.blob_len)?;
+        let filter = self.config.family.load(&self.registry, &blob)?;
         if filter.num_keys() != ext.n_keys {
             return Err(FilterError::corrupt(
                 "shard blob key count differs from manifest",
@@ -858,25 +857,5 @@ impl<S: ManifestSource> Manifest<S> {
             keys.clear();
         }
         Ok(directory)
-    }
-
-    /// Parses one shard blob, taking the zero-copy mapped path for Grafite
-    /// blobs.
-    fn load_filter(&self, blob: &[u8]) -> Result<DynRangeFilter, FilterError> {
-        let header = Header::peek(blob)?;
-        if header.spec_id != self.config.family.spec_id() {
-            return Err(FilterError::SpecMismatch(header.spec_id));
-        }
-        if header.spec_id == spec_id::GRAFITE {
-            // One byte→word conversion pass, then every container in the
-            // filter is a sub-range of the same shared buffer.
-            let source = MappedSource::from_le_bytes(blob).map_err(FilterError::from)?;
-            let filter = MappedGrafiteFilter::open_mapped(&source)?;
-            return Ok(DynRangeFilter::from_boxed(
-                self.config.family,
-                Box::new(filter),
-            ));
-        }
-        self.config.family.load(&self.registry, blob)
     }
 }

@@ -32,7 +32,7 @@ use std::sync::Mutex;
 use grafite_core::persist::Header;
 use grafite_core::registry::Registry;
 use grafite_core::{FilterError, PersistentFilter, RangeFilter};
-use grafite_succinct::io::{WordSource, WordWriter};
+use grafite_succinct::io::{WordReader, WordWriter};
 
 use crate::family::{DynRangeFilter, FamilySpec};
 use crate::manifest::{self, Manifest, ManifestSource, Verify};
@@ -45,7 +45,6 @@ use crate::store::{LoadedShard, ShardKeys};
 fn lock_poisoned<T>(_: T) -> FilterError {
     FilterError::Io {
         kind: std::io::ErrorKind::Other,
-        source: None,
     }
 }
 
@@ -215,10 +214,7 @@ impl PersistentFilter for PassAllFilter {
         Ok(())
     }
 
-    fn read_payload<Src: WordSource<Storage = Vec<u64>>>(
-        _src: &mut Src,
-        _header: &Header,
-    ) -> Result<Self, FilterError> {
+    fn read_payload(_src: &mut WordReader<'_>, _header: &Header) -> Result<Self, FilterError> {
         Err(FilterError::corrupt(
             "pass-all placeholders are not serializable",
         ))

@@ -21,6 +21,7 @@
 
 use std::borrow::Cow;
 use std::io;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -144,6 +145,23 @@ impl Routing {
                 (lo, hi)
             }
             Routing::Hash { .. } => (0, u64::MAX),
+        }
+    }
+
+    /// The shards a query over `[a, b]` consults: under range routing every
+    /// shard from `a`'s to `b`'s; under hash routing `a`'s shard for a point
+    /// and every shard for a wider range, which can hold keys of any shard.
+    /// The one routing decision behind [`Snapshot::may_contain_range`] and
+    /// the server's per-shard probe counts and ground truth.
+    #[inline]
+    pub fn shards_for(&self, a: u64, b: u64) -> Range<usize> {
+        match self {
+            Routing::Range { .. } => self.shard_of(a)..self.shard_of(b) + 1,
+            Routing::Hash { .. } if a == b => {
+                let shard = self.shard_of(a);
+                shard..shard + 1
+            }
+            Routing::Hash { shards, .. } => 0..*shards as usize,
         }
     }
 }
@@ -612,29 +630,14 @@ impl Snapshot {
     #[must_use = "a range filter's answer is its only effect; dropping it means the query was wasted"]
     pub fn may_contain_range(&self, a: u64, b: u64) -> bool {
         debug_assert!(a <= b, "inverted range [{a}, {b}]");
-        match &self.routing {
-            Routing::Range { .. } => {
-                let (sa, sb) = (self.routing.shard_of(a), self.routing.shard_of(b));
-                (sa..=sb).any(|s| {
-                    let (lo, hi) = self.routing.shard_span(s);
-                    self.shards[s]
-                        .filter()
-                        .may_contain_range(a.max(lo), b.min(hi))
-                })
-            }
-            Routing::Hash { .. } => {
-                if a == b {
-                    self.shards[self.routing.shard_of(a)]
-                        .filter()
-                        .may_contain(a)
-                } else {
-                    // A width-above-one range can hold keys of any shard.
-                    self.shards
-                        .iter()
-                        .any(|s| s.filter().may_contain_range(a, b))
-                }
-            }
-        }
+        // Range-routed shards see the query clipped to their span; a
+        // hash-routed shard spans the whole universe.
+        self.routing.shards_for(a, b).any(|s| {
+            let (lo, hi) = self.routing.shard_span(s);
+            self.shards[s]
+                .filter()
+                .may_contain_range(a.max(lo), b.min(hi))
+        })
     }
 
     /// Whether the point `x` may be in the key set.
@@ -1190,6 +1193,30 @@ mod tests {
         }
         for &c in &counts {
             assert!((700..1300).contains(&c), "hash shard imbalance: {counts:?}");
+        }
+    }
+
+    /// `shards_for` is the span of shards that hold or may hold a key of
+    /// `[a, b]`: contiguous under range routing, the point's own shard or
+    /// every shard under hash routing.
+    #[test]
+    fn shards_for_covers_exactly_the_routed_shards() {
+        let mut sorted = test_keys(5000);
+        sorted.sort_unstable();
+        sorted.dedup();
+        let range = Routing::plan(Partitioning::Range { shards: 8 }, 1, &sorted);
+        let hash = Routing::plan(Partitioning::Hash { shards: 8 }, 1, &sorted);
+        assert_eq!(range.shards_for(0, u64::MAX), 0..8);
+        for w in sorted.windows(2).step_by(97) {
+            let (a, b) = (w[0], w[1]);
+            let routed = range.shards_for(a, b);
+            assert_eq!(routed, range.shard_of(a)..range.shard_of(b) + 1);
+            let (lo, _) = range.shard_span(routed.start);
+            let (_, hi) = range.shard_span(routed.end - 1);
+            assert!(lo <= a && b <= hi);
+            let shard = hash.shard_of(a);
+            assert_eq!(hash.shards_for(a, a), shard..shard + 1);
+            assert_eq!(hash.shards_for(a, b), 0..8);
         }
     }
 

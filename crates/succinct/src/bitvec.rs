@@ -1,7 +1,6 @@
-//! A word-packed bit vector with bit-field access, generic over its
-//! backing word store.
+//! A word-packed bit vector with bit-field access.
 
-use crate::io::{DecodeError, WordSource, WordWriter};
+use crate::io::{DecodeError, WordReader, WordWriter};
 use crate::{div_ceil, WORD_BITS};
 
 /// A plain bit vector packed into `u64` words.
@@ -10,19 +9,11 @@ use crate::{div_ceil, WORD_BITS};
 /// bit-fields of up to 64 bits that may straddle a word boundary. This is the
 /// mutable building block; query-time structures freeze it into an
 /// [`crate::RsBitVec`] for rank/select support.
-///
-/// The backing store is generic: `BitVec` (= `BitVec<Vec<u64>>`) owns its
-/// words and is mutable; [`BitVecView`] borrows them from a loaded buffer
-/// and is read-only — the zero-copy load path of the persistence layer. All
-/// read operations live on the generic impl and behave identically on both.
-#[derive(Clone, Debug, Default)]
-pub struct BitVec<S = Vec<u64>> {
-    words: S,
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct BitVec {
+    words: Vec<u64>,
     len: usize,
 }
-
-/// A read-only bit vector borrowing its words from a loaded `&[u64]` buffer.
-pub type BitVecView<'a> = BitVec<&'a [u64]>;
 
 impl BitVec {
     /// Creates an empty bit vector.
@@ -153,9 +144,7 @@ impl BitVec {
             self.words[word + 1] = (self.words[word + 1] & !hi_mask) | (value >> spill);
         }
     }
-}
 
-impl<S: AsRef<[u64]>> BitVec<S> {
     /// Number of bits stored.
     #[inline]
     pub fn len(&self) -> usize {
@@ -175,7 +164,7 @@ impl<S: AsRef<[u64]>> BitVec<S> {
     #[inline]
     pub fn get(&self, pos: usize) -> bool {
         assert!(pos < self.len, "bit index {pos} out of range {}", self.len);
-        (self.words.as_ref()[pos / WORD_BITS] >> (pos % WORD_BITS)) & 1 == 1
+        (self.words[pos / WORD_BITS] >> (pos % WORD_BITS)) & 1 == 1
     }
 
     /// Reads `width` bits starting at bit `pos` (LSB first).
@@ -189,7 +178,7 @@ impl<S: AsRef<[u64]>> BitVec<S> {
         if width == 0 {
             return 0;
         }
-        let words = self.words.as_ref();
+        let words = &self.words;
         let word = pos / WORD_BITS;
         let offset = pos % WORD_BITS;
         let mask = if width == 64 {
@@ -208,23 +197,19 @@ impl<S: AsRef<[u64]>> BitVec<S> {
     pub fn count_ones(&self) -> usize {
         // Trailing bits beyond `len` are maintained as zero, so a plain
         // popcount over the words is exact.
-        self.words
-            .as_ref()
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// The backing words. Bits at positions `>= len` are zero.
     #[inline]
     pub fn words(&self) -> &[u64] {
-        self.words.as_ref()
+        &self.words
     }
 
     /// The `i`-th backing word.
     #[inline]
     pub fn word(&self, i: usize) -> u64 {
-        self.words.as_ref()[i]
+        self.words[i]
     }
 
     /// Iterator over all bits.
@@ -237,7 +222,7 @@ impl<S: AsRef<[u64]>> BitVec<S> {
         if pos >= self.len {
             return None;
         }
-        let words = self.words.as_ref();
+        let words = &self.words;
         let mut word_idx = pos / WORD_BITS;
         let mut w = words[word_idx] & (!0u64 << (pos % WORD_BITS));
         loop {
@@ -255,51 +240,35 @@ impl<S: AsRef<[u64]>> BitVec<S> {
 
     /// Iterator over the positions of set bits.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words
-            .as_ref()
-            .iter()
-            .enumerate()
-            .flat_map(move |(wi, &w)| {
-                let mut w = w;
-                std::iter::from_fn(move || {
-                    if w == 0 {
-                        None
-                    } else {
-                        let tz = w.trailing_zeros() as usize;
-                        w &= w - 1;
-                        Some(wi * WORD_BITS + tz)
-                    }
-                })
+        self.words.iter().enumerate().flat_map(move |(wi, &w)| {
+            let mut w = w;
+            std::iter::from_fn(move || {
+                if w == 0 {
+                    None
+                } else {
+                    let tz = w.trailing_zeros() as usize;
+                    w &= w - 1;
+                    Some(wi * WORD_BITS + tz)
+                }
             })
+        })
     }
 
     /// Heap size of the structure in bits (for space accounting).
     pub fn size_in_bits(&self) -> usize {
-        self.words.as_ref().len() * WORD_BITS
-    }
-
-    /// Copies into an owning `BitVec` (views become independent of their
-    /// buffer).
-    pub fn to_owned_bits(&self) -> BitVec {
-        BitVec {
-            words: self.words.as_ref().to_vec(),
-            len: self.len,
-        }
+        self.words.len() * WORD_BITS
     }
 
     /// Serializes as `[len, n_words, words…]`, returning the word count.
     pub fn write_to(&self, w: &mut WordWriter<'_>) -> std::io::Result<usize> {
         let before = w.words_written();
         w.word(self.len as u64)?;
-        w.prefixed(self.words.as_ref())?;
+        w.prefixed(&self.words)?;
         Ok(w.words_written() - before)
     }
 
-    /// Reads back what [`BitVec::write_to`] wrote. The storage kind follows
-    /// the source: a [`crate::io::WordCursor`] yields a borrowed
-    /// [`BitVecView`], a [`crate::io::ReadSource`] an owned `BitVec` — no
-    /// directories or bits are recomputed either way.
-    pub fn read_from<Src: WordSource<Storage = S>>(src: &mut Src) -> Result<Self, DecodeError> {
+    /// Reads back what [`BitVec::write_to`] wrote.
+    pub fn read_from(src: &mut WordReader<'_>) -> Result<Self, DecodeError> {
         let len = src.length()?;
         let n_words = src.length()?;
         let min_words = div_ceil(len, WORD_BITS);
@@ -309,33 +278,25 @@ impl<S: AsRef<[u64]>> BitVec<S> {
             return Err(DecodeError::Invalid("bit vector word count"));
         }
         let words = src.take(n_words)?;
-        {
-            let ws = words.as_ref();
-            // Enforce the "bits beyond len are zero" invariant `count_ones`
-            // relies on.
-            let tail_ok = if len % WORD_BITS != 0 {
-                ws.get(len / WORD_BITS)
-                    .is_some_and(|&w| w >> (len % WORD_BITS) == 0)
-            } else {
-                true
-            } && ws.get(min_words..).into_iter().flatten().all(|&w| w == 0);
-            if !tail_ok {
-                return Err(DecodeError::Invalid("bit vector tail bits set"));
-            }
+        // Enforce the "bits beyond len are zero" invariant `count_ones`
+        // relies on.
+        let tail_ok = if len % WORD_BITS != 0 {
+            words
+                .get(len / WORD_BITS)
+                .is_some_and(|&w| w >> (len % WORD_BITS) == 0)
+        } else {
+            true
+        } && words
+            .get(min_words..)
+            .into_iter()
+            .flatten()
+            .all(|&w| w == 0);
+        if !tail_ok {
+            return Err(DecodeError::Invalid("bit vector tail bits set"));
         }
         Ok(Self { words, len })
     }
 }
-
-impl<S1: AsRef<[u64]>, S2: AsRef<[u64]>> PartialEq<BitVec<S2>> for BitVec<S1> {
-    /// Equality across backing stores: a view equals the owned vector it was
-    /// parsed from.
-    fn eq(&self, other: &BitVec<S2>) -> bool {
-        self.len == other.len && self.words.as_ref() == other.words.as_ref()
-    }
-}
-
-impl<S: AsRef<[u64]>> Eq for BitVec<S> {}
 
 impl FromIterator<bool> for BitVec {
     fn from_iter<T: IntoIterator<Item = bool>>(iter: T) -> Self {
@@ -433,9 +394,10 @@ mod tests {
         bv.get(10);
     }
 
+    /// The name predates the retired borrowed-view tier: the owned load
+    /// path checked here is the only one.
     #[test]
     fn serialization_roundtrips_owned_and_view() {
-        use crate::io::{ReadSource, WordCursor};
         for bv in [
             BitVec::new(),
             BitVec::zeros(0),
@@ -447,37 +409,33 @@ mod tests {
             let written = bv.write_to(&mut w).unwrap();
             assert_eq!(written * 8, bytes.len());
 
-            let owned = BitVec::read_from(&mut ReadSource::new(bytes.as_slice())).unwrap();
-            assert_eq!(owned, bv);
-
-            let words: Vec<u64> = bytes
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-                .collect();
-            let view = BitVecView::read_from(&mut WordCursor::new(&words)).unwrap();
-            assert_eq!(view, bv);
-            if !bv.is_empty() {
-                assert_eq!(view.get(0), bv.get(0));
-                assert_eq!(view.count_ones(), bv.count_ones());
-            }
+            let mut src = WordReader::new(&bytes);
+            assert_eq!(BitVec::read_from(&mut src).unwrap(), bv);
+            assert_eq!(src.remaining(), 0);
         }
     }
 
     #[test]
     fn corrupt_tail_bits_rejected() {
-        use crate::io::WordCursor;
+        use crate::io::le_bytes;
         // len = 3 but a bit beyond position 3 is set.
-        let words = [3u64, 1, 0b1000];
+        let bytes = le_bytes(&[3, 1, 0b1000]);
         assert_eq!(
-            BitVecView::read_from(&mut WordCursor::new(&words)),
+            BitVec::read_from(&mut WordReader::new(&bytes)),
             Err(DecodeError::Invalid("bit vector tail bits set"))
         );
         // Word count below what len needs.
-        let words = [100u64, 1, 0];
+        let bytes = le_bytes(&[100, 1, 0]);
         assert_eq!(
-            BitVecView::read_from(&mut WordCursor::new(&words)),
+            BitVec::read_from(&mut WordReader::new(&bytes)),
             Err(DecodeError::Invalid("bit vector word count"))
         );
+        // A word count the stream cannot hold is truncated, not allocated.
+        let bytes = le_bytes(&[1 << 56, 1 << 50]);
+        assert!(matches!(
+            BitVec::read_from(&mut WordReader::new(&bytes)),
+            Err(DecodeError::Truncated { have: 2, .. })
+        ));
     }
 }
 

@@ -27,7 +27,7 @@
 //! path is as fast or faster at every batch shape the filters serve.
 
 use crate::intvec::IntVec;
-use crate::io::{DecodeError, WordSource, WordWriter};
+use crate::io::{DecodeError, WordReader, WordWriter};
 use crate::rs_bitvec::RsBitVec;
 use crate::{BitVec, WORD_BITS};
 
@@ -53,24 +53,18 @@ const GALLOP_BITS: usize = 64;
 const EF_PARALLEL_MIN: usize = 1 << 15;
 
 /// An Elias–Fano encoded monotone sequence supporting random access,
-/// predecessor/successor, and rank.
-///
-/// Generic over the word store: [`EliasFanoView`] answers every query
-/// straight out of a loaded `&[u64]` buffer, rank/select directories
-/// included — nothing is rebuilt on load.
+/// predecessor/successor, and rank. Loading reads the rank/select
+/// directories verbatim — nothing is rebuilt.
 #[derive(Clone, Debug)]
-pub struct EliasFano<S = Vec<u64>> {
+pub struct EliasFano {
     n: usize,
     universe: u64,
     low_bits: usize,
-    low: IntVec<S>,
-    high: RsBitVec<S>,
+    low: IntVec,
+    high: RsBitVec,
     first: u64,
     last: u64,
 }
-
-/// An Elias–Fano sequence borrowing its storage from a loaded buffer.
-pub type EliasFanoView<'a> = EliasFano<&'a [u64]>;
 
 impl EliasFano {
     /// Encodes `values`, which must be non-decreasing and all `< universe`.
@@ -206,9 +200,7 @@ impl EliasFano {
             last: values[n - 1],
         }
     }
-}
 
-impl<S: AsRef<[u64]>> EliasFano<S> {
     /// Number of stored values.
     #[inline]
     pub fn len(&self) -> usize {
@@ -468,7 +460,7 @@ impl<S: AsRef<[u64]>> EliasFano<S> {
     /// A stateful cursor for resolving a **non-decreasing** sequence of
     /// predecessor probes with monotone state — see [`EfCursor`]. No filter
     /// calls it; it is kept as a measured kernel of the benchmarks.
-    pub fn cursor(&self) -> EfCursor<'_, S> {
+    pub fn cursor(&self) -> EfCursor<'_> {
         let words = self.high.bits().words();
         EfCursor {
             ef: self,
@@ -511,11 +503,9 @@ impl<S: AsRef<[u64]>> EliasFano<S> {
         Ok(w.words_written() - before)
     }
 
-    /// Reads back what [`EliasFano::write_to`] wrote; storage kind follows
-    /// the source, so a [`crate::io::WordCursor`] yields a zero-copy
-    /// [`EliasFanoView`] ready to answer `predecessor` queries without any
-    /// rebuilding.
-    pub fn read_from<Src: WordSource<Storage = S>>(src: &mut Src) -> Result<Self, DecodeError> {
+    /// Reads back what [`EliasFano::write_to`] wrote, ready to answer
+    /// `predecessor` queries without any rebuilding.
+    pub fn read_from(src: &mut WordReader<'_>) -> Result<Self, DecodeError> {
         let n = src.length()?;
         let universe = src.word()?;
         let low_bits = src.length()?;
@@ -560,8 +550,8 @@ impl<S: AsRef<[u64]>> EliasFano<S> {
 ///
 /// Answers are bit-identical to [`EliasFano::predecessor`]; feeding probes
 /// out of order is a contract violation (debug-asserted).
-pub struct EfCursor<'a, S: AsRef<[u64]> = Vec<u64>> {
-    ef: &'a EliasFano<S>,
+pub struct EfCursor<'a> {
+    ef: &'a EliasFano,
     /// Element index of the next undecoded element.
     idx: usize,
     /// Word index of the scan frontier in `H`.
@@ -575,7 +565,7 @@ pub struct EfCursor<'a, S: AsRef<[u64]> = Vec<u64>> {
     last_y: u64,
 }
 
-impl<S: AsRef<[u64]>> EfCursor<'_, S> {
+impl EfCursor<'_> {
     /// The largest stored value `<= y`. Probes must be non-decreasing
     /// across calls on the same cursor.
     pub fn predecessor(&mut self, y: u64) -> Option<u64> {
@@ -643,8 +633,10 @@ impl<S: AsRef<[u64]>> EfCursor<'_, S> {
     }
 }
 
-impl<S1: AsRef<[u64]>, S2: AsRef<[u64]>> PartialEq<EliasFano<S2>> for EliasFano<S1> {
-    fn eq(&self, other: &EliasFano<S2>) -> bool {
+impl PartialEq for EliasFano {
+    /// Equal sequences and bits; the directories are derived from the
+    /// bits, so they are not compared.
+    fn eq(&self, other: &Self) -> bool {
         self.n == other.n
             && self.universe == other.universe
             && self.low_bits == other.low_bits
@@ -881,9 +873,11 @@ mod tests {
         }
     }
 
+    /// The name predates the retired borrowed-view tier: the owned load
+    /// path checked here is the only one.
     #[test]
     fn serialization_roundtrips_owned_and_view() {
-        use crate::io::{ReadSource, WordCursor, WordWriter};
+        use crate::io::{WordReader, WordWriter};
         let mut state = 999u64;
         let mut values: Vec<u64> = (0..3000)
             .map(|_| {
@@ -901,21 +895,14 @@ mod tests {
             let mut bytes = Vec::new();
             ef.write_to(&mut WordWriter::new(&mut bytes)).unwrap();
 
-            let owned = EliasFano::read_from(&mut ReadSource::new(bytes.as_slice())).unwrap();
+            let owned = EliasFano::read_from(&mut WordReader::new(&bytes)).unwrap();
             assert_eq!(owned, ef);
-            let words: Vec<u64> = bytes
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-                .collect();
-            let view = EliasFanoView::read_from(&mut WordCursor::new(&words)).unwrap();
-            assert_eq!(view, ef);
-            // The loaded structures answer the paper's operations
+            // The loaded structure answers the paper's operations
             // bit-identically, without having rebuilt anything.
             for y in (0..universe).step_by((universe as usize / 500).max(1)) {
                 assert_eq!(owned.predecessor(y), ef.predecessor(y), "pred({y})");
-                assert_eq!(view.predecessor(y), ef.predecessor(y), "view pred({y})");
-                assert_eq!(view.successor(y), ef.successor(y), "view succ({y})");
-                assert_eq!(view.rank(y), ef.rank(y), "view rank({y})");
+                assert_eq!(owned.successor(y), ef.successor(y), "succ({y})");
+                assert_eq!(owned.rank(y), ef.rank(y), "rank({y})");
             }
         }
     }

@@ -7,30 +7,24 @@
 //! search to the right block followed by a bounded sequential decode.
 
 use crate::bitvec::BitVec;
-use crate::io::{DecodeError, WordSource, WordWriter};
+use crate::io::{DecodeError, WordReader, WordWriter};
 
 /// Number of values per compressed block (matching SNARF's engineering).
 pub const DEFAULT_BLOCK_SIZE: usize = 128;
 
 /// A monotone `u64` sequence stored as Rice-coded gaps in fixed-size blocks.
-///
-/// Generic over the word store like every structure in this crate;
-/// [`GolombRiceSeqView`] decodes straight out of a loaded buffer.
-#[derive(Clone, Debug)]
-pub struct GolombRiceSeq<S = Vec<u64>> {
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct GolombRiceSeq {
     n: usize,
     rice_param: usize,
     block_size: usize,
-    data: BitVec<S>,
+    data: BitVec,
     /// Bit offset into `data` where each block's payload starts.
-    block_offsets: S,
+    block_offsets: Vec<u64>,
     /// First value of each block (stored verbatim, not in the payload).
-    block_first: S,
+    block_first: Vec<u64>,
     last: u64,
 }
-
-/// A Rice-coded sequence borrowing its storage from a loaded buffer.
-pub type GolombRiceSeqView<'a> = GolombRiceSeq<&'a [u64]>;
 
 impl GolombRiceSeq {
     /// Encodes a non-decreasing sequence with the given Rice parameter and
@@ -93,17 +87,15 @@ impl GolombRiceSeq {
             (universe / n as u64).ilog2() as usize
         }
     }
-}
 
-impl<S: AsRef<[u64]>> GolombRiceSeq<S> {
     #[inline]
     fn offsets(&self) -> &[u64] {
-        self.block_offsets.as_ref()
+        &self.block_offsets
     }
 
     #[inline]
     fn firsts(&self) -> &[u64] {
-        self.block_first.as_ref()
+        &self.block_first
     }
 
     /// Number of stored values.
@@ -254,7 +246,7 @@ impl<S: AsRef<[u64]>> GolombRiceSeq<S> {
 
     /// Reads back what [`GolombRiceSeq::write_to`] wrote; the block
     /// directory comes back verbatim, never rebuilt.
-    pub fn read_from<Src: WordSource<Storage = S>>(src: &mut Src) -> Result<Self, DecodeError> {
+    pub fn read_from(src: &mut WordReader<'_>) -> Result<Self, DecodeError> {
         let n = src.length()?;
         let rice_param = src.length()?;
         if rice_param >= 64 {
@@ -281,7 +273,7 @@ impl<S: AsRef<[u64]>> GolombRiceSeq<S> {
         // make the gap decoder read past the stream at query time. An
         // offset *equal* to `data.len()` is legitimate only for a block
         // with no gap payload (a single-value tail block).
-        for (i, &off) in block_offsets.as_ref().iter().enumerate() {
+        for (i, &off) in block_offsets.iter().enumerate() {
             let in_block = n
                 .saturating_sub(i.saturating_mul(block_size))
                 .min(block_size);
@@ -300,18 +292,6 @@ impl<S: AsRef<[u64]>> GolombRiceSeq<S> {
             block_first,
             last,
         })
-    }
-}
-
-impl<S1: AsRef<[u64]>, S2: AsRef<[u64]>> PartialEq<GolombRiceSeq<S2>> for GolombRiceSeq<S1> {
-    fn eq(&self, other: &GolombRiceSeq<S2>) -> bool {
-        self.n == other.n
-            && self.rice_param == other.rice_param
-            && self.block_size == other.block_size
-            && self.last == other.last
-            && self.data == other.data
-            && self.offsets() == other.offsets()
-            && self.firsts() == other.firsts()
     }
 }
 

@@ -1,24 +1,20 @@
 //! A packed vector of fixed-width integers.
 
 use crate::bitvec::BitVec;
-use crate::io::{DecodeError, WordSource, WordWriter};
+use crate::io::{DecodeError, WordReader, WordWriter};
 
 /// A vector of `len` integers, each stored in exactly `width` bits
 /// (`0 <= width <= 64`).
 ///
 /// This is the array `V` of low parts in the paper's Elias–Fano layout
 /// (Figure 2), but it is generally useful: the FST uses it for value slots and
-/// SNARF for spline bookkeeping. Generic over the word store like
-/// [`BitVec`]; [`IntVecView`] reads straight out of a loaded buffer.
-#[derive(Clone, Debug, Default)]
-pub struct IntVec<S = Vec<u64>> {
-    bits: BitVec<S>,
+/// SNARF for spline bookkeeping.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct IntVec {
+    bits: BitVec,
     width: usize,
     len: usize,
 }
-
-/// A packed integer vector borrowing its words from a loaded buffer.
-pub type IntVecView<'a> = IntVec<&'a [u64]>;
 
 impl IntVec {
     /// Creates an empty vector of `width`-bit integers.
@@ -79,9 +75,7 @@ impl IntVec {
             64 - value.leading_zeros() as usize
         }
     }
-}
 
-impl<S: AsRef<[u64]>> IntVec<S> {
     /// The width in bits of each element.
     #[inline]
     pub fn width(&self) -> usize {
@@ -136,9 +130,8 @@ impl<S: AsRef<[u64]>> IntVec<S> {
         Ok(w.words_written() - before)
     }
 
-    /// Reads back what [`IntVec::write_to`] wrote; storage kind follows the
-    /// source as in [`BitVec::read_from`].
-    pub fn read_from<Src: WordSource<Storage = S>>(src: &mut Src) -> Result<Self, DecodeError> {
+    /// Reads back what [`IntVec::write_to`] wrote.
+    pub fn read_from(src: &mut WordReader<'_>) -> Result<Self, DecodeError> {
         let width = src.length()?;
         if width > 64 {
             return Err(DecodeError::Invalid("integer width above 64"));
@@ -153,12 +146,6 @@ impl<S: AsRef<[u64]>> IntVec<S> {
             return Err(DecodeError::Invalid("packed integer bit count"));
         }
         Ok(Self { bits, width, len })
-    }
-}
-
-impl<S1: AsRef<[u64]>, S2: AsRef<[u64]>> PartialEq<IntVec<S2>> for IntVec<S1> {
-    fn eq(&self, other: &IntVec<S2>) -> bool {
-        self.width == other.width && self.len == other.len && self.bits == other.bits
     }
 }
 
@@ -220,9 +207,10 @@ mod tests {
         iv.push(16);
     }
 
+    /// The name predates the retired borrowed-view tier: the owned load
+    /// path checked here is the only one.
     #[test]
     fn serialization_roundtrips_owned_and_view() {
-        use crate::io::{ReadSource, WordCursor};
         for width in [0usize, 5, 13, 64] {
             let mask = if width == 64 {
                 u64::MAX
@@ -236,34 +224,43 @@ mod tests {
             let mut bytes = Vec::new();
             iv.write_to(&mut WordWriter::new(&mut bytes)).unwrap();
 
-            let owned = IntVec::read_from(&mut ReadSource::new(bytes.as_slice())).unwrap();
+            let owned = IntVec::read_from(&mut WordReader::new(&bytes)).unwrap();
             assert_eq!(owned, iv, "width {width}");
-            let words: Vec<u64> = bytes
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-                .collect();
-            let view = IntVecView::read_from(&mut WordCursor::new(&words)).unwrap();
-            assert_eq!(view, iv, "width {width}");
             for (i, &v) in values.iter().enumerate() {
-                assert_eq!(view.get(i), v);
+                assert_eq!(owned.get(i), v);
             }
         }
     }
 
     #[test]
     fn corrupt_width_rejected() {
-        use crate::io::WordCursor;
         let iv = IntVec::from_slice(8, &[1, 2, 3]);
         let mut bytes = Vec::new();
         iv.write_to(&mut WordWriter::new(&mut bytes)).unwrap();
-        let mut words: Vec<u64> = bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        words[0] = 65;
+        let load = |bytes: &[u8]| IntVec::read_from(&mut WordReader::new(bytes));
+        let mut bad = bytes.clone();
+        bad[..8].copy_from_slice(&65u64.to_le_bytes());
         assert_eq!(
-            IntVecView::read_from(&mut WordCursor::new(&words)),
+            load(&bad),
             Err(DecodeError::Invalid("integer width above 64"))
         );
+        // A length that disagrees with the packed bit count.
+        let mut bad = bytes.clone();
+        bad[8..16].copy_from_slice(&4u64.to_le_bytes());
+        assert_eq!(
+            load(&bad),
+            Err(DecodeError::Invalid("packed integer bit count"))
+        );
+        // width · len overflowing is invalid, not a wrapped bit count.
+        let mut bad = bytes.clone();
+        bad[..8].copy_from_slice(&64u64.to_le_bytes());
+        bad[8..16].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        assert_eq!(load(&bad), Err(DecodeError::Invalid("length overflow")));
+        for cut in 0..bytes.len() {
+            assert!(matches!(
+                load(&bytes[..cut]),
+                Err(DecodeError::Truncated { .. })
+            ));
+        }
     }
 }

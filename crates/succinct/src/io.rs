@@ -2,17 +2,12 @@
 //! structure in the workspace.
 //!
 //! The on-disk unit is the little-endian `u64` word: every structure's
-//! encoding is a flat word sequence, so a serialized blob can be parsed
-//! either *owned* (words copied out of any [`std::io::Read`] source, via
-//! [`ReadSource`]) or *zero-copy* (sub-slices borrowed straight out of an
-//! in-memory `&[u64]` buffer, via [`WordCursor`]). The two paths share one
-//! set of `read_from` implementations through the [`WordSource`]
-//! abstraction, whose associated `Storage` type is what the parsed
-//! structure ends up backed by — `Vec<u64>` or `&[u64]`.
+//! encoding is a flat word sequence, written through [`WordWriter`] and
+//! read back through [`WordReader`], one bounds-checked reader over an
+//! in-memory byte slice (the checksummed payload of a blob). Structures
+//! always load into owned `Vec<u64>` storage.
 
 use std::io;
-use std::ops::Range;
-use std::sync::Arc;
 
 /// Errors produced while decoding a word stream.
 ///
@@ -30,8 +25,6 @@ pub enum DecodeError {
     /// A decoded field is structurally impossible (e.g. a bit width above
     /// 64). Carries a short static description.
     Invalid(&'static str),
-    /// The underlying reader failed (owned loading only).
-    Io(io::ErrorKind),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -44,7 +37,6 @@ impl std::fmt::Display for DecodeError {
                 )
             }
             DecodeError::Invalid(what) => write!(f, "invalid field: {what}"),
-            DecodeError::Io(kind) => write!(f, "i/o error while decoding: {kind}"),
         }
     }
 }
@@ -104,7 +96,7 @@ impl<'a> WordWriter<'a> {
 
     /// Writes `bytes` packed into words (little-endian, zero-padded to the
     /// next word boundary). The *byte* length is not written; pair with an
-    /// explicit length word and [`WordSource::take_bytes`].
+    /// explicit length word and [`WordReader::take_bytes`].
     pub fn bytes_padded(&mut self, bytes: &[u8]) -> io::Result<()> {
         let mut chunks = bytes.chunks_exact(8);
         for c in chunks.by_ref() {
@@ -126,325 +118,80 @@ impl<'a> WordWriter<'a> {
     }
 }
 
-/// A source of decode words, abstracting over owned and borrowed parsing.
+/// The one decode path: a reader of little-endian `u64` words over an
+/// in-memory byte slice — in practice the checksummed payload slice that
+/// `grafite_core`'s `Header::parse` hands back. Bulk reads
+/// ([`WordReader::take`]) copy into a fresh `Vec<u64>`, the only word
+/// store the workspace's structures use.
 ///
-/// `Storage` is what bulk reads come back as — `&[u64]` for the zero-copy
-/// [`WordCursor`], `Vec<u64>` for the owned [`ReadSource`] — and is exactly
-/// the backing-store parameter of the succinct structures, so one
-/// `read_from` implementation serves both paths.
-pub trait WordSource {
-    /// Backing store bulk reads produce.
-    type Storage: AsRef<[u64]>;
-
-    /// Reads one word.
-    fn word(&mut self) -> Result<u64, DecodeError>;
-
-    /// Reads `n` words as a backing store.
-    fn take(&mut self, n: usize) -> Result<Self::Storage, DecodeError>;
-
-    /// Reads one word and checks it fits a `usize` length/index.
-    fn length(&mut self) -> Result<usize, DecodeError> {
-        let w = self.word()?;
-        usize::try_from(w).map_err(|_| DecodeError::Invalid("length exceeds usize"))
-    }
-
-    /// Reads a word-padded byte run of `n` bytes (see
-    /// [`WordWriter::bytes_padded`]). Always owned: byte payloads (e.g.
-    /// trie labels) are stored owned even in view structures.
-    fn take_bytes(&mut self, n: usize) -> Result<Vec<u8>, DecodeError> {
-        let words = n.div_ceil(8);
-        let ws = self.take(words)?;
-        let mut out = Vec::with_capacity(words.saturating_mul(8));
-        for w in ws.as_ref() {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        out.truncate(n);
-        Ok(out)
-    }
-}
-
-/// Zero-copy word source over an in-memory word buffer: [`WordSource::take`]
-/// returns sub-slices borrowing from the buffer, so structures parsed from
-/// it are views that share the buffer's memory (the mmap-style load path).
+/// Every read checks its extent against the bytes left *before* it
+/// allocates, so a forged length word can never demand an allocation
+/// larger than the input itself; running short is a typed
+/// [`DecodeError::Truncated`], never a panic.
 #[derive(Clone, Debug)]
-pub struct WordCursor<'a> {
-    words: &'a [u64],
-    pos: usize,
-}
-
-impl<'a> WordCursor<'a> {
-    /// Starts a cursor at the beginning of `words`.
-    pub fn new(words: &'a [u64]) -> Self {
-        Self { words, pos: 0 }
-    }
-
-    /// Words consumed so far.
-    #[inline]
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// Words left.
-    #[inline]
-    pub fn remaining(&self) -> usize {
-        self.words.len() - self.pos
-    }
-}
-
-impl<'a> WordSource for WordCursor<'a> {
-    type Storage = &'a [u64];
-
-    #[inline]
-    fn word(&mut self) -> Result<u64, DecodeError> {
-        let w = *self.words.get(self.pos).ok_or(DecodeError::Truncated {
-            needed: self.pos.saturating_add(1),
-            have: self.words.len(),
-        })?;
-        self.pos = self.pos.saturating_add(1);
-        Ok(w)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u64], DecodeError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(DecodeError::Invalid("length overflow"))?;
-        let s = self
-            .words
-            .get(self.pos..end)
-            .ok_or(DecodeError::Truncated {
-                needed: end,
-                have: self.words.len(),
-            })?;
-        self.pos = end;
-        Ok(s)
-    }
-}
-
-/// A shareable, owning word store over a reference-counted buffer: the
-/// backing store of the *mapped* load path.
-///
-/// A `MappedSource` names a word range inside an `Arc<[u64]>` buffer —
-/// typically the word image of one file region loaded once and then served
-/// by many structures. Unlike the borrowed `&[u64]` of [`WordCursor`], a
-/// `MappedSource` has no lifetime: structures parsed over it (e.g.
-/// `GrafiteFilter<MappedSource>` in `grafite-core`) are `'static`, clone by
-/// bumping the reference count, and share the underlying words across
-/// threads without copying. The workspace forbids `unsafe`, so the buffer
-/// is populated by an ordinary read (one byte→word conversion pass per
-/// region, see [`MappedSource::from_le_bytes`]) rather than a raw
-/// `mmap(2)`; the operating system's page cache still backs the file reads
-/// themselves, so concurrently serving processes share pages the usual way.
-#[derive(Clone, Debug)]
-pub struct MappedSource {
-    words: Arc<[u64]>,
-    range: Range<usize>,
-}
-
-impl MappedSource {
-    /// Wraps an owned word buffer (the whole buffer is the range).
-    pub fn from_words(words: Vec<u64>) -> Self {
-        let range = 0..words.len();
-        Self {
-            words: words.into(),
-            range,
-        }
-    }
-
-    /// Converts a little-endian byte image into a mapped word store (one
-    /// copying conversion pass — the only copy the mapped path ever makes).
-    /// The byte length must be whole words.
-    pub fn from_le_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        if bytes.len() % 8 != 0 {
-            return Err(DecodeError::Invalid("byte image is not whole words"));
-        }
-        Ok(Self::from_words(
-            bytes.chunks_exact(8).map(le_word).collect(),
-        ))
-    }
-
-    /// A sub-range of this source sharing the same buffer (no copy).
-    /// Returns a typed error when the range exceeds this source's extent.
-    pub fn slice(&self, range: Range<usize>) -> Result<Self, DecodeError> {
-        let len = self.len();
-        if range.start > range.end || range.end > len {
-            return Err(DecodeError::Truncated {
-                needed: range.end,
-                have: len,
-            });
-        }
-        let start = self
-            .range
-            .start
-            .checked_add(range.start)
-            .ok_or(DecodeError::Invalid("mapped range offset overflow"))?;
-        let end = self
-            .range
-            .start
-            .checked_add(range.end)
-            .ok_or(DecodeError::Invalid("mapped range offset overflow"))?;
-        Ok(Self {
-            words: Arc::clone(&self.words),
-            range: start..end,
-        })
-    }
-
-    /// Number of words in this source's range.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.range.end - self.range.start
-    }
-
-    /// Whether the range is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.range.is_empty()
-    }
-}
-
-impl AsRef<[u64]> for MappedSource {
-    #[inline]
-    fn as_ref(&self) -> &[u64] {
-        // The constructors uphold `range ⊆ 0..words.len()`, so this cannot
-        // be out of bounds; `get` keeps the accessor panic-free regardless.
-        self.words.get(self.range.clone()).unwrap_or(&[])
-    }
-}
-
-/// Word source over a [`MappedSource`]: [`WordSource::take`] returns
-/// sub-range `MappedSource`s sharing the buffer, so structures parsed from
-/// it own their storage by reference count instead of borrowing it — the
-/// `'static` twin of [`WordCursor`].
-#[derive(Clone, Debug)]
-pub struct MappedCursor {
-    source: MappedSource,
-    pos: usize,
-}
-
-impl MappedCursor {
-    /// Starts a cursor at the beginning of `source`.
-    pub fn new(source: MappedSource) -> Self {
-        Self { source, pos: 0 }
-    }
-
-    /// Words consumed so far.
-    #[inline]
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// Words left.
-    #[inline]
-    pub fn remaining(&self) -> usize {
-        self.source.len().saturating_sub(self.pos)
-    }
-}
-
-impl WordSource for MappedCursor {
-    type Storage = MappedSource;
-
-    #[inline]
-    fn word(&mut self) -> Result<u64, DecodeError> {
-        let w = *self
-            .source
-            .as_ref()
-            .get(self.pos)
-            .ok_or(DecodeError::Truncated {
-                needed: self.pos.saturating_add(1),
-                have: self.source.len(),
-            })?;
-        self.pos = self.pos.saturating_add(1);
-        Ok(w)
-    }
-
-    fn take(&mut self, n: usize) -> Result<MappedSource, DecodeError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(DecodeError::Invalid("length overflow"))?;
-        let s = self.source.slice(self.pos..end)?;
-        self.pos = end;
-        Ok(s)
-    }
-}
-
-/// Owned word source over any byte reader; bulk reads allocate fresh
-/// `Vec<u64>` storage. This is the load path of
-/// `PersistentFilter::deserialize` in `grafite-core`.
-pub struct ReadSource<R: io::Read> {
-    inner: R,
+pub struct WordReader<'a> {
+    rest: &'a [u8],
     words_read: usize,
 }
 
-impl<R: io::Read> ReadSource<R> {
-    /// Wraps a byte reader positioned at the start of a word stream.
-    pub fn new(inner: R) -> Self {
+impl<'a> WordReader<'a> {
+    /// Starts a reader at the beginning of `bytes`. A trailing partial
+    /// word is never readable.
+    pub fn new(bytes: &'a [u8]) -> Self {
         Self {
-            inner,
+            rest: bytes,
             words_read: 0,
         }
     }
 
-    /// Words consumed so far.
+    /// Whole words left.
     #[inline]
-    pub fn position(&self) -> usize {
-        self.words_read
+    pub fn remaining(&self) -> usize {
+        self.rest.len() / 8
     }
 
-    fn read_exact(&mut self, buf: &mut [u8], needed_words: usize) -> Result<(), DecodeError> {
-        self.inner.read_exact(buf).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                DecodeError::Truncated {
-                    needed: self.words_read.saturating_add(needed_words),
-                    have: self.words_read,
-                }
-            } else {
-                DecodeError::Io(e.kind())
-            }
-        })
-    }
-}
-
-impl<R: io::Read> WordSource for ReadSource<R> {
-    type Storage = Vec<u64>;
-
-    fn word(&mut self) -> Result<u64, DecodeError> {
-        let mut buf = [0u8; 8];
-        self.read_exact(&mut buf, 1)?;
-        self.words_read = self.words_read.saturating_add(1);
-        Ok(u64::from_le_bytes(buf))
+    /// Consumes the next `n` words' bytes, or fails typed — before touching
+    /// anything — when fewer than `n` whole words are left.
+    fn advance(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        let split = n
+            .checked_mul(8)
+            .and_then(|len| Some((self.rest.get(..len)?, self.rest.get(len..)?)));
+        let Some((run, rest)) = split else {
+            return Err(DecodeError::Truncated {
+                needed: self.words_read.saturating_add(n),
+                have: self.words_read.saturating_add(self.remaining()),
+            });
+        };
+        self.rest = rest;
+        self.words_read = self.words_read.saturating_add(n);
+        Ok(run)
     }
 
-    fn take(&mut self, n: usize) -> Result<Vec<u64>, DecodeError> {
-        // Bulk reads in bounded chunks: one read_exact per chunk instead of
-        // one per word, while a corrupt (huge) length prefix read from an
-        // unchecksummed stream cannot demand an arbitrary up-front
-        // allocation.
-        const CHUNK_WORDS: usize = 1 << 15;
-        let start = self.words_read;
-        let mut out = Vec::with_capacity(n.min(CHUNK_WORDS));
-        let mut buf = vec![0u8; n.min(CHUNK_WORDS).saturating_mul(8)];
-        let mut remaining = n;
-        while remaining > 0 {
-            let chunk = remaining.min(CHUNK_WORDS);
-            let bytes = buf
-                .get_mut(..chunk.saturating_mul(8))
-                .ok_or(DecodeError::Invalid("chunk exceeds staging buffer"))?;
-            self.inner.read_exact(bytes).map_err(|e| {
-                if e.kind() == io::ErrorKind::UnexpectedEof {
-                    DecodeError::Truncated {
-                        needed: start.saturating_add(n),
-                        have: self.words_read,
-                    }
-                } else {
-                    DecodeError::Io(e.kind())
-                }
-            })?;
-            out.extend(bytes.chunks_exact(8).map(le_word));
-            self.words_read = self.words_read.saturating_add(chunk);
-            remaining -= chunk;
-        }
-        Ok(out)
+    /// Reads one word.
+    #[inline]
+    pub fn word(&mut self) -> Result<u64, DecodeError> {
+        self.advance(1).map(le_word)
+    }
+
+    /// Reads one word and checks it fits a `usize` length/index.
+    pub fn length(&mut self) -> Result<usize, DecodeError> {
+        let w = self.word()?;
+        usize::try_from(w).map_err(|_| DecodeError::Invalid("length exceeds usize"))
+    }
+
+    /// Reads `n` words into a fresh word store. `n · 8` is checked against
+    /// the bytes left first, so the allocation never exceeds the input.
+    pub fn take(&mut self, n: usize) -> Result<Vec<u64>, DecodeError> {
+        Ok(self.advance(n)?.chunks_exact(8).map(le_word).collect())
+    }
+
+    /// Reads a word-padded byte run of `n` bytes (see
+    /// [`WordWriter::bytes_padded`]).
+    pub fn take_bytes(&mut self, n: usize) -> Result<Vec<u8>, DecodeError> {
+        let run = self.advance(n.div_ceil(8))?;
+        run.get(..n)
+            .map(<[u8]>::to_vec)
+            .ok_or(DecodeError::Invalid("byte run exceeds its words"))
     }
 }
 
@@ -479,6 +226,13 @@ impl io::Write for CountingSink {
     }
 }
 
+/// The little-endian byte image of `words` — what [`WordWriter`] emits —
+/// for tests that forge or truncate an encoding word by word.
+#[cfg(test)]
+pub(crate) fn le_bytes(words: &[u64]) -> Vec<u8> {
+    words.iter().flat_map(|w| w.to_le_bytes()).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,102 +247,77 @@ mod tests {
         assert_eq!(w.words_written(), 6);
         assert_eq!(buf.len(), 48);
 
-        let words: Vec<u64> = buf
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let mut cur = WordCursor::new(&words);
-        assert_eq!(cur.word().unwrap(), 7);
-        let n = cur.length().unwrap();
-        assert_eq!(cur.take(n).unwrap(), &[1, 2, 3]);
-        assert_eq!(cur.take_bytes(5).unwrap(), b"hello");
-        assert_eq!(cur.remaining(), 0);
-
-        let mut src = ReadSource::new(buf.as_slice());
+        let mut src = WordReader::new(&buf);
         assert_eq!(src.word().unwrap(), 7);
         let n = src.length().unwrap();
         assert_eq!(src.take(n).unwrap(), vec![1, 2, 3]);
         assert_eq!(src.take_bytes(5).unwrap(), b"hello");
+        assert_eq!(src.remaining(), 0);
     }
 
     #[test]
     fn truncation_is_typed() {
-        let words = [1u64, 2];
-        let mut cur = WordCursor::new(&words);
-        cur.take(2).unwrap();
+        let bytes = le_bytes(&[1, 2]);
+        let mut src = WordReader::new(&bytes);
+        src.take(2).unwrap();
         assert_eq!(
-            cur.word(),
+            src.word(),
             Err(DecodeError::Truncated { needed: 3, have: 2 })
         );
-        let mut cur = WordCursor::new(&words);
+        let mut src = WordReader::new(&bytes);
         assert_eq!(
-            cur.take(5),
+            src.take(5),
             Err(DecodeError::Truncated { needed: 5, have: 2 })
         );
-        let bytes = 7u64.to_le_bytes();
-        let mut src = ReadSource::new(&bytes[..4]);
-        assert!(matches!(src.word(), Err(DecodeError::Truncated { .. })));
-    }
-
-    #[test]
-    fn mapped_source_shares_and_slices() {
-        let src = MappedSource::from_words((0..16u64).collect());
-        assert_eq!(src.len(), 16);
-        let sub = src.slice(4..8).unwrap();
-        assert_eq!(sub.as_ref(), &[4, 5, 6, 7]);
-        // Sub-slicing a sub-range stays relative to the sub-range.
-        let subsub = sub.slice(1..3).unwrap();
-        assert_eq!(subsub.as_ref(), &[5, 6]);
-        // Out-of-range slices are typed, never panics.
-        assert!(matches!(
-            sub.slice(2..9),
-            Err(DecodeError::Truncated { needed: 9, have: 4 })
-        ));
-        // Byte images must be whole words.
-        assert!(matches!(
-            MappedSource::from_le_bytes(&[1, 2, 3]),
-            Err(DecodeError::Invalid(_))
-        ));
-        let bytes: Vec<u8> = [7u64, 9].iter().flat_map(|w| w.to_le_bytes()).collect();
-        let from_bytes = MappedSource::from_le_bytes(&bytes).unwrap();
-        assert_eq!(from_bytes.as_ref(), &[7, 9]);
-    }
-
-    #[test]
-    fn mapped_cursor_matches_word_cursor() {
-        let mut buf = Vec::new();
-        let mut w = WordWriter::new(&mut buf);
-        w.word(7).unwrap();
-        w.prefixed(&[1, 2, 3]).unwrap();
-        w.bytes_padded(b"hello").unwrap();
-        let src = MappedSource::from_le_bytes(&buf).unwrap();
-        let mut cur = MappedCursor::new(src);
-        assert_eq!(cur.word().unwrap(), 7);
-        let n = cur.length().unwrap();
-        assert_eq!(cur.take(n).unwrap().as_ref(), &[1, 2, 3]);
-        assert_eq!(cur.take_bytes(5).unwrap(), b"hello");
-        assert_eq!(cur.remaining(), 0);
-        assert!(matches!(
-            cur.word(),
-            Err(DecodeError::Truncated { needed: 7, have: 6 })
-        ));
-    }
-
-    /// An Elias–Fano parsed over a `MappedCursor` is backed by the shared
-    /// buffer and answers exactly like its owned twin.
-    #[test]
-    fn elias_fano_parses_over_mapped_storage() {
-        let values: Vec<u64> = (0..500u64).map(|i| i * 37).collect();
-        let ef = crate::EliasFano::new(&values, 20_000);
-        let mut buf = Vec::new();
-        let mut w = WordWriter::new(&mut buf);
-        ef.write_to(&mut w).unwrap();
-        let src = MappedSource::from_le_bytes(&buf).unwrap();
-        let mut cur = MappedCursor::new(src);
-        let mapped = crate::EliasFano::<MappedSource>::read_from(&mut cur).unwrap();
-        for probe in [0u64, 36, 37, 1000, 19_999] {
-            assert_eq!(mapped.predecessor(probe), ef.predecessor(probe));
+        // A failed read consumes nothing.
+        assert_eq!(src.remaining(), 2);
+        assert_eq!(src.take(2).unwrap(), vec![1, 2]);
+        // A trailing partial word is never readable.
+        let mut src = WordReader::new(&bytes[..12]);
+        assert_eq!(src.word(), Ok(1));
+        assert_eq!(
+            src.word(),
+            Err(DecodeError::Truncated { needed: 2, have: 1 })
+        );
+        assert_eq!(
+            WordReader::new(&bytes[..4]).take_bytes(3),
+            Err(DecodeError::Truncated { needed: 1, have: 0 })
+        );
+        // A length word beyond usize is invalid, not truncated.
+        if usize::BITS < 64 {
+            let wide = le_bytes(&[u64::MAX]);
+            assert!(matches!(
+                WordReader::new(&wide).length(),
+                Err(DecodeError::Invalid(_))
+            ));
         }
+    }
+
+    /// A forged length cannot demand an allocation: `take` checks `n · 8`
+    /// against the bytes left (overflow included) before it allocates, so
+    /// these fail typed instantly on a 16-byte input instead of aborting on
+    /// an exabyte request.
+    #[test]
+    fn huge_takes_fail_typed_without_allocating() {
+        let bytes = le_bytes(&[1, 2]);
+        for n in [1usize << 60, usize::MAX, usize::MAX / 8 + 1, 3] {
+            let mut src = WordReader::new(&bytes);
+            assert_eq!(
+                src.take(n),
+                Err(DecodeError::Truncated { needed: n, have: 2 })
+            );
+            if n > 16 {
+                assert!(matches!(
+                    src.take_bytes(n),
+                    Err(DecodeError::Truncated { have: 2, .. })
+                ));
+            }
+            assert_eq!(src.remaining(), 2);
+        }
+        assert_eq!(
+            WordReader::new(&bytes).take_bytes(17),
+            Err(DecodeError::Truncated { needed: 3, have: 2 })
+        );
     }
 
     #[test]

@@ -26,14 +26,12 @@
 //!
 //! # Persistence
 //!
-//! Every structure is generic over its word store (`S: AsRef<[u64]>`,
-//! defaulting to `Vec<u64>`) and serializes to a flat little-endian `u64`
-//! stream through a `write_to` / `read_from` pair built on the [`io`]
-//! module. Rank/select directories travel with the bits and are read back
-//! **verbatim** — loading never rebuilds them — and parsing from an
-//! in-memory buffer through [`io::WordCursor`] yields borrowed *views*
-//! ([`BitVecView`], [`EliasFanoView`], …) that answer queries zero-copy,
-//! straight out of the loaded buffer.
+//! Every structure owns its words in a `Vec<u64>` and serializes to a flat
+//! little-endian `u64` stream through a `write_to` / `read_from` pair built
+//! on the [`io`] module: [`io::WordWriter`] out, [`io::WordReader`] back in
+//! from an in-memory byte slice. Rank/select directories travel with the
+//! bits and are read back **verbatim** — loading is one bounds-checked copy
+//! and never rebuilds them.
 
 // Deny rather than forbid: `simd::kernels` is the one module allowed to
 // opt back in (xtask lint L6 enforces the allowlist and requires a
@@ -51,11 +49,11 @@ pub mod io;
 pub mod rs_bitvec;
 pub mod simd;
 
-pub use bitvec::{BitVec, BitVecView};
-pub use elias_fano::{EfCursor, EliasFano, EliasFanoView};
-pub use golomb::{GolombRiceSeq, GolombRiceSeqView};
-pub use intvec::{IntVec, IntVecView};
-pub use rs_bitvec::{RsBitVec, RsBitVecView};
+pub use bitvec::BitVec;
+pub use elias_fano::{EfCursor, EliasFano};
+pub use golomb::GolombRiceSeq;
+pub use intvec::IntVec;
+pub use rs_bitvec::RsBitVec;
 pub use simd::SimdLevel;
 
 /// Number of bits in a machine word used throughout the crate.

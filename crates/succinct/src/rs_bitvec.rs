@@ -30,14 +30,11 @@
 //!
 //! # Persistence
 //!
-//! Like every structure in this crate, `RsBitVec` is generic over its word
-//! store: the rank/select directories serialize alongside the bits and are
-//! read back **verbatim** — loading never recomputes them, and the
-//! [`RsBitVecView`] variant answers queries directly out of a loaded
-//! buffer.
+//! The rank/select directories serialize alongside the bits and are read
+//! back **verbatim** — loading never recomputes them.
 
 use crate::bitvec::BitVec;
-use crate::io::{DecodeError, WordSource, WordWriter};
+use crate::io::{DecodeError, WordReader, WordWriter};
 use crate::simd::select_in_word;
 use crate::WORD_BITS;
 
@@ -60,22 +57,18 @@ fn mask_low(n: usize) -> u64 {
 
 /// An immutable rank/select bit vector.
 #[derive(Clone, Debug)]
-pub struct RsBitVec<S = Vec<u64>> {
-    bits: BitVec<S>,
+pub struct RsBitVec {
+    bits: BitVec,
     /// `blocks[b]` = number of ones in bits `[0, b * 512)`; one sentinel entry
     /// at the end holding the total.
-    blocks: S,
+    blocks: Vec<u64>,
     /// `select1_pos[i]` = exact bit position of the `(i * SELECT_SAMPLE)`-th
     /// one.
-    select1_pos: S,
+    select1_pos: Vec<u64>,
     /// Same for zeros.
-    select0_pos: S,
+    select0_pos: Vec<u64>,
     ones: usize,
 }
-
-/// A rank/select bit vector whose bits *and* directories borrow from a
-/// loaded `&[u64]` buffer.
-pub type RsBitVecView<'a> = RsBitVec<&'a [u64]>;
 
 /// One pass over the words: the exact positions of every `SELECT_SAMPLE`-th
 /// one and zero. Returns `(select1_pos, select0_pos, ones_seen)` so callers
@@ -137,12 +130,10 @@ impl RsBitVec {
             ones,
         }
     }
-}
 
-impl<S: AsRef<[u64]>> RsBitVec<S> {
     #[inline]
     fn block_dir(&self) -> &[u64] {
-        self.blocks.as_ref()
+        &self.blocks
     }
 
     /// Number of bits.
@@ -177,7 +168,7 @@ impl<S: AsRef<[u64]>> RsBitVec<S> {
 
     /// The underlying bit vector.
     #[inline]
-    pub fn bits(&self) -> &BitVec<S> {
+    pub fn bits(&self) -> &BitVec {
         &self.bits
     }
 
@@ -246,7 +237,7 @@ impl<S: AsRef<[u64]>> RsBitVec<S> {
     /// Panics if `k >= count_ones()`.
     pub fn select1(&self, k: usize) -> usize {
         assert!(k < self.ones, "select1 rank {k} out of range {}", self.ones);
-        let samples = self.select1_pos.as_ref();
+        let samples = self.select1_pos.as_slice();
         let s = k / SELECT_SAMPLE;
         let sampled = samples[s] as usize;
         let rem = k % SELECT_SAMPLE;
@@ -284,7 +275,7 @@ impl<S: AsRef<[u64]>> RsBitVec<S> {
     /// stretches the sample-local scan cannot cover.
     #[cold]
     fn select1_via_blocks(&self, k: usize, s: usize) -> usize {
-        let samples = self.select1_pos.as_ref();
+        let samples = self.select1_pos.as_slice();
         let sampled = samples[s] as usize;
         let hi = samples
             .get(s + 1)
@@ -312,7 +303,7 @@ impl<S: AsRef<[u64]>> RsBitVec<S> {
     pub fn select0(&self, k: usize) -> usize {
         let zeros = self.count_zeros();
         assert!(k < zeros, "select0 rank {k} out of range {zeros}");
-        let samples = self.select0_pos.as_ref();
+        let samples = self.select0_pos.as_slice();
         let s = k / SELECT_SAMPLE;
         let sampled = samples[s] as usize;
         let rem = k % SELECT_SAMPLE;
@@ -350,7 +341,7 @@ impl<S: AsRef<[u64]>> RsBitVec<S> {
     /// The block-directory slow path of [`RsBitVec::select0`].
     #[cold]
     fn select0_via_blocks(&self, k: usize, s: usize) -> usize {
-        let samples = self.select0_pos.as_ref();
+        let samples = self.select0_pos.as_slice();
         let sampled = samples[s] as usize;
         let hi = samples
             .get(s + 1)
@@ -377,8 +368,8 @@ impl<S: AsRef<[u64]>> RsBitVec<S> {
     pub fn size_in_bits(&self) -> usize {
         self.bits.size_in_bits()
             + self.block_dir().len() * 64
-            + self.select1_pos.as_ref().len() * 64
-            + self.select0_pos.as_ref().len() * 64
+            + self.select1_pos.len() * 64
+            + self.select0_pos.len() * 64
     }
 
     /// Size of the rank/select overhead only, in bits.
@@ -395,16 +386,15 @@ impl<S: AsRef<[u64]>> RsBitVec<S> {
         w.word(self.ones as u64)?;
         self.bits.write_to(w)?;
         w.prefixed(self.block_dir())?;
-        w.prefixed(self.select1_pos.as_ref())?;
-        w.prefixed(self.select0_pos.as_ref())?;
+        w.prefixed(&self.select1_pos)?;
+        w.prefixed(&self.select0_pos)?;
         Ok(w.words_written() - before)
     }
 
     /// Reads back what [`RsBitVec::write_to`] wrote. The rank/select
     /// directories come back verbatim from the stream — nothing is rebuilt,
-    /// which is what makes cold loads O(size) copies (owned) or O(1)
-    /// (borrowed view).
-    pub fn read_from<Src: WordSource<Storage = S>>(src: &mut Src) -> Result<Self, DecodeError> {
+    /// which is what makes a cold load one O(size) copy.
+    pub fn read_from(src: &mut WordReader<'_>) -> Result<Self, DecodeError> {
         let ones = src.length()?;
         let bits = BitVec::read_from(src)?;
         if ones > bits.len() {
@@ -419,13 +409,10 @@ impl<S: AsRef<[u64]>> RsBitVec<S> {
         // The directory must be non-decreasing and close on the claimed
         // total: that is what bounds `select`'s block locate before the
         // sentinel. O(n/512) at load, no popcounting.
+        if blocks.windows(2).any(|w| matches!(w, [a, b] if a > b))
+            || blocks.last() != Some(&(ones as u64))
         {
-            let dir = blocks.as_ref();
-            if dir.windows(2).any(|w| matches!(w, [a, b] if a > b))
-                || dir.last() != Some(&(ones as u64))
-            {
-                return Err(DecodeError::Invalid("rank directory inconsistent"));
-            }
+            return Err(DecodeError::Invalid("rank directory inconsistent"));
         }
         let s1_len = src.length()?;
         if s1_len != ones.div_ceil(SELECT_SAMPLE) {
@@ -441,7 +428,7 @@ impl<S: AsRef<[u64]>> RsBitVec<S> {
         // Samples are exact bit positions: strictly increasing and within
         // the bit range, or a query would index out of bounds. O(n/512).
         let len = bits.len() as u64;
-        for samples in [select1_pos.as_ref(), select0_pos.as_ref()] {
+        for samples in [&select1_pos, &select0_pos] {
             if samples.iter().any(|&p| p >= len)
                 || samples.windows(2).any(|w| matches!(w, [a, b] if a >= b))
             {
@@ -592,9 +579,16 @@ mod tests {
             .collect()
     }
 
+    fn load(words: &[u64]) -> Result<RsBitVec, DecodeError> {
+        let bytes = crate::io::le_bytes(words);
+        let mut src = WordReader::new(&bytes);
+        let rs = RsBitVec::read_from(&mut src)?;
+        assert_eq!(src.remaining(), 0, "read_from must consume its encoding");
+        Ok(rs)
+    }
+
     #[test]
     fn roundtrip_preserves_every_operation() {
-        use crate::io::{ReadSource, WordCursor};
         let mut state = 5u64;
         let pattern: Vec<bool> = (0..10_000)
             .map(|_| {
@@ -603,24 +597,16 @@ mod tests {
             })
             .collect();
         let rs = RsBitVec::new(pattern.iter().copied().collect());
-        let words = serialize(&rs);
-        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-
-        let owned = RsBitVec::read_from(&mut ReadSource::new(bytes.as_slice())).unwrap();
-        let view = RsBitVecView::read_from(&mut WordCursor::new(&words)).unwrap();
+        let owned = load(&serialize(&rs)).unwrap();
         assert_eq!(owned.count_ones(), rs.count_ones());
-        assert_eq!(view.count_ones(), rs.count_ones());
         for pos in (0..=rs.len()).step_by(97) {
             assert_eq!(owned.rank1(pos), rs.rank1(pos));
-            assert_eq!(view.rank1(pos), rs.rank1(pos));
         }
         for k in (0..rs.count_ones()).step_by(101) {
             assert_eq!(owned.select1(k), rs.select1(k));
-            assert_eq!(view.select1(k), rs.select1(k));
         }
         for k in (0..rs.count_zeros()).step_by(103) {
             assert_eq!(owned.select0(k), rs.select0(k));
-            assert_eq!(view.select0(k), rs.select0(k));
         }
     }
 
@@ -629,16 +615,15 @@ mod tests {
     /// a rebuild would silently repair.
     #[test]
     fn load_is_rebuild_free() {
-        use crate::io::WordCursor;
         let rs = RsBitVec::new((0..2048).map(|i| i % 2 == 0).collect());
         let mut words = serialize(&rs);
         // Layout: [ones][len][n_words][words…][n_blocks][blocks…]. Bump the
         // *second* block-directory entry (ones before block 1) by one.
         let dir_start = 1 + 2 + rs.bits().words().len() + 1;
         words[dir_start + 1] += 1;
-        let view = RsBitVecView::read_from(&mut WordCursor::new(&words)).unwrap();
+        let loaded = load(&words).unwrap();
         assert_eq!(
-            view.rank1(512),
+            loaded.rank1(512),
             rs.rank1(512) + 1,
             "loaded rank must come from the stored directory"
         );
@@ -646,19 +631,47 @@ mod tests {
 
     #[test]
     fn corrupt_directory_counts_rejected() {
-        use crate::io::WordCursor;
-        let rs = RsBitVec::new((0..100).map(|i| i < 50).collect());
-        let mut words = serialize(&rs);
-        words[0] = 1000; // ones > len
-        assert!(matches!(
-            RsBitVecView::read_from(&mut WordCursor::new(&words)),
-            Err(DecodeError::Invalid(_))
-        ));
+        let rs = RsBitVec::new((0..2048).map(|i| i % 4 == 0).collect());
+        let words = serialize(&rs);
+        let mut bad = words.clone();
+        bad[0] = 5000; // ones > len
+        assert_eq!(
+            load(&bad).err(),
+            Some(DecodeError::Invalid("rank directory total exceeds length"))
+        );
+        // Layout: [ones][len][n_words][words…][n_blocks][blocks…].
+        let dir_len = 1 + 2 + rs.bits().words().len();
+        let dir_start = dir_len + 1;
+        let mut bad = words.clone();
+        bad[dir_len] += 1;
+        assert_eq!(
+            load(&bad).err(),
+            Some(DecodeError::Invalid("rank directory block count"))
+        );
+        // A decreasing directory, and one that does not close on `ones`.
+        let mut bad = words.clone();
+        bad[dir_start + 2] = bad[dir_start + 1] - 1;
+        assert_eq!(
+            load(&bad).err(),
+            Some(DecodeError::Invalid("rank directory inconsistent"))
+        );
+        let mut bad = words.clone();
+        bad[dir_start + rs.block_dir().len() - 1] -= 1;
+        assert_eq!(
+            load(&bad).err(),
+            Some(DecodeError::Invalid("rank directory inconsistent"))
+        );
+        // Every proper prefix fails typed.
+        for cut in 0..words.len() {
+            assert!(
+                matches!(load(&words[..cut]), Err(DecodeError::Truncated { .. })),
+                "prefix of {cut} words"
+            );
+        }
     }
 
     #[test]
     fn corrupt_select_samples_rejected() {
-        use crate::io::WordCursor;
         let rs = RsBitVec::new((0..4096).map(|i| i % 3 == 0).collect());
         let words = serialize(&rs);
         // First select1 sample (right after the block directory prefix).
@@ -667,14 +680,21 @@ mod tests {
         let mut bad = words.clone();
         bad[s1_start] = rs.len() as u64 + 7;
         assert!(matches!(
-            RsBitVecView::read_from(&mut WordCursor::new(&bad)),
+            load(&bad),
             Err(DecodeError::Invalid("select sample out of range"))
+        ));
+        // A sample count that disagrees with `ones`.
+        let mut bad = words.clone();
+        bad[s1_start - 1] += 1;
+        assert!(matches!(
+            load(&bad),
+            Err(DecodeError::Invalid("select1 sample count"))
         ));
         // Non-increasing samples.
         let mut bad = words.clone();
         bad[s1_start + 1] = bad[s1_start];
         assert!(matches!(
-            RsBitVecView::read_from(&mut WordCursor::new(&bad)),
+            load(&bad),
             Err(DecodeError::Invalid("select sample out of range"))
         ));
     }

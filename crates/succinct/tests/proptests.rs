@@ -1,21 +1,17 @@
 //! Property-based tests pitting the succinct structures against naive
 //! references on arbitrary inputs, including serialization round-trips
-//! through both the owned and the zero-copy view load paths.
+//! through the one load path, [`WordReader`], and its refusal of every
+//! truncated stream.
 
 use std::collections::BTreeSet;
 
-use grafite_succinct::io::{ReadSource, WordCursor, WordWriter};
-use grafite_succinct::{
-    BitVec, BitVecView, EliasFano, EliasFanoView, GolombRiceSeq, GolombRiceSeqView, IntVec,
-    IntVecView, RsBitVec, RsBitVecView,
-};
+use grafite_succinct::io::{DecodeError, WordReader, WordWriter};
+use grafite_succinct::{BitVec, EliasFano, GolombRiceSeq, IntVec, RsBitVec};
 use proptest::prelude::*;
 
-/// Serializes a structure through its `write_to` and returns both byte and
-/// word images of the stream.
-fn serialize(
-    write: impl FnOnce(&mut WordWriter<'_>) -> std::io::Result<usize>,
-) -> (Vec<u8>, Vec<u64>) {
+/// Serializes a structure through its `write_to` and returns the byte
+/// image of the stream.
+fn serialize(write: impl FnOnce(&mut WordWriter<'_>) -> std::io::Result<usize>) -> Vec<u8> {
     let mut bytes = Vec::new();
     let mut w = WordWriter::new(&mut bytes);
     let words_written = write(&mut w).unwrap();
@@ -24,11 +20,18 @@ fn serialize(
         bytes.len(),
         "write_to word count drifted"
     );
-    let words = bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    (bytes, words)
+    bytes
+}
+
+/// Reads a structure back and checks it consumed exactly its encoding.
+fn load<T>(
+    bytes: &[u8],
+    read: impl FnOnce(&mut WordReader<'_>) -> Result<T, DecodeError>,
+) -> Result<T, DecodeError> {
+    let mut src = WordReader::new(bytes);
+    let value = read(&mut src)?;
+    assert_eq!(src.remaining(), 0, "read_from left words unread");
+    Ok(value)
 }
 
 proptest! {
@@ -137,33 +140,28 @@ proptest! {
     #[test]
     fn bitvec_serialization_roundtrip(pattern in prop::collection::vec(any::<bool>(), 0..2048)) {
         let bv: BitVec = pattern.iter().copied().collect();
-        let (bytes, words) = serialize(|w| bv.write_to(w));
-        let owned = BitVec::read_from(&mut ReadSource::new(bytes.as_slice())).unwrap();
-        let view = BitVecView::read_from(&mut WordCursor::new(&words)).unwrap();
+        let bytes = serialize(|w| bv.write_to(w));
+        let owned = load(&bytes, BitVec::read_from).unwrap();
         prop_assert!(owned == bv);
-        prop_assert!(view == bv);
         for (i, &b) in pattern.iter().enumerate() {
-            prop_assert_eq!(view.get(i), b);
+            prop_assert_eq!(owned.get(i), b);
         }
     }
 
     #[test]
     fn rsbitvec_serialization_roundtrip(pattern in prop::collection::vec(any::<bool>(), 1..2048)) {
         let rs = RsBitVec::new(pattern.iter().copied().collect());
-        let (bytes, words) = serialize(|w| rs.write_to(w));
-        let owned = RsBitVec::read_from(&mut ReadSource::new(bytes.as_slice())).unwrap();
-        let view = RsBitVecView::read_from(&mut WordCursor::new(&words)).unwrap();
+        let bytes = serialize(|w| rs.write_to(w));
+        let owned = load(&bytes, RsBitVec::read_from).unwrap();
         prop_assert_eq!(owned.count_ones(), rs.count_ones());
-        prop_assert_eq!(view.count_ones(), rs.count_ones());
         for pos in 0..=pattern.len() {
             prop_assert_eq!(owned.rank1(pos), rs.rank1(pos));
-            prop_assert_eq!(view.rank1(pos), rs.rank1(pos));
         }
         for k in 0..rs.count_ones() {
-            prop_assert_eq!(view.select1(k), rs.select1(k));
+            prop_assert_eq!(owned.select1(k), rs.select1(k));
         }
         for k in 0..rs.count_zeros() {
-            prop_assert_eq!(view.select0(k), rs.select0(k));
+            prop_assert_eq!(owned.select0(k), rs.select0(k));
         }
     }
 
@@ -175,12 +173,10 @@ proptest! {
         let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
         let masked: Vec<u64> = values.iter().map(|v| v & mask).collect();
         let iv = IntVec::from_slice(width, &masked);
-        let (bytes, words) = serialize(|w| iv.write_to(w));
-        let owned = IntVec::read_from(&mut ReadSource::new(bytes.as_slice())).unwrap();
-        let view = IntVecView::read_from(&mut WordCursor::new(&words)).unwrap();
+        let bytes = serialize(|w| iv.write_to(w));
+        let owned = load(&bytes, IntVec::read_from).unwrap();
         prop_assert!(owned == iv);
-        prop_assert!(view == iv);
-        let back: Vec<u64> = view.iter().collect();
+        let back: Vec<u64> = owned.iter().collect();
         prop_assert_eq!(back, masked);
     }
 
@@ -193,17 +189,19 @@ proptest! {
         values.sort_unstable();
         let universe = values.last().copied().unwrap_or(0) + universe_slack;
         let ef = EliasFano::new(&values, universe);
-        let (bytes, words) = serialize(|w| ef.write_to(w));
-        let owned = EliasFano::read_from(&mut ReadSource::new(bytes.as_slice())).unwrap();
-        let view = EliasFanoView::read_from(&mut WordCursor::new(&words)).unwrap();
+        let bytes = serialize(|w| ef.write_to(w));
+        let owned = load(&bytes, EliasFano::read_from).unwrap();
         prop_assert!(owned == ef);
-        prop_assert!(view == ef);
         for &y in &probes {
             let y = y.min(universe - 1);
             prop_assert_eq!(owned.predecessor(y), ef.predecessor(y));
-            prop_assert_eq!(view.predecessor(y), ef.predecessor(y));
-            prop_assert_eq!(view.successor(y), ef.successor(y));
-            prop_assert_eq!(view.rank(y), ef.rank(y));
+            prop_assert_eq!(owned.successor(y), ef.successor(y));
+            prop_assert_eq!(owned.rank(y), ef.rank(y));
+        }
+        // Every proper prefix of the stream fails typed, never panics.
+        for cut in (0..bytes.len()).step_by(8) {
+            let short = load(&bytes[..cut], EliasFano::read_from);
+            prop_assert!(matches!(short, Err(DecodeError::Truncated { .. })), "cut {}", cut);
         }
     }
 
@@ -276,16 +274,13 @@ proptest! {
     ) {
         values.sort_unstable();
         let seq = GolombRiceSeq::with_params(&values, param, block_size);
-        let (bytes, words) = serialize(|w| seq.write_to(w));
-        let owned = GolombRiceSeq::read_from(&mut ReadSource::new(bytes.as_slice())).unwrap();
-        let view = GolombRiceSeqView::read_from(&mut WordCursor::new(&words)).unwrap();
+        let bytes = serialize(|w| seq.write_to(w));
+        let owned = load(&bytes, GolombRiceSeq::read_from).unwrap();
         prop_assert!(owned == seq);
-        prop_assert!(view == seq);
-        let decoded: Vec<u64> = view.iter().collect();
+        let decoded: Vec<u64> = owned.iter().collect();
         prop_assert_eq!(&decoded, &values);
         for &y in &probes {
             prop_assert_eq!(owned.successor(y), seq.successor(y));
-            prop_assert_eq!(view.successor(y), seq.successor(y));
         }
     }
 }

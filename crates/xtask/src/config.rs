@@ -21,7 +21,7 @@ pub const UNTRUSTED_FILES: &[&str] = &[
 ];
 
 /// Function names that decode untrusted bytes wherever they appear inside
-/// [`UNTRUSTED_FN_GLOBS`] files: the `read_from`/view/deserialize family.
+/// [`UNTRUSTED_FN_GLOBS`] files: the `read_from`/deserialize family.
 /// L1 and L7 apply inside the body of every function with one of these
 /// names.
 pub const UNTRUSTED_FNS: &[&str] = &[
@@ -30,16 +30,12 @@ pub const UNTRUSTED_FNS: &[&str] = &[
     "decode",
     "decode_payload",
     "deserialize",
-    "view",
     "load",
     "load_as",
     "open",
     "from_bytes",
-    "bytes_to_words",
     "parse",
-    "parse_words",
     "peek",
-    "payload_cursor",
     "validate",
     "verify_checksum",
 ];

@@ -8,9 +8,9 @@
 
 use std::time::Instant;
 
-use grafite::grafite_core::persist::bytes_to_words;
-use grafite::grafite_core::GrafiteFilterView;
-use grafite::{standard_registry, FilterConfig, FilterSpec, RangeFilter};
+use grafite::{
+    standard_registry, FilterConfig, FilterSpec, GrafiteFilter, PersistentFilter, RangeFilter,
+};
 
 fn main() {
     let dir = std::env::temp_dir().join("grafite-save-load-example");
@@ -75,20 +75,22 @@ fn main() {
         );
     }
 
-    // ── Zero-copy: query a Grafite blob without even deserializing ──────
-    // With the blob's bytes viewed as words (e.g. an aligned memory-mapped
-    // file), `GrafiteFilterView` borrows the Elias–Fano arrays and their
-    // directories straight out of the buffer: O(1) "load".
+    // ── Typed load: the family is known up front ─────────────────────────
+    // `PersistentFilter::deserialize` loads one concrete type (a blob of
+    // another family is a typed `SpecMismatch`); a damaged blob fails its
+    // checksum instead of loading as a wrong filter.
     let blob = std::fs::read(dir.join("grafite.grafilt")).expect("grafite blob");
-    let words = bytes_to_words(&blob).expect("whole words");
     let start = Instant::now();
-    let view = GrafiteFilterView::view(&words).expect("valid blob");
+    let grafite = GrafiteFilter::deserialize(&blob).expect("valid blob");
     let open = start.elapsed();
-    assert!(view.may_contain(keys[123_456]));
+    assert!(grafite.may_contain(keys[123_456]));
+    let mut damaged = blob.clone();
+    let last = damaged.len() - 1;
+    damaged[last] ^= 1;
+    let refused = GrafiteFilter::deserialize(&damaged).expect_err("checksum catches the flip");
     println!(
-        "== zero-copy view over the same blob opened in {open:?} — \
-         {} keys served without copying a single code ==",
-        view.num_keys()
+        "== typed GrafiteFilter load in {open:?} ({} keys); one flipped bit: {refused} ==",
+        grafite.num_keys()
     );
 
     std::fs::remove_dir_all(&dir).ok();

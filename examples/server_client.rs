@@ -112,12 +112,16 @@ fn main() {
         summary.inserted, summary.deleted, summary.version
     );
     assert!(client.query(42, 42).expect("QUERY round-trip"));
-    let file = std::fs::File::create(&manifest).expect("rewrite manifest file");
-    let mut writer = BufWriter::new(file);
+    // Lazy shards read their keys back from the served file while saving,
+    // so write a sibling file and rename it over the manifest rather than
+    // truncating the file being read.
+    let staged = manifest.with_extension("staged");
+    let mut writer = BufWriter::new(std::fs::File::create(&staged).expect("create staged file"));
     served
         .save_to(&mut writer)
         .expect("serialize updated store");
     drop(writer);
+    std::fs::rename(&staged, &manifest).expect("replace manifest");
     let version = client.reload(None).expect("RELOAD round-trip");
     println!("hot-reloaded manifest -> store version {version}");
     // The insert survived the save/reload round-trip (a true positive —

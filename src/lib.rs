@@ -77,9 +77,8 @@
 //! [`grafite_core::persist`]): build offline, [`PersistentFilter::to_bytes`]
 //! the blob to disk or the network, and revive it anywhere with
 //! [`Registry::load`] — rank/select directories travel inside the blob, so
-//! loading never rebuilds anything, and
-//! [`GrafiteFilterView`](grafite_core::GrafiteFilterView) answers queries
-//! zero-copy straight out of a loaded word buffer:
+//! loading is one checksummed, bounds-checked copy that never rebuilds
+//! anything:
 //!
 //! ```
 //! use grafite::{standard_registry, FilterConfig, FilterSpec, PersistentFilter};

@@ -7,12 +7,14 @@
 //! header byte (all eight masks), one flip per byte over whole blobs, and
 //! the same treatment for a serialized `FilterStore` manifest must come
 //! back as a typed [`FilterError`] — never a panic, never an abort, never a
-//! silently wrong filter. CI runs this under the `hardened` profile
+//! silently wrong filter. Payload words forged to hostile values under a
+//! recomputed checksum must load or fail typed, never panic. CI runs this under the `hardened` profile
 //! (overflow-checks + debug-assertions on), so any arithmetic wrap on the
 //! way to the typed error aborts the test too.
 
 use std::path::PathBuf;
 
+use grafite::grafite_core::persist::{blob_checksum, words_of_bytes, Header, HEADER_BYTES};
 use grafite::{
     standard_registry, FamilySpec, FilterError, FilterSpec, FilterStore, Partitioning, Registry,
     StoreConfig,
@@ -98,6 +100,53 @@ fn every_byte_flip_of_every_golden_fails_typed() {
             assert_rejects(&registry, &bad, &format!("{label} byte {byte}"));
         }
     }
+}
+
+/// Forged lengths under a valid checksum. The threat model admits that a
+/// blob whose checksum was recomputed after tampering may still load, so
+/// every payload word of every golden is overwritten with each of a set of
+/// hostile values (huge, overflow-adjacent, and just past a 32-bit or an
+/// `n · 8` boundary) and the blob is resealed through [`Header::write`].
+/// Each load must come back `Ok` or a typed non-I/O `Err`; a length
+/// computation that overflows panics here under the debug and hardened
+/// profiles.
+#[test]
+fn resealed_forged_payload_words_load_or_fail_typed() {
+    const HOSTILE: [u64; 6] = [
+        1 << 62,
+        u64::MAX,
+        (1 << 61) + 3,
+        1 << 40,
+        (1 << 32) + 1,
+        u64::MAX / 8 + 1,
+    ];
+    let registry = standard_registry();
+    let mut loads = 0usize;
+    for (label, blob) in golden_blobs() {
+        let header = Header::peek(&blob).expect("golden header");
+        let payload = &blob[HEADER_BYTES..];
+        for word in 0..payload.len() / 8 {
+            for value in HOSTILE {
+                let mut forged = payload.to_vec();
+                forged[word * 8..word * 8 + 8].copy_from_slice(&value.to_le_bytes());
+                let mut resealed = header;
+                resealed.checksum = blob_checksum(
+                    header.spec_version_word(),
+                    header.n_keys,
+                    header.payload_words,
+                    words_of_bytes(&forged),
+                );
+                let mut bytes = Vec::with_capacity(blob.len());
+                resealed.write(&mut bytes).expect("write to a Vec");
+                bytes.extend_from_slice(&forged);
+                if let Err(FilterError::Io { .. }) = registry.load(&bytes) {
+                    panic!("{label} payload word {word} = {value:#x}: in-memory load reported an I/O error");
+                }
+                loads += 1;
+            }
+        }
+    }
+    assert!(loads > 6_000, "sweep shrank to {loads} loads");
 }
 
 fn sample_store_bytes(registry: &Registry) -> Vec<u8> {

@@ -289,9 +289,9 @@ fn corrupted_goldens_fail_typed() {
 /// so the version word is the only thing that differs from a loadable blob.
 #[test]
 fn v1_blobs_are_refused_on_every_load_path() {
-    use grafite_core::persist::{blob_checksum, bytes_to_words, words_of_bytes, HEADER_BYTES};
-    use grafite_core::{GrafiteFilter, GrafiteFilterView, Header, MappedGrafiteFilter};
-    use grafite_succinct::io::MappedSource;
+    use grafite_core::persist::{blob_checksum, words_of_bytes, HEADER_BYTES};
+    use grafite_core::{GrafiteFilter, Header};
+    use grafite_store::FamilySpec;
 
     let mut blob = std::fs::read(golden_dir().join("grafite.bin")).unwrap();
     let mut header = Header::peek(&blob).unwrap();
@@ -305,8 +305,6 @@ fn v1_blobs_are_refused_on_every_load_path() {
     let mut header_bytes = Vec::new();
     header.write(&mut header_bytes).unwrap();
     blob[..HEADER_BYTES].copy_from_slice(&header_bytes);
-    let words = bytes_to_words(&blob).unwrap();
-    let source = MappedSource::from_le_bytes(&blob).unwrap();
 
     let refused = |path: &str, err: FilterError| {
         assert_eq!(
@@ -326,13 +324,13 @@ fn v1_blobs_are_refused_on_every_load_path() {
         "GrafiteFilter::deserialize",
         <GrafiteFilter>::deserialize(&blob).err().unwrap(),
     );
+    // The store's shard loader, eager and mapped alike.
     refused(
-        "GrafiteFilterView::view",
-        GrafiteFilterView::view(&words).err().unwrap(),
-    );
-    refused(
-        "MappedGrafiteFilter::open_mapped",
-        MappedGrafiteFilter::open_mapped(&source).err().unwrap(),
+        "FamilySpec::load",
+        FamilySpec::Registry(FilterSpec::Grafite)
+            .load(&standard_registry(), &blob)
+            .err()
+            .unwrap(),
     );
     refused("Header::peek", Header::peek(&blob).err().unwrap());
 }

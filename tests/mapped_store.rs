@@ -428,8 +428,7 @@ fn corrupted_mapped_manifests_fail_typed_or_fail_open() {
 }
 
 /// A registry that cannot load the manifest's family fails both opens with
-/// `Unregistered` before any shard is touched — including Grafite, whose
-/// shards would otherwise load zero-copy without consulting the registry.
+/// `Unregistered` before any shard is touched, Grafite included.
 #[test]
 fn unregistered_family_fails_both_opens() {
     let registry = standard_registry();
