@@ -5,15 +5,18 @@
 //! prints the paper's rows/series as a text table and writes a CSV under
 //! the configured output directory.
 
-use grafite_core::{sort, BucketingFilter, GrafiteFilter, RangeFilter};
-use grafite_filters::Snarf;
+use grafite_core::registry::FilterSpec;
+use grafite_core::{
+    sort, BucketingFilter, BucketingTuning, BuildableFilter, FilterConfig, GrafiteFilter,
+    GrafiteTuning, RangeFilter, WorkloadAwareBucketing,
+};
+use grafite_filters::{standard_registry, Snarf};
 use grafite_workloads::{
     correlated_queries, datasets::Dataset, extract_real_queries, non_empty_queries, sosd,
     uncorrelated_queries, RangeQuery,
 };
 
 use crate::harness::{fmt_fpr, measure, time_it, RunConfig};
-use crate::registry::{build_spec, FilterConfig, FilterSpec};
 use crate::report::Table;
 
 /// The paper's three query sizes: point (2^0), small (2^5), large (2^10).
@@ -43,6 +46,7 @@ fn run_correlation_sweep(
     sizes: &[(u64, &str)],
     csv_name: &str,
 ) {
+    let registry = standard_registry();
     let keys = sosd::dataset_or_synthetic(Dataset::Uniform, cfg.n, cfg.seed, &cfg.data_dir);
     let degrees = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
     let mut table = Table::new(&["range", "degree", "filter", "bits/key", "fpr", "ns/query"]);
@@ -66,7 +70,7 @@ fn run_correlation_sweep(
                 } else {
                     spec
                 };
-                let Some(filter) = build_spec(spec, &fc) else {
+                let Ok(filter) = registry.build(spec, &fc) else {
                     continue;
                 };
                 let m = measure(filter.as_ref(), &queries);
@@ -131,6 +135,7 @@ pub fn fig5(cfg: &RunConfig) {
 }
 
 fn run_space_grid(cfg: &RunConfig, specs: &[FilterSpec], csv_name: &str) {
+    let registry = standard_registry();
     let mut table = Table::new(&["workload", "range", "filter", "bits/key", "fpr", "ns/query"]);
     let mut avg_time: std::collections::HashMap<(&str, &str), (f64, usize)> =
         std::collections::HashMap::new();
@@ -151,7 +156,7 @@ fn run_space_grid(cfg: &RunConfig, specs: &[FilterSpec], csv_name: &str) {
                     } else {
                         spec
                     };
-                    let Some(filter) = build_spec(spec, &fc) else {
+                    let Ok(filter) = registry.build(spec, &fc) else {
                         continue;
                     };
                     let m = measure(filter.as_ref(), &queries);
@@ -194,6 +199,7 @@ fn run_space_grid(cfg: &RunConfig, specs: &[FilterSpec], csv_name: &str) {
 /// Figure 6 (§6.5): query time on *non-empty* queries vs space budget.
 pub fn fig6(cfg: &RunConfig) {
     println!("== Figure 6: query time on non-empty queries ==");
+    let registry = standard_registry();
     let keys = sosd::dataset_or_synthetic(Dataset::Uniform, cfg.n, cfg.seed, &cfg.data_dir);
     let mut table = Table::new(&["range", "filter", "bits/key", "ns/query", "positive_rate"]);
     for &(l, size_name) in &RANGE_SIZES {
@@ -211,7 +217,7 @@ pub fn fig6(cfg: &RunConfig) {
                 } else {
                     spec
                 };
-                let Some(filter) = build_spec(spec, &fc) else {
+                let Ok(filter) = registry.build(spec, &fc) else {
                     continue;
                 };
                 let m = measure(filter.as_ref(), &queries);
@@ -234,6 +240,7 @@ pub fn fig6(cfg: &RunConfig) {
 /// constructors, as in the paper's shaded bars).
 pub fn fig7(cfg: &RunConfig) {
     println!("== Figure 7: construction time vs number of keys ==");
+    let registry = standard_registry();
     let mut table = Table::new(&["n", "filter", "ns/key"]);
     let sizes = [10_000usize, 100_000, 1_000_000].map(|n| n.min(cfg.n.max(10_000)));
     let mut seen = std::collections::HashSet::new();
@@ -254,8 +261,8 @@ pub fn fig7(cfg: &RunConfig) {
                     .max_range(l)
                     .sample(&sample)
                     .seed(cfg.seed);
-                let (secs, filter) = time_it(|| build_spec(spec, &fc));
-                if filter.is_some() {
+                let (secs, filter) = time_it(|| registry.build(spec, &fc));
+                if filter.is_ok() {
                     total += secs;
                     built += 1;
                 }
@@ -278,6 +285,7 @@ pub fn fig7(cfg: &RunConfig) {
 /// ε = 0.01, L = 2^10.
 pub fn table1(cfg: &RunConfig) {
     println!("== Table 1: theoretical bounds vs measured space (eps=0.01, L=2^10) ==");
+    let registry = standard_registry();
     let keys = sosd::dataset_or_synthetic(Dataset::Uniform, cfg.n, cfg.seed, &cfg.data_dir);
     let l = 1024u64;
     let eps = 0.01f64;
@@ -336,9 +344,10 @@ pub fn table1(cfg: &RunConfig) {
             "no closed formula (auto-tuned)",
         ),
     ] {
-        let measured = build_spec(spec, &fc)
+        let measured = registry
+            .build(spec, &fc)
             .map(|f| format!("{:.1}", f.bits_per_key()))
-            .unwrap_or_else(|| "-".into());
+            .unwrap_or_else(|_| "-".into());
         let theory_s = if theory.is_nan() {
             "?".into()
         } else {
@@ -355,6 +364,7 @@ pub fn table1(cfg: &RunConfig) {
 /// while heuristic filters still err.
 pub fn fb(cfg: &RunConfig) {
     println!("== Fb case study (§6.1): Grafite at 12 bits/key ==");
+    let registry = standard_registry();
     let keys = sosd::dataset_or_synthetic(Dataset::Fb, cfg.n, cfg.seed, &cfg.data_dir);
     let l = 32u64;
     let queries = correlated_queries(&keys, cfg.queries, l, 0.8, cfg.seed ^ 0xFB);
@@ -366,7 +376,7 @@ pub fn fb(cfg: &RunConfig) {
         .seed(cfg.seed);
     let mut table = Table::new(&["filter", "bits/key", "fpr"]);
     for &spec in &FilterSpec::ALL_FIG3 {
-        let Some(filter) = build_spec(spec, &fc) else {
+        let Ok(filter) = registry.build(spec, &fc) else {
             table.row(vec![
                 spec.label().into(),
                 "-".into(),
@@ -452,13 +462,13 @@ pub fn ablation_pow2(cfg: &RunConfig) {
     let l = 32u64;
     let queries = uncorrelated_queries(&keys, cfg.queries, l, cfg.seed ^ 0xAB);
     let mut table = Table::new(&["variant", "bits/key", "fpr", "ns/query"]);
-    for (label, pow2) in [("exact r = nL/eps", false), ("r rounded to 2^k", true)] {
-        let filter = GrafiteFilter::builder()
-            .bits_per_key(16.0)
-            .pow2_reduced_universe(pow2)
-            .seed(cfg.seed)
-            .build(&keys)
-            .unwrap();
+    let fc = FilterConfig::new(&keys).bits_per_key(16.0).seed(cfg.seed);
+    for (label, pow2_universe) in [("exact r = nL/eps", false), ("r rounded to 2^k", true)] {
+        let tuning = GrafiteTuning {
+            pow2_universe,
+            epsilon: None,
+        };
+        let filter = GrafiteFilter::build_with(&fc, &tuning).unwrap();
         let m = measure(&filter, &queries);
         table.row(vec![
             label.into(),
@@ -548,11 +558,12 @@ pub fn ablation_bucketing(cfg: &RunConfig) {
     let l = 32u64;
     let queries = uncorrelated_queries(&keys, cfg.queries, l, cfg.seed ^ 0xCC);
     let mut table = Table::new(&["log2(s)", "buckets", "bits/key", "fpr", "ns/query"]);
+    let fc = FilterConfig::new(&keys);
     for log2_s in [20u32, 26, 32, 38, 44, 50] {
-        let filter = BucketingFilter::builder()
-            .bucket_size(1u64 << log2_s)
-            .build(&keys)
-            .unwrap();
+        let tuning = BucketingTuning {
+            bucket_size: Some(1u64 << log2_s),
+        };
+        let filter = BucketingFilter::build_with(&fc, &tuning).unwrap();
         let m = measure(&filter, &queries);
         table.row(vec![
             log2_s.to_string(),
@@ -571,6 +582,7 @@ pub fn ablation_bucketing(cfg: &RunConfig) {
 /// "no interesting change" and omits the plots; we verify the claim).
 pub fn normal_check(cfg: &RunConfig) {
     println!("== Normal-dataset check (§6.1): relative ranking vs Uniform ==");
+    let registry = standard_registry();
     let l = 32u64;
     let mut table = Table::new(&["dataset", "filter", "fpr", "ns/query"]);
     let mut rankings: Vec<Vec<(String, f64)>> = Vec::new();
@@ -585,7 +597,7 @@ pub fn normal_check(cfg: &RunConfig) {
             .seed(cfg.seed);
         let mut ranking = Vec::new();
         for &spec in &FilterSpec::ALL_FIG3 {
-            let Some(filter) = build_spec(spec, &fc) else {
+            let Ok(filter) = registry.build(spec, &fc) else {
                 continue;
             };
             let m = measure(filter.as_ref(), &queries);
@@ -642,18 +654,16 @@ pub fn ablation_wa_bucketing(cfg: &RunConfig) {
             continue;
         }
         if sample.len() < 2000 {
-            sample.push(a);
+            sample.push((a, b));
         } else {
             queries.push(grafite_workloads::RangeQuery { lo: a, hi: b });
         }
     }
     let mut table = Table::new(&["variant", "regions", "bits/key", "fpr", "ns/query"]);
     for &budget in &[6.0, 10.0, 14.0] {
-        let plain = BucketingFilter::builder()
-            .bits_per_key(budget)
-            .build(&keys)
-            .unwrap();
-        let aware = grafite_core::WorkloadAwareBucketing::new(&keys, budget, &sample).unwrap();
+        let fc = FilterConfig::new(&keys).bits_per_key(budget);
+        let plain = BucketingFilter::build(&fc).unwrap();
+        let aware = WorkloadAwareBucketing::build(&fc.sample(&sample)).unwrap();
         for (label, f, regions) in [
             (
                 "plain",
@@ -700,7 +710,7 @@ pub fn serve(cfg: &RunConfig) {
     let n = cfg.n.max(16_000_000);
     let shards = 64usize;
     let keys = sosd::dataset_or_synthetic(Dataset::Uniform, n, cfg.seed, &cfg.data_dir);
-    let registry = crate::registry::standard();
+    let registry = &standard_registry();
     let config = StoreConfig::new(FamilySpec::Registry(FilterSpec::Grafite))
         .bits_per_key(16.0)
         .max_range(32)
@@ -840,7 +850,7 @@ pub fn scale(cfg: &RunConfig) {
     let thread_counts = [1usize, 2, 4, 8];
     let n_big = cfg.n.max(1_000_000);
     let sizes = [n_big / 4, n_big];
-    let registry = crate::registry::standard();
+    let registry = &standard_registry();
 
     let mut table = Table::new(&[
         "n",
@@ -1105,15 +1115,9 @@ pub fn hotpath(cfg: &RunConfig) {
 
     // --- macro: filter-level query latency at 16 bits/key ---
     let keys: Vec<u64> = (0..cfg.n).map(|_| rng.next_u64()).collect();
-    let grafite = GrafiteFilter::builder()
-        .bits_per_key(16.0)
-        .seed(cfg.seed)
-        .build(&keys)
-        .expect("grafite build");
-    let bucketing = BucketingFilter::builder()
-        .bits_per_key(16.0)
-        .build(&keys)
-        .expect("bucketing build");
+    let fc = FilterConfig::new(&keys).bits_per_key(16.0);
+    let grafite = GrafiteFilter::build(&fc.seed(cfg.seed)).expect("grafite build");
+    let bucketing = BucketingFilter::build(&fc).expect("bucketing build");
 
     let mut table = Table::new(&["metric", "ns/op", "notes"]);
     let mut metrics = crate::report::JsonObject::new();

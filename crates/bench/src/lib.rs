@@ -11,5 +11,4 @@
 
 pub mod experiments;
 pub mod harness;
-pub mod registry;
 pub mod report;

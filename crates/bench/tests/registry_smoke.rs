@@ -1,9 +1,10 @@
 //! Smoke tests for the experiment harness plumbing: every registry spec
 //! builds (or declines) cleanly at every budget and answers soundly,
-//! through the `FilterConfig`/`build_spec` registry path.
+//! through the `FilterConfig`/`standard_registry()` path.
 
 use grafite_bench::harness::{measure, RunConfig};
-use grafite_bench::registry::{build_spec, FilterConfig, FilterSpec};
+use grafite_core::{FilterConfig, FilterSpec};
+use grafite_filters::standard_registry;
 use grafite_workloads::{datasets::Dataset, generate, non_empty_queries, uncorrelated_queries};
 
 const ALL_SPECS: [FilterSpec; 11] = [
@@ -28,6 +29,7 @@ fn every_spec_builds_and_answers_soundly() {
         .map(|q| (q.lo, q.hi))
         .collect();
     let positives = non_empty_queries(&keys, 200, 32, 9);
+    let registry = standard_registry();
     for budget in [8.0, 16.0, 28.0] {
         let cfg = FilterConfig::new(&keys)
             .bits_per_key(budget)
@@ -35,7 +37,7 @@ fn every_spec_builds_and_answers_soundly() {
             .sample(&sample)
             .seed(7);
         for spec in ALL_SPECS {
-            let Some(filter) = build_spec(spec, &cfg) else {
+            let Ok(filter) = registry.build(spec, &cfg) else {
                 // Only SuRF may decline, and only below its space floor.
                 assert!(
                     matches!(spec, FilterSpec::SurfReal | FilterSpec::SurfHash) && budget < 12.0,

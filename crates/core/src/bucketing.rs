@@ -27,11 +27,6 @@ pub struct BucketingFilter {
 }
 
 impl BucketingFilter {
-    /// Starts building a filter. See [`BucketingBuilder`].
-    pub fn builder() -> BucketingBuilder {
-        BucketingBuilder::default()
-    }
-
     /// The bucket size `s`.
     #[inline]
     pub fn bucket_size(&self) -> u64 {
@@ -89,103 +84,35 @@ impl RangeFilter for BucketingFilter {
     }
 }
 
-/// How the bucket size is chosen.
-#[derive(Clone, Copy, Debug)]
-enum Sizing {
-    /// Explicit bucket size `s >= 1`.
-    BucketSize(u64),
-    /// Space budget: the smallest power-of-two `s` whose encoding fits in
-    /// `bits`-per-key is chosen (larger `s` = coarser = smaller).
-    BitsPerKey(f64),
-}
-
-/// Builder for [`BucketingFilter`].
-#[derive(Clone, Copy, Debug)]
-pub struct BucketingBuilder {
-    sizing: Sizing,
-}
-
-impl Default for BucketingBuilder {
-    fn default() -> Self {
-        Self {
-            sizing: Sizing::BitsPerKey(16.0),
-        }
-    }
-}
-
-impl BucketingBuilder {
-    /// Uses an explicit bucket size `s` (paper notation).
-    pub fn bucket_size(mut self, s: u64) -> Self {
-        self.sizing = Sizing::BucketSize(s);
-        self
-    }
-
-    /// Targets a space budget in bits per key, choosing the finest
-    /// power-of-two bucket size that fits.
-    pub fn bits_per_key(mut self, bits: f64) -> Self {
-        self.sizing = Sizing::BitsPerKey(bits);
-        self
-    }
-
-    /// Builds the filter. Keys may be unsorted and contain duplicates.
-    pub fn build(self, keys: &[u64]) -> Result<BucketingFilter, FilterError> {
-        let n = keys.len();
-        if n == 0 {
-            return Ok(BucketingFilter::from_sorted_dedup_buckets(&[], 1, 0));
-        }
-        let mut sorted = keys.to_vec();
-        sorted.sort_unstable();
-        match self.sizing {
-            Sizing::BucketSize(s) => {
-                if s == 0 {
-                    return Err(FilterError::InvalidBucketSize(s));
-                }
-                let mut ids: Vec<u64> = sorted.iter().map(|&k| bucket_id(k, s)).collect();
-                ids.dedup();
-                Ok(BucketingFilter::from_sorted_dedup_buckets(&ids, s, n))
-            }
-            Sizing::BitsPerKey(bits) => {
-                if !(bits > 0.0 && bits.is_finite()) {
-                    return Err(FilterError::InvalidBudget(bits));
-                }
-                let budget = bits * n as f64;
-                // Walk s through powers of two from the finest; the number
-                // of distinct buckets t is non-increasing in s, so the first
-                // fitting estimate is the finest (lowest-FPR) choice.
-                for log2_s in 0..=63u32 {
-                    let mut t = 0usize;
-                    let mut prev = u64::MAX;
-                    let mut last_bucket = 0u64;
-                    for &k in &sorted {
-                        let b = k >> log2_s;
-                        if b != prev {
-                            t += 1;
-                            prev = b;
-                            last_bucket = b;
-                        }
-                    }
-                    // Elias–Fano estimate: t (log2(universe/t) + 2) bits.
-                    // Computed in f64 so `last_bucket = u64::MAX` (fine s
-                    // over a full-universe key set) cannot overflow.
-                    let universe = (last_bucket as f64 + 1.0).max(1.0);
-                    let est = t as f64 * ((universe / t as f64).log2().max(0.0) + 2.0);
-                    if est * 1.05 <= budget || log2_s == 63 {
-                        let s = 1u64 << log2_s;
-                        // Shift, not `bucket_id`'s division: this is the
-                        // construction hot loop. The clamp still applies
-                        // (it only bites at log2_s = 0).
-                        let mut ids: Vec<u64> = sorted
-                            .iter()
-                            .map(|&k| (k >> log2_s).min(u64::MAX - 1))
-                            .collect();
-                        ids.dedup();
-                        return Ok(BucketingFilter::from_sorted_dedup_buckets(&ids, s, n));
-                    }
-                }
-                unreachable!("loop always returns at log2_s = 63")
+/// The finest power-of-two bucket width exponent whose Elias–Fano
+/// encoding of `sorted` (non-empty, ascending) fits `bits` per key. The
+/// number of distinct buckets `t` is non-increasing in the width, so the
+/// walk from the finest width stops at the first (lowest-FPR) fit; it ends
+/// at `2^63` when nothing finer fits.
+fn budget_log2_s(sorted: &[u64], bits: f64) -> u32 {
+    let budget = bits * sorted.len() as f64;
+    for log2_s in 0..63u32 {
+        let mut t = 0usize;
+        let mut prev = u64::MAX;
+        let mut last_bucket = 0u64;
+        for &k in sorted {
+            let b = k >> log2_s;
+            if b != prev {
+                t += 1;
+                prev = b;
+                last_bucket = b;
             }
         }
+        // Elias–Fano estimate: t (log2(universe/t) + 2) bits. Computed in
+        // f64 so `last_bucket = u64::MAX` (fine s over a full-universe key
+        // set) cannot overflow.
+        let universe = (last_bucket as f64 + 1.0).max(1.0);
+        let est = t as f64 * ((universe / t as f64).log2().max(0.0) + 2.0);
+        if est * 1.05 <= budget {
+            return log2_s;
+        }
     }
+    63
 }
 
 impl PersistentFilter for BucketingFilter {
@@ -231,12 +158,42 @@ pub struct BucketingTuning {
 impl BuildableFilter for BucketingFilter {
     type Tuning = BucketingTuning;
 
+    /// Uses [`BucketingTuning::bucket_size`] when set, else the finest
+    /// power-of-two bucket size whose encoding fits
+    /// [`FilterConfig::bits_per_key`]. Keys may be unsorted and contain
+    /// duplicates.
     fn build_with(cfg: &FilterConfig<'_>, tuning: &BucketingTuning) -> Result<Self, FilterError> {
-        let builder = match tuning.bucket_size {
-            Some(s) => BucketingFilter::builder().bucket_size(s),
-            None => BucketingFilter::builder().bits_per_key(cfg.bits_per_key),
+        let n = cfg.keys.len();
+        if n == 0 {
+            return Ok(Self::from_sorted_dedup_buckets(&[], 1, 0));
+        }
+        let mut sorted = cfg.keys.to_vec();
+        sorted.sort_unstable();
+        let (s, mut ids): (u64, Vec<u64>) = match tuning.bucket_size {
+            Some(s) => {
+                if s == 0 {
+                    return Err(FilterError::InvalidBucketSize(s));
+                }
+                (s, sorted.iter().map(|&k| bucket_id(k, s)).collect())
+            }
+            None => {
+                let bits = cfg.bits_per_key;
+                if !(bits > 0.0 && bits.is_finite()) {
+                    return Err(FilterError::InvalidBudget(bits));
+                }
+                let log2_s = budget_log2_s(&sorted, bits);
+                // Shift, not `bucket_id`'s division: this is the
+                // construction hot loop. The clamp still applies (it only
+                // bites at log2_s = 0).
+                let ids = sorted
+                    .iter()
+                    .map(|&k| (k >> log2_s).min(u64::MAX - 1))
+                    .collect();
+                (1u64 << log2_s, ids)
+            }
         };
-        builder.build(cfg.keys)
+        ids.dedup();
+        Ok(Self::from_sorted_dedup_buckets(&ids, s, n))
     }
 }
 
@@ -244,6 +201,14 @@ impl BuildableFilter for BucketingFilter {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+
+    /// Builds with an explicit bucket size `s`.
+    fn with_bucket_size(keys: &[u64], s: u64) -> Result<BucketingFilter, FilterError> {
+        let tuning = BucketingTuning {
+            bucket_size: Some(s),
+        };
+        BucketingFilter::build_with(&FilterConfig::new(keys), &tuning)
+    }
 
     fn reference_query(keys: &BTreeSet<u64>, s: u64, a: u64, b: u64) -> bool {
         // True iff any key falls in a bucket overlapping [a/s, b/s].
@@ -260,10 +225,7 @@ mod tests {
         let keys = [3u64, 17, 64, 65, 900, 1023, 5000];
         let set: BTreeSet<u64> = keys.iter().copied().collect();
         for s in [1u64, 2, 7, 16, 100] {
-            let f = BucketingFilter::builder()
-                .bucket_size(s)
-                .build(&keys)
-                .unwrap();
+            let f = with_bucket_size(&keys, s).unwrap();
             for a in (0..6000u64).step_by(13) {
                 for width in [0u64, 1, 5, 50, 500] {
                     let b = a + width;
@@ -287,10 +249,7 @@ mod tests {
             })
             .collect();
         for &bpk in &[4.0, 8.0, 16.0] {
-            let f = BucketingFilter::builder()
-                .bits_per_key(bpk)
-                .build(&keys)
-                .unwrap();
+            let f = BucketingFilter::build(&FilterConfig::new(&keys).bits_per_key(bpk)).unwrap();
             for &k in keys.iter().step_by(11) {
                 assert!(f.may_contain(k));
                 assert!(f.may_contain_range(k.saturating_sub(100), k.saturating_add(100)));
@@ -302,10 +261,7 @@ mod tests {
     fn s_equal_one_is_exact_on_points() {
         // With s = 1 the encoding is lossless: point queries are exact.
         let keys = [10u64, 20, 30];
-        let f = BucketingFilter::builder()
-            .bucket_size(1)
-            .build(&keys)
-            .unwrap();
+        let f = with_bucket_size(&keys, 1).unwrap();
         for x in 0..50u64 {
             assert_eq!(f.may_contain(x), keys.contains(&x), "point {x}");
         }
@@ -321,16 +277,15 @@ mod tests {
             })
             .collect();
         let mut last_s = 0u64;
-        for &bpk in &[24.0, 16.0, 10.0, 6.0] {
-            let f = BucketingFilter::builder()
-                .bits_per_key(bpk)
-                .build(&keys)
-                .unwrap();
+        // The finest power-of-two widths that fit each budget.
+        for (bpk, log2_s) in [(24.0, 29), (16.0, 37), (10.0, 43), (6.0, 46)] {
+            let f = BucketingFilter::build(&FilterConfig::new(&keys).bits_per_key(bpk)).unwrap();
             assert!(
                 f.bits_per_key() <= bpk * 1.30 + 4.0,
                 "bpk target {bpk} produced {}",
                 f.bits_per_key()
             );
+            assert_eq!(f.bucket_size(), 1 << log2_s, "bpk target {bpk}");
             assert!(f.bucket_size() >= last_s, "s must grow as budget shrinks");
             last_s = f.bucket_size();
         }
@@ -338,13 +293,10 @@ mod tests {
 
     #[test]
     fn empty_and_extremes() {
-        let f = BucketingFilter::builder().build(&[]).unwrap();
+        let f = BucketingFilter::build(&FilterConfig::new(&[])).unwrap();
         assert!(!f.may_contain_range(0, u64::MAX));
 
-        let f = BucketingFilter::builder()
-            .bucket_size(1 << 40)
-            .build(&[u64::MAX, 0])
-            .unwrap();
+        let f = with_bucket_size(&[u64::MAX, 0], 1 << 40).unwrap();
         assert!(f.may_contain(0));
         assert!(f.may_contain(u64::MAX));
     }
@@ -358,10 +310,7 @@ mod tests {
                 state
             })
             .collect();
-        let f = BucketingFilter::builder()
-            .bits_per_key(10.0)
-            .build(&keys)
-            .unwrap();
+        let f = BucketingFilter::build(&FilterConfig::new(&keys).bits_per_key(10.0)).unwrap();
         let queries: Vec<(u64, u64)> = (0..1500u64)
             .map(|i| {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -385,8 +334,12 @@ mod tests {
     #[test]
     fn rejects_zero_bucket() {
         assert!(matches!(
-            BucketingFilter::builder().bucket_size(0).build(&[1]),
+            with_bucket_size(&[1], 0),
             Err(FilterError::InvalidBucketSize(0))
+        ));
+        assert!(matches!(
+            BucketingFilter::build(&FilterConfig::new(&[1]).bits_per_key(0.0)),
+            Err(FilterError::InvalidBudget(_))
         ));
     }
 }
@@ -421,7 +374,7 @@ impl WorkloadAwareBucketing {
     /// Builds from keys, a bits-per-key budget, and a sample of query left
     /// endpoints. With an empty sample this degenerates to a single region
     /// (= plain power-of-two Bucketing).
-    pub fn new(keys: &[u64], bits_per_key: f64, sample: &[u64]) -> Result<Self, FilterError> {
+    fn new(keys: &[u64], bits_per_key: f64, sample: &[u64]) -> Result<Self, FilterError> {
         if !(bits_per_key > 0.0 && bits_per_key.is_finite()) {
             return Err(FilterError::InvalidBudget(bits_per_key));
         }
@@ -439,9 +392,7 @@ impl WorkloadAwareBucketing {
         sorted.sort_unstable();
 
         // Baseline bucket width from the plain budget search.
-        let plain = BucketingFilter::builder()
-            .bits_per_key(bits_per_key)
-            .build(keys)?;
+        let plain = BucketingFilter::build(&FilterConfig::new(keys).bits_per_key(bits_per_key))?;
         let base_log2_s = plain.bucket_size().trailing_zeros();
 
         // Region boundaries: quantiles of the sampled query endpoints.
@@ -609,8 +560,10 @@ impl PersistentFilter for WorkloadAwareBucketing {
 }
 
 impl BuildableFilter for WorkloadAwareBucketing {
-    /// No extra knobs: the hot regions come from the left endpoints of
-    /// [`FilterConfig::sample`].
+    /// No extra knobs: the budget is [`FilterConfig::bits_per_key`] and the
+    /// hot regions come from the left endpoints of [`FilterConfig::sample`]
+    /// (an empty sample degenerates to one region, i.e. plain power-of-two
+    /// Bucketing). This protocol is the only way to build the filter.
     type Tuning = ();
 
     fn build_with(cfg: &FilterConfig<'_>, _tuning: &()) -> Result<Self, FilterError> {
@@ -718,10 +671,7 @@ mod workload_aware_tests {
             }
         }
 
-        let plain = BucketingFilter::builder()
-            .bits_per_key(6.0)
-            .build(&keys)
-            .unwrap();
+        let plain = BucketingFilter::build(&FilterConfig::new(&keys).bits_per_key(6.0)).unwrap();
         let aware = WorkloadAwareBucketing::new(&keys, 6.0, &sample).unwrap();
         let fpr = |f: &dyn RangeFilter| {
             hot_queries

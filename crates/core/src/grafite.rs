@@ -8,7 +8,7 @@ use crate::error::FilterError;
 use crate::parallel::Parallelism;
 use crate::persist::{spec_id, Header};
 use crate::sort;
-use crate::traits::{BuildableFilter, FilterConfig, PersistentFilter, RangeFilter, DEFAULT_SEED};
+use crate::traits::{BuildableFilter, FilterConfig, PersistentFilter, RangeFilter};
 
 /// Largest supported reduced universe: the pairwise-independent family's
 /// prime must exceed `r` (see [`grafite_hash::pairwise::MERSENNE_61`]).
@@ -37,13 +37,8 @@ pub struct GrafiteFilter {
 }
 
 impl GrafiteFilter {
-    /// Starts building a filter. See [`GrafiteBuilder`].
-    pub fn builder() -> GrafiteBuilder {
-        GrafiteBuilder::default()
-    }
-
     /// Builds from an explicit, already-drawn hash function. The main entry
-    /// points are [`GrafiteFilter::builder`]; this constructor exists so
+    /// point is [`BuildableFilter::build_with`]; this constructor exists so
     /// tests can pin the exact hash of the paper's worked Example 3.2, and
     /// for ablations that swap the hash family.
     #[doc(hidden)]
@@ -57,8 +52,7 @@ impl GrafiteFilter {
     /// [`sort::partition_radix_sort`], and the Elias–Fano high bits
     /// assemble chunked. Bit-identical to the serial path at every thread
     /// count — parallelism here is purely a wall-clock knob.
-    #[doc(hidden)]
-    pub fn from_hash_parallel(h: LocalityHash, keys: &[u64], parallelism: Parallelism) -> Self {
+    fn from_hash_parallel(h: LocalityHash, keys: &[u64], parallelism: Parallelism) -> Self {
         let r = h.r();
         let threads = parallelism.capped(keys.len());
         let mut codes: Vec<u64> = if threads > 1 && keys.len() >= sort::PARTITION_PARALLEL_MIN {
@@ -249,120 +243,6 @@ impl PersistentFilter for GrafiteFilter {
     }
 }
 
-/// How the reduced universe is derived from the keys.
-#[derive(Clone, Copy, Debug)]
-enum Sizing {
-    /// `r = ⌈nL/ε⌉` (Theorem 3.4): FPP ≤ ε at range size L.
-    EpsilonL {
-        /// target false-positive probability
-        epsilon: f64,
-        /// max range size the ε guarantee is stated for
-        l: u64,
-    },
-    /// `r = n · 2^(B−2)` (Corollary 3.5): B bits per key.
-    BitsPerKey(f64),
-}
-
-/// Builder for [`GrafiteFilter`].
-///
-/// Exactly the two knobs the paper advertises (§1 "exposing just simple
-/// knobs"): either `epsilon_and_max_range(ε, L)` or `bits_per_key(B)`.
-/// A seed can be pinned for reproducibility; construction is deterministic
-/// given (keys, sizing, seed).
-#[derive(Clone, Copy, Debug)]
-pub struct GrafiteBuilder {
-    sizing: Sizing,
-    seed: u64,
-    pow2_universe: bool,
-    parallelism: Parallelism,
-}
-
-impl Default for GrafiteBuilder {
-    fn default() -> Self {
-        Self {
-            sizing: Sizing::BitsPerKey(16.0),
-            seed: DEFAULT_SEED,
-            pow2_universe: false,
-            parallelism: Parallelism::auto(),
-        }
-    }
-}
-
-impl GrafiteBuilder {
-    /// Target a false-positive probability of `epsilon` for query ranges of
-    /// size up to `l` (larger ranges degrade proportionally, smaller ranges
-    /// improve proportionally — Theorem 3.4).
-    pub fn epsilon_and_max_range(mut self, epsilon: f64, l: u64) -> Self {
-        self.sizing = Sizing::EpsilonL { epsilon, l };
-        self
-    }
-
-    /// Target a space budget of `bits` per key; the FPP for a range of size
-    /// ℓ is then at most `min{1, ℓ/2^(bits−2)}` (Corollary 3.5).
-    pub fn bits_per_key(mut self, bits: f64) -> Self {
-        self.sizing = Sizing::BitsPerKey(bits);
-        self
-    }
-
-    /// Pins the seed used to draw the hash function.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Rounds the reduced universe up to a power of two, as the paper's §7
-    /// suggests for replacing divisions/moduli with shifts/masks. Slightly
-    /// more space (up to 1 extra bit per key), strictly smaller FPP.
-    pub fn pow2_reduced_universe(mut self, enable: bool) -> Self {
-        self.pow2_universe = enable;
-        self
-    }
-
-    /// Sets the construction thread budget (default:
-    /// [`Parallelism::auto`]). Purely a wall-clock knob — the built filter
-    /// is bit-identical at every thread count.
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Builds the filter. Keys may be unsorted and may contain duplicates.
-    pub fn build(self, keys: &[u64]) -> Result<GrafiteFilter, FilterError> {
-        let n = keys.len();
-        let r_target: u128 = match self.sizing {
-            Sizing::EpsilonL { epsilon, l } => {
-                if !(epsilon > 0.0 && epsilon < 1.0) {
-                    return Err(FilterError::InvalidEpsilon(epsilon));
-                }
-                if l == 0 {
-                    return Err(FilterError::InvalidMaxRange(l));
-                }
-                ((n.max(1) as f64) * (l as f64) / epsilon).ceil() as u128
-            }
-            Sizing::BitsPerKey(bits) => {
-                if !(bits > 2.0 && bits.is_finite()) {
-                    return Err(FilterError::InvalidBudget(bits));
-                }
-                ((n.max(1) as f64) * (bits - 2.0).exp2()).ceil() as u128
-            }
-        };
-        let r_target = if self.pow2_universe {
-            r_target.next_power_of_two()
-        } else {
-            r_target
-        };
-        if r_target > MAX_REDUCED_UNIVERSE as u128 {
-            return Err(FilterError::ReducedUniverseTooLarge {
-                requested: r_target,
-                supported: MAX_REDUCED_UNIVERSE,
-            });
-        }
-        let r = (r_target as u64).max(1);
-        let h = LocalityHash::from_seed(self.seed, r);
-        Ok(GrafiteFilter::from_hash_parallel(h, keys, self.parallelism))
-    }
-}
-
 /// Per-filter tuning for [`GrafiteFilter`] under the [`BuildableFilter`]
 /// protocol. The default is the paper's configuration: exact `r = nL/ε`
 /// sizing from the bits-per-key budget.
@@ -380,16 +260,46 @@ pub struct GrafiteTuning {
 impl BuildableFilter for GrafiteFilter {
     type Tuning = GrafiteTuning;
 
+    /// Sizes the reduced universe by `r = ⌈nL/ε⌉` (Theorem 3.4: FPP ≤ ε
+    /// at range size `L`) when [`GrafiteTuning::epsilon`] is set, else by
+    /// `r = n · 2^(B−2)` (Corollary 3.5: `B` bits per key), then draws the
+    /// hash from [`FilterConfig::seed`]. Keys may be unsorted and may
+    /// contain duplicates.
     fn build_with(cfg: &FilterConfig<'_>, tuning: &GrafiteTuning) -> Result<Self, FilterError> {
-        let builder = GrafiteFilter::builder()
-            .seed(cfg.seed)
-            .parallelism(cfg.parallelism)
-            .pow2_reduced_universe(tuning.pow2_universe);
-        let builder = match tuning.epsilon {
-            Some(eps) => builder.epsilon_and_max_range(eps, cfg.max_range),
-            None => builder.bits_per_key(cfg.bits_per_key),
+        let n = cfg.keys.len();
+        let r_target: u128 = match tuning.epsilon {
+            Some(epsilon) => {
+                let l = cfg.max_range;
+                if !(epsilon > 0.0 && epsilon < 1.0) {
+                    return Err(FilterError::InvalidEpsilon(epsilon));
+                }
+                if l == 0 {
+                    return Err(FilterError::InvalidMaxRange(l));
+                }
+                ((n.max(1) as f64) * (l as f64) / epsilon).ceil() as u128
+            }
+            None => {
+                let bits = cfg.bits_per_key;
+                if !(bits > 2.0 && bits.is_finite()) {
+                    return Err(FilterError::InvalidBudget(bits));
+                }
+                ((n.max(1) as f64) * (bits - 2.0).exp2()).ceil() as u128
+            }
         };
-        builder.build(cfg.keys)
+        let r_target = if tuning.pow2_universe {
+            r_target.next_power_of_two()
+        } else {
+            r_target
+        };
+        if r_target > MAX_REDUCED_UNIVERSE as u128 {
+            return Err(FilterError::ReducedUniverseTooLarge {
+                requested: r_target,
+                supported: MAX_REDUCED_UNIVERSE,
+            });
+        }
+        let r = (r_target as u64).max(1);
+        let h = LocalityHash::from_seed(cfg.seed, r);
+        Ok(Self::from_hash_parallel(h, cfg.keys, cfg.parallelism))
     }
 }
 
@@ -436,10 +346,7 @@ mod tests {
         };
         let keys: Vec<u64> = (0..5000).map(|_| next()).collect();
         for &bpk in &[4.0, 8.0, 12.0, 20.0] {
-            let f = GrafiteFilter::builder()
-                .bits_per_key(bpk)
-                .build(&keys)
-                .unwrap();
+            let f = GrafiteFilter::build(&FilterConfig::new(&keys).bits_per_key(bpk)).unwrap();
             for (i, &k) in keys.iter().enumerate().step_by(7) {
                 assert!(f.may_contain(k), "bpk={bpk} point FN at key {i}");
                 let lo = k.saturating_sub(i as u64 % 800);
@@ -454,7 +361,7 @@ mod tests {
 
     #[test]
     fn empty_filter_answers_empty() {
-        let f = GrafiteFilter::builder().build(&[]).unwrap();
+        let f = GrafiteFilter::build(&FilterConfig::new(&[])).unwrap();
         assert!(!f.may_contain_range(0, u64::MAX));
         assert_eq!(f.approx_range_count(0, u64::MAX), 0);
         assert_eq!(f.num_keys(), 0);
@@ -462,10 +369,7 @@ mod tests {
 
     #[test]
     fn single_key_and_duplicates() {
-        let f = GrafiteFilter::builder()
-            .bits_per_key(12.0)
-            .build(&[7, 7, 7])
-            .unwrap();
+        let f = GrafiteFilter::build(&FilterConfig::new(&[7, 7, 7]).bits_per_key(12.0)).unwrap();
         assert_eq!(f.num_keys(), 3);
         assert_eq!(f.num_codes(), 1);
         assert!(f.may_contain(7));
@@ -475,10 +379,7 @@ mod tests {
     #[test]
     fn extreme_universe_edges() {
         let keys = [0u64, 1, u64::MAX - 1, u64::MAX];
-        let f = GrafiteFilter::builder()
-            .bits_per_key(20.0)
-            .build(&keys)
-            .unwrap();
+        let f = GrafiteFilter::build(&FilterConfig::new(&keys).bits_per_key(20.0)).unwrap();
         for &k in &keys {
             assert!(f.may_contain(k));
         }
@@ -494,11 +395,7 @@ mod tests {
         let keys: Vec<u64> = (1..50u64)
             .flat_map(|i| [i * r - 1, i * r, i * r + 1])
             .collect();
-        let f = GrafiteFilter::builder()
-            .bits_per_key(10.0)
-            .seed(9)
-            .build(&keys)
-            .unwrap();
+        let f = GrafiteFilter::build(&FilterConfig::new(&keys).bits_per_key(10.0).seed(9)).unwrap();
         assert_eq!(f.reduced_universe(), r, "r formula drifted");
         for i in 1..50u64 {
             // Crosses exactly one boundary.
@@ -512,10 +409,7 @@ mod tests {
     fn spanning_query_over_empty_filterless_blocks() {
         // A query spanning >= 2 block boundaries always answers "not empty"
         // on a non-empty filter (the hashed image covers all of [r]).
-        let f = GrafiteFilter::builder()
-            .bits_per_key(8.0)
-            .build(&[1234])
-            .unwrap();
+        let f = GrafiteFilter::build(&FilterConfig::new(&[1234]).bits_per_key(8.0)).unwrap();
         let r = f.reduced_universe();
         assert!(f.may_contain_range(0, 3 * r));
     }
@@ -533,10 +427,7 @@ mod tests {
         sorted.sort_unstable();
         let bpk = 12.0;
         let l = 32u64;
-        let f = GrafiteFilter::builder()
-            .bits_per_key(bpk)
-            .build(&keys)
-            .unwrap();
+        let f = GrafiteFilter::build(&FilterConfig::new(&keys).bits_per_key(bpk)).unwrap();
         let bound = f.fpp_for_range_size(l);
         assert!(
             bound <= 32.0 / 1024.0 + 1e-9,
@@ -575,11 +466,7 @@ mod tests {
     #[test]
     fn approx_count_exact_when_collision_free() {
         let keys: Vec<u64> = (0..100u64).map(|i| i * 1_000_003).collect();
-        let f = GrafiteFilter::builder()
-            .bits_per_key(30.0)
-            .seed(3)
-            .build(&keys)
-            .unwrap();
+        let f = GrafiteFilter::build(&FilterConfig::new(&keys).bits_per_key(30.0).seed(3)).unwrap();
         // Ranges well inside one block (r = 100 * 2^28 >> any range here).
         for (a, b, expect) in [
             (0u64, 999_999u64, 1usize),
@@ -595,30 +482,30 @@ mod tests {
     #[test]
     fn builder_validation() {
         let keys = [1u64, 2, 3];
+        let by_epsilon = |epsilon: f64, l: u64| {
+            let tuning = GrafiteTuning {
+                epsilon: Some(epsilon),
+                ..GrafiteTuning::default()
+            };
+            GrafiteFilter::build_with(&FilterConfig::new(&keys).max_range(l), &tuning)
+        };
+        let by_budget =
+            |bits: f64| GrafiteFilter::build(&FilterConfig::new(&keys).bits_per_key(bits));
         assert!(matches!(
-            GrafiteFilter::builder()
-                .epsilon_and_max_range(0.0, 8)
-                .build(&keys),
+            by_epsilon(0.0, 8),
             Err(FilterError::InvalidEpsilon(_))
         ));
         assert!(matches!(
-            GrafiteFilter::builder()
-                .epsilon_and_max_range(1.5, 8)
-                .build(&keys),
+            by_epsilon(1.5, 8),
             Err(FilterError::InvalidEpsilon(_))
         ));
         assert!(matches!(
-            GrafiteFilter::builder()
-                .epsilon_and_max_range(0.1, 0)
-                .build(&keys),
+            by_epsilon(0.1, 0),
             Err(FilterError::InvalidMaxRange(0))
         ));
+        assert!(matches!(by_budget(2.0), Err(FilterError::InvalidBudget(_))));
         assert!(matches!(
-            GrafiteFilter::builder().bits_per_key(2.0).build(&keys),
-            Err(FilterError::InvalidBudget(_))
-        ));
-        assert!(matches!(
-            GrafiteFilter::builder().bits_per_key(64.0).build(&keys),
+            by_budget(64.0),
             Err(FilterError::ReducedUniverseTooLarge { .. })
         ));
     }
@@ -633,10 +520,7 @@ mod tests {
             })
             .collect();
         for &bpk in &[8.0, 12.0, 16.0, 24.0] {
-            let f = GrafiteFilter::builder()
-                .bits_per_key(bpk)
-                .build(&keys)
-                .unwrap();
+            let f = GrafiteFilter::build(&FilterConfig::new(&keys).bits_per_key(bpk)).unwrap();
             let measured = f.bits_per_key();
             assert!(
                 measured > bpk - 2.0 && measured < bpk + 3.0,
@@ -697,11 +581,8 @@ mod tests {
             })
             .collect();
         for &bpk in &[6.0, 12.0, 20.0] {
-            let f = GrafiteFilter::builder()
-                .bits_per_key(bpk)
-                .seed(2)
-                .build(&keys)
-                .unwrap();
+            let f =
+                GrafiteFilter::build(&FilterConfig::new(&keys).bits_per_key(bpk).seed(2)).unwrap();
             let queries = batch_probe_queries(&f, &keys, 2000);
             let mut batched = Vec::new();
             f.may_contain_ranges(&queries, &mut batched);
@@ -718,7 +599,7 @@ mod tests {
 
     #[test]
     fn batch_on_empty_filter_is_all_false() {
-        let f = GrafiteFilter::builder().build(&[]).unwrap();
+        let f = GrafiteFilter::build(&FilterConfig::new(&[])).unwrap();
         let queries: Vec<(u64, u64)> = (0..100u64).map(|i| (i * 3, i * 3 + 10)).collect();
         let mut out = vec![true; 3]; // stale contents must be cleared
         f.may_contain_ranges(&queries, &mut out);
@@ -729,10 +610,7 @@ mod tests {
     #[test]
     fn batch_output_vector_is_reused() {
         let keys: Vec<u64> = (0..500u64).map(|i| i * 1000).collect();
-        let f = GrafiteFilter::builder()
-            .bits_per_key(10.0)
-            .build(&keys)
-            .unwrap();
+        let f = GrafiteFilter::build(&FilterConfig::new(&keys).bits_per_key(10.0)).unwrap();
         let queries = batch_probe_queries(&f, &keys, 600);
         let mut out = Vec::new();
         f.may_contain_ranges(&queries, &mut out);
@@ -742,51 +620,25 @@ mod tests {
     }
 
     #[test]
-    fn buildable_protocol_matches_builder() {
-        let keys: Vec<u64> = (0..2000u64)
-            .map(|i| i.wrapping_mul(0x9E3779B97F4A7C15))
-            .collect();
-        let cfg = FilterConfig::new(&keys).bits_per_key(14.0).seed(11);
-        let via_protocol = GrafiteFilter::build(&cfg).unwrap();
-        let via_builder = GrafiteFilter::builder()
-            .bits_per_key(14.0)
-            .seed(11)
-            .build(&keys)
-            .unwrap();
-        assert_eq!(
-            via_protocol.reduced_universe(),
-            via_builder.reduced_universe()
-        );
-        for probe in (0..5000u64).map(|i| i.wrapping_mul(0xABCDEF123)) {
-            assert_eq!(
-                via_protocol.may_contain_range(probe, probe.saturating_add(64)),
-                via_builder.may_contain_range(probe, probe.saturating_add(64)),
-            );
-        }
-        // Epsilon-based tuning follows Theorem 3.4 sizing with L from the config.
-        let cfg = FilterConfig::new(&keys).max_range(64).seed(11);
-        let tuned = GrafiteFilter::build_with(
-            &cfg,
-            &GrafiteTuning {
-                epsilon: Some(0.01),
-                ..GrafiteTuning::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(tuned.reduced_universe(), (keys.len() as u64) * 64 * 100);
-    }
-
-    #[test]
     fn epsilon_sizing_matches_formula() {
         let keys: Vec<u64> = (0..1000u64).map(|i| i * 97_000).collect();
-        let f = GrafiteFilter::builder()
-            .epsilon_and_max_range(0.01, 64)
-            .build(&keys)
-            .unwrap();
+        let cfg = FilterConfig::new(&keys).max_range(64);
+        let tuning = GrafiteTuning {
+            epsilon: Some(0.01),
+            pow2_universe: false,
+        };
+        let f = GrafiteFilter::build_with(&cfg, &tuning).unwrap();
         // r = nL/ε = 1000 * 64 / 0.01 = 6.4e6.
         assert_eq!(f.reduced_universe(), 6_400_000);
         assert!((f.fpp_for_range_size(64) - 0.01).abs() < 1e-9);
         assert!((f.fpp_for_range_size(32) - 0.005).abs() < 1e-9);
+        // §7's power-of-two rounding: 6.4e6 rounds up to 2^23.
+        let pow2 = GrafiteTuning {
+            pow2_universe: true,
+            ..tuning
+        };
+        let f = GrafiteFilter::build_with(&cfg, &pow2).unwrap();
+        assert_eq!(f.reduced_universe(), 1 << 23);
     }
 }
 
@@ -799,11 +651,8 @@ mod persist_tests {
         let keys: Vec<u64> = (0..500u64)
             .map(|i| i.wrapping_mul(0x9E3779B97F4A7C15))
             .collect();
-        let filter = GrafiteFilter::builder()
-            .bits_per_key(14.0)
-            .seed(3)
-            .build(&keys)
-            .unwrap();
+        let filter =
+            GrafiteFilter::build(&FilterConfig::new(&keys).bits_per_key(14.0).seed(3)).unwrap();
         let bytes = filter.to_bytes();
         assert_eq!(bytes.len() * 8, filter.serialized_bits());
 
@@ -824,10 +673,7 @@ mod persist_tests {
     #[test]
     fn foreign_bytes_are_rejected_typed() {
         let keys = [1u64, 2, 3];
-        let filter = GrafiteFilter::builder()
-            .bits_per_key(8.0)
-            .build(&keys)
-            .unwrap();
+        let filter = GrafiteFilter::build(&FilterConfig::new(&keys).bits_per_key(8.0)).unwrap();
         let bytes = filter.to_bytes();
         assert!(matches!(
             GrafiteFilter::deserialize(&bytes[..bytes.len() - 3]),

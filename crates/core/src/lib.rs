@@ -19,7 +19,13 @@
 //! Construction and querying are both part of the crate-wide contract:
 //! every filter builds from a shared [`FilterConfig`] through the
 //! [`BuildableFilter`] protocol, and answers single or batched range
-//! queries through [`RangeFilter`].
+//! queries through [`RangeFilter`]. `build`/`build_with` is the only
+//! public constructor. Knobs beyond the shared config are typed tuning
+//! values: [`GrafiteTuning`] sizes by a target `ε` at range size
+//! [`FilterConfig::max_range`] instead of by the bits-per-key budget, or
+//! rounds the reduced universe to a power of two; [`BucketingTuning`] pins
+//! an explicit bucket size. [`WorkloadAwareBucketing`] reads its hot
+//! regions from [`FilterConfig::sample`].
 //!
 //! ```
 //! use grafite_core::{BuildableFilter, FilterConfig, GrafiteFilter, RangeFilter};
@@ -36,7 +42,7 @@
 //! ```
 //!
 //! The [`registry`] module adds a library-level table from
-//! [`registry::FilterSpec`] to builder functions; the full table covering
+//! [`registry::FilterSpec`] to `build` functions; the full table covering
 //! the paper's eleven configurations is assembled by
 //! `grafite_filters::standard_registry()` (the competitor filters live
 //! downstream of this crate).
@@ -54,9 +60,9 @@ pub mod sort;
 pub mod string_keys;
 pub mod traits;
 
-pub use bucketing::{BucketingBuilder, BucketingFilter, BucketingTuning, WorkloadAwareBucketing};
+pub use bucketing::{BucketingFilter, BucketingTuning, WorkloadAwareBucketing};
 pub use error::FilterError;
-pub use grafite::{GrafiteBuilder, GrafiteFilter, GrafiteTuning};
+pub use grafite::{GrafiteFilter, GrafiteTuning};
 pub use parallel::{Parallelism, THREADS_ENV};
 pub use persist::{Header, FORMAT_VERSION, MAGIC};
 pub use registry::{BuilderFn, FilterSpec, LoaderFn, Registry};

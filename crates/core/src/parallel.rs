@@ -102,7 +102,8 @@ impl Parallelism {
 }
 
 impl Default for Parallelism {
-    /// [`Parallelism::auto`] — the documented default of every builder.
+    /// [`Parallelism::auto`] — the documented default of [`FilterConfig`](crate::FilterConfig)
+    /// and `grafite_store::StoreConfig`.
     fn default() -> Self {
         Self::auto()
     }

@@ -118,12 +118,6 @@ impl StringGrafite {
         )
     }
 
-    /// Builds directly from `u64` keys ([`IdentityCodec`]); this is the
-    /// [`BuildableFilter`] entry point.
-    pub fn from_u64_keys(keys: &[u64], bits_per_key: f64, seed: u64) -> Result<Self, FilterError> {
-        Self::with_codec::<IdentityCodec, u64>(keys, bits_per_key, seed)
-    }
-
     /// Shared construction over already-embedded keys.
     fn from_embedded<I: Iterator<Item = u64>>(
         n: usize,
@@ -301,13 +295,15 @@ impl PersistentFilter for StringGrafite {
 }
 
 impl BuildableFilter for StringGrafite {
-    /// No extra knobs: the codec choice happens at the call site
-    /// ([`StringGrafite::with_codec`]); the protocol path embeds `u64`
-    /// keys through [`IdentityCodec`].
+    /// No extra knobs: the protocol path embeds `u64` keys through
+    /// [`IdentityCodec`], sized by [`FilterConfig::bits_per_key`] and
+    /// seeded by [`FilterConfig::seed`]. Byte-string keys have no
+    /// [`FilterConfig`] form; they build through [`StringGrafite::new`] or
+    /// [`StringGrafite::with_codec`].
     type Tuning = ();
 
     fn build_with(cfg: &FilterConfig<'_>, _tuning: &()) -> Result<Self, FilterError> {
-        Self::from_u64_keys(cfg.keys, cfg.bits_per_key, cfg.seed)
+        Self::with_codec::<IdentityCodec, u64>(cfg.keys, cfg.bits_per_key, cfg.seed)
     }
 }
 
@@ -415,7 +411,8 @@ mod tests {
             .map(|w| BytesPrefixCodec::encode(w.as_bytes()))
             .collect();
         let via_bytes = StringGrafite::new(&words, 14.0, 3).unwrap();
-        let via_ints = StringGrafite::from_u64_keys(&embedded, 14.0, 3).unwrap();
+        let via_ints =
+            StringGrafite::build(&FilterConfig::new(&embedded).bits_per_key(14.0).seed(3)).unwrap();
         for w in &words {
             let x = BytesPrefixCodec::encode(w.as_bytes());
             assert_eq!(
@@ -440,7 +437,7 @@ mod tests {
         let keys: Vec<u64> = (0..4000u64)
             .map(|i| i.wrapping_mul(0x9E3779B97F4A7C15))
             .collect();
-        let f = StringGrafite::from_u64_keys(&keys, 12.0, 9).unwrap();
+        let f = StringGrafite::build(&FilterConfig::new(&keys).bits_per_key(12.0).seed(9)).unwrap();
         let r = 1u64 << f.k;
         let mut state = 0x57A7Eu64;
         let queries: Vec<(u64, u64)> = (0..1500)

@@ -12,8 +12,9 @@ use crate::error::FilterError;
 use crate::parallel::Parallelism;
 use crate::persist::{blob_checksum, words_of_bytes, Header, FORMAT_VERSION, HEADER_BYTES};
 
-/// The seed every builder defaults to ("grafite" in ASCII), so that a bare
-/// configuration is fully deterministic.
+/// The seed [`FilterConfig::new`] and `grafite_store::StoreConfig::new`
+/// default to ("grafite" in ASCII), so that a bare configuration is fully
+/// deterministic.
 pub const DEFAULT_SEED: u64 = 0x0067_7261_6669_7465;
 
 /// An approximate range-emptiness data structure (paper Problem 1).

@@ -2,7 +2,10 @@
 //! invariant must hold for arbitrary key sets, budgets, and query ranges.
 
 use grafite_core::sort::partition_radix_sort;
-use grafite_core::{BucketingFilter, GrafiteFilter, RangeFilter, StringGrafite};
+use grafite_core::{
+    BucketingFilter, BucketingTuning, BuildableFilter, FilterConfig, GrafiteFilter, RangeFilter,
+    StringGrafite,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -17,7 +20,7 @@ proptest! {
         seed in any::<u64>(),
         offsets in prop::collection::vec((0u64..5000, 0u64..5000), 1..40),
     ) {
-        let f = GrafiteFilter::builder().bits_per_key(bpk).seed(seed).build(&keys).unwrap();
+        let f = GrafiteFilter::build(&FilterConfig::new(&keys).bits_per_key(bpk).seed(seed)).unwrap();
         for (i, &(dl, dr)) in offsets.iter().enumerate() {
             let k = keys[i % keys.len()];
             let a = k.saturating_sub(dl);
@@ -33,7 +36,7 @@ proptest! {
         bpk in 1.0f64..24.0,
         offsets in prop::collection::vec((0u64..5000, 0u64..5000), 1..40),
     ) {
-        let f = BucketingFilter::builder().bits_per_key(bpk).build(&keys).unwrap();
+        let f = BucketingFilter::build(&FilterConfig::new(&keys).bits_per_key(bpk)).unwrap();
         for (i, &(dl, dr)) in offsets.iter().enumerate() {
             let k = keys[i % keys.len()];
             let a = k.saturating_sub(dl);
@@ -50,7 +53,8 @@ proptest! {
         s in 1u64..5000,
         queries in prop::collection::vec((0u64..100_000, 0u64..2000), 1..60),
     ) {
-        let f = BucketingFilter::builder().bucket_size(s).build(&keys).unwrap();
+        let tuning = BucketingTuning { bucket_size: Some(s) };
+        let f = BucketingFilter::build_with(&FilterConfig::new(&keys), &tuning).unwrap();
         let buckets: std::collections::HashSet<u64> = keys.iter().map(|&k| k / s).collect();
         for &(a, w) in &queries {
             let b = a + w;
@@ -68,7 +72,7 @@ proptest! {
         seed in any::<u64>(),
         widths in prop::collection::vec(0u64..10_000, 1..30),
     ) {
-        let f = GrafiteFilter::builder().bits_per_key(20.0).seed(seed).build(&keys).unwrap();
+        let f = GrafiteFilter::build(&FilterConfig::new(&keys).bits_per_key(20.0).seed(seed)).unwrap();
         for (i, &w) in widths.iter().enumerate() {
             let k = keys[i % keys.len()];
             let a = k.saturating_sub(w);
@@ -129,7 +133,7 @@ proptest! {
     #[test]
     fn fpp_formula_monotone(n in 1usize..10_000, bpk in 3.0f64..20.0) {
         let keys: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9E3779B97F4A7C15)).collect();
-        let f = GrafiteFilter::builder().bits_per_key(bpk).build(&keys).unwrap();
+        let f = GrafiteFilter::build(&FilterConfig::new(&keys).bits_per_key(bpk)).unwrap();
         let mut prev = 0.0f64;
         for l in [1u64, 2, 16, 256, 1 << 20] {
             let fpp = f.fpp_for_range_size(l);

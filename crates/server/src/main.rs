@@ -103,7 +103,12 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
         });
     let store = FilterStore::build(&Registry::new(), config, &keys).map_err(|e| e.to_string())?;
     let bytes = store.to_bytes();
-    std::fs::write(out, &bytes).map_err(|e| e.to_string())?;
+    // A store opened on `out` keeps reading its lazy shards from the old
+    // file, so stage the new manifest beside it and rename it into place
+    // instead of truncating the file under that reader.
+    let staged = format!("{out}.staged");
+    std::fs::write(&staged, &bytes).map_err(|e| e.to_string())?;
+    std::fs::rename(&staged, out).map_err(|e| e.to_string())?;
     println!(
         "wrote {} ({} keys, {} shards, {} bytes)",
         out,

@@ -7,7 +7,7 @@
 //! serialized manifest as a forced-serial run. This is what lets CI pin
 //! `GRAFITE_THREADS=1` on one leg and diff artifacts across legs.
 
-use grafite_core::{GrafiteFilter, Parallelism, PersistentFilter};
+use grafite_core::{BuildableFilter, FilterConfig, GrafiteFilter, Parallelism, PersistentFilter};
 use grafite_filters::standard_registry;
 use grafite_store::{FamilySpec, FilterStore, Partitioning, StoreConfig, Update};
 
@@ -180,19 +180,21 @@ fn grafite_filter_parallel_paths_byte_identical() {
     let n = (1 << 15) + 4113;
     let mut state = 0xFEED_F00Du64;
     let keys: Vec<u64> = (0..n).map(|_| lcg(&mut state)).collect();
-    let serial = GrafiteFilter::builder()
-        .bits_per_key(14.0)
-        .parallelism(Parallelism::serial())
-        .build(&keys)
+    let serial = GrafiteFilter::build(
+        &FilterConfig::new(&keys)
+            .bits_per_key(14.0)
+            .parallelism(Parallelism::serial()),
+    )
+    .unwrap()
+    .to_bytes();
+    for threads in THREADS {
+        let parallel = GrafiteFilter::build(
+            &FilterConfig::new(&keys)
+                .bits_per_key(14.0)
+                .parallelism(Parallelism::fixed(threads)),
+        )
         .unwrap()
         .to_bytes();
-    for threads in THREADS {
-        let parallel = GrafiteFilter::builder()
-            .bits_per_key(14.0)
-            .parallelism(Parallelism::fixed(threads))
-            .build(&keys)
-            .unwrap()
-            .to_bytes();
         assert_eq!(
             parallel, serial,
             "{threads}-thread GrafiteFilter build differs from serial at n={n}"

@@ -140,3 +140,9 @@ pub use grafite_server::{serve, Client, ServerHandle};
 pub use grafite_store::{
     DynRangeFilter, FamilySpec, FilterStore, Partitioning, Snapshot, StoreConfig, Update,
 };
+
+/// Compiles and runs every Rust snippet of the README as a doctest, so the
+/// documented API cannot drift from the real one.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -9,7 +9,7 @@
 //! because the bound only uses the randomness of the drawn hash, never the
 //! query distribution.
 
-use grafite::{BucketingFilter, GrafiteFilter, RangeFilter};
+use grafite::{BucketingFilter, BuildableFilter, FilterConfig, GrafiteFilter, RangeFilter};
 use grafite_filters::{Snarf, SuffixMode, Surf};
 use grafite_workloads::{datasets::Dataset, generate};
 
@@ -48,16 +48,10 @@ fn adversary_with_leaked_keys_cannot_break_grafite() {
     assert!(queries.len() > 4000, "adversary found too few empty ranges");
 
     let budget = 18.0;
-    let grafite = GrafiteFilter::builder()
-        .bits_per_key(budget)
-        .build(&keys)
-        .unwrap();
+    let grafite = GrafiteFilter::build(&FilterConfig::new(&keys).bits_per_key(budget)).unwrap();
     let snarf = Snarf::new(&keys, budget).unwrap();
     let surf = Surf::new(&keys, SuffixMode::Real { bits: 7 }).unwrap();
-    let bucketing = BucketingFilter::builder()
-        .bits_per_key(budget)
-        .build(&keys)
-        .unwrap();
+    let bucketing = BucketingFilter::build(&FilterConfig::new(&keys).bits_per_key(budget)).unwrap();
 
     let fpr = |f: &dyn RangeFilter| {
         queries
@@ -94,11 +88,8 @@ fn full_knowledge_adversary_still_bounded() {
     let keys = generate(Dataset::Uniform, 20_000, 5);
     let l = 64u64;
     let queries = adversarial_queries(&keys, &keys, l);
-    let grafite = GrafiteFilter::builder()
-        .bits_per_key(20.0)
-        .seed(0xFEED)
-        .build(&keys)
-        .unwrap();
+    let grafite =
+        GrafiteFilter::build(&FilterConfig::new(&keys).bits_per_key(20.0).seed(0xFEED)).unwrap();
     let fps = queries
         .iter()
         .filter(|&&(a, b)| grafite.may_contain_range(a, b))

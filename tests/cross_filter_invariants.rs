@@ -3,7 +3,7 @@
 //! contracts the paper's comparison rests on — no false negatives anywhere,
 //! and Grafite's FPR within its theoretical bound.
 
-use grafite::{BucketingFilter, GrafiteFilter, RangeFilter};
+use grafite::{BucketingFilter, BuildableFilter, FilterConfig, GrafiteFilter, RangeFilter};
 use grafite_bloom::TrivialRangeFilter;
 use grafite_filters::{Proteus, REncoder, REncoderVariant, Rosetta, Snarf, SuffixMode, Surf};
 use grafite_workloads::{
@@ -12,18 +12,8 @@ use grafite_workloads::{
 
 fn all_filters(keys: &[u64], sample: &[(u64, u64)]) -> Vec<Box<dyn RangeFilter>> {
     vec![
-        Box::new(
-            GrafiteFilter::builder()
-                .bits_per_key(14.0)
-                .build(keys)
-                .unwrap(),
-        ),
-        Box::new(
-            BucketingFilter::builder()
-                .bits_per_key(14.0)
-                .build(keys)
-                .unwrap(),
-        ),
+        Box::new(GrafiteFilter::build(&FilterConfig::new(keys).bits_per_key(14.0)).unwrap()),
+        Box::new(BucketingFilter::build(&FilterConfig::new(keys).bits_per_key(14.0)).unwrap()),
         Box::new(Snarf::new(keys, 14.0).unwrap()),
         Box::new(Surf::new(keys, SuffixMode::Real { bits: 6 }).unwrap()),
         Box::new(Surf::new(keys, SuffixMode::Hash { bits: 6 }).unwrap()),
@@ -86,10 +76,8 @@ fn grafite_fpr_within_bound_on_adversarial_workloads() {
     let keys = generate(Dataset::Uniform, 20_000, 3);
     for l in [1u64, 32, 1024] {
         for degree in [0.0, 0.5, 1.0] {
-            let filter = GrafiteFilter::builder()
-                .bits_per_key(16.0)
-                .build(&keys)
-                .unwrap();
+            let filter =
+                GrafiteFilter::build(&FilterConfig::new(&keys).bits_per_key(16.0)).unwrap();
             let queries = correlated_queries(&keys, 5_000, l, degree, 99);
             if queries.len() < 1000 {
                 continue;

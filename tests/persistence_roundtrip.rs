@@ -7,7 +7,8 @@
 use grafite_core::persist::spec_id;
 use grafite_core::registry::FilterSpec;
 use grafite_core::{
-    FilterConfig, FilterError, PersistentFilter, StringGrafite, WorkloadAwareBucketing,
+    BuildableFilter, FilterConfig, FilterError, PersistentFilter, StringGrafite,
+    WorkloadAwareBucketing,
 };
 use grafite_filters::standard_registry;
 
@@ -162,12 +163,13 @@ fn string_grafite_roundtrips() {
 #[test]
 fn workload_aware_bucketing_roundtrips() {
     let keys = pseudo_keys(2000, 3);
-    let sample: Vec<u64> = keys
+    let sample: Vec<(u64, u64)> = keys
         .iter()
         .step_by(10)
-        .map(|&k| k.saturating_add(5))
+        .map(|&k| (k.saturating_add(5), k.saturating_add(36)))
         .collect();
-    let built = WorkloadAwareBucketing::new(&keys, 12.0, &sample).unwrap();
+    let cfg = FilterConfig::new(&keys).bits_per_key(12.0).sample(&sample);
+    let built = WorkloadAwareBucketing::build(&cfg).unwrap();
     let blob = built.to_bytes();
     let loaded = WorkloadAwareBucketing::deserialize(&blob).unwrap();
     let queries = probe_queries(&keys);

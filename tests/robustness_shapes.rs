@@ -2,7 +2,7 @@
 //! evaluation — the claims EXPERIMENTS.md reports. These run small versions
 //! of the Figure 1/3/4/5 comparisons and assert who wins, not by how much.
 
-use grafite::{BucketingFilter, GrafiteFilter, RangeFilter};
+use grafite::{BucketingFilter, BuildableFilter, FilterConfig, GrafiteFilter, RangeFilter};
 use grafite_filters::{Rosetta, Snarf, SuffixMode, Surf};
 use grafite_workloads::{correlated_queries, datasets::Dataset, generate, uncorrelated_queries};
 
@@ -22,17 +22,11 @@ fn correlation_separates_robust_from_heuristic() {
     let l = 32u64;
     let correlated = correlated_queries(&keys, 10_000, l, 0.8, 7);
 
-    let grafite = GrafiteFilter::builder()
-        .bits_per_key(20.0)
-        .build(&keys)
-        .unwrap();
+    let grafite = GrafiteFilter::build(&FilterConfig::new(&keys).bits_per_key(20.0)).unwrap();
     let rosetta = Rosetta::new(&keys, 20.0, l, None, 7).unwrap();
     let snarf = Snarf::new(&keys, 20.0).unwrap();
     let surf = Surf::new(&keys, SuffixMode::Real { bits: 9 }).unwrap();
-    let bucketing = BucketingFilter::builder()
-        .bits_per_key(20.0)
-        .build(&keys)
-        .unwrap();
+    let bucketing = BucketingFilter::build(&FilterConfig::new(&keys).bits_per_key(20.0)).unwrap();
 
     let fpr_grafite = fpr(&grafite, &correlated);
     let fpr_rosetta = fpr(&rosetta, &correlated);
@@ -65,10 +59,7 @@ fn bucketing_competitive_on_uncorrelated() {
     let l = 32u64;
     let queries = uncorrelated_queries(&keys, 10_000, l, 11);
 
-    let bucketing = BucketingFilter::builder()
-        .bits_per_key(18.0)
-        .build(&keys)
-        .unwrap();
+    let bucketing = BucketingFilter::build(&FilterConfig::new(&keys).bits_per_key(18.0)).unwrap();
     let snarf = Snarf::new(&keys, 18.0).unwrap();
     let surf = Surf::new(&keys, SuffixMode::Real { bits: 7 }).unwrap();
 
@@ -95,10 +86,7 @@ fn grafite_fpr_halves_per_budget_bit() {
         let queries = uncorrelated_queries(&keys, 20_000, l, 13);
         let mut prev = f64::INFINITY;
         for bpk in [12.0, 14.0, 16.0] {
-            let filter = GrafiteFilter::builder()
-                .bits_per_key(bpk)
-                .build(&keys)
-                .unwrap();
+            let filter = GrafiteFilter::build(&FilterConfig::new(&keys).bits_per_key(bpk)).unwrap();
             let rate = fpr(&filter, &queries);
             let bound = filter.fpp_for_range_size(l);
             assert!(
@@ -123,10 +111,7 @@ fn fb_case_study_grafite_near_exact() {
     let keys = generate(Dataset::Fb, 30_000, 17);
     let l = 32u64;
     let queries = correlated_queries(&keys, 10_000, l, 0.8, 23);
-    let grafite = GrafiteFilter::builder()
-        .bits_per_key(12.0)
-        .build(&keys)
-        .unwrap();
+    let grafite = GrafiteFilter::build(&FilterConfig::new(&keys).bits_per_key(12.0)).unwrap();
     let rate = fpr(&grafite, &queries);
     assert!(
         rate <= 2e-3,

@@ -1,15 +1,15 @@
-//! Workspace smoke test: every filter the bench registry can build answers
+//! Workspace smoke test: every filter the standard registry can build answers
 //! point and range queries with **zero false negatives** on a small key set
 //! that deliberately includes universe edges, duplicates, and tight
 //! clusters. Complements `crates/bench/tests/registry_smoke.rs`, which
 //! checks the same specs through the measurement harness on synthetic
 //! datasets; this test probes the filters directly through the meta-crate.
 //!
-//! Uses the `FilterConfig`/`build_spec` registry path, the workspace-wide
+//! Uses the `FilterConfig`/`standard_registry()` path, the workspace-wide
 //! construction contract; `tests/buildable_conformance.rs` covers the
 //! typed per-filter protocol.
 
-use grafite_bench::registry::{build_spec, FilterConfig, FilterSpec};
+use grafite::{standard_registry, FilterConfig, FilterSpec};
 
 const ALL_SPECS: [FilterSpec; 11] = [
     FilterSpec::Grafite,
@@ -84,6 +84,7 @@ fn every_registry_spec_has_no_false_negatives() {
     let mut sorted = keys.clone();
     sorted.sort_unstable();
     let sample = sample_queries(&sorted);
+    let registry = standard_registry();
 
     for budget in [12.0, 20.0] {
         let cfg = FilterConfig::new(&keys)
@@ -92,7 +93,7 @@ fn every_registry_spec_has_no_false_negatives() {
             .sample(&sample)
             .seed(13);
         for spec in ALL_SPECS {
-            let Some(filter) = build_spec(spec, &cfg) else {
+            let Ok(filter) = registry.build(spec, &cfg) else {
                 panic!("{} infeasible at {budget} bits/key", spec.label());
             };
             assert_eq!(filter.num_keys(), keys.len(), "{}", spec.label());
@@ -120,14 +121,16 @@ fn every_registry_spec_has_no_false_negatives() {
 fn every_registry_spec_accepts_single_key_and_handles_empty() {
     let sample = [(100u64, 131u64)];
     let single = [777u64];
+    let registry = standard_registry();
     for spec in ALL_SPECS {
         // Single key.
         let cfg = FilterConfig::new(&single)
             .max_range(64)
             .sample(&sample)
             .seed(1);
-        let filter = build_spec(spec, &cfg)
-            .unwrap_or_else(|| panic!("{} infeasible on a single key", spec.label()));
+        let filter = registry
+            .build(spec, &cfg)
+            .unwrap_or_else(|e| panic!("{} infeasible on a single key: {e}", spec.label()));
         assert!(filter.may_contain(777), "{}", spec.label());
         assert!(filter.may_contain_range(700, 800), "{}", spec.label());
 
@@ -136,8 +139,9 @@ fn every_registry_spec_accepts_single_key_and_handles_empty() {
             .max_range(64)
             .sample(&sample)
             .seed(1);
-        let filter = build_spec(spec, &cfg)
-            .unwrap_or_else(|| panic!("{} infeasible on an empty key set", spec.label()));
+        let filter = registry
+            .build(spec, &cfg)
+            .unwrap_or_else(|e| panic!("{} infeasible on an empty key set: {e}", spec.label()));
         assert!(
             !filter.may_contain_range(0, u64::MAX),
             "{} claims a key in an empty set",
