@@ -122,7 +122,9 @@ impl BloomFilter {
     pub fn read_from(src: &mut WordReader<'_>) -> Result<Self, DecodeError> {
         let m = src.word()?;
         let k = src.word()?;
-        if m == 0 || k == 0 || k > u32::MAX as u64 {
+        // More hash functions than bits never lowers the FPR, and `k` is
+        // the work of every probe: `k <= m` bounds it by the loaded bits.
+        if m == 0 || k == 0 || k > m || k > u32::MAX as u64 {
             return Err(DecodeError::Invalid("Bloom parameters out of range"));
         }
         let seed = src.word()?;

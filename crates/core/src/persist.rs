@@ -16,10 +16,12 @@
 //!
 //! The payload is the filter's structural fields followed by its succinct
 //! containers in `grafite-succinct`'s word encoding — rank/select
-//! directories included, so loading is **rebuild-free**: [`Header::parse`]
-//! verifies the blob and hands back the checksummed payload slice, which
-//! one bounds-checked [`WordReader`](grafite_succinct::io::WordReader)
-//! copies into owned containers.
+//! directories included, so loading never rebuilds a filter from its keys:
+//! [`Header::parse`] verifies the blob and hands back the checksummed
+//! payload slice, which one bounds-checked
+//! [`WordReader`](grafite_succinct::io::WordReader) copies into owned
+//! containers, each bit vector checking its stored directories against its
+//! bits.
 //!
 //! # Versioning policy
 //!
@@ -39,7 +41,8 @@
 //!   [`FilterError::UnsupportedFormatVersion`] on every load path.
 //! * **v2** (current) — `RsBitVec` select directories store the exact
 //!   position of every 512th one/zero (the position-sampled scheme of the
-//!   succinct hot-path overhaul), so loads read every directory verbatim.
+//!   succinct hot-path overhaul), which loads check against the bits
+//!   instead of rebuilding hints.
 //!
 //! # Threat model
 //!

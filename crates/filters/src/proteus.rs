@@ -197,8 +197,14 @@ impl Proteus {
             Some(it) => it,
             None => return (false, false, false),
         };
+        // Every trie key is `l1_bytes` long unless the loaded blob was
+        // forged; fail open then, which keeps no-false-negatives.
+        let key = it.key();
+        if key.len() != l1b {
+            return (true, true, true);
+        }
         let mut buf = [0u8; 8];
-        buf[..l1b].copy_from_slice(it.key());
+        buf[..l1b].copy_from_slice(key);
         let p_val = shr(u64::from_be_bytes(buf), s1);
         if p_val > pb {
             return (false, false, false);

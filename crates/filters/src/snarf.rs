@@ -114,7 +114,9 @@ impl Snarf {
         if x > last {
             // Strictly above every stored code: ranges beyond the max key
             // stay empty.
-            return (self.n as u64 - 1) * self.k_scale + 1;
+            return (self.n as u64 - 1)
+                .saturating_mul(self.k_scale)
+                .saturating_add(1);
         }
         if x <= self.sample_keys[0] {
             return 0;
@@ -123,7 +125,7 @@ impl Snarf {
         let i = self.sample_keys.partition_point(|&k| k <= x) - 1;
         let (k0, r0) = (self.sample_keys[i], self.sample_ranks[i]);
         if x == k0 || i + 1 == self.sample_keys.len() {
-            return r0 * self.k_scale;
+            return r0.saturating_mul(self.k_scale);
         }
         let (k1, r1) = (self.sample_keys[i + 1], self.sample_ranks[i + 1]);
         if self.faithful_overflow {
@@ -131,12 +133,15 @@ impl Snarf {
             // (x − k0)·Δr wraps for large gaps (Δx up to 2^63 against
             // Δr = 128 needs 71 bits), making the estimated CDF — and hence
             // f — non-monotone: the false-negative bug of paper footnote 5.
-            let est_rank = r0 + (x - k0).wrapping_mul(r1 - r0) / (k1 - k0);
-            est_rank * self.k_scale
+            let est_rank = r0.wrapping_add((x - k0).wrapping_mul(r1 - r0) / (k1 - k0));
+            est_rank.wrapping_mul(self.k_scale)
         } else {
-            let dr_scaled = (r1 - r0) * self.k_scale;
+            // Saturating keeps the model monotone where `r · K` would
+            // pass `u64::MAX`, which a loaded blob's `K` may make it do.
+            let dr_scaled = (r1 - r0).saturating_mul(self.k_scale);
             let num = (x - k0) as u128 * dr_scaled as u128;
-            r0 * self.k_scale + (num / (k1 - k0) as u128) as u64
+            r0.saturating_mul(self.k_scale)
+                .saturating_add((num / (k1 - k0) as u128) as u64)
         }
     }
 
@@ -187,6 +192,17 @@ impl PersistentFilter for Snarf {
         let sample_ranks = src.take(n_ranks)?;
         if n > 0 && sample_keys.is_empty() {
             return Err(FilterError::corrupt("SNARF spline empty for non-empty set"));
+        }
+        // The model interpolates between neighbouring knots: it divides by
+        // their key gap and subtracts their ranks.
+        if sample_keys
+            .windows(2)
+            .any(|w| matches!(w, [a, b] if a >= b))
+            || sample_ranks
+                .windows(2)
+                .any(|w| matches!(w, [a, b] if a > b))
+        {
+            return Err(FilterError::corrupt("SNARF spline not monotone"));
         }
         let codes = GolombRiceSeq::read_from(src)?;
         Ok(Self {

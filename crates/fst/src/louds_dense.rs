@@ -176,6 +176,15 @@ impl FstDs {
         self.has_child.rank1(pos + 1)
     }
 
+    /// The sparse root a dense child number denotes, or `None` for a dense
+    /// node. In a built trie exactly the children of the last dense level
+    /// are sparse roots; deciding by the number rather than by the stored
+    /// depth keeps a forged depth from walking past the dense nodes.
+    #[inline]
+    fn sparse_root(&self, child: usize) -> Option<usize> {
+        child.checked_sub(self.dense_nodes)
+    }
+
     /// Walks the trie along `key` (cf. [`Fst::lookup`]).
     pub fn lookup(&self, key: &[u8]) -> Lookup {
         if self.dense_depth == 0 {
@@ -194,9 +203,8 @@ impl FstDs {
                 };
             }
             let child = self.dense_child(pos);
-            if depth + 1 == self.dense_depth {
+            if let Some(root) = self.sparse_root(child) {
                 // Continue in the sparse forest.
-                let root = child - self.dense_nodes;
                 return match self.sparse.lookup_in(root, &key[depth + 1..]) {
                     Lookup::NotFound => Lookup::NotFound,
                     Lookup::ExhaustedAtInternal => Lookup::ExhaustedAtInternal,
@@ -227,10 +235,13 @@ impl FstDs {
                 sparse_iter: Some(inner),
             });
         }
+        // The stored depth sizes nothing: a loaded blob may claim any
+        // depth, while the walk descends only through nodes that exist.
+        let hint = probe.len().min(self.dense_depth);
         let mut it = DsIter {
             fst: self,
-            dense_stack: Vec::with_capacity(self.dense_depth),
-            dense_key: Vec::with_capacity(self.dense_depth),
+            dense_stack: Vec::with_capacity(hint),
+            dense_key: Vec::with_capacity(hint),
             dense_leaf_pos: None,
             sparse_iter: None,
         };
@@ -270,8 +281,7 @@ impl FstDs {
                         return Some(it);
                     }
                     let child = self.dense_child(pos);
-                    if depth + 1 == self.dense_depth {
-                        let root = child - self.dense_nodes;
+                    if let Some(root) = self.sparse_root(child) {
                         match self.sparse.seek_in(root, &probe[depth + 1..]) {
                             Some(inner) => {
                                 it.sparse_iter = Some(inner);
@@ -310,8 +320,8 @@ impl FstDs {
         Ok(w.words_written() - before)
     }
 
-    /// Reads back what [`FstDs::write_to`] wrote — rebuild-free, like every
-    /// loader in the workspace.
+    /// Reads back what [`FstDs::write_to`] wrote; each bitmap checks its
+    /// stored directories against its bits (see [`RsBitVec::read_from`]).
     pub fn read_from(src: &mut WordReader<'_>) -> Result<Self, DecodeError> {
         let dense_nodes = src.length()?;
         let dense_leaves = src.length()?;
@@ -396,22 +406,21 @@ impl<'a> DsIter<'a> {
                 return true;
             }
             let child = self.fst.dense_child(pos);
-            if self.dense_stack.len() == self.fst.dense_depth {
-                let root = child - self.fst.dense_nodes;
-                match self.fst.sparse.seek_in(root, &[]) {
-                    Some(inner) => {
-                        self.sparse_iter = Some(inner);
-                        return true;
-                    }
-                    None => unreachable!("sparse root with no leaves"),
-                }
+            if let Some(root) = self.fst.sparse_root(child) {
+                // A built trie has no empty subtree; a forged one may, and
+                // then the walk ends instead of panicking.
+                self.sparse_iter = self.fst.sparse.seek_in(root, &[]);
+                return self.sparse_iter.is_some();
             }
-            let next = self
+            let Some(next) = self
                 .fst
                 .labels
                 .bits()
                 .next_one(child * 256)
-                .expect("internal dense node with no labels");
+                .filter(|&p| p < (child + 1) * 256)
+            else {
+                return false;
+            };
             self.push_dense(next);
         }
     }

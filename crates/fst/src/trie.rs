@@ -83,7 +83,8 @@ impl Fst {
     }
 
     /// Serializes the trie — the LOUDS-DENSE/Sparse bit planes travel with
-    /// their rank/select directories, so loading is rebuild-free. Layout:
+    /// their rank/select directories, which loading checks against the
+    /// bits. Layout:
     /// `[n_labels, num_nodes, num_leaves, num_roots] + labels (word-padded
     /// bytes) + has_child + louds`. Returns the word count.
     pub fn write_to(&self, w: &mut WordWriter<'_>) -> std::io::Result<usize> {

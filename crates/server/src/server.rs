@@ -398,15 +398,11 @@ fn answer_probes(shared: &Shared, queries: &[(u64, u64)]) -> Vec<bool> {
     let snap = shared.store.snapshot();
     let telemetry = &shared.telemetry;
     let mut answers = Vec::with_capacity(queries.len());
-    snap.query_ranges(queries, &mut answers);
-    telemetry.record_batch(queries.len() as u64);
-    // One atomic add per touched shard per request, not one per probe.
+    // One routing pass answers and counts; one atomic add per touched
+    // shard per request, not one per probe.
     let mut shard_probes = vec![0u64; snap.num_shards()];
-    for &(a, b) in queries {
-        if let Some(counts) = shard_probes.get_mut(snap.routing().shards_for(a, b)) {
-            counts.iter_mut().for_each(|count| *count += 1);
-        }
-    }
+    snap.query_ranges_counting_shards(queries, &mut answers, &mut shard_probes);
+    telemetry.record_batch(queries.len() as u64);
     telemetry.record_shard_probes(&shard_probes);
     let hits = answers.iter().filter(|&&hit| hit).count() as u64;
     telemetry.record_negatives((answers.len() as u64).saturating_sub(hits));

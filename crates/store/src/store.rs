@@ -629,10 +629,16 @@ impl Snapshot {
     /// per the [`RangeFilter`] contract).
     #[must_use = "a range filter's answer is its only effect; dropping it means the query was wasted"]
     pub fn may_contain_range(&self, a: u64, b: u64) -> bool {
+        self.answer_routed(self.routing.shards_for(a, b), a, b)
+    }
+
+    /// `[a, b]` ORed across `shards`, the shards the routing maps it to.
+    #[inline]
+    fn answer_routed(&self, mut shards: Range<usize>, a: u64, b: u64) -> bool {
         debug_assert!(a <= b, "inverted range [{a}, {b}]");
         // Range-routed shards see the query clipped to their span; a
         // hash-routed shard spans the whole universe.
-        self.routing.shards_for(a, b).any(|s| {
+        shards.any(|s| {
             let (lo, hi) = self.routing.shard_span(s);
             self.shards[s]
                 .filter()
@@ -654,6 +660,28 @@ impl Snapshot {
     pub fn query_ranges(&self, queries: &[(u64, u64)], out: &mut Vec<bool>) {
         out.clear();
         out.extend(queries.iter().map(|&(a, b)| self.may_contain_range(a, b)));
+    }
+
+    /// [`Snapshot::query_ranges`] that also adds one to
+    /// `shard_probes[s]` for every query routed to shard `s`, counting
+    /// every routed shard whether or not an earlier one already answered
+    /// `true`. The counts come from the routing pass that answers, so a
+    /// caller never routes a batch twice. `shard_probes` holds one counter
+    /// per shard; a shorter slice drops the counts past its end.
+    pub fn query_ranges_counting_shards(
+        &self,
+        queries: &[(u64, u64)],
+        out: &mut Vec<bool>,
+        shard_probes: &mut [u64],
+    ) {
+        out.clear();
+        out.extend(queries.iter().map(|&(a, b)| {
+            let shards = self.routing.shards_for(a, b);
+            if let Some(counts) = shard_probes.get_mut(shards.clone()) {
+                counts.iter_mut().for_each(|count| *count += 1);
+            }
+            self.answer_routed(shards, a, b)
+        }));
     }
 }
 
@@ -1217,6 +1245,38 @@ mod tests {
             let shard = hash.shard_of(a);
             assert_eq!(hash.shards_for(a, a), shard..shard + 1);
             assert_eq!(hash.shards_for(a, b), 0..8);
+        }
+    }
+
+    /// The counting batch answers exactly what `query_ranges` answers, and
+    /// counts per shard exactly the queries `shards_for` routes there.
+    #[test]
+    fn counting_batch_matches_query_ranges_and_shards_for() {
+        let keys = test_keys(3000);
+        let registry = Registry::new();
+        for partitioning in [
+            Partitioning::Range { shards: 5 },
+            Partitioning::Hash { shards: 5 },
+        ] {
+            let store = FilterStore::build(&registry, grafite_config(partitioning), &keys).unwrap();
+            let snap = store.snapshot();
+            let queries: Vec<(u64, u64)> = keys
+                .iter()
+                .step_by(7)
+                .enumerate()
+                .map(|(i, &k)| (k, k.saturating_add([0, 3, 1 << 40][i % 3])))
+                .chain([(0, u64::MAX), (u64::MAX, u64::MAX)])
+                .collect();
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            snap.query_ranges(&queries, &mut want);
+            let mut counts = vec![0u64; snap.num_shards()];
+            snap.query_ranges_counting_shards(&queries, &mut got, &mut counts);
+            assert_eq!(got, want, "{partitioning:?}");
+            let mut expect = vec![0u64; snap.num_shards()];
+            for &(a, b) in &queries {
+                snap.routing().shards_for(a, b).for_each(|s| expect[s] += 1);
+            }
+            assert_eq!(counts, expect, "{partitioning:?}");
         }
     }
 

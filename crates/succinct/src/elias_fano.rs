@@ -16,8 +16,12 @@
 //! elements occupy a contiguous run of ones ending right below the `p`-th
 //! zero of `H`, so a word-local backward scan from that zero recovers both
 //! bucket endpoints (a second `select0` is issued only for degenerate
-//! multi-hundred-element buckets). The low parts are then resolved with a
-//! word-addressed sequential probe — one running bit cursor over the packed
+//! multi-hundred-element buckets). The `select0` itself reads a 512-zero
+//! sample and a 16-bit inventory offset to the 64-zero step below its
+//! target, then selects within one or two words (see
+//! [`crate::rs_bitvec`]); `H` carries that inventory in memory from the
+//! moment it is built or loaded, and nothing of it is serialized. The low
+//! parts are then resolved with a word-addressed sequential probe — one running bit cursor over the packed
 //! array — instead of a binary search that re-derives word offsets per
 //! probe; buckets are a couple of elements at the paper's densities, so the
 //! sequential probe wins on every real workload (a binary search remains as
@@ -52,9 +56,20 @@ const GALLOP_BITS: usize = 64;
 /// for itself on sequences that encode in tens of microseconds.
 const EF_PARALLEL_MIN: usize = 1 << 15;
 
+/// The encoder's low width `l = floor(log2(universe / n))` (0 when the
+/// universe is not larger than `n`), for `n > 0`.
+fn low_bit_width(n: usize, universe: u64) -> usize {
+    if universe > n as u64 {
+        (universe / n as u64).ilog2() as usize
+    } else {
+        0
+    }
+}
+
 /// An Elias–Fano encoded monotone sequence supporting random access,
-/// predecessor/successor, and rank. Loading reads the rank/select
-/// directories verbatim — nothing is rebuilt.
+/// predecessor/successor, and rank. Building and loading both derive the
+/// high bits' `select0` inventory; loading first checks the stored
+/// directories against the bits.
 #[derive(Clone, Debug)]
 pub struct EliasFano {
     n: usize,
@@ -107,7 +122,7 @@ impl EliasFano {
                 universe,
                 low_bits: 0,
                 low: IntVec::new(0),
-                high: RsBitVec::new(BitVec::zeros(1)),
+                high: RsBitVec::new(BitVec::zeros(1)).with_select0_inventory(),
                 first: 0,
                 last: 0,
             };
@@ -125,11 +140,7 @@ impl EliasFano {
             "value {} >= universe {universe}",
             values[n - 1]
         );
-        let low_bits = if universe > n as u64 {
-            (universe / n as u64).ilog2() as usize
-        } else {
-            0
-        };
+        let low_bits = low_bit_width(n, universe);
         let mask = if low_bits == 0 {
             0
         } else {
@@ -195,7 +206,7 @@ impl EliasFano {
             universe,
             low_bits,
             low,
-            high: RsBitVec::new(high),
+            high: RsBitVec::new(high).with_select0_inventory(),
             first: values[0],
             last: values[n - 1],
         }
@@ -504,7 +515,11 @@ impl EliasFano {
     }
 
     /// Reads back what [`EliasFano::write_to`] wrote, ready to answer
-    /// `predecessor` queries without any rebuilding.
+    /// `predecessor` queries. Everything the encoder fixes is checked: the
+    /// low width and the high-bits length follow from `(n, universe)`, the
+    /// high bits hold `n` ones under a directory that agrees with them (see
+    /// [`RsBitVec::read_from`]), and `first`/`last` are the stored extremes.
+    /// The `select0` inventory is derived from the checked bits.
     pub fn read_from(src: &mut WordReader<'_>) -> Result<Self, DecodeError> {
         let n = src.length()?;
         let universe = src.word()?;
@@ -522,10 +537,24 @@ impl EliasFano {
         if high.count_ones() != n {
             return Err(DecodeError::Invalid("Elias-Fano high bit count"));
         }
-        if n > 0 && (first > last || last >= universe) {
+        // The shape `new_parallel` writes: an empty sequence is one zero
+        // bit and no low bits; otherwise `l` and `|H|` follow from `(n, u)`.
+        let (want_low_bits, want_high_len) = if n == 0 {
+            (0, Some(1))
+        } else if universe == 0 {
             return Err(DecodeError::Invalid("Elias-Fano bounds"));
+        } else {
+            let l = low_bit_width(n, universe);
+            let hi_max = usize::try_from((universe - 1) >> l).ok();
+            (l, hi_max.and_then(|h| h.checked_add(n)?.checked_add(1)))
+        };
+        if low_bits != want_low_bits {
+            return Err(DecodeError::Invalid("Elias-Fano low-bit width"));
         }
-        Ok(Self {
+        if Some(high.len()) != want_high_len {
+            return Err(DecodeError::Invalid("Elias-Fano high bit length"));
+        }
+        let ef = Self {
             n,
             universe,
             low_bits,
@@ -533,6 +562,18 @@ impl EliasFano {
             high,
             first,
             last,
+        };
+        let bounds_ok = if n == 0 {
+            first == 0 && last == 0
+        } else {
+            first == ef.get(0) && last == ef.get(n - 1) && last < universe
+        };
+        if !bounds_ok {
+            return Err(DecodeError::Invalid("Elias-Fano bounds"));
+        }
+        Ok(Self {
+            high: ef.high.with_select0_inventory(),
+            ..ef
         })
     }
 }
@@ -905,6 +946,87 @@ mod tests {
                 assert_eq!(owned.rank(y), ef.rank(y), "rank({y})");
             }
         }
+    }
+
+    /// `select0` on the high bits — through the inventory, and through the
+    /// escape of a sample range spanning `2^16` bits or more — against a
+    /// naive scan, on the built sequence and on its loaded copy.
+    #[test]
+    fn select0_inventory_matches_reference_built_and_loaded() {
+        use crate::io::{WordReader, WordWriter};
+        let mut state = 7u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state
+        };
+        // A 16-bit/key shard: n zeros and n ones in H.
+        let n = 20_000u64;
+        let mut shard: Vec<u64> = (0..n).map(|_| next() % (n << 14)).collect();
+        shard.sort_unstable();
+        // One bucket of 70,000 consecutive codes among sparse ones: the
+        // sample range holding it spans more than 2^16 bits.
+        let universe = 1u64 << 40;
+        let run = (5 << 23)..(5 << 23) + 70_000;
+        let mut escaped: Vec<u64> = run.chain((1..1000).map(|i| i << 30)).collect();
+        escaped.sort_unstable();
+        for (values, universe, escapes) in [(shard, n << 14, false), (escaped, universe, true)] {
+            let built = EliasFano::new(&values, universe);
+            let mut bytes = Vec::new();
+            built.write_to(&mut WordWriter::new(&mut bytes)).unwrap();
+            let loaded = EliasFano::read_from(&mut WordReader::new(&bytes)).unwrap();
+            let zero_positions: Vec<usize> = (0..built.high.len())
+                .filter(|&i| !built.high.get(i))
+                .collect();
+            let last = zero_positions.len() - 1;
+            let offsets_only = zero_positions.len().div_ceil(512) * 8 * 16;
+            for ef in [&built, &loaded] {
+                let inventory = ef.high.select0_inventory_bits();
+                assert_eq!(inventory > offsets_only, escapes, "escape taken");
+                assert!(escapes || inventory == offsets_only);
+                for k in [0, 63, 64, 511, 512, last] {
+                    assert_eq!(ef.high.select0(k), zero_positions[k], "select0({k})");
+                }
+                for (k, &want) in zero_positions.iter().enumerate() {
+                    assert_eq!(ef.high.select0(k), want, "select0({k})");
+                }
+            }
+            let set: BTreeSet<u64> = values.iter().copied().collect();
+            for y in (0..universe).step_by((universe / 3001) as usize) {
+                assert_eq!(loaded.predecessor(y), reference_predecessor(&set, y));
+            }
+        }
+    }
+
+    /// `read_from` refuses every field the encoder fixes when it disagrees
+    /// with `(n, universe)` or with the stored values.
+    #[test]
+    fn load_refuses_a_shape_the_encoder_never_writes() {
+        use crate::io::{WordReader, WordWriter};
+        let values: Vec<u64> = (0..300u64).map(|i| i * 1_000 + 7).collect();
+        let ef = EliasFano::new(&values, 1 << 20);
+        let mut bytes = Vec::new();
+        ef.write_to(&mut WordWriter::new(&mut bytes)).unwrap();
+        let load = |bytes: &[u8]| EliasFano::read_from(&mut WordReader::new(bytes)).err();
+        let forged = |word: usize, value: u64| {
+            let mut bad = bytes.clone();
+            bad[word * 8..word * 8 + 8].copy_from_slice(&value.to_le_bytes());
+            bad
+        };
+        // Layout: [n, universe, low_bits, first, last] + low + high.
+        let invalid = |what| Some(DecodeError::Invalid(what));
+        assert_eq!(
+            load(&forged(1, 1 << 21)),
+            invalid("Elias-Fano low-bit width")
+        );
+        assert_eq!(
+            load(&forged(1, 700_000)),
+            invalid("Elias-Fano high bit length")
+        );
+        assert_eq!(load(&forged(3, 6)), invalid("Elias-Fano bounds"));
+        assert_eq!(load(&forged(4, 299_008)), invalid("Elias-Fano bounds"));
+        assert_eq!(load(&bytes), None);
     }
 
     #[test]

@@ -30,8 +30,9 @@
 //! little-endian `u64` stream through a `write_to` / `read_from` pair built
 //! on the [`io`] module: [`io::WordWriter`] out, [`io::WordReader`] back in
 //! from an in-memory byte slice. Rank/select directories travel with the
-//! bits and are read back **verbatim** — loading is one bounds-checked copy
-//! and never rebuilds them.
+//! bits; loading checks them against the bits and refuses a directory that
+//! disagrees. The `select0` inventory an [`EliasFano`] sequence queries
+//! through is derived in memory when it is built or loaded, never stored.
 
 // Deny rather than forbid: `simd::kernels` is the one module allowed to
 // opt back in (xtask lint L6 enforces the allowlist and requires a

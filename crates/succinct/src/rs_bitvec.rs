@@ -1,5 +1,5 @@
-//! An immutable bit vector with constant-time rank and constant-time-ish
-//! select for both bit polarities.
+//! An immutable bit vector with constant-time rank and select for both bit
+//! polarities.
 //!
 //! # Layout (format v2, position-sampled select)
 //!
@@ -10,28 +10,43 @@
 //! data-dependent word walk.
 //!
 //! `select` uses *position samples*: the directory stores the **exact bit
-//! position** of every 512-th one (resp. zero). A query `select1(k)` whose
-//! rank hits a sample answers in O(1) with no memory touched beyond the
-//! sample itself; otherwise the two samples bracketing `k` bound the block
-//! range the answer can live in, and a binary search over that window of the
-//! block directory (the inter-sample block locate) lands in the right block
-//! without ever walking the directory linearly. At the densities the
-//! Elias–Fano high bits exhibit (one set bit every ~2–3 positions) the
-//! window spans 2–4 blocks, so the locate is one or two comparisons. The
-//! final step is an in-word broadword select. `select0` shares the machinery
-//! through a *cumulative-zeros view* derived from the ones directory
-//! (`zeros before block b = min(b·512, len) − ones before block b`) — no
-//! second directory array is stored or serialized.
+//! position** of every 512-th one (resp. zero). `select1(k)` scans forward
+//! from the sample below `k`, and a sparse stretch the scan cannot cover
+//! binary-searches the window of the block directory between the two
+//! samples bracketing `k` (the inter-sample block locate). The final step
+//! is an in-word broadword select.
+//!
+//! `select0` — the one select the Elias–Fano predecessor issues — adds a
+//! second level under the zero samples: the two-level inventory of Vigna,
+//! "Broadword implementation of rank/select queries" (WEA 2008). For every
+//! 512-zero sample it holds the position of every 64-th zero as a 16-bit
+//! offset from the sample (16 bytes per sample, +0.25 bits per zero), so a
+//! query reads the sample and one offset, then selects among the words
+//! that hold the next at most 63 zeros: one or two at the Elias–Fano
+//! densities (about one zero every two bits), and never more than the
+//! sample range's `2^16` bits. A sample range spanning `2^16` bits or more
+//! does not fit 16-bit offsets; it is *escaped*: the exact position of each
+//! of its zeros is stored instead, which costs at most half a bit per bit
+//! of such a range. The inventory is derived from the bits on first use
+//! and never serialized; `RsBitVec::with_select0_inventory` derives it up
+//! front for owners that will call `select0` (Elias–Fano), and bit vectors
+//! that never call `select0` (the tries', for instance) never pay its
+//! bytes.
 //!
 //! This replaces the seed's scheme (block-index hints plus a forward scan of
-//! the directory), trading the same space for strictly less work per query;
-//! it is the classic rank/select engineering trade-off described by
-//! Navarro \[28\], tuned for the query hot path of the paper's filters.
+//! the directory); it is the classic rank/select engineering trade-off
+//! described by Navarro \[28\], tuned for the query hot path of the paper's
+//! filters.
 //!
 //! # Persistence
 //!
-//! The rank/select directories serialize alongside the bits and are read
-//! back **verbatim** — loading never recomputes them.
+//! The rank directory and the select samples serialize alongside the bits.
+//! Loading derives both again from the bits (a popcount pass and one
+//! sampling pass per polarity) and refuses (`DecodeError::Invalid`) a
+//! stored directory or sample that disagrees: every later query, and the
+//! `select0` inventory, trusts them.
+
+use std::sync::OnceLock;
 
 use crate::bitvec::BitVec;
 use crate::io::{DecodeError, WordReader, WordWriter};
@@ -42,17 +57,140 @@ const BLOCK_WORDS: usize = 8;
 const BLOCK_BITS: usize = BLOCK_WORDS * WORD_BITS; // 512
 const SELECT_SAMPLE: usize = 512;
 
-/// Word budget of the select fast path that scans forward from the sampled
-/// position (sequential loads, no directory touch). 32 words = 2048 bits
-/// cover a full inter-sample gap at any density >= 1/4 — the Elias–Fano
-/// high bits sit near 1/2 — so only genuinely sparse stretches take the
-/// block-locate fallback.
+/// Zeros between two entries of the `select0` inventory.
+const INVENTORY_STEP: usize = 64;
+
+/// Inventory entries per zero sample (the first is the sample itself).
+const INVENTORY_PER_SAMPLE: usize = SELECT_SAMPLE / INVENTORY_STEP; // 8
+
+/// Sample ranges at least this many bits long are escaped: their offsets
+/// would not fit 16 bits.
+const ESCAPE_SPAN: u64 = 1 << 16;
+
+/// Word budget of the `select1` fast path that scans forward from the
+/// sampled position (sequential loads, no directory touch). 32 words = 2048
+/// bits cover a full inter-sample gap at any density >= 1/4, so only
+/// genuinely sparse stretches take the block-locate fallback.
 const SCAN_FROM_SAMPLE_WORDS: usize = 32;
 
 /// The low `n` bits set, for `n` in `0..=64`.
 #[inline]
 fn mask_low(n: usize) -> u64 {
     1u64.checked_shl(n as u32).map_or(!0, |m| m.wrapping_sub(1))
+}
+
+/// The second level of `select0`, derived from the bits (see the module
+/// docs).
+#[derive(Clone, Debug)]
+struct ZeroInventory {
+    /// `offsets[s * 8 + j]` = position of zero `s * 512 + j * 64` minus the
+    /// position of zero `s * 512`. Slot `s * 8` is `0` for every sample
+    /// range except an escaped one, where it is [`ZeroInventory::ESCAPED`].
+    offsets: Vec<u16>,
+    /// The escaped sample indices, ascending.
+    escaped: Vec<usize>,
+    /// For the `i`-th escaped sample, the exact positions of its zeros at
+    /// `exact[i * 512..]`.
+    exact: Vec<u64>,
+}
+
+impl ZeroInventory {
+    const ESCAPED: u16 = 1;
+
+    /// Derives the inventory of `bits`, whose `zeros` zeros are sampled at
+    /// `samples` (every 512-th zero's position), in one pass over the
+    /// words plus one pass over each escaped range.
+    fn derive(bits: &BitVec, zeros: usize, samples: &[u64]) -> Self {
+        let len = bits.len() as u64;
+        let escapes = |s: usize| samples.get(s + 1).map_or(len, |&p| p) - samples[s] >= ESCAPE_SPAN;
+        let mut offsets = vec![0u16; samples.len() * INVENTORY_PER_SAMPLE];
+        for_each_sampled(bits, false, zeros, INVENTORY_STEP, |j, pos| {
+            let s = j / INVENTORY_PER_SAMPLE;
+            if !escapes(s) {
+                // The range spans under 2^16 bits, so the offset fits.
+                offsets[j] = (pos - samples[s]) as u16;
+            }
+        });
+        let escaped: Vec<usize> = (0..samples.len()).filter(|&s| escapes(s)).collect();
+        let mut exact = Vec::new();
+        for &s in &escaped {
+            offsets[s * INVENTORY_PER_SAMPLE] = Self::ESCAPED;
+            let count = SELECT_SAMPLE.min(zeros - s * SELECT_SAMPLE);
+            push_zeros_from(bits, samples[s] as usize, count, &mut exact);
+        }
+        Self {
+            offsets,
+            escaped,
+            exact,
+        }
+    }
+}
+
+/// Calls `f(j, position)` for the `(j · step)`-th one (`of_ones`) or zero,
+/// for every `j · step` below `count`, in one pass over the words.
+fn for_each_sampled(
+    bits: &BitVec,
+    of_ones: bool,
+    count: usize,
+    step: usize,
+    mut f: impl FnMut(usize, u64),
+) {
+    let (mut next, mut seen) = (0usize, 0usize);
+    let len = bits.len();
+    for (wi, &raw) in bits.words().iter().enumerate() {
+        if next >= count {
+            break;
+        }
+        // Tail bits beyond len are zero, so only zeros need the mask.
+        let valid = (len - (wi * WORD_BITS).min(len)).min(WORD_BITS);
+        let w = if of_ones { raw } else { !raw & mask_low(valid) };
+        let here = w.count_ones() as usize;
+        while next < count && next < seen + here {
+            let pos = wi * WORD_BITS + select_in_word(w, (next - seen) as u32) as usize;
+            f(next / step, pos as u64);
+            next += step;
+        }
+        seen += here;
+    }
+}
+
+/// Exact positions of the `step`-th ones (`of_ones`) or zeros: entries
+/// `0, step, 2·step, …` below `count`.
+fn sample_positions(bits: &BitVec, of_ones: bool, count: usize, step: usize) -> Vec<u64> {
+    let mut out = Vec::with_capacity(count.div_ceil(step));
+    for_each_sampled(bits, of_ones, count, step, |_, pos| out.push(pos));
+    out
+}
+
+/// Appends to `out` the positions of the `count` zeros at or after bit
+/// `from` (which must be a zero with at least `count - 1` zeros after it).
+fn push_zeros_from(bits: &BitVec, from: usize, count: usize, out: &mut Vec<u64>) {
+    let words = bits.words();
+    let mut w_idx = from / WORD_BITS;
+    let mut inv = !words[w_idx] & !mask_low(from % WORD_BITS);
+    for _ in 0..count {
+        while inv == 0 {
+            w_idx += 1;
+            inv = !words[w_idx];
+        }
+        out.push((w_idx * WORD_BITS + inv.trailing_zeros() as usize) as u64);
+        inv &= inv - 1;
+    }
+}
+
+/// The rank directory of `bits`: ones before each 512-bit block, plus a
+/// sentinel holding the total.
+fn rank_directory(bits: &BitVec) -> Vec<u64> {
+    let n_blocks = crate::div_ceil(bits.len().max(1), BLOCK_BITS);
+    let mut blocks = Vec::with_capacity(n_blocks + 1);
+    let mut acc = 0u64;
+    blocks.push(acc);
+    for block in bits.words().chunks(BLOCK_WORDS) {
+        acc += block.iter().map(|w| w.count_ones() as u64).sum::<u64>();
+        blocks.push(acc);
+    }
+    blocks.resize(n_blocks + 1, acc);
+    blocks
 }
 
 /// An immutable rank/select bit vector.
@@ -67,68 +205,47 @@ pub struct RsBitVec {
     select1_pos: Vec<u64>,
     /// Same for zeros.
     select0_pos: Vec<u64>,
+    /// The `select0` inventory, derived on first use.
+    zero_inventory: OnceLock<ZeroInventory>,
     ones: usize,
-}
-
-/// One pass over the words: the exact positions of every `SELECT_SAMPLE`-th
-/// one and zero. Returns `(select1_pos, select0_pos, ones_seen)` so callers
-/// can cross-check the claimed total.
-fn build_select_samples(bits: &BitVec, ones: usize, zeros: usize) -> (Vec<u64>, Vec<u64>, usize) {
-    let mut s1 = Vec::with_capacity(ones.div_ceil(SELECT_SAMPLE));
-    let mut s0 = Vec::with_capacity(zeros.div_ceil(SELECT_SAMPLE));
-    let (mut next1, mut next0) = (0usize, 0usize);
-    let (mut ones_seen, mut zeros_seen) = (0usize, 0usize);
-    let len = bits.len();
-    for (wi, &w) in bits.words().iter().enumerate() {
-        let valid = (len - (wi * WORD_BITS).min(len)).min(WORD_BITS);
-        if valid == 0 {
-            break;
-        }
-        let w_ones = w.count_ones() as usize; // tail bits beyond len are zero
-        while next1 < ones && next1 < ones_seen + w_ones {
-            let in_word = select_in_word(w, (next1 - ones_seen) as u32) as usize;
-            s1.push((wi * WORD_BITS + in_word) as u64);
-            next1 += SELECT_SAMPLE;
-        }
-        let inv = !w & mask_low(valid);
-        let w_zeros = valid - w_ones;
-        while next0 < zeros && next0 < zeros_seen + w_zeros {
-            let in_word = select_in_word(inv, (next0 - zeros_seen) as u32) as usize;
-            s0.push((wi * WORD_BITS + in_word) as u64);
-            next0 += SELECT_SAMPLE;
-        }
-        ones_seen += w_ones;
-        zeros_seen += w_zeros;
-    }
-    (s1, s0, ones_seen)
 }
 
 impl RsBitVec {
     /// Freezes `bits` and builds rank/select support.
     pub fn new(bits: BitVec) -> Self {
-        let n_blocks = crate::div_ceil(bits.len().max(1), BLOCK_BITS);
-        let mut blocks = Vec::with_capacity(n_blocks + 1);
-        let mut acc = 0u64;
-        for b in 0..n_blocks {
-            blocks.push(acc);
-            let start = b * BLOCK_WORDS;
-            let end = ((b + 1) * BLOCK_WORDS).min(bits.words().len());
-            for w in start..end {
-                acc += bits.word(w).count_ones() as u64;
-            }
-        }
-        blocks.push(acc);
-        let ones = acc as usize;
+        let blocks = rank_directory(&bits);
+        let ones = blocks[blocks.len() - 1] as usize;
         let zeros = bits.len() - ones;
-        let (select1_pos, select0_pos, seen) = build_select_samples(&bits, ones, zeros);
-        debug_assert_eq!(seen, ones, "rank directory inconsistent with bits");
         Self {
+            select1_pos: sample_positions(&bits, true, ones, SELECT_SAMPLE),
+            select0_pos: sample_positions(&bits, false, zeros, SELECT_SAMPLE),
             bits,
             blocks,
-            select1_pos,
-            select0_pos,
+            zero_inventory: OnceLock::new(),
             ones,
         }
+    }
+
+    /// Derives the `select0` inventory now rather than on the first
+    /// `select0`, so the first query pays nothing extra.
+    pub(crate) fn with_select0_inventory(self) -> Self {
+        self.zero_inventory();
+        self
+    }
+
+    #[inline]
+    fn zero_inventory(&self) -> &ZeroInventory {
+        self.zero_inventory.get_or_init(|| {
+            ZeroInventory::derive(&self.bits, self.count_zeros(), &self.select0_pos)
+        })
+    }
+
+    /// Resident bits of the `select0` inventory (0 until it is derived).
+    #[cfg(test)]
+    pub(crate) fn select0_inventory_bits(&self) -> usize {
+        self.zero_inventory.get().map_or(0, |inv| {
+            inv.offsets.len() * 16 + inv.escaped.len() * 64 + inv.exact.len() * 64
+        })
     }
 
     #[inline]
@@ -198,26 +315,14 @@ impl RsBitVec {
         pos - self.rank1(pos)
     }
 
-    /// Zeros in `[0, b * 512)` — the cumulative-zeros view over the ones
-    /// directory. Valid for `b` up to and including the sentinel index.
+    /// Last block index in `[lo, hi]` with at most `k` ones before it — the
+    /// bounded inter-sample block locate of `select1`. `blocks[lo] <= k`
+    /// must hold on entry.
     #[inline]
-    fn zeros_before_block(&self, b: usize) -> usize {
-        (b * BLOCK_BITS).min(self.len()) - self.block_dir()[b] as usize
-    }
-
-    /// Last block index in `[lo, hi]` whose directory value (per `key`) is
-    /// `<= k` — the bounded inter-sample block locate shared by both
-    /// selects. The invariant `key(lo) <= k` must hold on entry.
-    #[inline]
-    fn locate_block(&self, mut lo: usize, mut hi: usize, k: usize, zeros: bool) -> usize {
+    fn locate_block(&self, mut lo: usize, mut hi: usize, k: usize) -> usize {
         while lo < hi {
             let mid = lo + (hi - lo).div_ceil(2);
-            let before = if zeros {
-                self.zeros_before_block(mid)
-            } else {
-                self.block_dir()[mid] as usize
-            };
-            if before <= k {
+            if self.block_dir()[mid] as usize <= k {
                 lo = mid;
             } else {
                 hi = mid - 1;
@@ -280,7 +385,7 @@ impl RsBitVec {
         let hi = samples
             .get(s + 1)
             .map_or(self.block_dir().len() - 2, |&p| p as usize / BLOCK_BITS);
-        let block = self.locate_block(sampled / BLOCK_BITS, hi, k, false);
+        let block = self.locate_block(sampled / BLOCK_BITS, hi, k);
         let mut remaining = k - self.block_dir()[block] as usize;
         let words = self.bits.words();
         let first_word = block * BLOCK_WORDS;
@@ -294,77 +399,59 @@ impl RsBitVec {
         unreachable!("select1: inconsistent rank directory");
     }
 
-    /// Position of the `k`-th (0-based) zero bit. Fast path as in
-    /// [`RsBitVec::select1`]: sequential scan from the sample, block locate
-    /// as the sparse fallback.
+    /// Position of the `k`-th (0-based) zero bit: the 512-zero sample, the
+    /// inventory's offset of the 64-zero step below `k`, then an in-word
+    /// select over the words that hold the remaining `k % 64` zeros (one
+    /// or two at Elias–Fano densities). An escaped sample range answers
+    /// from its exact positions.
     ///
     /// # Panics
     /// Panics if `k >= count_zeros()`.
+    #[inline]
     pub fn select0(&self, k: usize) -> usize {
         let zeros = self.count_zeros();
         assert!(k < zeros, "select0 rank {k} out of range {zeros}");
-        let samples = self.select0_pos.as_slice();
+        let inventory = self.zero_inventory();
         let s = k / SELECT_SAMPLE;
-        let sampled = samples[s] as usize;
-        let rem = k % SELECT_SAMPLE;
-        if rem == 0 {
-            return sampled;
+        let slot = s * INVENTORY_PER_SAMPLE;
+        if inventory.offsets[slot] == ZeroInventory::ESCAPED {
+            return self.select0_escaped(s, k % SELECT_SAMPLE);
         }
+        let step = (k % SELECT_SAMPLE) / INVENTORY_STEP;
+        let from = self.select0_pos[s] as usize + inventory.offsets[slot + step] as usize;
+        // The target is the (k % 64)-th zero at or after the zero at
+        // `from`. Bits past `len` read as zeros here, but the target is a
+        // real zero, and every real zero precedes them.
         let words = self.bits.words();
-        let len = self.len();
-        let mut w_idx = sampled / WORD_BITS;
-        let above = sampled % WORD_BITS + 1;
-        let mut mask = if above == WORD_BITS {
-            w_idx += 1;
-            !0
-        } else {
-            !mask_low(above)
-        };
-        let mut remaining = rem; // zeros still to cross, target included
-        for _ in 0..SCAN_FROM_SAMPLE_WORDS {
-            let Some(&raw) = words.get(w_idx) else { break };
-            let word_start = w_idx * WORD_BITS;
-            // Mask out phantom zeros beyond len in the final word.
-            let valid = (len - word_start.min(len)).min(WORD_BITS);
-            let inv = !raw & mask_low(valid) & mask;
-            let zeros_here = inv.count_ones() as usize;
-            if remaining <= zeros_here {
-                return word_start + select_in_word(inv, (remaining - 1) as u32) as usize;
+        let mut w_idx = from / WORD_BITS;
+        let mut zeros_here = !words[w_idx] & !mask_low(from % WORD_BITS);
+        let mut remaining = k % INVENTORY_STEP;
+        loop {
+            let count = zeros_here.count_ones() as usize;
+            if remaining < count {
+                return w_idx * WORD_BITS + select_in_word(zeros_here, remaining as u32) as usize;
             }
-            remaining -= zeros_here;
-            mask = !0;
+            remaining -= count;
             w_idx += 1;
+            zeros_here = !words[w_idx];
         }
-        self.select0_via_blocks(k, s)
     }
 
-    /// The block-directory slow path of [`RsBitVec::select0`].
+    /// [`RsBitVec::select0`] in an escaped sample range: the `r`-th zero of
+    /// sample `s`, read from the exact positions.
     #[cold]
-    fn select0_via_blocks(&self, k: usize, s: usize) -> usize {
-        let samples = self.select0_pos.as_slice();
-        let sampled = samples[s] as usize;
-        let hi = samples
-            .get(s + 1)
-            .map_or(self.block_dir().len() - 2, |&p| p as usize / BLOCK_BITS);
-        let block = self.locate_block(sampled / BLOCK_BITS, hi, k, true);
-        let mut remaining = k - self.zeros_before_block(block);
-        let words = self.bits.words();
-        let first_word = block * BLOCK_WORDS;
-        let len = self.len();
-        for (j, &w) in words[first_word..].iter().enumerate() {
-            let word_start = (first_word + j) * WORD_BITS;
-            let valid = (len - word_start).min(WORD_BITS);
-            let inv = !w & mask_low(valid);
-            let zeros_here = inv.count_ones() as usize;
-            if remaining < zeros_here {
-                return word_start + select_in_word(inv, remaining as u32) as usize;
-            }
-            remaining -= zeros_here;
-        }
-        unreachable!("select0: inconsistent rank directory");
+    fn select0_escaped(&self, s: usize, r: usize) -> usize {
+        let inventory = self.zero_inventory();
+        let i = inventory
+            .escaped
+            .binary_search(&s)
+            .expect("escaped sample is listed");
+        inventory.exact[i * SELECT_SAMPLE + r] as usize
     }
 
-    /// Heap size of the structure in bits, including the directories.
+    /// Heap size of the encoded structure in bits: the bits, the rank
+    /// directory and the select samples — what serializes. The derived
+    /// `select0` inventory is not counted.
     pub fn size_in_bits(&self) -> usize {
         self.bits.size_in_bits()
             + self.block_dir().len() * 64
@@ -391,9 +478,10 @@ impl RsBitVec {
         Ok(w.words_written() - before)
     }
 
-    /// Reads back what [`RsBitVec::write_to`] wrote. The rank/select
-    /// directories come back verbatim from the stream — nothing is rebuilt,
-    /// which is what makes a cold load one O(size) copy.
+    /// Reads back what [`RsBitVec::write_to`] wrote. The directory and the
+    /// samples are derived again from the bits (one popcount pass and one
+    /// sampling pass) and must equal the stored ones: a directory or a
+    /// sample that disagrees with the bits is refused, never used.
     pub fn read_from(src: &mut WordReader<'_>) -> Result<Self, DecodeError> {
         let ones = src.length()?;
         let bits = BitVec::read_from(src)?;
@@ -406,14 +494,6 @@ impl RsBitVec {
             return Err(DecodeError::Invalid("rank directory block count"));
         }
         let blocks = src.take(blocks_len)?;
-        // The directory must be non-decreasing and close on the claimed
-        // total: that is what bounds `select`'s block locate before the
-        // sentinel. O(n/512) at load, no popcounting.
-        if blocks.windows(2).any(|w| matches!(w, [a, b] if a > b))
-            || blocks.last() != Some(&(ones as u64))
-        {
-            return Err(DecodeError::Invalid("rank directory inconsistent"));
-        }
         let s1_len = src.length()?;
         if s1_len != ones.div_ceil(SELECT_SAMPLE) {
             return Err(DecodeError::Invalid("select1 sample count"));
@@ -425,23 +505,14 @@ impl RsBitVec {
             return Err(DecodeError::Invalid("select0 sample count"));
         }
         let select0_pos = src.take(s0_len)?;
-        // Samples are exact bit positions: strictly increasing and within
-        // the bit range, or a query would index out of bounds. O(n/512).
-        let len = bits.len() as u64;
-        for samples in [&select1_pos, &select0_pos] {
-            if samples.iter().any(|&p| p >= len)
-                || samples.windows(2).any(|w| matches!(w, [a, b] if a >= b))
-            {
-                return Err(DecodeError::Invalid("select sample out of range"));
-            }
+        let derived = Self::new(bits);
+        if derived.blocks != blocks || derived.ones != ones {
+            return Err(DecodeError::Invalid("rank directory inconsistent"));
         }
-        Ok(Self {
-            bits,
-            blocks,
-            select1_pos,
-            select0_pos,
-            ones,
-        })
+        if derived.select1_pos != select1_pos || derived.select0_pos != select0_pos {
+            return Err(DecodeError::Invalid("select sample inconsistent"));
+        }
+        Ok(derived)
     }
 }
 
@@ -610,22 +681,20 @@ mod tests {
         }
     }
 
-    /// Loading must use the serialized directories verbatim, not rebuild
-    /// them: tampering with a directory word visibly changes `rank1`, which
-    /// a rebuild would silently repair.
+    /// Loading checks the serialized directory against the bits: the
+    /// tampered word that a verbatim load would have used (one more one
+    /// before block 1) is refused by name.
     #[test]
-    fn load_is_rebuild_free() {
+    fn load_refuses_a_directory_that_disagrees_with_its_bits() {
         let rs = RsBitVec::new((0..2048).map(|i| i % 2 == 0).collect());
         let mut words = serialize(&rs);
         // Layout: [ones][len][n_words][words…][n_blocks][blocks…]. Bump the
         // *second* block-directory entry (ones before block 1) by one.
         let dir_start = 1 + 2 + rs.bits().words().len() + 1;
         words[dir_start + 1] += 1;
-        let loaded = load(&words).unwrap();
         assert_eq!(
-            loaded.rank1(512),
-            rs.rank1(512) + 1,
-            "loaded rank must come from the stored directory"
+            load(&words).err(),
+            Some(DecodeError::Invalid("rank directory inconsistent"))
         );
     }
 
@@ -681,7 +750,7 @@ mod tests {
         bad[s1_start] = rs.len() as u64 + 7;
         assert!(matches!(
             load(&bad),
-            Err(DecodeError::Invalid("select sample out of range"))
+            Err(DecodeError::Invalid("select sample inconsistent"))
         ));
         // A sample count that disagrees with `ones`.
         let mut bad = words.clone();
@@ -695,7 +764,28 @@ mod tests {
         bad[s1_start + 1] = bad[s1_start];
         assert!(matches!(
             load(&bad),
-            Err(DecodeError::Invalid("select sample out of range"))
+            Err(DecodeError::Invalid("select sample inconsistent"))
+        ));
+        // An in-range, increasing sample that is not the 512-th one.
+        let mut bad = words.clone();
+        bad[s1_start + 1] += 3;
+        assert!(matches!(
+            load(&bad),
+            Err(DecodeError::Invalid("select sample inconsistent"))
+        ));
+        // A zero sample, and a flipped data bit under an intact directory.
+        let s0_start = s1_start + rs.select1_pos.len() + 1;
+        let mut bad = words.clone();
+        bad[s0_start + 1] -= 1;
+        assert!(matches!(
+            load(&bad),
+            Err(DecodeError::Invalid("select sample inconsistent"))
+        ));
+        let mut bad = words.clone();
+        bad[3] ^= 1 << 1;
+        assert!(matches!(
+            load(&bad),
+            Err(DecodeError::Invalid("rank directory inconsistent"))
         ));
     }
 }

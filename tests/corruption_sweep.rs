@@ -8,9 +8,11 @@
 //! the same treatment for a serialized `FilterStore` manifest must come
 //! back as a typed [`FilterError`] — never a panic, never an abort, never a
 //! silently wrong filter. Payload words forged to hostile values under a
-//! recomputed checksum must load or fail typed, never panic. CI runs this under the `hardened` profile
-//! (overflow-checks + debug-assertions on), so any arithmetic wrap on the
-//! way to the typed error aborts the test too.
+//! recomputed checksum must load or fail typed, never panic, and a
+//! bit-flip forgery that loads must answer queries without panicking. CI
+//! runs this under the `hardened` profile (overflow-checks +
+//! debug-assertions on), so any arithmetic wrap on the way to the typed
+//! error aborts the test too.
 
 use std::path::PathBuf;
 
@@ -102,6 +104,22 @@ fn every_byte_flip_of_every_golden_fails_typed() {
     }
 }
 
+/// `header` over a forged `payload`, with the checksum recomputed: a blob
+/// whose tampering the checksum cannot reveal.
+fn reseal(header: Header, payload: &[u8]) -> Vec<u8> {
+    let mut resealed = header;
+    resealed.checksum = blob_checksum(
+        header.spec_version_word(),
+        header.n_keys,
+        header.payload_words,
+        words_of_bytes(payload),
+    );
+    let mut bytes = Vec::with_capacity(HEADER_BYTES + payload.len());
+    resealed.write(&mut bytes).expect("write to a Vec");
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
 /// Forged lengths under a valid checksum. The threat model admits that a
 /// blob whose checksum was recomputed after tampering may still load, so
 /// every payload word of every golden is overwritten with each of a set of
@@ -129,16 +147,7 @@ fn resealed_forged_payload_words_load_or_fail_typed() {
             for value in HOSTILE {
                 let mut forged = payload.to_vec();
                 forged[word * 8..word * 8 + 8].copy_from_slice(&value.to_le_bytes());
-                let mut resealed = header;
-                resealed.checksum = blob_checksum(
-                    header.spec_version_word(),
-                    header.n_keys,
-                    header.payload_words,
-                    words_of_bytes(&forged),
-                );
-                let mut bytes = Vec::with_capacity(blob.len());
-                resealed.write(&mut bytes).expect("write to a Vec");
-                bytes.extend_from_slice(&forged);
+                let bytes = reseal(header, &forged);
                 if let Err(FilterError::Io { .. }) = registry.load(&bytes) {
                     panic!("{label} payload word {word} = {value:#x}: in-memory load reported an I/O error");
                 }
@@ -147,6 +156,79 @@ fn resealed_forged_payload_words_load_or_fail_typed() {
         }
     }
     assert!(loads > 6_000, "sweep shrank to {loads} loads");
+}
+
+/// The fixed probe set every loaded forgery must answer: points and short
+/// ranges at and beside the golden keys, far ranges of growing width, and
+/// the universe edges.
+fn forgery_probes() -> Vec<(u64, u64)> {
+    // The golden key generator of `tests/format_golden.rs`, first 64 keys.
+    let mut state = 0x601DEA_u64 ^ 0x9E3779B97F4A7C15;
+    let mut probes = Vec::new();
+    for i in 0..64u64 {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let k = state;
+        probes.push((k, k));
+        probes.push((k.saturating_add(2), k.saturating_add(33)));
+        let far = i.wrapping_mul(0xABCDEF9876543210);
+        probes.push((far, far.saturating_add(1 << (i % 11))));
+        probes.push((far ^ 0x5555, far ^ 0x5555));
+    }
+    probes.extend([
+        (0, 0),
+        (0, 1 << 10),
+        (0, u64::MAX),
+        (u64::MAX, u64::MAX),
+        (u64::MAX - (1 << 10), u64::MAX),
+    ]);
+    probes
+}
+
+/// Forged blobs that load must also *answer*. Every payload word of every
+/// golden gets one of six bits flipped and the blob is resealed, as in the
+/// sweep above; each forgery that loads answers [`forgery_probes`] one by
+/// one under `catch_unwind`. A wrong answer is allowed (the forger owns the
+/// bits), a panic or an abort is not.
+#[test]
+fn resealed_bit_flip_forgeries_that_load_answer_without_panicking() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    const BITS: [u32; 6] = [0, 1, 5, 17, 33, 63];
+    let registry = standard_registry();
+    let probes = forgery_probes();
+    let (mut answered, mut panics) = (0usize, Vec::new());
+    for (label, blob) in golden_blobs() {
+        let header = Header::peek(&blob).expect("golden header");
+        let payload = &blob[HEADER_BYTES..];
+        for word in 0..payload.len() / 8 {
+            for bit in BITS {
+                let mut forged = payload.to_vec();
+                forged[word * 8 + (bit / 8) as usize] ^= 1 << (bit % 8);
+                let Ok(filter) = registry.load(&reseal(header, &forged)) else {
+                    continue;
+                };
+                let asked = catch_unwind(AssertUnwindSafe(|| {
+                    for &(a, b) in &probes {
+                        std::hint::black_box(filter.may_contain_range(a, b));
+                    }
+                }));
+                match asked {
+                    Ok(()) => answered += 1,
+                    Err(_) => panics.push(format!("{label} word {word} bit {bit}")),
+                }
+            }
+        }
+    }
+    assert!(
+        panics.is_empty(),
+        "{} loaded forgeries panicked at query time: {panics:?}",
+        panics.len()
+    );
+    assert!(
+        answered > 1_000,
+        "sweep shrank to {answered} answering loads"
+    );
 }
 
 fn sample_store_bytes(registry: &Registry) -> Vec<u8> {
