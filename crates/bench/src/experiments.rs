@@ -10,7 +10,7 @@ use grafite_core::{
     sort, BucketingFilter, BucketingTuning, BuildableFilter, FilterConfig, GrafiteFilter,
     GrafiteTuning, RangeFilter, WorkloadAwareBucketing,
 };
-use grafite_filters::{standard_registry, Snarf};
+use grafite_filters::{standard_registry, Rosetta, RosettaTuning, Snarf, SnarfTuning};
 use grafite_workloads::{
     correlated_queries, datasets::Dataset, extract_real_queries, non_empty_queries, sosd,
     uncorrelated_queries, RangeQuery,
@@ -499,11 +499,11 @@ pub fn ablation_snarf_overflow(cfg: &RunConfig) {
         ("u128-safe (ours)", false),
         ("u64 faithful (original)", true),
     ] {
-        let filter = if faithful {
-            Snarf::with_faithful_overflow(&keys, 16.0).unwrap()
-        } else {
-            Snarf::new(&keys, 16.0).unwrap()
+        let tuning = SnarfTuning {
+            faithful_overflow: faithful,
         };
+        let filter =
+            Snarf::build_with(&FilterConfig::new(&keys).bits_per_key(16.0), &tuning).unwrap();
         let mut fns = 0usize;
         let mut trials = 0usize;
         for &k in keys.iter().filter(|&&k| k >= 1 << 62) {
@@ -530,15 +530,13 @@ pub fn ablation_rosetta_tuning(cfg: &RunConfig) {
     let queries = correlated_queries(&keys, cfg.queries, l, 0.8, cfg.seed ^ 0xBB);
     let sample = queries_as_pairs(&correlated_queries(&keys, 1024, l, 0.8, cfg.seed ^ 0xBC));
     let mut table = Table::new(&["variant", "bits/key", "fpr", "ns/query"]);
-    for (label, use_sample) in [("untuned", false), ("sample-tuned", true)] {
-        let filter = grafite_filters::Rosetta::new(
-            &keys,
-            20.0,
-            l,
-            if use_sample { Some(&sample) } else { None },
-            cfg.seed,
-        )
-        .unwrap();
+    let fc = FilterConfig::new(&keys)
+        .bits_per_key(20.0)
+        .max_range(l)
+        .sample(&sample)
+        .seed(cfg.seed);
+    for (label, sample_tuned) in [("untuned", false), ("sample-tuned", true)] {
+        let filter = Rosetta::build_with(&fc, &RosettaTuning { sample_tuned }).unwrap();
         let m = measure(&filter, &queries);
         table.row(vec![
             label.into(),

@@ -17,21 +17,6 @@ pub struct TrivialRangeFilter {
 }
 
 impl TrivialRangeFilter {
-    /// Builds for `n = keys.len()` keys with target FPP `epsilon` at range
-    /// size `max_range` (the point filter gets `γ = ε/L`).
-    pub fn new(keys: &[u64], epsilon: f64, max_range: u64, seed: u64) -> Self {
-        let gamma = (epsilon / max_range.max(1) as f64).clamp(1e-12, 0.9999);
-        let mut bloom = BloomFilter::for_fpr(keys.len(), gamma, seed);
-        for &k in keys {
-            bloom.insert(k);
-        }
-        Self {
-            bloom,
-            n_keys: keys.len(),
-            max_range,
-        }
-    }
-
     /// The design-point maximum range size `L`.
     pub fn max_range(&self) -> u64 {
         self.max_range
@@ -53,14 +38,26 @@ pub struct TrivialBloomTuning {
 impl BuildableFilter for TrivialRangeFilter {
     type Tuning = TrivialBloomTuning;
 
+    /// Builds for `n = keys.len()` keys with target FPP `ε` at range size
+    /// `L` = [`FilterConfig::max_range`]: the point filter gets `γ = ε/L`.
     fn build_with(
         cfg: &FilterConfig<'_>,
         tuning: &TrivialBloomTuning,
     ) -> Result<Self, FilterError> {
+        let (keys, max_range) = (cfg.keys, cfg.max_range);
         let epsilon = tuning.epsilon.unwrap_or_else(|| {
-            (cfg.max_range as f64 / (cfg.bits_per_key - 2.0).exp2()).clamp(1e-9, 0.5)
+            (max_range as f64 / (cfg.bits_per_key - 2.0).exp2()).clamp(1e-9, 0.5)
         });
-        Ok(Self::new(cfg.keys, epsilon, cfg.max_range, cfg.seed))
+        let gamma = (epsilon / max_range.max(1) as f64).clamp(1e-12, 0.9999);
+        let mut bloom = BloomFilter::for_fpr(keys.len(), gamma, cfg.seed);
+        for &k in keys {
+            bloom.insert(k);
+        }
+        Ok(Self {
+            bloom,
+            n_keys: keys.len(),
+            max_range,
+        })
     }
 }
 
@@ -135,10 +132,18 @@ impl RangeFilter for TrivialRangeFilter {
 mod tests {
     use super::*;
 
+    fn trivial(keys: &[u64], epsilon: f64, max_range: u64, seed: u64) -> TrivialRangeFilter {
+        let cfg = FilterConfig::new(keys).max_range(max_range).seed(seed);
+        let tuning = TrivialBloomTuning {
+            epsilon: Some(epsilon),
+        };
+        TrivialRangeFilter::build_with(&cfg, &tuning).unwrap()
+    }
+
     #[test]
     fn no_false_negatives() {
         let keys: Vec<u64> = (0..300u64).map(|i| i * 1_000_001).collect();
-        let f = TrivialRangeFilter::new(&keys, 0.05, 64, 1);
+        let f = trivial(&keys, 0.05, 64, 1);
         for &k in &keys {
             assert!(f.may_contain(k));
             assert!(f.may_contain_range(k.saturating_sub(30), k + 30));
@@ -154,7 +159,7 @@ mod tests {
         sorted.sort_unstable();
         let epsilon = 0.05;
         let l = 32u64;
-        let f = TrivialRangeFilter::new(&keys, epsilon, l, 9);
+        let f = trivial(&keys, epsilon, l, 9);
         let mut fps = 0;
         let mut empties = 0;
         let mut state = 77u64;
@@ -182,7 +187,7 @@ mod tests {
     fn space_matches_information_bound_shape() {
         // n log(L/eps) + O(n) bits: for L=1024, eps=0.01 that's ~16.7+c bits.
         let keys: Vec<u64> = (0..5000u64).map(|i| i * 977).collect();
-        let f = TrivialRangeFilter::new(&keys, 0.01, 1024, 0);
+        let f = trivial(&keys, 0.01, 1024, 0);
         let bpk = f.bits_per_key();
         let theory = (1024f64 / 0.01).log2();
         assert!(

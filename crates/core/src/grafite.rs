@@ -209,14 +209,14 @@ impl PersistentFilter for GrafiteFilter {
         &[spec_id::GRAFITE]
     }
 
-    /// Payload: `[c1, c2, p, r]` (the locality hash, fully determined by
-    /// its pairwise parameters) followed by the Elias–Fano code sequence.
+    /// Payload: `[c1, c2, p]` followed by the Elias–Fano code sequence,
+    /// whose universe is the reduced universe `r`. Together they fully
+    /// determine the locality hash.
     fn write_payload(&self, w: &mut WordWriter<'_>) -> std::io::Result<()> {
         let q = self.h.pairwise();
         w.word(q.c1())?;
         w.word(q.c2())?;
         w.word(q.prime())?;
-        w.word(self.r)?;
         self.codes.write_to(w)?;
         Ok(())
     }
@@ -225,15 +225,12 @@ impl PersistentFilter for GrafiteFilter {
         let c1 = src.word()?;
         let c2 = src.word()?;
         let p = src.word()?;
-        let r = src.word()?;
+        let codes = EliasFano::read_from(src)?;
+        let r = codes.universe();
         if !PairwiseHash::params_valid(c1, c2, p, r) {
             return Err(FilterError::corrupt("pairwise hash parameters"));
         }
         let h = LocalityHash::from_pairwise(PairwiseHash::with_params(c1, c2, p, r));
-        let codes = EliasFano::read_from(src)?;
-        if codes.universe() != r {
-            return Err(FilterError::corrupt("code universe differs from r"));
-        }
         Ok(Self {
             h,
             codes,
@@ -667,6 +664,31 @@ mod persist_tests {
             let a = probe.wrapping_mul(0xABCDEF);
             let b = a.saturating_add(100);
             assert_eq!(filter.may_contain_range(a, b), back.may_contain_range(a, b));
+        }
+
+        // The paper's space term on disk: with `n` and `r = n · 2^(B−2)`
+        // both powers of two, a blob is `B − 2` low bits and about 2 high
+        // bits per key plus a constant number of framing words (header,
+        // hash parameters, container lengths, partial last words). No
+        // rank/select directory is stored.
+        const FRAMING_WORDS: usize = 24;
+        let keys: Vec<u64> = (0..1u64 << 14)
+            .map(|i| i.wrapping_mul(0x9E3779B97F4A7C15))
+            .collect();
+        for b in [8usize, 12, 16] {
+            let cfg = FilterConfig::new(&keys).bits_per_key(b as f64).seed(3);
+            let tuning = GrafiteTuning {
+                pow2_universe: true,
+                ..GrafiteTuning::default()
+            };
+            let filter = GrafiteFilter::build_with(&cfg, &tuning).unwrap();
+            assert_eq!(filter.reduced_universe(), (keys.len() as u64) << (b - 2));
+            let bits = filter.to_bytes().len() * 8;
+            assert!(
+                bits <= keys.len() * b + FRAMING_WORDS * 64,
+                "B = {b}: {bits} bits for {} keys",
+                keys.len()
+            );
         }
     }
 

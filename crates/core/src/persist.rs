@@ -15,13 +15,14 @@
 //! | 4 | [checksum](checksum_words) of the payload words |
 //!
 //! The payload is the filter's structural fields followed by its succinct
-//! containers in `grafite-succinct`'s word encoding — rank/select
-//! directories included, so loading never rebuilds a filter from its keys:
-//! [`Header::parse`] verifies the blob and hands back the checksummed
-//! payload slice, which one bounds-checked
+//! containers in `grafite-succinct`'s word encoding. A payload stores bits,
+//! never what follows from them: rank/select directories, element counts
+//! and extremes are derived from the bits at load, so loading never
+//! rebuilds a filter from its keys and never trusts a stored copy of a
+//! derivable value. [`Header::parse`] verifies the blob and hands back the
+//! checksummed payload slice, which one bounds-checked
 //! [`WordReader`](grafite_succinct::io::WordReader) copies into owned
-//! containers, each bit vector checking its stored directories against its
-//! bits.
+//! containers.
 //!
 //! # Versioning policy
 //!
@@ -39,10 +40,14 @@
 //!   block-index *hints*, which loaders had to rebuild. **No longer
 //!   readable**: a v1 blob fails with
 //!   [`FilterError::UnsupportedFormatVersion`] on every load path.
-//! * **v2** (current) — `RsBitVec` select directories store the exact
-//!   position of every 512th one/zero (the position-sampled scheme of the
-//!   succinct hot-path overhaul), which loads check against the bits
-//!   instead of rebuilding hints.
+//! * **v2** — `RsBitVec` select directories store the exact position of
+//!   every 512th one/zero (the position-sampled scheme of the succinct
+//!   hot-path overhaul), which loads checked against the bits. **No longer
+//!   readable.**
+//! * **v3** (current) — bit vectors store their bits alone; loading
+//!   derives the rank directory and select samples. Elias–Fano stores
+//!   `[universe] + low + high` (its length and extremes follow from the
+//!   high bits), and the tries drop their stored node and leaf counts.
 //!
 //! # Threat model
 //!
@@ -50,8 +55,8 @@
 //! version skew, and mismatched families all surface as typed
 //! [`FilterError`]s (the checksum covers header words 1–3 and the whole
 //! payload), and decoders additionally apply cheap structural range checks
-//! (array shapes, directory monotonicity, offset bounds) that catch the
-//! common inconsistencies a damaged stream exhibits. These checks are
+//! (array shapes, offset bounds) that catch the common inconsistencies a
+//! damaged stream exhibits. These checks are
 //! best-effort, **not a verifier**: the checksum is not cryptographic, and
 //! a deliberately crafted blob that forges it can still produce wrong
 //! query answers. Authenticate provenance before loading filters from
@@ -68,7 +73,7 @@ use crate::error::FilterError;
 pub const MAGIC: u64 = u64::from_le_bytes(*b"GRAFILT\0");
 
 /// The on-disk format version this build writes (and reads).
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Header size in bytes (five words).
 pub const HEADER_BYTES: usize = HEADER_WORDS * 8;
@@ -356,10 +361,10 @@ mod tests {
     }
 
     /// Every version but the current one fails typed — including the
-    /// retired v1.
+    /// retired v1 and v2.
     #[test]
     fn wrong_version_is_typed() {
-        for bad_version in [0u32, 1, FORMAT_VERSION + 1, 9] {
+        for bad_version in [0u32, 1, 2, FORMAT_VERSION + 1, 9] {
             let mut blob = sample_blob();
             // The version half of word 1.
             blob[12..16].copy_from_slice(&bad_version.to_le_bytes());

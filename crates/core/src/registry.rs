@@ -273,8 +273,8 @@ impl Registry {
     /// This is the serving-side entry point: a shard that received a blob
     /// built offline revives it with one call, without knowing which of the
     /// paper's eleven configurations it holds. Loading never rebuilds the
-    /// filter from keys — rank/select directories come from the blob,
-    /// checked against its bits.
+    /// filter from keys — rank/select directories are derived from the
+    /// blob's bits.
     ///
     /// Families outside the eleven-spec registry table (spec ids ≥ 32:
     /// [`StringGrafite`](crate::StringGrafite), workload-aware Bucketing,

@@ -267,26 +267,23 @@ impl PersistentFilter for StringGrafite {
         &[spec_id::STRING_GRAFITE]
     }
 
-    /// Payload: `[k, seed]` + the Elias–Fano code sequence.
+    /// Payload: `[seed]` + the Elias–Fano code sequence, whose universe is
+    /// `2^k`.
     fn write_payload(&self, w: &mut WordWriter<'_>) -> std::io::Result<()> {
-        w.word(self.k as u64)?;
         w.word(self.seed)?;
         self.codes.write_to(w)?;
         Ok(())
     }
 
     fn read_payload(src: &mut WordReader<'_>, header: &Header) -> Result<Self, FilterError> {
-        let k = src.word()?;
-        if k == 0 || k >= 61 {
-            return Err(FilterError::corrupt("string-Grafite exponent out of range"));
-        }
         let seed = src.word()?;
         let codes = EliasFano::read_from(src)?;
-        if codes.universe() != 1u64 << k {
-            return Err(FilterError::corrupt("code universe differs from 2^k"));
+        let k = codes.universe().trailing_zeros();
+        if !codes.universe().is_power_of_two() || k == 0 || k >= 61 {
+            return Err(FilterError::corrupt("string-Grafite exponent out of range"));
         }
         Ok(Self {
-            k: k as u32,
+            k,
             seed,
             codes,
             n_keys: header.n_keys as usize,

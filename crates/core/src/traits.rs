@@ -173,7 +173,7 @@ impl<'a> FilterConfig<'a> {
 /// The uniform storage protocol: every filter serializes to — and loads
 /// from — the self-describing flat-byte format of [`crate::persist`], so
 /// filters can be built offline, shipped to serving shards as immutable
-/// blobs, and loaded without rebuilding any rank/select machinery.
+/// blobs, and loaded without rebuilding them from their keys.
 ///
 /// Implementors provide only the payload codec ([`write_payload`] /
 /// [`read_payload`]) and their [spec ids](crate::persist::spec_id); the
@@ -211,8 +211,9 @@ pub trait PersistentFilter: RangeFilter + Send + Sync {
 
     /// Reads a payload back. `header` supplies the key count and the spec
     /// id (already validated against
-    /// [`spec_ids`](PersistentFilter::spec_ids)). Must not rebuild derived
-    /// structure — directories come verbatim from the stream.
+    /// [`spec_ids`](PersistentFilter::spec_ids)). Derives what follows
+    /// from the stored bits (directories, counts) and never rebuilds the
+    /// filter from keys.
     fn read_payload(src: &mut WordReader<'_>, header: &Header) -> Result<Self, FilterError>
     where
         Self: Sized;

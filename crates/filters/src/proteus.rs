@@ -51,130 +51,6 @@ pub struct Proteus {
 }
 
 impl Proteus {
-    /// Builds Proteus with the CPFPR-style tuner.
-    ///
-    /// `sample` is the query-workload sample (empty ranges) the tuner
-    /// optimises for — the auto-tuning advantage (and overfitting risk) the
-    /// Grafite paper discusses.
-    pub fn new(
-        keys: &[u64],
-        bits_per_key: f64,
-        sample: &[(u64, u64)],
-        seed: u64,
-    ) -> Result<Self, FilterError> {
-        if !(bits_per_key > 0.0 && bits_per_key.is_finite()) {
-            return Err(FilterError::InvalidBudget(bits_per_key));
-        }
-        let mut sorted = keys.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let n = sorted.len();
-        if n == 0 {
-            return Ok(Self {
-                l1_bytes: 0,
-                l2: 0,
-                fst: None,
-                pbf: None,
-                n_keys: 0,
-            });
-        }
-        let budget = bits_per_key * n as f64;
-        let sample: Vec<(u64, u64)> = sample.iter().copied().take(MAX_SAMPLE).collect();
-
-        // Distinct prefixes for every candidate l2 (shared across l1).
-        let distinct_prefixes = |bits: u32| -> Vec<u64> {
-            let mut v: Vec<u64> = sorted.iter().map(|&k| shr(k, 64 - bits)).collect();
-            v.dedup();
-            v
-        };
-        let l2_candidates: Vec<u32> = (1..=16).map(|i| i * 4).collect();
-        let d2_tables: Vec<Vec<u64>> = l2_candidates
-            .iter()
-            .map(|&l2| distinct_prefixes(l2))
-            .collect();
-
-        // Trie cost per l1 depth: branches = sum of distinct d-byte prefixes.
-        let mut trie_cost = [0.0f64; 9];
-        for l1 in 1..=8u32 {
-            let mut branches = 0usize;
-            for d in 1..=l1 {
-                branches += distinct_prefixes(8 * d).len();
-            }
-            trie_cost[l1 as usize] = 12.0 * branches as f64; // 10 bits + directories
-        }
-
-        // Fallback (worse than any modelled candidate): a 64-bit prefix
-        // Bloom filter over whatever budget exists — always constructible.
-        let mut best: Option<(f64, u32, u32)> = Some((2.0, 0, 64)); // (fpr, l1_bytes, l2)
-        for l1 in 0..=8u32 {
-            if l1 > 0 && trie_cost[l1 as usize] > budget {
-                continue;
-            }
-            let d1 = if l1 > 0 {
-                distinct_prefixes(8 * l1)
-            } else {
-                Vec::new()
-            };
-            let pbf_budget = budget - trie_cost[l1 as usize];
-            // l2 = 0 (trie only) is a candidate whenever the trie exists.
-            let mut candidates: Vec<u32> = vec![];
-            if l1 > 0 {
-                candidates.push(0);
-            }
-            for &l2 in &l2_candidates {
-                if l2 > 8 * l1 && pbf_budget >= 64.0 {
-                    candidates.push(l2);
-                }
-            }
-            for l2 in candidates {
-                let est = estimate_fpr(&sorted, &d1, l1, l2, pbf_budget, &d2_tables, &sample);
-                let better = match best {
-                    None => true,
-                    Some((f, _, _)) => est < f - 1e-12,
-                };
-                if better {
-                    best = Some((est, l1, l2));
-                }
-            }
-        }
-        let (_, l1_bytes, l2) = best.expect("the fallback configuration always exists");
-
-        // Final build.
-        let fst = if l1_bytes > 0 {
-            let prefixes = distinct_prefixes(8 * l1_bytes);
-            let byte_prefixes: Vec<Vec<u8>> = prefixes
-                .iter()
-                .map(|&p| {
-                    let full = p << (64 - 8 * l1_bytes);
-                    full.to_be_bytes()[..l1_bytes as usize].to_vec()
-                })
-                .collect();
-            let refs: Vec<&[u8]> = byte_prefixes.iter().map(|p| p.as_slice()).collect();
-            Some(builder::build(&refs).fst)
-        } else {
-            None
-        };
-        let pbf = if l2 > 0 {
-            let m = ((budget - trie_cost[l1_bytes as usize]).max(64.0)) as usize;
-            let n2 = d2_tables[(l2 / 4 - 1) as usize].len();
-            let k = BloomFilter::optimal_k(m, n2);
-            let mut pbf = PrefixBloomFilter::new(l2, m, k, seed).with_max_probes(MAX_PROBES);
-            for &key in &sorted {
-                pbf.insert(key);
-            }
-            Some(pbf)
-        } else {
-            None
-        };
-        Ok(Self {
-            l1_bytes,
-            l2,
-            fst,
-            pbf,
-            n_keys: keys.len(),
-        })
-    }
-
     /// The tuned trie depth in bits (`l1`).
     pub fn l1(&self) -> u32 {
         8 * self.l1_bytes
@@ -394,8 +270,122 @@ pub struct ProteusTuning;
 impl BuildableFilter for Proteus {
     type Tuning = ProteusTuning;
 
+    /// Builds with the CPFPR-style tuner, which optimises for
+    /// [`FilterConfig::sample`] (empty ranges) — the auto-tuning advantage
+    /// (and overfitting risk) the Grafite paper discusses.
     fn build_with(cfg: &FilterConfig<'_>, _tuning: &ProteusTuning) -> Result<Self, FilterError> {
-        Proteus::new(cfg.keys, cfg.bits_per_key, cfg.sample, cfg.seed)
+        let (keys, bits_per_key, sample, seed) = (cfg.keys, cfg.bits_per_key, cfg.sample, cfg.seed);
+        if !(bits_per_key > 0.0 && bits_per_key.is_finite()) {
+            return Err(FilterError::InvalidBudget(bits_per_key));
+        }
+        let mut sorted = keys.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let n = sorted.len();
+        if n == 0 {
+            return Ok(Self {
+                l1_bytes: 0,
+                l2: 0,
+                fst: None,
+                pbf: None,
+                n_keys: 0,
+            });
+        }
+        let budget = bits_per_key * n as f64;
+        let sample: Vec<(u64, u64)> = sample.iter().copied().take(MAX_SAMPLE).collect();
+
+        // Distinct prefixes for every candidate l2 (shared across l1).
+        let distinct_prefixes = |bits: u32| -> Vec<u64> {
+            let mut v: Vec<u64> = sorted.iter().map(|&k| shr(k, 64 - bits)).collect();
+            v.dedup();
+            v
+        };
+        let l2_candidates: Vec<u32> = (1..=16).map(|i| i * 4).collect();
+        let d2_tables: Vec<Vec<u64>> = l2_candidates
+            .iter()
+            .map(|&l2| distinct_prefixes(l2))
+            .collect();
+
+        // Trie cost per l1 depth: branches = sum of distinct d-byte prefixes.
+        let mut trie_cost = [0.0f64; 9];
+        for l1 in 1..=8u32 {
+            let mut branches = 0usize;
+            for d in 1..=l1 {
+                branches += distinct_prefixes(8 * d).len();
+            }
+            trie_cost[l1 as usize] = 12.0 * branches as f64; // 10 bits + directories
+        }
+
+        // Fallback (worse than any modelled candidate): a 64-bit prefix
+        // Bloom filter over whatever budget exists — always constructible.
+        let mut best: Option<(f64, u32, u32)> = Some((2.0, 0, 64)); // (fpr, l1_bytes, l2)
+        for l1 in 0..=8u32 {
+            if l1 > 0 && trie_cost[l1 as usize] > budget {
+                continue;
+            }
+            let d1 = if l1 > 0 {
+                distinct_prefixes(8 * l1)
+            } else {
+                Vec::new()
+            };
+            let pbf_budget = budget - trie_cost[l1 as usize];
+            // l2 = 0 (trie only) is a candidate whenever the trie exists.
+            let mut candidates: Vec<u32> = vec![];
+            if l1 > 0 {
+                candidates.push(0);
+            }
+            for &l2 in &l2_candidates {
+                if l2 > 8 * l1 && pbf_budget >= 64.0 {
+                    candidates.push(l2);
+                }
+            }
+            for l2 in candidates {
+                let est = estimate_fpr(&sorted, &d1, l1, l2, pbf_budget, &d2_tables, &sample);
+                let better = match best {
+                    None => true,
+                    Some((f, _, _)) => est < f - 1e-12,
+                };
+                if better {
+                    best = Some((est, l1, l2));
+                }
+            }
+        }
+        let (_, l1_bytes, l2) = best.expect("the fallback configuration always exists");
+
+        // Final build.
+        let fst = if l1_bytes > 0 {
+            let prefixes = distinct_prefixes(8 * l1_bytes);
+            let byte_prefixes: Vec<Vec<u8>> = prefixes
+                .iter()
+                .map(|&p| {
+                    let full = p << (64 - 8 * l1_bytes);
+                    full.to_be_bytes()[..l1_bytes as usize].to_vec()
+                })
+                .collect();
+            let refs: Vec<&[u8]> = byte_prefixes.iter().map(|p| p.as_slice()).collect();
+            Some(builder::build(&refs).fst)
+        } else {
+            None
+        };
+        let pbf = if l2 > 0 {
+            let m = ((budget - trie_cost[l1_bytes as usize]).max(64.0)) as usize;
+            let n2 = d2_tables[(l2 / 4 - 1) as usize].len();
+            let k = BloomFilter::optimal_k(m, n2);
+            let mut pbf = PrefixBloomFilter::new(l2, m, k, seed).with_max_probes(MAX_PROBES);
+            for &key in &sorted {
+                pbf.insert(key);
+            }
+            Some(pbf)
+        } else {
+            None
+        };
+        Ok(Self {
+            l1_bytes,
+            l2,
+            fst,
+            pbf,
+            n_keys: keys.len(),
+        })
     }
 }
 
@@ -463,6 +453,14 @@ impl RangeFilter for Proteus {
 mod tests {
     use super::*;
 
+    fn proteus(keys: &[u64], bits_per_key: f64, sample: &[(u64, u64)], seed: u64) -> Proteus {
+        let cfg = FilterConfig::new(keys)
+            .bits_per_key(bits_per_key)
+            .sample(sample)
+            .seed(seed);
+        Proteus::build(&cfg).unwrap()
+    }
+
     fn pseudo_keys(n: usize, seed: u64) -> Vec<u64> {
         let mut state = seed;
         (0..n)
@@ -500,7 +498,7 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         let sample = uncorrelated_sample(&sorted, 200, 32, 7);
-        let f = Proteus::new(&keys, 16.0, &sample, 3).unwrap();
+        let f = proteus(&keys, 16.0, &sample, 3);
         for (i, &k) in keys.iter().enumerate().step_by(3) {
             assert!(
                 f.may_contain(k),
@@ -521,7 +519,7 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         let sample = uncorrelated_sample(&sorted, 400, 32, 11);
-        let f = Proteus::new(&keys, 18.0, &sample, 1).unwrap();
+        let f = proteus(&keys, 18.0, &sample, 1);
         let probes = uncorrelated_sample(&sorted, 2000, 32, 999);
         let fps = probes
             .iter()
@@ -542,8 +540,8 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         let sample = uncorrelated_sample(&sorted, 200, 32, 3);
-        let small = Proteus::new(&keys, 8.0, &sample, 0).unwrap();
-        let large = Proteus::new(&keys, 26.0, &sample, 0).unwrap();
+        let small = proteus(&keys, 8.0, &sample, 0);
+        let large = proteus(&keys, 26.0, &sample, 0);
         let depth = |p: &Proteus| p.l1() + p.l2();
         assert!(
             depth(&large) >= depth(&small),
@@ -557,14 +555,14 @@ mod tests {
 
     #[test]
     fn empty_keys() {
-        let f = Proteus::new(&[], 16.0, &[], 0).unwrap();
+        let f = proteus(&[], 16.0, &[], 0);
         assert!(!f.may_contain_range(0, u64::MAX));
     }
 
     #[test]
     fn no_sample_still_builds_sound_filter() {
         let keys = pseudo_keys(500, 13);
-        let f = Proteus::new(&keys, 14.0, &[], 0).unwrap();
+        let f = proteus(&keys, 14.0, &[], 0);
         for &k in keys.iter().step_by(5) {
             assert!(f.may_contain(k));
         }
@@ -574,7 +572,7 @@ mod tests {
     fn wide_ranges_stay_sound() {
         let keys = pseudo_keys(300, 17);
         let sample: Vec<(u64, u64)> = vec![];
-        let f = Proteus::new(&keys, 12.0, &sample, 0).unwrap();
+        let f = proteus(&keys, 12.0, &sample, 0);
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         // A range covering at least one key must be positive.

@@ -72,57 +72,6 @@ pub struct REncoder {
 }
 
 impl REncoder {
-    /// Builds an REncoder.
-    ///
-    /// * `bits_per_key` — bit-array budget;
-    /// * `variant` — which storage policy (see [`REncoderVariant`]);
-    /// * `sample` — empty-range sample used by `SampleEstimation`.
-    pub fn new(
-        keys: &[u64],
-        bits_per_key: f64,
-        variant: REncoderVariant,
-        sample: Option<&[(u64, u64)]>,
-        seed: u64,
-    ) -> Result<Self, FilterError> {
-        if !(bits_per_key > 0.0 && bits_per_key.is_finite()) {
-            return Err(FilterError::InvalidBudget(bits_per_key));
-        }
-        let (rounds, variant_name) = match variant {
-            REncoderVariant::Full => (DEFAULT_ROUNDS, "REncoder"),
-            REncoderVariant::SelectiveStorage { rounds } => (rounds.clamp(1, 16), "REncoderSS"),
-            REncoderVariant::SampleEstimation => {
-                // Largest sampled range dictates the shallowest level probed:
-                // ranges up to 2^(4·rounds) decompose into stored levels.
-                let max_range = sample
-                    .unwrap_or(&[])
-                    .iter()
-                    .map(|&(a, b)| b.saturating_sub(a) + 1)
-                    .max()
-                    .unwrap_or(1 << 10);
-                let log = 64 - (max_range.max(2) - 1).leading_zeros(); // ceil(log2)
-                ((log.div_ceil(4) + 1).clamp(1, 16), "REncoderSE")
-            }
-        };
-        let n = keys.len();
-        let m = ((bits_per_key * n.max(1) as f64).ceil() as u64).max(64);
-        // One hash per tree: the AND-recovered *path* check (five bits per
-        // probe at the leaves) supplies the discrimination k would.
-        let k = 1;
-        let mut f = Self {
-            bits: BitVec::zeros(m as usize),
-            m,
-            k,
-            rounds,
-            seed,
-            n_keys: n,
-            variant_name,
-        };
-        for &key in keys {
-            f.insert(key);
-        }
-        Ok(f)
-    }
-
     /// The 32-bit word marking the root-to-leaf path of chunk value `s`.
     #[inline]
     fn tree_mask(s: u64) -> u32 {
@@ -321,10 +270,48 @@ impl Default for REncoderTuning {
 impl BuildableFilter for REncoder {
     type Tuning = REncoderTuning;
 
+    /// Builds with the storage policy of the tuning's [`REncoderVariant`];
+    /// only `SampleEstimation` reads [`FilterConfig::sample`] (empty
+    /// ranges), whose widest range picks the stored rounds.
     fn build_with(cfg: &FilterConfig<'_>, tuning: &REncoderTuning) -> Result<Self, FilterError> {
-        // Only the SE variant consumes the workload sample.
-        let sample = matches!(tuning.0, REncoderVariant::SampleEstimation).then_some(cfg.sample);
-        REncoder::new(cfg.keys, cfg.bits_per_key, tuning.0, sample, cfg.seed)
+        let (keys, bits_per_key, seed) = (cfg.keys, cfg.bits_per_key, cfg.seed);
+        if !(bits_per_key > 0.0 && bits_per_key.is_finite()) {
+            return Err(FilterError::InvalidBudget(bits_per_key));
+        }
+        let (rounds, variant_name) = match tuning.0 {
+            REncoderVariant::Full => (DEFAULT_ROUNDS, "REncoder"),
+            REncoderVariant::SelectiveStorage { rounds } => (rounds.clamp(1, 16), "REncoderSS"),
+            REncoderVariant::SampleEstimation => {
+                // Largest sampled range dictates the shallowest level probed:
+                // ranges up to 2^(4·rounds) decompose into stored levels.
+                let max_range = cfg
+                    .sample
+                    .iter()
+                    .map(|&(a, b)| b.saturating_sub(a) + 1)
+                    .max()
+                    .unwrap_or(1 << 10);
+                let log = 64 - (max_range.max(2) - 1).leading_zeros(); // ceil(log2)
+                ((log.div_ceil(4) + 1).clamp(1, 16), "REncoderSE")
+            }
+        };
+        let n = keys.len();
+        let m = ((bits_per_key * n.max(1) as f64).ceil() as u64).max(64);
+        // One hash per tree: the AND-recovered *path* check (five bits per
+        // probe at the leaves) supplies the discrimination k would.
+        let k = 1;
+        let mut f = Self {
+            bits: BitVec::zeros(m as usize),
+            m,
+            k,
+            rounds,
+            seed,
+            n_keys: n,
+            variant_name,
+        };
+        for &key in keys {
+            f.insert(key);
+        }
+        Ok(f)
     }
 }
 
@@ -373,6 +360,20 @@ impl RangeFilter for REncoder {
 mod tests {
     use super::*;
 
+    fn rencoder(
+        keys: &[u64],
+        bits_per_key: f64,
+        variant: REncoderVariant,
+        sample: Option<&[(u64, u64)]>,
+        seed: u64,
+    ) -> Result<REncoder, FilterError> {
+        let cfg = FilterConfig::new(keys)
+            .bits_per_key(bits_per_key)
+            .sample(sample.unwrap_or(&[]))
+            .seed(seed);
+        REncoder::build_with(&cfg, &REncoderTuning(variant))
+    }
+
     fn pseudo_keys(n: usize, seed: u64) -> Vec<u64> {
         let mut state = seed;
         (0..n)
@@ -405,7 +406,7 @@ mod tests {
         ];
         let sample: Vec<(u64, u64)> = vec![(0, 1023)];
         for v in variants {
-            let f = REncoder::new(&keys, 18.0, v, Some(&sample), 7).unwrap();
+            let f = rencoder(&keys, 18.0, v, Some(&sample), 7).unwrap();
             for (i, &k) in keys.iter().enumerate().step_by(4) {
                 assert!(f.may_contain(k), "{:?} point FN at {i}", v);
                 assert!(
@@ -420,7 +421,7 @@ mod tests {
     #[test]
     fn filters_empty_point_queries() {
         let keys = pseudo_keys(2000, 3);
-        let f = REncoder::new(&keys, 20.0, REncoderVariant::Full, None, 1).unwrap();
+        let f = rencoder(&keys, 20.0, REncoderVariant::Full, None, 1).unwrap();
         let mut fps = 0;
         for probe in pseudo_keys(4000, 99) {
             if keys.contains(&probe) {
@@ -437,8 +438,8 @@ mod tests {
     #[test]
     fn selective_storage_cheaper_to_build_more_fp_on_large_ranges() {
         let keys = pseudo_keys(2000, 5);
-        let full = REncoder::new(&keys, 16.0, REncoderVariant::Full, None, 2).unwrap();
-        let ss = REncoder::new(
+        let full = rencoder(&keys, 16.0, REncoderVariant::Full, None, 2).unwrap();
+        let ss = rencoder(
             &keys,
             16.0,
             REncoderVariant::SelectiveStorage { rounds: 2 },
@@ -457,7 +458,7 @@ mod tests {
         let keys = pseudo_keys(500, 9);
         let small: Vec<(u64, u64)> = vec![(10, 41)]; // ranges of 32
         let large: Vec<(u64, u64)> = vec![(10, 10 + (1 << 20) - 1)];
-        let f_small = REncoder::new(
+        let f_small = rencoder(
             &keys,
             16.0,
             REncoderVariant::SampleEstimation,
@@ -465,7 +466,7 @@ mod tests {
             0,
         )
         .unwrap();
-        let f_large = REncoder::new(
+        let f_large = rencoder(
             &keys,
             16.0,
             REncoderVariant::SampleEstimation,
@@ -478,13 +479,13 @@ mod tests {
 
     #[test]
     fn empty_keys() {
-        let f = REncoder::new(&[], 16.0, REncoderVariant::Full, None, 0).unwrap();
+        let f = rencoder(&[], 16.0, REncoderVariant::Full, None, 0).unwrap();
         assert!(!f.may_contain_range(0, u64::MAX));
     }
 
     #[test]
     fn locate_level_mapping() {
-        let f = REncoder::new(
+        let f = rencoder(
             &[1],
             16.0,
             REncoderVariant::SelectiveStorage { rounds: 16 },
@@ -502,7 +503,7 @@ mod tests {
         assert_eq!(f.locate(1), Some((15, 1)));
 
         // A 4-round filter cannot locate shallower levels.
-        let f4 = REncoder::new(&[1], 16.0, REncoderVariant::Full, None, 0).unwrap();
+        let f4 = rencoder(&[1], 16.0, REncoderVariant::Full, None, 0).unwrap();
         assert_eq!(f4.locate(64 - 16), Some((3, 0)));
         assert_eq!(f4.locate(64 - 17), None);
     }

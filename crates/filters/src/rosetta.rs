@@ -36,22 +36,115 @@ pub struct Rosetta {
 }
 
 impl Rosetta {
-    /// Builds a Rosetta filter.
-    ///
-    /// * `bits_per_key` — total space budget.
-    /// * `max_range` — largest range size the level stack must cover
-    ///   (`log2(max_range)` levels above the leaves); the paper's workloads
-    ///   use `2^0 / 2^5 / 2^10`.
-    /// * `sample` — optional empty-query sample `[a, b]` pairs for the
-    ///   probe-frequency auto-tuning; `None` applies the uniform `1/(2−ε)`
-    ///   upper-level sizing.
-    pub fn new(
-        keys: &[u64],
-        bits_per_key: f64,
-        max_range: u64,
-        sample: Option<&[(u64, u64)]>,
-        seed: u64,
-    ) -> Result<Self, FilterError> {
+    fn insert_prefixes(&mut self, key: u64) {
+        for i in 0..self.blooms.len() {
+            let level = self.min_level + i as u32;
+            let prefix = if level == 64 {
+                key
+            } else {
+                key >> (64 - level)
+            };
+            self.blooms[i].insert(prefix);
+        }
+    }
+
+    #[inline]
+    fn bloom_at(&self, level: u32) -> &BloomFilter {
+        &self.blooms[(level - self.min_level) as usize]
+    }
+
+    /// The recursive "doubting" walk: confirm a positive at `level` by
+    /// probing its children down to the leaves.
+    fn doubt(&self, prefix: u64, level: u32, probes: &mut usize) -> bool {
+        *probes += 1;
+        if *probes > MAX_PROBES {
+            return true; // give up filtering, stay sound
+        }
+        if !self.bloom_at(level).contains(prefix) {
+            return false;
+        }
+        if level == 64 {
+            return true;
+        }
+        self.doubt(prefix << 1, level + 1, probes)
+            || self.doubt((prefix << 1) | 1, level + 1, probes)
+    }
+
+    /// The shallowest stored level.
+    pub fn min_level(&self) -> u32 {
+        self.min_level
+    }
+}
+
+impl PersistentFilter for Rosetta {
+    fn spec_id(&self) -> u32 {
+        spec_id::ROSETTA
+    }
+
+    fn spec_ids() -> &'static [u32] {
+        &[spec_id::ROSETTA]
+    }
+
+    /// Payload: `[min_level, n_levels]` + one Bloom filter per level.
+    fn write_payload(&self, w: &mut WordWriter<'_>) -> std::io::Result<()> {
+        w.word(self.min_level as u64)?;
+        w.word(self.blooms.len() as u64)?;
+        for bloom in &self.blooms {
+            bloom.write_to(w)?;
+        }
+        Ok(())
+    }
+
+    fn read_payload(src: &mut WordReader<'_>, header: &Header) -> Result<Self, FilterError> {
+        let min_level = src.word()?;
+        if !(1..=64).contains(&min_level) {
+            return Err(FilterError::corrupt("Rosetta level out of range"));
+        }
+        let n_levels = src.length()?;
+        if n_levels != (64 - min_level + 1) as usize {
+            return Err(FilterError::corrupt("Rosetta level stack height"));
+        }
+        let mut blooms = Vec::with_capacity(n_levels);
+        for _ in 0..n_levels {
+            blooms.push(BloomFilter::read_from(src)?);
+        }
+        Ok(Self {
+            blooms,
+            min_level: min_level as u32,
+            n_keys: header.n_keys as usize,
+        })
+    }
+}
+
+/// Per-filter tuning for [`Rosetta`] under the [`BuildableFilter`]
+/// protocol.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RosettaTuning {
+    /// Reweight the per-level Bloom budgets by the probe frequencies
+    /// observed on [`FilterConfig::sample`] — the paper's auto-tuned §6.1
+    /// configuration. Default: on.
+    pub sample_tuned: bool,
+}
+
+impl Default for RosettaTuning {
+    fn default() -> Self {
+        Self { sample_tuned: true }
+    }
+}
+
+impl BuildableFilter for Rosetta {
+    type Tuning = RosettaTuning;
+
+    /// Builds the level stack for ranges up to [`FilterConfig::max_range`]
+    /// (`log2(max_range)` levels above the leaves; the paper's workloads
+    /// use `2^0 / 2^5 / 2^10`). With [`RosettaTuning::sample_tuned`] the
+    /// per-level budgets follow the probe frequencies of
+    /// [`FilterConfig::sample`]; otherwise the upper levels get the uniform
+    /// `1/(2−ε)` sizing.
+    fn build_with(cfg: &FilterConfig<'_>, tuning: &RosettaTuning) -> Result<Self, FilterError> {
+        let (keys, bits_per_key, max_range, seed) =
+            (cfg.keys, cfg.bits_per_key, cfg.max_range, cfg.seed);
+        let sample = tuning.sample_tuned.then_some(cfg.sample);
         if !(bits_per_key > 0.0 && bits_per_key.is_finite()) {
             return Err(FilterError::InvalidBudget(bits_per_key));
         }
@@ -154,110 +247,6 @@ impl Rosetta {
         rosetta.n_keys = keys.len();
         Ok(rosetta)
     }
-
-    fn insert_prefixes(&mut self, key: u64) {
-        for i in 0..self.blooms.len() {
-            let level = self.min_level + i as u32;
-            let prefix = if level == 64 {
-                key
-            } else {
-                key >> (64 - level)
-            };
-            self.blooms[i].insert(prefix);
-        }
-    }
-
-    #[inline]
-    fn bloom_at(&self, level: u32) -> &BloomFilter {
-        &self.blooms[(level - self.min_level) as usize]
-    }
-
-    /// The recursive "doubting" walk: confirm a positive at `level` by
-    /// probing its children down to the leaves.
-    fn doubt(&self, prefix: u64, level: u32, probes: &mut usize) -> bool {
-        *probes += 1;
-        if *probes > MAX_PROBES {
-            return true; // give up filtering, stay sound
-        }
-        if !self.bloom_at(level).contains(prefix) {
-            return false;
-        }
-        if level == 64 {
-            return true;
-        }
-        self.doubt(prefix << 1, level + 1, probes)
-            || self.doubt((prefix << 1) | 1, level + 1, probes)
-    }
-
-    /// The shallowest stored level.
-    pub fn min_level(&self) -> u32 {
-        self.min_level
-    }
-}
-
-impl PersistentFilter for Rosetta {
-    fn spec_id(&self) -> u32 {
-        spec_id::ROSETTA
-    }
-
-    fn spec_ids() -> &'static [u32] {
-        &[spec_id::ROSETTA]
-    }
-
-    /// Payload: `[min_level, n_levels]` + one Bloom filter per level.
-    fn write_payload(&self, w: &mut WordWriter<'_>) -> std::io::Result<()> {
-        w.word(self.min_level as u64)?;
-        w.word(self.blooms.len() as u64)?;
-        for bloom in &self.blooms {
-            bloom.write_to(w)?;
-        }
-        Ok(())
-    }
-
-    fn read_payload(src: &mut WordReader<'_>, header: &Header) -> Result<Self, FilterError> {
-        let min_level = src.word()?;
-        if !(1..=64).contains(&min_level) {
-            return Err(FilterError::corrupt("Rosetta level out of range"));
-        }
-        let n_levels = src.length()?;
-        if n_levels != (64 - min_level + 1) as usize {
-            return Err(FilterError::corrupt("Rosetta level stack height"));
-        }
-        let mut blooms = Vec::with_capacity(n_levels);
-        for _ in 0..n_levels {
-            blooms.push(BloomFilter::read_from(src)?);
-        }
-        Ok(Self {
-            blooms,
-            min_level: min_level as u32,
-            n_keys: header.n_keys as usize,
-        })
-    }
-}
-
-/// Per-filter tuning for [`Rosetta`] under the [`BuildableFilter`]
-/// protocol.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RosettaTuning {
-    /// Reweight the per-level Bloom budgets by the probe frequencies
-    /// observed on [`FilterConfig::sample`] — the paper's auto-tuned §6.1
-    /// configuration. Default: on.
-    pub sample_tuned: bool,
-}
-
-impl Default for RosettaTuning {
-    fn default() -> Self {
-        Self { sample_tuned: true }
-    }
-}
-
-impl BuildableFilter for Rosetta {
-    type Tuning = RosettaTuning;
-
-    fn build_with(cfg: &FilterConfig<'_>, tuning: &RosettaTuning) -> Result<Self, FilterError> {
-        let sample = tuning.sample_tuned.then_some(cfg.sample);
-        Rosetta::new(cfg.keys, cfg.bits_per_key, cfg.max_range, sample, cfg.seed)
-    }
 }
 
 impl RangeFilter for Rosetta {
@@ -302,6 +291,24 @@ impl RangeFilter for Rosetta {
 mod tests {
     use super::*;
 
+    fn rosetta(
+        keys: &[u64],
+        bits_per_key: f64,
+        max_range: u64,
+        sample: Option<&[(u64, u64)]>,
+        seed: u64,
+    ) -> Result<Rosetta, FilterError> {
+        let cfg = FilterConfig::new(keys)
+            .bits_per_key(bits_per_key)
+            .max_range(max_range)
+            .sample(sample.unwrap_or(&[]))
+            .seed(seed);
+        let tuning = RosettaTuning {
+            sample_tuned: sample.is_some(),
+        };
+        Rosetta::build_with(&cfg, &tuning)
+    }
+
     fn pseudo_keys(n: usize, seed: u64) -> Vec<u64> {
         let mut state = seed;
         (0..n)
@@ -318,7 +325,7 @@ mod tests {
     fn no_false_negatives() {
         let keys = pseudo_keys(2000, 1);
         for &l in &[1u64, 32, 1024] {
-            let f = Rosetta::new(&keys, 18.0, l, None, 7).unwrap();
+            let f = rosetta(&keys, 18.0, l, None, 7).unwrap();
             for (i, &k) in keys.iter().enumerate().step_by(5) {
                 assert!(f.may_contain(k), "point FN at {i}");
                 let lo = k.saturating_sub(i as u64 % l.max(2));
@@ -335,7 +342,7 @@ mod tests {
         let keys = pseudo_keys(2000, 3);
         let mut sorted = keys.clone();
         sorted.sort_unstable();
-        let f = Rosetta::new(&keys, 20.0, 32, None, 9).unwrap();
+        let f = rosetta(&keys, 20.0, 32, None, 9).unwrap();
         let mut fps = 0;
         let mut empties = 0;
         let mut state = 555u64;
@@ -364,7 +371,7 @@ mod tests {
         // FPR must not blow up when query endpoints hug the keys — the
         // defining property of a robust filter (paper Figure 3).
         let keys: Vec<u64> = (0..2000u64).map(|i| i * (1 << 40)).collect();
-        let f = Rosetta::new(&keys, 20.0, 32, None, 5).unwrap();
+        let f = rosetta(&keys, 20.0, 32, None, 5).unwrap();
         let mut fps = 0;
         for &k in &keys {
             // Empty range right next to a key.
@@ -380,7 +387,7 @@ mod tests {
     fn sample_tuning_constructs_and_stays_sound() {
         let keys = pseudo_keys(1000, 11);
         let sample: Vec<(u64, u64)> = (0..200u64).map(|i| (i << 30, (i << 30) + 31)).collect();
-        let f = Rosetta::new(&keys, 16.0, 32, Some(&sample), 2).unwrap();
+        let f = rosetta(&keys, 16.0, 32, Some(&sample), 2).unwrap();
         for &k in keys.iter().step_by(7) {
             assert!(f.may_contain(k));
         }
@@ -388,7 +395,7 @@ mod tests {
 
     #[test]
     fn empty_keys() {
-        let f = Rosetta::new(&[], 16.0, 32, None, 0).unwrap();
+        let f = rosetta(&[], 16.0, 32, None, 0).unwrap();
         assert!(!f.may_contain_range(0, 1000));
     }
 
@@ -396,7 +403,7 @@ mod tests {
     fn budget_respected_roughly() {
         let keys = pseudo_keys(5000, 13);
         for &bpk in &[10.0, 18.0, 26.0] {
-            let f = Rosetta::new(&keys, bpk, 1024, None, 1).unwrap();
+            let f = rosetta(&keys, bpk, 1024, None, 1).unwrap();
             let got = f.bits_per_key();
             assert!(got < bpk * 1.3 + 8.0, "budget {bpk} -> {got}");
         }
@@ -404,7 +411,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_params() {
-        assert!(Rosetta::new(&[1], 0.0, 32, None, 0).is_err());
-        assert!(Rosetta::new(&[1], 16.0, 0, None, 0).is_err());
+        assert!(rosetta(&[1], 0.0, 32, None, 0).is_err());
+        assert!(rosetta(&[1], 16.0, 0, None, 0).is_err());
     }
 }

@@ -11,7 +11,7 @@
 //! The Grafite authors found that the original implementation returns
 //! **false negatives** due to arithmetic overflow in the learned model
 //! (paper footnote 5). Our default uses 128-bit intermediates, which fixes
-//! the bug; [`Snarf::with_faithful_overflow`] reproduces the original u64
+//! the bug; [`SnarfTuning::faithful_overflow`] reproduces the original u64
 //! arithmetic so the `ablation_snarf_overflow` experiment can demonstrate
 //! the false negatives on datasets with huge gaps (e.g. Fb).
 
@@ -42,71 +42,6 @@ pub struct Snarf {
 }
 
 impl Snarf {
-    /// Builds SNARF with a total space budget in bits per key.
-    pub fn new(keys: &[u64], bits_per_key: f64) -> Result<Self, FilterError> {
-        Self::build_impl(keys, bits_per_key, false)
-    }
-
-    /// Builds with the original implementation's overflow-prone u64 model
-    /// arithmetic (reintroduces the false negatives of paper footnote 5).
-    pub fn with_faithful_overflow(keys: &[u64], bits_per_key: f64) -> Result<Self, FilterError> {
-        Self::build_impl(keys, bits_per_key, true)
-    }
-
-    fn build_impl(keys: &[u64], bits_per_key: f64, faithful: bool) -> Result<Self, FilterError> {
-        if !(bits_per_key > 0.0 && bits_per_key.is_finite()) {
-            return Err(FilterError::InvalidBudget(bits_per_key));
-        }
-        let mut sorted = keys.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let n = sorted.len();
-        if n == 0 {
-            return Ok(Self {
-                sample_keys: Vec::new(),
-                sample_ranks: Vec::new(),
-                n: 0,
-                n_input: 0,
-                k_scale: 2,
-                codes: GolombRiceSeq::new(&[], 2),
-                faithful_overflow: faithful,
-            });
-        }
-
-        let mut sample_keys = Vec::with_capacity(n / SAMPLE_PERIOD + 2);
-        let mut sample_ranks = Vec::with_capacity(n / SAMPLE_PERIOD + 2);
-        for i in (0..n).step_by(SAMPLE_PERIOD) {
-            sample_keys.push(sorted[i]);
-            sample_ranks.push(i as u64);
-        }
-        if *sample_ranks.last().unwrap() != (n - 1) as u64 {
-            sample_keys.push(sorted[n - 1]);
-            sample_ranks.push((n - 1) as u64);
-        }
-
-        // Split the budget: 64 bits per spline knot, ~2.2 bits/key of Rice
-        // overhead, the rest as log2(K).
-        let spline_bpk = sample_keys.len() as f64 * 128.0 / n as f64;
-        let code_bits = (bits_per_key - spline_bpk - 2.2).clamp(1.0, 48.0);
-        let k_scale = (code_bits.exp2().round() as u64).max(2);
-
-        let mut filter = Self {
-            sample_keys,
-            sample_ranks,
-            n,
-            n_input: keys.len(),
-            k_scale,
-            codes: GolombRiceSeq::new(&[], 2),
-            faithful_overflow: faithful,
-        };
-        let mut codes: Vec<u64> = sorted.iter().map(|&k| filter.position(k)).collect();
-        codes.sort_unstable(); // the buggy model can be non-monotone
-        codes.dedup();
-        let universe = (n as u64).saturating_mul(k_scale).saturating_add(2);
-        filter.codes = GolombRiceSeq::new(&codes, universe);
-        Ok(filter)
-    }
-
     /// The model `f(x) = ⌊MCDF(x) · K · n⌋`, by linear interpolation between
     /// the two surrounding spline knots.
     fn position(&self, x: u64) -> u64 {
@@ -229,8 +164,62 @@ pub struct SnarfTuning {
 impl BuildableFilter for Snarf {
     type Tuning = SnarfTuning;
 
+    /// Errors with [`FilterError::InvalidBudget`] unless the budget is
+    /// positive and finite.
     fn build_with(cfg: &FilterConfig<'_>, tuning: &SnarfTuning) -> Result<Self, FilterError> {
-        Self::build_impl(cfg.keys, cfg.bits_per_key, tuning.faithful_overflow)
+        let (keys, bits_per_key) = (cfg.keys, cfg.bits_per_key);
+        let faithful = tuning.faithful_overflow;
+        if !(bits_per_key > 0.0 && bits_per_key.is_finite()) {
+            return Err(FilterError::InvalidBudget(bits_per_key));
+        }
+        let mut sorted = keys.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let n = sorted.len();
+        if n == 0 {
+            return Ok(Self {
+                sample_keys: Vec::new(),
+                sample_ranks: Vec::new(),
+                n: 0,
+                n_input: 0,
+                k_scale: 2,
+                codes: GolombRiceSeq::new(&[], 2),
+                faithful_overflow: faithful,
+            });
+        }
+
+        let mut sample_keys = Vec::with_capacity(n / SAMPLE_PERIOD + 2);
+        let mut sample_ranks = Vec::with_capacity(n / SAMPLE_PERIOD + 2);
+        for i in (0..n).step_by(SAMPLE_PERIOD) {
+            sample_keys.push(sorted[i]);
+            sample_ranks.push(i as u64);
+        }
+        if *sample_ranks.last().unwrap() != (n - 1) as u64 {
+            sample_keys.push(sorted[n - 1]);
+            sample_ranks.push((n - 1) as u64);
+        }
+
+        // Split the budget: 64 bits per spline knot, ~2.2 bits/key of Rice
+        // overhead, the rest as log2(K).
+        let spline_bpk = sample_keys.len() as f64 * 128.0 / n as f64;
+        let code_bits = (bits_per_key - spline_bpk - 2.2).clamp(1.0, 48.0);
+        let k_scale = (code_bits.exp2().round() as u64).max(2);
+
+        let mut filter = Self {
+            sample_keys,
+            sample_ranks,
+            n,
+            n_input: keys.len(),
+            k_scale,
+            codes: GolombRiceSeq::new(&[], 2),
+            faithful_overflow: faithful,
+        };
+        let mut codes: Vec<u64> = sorted.iter().map(|&k| filter.position(k)).collect();
+        codes.sort_unstable(); // the buggy model can be non-monotone
+        codes.dedup();
+        let universe = (n as u64).saturating_mul(k_scale).saturating_add(2);
+        filter.codes = GolombRiceSeq::new(&codes, universe);
+        Ok(filter)
     }
 }
 
@@ -268,6 +257,10 @@ impl RangeFilter for Snarf {
 mod tests {
     use super::*;
 
+    fn snarf(keys: &[u64], bits_per_key: f64) -> Snarf {
+        Snarf::build(&FilterConfig::new(keys).bits_per_key(bits_per_key)).unwrap()
+    }
+
     fn pseudo_keys(n: usize, seed: u64) -> Vec<u64> {
         let mut state = seed;
         (0..n)
@@ -283,7 +276,7 @@ mod tests {
     #[test]
     fn model_is_monotone() {
         let keys = pseudo_keys(5000, 2);
-        let f = Snarf::new(&keys, 14.0).unwrap();
+        let f = snarf(&keys, 14.0);
         let mut probes = pseudo_keys(2000, 9);
         probes.sort_unstable();
         let mut prev = 0u64;
@@ -298,7 +291,7 @@ mod tests {
     fn no_false_negatives_fixed_model() {
         let keys = pseudo_keys(3000, 5);
         for &bpk in &[8.0, 14.0, 22.0] {
-            let f = Snarf::new(&keys, bpk).unwrap();
+            let f = snarf(&keys, bpk);
             for (i, &k) in keys.iter().enumerate().step_by(3) {
                 assert!(f.may_contain(k), "point FN at {i} bpk={bpk}");
                 assert!(f.may_contain_range(k.saturating_sub(5), k.saturating_add(5)));
@@ -311,7 +304,7 @@ mod tests {
         let keys = pseudo_keys(4000, 7);
         let mut sorted = keys.clone();
         sorted.sort_unstable();
-        let f = Snarf::new(&keys, 18.0).unwrap();
+        let f = snarf(&keys, 18.0);
         let mut fps = 0;
         let mut empties = 0;
         let mut state = 1234u64;
@@ -340,7 +333,7 @@ mod tests {
         // The paper's core observation: query endpoints adjacent to keys
         // produce near-certain false positives for SNARF.
         let keys: Vec<u64> = (0..2000u64).map(|i| i * (1 << 40)).collect();
-        let f = Snarf::new(&keys, 18.0).unwrap();
+        let f = snarf(&keys, 18.0);
         let mut fps = 0;
         for &k in &keys {
             if f.may_contain_range(k + 2, k + 33) {
@@ -366,8 +359,14 @@ mod tests {
         keys.extend((0..300u64).map(|j| (1u64 << 62) + j * (1 << 55)));
         let mut sorted = keys.clone();
         sorted.sort_unstable();
-        let honest = Snarf::new(&keys, 16.0).unwrap();
-        let buggy = Snarf::with_faithful_overflow(&keys, 16.0).unwrap();
+        let honest = snarf(&keys, 16.0);
+        let buggy = Snarf::build_with(
+            &FilterConfig::new(&keys).bits_per_key(16.0),
+            &SnarfTuning {
+                faithful_overflow: true,
+            },
+        )
+        .unwrap();
 
         let mut honest_fns = 0usize;
         let mut buggy_fns = 0usize;
@@ -399,7 +398,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let f = Snarf::new(&[], 12.0).unwrap();
+        let f = snarf(&[], 12.0);
         assert!(!f.may_contain_range(0, u64::MAX));
     }
 
@@ -407,7 +406,7 @@ mod tests {
     fn budget_tracks() {
         let keys = pseudo_keys(10_000, 3);
         for &bpk in &[8.0, 16.0, 24.0] {
-            let f = Snarf::new(&keys, bpk).unwrap();
+            let f = snarf(&keys, bpk);
             let got = f.bits_per_key();
             assert!(got < bpk + 4.0, "budget {bpk} -> {got}");
         }

@@ -62,14 +62,11 @@ pub struct Surf {
 }
 
 impl Surf {
-    /// Builds SuRF over the key set with the given suffix mode and the
-    /// automatic LOUDS-Dense/Sparse split.
-    pub fn new(keys: &[u64], mode: SuffixMode) -> Result<Self, FilterError> {
-        Self::with_dense_depth(keys, mode, None)
-    }
-
-    /// Builds with an explicit number of LOUDS-Dense levels (`Some(0)` =
-    /// pure LOUDS-Sparse); used by tests and the encoding ablation.
+    /// Builds SuRF over the key set with the given suffix mode and an
+    /// explicit number of LOUDS-Dense levels (`Some(0)` = pure
+    /// LOUDS-Sparse, `None` = SuRF's automatic split); used by tests and
+    /// the encoding ablation. [`BuildableFilter::build_with`] is the
+    /// budget-driven path.
     pub fn with_dense_depth(
         keys: &[u64],
         mode: SuffixMode,
@@ -257,7 +254,7 @@ impl BuildableFilter for Surf {
             SuffixStyle::Real => SuffixMode::Real { bits },
             SuffixStyle::Hashed => SuffixMode::Hash { bits },
         };
-        Surf::new(cfg.keys, mode)
+        Surf::with_dense_depth(cfg.keys, mode, None)
     }
 }
 
@@ -363,7 +360,7 @@ mod tests {
             SuffixMode::Hash { bits: 8 },
         ];
         for mode in modes {
-            let f = Surf::new(&keys, mode).unwrap();
+            let f = Surf::with_dense_depth(&keys, mode, None).unwrap();
             for (i, &k) in keys.iter().enumerate().step_by(3) {
                 assert!(f.may_contain(k), "{:?} point FN at {i}", mode);
                 let lo = k.saturating_sub(i as u64 % 100);
@@ -376,7 +373,7 @@ mod tests {
     #[test]
     fn point_queries_filter_with_hash_suffixes() {
         let keys = pseudo_keys(2000, 7);
-        let f = Surf::new(&keys, SuffixMode::Hash { bits: 10 }).unwrap();
+        let f = Surf::with_dense_depth(&keys, SuffixMode::Hash { bits: 10 }, None).unwrap();
         let mut fps = 0;
         let probes = pseudo_keys(4000, 1234);
         for &p in &probes {
@@ -396,7 +393,7 @@ mod tests {
         let keys = pseudo_keys(2000, 9);
         let mut sorted = keys.clone();
         sorted.sort_unstable();
-        let f = Surf::new(&keys, SuffixMode::Real { bits: 8 }).unwrap();
+        let f = Surf::with_dense_depth(&keys, SuffixMode::Real { bits: 8 }, None).unwrap();
         let mut fps = 0;
         let mut empties = 0;
         let mut state = 42u64;
@@ -428,7 +425,7 @@ mod tests {
         // Adjacent empty ranges share long prefixes with the keys: the
         // truncated trie cannot separate them (the paper's headline issue).
         let keys: Vec<u64> = (0..2000u64).map(|i| i * (1 << 40)).collect();
-        let f = Surf::new(&keys, SuffixMode::Real { bits: 8 }).unwrap();
+        let f = Surf::with_dense_depth(&keys, SuffixMode::Real { bits: 8 }, None).unwrap();
         let mut fps = 0;
         for &k in keys.iter() {
             if f.may_contain_range(k + (1 << 20), k + (1 << 20) + 31) {
@@ -441,16 +438,16 @@ mod tests {
 
     #[test]
     fn duplicate_and_empty_inputs() {
-        let f = Surf::new(&[], SuffixMode::Base).unwrap();
+        let f = Surf::with_dense_depth(&[], SuffixMode::Base, None).unwrap();
         assert!(!f.may_contain_range(0, u64::MAX));
-        let f = Surf::new(&[5, 5, 5], SuffixMode::Real { bits: 4 }).unwrap();
+        let f = Surf::with_dense_depth(&[5, 5, 5], SuffixMode::Real { bits: 4 }, None).unwrap();
         assert!(f.may_contain(5));
     }
 
     #[test]
     fn space_reasonable() {
         let keys = pseudo_keys(10_000, 5);
-        let f = Surf::new(&keys, SuffixMode::Real { bits: 8 }).unwrap();
+        let f = Surf::with_dense_depth(&keys, SuffixMode::Real { bits: 8 }, None).unwrap();
         let bpk = f.bits_per_key();
         // Paper: at least 10 bits/key, typically 10 + m + trie overhead.
         assert!(bpk > 10.0 && bpk < 40.0, "SuRF bits/key = {bpk}");
@@ -458,8 +455,8 @@ mod tests {
 
     #[test]
     fn rejects_bad_suffix_width() {
-        assert!(Surf::new(&[1], SuffixMode::Real { bits: 0 }).is_err());
-        assert!(Surf::new(&[1], SuffixMode::Hash { bits: 60 }).is_err());
+        assert!(Surf::with_dense_depth(&[1], SuffixMode::Real { bits: 0 }, None).is_err());
+        assert!(Surf::with_dense_depth(&[1], SuffixMode::Hash { bits: 60 }, None).is_err());
     }
 }
 
@@ -486,7 +483,7 @@ mod louds_ds_tests {
             SuffixMode::Hash { bits: 8 },
         ] {
             let sparse = Surf::with_dense_depth(&keys, mode, Some(0)).unwrap();
-            let auto = Surf::new(&keys, mode).unwrap();
+            let auto = Surf::with_dense_depth(&keys, mode, None).unwrap();
             assert!(
                 auto.fst().dense_depth() >= 1,
                 "auto split should use dense levels"
@@ -516,7 +513,7 @@ mod louds_ds_tests {
                 state
             })
             .collect();
-        let auto = Surf::new(&keys, SuffixMode::Real { bits: 8 }).unwrap();
+        let auto = Surf::with_dense_depth(&keys, SuffixMode::Real { bits: 8 }, None).unwrap();
         let sparse = Surf::with_dense_depth(&keys, SuffixMode::Real { bits: 8 }, Some(0)).unwrap();
         // The 16x rule keeps the dense head a bounded fraction of the trie.
         assert!(auto.size_in_bits() < sparse.size_in_bits() * 2);

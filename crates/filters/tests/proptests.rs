@@ -1,8 +1,11 @@
 //! The one property every range filter must satisfy, whatever its design:
 //! **no false negatives**, on arbitrary key sets, budgets, and ranges.
 
-use grafite_core::RangeFilter;
-use grafite_filters::{Proteus, REncoder, REncoderVariant, Rosetta, Snarf, SuffixMode, Surf};
+use grafite_core::{BuildableFilter, FilterConfig, RangeFilter};
+use grafite_filters::{
+    Proteus, REncoder, REncoderTuning, REncoderVariant, Rosetta, RosettaTuning, Snarf, SuffixMode,
+    Surf,
+};
 use proptest::prelude::*;
 
 fn check_no_false_negatives(
@@ -46,7 +49,7 @@ proptest! {
             1 => SuffixMode::Real { bits: 8 },
             _ => SuffixMode::Hash { bits: 8 },
         };
-        let f = Surf::new(&keys, mode).unwrap();
+        let f = Surf::with_dense_depth(&keys, mode, None).unwrap();
         check_no_false_negatives(&f, &keys, &offsets)?;
     }
 
@@ -56,7 +59,8 @@ proptest! {
         offsets in prop::collection::vec((0u64..500, 0u64..500), 1..16),
         bpk in 6.0f64..24.0,
     ) {
-        let f = Rosetta::new(&keys, bpk, 1 << 10, None, 99).unwrap();
+        let cfg = FilterConfig::new(&keys).bits_per_key(bpk).max_range(1 << 10).seed(99);
+        let f = Rosetta::build_with(&cfg, &RosettaTuning { sample_tuned: false }).unwrap();
         check_no_false_negatives(&f, &keys, &offsets)?;
     }
 
@@ -66,7 +70,7 @@ proptest! {
         offsets in prop::collection::vec((0u64..3000, 0u64..3000), 1..24),
         bpk in 6.0f64..24.0,
     ) {
-        let f = Snarf::new(&keys, bpk).unwrap();
+        let f = Snarf::build(&FilterConfig::new(&keys).bits_per_key(bpk)).unwrap();
         check_no_false_negatives(&f, &keys, &offsets)?;
     }
 
@@ -83,7 +87,8 @@ proptest! {
             _ => REncoderVariant::SampleEstimation,
         };
         let sample = [(0u64, 1023u64)];
-        let f = REncoder::new(&keys, bpk, variant, Some(&sample), 5).unwrap();
+        let cfg = FilterConfig::new(&keys).bits_per_key(bpk).sample(&sample).seed(5);
+        let f = REncoder::build_with(&cfg, &REncoderTuning(variant)).unwrap();
         check_no_false_negatives(&f, &keys, &offsets)?;
     }
 
@@ -106,7 +111,8 @@ proptest! {
             if i < sorted.len() && sorted[i] <= b { continue; }
             sample.push((a, b));
         }
-        let f = Proteus::new(&keys, bpk, &sample, 1).unwrap();
+        let cfg = FilterConfig::new(&keys).bits_per_key(bpk).sample(&sample).seed(1);
+        let f = Proteus::build(&cfg).unwrap();
         check_no_false_negatives(&f, &keys, &offsets)?;
     }
 }

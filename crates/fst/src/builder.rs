@@ -54,14 +54,12 @@ pub fn build_forest(keys: &[&[u8]], roots: Vec<(usize, usize, usize)>) -> BuildR
     let mut has_child = BitVec::new();
     let mut louds = BitVec::new();
     let mut leaf_to_key = Vec::new();
-    let mut num_nodes = 0usize;
     let num_roots = roots.len();
 
     {
         // BFS over (key range, depth) node descriptors.
         let mut queue: VecDeque<(usize, usize, usize)> = VecDeque::from(roots);
         while let Some((lo, hi, depth)) = queue.pop_front() {
-            num_nodes += 1;
             let mut first_branch = true;
             let mut i = lo;
             while i < hi {
@@ -95,8 +93,6 @@ pub fn build_forest(keys: &[&[u8]], roots: Vec<(usize, usize, usize)>) -> BuildR
         labels,
         RsBitVec::new(has_child),
         RsBitVec::new(louds),
-        num_nodes,
-        leaf_to_key.len(),
         num_roots,
     );
     BuildResult { fst, leaf_to_key }

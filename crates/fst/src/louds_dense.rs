@@ -29,8 +29,6 @@ pub struct FstDs {
     labels: RsBitVec,
     /// 256 bits per dense node: which existing labels have a child.
     has_child: RsBitVec,
-    dense_nodes: usize,
-    dense_leaves: usize,
     /// Number of dense byte-levels (`0` = pure sparse).
     dense_depth: usize,
     sparse: Fst,
@@ -130,7 +128,6 @@ impl FstDs {
         // Dense leaf emission above is queue order = level order, but the
         // bitmap-derived leaf index is *bitmap order* — identical, because
         // nodes are appended in level order and bytes scanned ascending.
-        let dense_leaves = dense_leaf_keys.len();
         let mut leaf_to_key = dense_leaf_keys;
         leaf_to_key.extend(sparse_leaf_keys);
 
@@ -138,8 +135,6 @@ impl FstDs {
             fst: FstDs {
                 labels: RsBitVec::new(labels),
                 has_child: RsBitVec::new(has_child),
-                dense_nodes,
-                dense_leaves,
                 dense_depth: if dense_nodes == 0 { 0 } else { dense_depth },
                 sparse,
             },
@@ -149,7 +144,19 @@ impl FstDs {
 
     /// Number of stored keys.
     pub fn num_leaves(&self) -> usize {
-        self.dense_leaves + self.sparse.num_leaves()
+        self.dense_leaves() + self.sparse.num_leaves()
+    }
+
+    /// Number of dense nodes (256 bitmap bits each).
+    #[inline]
+    fn dense_nodes(&self) -> usize {
+        self.labels.len() / 256
+    }
+
+    /// Number of dense leaves: the existing labels without a child.
+    #[inline]
+    fn dense_leaves(&self) -> usize {
+        self.labels.count_ones() - self.has_child.count_ones()
     }
 
     /// The number of dense byte-levels in use.
@@ -182,7 +189,7 @@ impl FstDs {
     /// depth keeps a forged depth from walking past the dense nodes.
     #[inline]
     fn sparse_root(&self, child: usize) -> Option<usize> {
-        child.checked_sub(self.dense_nodes)
+        child.checked_sub(self.dense_nodes())
     }
 
     /// Walks the trie along `key` (cf. [`Fst::lookup`]).
@@ -209,7 +216,7 @@ impl FstDs {
                     Lookup::NotFound => Lookup::NotFound,
                     Lookup::ExhaustedAtInternal => Lookup::ExhaustedAtInternal,
                     Lookup::Leaf { leaf, depth: d } => Lookup::Leaf {
-                        leaf: self.dense_leaves + leaf,
+                        leaf: self.dense_leaves() + leaf,
                         depth: depth + 1 + d,
                     },
                 };
@@ -306,13 +313,12 @@ impl FstDs {
     }
 
     /// Serializes the full LOUDS-DS layout: the dense `labels`/`has_child`
-    /// bit planes (with their rank directories) followed by the sparse
-    /// half. Layout: `[dense_nodes, dense_leaves, dense_depth] + labels +
-    /// has_child + sparse`. Returns the word count.
+    /// bit planes as bare bits, followed by the sparse half. Loading
+    /// derives the directories and the dense node and leaf counts from the
+    /// bits. Layout: `[dense_depth] + labels + has_child + sparse`. Returns
+    /// the word count.
     pub fn write_to(&self, w: &mut WordWriter<'_>) -> std::io::Result<usize> {
         let before = w.words_written();
-        w.word(self.dense_nodes as u64)?;
-        w.word(self.dense_leaves as u64)?;
         w.word(self.dense_depth as u64)?;
         self.labels.write_to(w)?;
         self.has_child.write_to(w)?;
@@ -320,38 +326,37 @@ impl FstDs {
         Ok(w.words_written() - before)
     }
 
-    /// Reads back what [`FstDs::write_to`] wrote; each bitmap checks its
-    /// stored directories against its bits (see [`RsBitVec::read_from`]).
+    /// Reads back what [`FstDs::write_to`] wrote.
     pub fn read_from(src: &mut WordReader<'_>) -> Result<Self, DecodeError> {
-        let dense_nodes = src.length()?;
-        let dense_leaves = src.length()?;
         let dense_depth = src.length()?;
         let labels = RsBitVec::read_from(src)?;
         let has_child = RsBitVec::read_from(src)?;
         let sparse = Fst::read_from(src)?;
-        // `checked_mul` matters here: a crafted `dense_nodes` close to
-        // `usize::MAX` must not wrap into a small product that happens to
-        // equal `labels.len()` and slip past the size check.
-        let expected_bits = dense_nodes
-            .checked_mul(256)
-            .ok_or(DecodeError::Invalid("dense node count overflows"))?;
-        if labels.len() != expected_bits || has_child.len() != labels.len() {
+        if labels.len() % 256 != 0 || has_child.len() != labels.len() {
             return Err(DecodeError::Invalid("dense bitmap sizes inconsistent"));
         }
-        let expected_ones = dense_leaves
-            .checked_add(has_child.count_ones())
-            .ok_or(DecodeError::Invalid("dense leaf count overflows"))?;
-        if labels.count_ones() != expected_ones {
-            return Err(DecodeError::Invalid("dense leaf count inconsistent"));
+        // The shape of a built head: every child bit sits on a label (so
+        // the dense leaf count cannot go negative), every node has a label,
+        // the internal branches parent dense nodes `1..` and then each
+        // sparse root once, and a dense child comes after its parent.
+        let dense_nodes = labels.len() / 256;
+        let (label_words, child_words) = (labels.bits().words(), has_child.bits().words());
+        let shape_ok = child_words
+            .iter()
+            .zip(label_words)
+            .all(|(c, l)| c & !l == 0)
+            && (label_words.chunks(4).take(dense_nodes)).all(|node| node.iter().any(|&w| w != 0))
+            && (dense_nodes == 0 || has_child.count_ones() + 1 == dense_nodes + sparse.num_roots())
+            && (has_child.bits().iter_ones().enumerate()).all(|(j, pos)| j + 1 > pos / 256);
+        if !shape_ok {
+            return Err(DecodeError::Invalid("dense trie shape inconsistent"));
         }
-        if dense_nodes == 0 && dense_depth != 0 {
+        if labels.is_empty() && dense_depth != 0 {
             return Err(DecodeError::Invalid("dense depth without dense nodes"));
         }
         Ok(Self {
             labels,
             has_child,
-            dense_nodes,
-            dense_leaves,
             dense_depth,
             sparse,
         })
@@ -462,7 +467,7 @@ impl<'a> DsIter<'a> {
     pub fn leaf_index(&self) -> usize {
         match (&self.dense_leaf_pos, &self.sparse_iter) {
             (Some(pos), _) => self.fst.dense_leaf_index(*pos),
-            (None, Some(inner)) => self.fst.dense_leaves + inner.leaf_index(),
+            (None, Some(inner)) => self.fst.dense_leaves() + inner.leaf_index(),
             _ => panic!("iterator not positioned on a leaf"),
         }
     }

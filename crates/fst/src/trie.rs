@@ -13,8 +13,6 @@ pub struct Fst {
     labels: Vec<u8>,
     has_child: RsBitVec,
     louds: RsBitVec,
-    num_nodes: usize,
-    num_leaves: usize,
     /// Nodes `0..num_roots` are forest roots; the `j`-th internal branch's
     /// child is node `num_roots + j` in level order.
     num_roots: usize,
@@ -43,30 +41,32 @@ impl Fst {
         labels: Vec<u8>,
         has_child: RsBitVec,
         louds: RsBitVec,
-        num_nodes: usize,
-        num_leaves: usize,
         num_roots: usize,
     ) -> Self {
         Self {
             labels,
             has_child,
             louds,
-            num_nodes,
-            num_leaves,
             num_roots,
         }
     }
 
-    /// Number of stored keys (= leaves).
+    /// Number of stored keys (= leaves, the branches without a child).
     #[inline]
     pub fn num_leaves(&self) -> usize {
-        self.num_leaves
+        self.has_child.count_zeros()
     }
 
-    /// Number of trie nodes.
+    /// Number of trie nodes (one LOUDS start bit each).
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.louds.count_ones()
+    }
+
+    /// Number of forest roots (nodes `0..num_roots`).
+    #[inline]
+    pub(crate) fn num_roots(&self) -> usize {
+        self.num_roots
     }
 
     /// Number of branches (entries of the parallel arrays).
@@ -82,16 +82,13 @@ impl Fst {
         self.labels.len() * 8 + self.has_child.size_in_bits() + self.louds.size_in_bits()
     }
 
-    /// Serializes the trie — the LOUDS-DENSE/Sparse bit planes travel with
-    /// their rank/select directories, which loading checks against the
-    /// bits. Layout:
-    /// `[n_labels, num_nodes, num_leaves, num_roots] + labels (word-padded
-    /// bytes) + has_child + louds`. Returns the word count.
+    /// Serializes the trie: the two bit planes travel as bare bits, and
+    /// loading derives their rank/select directories and the node and leaf
+    /// counts from them. Layout: `[n_labels, num_roots] + labels
+    /// (word-padded bytes) + has_child + louds`. Returns the word count.
     pub fn write_to(&self, w: &mut WordWriter<'_>) -> std::io::Result<usize> {
         let before = w.words_written();
         w.word(self.labels.len() as u64)?;
-        w.word(self.num_nodes as u64)?;
-        w.word(self.num_leaves as u64)?;
         w.word(self.num_roots as u64)?;
         w.bytes_padded(&self.labels)?;
         self.has_child.write_to(w)?;
@@ -102,8 +99,6 @@ impl Fst {
     /// Reads back what [`Fst::write_to`] wrote.
     pub fn read_from(src: &mut WordReader<'_>) -> Result<Self, DecodeError> {
         let n_labels = src.length()?;
-        let num_nodes = src.length()?;
-        let num_leaves = src.length()?;
         let num_roots = src.length()?;
         let labels = src.take_bytes(n_labels)?;
         let has_child = RsBitVec::read_from(src)?;
@@ -111,18 +106,20 @@ impl Fst {
         if has_child.len() != n_labels || louds.len() != n_labels {
             return Err(DecodeError::Invalid("trie parallel array lengths differ"));
         }
-        if louds.count_ones() != num_nodes || has_child.rank0(n_labels) != num_leaves {
-            return Err(DecodeError::Invalid("trie node/leaf counts inconsistent"));
-        }
-        if num_roots > num_nodes {
-            return Err(DecodeError::Invalid("trie root count exceeds node count"));
+        // Every node but a root is the child of exactly one internal
+        // branch, and the `j`-th child, node `num_roots + j`, comes after
+        // the node holding its branch: every walk descends to higher node
+        // numbers, so it ends inside the trie.
+        let shape_ok = has_child.count_ones().checked_add(num_roots) == Some(louds.count_ones())
+            && (has_child.bits().iter_ones().enumerate())
+                .all(|(j, pos)| louds.rank1(pos + 1) <= num_roots.saturating_add(j));
+        if !shape_ok {
+            return Err(DecodeError::Invalid("trie shape inconsistent"));
         }
         Ok(Self {
             labels,
             has_child,
             louds,
-            num_nodes,
-            num_leaves,
             num_roots,
         })
     }
@@ -131,7 +128,7 @@ impl Fst {
     #[inline]
     fn node_range(&self, k: usize) -> (usize, usize) {
         let start = self.louds.select1(k);
-        let end = if k + 1 < self.num_nodes {
+        let end = if k + 1 < self.num_nodes() {
             self.louds.select1(k + 1)
         } else {
             self.labels.len()
@@ -183,7 +180,7 @@ impl Fst {
     /// the key *suffix* from that node's depth on). Used by the LOUDS-Dense
     /// head to continue a walk in its sparse forest.
     pub fn lookup_in(&self, root: usize, key: &[u8]) -> Lookup {
-        if self.num_nodes == 0 {
+        if self.num_nodes() == 0 {
             return Lookup::NotFound;
         }
         let mut node = root;
@@ -226,7 +223,7 @@ impl Fst {
     /// iterator's `key()` is likewise a suffix. The iterator never escapes
     /// the subtree.
     pub fn seek_in(&self, root: usize, probe: &[u8]) -> Option<FstIter<'_>> {
-        if self.num_nodes == 0 {
+        if self.num_nodes() == 0 {
             return None;
         }
         let mut it = FstIter {

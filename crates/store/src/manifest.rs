@@ -133,10 +133,11 @@ pub const STORE_MAGIC: u64 = u64::from_le_bytes(*b"GRAFSHRD");
 /// The manifest format version this build writes and reads. Bumped on any
 /// incompatible change, exactly like
 /// [`grafite_core::persist::FORMAT_VERSION`] (the two version independently:
-/// a manifest change does not invalidate filter blobs). Version 3 stores
-/// shard keys as blocked Elias–Fano; version 2 manifests, which stored raw
-/// key words, are refused with [`FilterError::UnsupportedFormatVersion`].
-pub const STORE_FORMAT_VERSION: u32 = 3;
+/// a manifest change does not invalidate filter blobs). Version 3 stored
+/// shard keys as blocked Elias–Fano; version 4 keeps that layout and
+/// embeds filter blobs of format v3, which store no directories. Older
+/// manifests are refused with [`FilterError::UnsupportedFormatVersion`].
+pub const STORE_FORMAT_VERSION: u32 = 4;
 
 /// Header length in words.
 pub const MANIFEST_HEADER_WORDS: usize = 10;

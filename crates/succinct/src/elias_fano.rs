@@ -68,8 +68,7 @@ fn low_bit_width(n: usize, universe: u64) -> usize {
 
 /// An Elias–Fano encoded monotone sequence supporting random access,
 /// predecessor/successor, and rank. Building and loading both derive the
-/// high bits' `select0` inventory; loading first checks the stored
-/// directories against the bits.
+/// high bits' rank/select directories and `select0` inventory.
 #[derive(Clone, Debug)]
 pub struct EliasFano {
     n: usize,
@@ -493,49 +492,34 @@ impl EliasFano {
             .map(move |(i, pos)| (((pos - i) as u64) << self.low_bits) | self.low.get(i))
     }
 
-    /// Total heap size in bits (low parts + high bits + rank/select
-    /// directories). This is the quantity reported as "space" in the
-    /// experiments.
+    /// Resident heap size in bits (low parts + high bits + rank/select
+    /// directories). The serialized size is smaller: the directories are
+    /// derived on load, not stored.
     pub fn size_in_bits(&self) -> usize {
         self.low.size_in_bits() + self.high.size_in_bits()
     }
 
-    /// Serializes as `[n, universe, low_bits, first, last] + low + high`.
-    /// Returns the word count.
+    /// Serializes as `[universe] + low + high`. Returns the word count.
     pub fn write_to(&self, w: &mut WordWriter<'_>) -> std::io::Result<usize> {
         let before = w.words_written();
-        w.word(self.n as u64)?;
         w.word(self.universe)?;
-        w.word(self.low_bits as u64)?;
-        w.word(self.first)?;
-        w.word(self.last)?;
         self.low.write_to(w)?;
         self.high.write_to(w)?;
         Ok(w.words_written() - before)
     }
 
     /// Reads back what [`EliasFano::write_to`] wrote, ready to answer
-    /// `predecessor` queries. Everything the encoder fixes is checked: the
-    /// low width and the high-bits length follow from `(n, universe)`, the
-    /// high bits hold `n` ones under a directory that agrees with them (see
-    /// [`RsBitVec::read_from`]), and `first`/`last` are the stored extremes.
-    /// The `select0` inventory is derived from the checked bits.
+    /// `predecessor` queries. The count `n` is the number of ones in the
+    /// high bits and `first`/`last` are decoded from them; the shape the
+    /// encoder fixes is checked: the low width and the high-bits length
+    /// follow from `(n, universe)`, and every value lies below `universe`.
     pub fn read_from(src: &mut WordReader<'_>) -> Result<Self, DecodeError> {
-        let n = src.length()?;
         let universe = src.word()?;
-        let low_bits = src.length()?;
-        if low_bits >= 64 {
-            return Err(DecodeError::Invalid("Elias-Fano low-bit width"));
-        }
-        let first = src.word()?;
-        let last = src.word()?;
         let low = IntVec::read_from(src)?;
         let high = RsBitVec::read_from(src)?;
-        if low.len() != n || low.width() != low_bits {
+        let n = high.count_ones();
+        if low.len() != n {
             return Err(DecodeError::Invalid("Elias-Fano low array shape"));
-        }
-        if high.count_ones() != n {
-            return Err(DecodeError::Invalid("Elias-Fano high bit count"));
         }
         // The shape `new_parallel` writes: an empty sequence is one zero
         // bit and no low bits; otherwise `l` and `|H|` follow from `(n, u)`.
@@ -548,28 +532,26 @@ impl EliasFano {
             let hi_max = usize::try_from((universe - 1) >> l).ok();
             (l, hi_max.and_then(|h| h.checked_add(n)?.checked_add(1)))
         };
-        if low_bits != want_low_bits {
+        if low.width() != want_low_bits {
             return Err(DecodeError::Invalid("Elias-Fano low-bit width"));
         }
         if Some(high.len()) != want_high_len {
             return Err(DecodeError::Invalid("Elias-Fano high bit length"));
         }
-        let ef = Self {
+        let mut ef = Self {
             n,
             universe,
-            low_bits,
+            low_bits: want_low_bits,
             low,
             high,
-            first,
-            last,
+            first: 0,
+            last: 0,
         };
-        let bounds_ok = if n == 0 {
-            first == 0 && last == 0
-        } else {
-            first == ef.get(0) && last == ef.get(n - 1) && last < universe
-        };
-        if !bounds_ok {
-            return Err(DecodeError::Invalid("Elias-Fano bounds"));
+        if n > 0 {
+            (ef.first, ef.last) = (ef.get(0), ef.get(n - 1));
+            if ef.last >= universe {
+                return Err(DecodeError::Invalid("Elias-Fano bounds"));
+            }
         }
         Ok(Self {
             high: ef.high.with_select0_inventory(),
@@ -999,34 +981,51 @@ mod tests {
         }
     }
 
-    /// `read_from` refuses every field the encoder fixes when it disagrees
-    /// with `(n, universe)` or with the stored values.
+    /// `read_from` refuses a universe, a low array or high bits that
+    /// disagree with the shape the encoder derives from `(n, universe)`,
+    /// and a last value at or past the universe.
     #[test]
     fn load_refuses_a_shape_the_encoder_never_writes() {
         use crate::io::{WordReader, WordWriter};
         let values: Vec<u64> = (0..300u64).map(|i| i * 1_000 + 7).collect();
         let ef = EliasFano::new(&values, 1 << 20);
-        let mut bytes = Vec::new();
-        ef.write_to(&mut WordWriter::new(&mut bytes)).unwrap();
-        let load = |bytes: &[u8]| EliasFano::read_from(&mut WordReader::new(bytes)).err();
-        let forged = |word: usize, value: u64| {
-            let mut bad = bytes.clone();
-            bad[word * 8..word * 8 + 8].copy_from_slice(&value.to_le_bytes());
-            bad
+        // Layout: [universe] + low + high.
+        let assemble = |universe: u64, low: &IntVec, high: &BitVec| {
+            let mut bytes = Vec::new();
+            let mut w = WordWriter::new(&mut bytes);
+            w.word(universe).unwrap();
+            low.write_to(&mut w).unwrap();
+            high.write_to(&mut w).unwrap();
+            bytes
         };
-        // Layout: [n, universe, low_bits, first, last] + low + high.
+        let load = |bytes: &[u8]| EliasFano::read_from(&mut WordReader::new(bytes)).err();
         let invalid = |what| Some(DecodeError::Invalid(what));
+        let (low, high) = (&ef.low, ef.high.bits());
+        assert_eq!(load(&assemble(1 << 20, low, high)), None);
         assert_eq!(
-            load(&forged(1, 1 << 21)),
+            load(&assemble(1 << 21, low, high)),
             invalid("Elias-Fano low-bit width")
         );
         assert_eq!(
-            load(&forged(1, 700_000)),
+            load(&assemble(700_000, low, high)),
             invalid("Elias-Fano high bit length")
         );
-        assert_eq!(load(&forged(3, 6)), invalid("Elias-Fano bounds"));
-        assert_eq!(load(&forged(4, 299_008)), invalid("Elias-Fano bounds"));
-        assert_eq!(load(&bytes), None);
+        let mut short = IntVec::with_capacity(low.width(), 299);
+        (0..299).for_each(|i| short.push(low.get(i)));
+        assert_eq!(
+            load(&assemble(1 << 20, &short, high)),
+            invalid("Elias-Fano low array shape")
+        );
+        // The last one moved to the last bit of H decodes to a value at or
+        // past the universe.
+        let mut past = high.clone();
+        past.set(ef.high.select1(299), false);
+        past.set(past.len() - 1, true);
+        assert_eq!(
+            load(&assemble(1 << 20, low, &past)),
+            invalid("Elias-Fano bounds")
+        );
+        assert_eq!(load(&assemble(0, low, high)), invalid("Elias-Fano bounds"));
     }
 
     #[test]

@@ -29,10 +29,10 @@
 //! Every structure owns its words in a `Vec<u64>` and serializes to a flat
 //! little-endian `u64` stream through a `write_to` / `read_from` pair built
 //! on the [`io`] module: [`io::WordWriter`] out, [`io::WordReader`] back in
-//! from an in-memory byte slice. Rank/select directories travel with the
-//! bits; loading checks them against the bits and refuses a directory that
-//! disagrees. The `select0` inventory an [`EliasFano`] sequence queries
-//! through is derived in memory when it is built or loaded, never stored.
+//! from an in-memory byte slice. Only bits travel: rank/select
+//! directories, the `select0` inventory an [`EliasFano`] sequence queries
+//! through, and the counts that follow from the bits are derived in memory
+//! when a structure is built or loaded, never stored.
 
 // Deny rather than forbid: `simd::kernels` is the one module allowed to
 // opt back in (xtask lint L6 enforces the allowlist and requires a

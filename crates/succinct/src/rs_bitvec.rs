@@ -1,7 +1,7 @@
 //! An immutable bit vector with constant-time rank and select for both bit
 //! polarities.
 //!
-//! # Layout (format v2, position-sampled select)
+//! # Layout (position-sampled select)
 //!
 //! The bit sequence is divided into 512-bit blocks (8 words). A block
 //! directory stores the absolute number of ones before each block (12.5 %
@@ -40,11 +40,10 @@
 //!
 //! # Persistence
 //!
-//! The rank directory and the select samples serialize alongside the bits.
-//! Loading derives both again from the bits (a popcount pass and one
-//! sampling pass per polarity) and refuses (`DecodeError::Invalid`) a
-//! stored directory or sample that disagrees: every later query, and the
-//! `select0` inventory, trusts them.
+//! Only the bits serialize. Loading derives the rank directory and the
+//! select samples from them (a popcount pass and one sampling pass per
+//! polarity), exactly as building does, so every directory a query or the
+//! `select0` inventory trusts was computed from the bits it indexes.
 
 use std::sync::OnceLock;
 
@@ -449,9 +448,9 @@ impl RsBitVec {
         inventory.exact[i * SELECT_SAMPLE + r] as usize
     }
 
-    /// Heap size of the encoded structure in bits: the bits, the rank
-    /// directory and the select samples — what serializes. The derived
-    /// `select0` inventory is not counted.
+    /// Resident heap size in bits: the bits, the rank directory and the
+    /// select samples. Only the bits serialize; the derived `select0`
+    /// inventory is not counted.
     pub fn size_in_bits(&self) -> usize {
         self.bits.size_in_bits()
             + self.block_dir().len() * 64
@@ -459,60 +458,16 @@ impl RsBitVec {
             + self.select0_pos.len() * 64
     }
 
-    /// Size of the rank/select overhead only, in bits.
-    pub fn overhead_in_bits(&self) -> usize {
-        self.size_in_bits() - self.bits.size_in_bits()
-    }
-
-    /// Serializes bits **and** directories: `[ones] + bits + [n_blocks,
-    /// blocks…] + [n_s1, select1_pos…] + [n_s0, select0_pos…]`. Returns the
-    /// word count. This is the format-v2 layout; the sample arrays hold the
-    /// exact positions described in the module docs.
+    /// Serializes the bits alone ([`BitVec::write_to`]); the directories
+    /// are derived again on load. Returns the word count.
     pub fn write_to(&self, w: &mut WordWriter<'_>) -> std::io::Result<usize> {
-        let before = w.words_written();
-        w.word(self.ones as u64)?;
-        self.bits.write_to(w)?;
-        w.prefixed(self.block_dir())?;
-        w.prefixed(&self.select1_pos)?;
-        w.prefixed(&self.select0_pos)?;
-        Ok(w.words_written() - before)
+        self.bits.write_to(w)
     }
 
-    /// Reads back what [`RsBitVec::write_to`] wrote. The directory and the
-    /// samples are derived again from the bits (one popcount pass and one
-    /// sampling pass) and must equal the stored ones: a directory or a
-    /// sample that disagrees with the bits is refused, never used.
+    /// Reads back what [`RsBitVec::write_to`] wrote and derives the rank
+    /// directory and the select samples from the bits.
     pub fn read_from(src: &mut WordReader<'_>) -> Result<Self, DecodeError> {
-        let ones = src.length()?;
-        let bits = BitVec::read_from(src)?;
-        if ones > bits.len() {
-            return Err(DecodeError::Invalid("rank directory total exceeds length"));
-        }
-        let n_blocks = crate::div_ceil(bits.len().max(1), BLOCK_BITS);
-        let blocks_len = src.length()?;
-        if n_blocks.checked_add(1) != Some(blocks_len) {
-            return Err(DecodeError::Invalid("rank directory block count"));
-        }
-        let blocks = src.take(blocks_len)?;
-        let s1_len = src.length()?;
-        if s1_len != ones.div_ceil(SELECT_SAMPLE) {
-            return Err(DecodeError::Invalid("select1 sample count"));
-        }
-        let select1_pos = src.take(s1_len)?;
-        let zeros = bits.len() - ones;
-        let s0_len = src.length()?;
-        if s0_len != zeros.div_ceil(SELECT_SAMPLE) {
-            return Err(DecodeError::Invalid("select0 sample count"));
-        }
-        let select0_pos = src.take(s0_len)?;
-        let derived = Self::new(bits);
-        if derived.blocks != blocks || derived.ones != ones {
-            return Err(DecodeError::Invalid("rank directory inconsistent"));
-        }
-        if derived.select1_pos != select1_pos || derived.select0_pos != select0_pos {
-            return Err(DecodeError::Invalid("select sample inconsistent"));
-        }
-        Ok(derived)
+        Ok(Self::new(BitVec::read_from(src)?))
     }
 }
 
@@ -668,7 +623,10 @@ mod tests {
             })
             .collect();
         let rs = RsBitVec::new(pattern.iter().copied().collect());
-        let owned = load(&serialize(&rs)).unwrap();
+        let words = serialize(&rs);
+        // Only the bits serialize: `[len, n_words] + words`.
+        assert_eq!(words.len(), 2 + rs.bits().words().len());
+        let owned = load(&words).unwrap();
         assert_eq!(owned.count_ones(), rs.count_ones());
         for pos in (0..=rs.len()).step_by(97) {
             assert_eq!(owned.rank1(pos), rs.rank1(pos));
@@ -679,57 +637,18 @@ mod tests {
         for k in (0..rs.count_zeros()).step_by(103) {
             assert_eq!(owned.select0(k), rs.select0(k));
         }
-    }
-
-    /// Loading checks the serialized directory against the bits: the
-    /// tampered word that a verbatim load would have used (one more one
-    /// before block 1) is refused by name.
-    #[test]
-    fn load_refuses_a_directory_that_disagrees_with_its_bits() {
-        let rs = RsBitVec::new((0..2048).map(|i| i % 2 == 0).collect());
-        let mut words = serialize(&rs);
-        // Layout: [ones][len][n_words][words…][n_blocks][blocks…]. Bump the
-        // *second* block-directory entry (ones before block 1) by one.
-        let dir_start = 1 + 2 + rs.bits().words().len() + 1;
-        words[dir_start + 1] += 1;
-        assert_eq!(
-            load(&words).err(),
-            Some(DecodeError::Invalid("rank directory inconsistent"))
-        );
-    }
-
-    #[test]
-    fn corrupt_directory_counts_rejected() {
-        let rs = RsBitVec::new((0..2048).map(|i| i % 4 == 0).collect());
-        let words = serialize(&rs);
-        let mut bad = words.clone();
-        bad[0] = 5000; // ones > len
-        assert_eq!(
-            load(&bad).err(),
-            Some(DecodeError::Invalid("rank directory total exceeds length"))
-        );
-        // Layout: [ones][len][n_words][words…][n_blocks][blocks…].
-        let dir_len = 1 + 2 + rs.bits().words().len();
-        let dir_start = dir_len + 1;
-        let mut bad = words.clone();
-        bad[dir_len] += 1;
-        assert_eq!(
-            load(&bad).err(),
-            Some(DecodeError::Invalid("rank directory block count"))
-        );
-        // A decreasing directory, and one that does not close on `ones`.
-        let mut bad = words.clone();
-        bad[dir_start + 2] = bad[dir_start + 1] - 1;
-        assert_eq!(
-            load(&bad).err(),
-            Some(DecodeError::Invalid("rank directory inconsistent"))
-        );
-        let mut bad = words.clone();
-        bad[dir_start + rs.block_dir().len() - 1] -= 1;
-        assert_eq!(
-            load(&bad).err(),
-            Some(DecodeError::Invalid("rank directory inconsistent"))
-        );
+        // A flipped data bit loads as the vector it now spells: the
+        // directories are derived from the bits, never read.
+        let mut flipped = words.clone();
+        flipped[2] ^= 1 << 1;
+        let loaded = load(&flipped).unwrap();
+        let mut bits = rs.bits().clone();
+        bits.set(1, !bits.get(1));
+        let rebuilt = RsBitVec::new(bits);
+        assert_eq!(loaded.count_ones(), rebuilt.count_ones());
+        for pos in (0..=rs.len()).step_by(97) {
+            assert_eq!(loaded.rank1(pos), rebuilt.rank1(pos));
+        }
         // Every proper prefix fails typed.
         for cut in 0..words.len() {
             assert!(
@@ -737,55 +656,5 @@ mod tests {
                 "prefix of {cut} words"
             );
         }
-    }
-
-    #[test]
-    fn corrupt_select_samples_rejected() {
-        let rs = RsBitVec::new((0..4096).map(|i| i % 3 == 0).collect());
-        let words = serialize(&rs);
-        // First select1 sample (right after the block directory prefix).
-        let s1_start = 1 + 2 + rs.bits().words().len() + 1 + rs.block_dir().len() + 1;
-        // Out-of-range position.
-        let mut bad = words.clone();
-        bad[s1_start] = rs.len() as u64 + 7;
-        assert!(matches!(
-            load(&bad),
-            Err(DecodeError::Invalid("select sample inconsistent"))
-        ));
-        // A sample count that disagrees with `ones`.
-        let mut bad = words.clone();
-        bad[s1_start - 1] += 1;
-        assert!(matches!(
-            load(&bad),
-            Err(DecodeError::Invalid("select1 sample count"))
-        ));
-        // Non-increasing samples.
-        let mut bad = words.clone();
-        bad[s1_start + 1] = bad[s1_start];
-        assert!(matches!(
-            load(&bad),
-            Err(DecodeError::Invalid("select sample inconsistent"))
-        ));
-        // An in-range, increasing sample that is not the 512-th one.
-        let mut bad = words.clone();
-        bad[s1_start + 1] += 3;
-        assert!(matches!(
-            load(&bad),
-            Err(DecodeError::Invalid("select sample inconsistent"))
-        ));
-        // A zero sample, and a flipped data bit under an intact directory.
-        let s0_start = s1_start + rs.select1_pos.len() + 1;
-        let mut bad = words.clone();
-        bad[s0_start + 1] -= 1;
-        assert!(matches!(
-            load(&bad),
-            Err(DecodeError::Invalid("select sample inconsistent"))
-        ));
-        let mut bad = words.clone();
-        bad[3] ^= 1 << 1;
-        assert!(matches!(
-            load(&bad),
-            Err(DecodeError::Invalid("rank directory inconsistent"))
-        ));
     }
 }

@@ -16,7 +16,11 @@ as one report. Raw nanosecond numbers are machine-dependent, so every
 `sorted_vec_predecessor_ns` — a fixed baseline implementation (binary
 search over an uncompressed sorted vec) measured in the same process,
 which cancels out CPU-speed differences between the committing machine and
-the CI runner. The gate fails when:
+the CI runner. A baseline speaks for one SIMD dispatch level only
+(`results/BENCH_query.json` for the machine's best level,
+`results/BENCH_query_scalar.json` for `GRAFITE_SIMD=scalar`), so the gate
+exits with a message naming both levels when the baseline's `simd_level`
+differs from the fresh median's. Otherwise it fails when:
 
   * any normalized query metric regresses by more than REGRESSION_TOLERANCE
     against the committed baseline, or
@@ -257,6 +261,11 @@ def main():
     fresh = median_metrics(
         [metrics_of(path, "grafite-hotpath-v1") for path in sys.argv[2:]])
     print(f"  fresh: per-metric median of {len(sys.argv) - 2} run(s)")
+    base_level, fresh_level = baseline.get("simd_level"), fresh.get("simd_level")
+    if base_level != fresh_level:
+        sys.exit(f"{sys.argv[1]} was recorded at SIMD level {base_level!r} but the "
+                 f"fresh runs dispatched {fresh_level!r}: gate them against a "
+                 "baseline recorded at the same level")
     base_norm = normalized(baseline)
     fresh_norm = normalized(fresh)
 

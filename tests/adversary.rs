@@ -10,7 +10,7 @@
 //! query distribution.
 
 use grafite::{BucketingFilter, BuildableFilter, FilterConfig, GrafiteFilter, RangeFilter};
-use grafite_filters::{Snarf, SuffixMode, Surf};
+use grafite_filters::{Snarf, SuffixStyle, Surf, SurfTuning};
 use grafite_workloads::{datasets::Dataset, generate};
 
 /// Builds the tightest empty ranges next to each leaked key.
@@ -49,8 +49,15 @@ fn adversary_with_leaked_keys_cannot_break_grafite() {
 
     let budget = 18.0;
     let grafite = GrafiteFilter::build(&FilterConfig::new(&keys).bits_per_key(budget)).unwrap();
-    let snarf = Snarf::new(&keys, budget).unwrap();
-    let surf = Surf::new(&keys, SuffixMode::Real { bits: 7 }).unwrap();
+    let snarf = Snarf::build(&FilterConfig::new(&keys).bits_per_key(budget)).unwrap();
+    let surf = Surf::build_with(
+        &FilterConfig::new(&keys),
+        &SurfTuning {
+            style: SuffixStyle::Real,
+            suffix_bits: Some(7),
+        },
+    )
+    .unwrap();
     let bucketing = BucketingFilter::build(&FilterConfig::new(&keys).bits_per_key(budget)).unwrap();
 
     let fpr = |f: &dyn RangeFilter| {

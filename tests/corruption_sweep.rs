@@ -16,17 +16,19 @@
 
 use std::path::PathBuf;
 
-use grafite::grafite_core::persist::{blob_checksum, words_of_bytes, Header, HEADER_BYTES};
+use grafite::grafite_core::persist::{
+    blob_checksum, words_of_bytes, Header, FORMAT_VERSION, HEADER_BYTES,
+};
 use grafite::{
     standard_registry, FamilySpec, FilterError, FilterSpec, FilterStore, Partitioning, Registry,
     StoreConfig,
 };
 use proptest::prelude::*;
 
-/// The committed golden set (`tests/golden/v2/`, one blob per format
-/// family).
+/// The committed golden set (`tests/golden/v{FORMAT_VERSION}/`, one blob
+/// per format family).
 fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/v2")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/v{FORMAT_VERSION}"))
 }
 
 /// Every committed golden blob: `(label, bytes)`.
@@ -41,7 +43,10 @@ fn golden_blobs() -> Vec<(String, Vec<u8>)> {
     let out: Vec<_> = entries
         .into_iter()
         .map(|path| {
-            let label = format!("v2/{}", path.file_name().unwrap().to_string_lossy());
+            let label = format!(
+                "v{FORMAT_VERSION}/{}",
+                path.file_name().unwrap().to_string_lossy()
+            );
             (label, std::fs::read(&path).expect("golden blob"))
         })
         .collect();

@@ -4,43 +4,40 @@
 //! and Grafite's FPR within its theoretical bound.
 
 use grafite::{BucketingFilter, BuildableFilter, FilterConfig, GrafiteFilter, RangeFilter};
-use grafite_bloom::TrivialRangeFilter;
-use grafite_filters::{Proteus, REncoder, REncoderVariant, Rosetta, Snarf, SuffixMode, Surf};
+use grafite_bloom::{TrivialBloomTuning, TrivialRangeFilter};
+use grafite_filters::{
+    Proteus, REncoder, REncoderTuning, REncoderVariant, Rosetta, Snarf, SuffixStyle, Surf,
+    SurfTuning,
+};
 use grafite_workloads::{
     correlated_queries, datasets::Dataset, generate, non_empty_queries, uncorrelated_queries,
 };
 
 fn all_filters(keys: &[u64], sample: &[(u64, u64)]) -> Vec<Box<dyn RangeFilter>> {
+    let cfg = FilterConfig::new(keys)
+        .bits_per_key(14.0)
+        .sample(sample)
+        .seed(3);
+    let surf = |style| SurfTuning {
+        style,
+        suffix_bits: Some(6),
+    };
+    let rencoder = |variant| REncoder::build_with(&cfg, &REncoderTuning(variant)).unwrap();
+    let trivial = TrivialBloomTuning {
+        epsilon: Some(0.05),
+    };
     vec![
         Box::new(GrafiteFilter::build(&FilterConfig::new(keys).bits_per_key(14.0)).unwrap()),
         Box::new(BucketingFilter::build(&FilterConfig::new(keys).bits_per_key(14.0)).unwrap()),
-        Box::new(Snarf::new(keys, 14.0).unwrap()),
-        Box::new(Surf::new(keys, SuffixMode::Real { bits: 6 }).unwrap()),
-        Box::new(Surf::new(keys, SuffixMode::Hash { bits: 6 }).unwrap()),
-        Box::new(Proteus::new(keys, 14.0, sample, 3).unwrap()),
-        Box::new(Rosetta::new(keys, 14.0, 1 << 10, Some(sample), 3).unwrap()),
-        Box::new(REncoder::new(keys, 14.0, REncoderVariant::Full, None, 3).unwrap()),
-        Box::new(
-            REncoder::new(
-                keys,
-                14.0,
-                REncoderVariant::SelectiveStorage { rounds: 2 },
-                None,
-                3,
-            )
-            .unwrap(),
-        ),
-        Box::new(
-            REncoder::new(
-                keys,
-                14.0,
-                REncoderVariant::SampleEstimation,
-                Some(sample),
-                3,
-            )
-            .unwrap(),
-        ),
-        Box::new(TrivialRangeFilter::new(keys, 0.05, 1 << 10, 3)),
+        Box::new(Snarf::build(&cfg).unwrap()),
+        Box::new(Surf::build_with(&cfg, &surf(SuffixStyle::Real)).unwrap()),
+        Box::new(Surf::build_with(&cfg, &surf(SuffixStyle::Hashed)).unwrap()),
+        Box::new(Proteus::build(&cfg).unwrap()),
+        Box::new(Rosetta::build(&cfg).unwrap()),
+        Box::new(rencoder(REncoderVariant::Full)),
+        Box::new(rencoder(REncoderVariant::SelectiveStorage { rounds: 2 })),
+        Box::new(rencoder(REncoderVariant::SampleEstimation)),
+        Box::new(TrivialRangeFilter::build_with(&cfg, &trivial).unwrap()),
     ]
 }
 

@@ -4,7 +4,8 @@
 //! exactly as recorded in that directory's `manifest.txt`, catching silent
 //! format breaks (a payload re-ordering, a changed directory layout, a
 //! checksum rule drift) that round-trip tests alone cannot see. Blobs of any
-//! other format version — the retired v1 included — must be refused typed.
+//! other format version — the retired v1 and v2 included — must be refused
+//! typed.
 //!
 //! After an *intentional* format change (bump
 //! `grafite_core::persist::FORMAT_VERSION` first!) regenerate the set with:
@@ -34,7 +35,8 @@ use grafite_filters::standard_registry;
 
 /// The current-format golden set.
 fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/v2")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join(format!("tests/golden/v{}", grafite_core::FORMAT_VERSION))
 }
 
 /// 257 deterministic keys — small enough for a few-KB blob per family,
@@ -97,7 +99,8 @@ fn string_golden_words() -> Vec<String> {
     (0..200).map(|i| format!("golden-{i:04}-key")).collect()
 }
 
-/// Writes every golden blob and its manifest under `tests/golden/v2/`.
+/// Writes every golden blob and its manifest under
+/// `tests/golden/v{FORMAT_VERSION}/`.
 /// `#[ignore]`d: run explicitly (see module docs) only when the format
 /// intentionally changes.
 #[test]
@@ -284,55 +287,59 @@ fn corrupted_goldens_fail_typed() {
     ));
 }
 
-/// The retired v1 format is refused on every load path. The input is the
-/// v2 Grafite golden restamped as version 1 with its checksum recomputed,
-/// so the version word is the only thing that differs from a loadable blob.
+/// The retired v1 and v2 formats are refused on every load path. The input
+/// is the current Grafite golden restamped with the old version and its
+/// checksum recomputed, so the version word is the only thing that differs
+/// from a loadable blob.
 #[test]
-fn v1_blobs_are_refused_on_every_load_path() {
+fn retired_versions_are_refused_on_every_load_path() {
     use grafite_core::persist::{blob_checksum, words_of_bytes, HEADER_BYTES};
-    use grafite_core::{GrafiteFilter, Header};
+    use grafite_core::{GrafiteFilter, Header, FORMAT_VERSION};
     use grafite_store::FamilySpec;
 
-    let mut blob = std::fs::read(golden_dir().join("grafite.bin")).unwrap();
-    let mut header = Header::peek(&blob).unwrap();
-    header.version = 1;
-    header.checksum = blob_checksum(
-        header.spec_version_word(),
-        header.n_keys,
-        header.payload_words,
-        words_of_bytes(&blob[HEADER_BYTES..]),
-    );
-    let mut header_bytes = Vec::new();
-    header.write(&mut header_bytes).unwrap();
-    blob[..HEADER_BYTES].copy_from_slice(&header_bytes);
-
-    let refused = |path: &str, err: FilterError| {
-        assert_eq!(
-            err,
-            FilterError::UnsupportedFormatVersion {
-                found: 1,
-                supported: 2
-            },
-            "{path} did not refuse the v1 blob"
+    let golden = std::fs::read(golden_dir().join("grafite.bin")).unwrap();
+    for found in [1u32, 2] {
+        let mut blob = golden.clone();
+        let mut header = Header::peek(&blob).unwrap();
+        header.version = found;
+        header.checksum = blob_checksum(
+            header.spec_version_word(),
+            header.n_keys,
+            header.payload_words,
+            words_of_bytes(&blob[HEADER_BYTES..]),
         );
-    };
-    refused(
-        "Registry::load",
-        standard_registry().load(&blob).err().unwrap(),
-    );
-    refused(
-        "GrafiteFilter::deserialize",
-        <GrafiteFilter>::deserialize(&blob).err().unwrap(),
-    );
-    // The store's shard loader, eager and mapped alike.
-    refused(
-        "FamilySpec::load",
-        FamilySpec::Registry(FilterSpec::Grafite)
-            .load(&standard_registry(), &blob)
-            .err()
-            .unwrap(),
-    );
-    refused("Header::peek", Header::peek(&blob).err().unwrap());
+        let mut header_bytes = Vec::new();
+        header.write(&mut header_bytes).unwrap();
+        blob[..HEADER_BYTES].copy_from_slice(&header_bytes);
+
+        let refused = |path: &str, err: FilterError| {
+            assert_eq!(
+                err,
+                FilterError::UnsupportedFormatVersion {
+                    found,
+                    supported: FORMAT_VERSION
+                },
+                "{path} did not refuse the v{found} blob"
+            );
+        };
+        refused(
+            "Registry::load",
+            standard_registry().load(&blob).err().unwrap(),
+        );
+        refused(
+            "GrafiteFilter::deserialize",
+            <GrafiteFilter>::deserialize(&blob).err().unwrap(),
+        );
+        // The store's shard loader, eager and mapped alike.
+        refused(
+            "FamilySpec::load",
+            FamilySpec::Registry(FilterSpec::Grafite)
+                .load(&standard_registry(), &blob)
+                .err()
+                .unwrap(),
+        );
+        refused("Header::peek", Header::peek(&blob).err().unwrap());
+    }
 }
 
 /// The current store-manifest golden set.

@@ -16,8 +16,8 @@
 //!   Every byte of one shard's blocked Elias–Fano key record, flipped in
 //!   turn, degrades exactly that shard; damage after open fails the calls
 //!   that re-read keys with `ChecksumMismatch`.
-//! * Manifests of any other store format version — v2 included — are
-//!   refused typed by both opens.
+//! * Manifests of any other store format version — v2 and v3 included —
+//!   are refused typed by both opens.
 //! * `FilterStore::space` adds up: a mapped store's filter, key-record and
 //!   framing bytes are its manifest's length.
 //! * Both opens share one reader: a registry without the family's loader
@@ -797,8 +797,9 @@ fn space_by_layer_matches_ground_truth() {
     }
 }
 
-/// Version 2 manifests (raw key words) and any other foreign version are
-/// refused typed by both opens. The input is the committed store golden
+/// Version 2 manifests (raw key words), version 3 manifests (blobs of
+/// filter format v2) and any other foreign version are refused typed by
+/// both opens. The input is the committed store golden
 /// re-stamped with the version and its checksums re-forged, so the version
 /// word is the only thing wrong with it.
 #[test]
@@ -819,7 +820,7 @@ fn v2_store_manifests_are_refused_by_both_opens() {
         restamp(STORE_FORMAT_VERSION) == golden,
         "the re-stamp changed more than the version"
     );
-    for version in [2u32, 1, STORE_FORMAT_VERSION + 1] {
+    for version in [3u32, 2, 1, STORE_FORMAT_VERSION + 1] {
         let old = restamp(version);
         let path = temp_manifest(&format!("store-v{version}"), &old);
         let want = FilterError::UnsupportedFormatVersion {

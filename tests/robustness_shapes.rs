@@ -3,8 +3,16 @@
 //! of the Figure 1/3/4/5 comparisons and assert who wins, not by how much.
 
 use grafite::{BucketingFilter, BuildableFilter, FilterConfig, GrafiteFilter, RangeFilter};
-use grafite_filters::{Rosetta, Snarf, SuffixMode, Surf};
+use grafite_filters::{Rosetta, RosettaTuning, Snarf, SuffixStyle, Surf, SurfTuning};
 use grafite_workloads::{correlated_queries, datasets::Dataset, generate, uncorrelated_queries};
+
+/// SuRF with `bits` real suffix bits per key, whatever the budget.
+fn real_suffixes(bits: u8) -> SurfTuning {
+    SurfTuning {
+        style: SuffixStyle::Real,
+        suffix_bits: Some(bits),
+    }
+}
 
 fn fpr(filter: &dyn RangeFilter, queries: &[grafite_workloads::RangeQuery]) -> f64 {
     let fps = queries
@@ -23,9 +31,18 @@ fn correlation_separates_robust_from_heuristic() {
     let correlated = correlated_queries(&keys, 10_000, l, 0.8, 7);
 
     let grafite = GrafiteFilter::build(&FilterConfig::new(&keys).bits_per_key(20.0)).unwrap();
-    let rosetta = Rosetta::new(&keys, 20.0, l, None, 7).unwrap();
-    let snarf = Snarf::new(&keys, 20.0).unwrap();
-    let surf = Surf::new(&keys, SuffixMode::Real { bits: 9 }).unwrap();
+    let rosetta = Rosetta::build_with(
+        &FilterConfig::new(&keys)
+            .bits_per_key(20.0)
+            .max_range(l)
+            .seed(7),
+        &RosettaTuning {
+            sample_tuned: false,
+        },
+    )
+    .unwrap();
+    let snarf = Snarf::build(&FilterConfig::new(&keys).bits_per_key(20.0)).unwrap();
+    let surf = Surf::build_with(&FilterConfig::new(&keys), &real_suffixes(9)).unwrap();
     let bucketing = BucketingFilter::build(&FilterConfig::new(&keys).bits_per_key(20.0)).unwrap();
 
     let fpr_grafite = fpr(&grafite, &correlated);
@@ -60,8 +77,8 @@ fn bucketing_competitive_on_uncorrelated() {
     let queries = uncorrelated_queries(&keys, 10_000, l, 11);
 
     let bucketing = BucketingFilter::build(&FilterConfig::new(&keys).bits_per_key(18.0)).unwrap();
-    let snarf = Snarf::new(&keys, 18.0).unwrap();
-    let surf = Surf::new(&keys, SuffixMode::Real { bits: 7 }).unwrap();
+    let snarf = Snarf::build(&FilterConfig::new(&keys).bits_per_key(18.0)).unwrap();
+    let surf = Surf::build_with(&FilterConfig::new(&keys), &real_suffixes(7)).unwrap();
 
     let fpr_bucketing = fpr(&bucketing, &queries);
     let fpr_snarf = fpr(&snarf, &queries);
