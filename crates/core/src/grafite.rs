@@ -28,12 +28,20 @@ pub const MAX_REDUCED_UNIVERSE: u64 = grafite_hash::pairwise::MERSENNE_61 - 1;
 /// probability at most `min{1, ℓ/2^(B−2)}`. Query time is a constant number
 /// of Elias–Fano predecessor probes (each a `O(log(L/ε))`-step binary search
 /// within one high-bucket).
+///
+/// # Layout
+///
+/// The filter is the locality-preserving hash `h` and the sorted sequence
+/// of the keys' codes `h(x)` as Elias–Fano, whose universe is the reduced
+/// universe `r`. The sequence holds one code per key: keys whose codes
+/// collide repeat the code. So an update can take a deleted key's code
+/// out without touching a colliding key's (see
+/// [`PersistentFilter::merged`]).
 #[derive(Clone, Debug)]
 pub struct GrafiteFilter {
     h: LocalityHash,
     codes: EliasFano,
     n_keys: usize,
-    r: u64,
 }
 
 impl GrafiteFilter {
@@ -73,24 +81,23 @@ impl GrafiteFilter {
             keys.iter().map(|&k| h.eval(k)).collect()
         };
         sort::partition_radix_sort(&mut codes, threads);
-        codes.dedup();
         let codes = EliasFano::new_parallel(&codes, r, threads);
         Self {
             h,
             codes,
             n_keys: keys.len(),
-            r,
         }
     }
 
     /// The reduced universe size `r = nL/ε`.
     #[inline]
     pub fn reduced_universe(&self) -> u64 {
-        self.r
+        self.codes.universe()
     }
 
-    /// Number of distinct hash codes stored (can be slightly below the number
-    /// of keys due to collisions; paper footnote 3).
+    /// Number of hash codes stored: one per key, so it equals
+    /// [`RangeFilter::num_keys`] — except in a blob written before codes
+    /// stopped being deduplicated, where colliding keys share one code.
     #[inline]
     pub fn num_codes(&self) -> usize {
         self.codes.len()
@@ -102,7 +109,7 @@ impl GrafiteFilter {
         if self.n_keys == 0 {
             return 0.0;
         }
-        (self.n_keys as f64 * l as f64 / self.r as f64).min(1.0)
+        (self.n_keys as f64 * l as f64 / self.reduced_universe() as f64).min(1.0)
     }
 
     /// Range-emptiness test over a single `r`-block: both endpoints have the
@@ -128,12 +135,14 @@ impl GrafiteFilter {
     /// extension described at the end of the paper's Section 3: the
     /// difference of Elias–Fano ranks at the hashed endpoints.
     ///
-    /// The count is over *distinct hash codes*: collisions of keys inside
-    /// the range deflate it slightly, collisions from outside the range
-    /// inflate it (by at most the same `ℓε/L`-style probability per key);
-    /// with duplicate input keys, duplicates count once. For a range
-    /// spanning a whole `r`-block the reduction is uninformative and the
-    /// total code count is returned.
+    /// The count is over hash codes, one per key (duplicate input keys
+    /// included). A collision repeats a code, so keys inside the range are
+    /// all counted: unlike under the paper's footnote 3, where colliding
+    /// codes merge, counts no longer deflate. Keys outside the range whose
+    /// codes land inside it inflate the count (with at most the same
+    /// `ℓε/L`-style probability per key). For a range spanning a whole
+    /// `r`-block the reduction is uninformative and the total code count is
+    /// returned.
     pub fn approx_range_count(&self, a: u64, b: u64) -> usize {
         debug_assert!(a <= b, "inverted range [{a}, {b}]");
         if self.n_keys == 0 {
@@ -143,7 +152,7 @@ impl GrafiteFilter {
         if block_a == block_b {
             self.count_within_block(a, b)
         } else if block_b == block_a + 1 {
-            let b_first = block_b * self.r;
+            let b_first = block_b * self.reduced_universe();
             self.count_within_block(a, b_first - 1) + self.count_within_block(b_first, b)
         } else {
             self.codes.len()
@@ -179,7 +188,7 @@ impl RangeFilter for GrafiteFilter {
         } else if block_b == block_a + 1 {
             // Split at b' = ⌊b/r⌋·r = b − (b mod r), the first value of b's block
             // (footnote 2); each sub-range lies within a single block.
-            let b_first = block_b * self.r;
+            let b_first = block_b * self.reduced_universe();
             self.query_within_block(b_first, b) || self.query_within_block(a, b_first - 1)
         } else {
             true
@@ -235,8 +244,57 @@ impl PersistentFilter for GrafiteFilter {
             h,
             codes,
             n_keys: header.n_keys as usize,
-            r,
         })
+    }
+
+    /// Merges the update into the code sequence instead of rebuilding:
+    /// the deleted keys' codes come out and the inserted keys' go in,
+    /// under the unchanged hash. The result is byte-identical to
+    /// [`GrafiteFilter::from_hash`] over `cfg.keys` with this filter's
+    /// hash, i.e. a build pinned at this filter's reduced universe `r₀`.
+    ///
+    /// It merges only while keeping `r₀` keeps the paper's sizing:
+    /// `r(n') ≤ r₀ ≤ r(n') + r(n')/8`, where `r(n')` is what
+    /// [`BuildableFilter::build`] sizes for the `n'` keys of `cfg` (default
+    /// tuning). Then a query of size ℓ is a false positive with
+    /// probability at most `ℓ·n'/r₀ ≤ ℓ/2^(B−2)`. The codes must also fit
+    /// in `B + 1/8` bits per key: at an integral `B` the universe rule
+    /// implies it, but at a fractional one a shrinking shard's low width
+    /// can step up and take up to `log₂(9/8) ≈ 0.17` bits per key more
+    /// than `B`. And it needs one stored code per key, which a blob
+    /// written while codes were deduplicated lacks when two of its keys
+    /// collide. Otherwise `None`: rebuild.
+    fn merged(
+        &self,
+        cfg: &FilterConfig<'_>,
+        removed: &[u64],
+        added: &[u64],
+    ) -> Option<Box<dyn PersistentFilter>> {
+        let n = cfg.keys.len();
+        if self.codes.len() != self.n_keys
+            || (self.n_keys + added.len()).checked_sub(removed.len()) != Some(n)
+        {
+            return None;
+        }
+        let r0 = self.reduced_universe();
+        let r = reduced_universe_for(cfg, &GrafiteTuning::default()).ok()?;
+        let max_bits = n as f64 * (cfg.bits_per_key + 0.125);
+        if r > r0 || r0 - r > r / 8 || EliasFano::encoded_bits(n, r0) as f64 > max_bits {
+            return None;
+        }
+        let sorted_codes = |keys: &[u64]| {
+            let mut codes: Vec<u64> = keys.iter().map(|&k| self.h.eval(k)).collect();
+            codes.sort_unstable();
+            codes
+        };
+        let codes = self
+            .codes
+            .merged(&sorted_codes(removed), &sorted_codes(added))?;
+        Some(Box::new(Self {
+            h: self.h,
+            codes,
+            n_keys: n,
+        }))
     }
 }
 
@@ -263,41 +321,51 @@ impl BuildableFilter for GrafiteFilter {
     /// hash from [`FilterConfig::seed`]. Keys may be unsorted and may
     /// contain duplicates.
     fn build_with(cfg: &FilterConfig<'_>, tuning: &GrafiteTuning) -> Result<Self, FilterError> {
-        let n = cfg.keys.len();
-        let r_target: u128 = match tuning.epsilon {
-            Some(epsilon) => {
-                let l = cfg.max_range;
-                if !(epsilon > 0.0 && epsilon < 1.0) {
-                    return Err(FilterError::InvalidEpsilon(epsilon));
-                }
-                if l == 0 {
-                    return Err(FilterError::InvalidMaxRange(l));
-                }
-                ((n.max(1) as f64) * (l as f64) / epsilon).ceil() as u128
-            }
-            None => {
-                let bits = cfg.bits_per_key;
-                if !(bits > 2.0 && bits.is_finite()) {
-                    return Err(FilterError::InvalidBudget(bits));
-                }
-                ((n.max(1) as f64) * (bits - 2.0).exp2()).ceil() as u128
-            }
-        };
-        let r_target = if tuning.pow2_universe {
-            r_target.next_power_of_two()
-        } else {
-            r_target
-        };
-        if r_target > MAX_REDUCED_UNIVERSE as u128 {
-            return Err(FilterError::ReducedUniverseTooLarge {
-                requested: r_target,
-                supported: MAX_REDUCED_UNIVERSE,
-            });
-        }
-        let r = (r_target as u64).max(1);
+        let r = reduced_universe_for(cfg, tuning)?;
         let h = LocalityHash::from_seed(cfg.seed, r);
         Ok(Self::from_hash_parallel(h, cfg.keys, cfg.parallelism))
     }
+}
+
+/// The reduced universe `r` [`BuildableFilter::build_with`] sizes for the
+/// keys of `cfg` under its budget and `tuning` — the one sizing rule that
+/// builds and [`PersistentFilter::merged`] share.
+fn reduced_universe_for(
+    cfg: &FilterConfig<'_>,
+    tuning: &GrafiteTuning,
+) -> Result<u64, FilterError> {
+    let n = cfg.keys.len();
+    let r_target: u128 = match tuning.epsilon {
+        Some(epsilon) => {
+            let l = cfg.max_range;
+            if !(epsilon > 0.0 && epsilon < 1.0) {
+                return Err(FilterError::InvalidEpsilon(epsilon));
+            }
+            if l == 0 {
+                return Err(FilterError::InvalidMaxRange(l));
+            }
+            ((n.max(1) as f64) * (l as f64) / epsilon).ceil() as u128
+        }
+        None => {
+            let bits = cfg.bits_per_key;
+            if !(bits > 2.0 && bits.is_finite()) {
+                return Err(FilterError::InvalidBudget(bits));
+            }
+            ((n.max(1) as f64) * (bits - 2.0).exp2()).ceil() as u128
+        }
+    };
+    let r_target = if tuning.pow2_universe {
+        r_target.next_power_of_two()
+    } else {
+        r_target
+    };
+    if r_target > MAX_REDUCED_UNIVERSE as u128 {
+        return Err(FilterError::ReducedUniverseTooLarge {
+            requested: r_target,
+            supported: MAX_REDUCED_UNIVERSE,
+        });
+    }
+    Ok((r_target as u64).max(1))
 }
 
 #[cfg(test)]
@@ -318,8 +386,10 @@ mod tests {
     fn paper_example_false_positive() {
         let f = paper_filter();
         assert_eq!(f.reduced_universe(), 100);
-        assert_eq!(f.num_codes(), 10); // the example's codes are all distinct
-                                       // Example 3.3: [44, 47] ∩ S = ∅, yet the filter says "not empty".
+        // Figure 2's sequence: one code per key, h(S) sorted.
+        let codes: Vec<u64> = f.codes.iter().collect();
+        assert_eq!(codes, [6, 14, 32, 51, 53, 55, 66, 70, 91, 94]);
+        // Example 3.3: [44, 47] ∩ S = ∅, yet the filter says "not empty".
         assert!(f.may_contain_range(44, 47));
     }
 
@@ -368,7 +438,9 @@ mod tests {
     fn single_key_and_duplicates() {
         let f = GrafiteFilter::build(&FilterConfig::new(&[7, 7, 7]).bits_per_key(12.0)).unwrap();
         assert_eq!(f.num_keys(), 3);
-        assert_eq!(f.num_codes(), 1);
+        // One code per key: a duplicate key repeats its code.
+        assert_eq!(f.num_codes(), 3);
+        assert_eq!(f.approx_range_count(0, 100), 3);
         assert!(f.may_contain(7));
         assert!(f.may_contain_range(0, 100));
     }
@@ -616,6 +688,70 @@ mod tests {
         assert_eq!(out, first, "batch must be deterministic and clear `out`");
     }
 
+    /// A merge is a build pinned at the old reduced universe, byte for
+    /// byte; deleting one of two keys that share a code keeps the other.
+    #[test]
+    fn merged_equals_pinned_build_and_keeps_a_colliding_key() {
+        let keys: Vec<u64> = (0..2_000u64).map(|i| i * 7_919 + 13).collect();
+        let cfg = FilterConfig::new(&keys).bits_per_key(12.0).seed(5);
+        let f = GrafiteFilter::build(&cfg).unwrap();
+        let (h, r0) = (f.h, f.reduced_universe());
+        // `twin` sits one r-block above `keys[0]` with the same code.
+        let block = h.block(keys[0]) + 1;
+        let offset = (h.eval(keys[0]) + r0 - h.eval(block * r0)) % r0;
+        let twin = block * r0 + offset;
+        assert_eq!(h.eval(twin), h.eval(keys[0]));
+        let mut with_twin = keys.clone();
+        with_twin[1] = twin; // keep n, and so r, the same
+        let added = [twin];
+        let removed = [keys[1]];
+        let cfg_twin = FilterConfig::new(&with_twin).bits_per_key(12.0).seed(5);
+        let merged = f.merged(&cfg_twin, &removed, &added).expect("n unchanged");
+        assert_eq!(
+            merged.to_bytes(),
+            GrafiteFilter::from_hash(h, &with_twin).to_bytes()
+        );
+        // Deleting keys[0] leaves its twin's copy of the code.
+        let rest: Vec<u64> = with_twin[1..].to_vec();
+        let cfg_rest = FilterConfig::new(&rest).bits_per_key(12.0).seed(5);
+        let back = GrafiteFilter::deserialize(&merged.to_bytes()).unwrap();
+        let after = back
+            .merged(&cfg_rest, &[keys[0]], &[])
+            .expect("shrink by one");
+        assert!(after.may_contain(twin), "a colliding key lost its code");
+        assert_eq!(
+            after.to_bytes(),
+            GrafiteFilter::from_hash(h, &rest).to_bytes()
+        );
+        // Growth past r₀ and shrinking past r₀ − r₀/9 rebuild instead.
+        let grown = [keys.clone(), vec![u64::MAX]].concat();
+        let cfg_grown = FilterConfig::new(&grown).bits_per_key(12.0).seed(5);
+        assert!(f.merged(&cfg_grown, &[], &[u64::MAX]).is_none());
+        let cut = keys.len() / 9 + 1;
+        let shrunk = keys[cut..].to_vec();
+        let cfg_shrunk = FilterConfig::new(&shrunk).bits_per_key(12.0).seed(5);
+        assert!(f.merged(&cfg_shrunk, &keys[..cut], &[]).is_none());
+        let shrunk = keys[cut - 1..].to_vec();
+        let cfg_shrunk = FilterConfig::new(&shrunk).bits_per_key(12.0).seed(5);
+        assert!(f.merged(&cfg_shrunk, &keys[..cut - 1], &[]).is_some());
+        // At 16.5 bits per key an 11.5 % shrink would still fit the codes
+        // in B + 1/8 bits per key, but leave r₀ more than r(n')/8 above
+        // r(n'): rebuild.
+        let cfg = FilterConfig::new(&keys).bits_per_key(16.5).seed(5);
+        let f = GrafiteFilter::build(&cfg).unwrap();
+        let shrunk = keys[230..].to_vec();
+        assert!(
+            EliasFano::encoded_bits(shrunk.len(), f.reduced_universe()) as f64
+                <= shrunk.len() as f64 * 16.625
+        );
+        let cfg_shrunk = FilterConfig::new(&shrunk).bits_per_key(16.5).seed(5);
+        assert!(f.merged(&cfg_shrunk, &keys[..230], &[]).is_none());
+        // A key the filter was not built on has, barring a collision, no
+        // code to take out.
+        let cfg_less = FilterConfig::new(&keys[1..]).bits_per_key(12.0).seed(5);
+        assert!(f.merged(&cfg_less, &[3], &[]).is_none());
+    }
+
     #[test]
     fn epsilon_sizing_matches_formula() {
         let keys: Vec<u64> = (0..1000u64).map(|i| i * 97_000).collect();
@@ -656,7 +792,7 @@ mod persist_tests {
         let back: GrafiteFilter = GrafiteFilter::deserialize(&bytes).expect("deserialize");
         assert_eq!(back.reduced_universe(), filter.reduced_universe());
         assert_eq!(back.num_keys(), filter.num_keys());
-        assert_eq!(back.num_codes(), filter.num_codes());
+        assert_eq!(back.num_codes(), back.num_keys());
         for &k in &keys {
             assert!(back.may_contain(k));
         }

@@ -6,7 +6,7 @@
 //! Grafite reduces the key universe `[u]` to a smaller universe `[r]`,
 //! `r = nL/ε`, with the locality-preserving hash
 //! `h(x) = (q(⌊x/r⌋) + x) mod r` (`q` pairwise independent), stores the
-//! deduplicated sorted hash codes in an Elias–Fano sequence, and answers a
+//! sorted hash codes, one per key, in an Elias–Fano sequence, and answers a
 //! range-emptiness query `[a, b]` with a single `predecessor(h(b)) ≥ h(a)`
 //! test (two tests when the range wraps the reduced universe or crosses an
 //! `r`-block boundary). This gives, for a space budget of `B` bits per key,

@@ -218,6 +218,24 @@ pub trait PersistentFilter: RangeFilter + Send + Sync {
     where
         Self: Sized;
 
+    /// This filter updated in place of a rebuild: the filter over the key
+    /// set `cfg.keys`, derived from this one by taking out the keys of
+    /// `removed` and putting in those of `added`. `removed` must hold keys
+    /// this filter was built on, `added` keys it was not, both sorted, and
+    /// `cfg.keys` is the key set after the update. `None` when the family
+    /// cannot update this way or the result would break the sizing a
+    /// build under `cfg` keeps; the caller then rebuilds from `cfg`. The
+    /// default is `None`; Grafite merges its code sequence
+    /// (see [`GrafiteFilter`](crate::GrafiteFilter)'s implementation).
+    fn merged(
+        &self,
+        _cfg: &FilterConfig<'_>,
+        _removed: &[u64],
+        _added: &[u64],
+    ) -> Option<Box<dyn PersistentFilter>> {
+        None
+    }
+
     /// Serializes header + payload into `out`, returning the bytes written.
     fn serialize_into(&self, out: &mut dyn io::Write) -> Result<usize, FilterError> {
         let mut payload = Vec::new();

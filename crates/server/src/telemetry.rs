@@ -371,7 +371,7 @@ pub fn render_json(t: &Telemetry, store: &FilterStore) -> String {
         t.rebuild_us.quantile(99, 100),
     ));
     out.push_str(&format!(
-        "\"store\":{{\"version\":{},\"published_version\":{},\"num_shards\":{},\"resident_key_bytes\":{},\"lazy_shard_loads\":{},\"shard_load_errors\":{},\"reloads\":{},\"degraded\":{},",
+        "\"store\":{{\"version\":{},\"published_version\":{},\"num_shards\":{},\"resident_key_bytes\":{},\"lazy_shard_loads\":{},\"shard_load_errors\":{},\"reloads\":{},\"degraded\":{},\"merged_shards\":{},\"rebuilt_shards\":{},",
         snap.version(),
         store.version(),
         snap.num_shards(),
@@ -380,6 +380,8 @@ pub fn render_json(t: &Telemetry, store: &FilterStore) -> String {
         stats.shard_load_errors(),
         stats.reloads(),
         stats.is_degraded(),
+        stats.merged_shards(),
+        stats.rebuilt_shards(),
     ));
     let space = store.space();
     out.push_str(&format!(

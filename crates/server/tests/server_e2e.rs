@@ -1,7 +1,8 @@
 //! End-to-end tests over a live server: bit-identical answers vs the
 //! direct store from one connection and from eight at once, atomic hot
 //! reload under concurrent readers, one snapshot per request across a
-//! concurrent APPLY, APPLY and STATS round trips against ground truth,
+//! concurrent APPLY, APPLY and STATS round trips against ground truth
+//! (merged and rebuilt shards included),
 //! wire latency, pipelined and split frames, and an exhaustive
 //! frame-corruption sweep proving the server survives arbitrary garbage.
 
@@ -557,6 +558,54 @@ fn stats_resident_key_bytes_match_ground_truth() {
     client.shutdown().unwrap();
     handle.join();
     let _ = std::fs::remove_file(&path);
+}
+
+/// `store.merged_shards` and `store.rebuilt_shards` against ground truth:
+/// a balanced batch inside one shard keeps its key count, so its filter
+/// takes the batch by a merge (1 merged, 0 rebuilt); an insert-only batch
+/// grows a shard past the size its filter was built for, so it rebuilds
+/// (0 merged, 1 rebuilt).
+#[test]
+fn stats_count_merged_and_rebuilt_shards() {
+    let keys = test_keys(3000, 13);
+    let store = build_store(&keys, 3);
+    let snap = store.snapshot();
+    let held = snap.shards()[1].read_keys().unwrap().into_owned();
+    let (lo, hi) = snap.routing().shard_span(1);
+    let absent = |k: &u64| held.binary_search(k).is_err();
+    let fresh: Vec<u64> = (lo..=hi).step_by(9_973).filter(absent).take(6).collect();
+    let handle = serve(Arc::new(store), "127.0.0.1:0", None).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let shard_counts = |client: &mut Client| {
+        let stats = client.stats_json().unwrap();
+        (
+            stats_field(&stats, "merged_shards"),
+            stats_field(&stats, "rebuilt_shards"),
+        )
+    };
+    assert_eq!(shard_counts(&mut client), (0, 0));
+
+    let balanced: Vec<(bool, u64)> = held[..5]
+        .iter()
+        .map(|&k| (false, k))
+        .chain(fresh[..5].iter().map(|&k| (true, k)))
+        .collect();
+    let summary = client.apply(&balanced).unwrap();
+    assert_eq!((summary.inserted, summary.deleted), (5, 5));
+    assert_eq!(shard_counts(&mut client), (1, 0));
+
+    let summary = client.apply(&[(true, fresh[5])]).unwrap();
+    assert_eq!((summary.inserted, summary.deleted), (1, 0));
+    assert_eq!(shard_counts(&mut client), (1, 1));
+    for &k in &fresh {
+        assert!(
+            client.query(k, k).unwrap(),
+            "applied key {k} answered false"
+        );
+    }
+
+    client.shutdown().unwrap();
+    handle.join();
 }
 
 /// The p50 a round trip must beat. A Nagle stall (a frame split over

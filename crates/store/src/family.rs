@@ -181,6 +181,21 @@ impl DynRangeFilter {
         self.inner.as_ref()
     }
 
+    /// The wrapped filter updated without a rebuild, when its family can
+    /// (see [`PersistentFilter::merged`]).
+    pub(crate) fn merged(
+        &self,
+        cfg: &FilterConfig<'_>,
+        removed: &[u64],
+        added: &[u64],
+    ) -> Option<Self> {
+        let inner = self.inner.merged(cfg, removed, added)?;
+        Some(Self {
+            family: self.family,
+            inner,
+        })
+    }
+
     /// Serializes the wrapped filter (header + payload) into `out`,
     /// returning the bytes written.
     pub fn serialize_into(&self, out: &mut dyn io::Write) -> Result<usize, FilterError> {

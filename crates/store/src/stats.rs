@@ -101,6 +101,10 @@ pub struct StoreStats {
     /// Worker-thread count of the most recent build or update-batch
     /// rebuild fan-out (0 until the first one).
     rebuild_workers: AtomicU64,
+    /// Dirty shards update batches merged into their filters.
+    merged_shards: AtomicU64,
+    /// Dirty shards update batches rebuilt from their keys.
+    rebuilt_shards: AtomicU64,
     /// Per-shard build wall times in microseconds.
     shard_build_us: Histogram,
 }
@@ -174,6 +178,30 @@ impl StoreStats {
         self.rebuild_workers.store(workers, Ordering::Relaxed);
     }
 
+    /// Records how one update batch changed its dirty shards: `merged` by
+    /// a merge into their filters, `rebuilt` from their keys.
+    pub(crate) fn record_apply_shards(&self, merged: u64, rebuilt: u64) {
+        // ordering: Relaxed-counter; pure monotonic event counters,
+        // nothing synchronizes on them.
+        self.merged_shards.fetch_add(merged, Ordering::Relaxed);
+        self.rebuilt_shards.fetch_add(rebuilt, Ordering::Relaxed);
+    }
+
+    /// Dirty shards that update batches merged into their filters instead
+    /// of rebuilding them.
+    pub fn merged_shards(&self) -> u64 {
+        // ordering: Relaxed-counter; independent read for reporting, no
+        // ordering relationship with other memory is implied.
+        self.merged_shards.load(Ordering::Relaxed)
+    }
+
+    /// Dirty shards that update batches rebuilt from their keys.
+    pub fn rebuilt_shards(&self) -> u64 {
+        // ordering: Relaxed-counter; independent read for reporting, no
+        // ordering relationship with other memory is implied.
+        self.rebuilt_shards.load(Ordering::Relaxed)
+    }
+
     /// Records one shard build's wall time into the microsecond histogram.
     pub(crate) fn record_shard_build(&self, nanos: u64) {
         self.shard_build_us.record(nanos / 1_000);
@@ -215,9 +243,12 @@ mod tests {
         stats.record_lazy_load();
         stats.record_load_error();
         stats.record_reload();
+        stats.record_apply_shards(2, 1);
+        stats.record_apply_shards(0, 1);
         assert_eq!(stats.lazy_shard_loads(), 2);
         assert_eq!(stats.shard_load_errors(), 1);
         assert_eq!(stats.reloads(), 1);
+        assert_eq!((stats.merged_shards(), stats.rebuilt_shards()), (2, 2));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The sharded, snapshot-based serving store: [`FilterStore`] partitions
 //! the key space across N shards (each holding one erased filter), serves
 //! queries from immutable [`Snapshot`]s shared behind `Arc`, and applies
-//! [`Update`] batches by rebuilding only the dirty shards and atomically
-//! swapping in a new snapshot.
+//! [`Update`] batches by updating only the dirty shards — merging the
+//! batch into a shard's filter where its family can, rebuilding it
+//! otherwise — and atomically swapping in a new snapshot.
 //!
 //! # Consistency model
 //!
@@ -686,9 +687,9 @@ impl Snapshot {
 }
 
 /// Builds one shard per job across up to `parallelism` scoped workers,
-/// returning the shards in job order (and, on failure, the error of the
-/// *lowest-indexed* failing job, after every worker has joined — callers
-/// rely on that to leave the store untouched deterministically).
+/// returning the jobs' results in job order (and, on failure, the error of
+/// the *lowest-indexed* failing job, after every worker has joined —
+/// callers rely on that to leave the store untouched deterministically).
 ///
 /// The thread budget nests: the fan-out spawns `workers =
 /// parallelism.capped(jobs)` threads and hands each job a
@@ -697,33 +698,34 @@ impl Snapshot {
 /// build serially. Job order, not completion order, decides placement, so
 /// the result is identical at every thread count. Every job's wall time
 /// lands in `stats`' shard-build histogram.
-fn fan_out_shards<J, F>(
+fn fan_out_shards<J, T, F>(
     parallelism: Parallelism,
     stats: &StoreStats,
     jobs: Vec<J>,
     build: F,
-) -> Result<Vec<Arc<Shard>>, FilterError>
+) -> Result<Vec<T>, FilterError>
 where
     J: Send,
-    F: Fn(J, Parallelism) -> Result<Shard, FilterError> + Sync,
+    T: Send,
+    F: Fn(J, Parallelism) -> Result<T, FilterError> + Sync,
 {
     let n_jobs = jobs.len();
     let workers = parallelism.capped(n_jobs);
     let per_shard = Parallelism::fixed(parallelism.threads() / workers.max(1));
     stats.record_rebuild_workers(workers as u64);
-    let timed = |job: J| -> Result<Shard, FilterError> {
+    let timed = |job: J| -> Result<T, FilterError> {
         let start = std::time::Instant::now();
         let shard = build(job, per_shard)?;
         stats.record_shard_build(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         Ok(shard)
     };
     if workers <= 1 {
-        return jobs.into_iter().map(|j| timed(j).map(Arc::new)).collect();
+        return jobs.into_iter().map(timed).collect();
     }
     // Contiguous chunks + ordered joins keep the results in job order
     // without any cross-worker coordination.
     let chunk = n_jobs.div_ceil(workers);
-    let mut results: Vec<Result<Shard, FilterError>> = Vec::with_capacity(n_jobs);
+    let mut results: Vec<Result<T, FilterError>> = Vec::with_capacity(n_jobs);
     std::thread::scope(|scope| {
         let timed = &timed;
         let mut handles = Vec::with_capacity(workers);
@@ -740,16 +742,21 @@ where
             results.extend(handle.join().expect("shard build worker panicked"));
         }
     });
-    results.into_iter().map(|r| r.map(Arc::new)).collect()
+    results.into_iter().collect()
 }
 
 /// What one [`FilterStore::apply`] call did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ApplyReport {
-    /// Shards whose filters were rebuilt.
+    /// Shards the batch changed: merged ones plus rebuilt ones.
     pub dirty_shards: usize,
-    /// Keys that were rebuilt into fresh filters (the sum of dirty shards'
-    /// key counts after the batch).
+    /// Dirty shards whose filters took the batch by a merge
+    /// ([`PersistentFilter::merged`](grafite_core::PersistentFilter::merged))
+    /// instead of a rebuild.
+    pub merged_shards: usize,
+    /// Keys that were rebuilt into fresh filters: the key counts, after
+    /// the batch, of the dirty shards that were fully rebuilt. Merged
+    /// shards add none.
     pub rebuilt_keys: usize,
     /// Keys newly present (inserts of absent keys).
     pub inserted: usize,
@@ -757,6 +764,15 @@ pub struct ApplyReport {
     pub deleted: usize,
     /// The version of the snapshot the batch produced.
     pub version: u64,
+}
+
+/// One dirty shard's part of an update batch: its slot, its keys after
+/// the batch, and the sorted keys it gained and lost.
+struct ShardUpdate {
+    slot: usize,
+    keys: Vec<u64>,
+    added: Vec<u64>,
+    removed: Vec<u64>,
 }
 
 /// The sharded, snapshot-swapping serving store over any
@@ -837,6 +853,7 @@ impl FilterStore {
                 })?
             }
         };
+        let shards = shards.into_iter().map(Arc::new).collect();
         Ok(Self::from_parts(registry, config, routing, shards, stats))
     }
 
@@ -879,8 +896,15 @@ impl FilterStore {
     }
 
     /// Applies a batch of updates atomically: routes them to shards,
-    /// rebuilds only the dirty shards' filters (clean shards are shared
+    /// updates only the dirty shards' filters (clean shards are shared
     /// with the previous snapshot by `Arc`), and swaps the new snapshot in.
+    ///
+    /// A dirty shard first offers its batch to its filter's
+    /// [`merged`](grafite_core::PersistentFilter::merged): a Grafite shard
+    /// merges the codes of its inserted and deleted keys into its code
+    /// sequence while its reduced universe still fits the new key count
+    /// (within 1/8 of the size a build would pick, never below it). Any
+    /// other shard is rebuilt from its post-batch keys.
     ///
     /// Within a batch, updates to the same key apply in slice order (last
     /// one wins). On error (a shard rebuild failed) the store is
@@ -916,15 +940,17 @@ impl FilterStore {
         }
         let mut report = ApplyReport {
             dirty_shards: 0,
+            merged_shards: 0,
             rebuilt_keys: 0,
             inserted: 0,
             deleted: 0,
             version: base.version,
         };
-        // Walk the batch run by run; each dirty shard becomes one rebuild
-        // job carrying its post-batch key set (built by a linear merge of
-        // the shard's sorted keys with the run's sorted keys).
-        let mut jobs: Vec<(usize, Vec<u64>)> = Vec::new();
+        // Walk the batch run by run; each dirty shard becomes one job
+        // carrying its post-batch key set (built by a linear merge of the
+        // shard's sorted keys with the run's sorted keys) and the sorted
+        // keys it gained and lost.
+        let mut jobs: Vec<ShardUpdate> = Vec::new();
         let mut run_start = 0usize;
         while run_start < wanted.len() {
             let s = wanted[run_start].0;
@@ -939,7 +965,7 @@ impl FilterStore {
             }
             let old_keys = old.read_keys()?;
             let mut keys: Vec<u64> = Vec::with_capacity(old_keys.len());
-            let (mut inserted, mut deleted) = (0usize, 0usize);
+            let (mut added, mut removed) = (Vec::new(), Vec::new());
             let mut oi = 0usize;
             for &(_, k, present) in &wanted[run_start..run_end] {
                 while oi < old_keys.len() && old_keys[oi] < k {
@@ -954,41 +980,58 @@ impl FilterStore {
                 match (present, already) {
                     (true, false) => {
                         keys.push(k);
-                        inserted += 1;
+                        added.push(k);
                     }
-                    (false, true) => deleted += 1,
+                    (false, true) => removed.push(k),
                     (true, true) => keys.push(k),
                     (false, false) => {}
                 }
             }
             keys.extend_from_slice(&old_keys[oi..]);
-            if inserted > 0 || deleted > 0 {
+            if !added.is_empty() || !removed.is_empty() {
                 report.dirty_shards += 1;
-                report.rebuilt_keys += keys.len();
-                report.inserted += inserted;
-                report.deleted += deleted;
-                jobs.push((s, keys));
+                report.inserted += added.len();
+                report.deleted += removed.len();
+                jobs.push(ShardUpdate {
+                    slot: s,
+                    keys,
+                    added,
+                    removed,
+                });
             }
             run_start = run_end;
         }
         if jobs.is_empty() {
             return Ok(report);
         }
-        // Rebuild the dirty shards — and only them — across the fan-out;
+        // Update the dirty shards — and only them — across the fan-out;
         // clean shards are shared with the base snapshot by `Arc`. Any
         // failure joins all workers and leaves the store unchanged.
         let registry = &self.registry;
-        let slots: Vec<usize> = jobs.iter().map(|&(s, _)| s).collect();
-        let built = fan_out_shards(
-            config.parallelism,
-            &self.stats,
-            jobs.into_iter().map(|(_, ks)| ks).collect(),
-            |ks, par| Shard::build(&config, registry, ks, par),
-        )?;
+        let slots: Vec<usize> = jobs.iter().map(|job| job.slot).collect();
+        let updated = fan_out_shards(config.parallelism, &self.stats, jobs, |job, par| {
+            let cfg = config.filter_config(&job.keys, par);
+            match base.shards[job.slot]
+                .filter()
+                .merged(&cfg, &job.removed, &job.added)
+            {
+                Some(filter) => Ok((Shard::eager(job.keys, filter), true)),
+                None => Shard::build(&config, registry, job.keys, par).map(|s| (s, false)),
+            }
+        })?;
         let mut shards = base.shards.clone();
-        for (slot, shard) in slots.into_iter().zip(built) {
-            shards[slot] = shard;
+        for (slot, (shard, merged)) in slots.into_iter().zip(updated) {
+            if merged {
+                report.merged_shards += 1;
+            } else {
+                report.rebuilt_keys += shard.num_keys();
+            }
+            shards[slot] = Arc::new(shard);
         }
+        self.stats.record_apply_shards(
+            report.merged_shards as u64,
+            (report.dirty_shards - report.merged_shards) as u64,
+        );
         report.version = base.version + 1;
         let next = Arc::new(Snapshot {
             routing: base.routing.clone(),

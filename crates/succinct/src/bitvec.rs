@@ -120,6 +120,39 @@ impl BitVec {
         }
     }
 
+    /// Appends bits `[from, to)` of `src`: the word-shifted block copy
+    /// behind [`EliasFano::merged`](crate::EliasFano::merged). Once the
+    /// last word is filled, every further word is two source words
+    /// shifted together.
+    ///
+    /// # Panics
+    /// Panics if the range is inverted or extends past the end of `src`.
+    pub(crate) fn extend_from(&mut self, src: &BitVec, from: usize, to: usize) {
+        assert!(from <= to && to <= src.len, "bit range out of range");
+        // Words past `len` hold only zeros (`zeros(0)` keeps one).
+        self.words.truncate(div_ceil(self.len, WORD_BITS));
+        let head = (WORD_BITS - self.len % WORD_BITS) % WORD_BITS;
+        let head = head.min(to - from);
+        self.push_bits(src.get_bits(from, head), head);
+        let from = from + head;
+        let full = (to - from) / WORD_BITS;
+        let (first, shift) = (from / WORD_BITS, from % WORD_BITS);
+        if shift == 0 {
+            self.words
+                .extend_from_slice(&src.words[first..first + full]);
+        } else {
+            // The last whole field ends in source word `first + full`.
+            self.words.extend(
+                src.words[first..=first + full]
+                    .windows(2)
+                    .map(|w| (w[0] >> shift) | (w[1] << (WORD_BITS - shift))),
+            );
+        }
+        self.len += full * WORD_BITS;
+        let from = from + full * WORD_BITS;
+        self.push_bits(src.get_bits(from, to - from), to - from);
+    }
+
     /// Writes the `width` low bits of `value` at bit position `pos`.
     pub fn set_bits(&mut self, pos: usize, value: u64, width: usize) {
         assert!(width <= 64);

@@ -83,9 +83,8 @@ pub struct EliasFano {
 impl EliasFano {
     /// Encodes `values`, which must be non-decreasing and all `< universe`.
     ///
-    /// Duplicate values are allowed (the encoding is a multiset); Grafite
-    /// deduplicates before encoding, as in the paper, but other users (and
-    /// tests) may not.
+    /// Duplicate values are allowed (the encoding is a multiset): Grafite
+    /// stores one code per key, so colliding keys repeat a code.
     ///
     /// Validation is hoisted out of the encode loop: one upfront
     /// monotonicity pass plus a single bounds check on the maximum (the
@@ -209,6 +208,143 @@ impl EliasFano {
             first: values[0],
             last: values[n - 1],
         }
+    }
+
+    /// The sequence with one occurrence of each value of `remove` taken out
+    /// and each value of `add` put in, under the same universe — equal to
+    /// [`EliasFano::new`] over the resulting multiset, bit for bit. `None`
+    /// if some value of `remove` has no occurrence left to take out.
+    ///
+    /// The cost scales with the update, not the sequence: each update
+    /// point is located by one [`EliasFano::rank`], each stretch of
+    /// untouched elements between two of them moves as one block copy of
+    /// its low fields and of its run of `H` (whose positions shift by the
+    /// running count of inserts minus deletes, one bit per element), and
+    /// only the update points are encoded afresh. When the new length
+    /// changes the low width `l`, every element re-encodes instead.
+    ///
+    /// # Panics
+    /// Panics if `remove` or `add` is not non-decreasing, or a value of
+    /// `add` is not below the universe.
+    pub fn merged(&self, remove: &[u64], add: &[u64]) -> Option<EliasFano> {
+        assert!(
+            remove.windows(2).all(|w| w[0] <= w[1]) && add.windows(2).all(|w| w[0] <= w[1]),
+            "updates must be non-decreasing"
+        );
+        if let Some(&max) = add.last() {
+            assert!(
+                max < self.universe,
+                "value {max} >= universe {}",
+                self.universe
+            );
+        }
+        let n = (self.n + add.len()).checked_sub(remove.len())?;
+        if self.n == 0 || n == 0 || low_bit_width(n, self.universe) != self.low_bits {
+            return self.merged_per_element(remove, add);
+        }
+        let l = self.low_bits;
+        let mask = self.low_mask();
+        let (old_high, old_low) = (self.high.bits(), self.low.bits());
+        let mut high = BitVec::with_capacity(old_high.len() + add.len());
+        let mut low = BitVec::with_capacity(n * l);
+        // The frontier: old `H` bits before `pos`, holding the ones of old
+        // elements before `i`, are copied (or dropped) already.
+        let (mut pos, mut i) = (0usize, 0usize);
+        let (mut ri, mut ai) = (0usize, 0usize);
+        let mut last_removed = None;
+        while ri < remove.len() || ai < add.len() {
+            // Inserts of a value go before removals of it; either order
+            // yields the same multiset.
+            let insert = ai < add.len() && (ri == remove.len() || add[ai] <= remove[ri]);
+            let v = if insert { add[ai] } else { remove[ri] };
+            if v >= self.universe {
+                return None;
+            }
+            // The update point: before the first old element not below
+            // `v` (or, removing another copy of `v`, the next one), which
+            // sits at `(v >> l) + at` in `H`.
+            let at = match last_removed {
+                Some((prev, at)) if prev == v && !insert => at + 1,
+                _ => self.rank(v),
+            };
+            let at_pos = (v >> l) as usize + at;
+            high.extend_from(old_high, pos, at_pos);
+            low.extend_from(old_low, i * l, at * l);
+            (pos, i) = (at_pos, at);
+            if insert {
+                ai += 1;
+                high.push(true);
+                low.push_bits(v & mask, l);
+            } else {
+                ri += 1;
+                // Element `at` holds `v` iff its one sits at `at_pos` (so
+                // its high part is `v`'s) and its low field is `v`'s.
+                if at == self.n || !old_high.get(at_pos) || self.low.get(at) != v & mask {
+                    return None;
+                }
+                last_removed = Some((v, at));
+                (pos, i) = (at_pos + 1, at + 1);
+            }
+        }
+        high.extend_from(old_high, pos, old_high.len());
+        low.extend_from(old_low, i * l, self.n * l);
+        Some(Self::assemble(
+            self.universe,
+            IntVec::from_bits(l, n, low),
+            RsBitVec::new(high),
+        ))
+    }
+
+    /// [`EliasFano::merged`] by decoding every element, merging, and
+    /// encoding afresh: the path for a change of low width.
+    fn merged_per_element(&self, remove: &[u64], add: &[u64]) -> Option<EliasFano> {
+        let mut values = Vec::with_capacity(self.n + add.len());
+        let (mut ri, mut ai) = (0usize, 0usize);
+        for v in self.iter() {
+            while ai < add.len() && add[ai] <= v {
+                values.push(add[ai]);
+                ai += 1;
+            }
+            match remove.get(ri) {
+                Some(&gone) if gone < v => return None,
+                Some(&gone) if gone == v => ri += 1,
+                _ => values.push(v),
+            }
+        }
+        if ri < remove.len() {
+            return None;
+        }
+        values.extend_from_slice(&add[ai..]);
+        Some(Self::new(&values, self.universe))
+    }
+
+    /// A sequence from its low fields and high bits, with `n`, `first` and
+    /// `last` read off them and the `select0` inventory derived.
+    fn assemble(universe: u64, low: IntVec, high: RsBitVec) -> Self {
+        let mut ef = Self {
+            n: high.count_ones(),
+            universe,
+            low_bits: low.width(),
+            low,
+            high: high.with_select0_inventory(),
+            first: 0,
+            last: 0,
+        };
+        if ef.n > 0 {
+            (ef.first, ef.last) = (ef.get(0), ef.get(ef.n - 1));
+        }
+        ef
+    }
+
+    /// Bits of low fields and high bits that [`EliasFano::new`] encodes
+    /// `n` values of `[0, universe)` in: `n·l + ⌊(universe−1)/2^l⌋ + n + 1`,
+    /// the serialized size less its framing words.
+    pub fn encoded_bits(n: usize, universe: u64) -> usize {
+        if n == 0 {
+            return 1;
+        }
+        let l = low_bit_width(n, universe);
+        n * l + (universe.saturating_sub(1) >> l) as usize + n + 1
     }
 
     /// Number of stored values.
@@ -538,25 +674,11 @@ impl EliasFano {
         if Some(high.len()) != want_high_len {
             return Err(DecodeError::Invalid("Elias-Fano high bit length"));
         }
-        let mut ef = Self {
-            n,
-            universe,
-            low_bits: want_low_bits,
-            low,
-            high,
-            first: 0,
-            last: 0,
-        };
-        if n > 0 {
-            (ef.first, ef.last) = (ef.get(0), ef.get(n - 1));
-            if ef.last >= universe {
-                return Err(DecodeError::Invalid("Elias-Fano bounds"));
-            }
+        let ef = Self::assemble(universe, low, high);
+        if n > 0 && ef.last >= universe {
+            return Err(DecodeError::Invalid("Elias-Fano bounds"));
         }
-        Ok(Self {
-            high: ef.high.with_select0_inventory(),
-            ..ef
-        })
+        Ok(ef)
     }
 }
 
@@ -1026,6 +1148,24 @@ mod tests {
             invalid("Elias-Fano bounds")
         );
         assert_eq!(load(&assemble(0, low, high)), invalid("Elias-Fano bounds"));
+    }
+
+    #[test]
+    fn encoded_bits_counts_the_low_fields_and_high_bits() {
+        for (values, universe) in [
+            (vec![], 100u64),
+            (vec![6u64, 14, 32, 51, 53, 55, 66, 70, 91, 94], 100),
+            ((0..64).collect(), 64),
+            ((0..1000u64).map(|i| i * 4_099).collect(), 1 << 22),
+        ] {
+            let ef = EliasFano::new(&values, universe);
+            assert_eq!(
+                EliasFano::encoded_bits(values.len(), universe),
+                ef.low.bits().len() + ef.high.len(),
+                "n = {}",
+                values.len()
+            );
+        }
     }
 
     #[test]

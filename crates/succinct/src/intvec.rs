@@ -116,6 +116,17 @@ impl IntVec {
         self.bits.words()
     }
 
+    /// The packed fields as one bit vector (`len · width` bits).
+    pub(crate) fn bits(&self) -> &BitVec {
+        &self.bits
+    }
+
+    /// Wraps `len` fields of `width` bits already packed into `bits`.
+    pub(crate) fn from_bits(width: usize, len: usize, bits: BitVec) -> Self {
+        assert_eq!(bits.len(), width * len, "packed integer bit count");
+        Self { bits, width, len }
+    }
+
     /// Heap size in bits.
     pub fn size_in_bits(&self) -> usize {
         self.bits.size_in_bits() + 128 // width + len bookkeeping

@@ -265,6 +265,54 @@ proptest! {
         }
     }
 
+    /// `merged` equals a fresh encode of the merged multiset, byte for
+    /// byte, whether the low width holds (block copies) or changes (the
+    /// per-element pass); a removal with no occurrence left is `None`.
+    #[test]
+    fn elias_fano_merged_equals_fresh_encode(
+        mut values in prop::collection::vec(0u64..4_000, 0..400),
+        picks in prop::collection::vec(any::<bool>(), 0..400),
+        mut add in prop::collection::vec(0u64..4_000, 0..200),
+        universe_slack in 1u64..200_000,
+        stray in 0u64..4_000,
+    ) {
+        values.sort_unstable();
+        add.sort_unstable();
+        let universe = 4_000 + universe_slack;
+        let ef = EliasFano::new(&values, universe);
+        let remove: Vec<u64> = values
+            .iter()
+            .zip(picks.iter().chain(std::iter::repeat(&false)))
+            .filter(|&(_, &pick)| pick)
+            .map(|(&v, _)| v)
+            .collect();
+        let mut expect: Vec<u64> = values
+            .iter()
+            .zip(picks.iter().chain(std::iter::repeat(&false)))
+            .filter(|&(_, &pick)| !pick)
+            .map(|(&v, _)| v)
+            .chain(add.iter().copied())
+            .collect();
+        expect.sort_unstable();
+        let merged = ef.merged(&remove, &add).expect("every removal is present");
+        let fresh = EliasFano::new(&expect, universe);
+        prop_assert_eq!(merged.len(), expect.len());
+        prop_assert!(
+            serialize(|w| merged.write_to(w)) == serialize(|w| fresh.write_to(w)),
+            "merged bytes differ from a fresh encode"
+        );
+        prop_assert!(merged == fresh);
+        let back: Vec<u64> = merged.iter().collect();
+        prop_assert_eq!(back, expect);
+        // One more copy of a value than the sequence holds has nothing left
+        // to take out.
+        let held = values.iter().filter(|&&v| v == stray).count();
+        let mut too_many = vec![stray; held + 1];
+        too_many.extend(remove.iter().copied().filter(|&v| v != stray));
+        too_many.sort_unstable();
+        prop_assert!(ef.merged(&too_many, &add).is_none());
+    }
+
     #[test]
     fn golomb_serialization_roundtrip(
         mut values in prop::collection::vec(0u64..1_000_000, 0..500),
@@ -283,4 +331,66 @@ proptest! {
             prop_assert_eq!(owned.successor(y), seq.successor(y));
         }
     }
+}
+
+/// The hand-picked `merged` shapes: an empty result, a change of low width
+/// both ways, every copy of a repeated value taken out, removals that are
+/// not held (absent, past the last value, past the universe), and
+/// inserts and removals of one value in the same call.
+#[test]
+fn elias_fano_merged_edge_cases() {
+    let same = |ef: &EliasFano, remove: &[u64], add: &[u64], expect: &[u64]| {
+        let merged = ef.merged(remove, add).expect("removals present");
+        let fresh = EliasFano::new(expect, ef.universe());
+        assert!(
+            serialize(|w| merged.write_to(w)) == serialize(|w| fresh.write_to(w)),
+            "remove {remove:?} add {add:?}"
+        );
+        assert_eq!(merged.iter().collect::<Vec<_>>(), expect);
+    };
+    let values: Vec<u64> = vec![3, 9, 9, 9, 40, 41, 500, 511];
+    let ef = EliasFano::new(&values, 512);
+    assert_eq!(ef.low_bit_width(), 6);
+    // Everything out: the empty sequence.
+    same(&ef, &values, &[], &[]);
+    // Every copy of 9 out, the low width unchanged (512 / 7 → l = 6).
+    same(&ef, &[9, 9, 9], &[100], &[3, 40, 41, 100, 500, 511]);
+    // Growth halves `universe / n`: l drops from 6 to 5.
+    let add: Vec<u64> = (0..8u64).map(|i| i * 60 + 1).collect();
+    let mut grown = [values.clone(), add.clone()].concat();
+    grown.sort_unstable();
+    assert_eq!(EliasFano::new(&grown, 512).low_bit_width(), 5);
+    same(&ef, &[], &add, &grown);
+    // Shrinking doubles it: l rises from 6 to 7.
+    same(&ef, &[3, 9, 9, 40, 41], &[], &[9, 500, 511]);
+    // One value removed and inserted in one call, and a value added twice.
+    same(
+        &ef,
+        &[40],
+        &[40, 77, 77],
+        &[3, 9, 9, 9, 40, 41, 77, 77, 500, 511],
+    );
+    // From empty.
+    same(&EliasFano::new(&[], 512), &[], &[7, 7, 300], &[7, 7, 300]);
+    // Removals that are not held.
+    for remove in [&[4u64][..], &[9, 9, 9, 9], &[512], &[u64::MAX], &[600]] {
+        assert!(ef.merged(remove, &[]).is_none(), "{remove:?}");
+    }
+    assert!(EliasFano::new(&[], 512).merged(&[1], &[]).is_none());
+    // A long sequence whose update points split many words of `H` and
+    // of the low fields at every bit offset.
+    let long: Vec<u64> = (0..5_000u64).map(|i| i * 97 + i % 13).collect();
+    let universe = 5_000 * 97 + 13;
+    let ef = EliasFano::new(&long, universe);
+    let remove: Vec<u64> = long.iter().copied().step_by(37).collect();
+    let add: Vec<u64> = (0..remove.len() as u64).map(|i| i * 3_571 + 5).collect();
+    let mut expect: Vec<u64> = long
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| i % 37 != 0)
+        .map(|(_, &v)| v)
+        .chain(add.iter().copied())
+        .collect();
+    expect.sort_unstable();
+    same(&ef, &remove, &add, &expect);
 }
