@@ -12,7 +12,9 @@
 //! not part of `all`.
 //!
 //! Defaults run at laptop scale (n = 100k keys, 20k queries; the paper used
-//! 200M/10M on a Xeon). Scale up with `--n` / `--queries`.
+//! 200M/10M on a Xeon). Scale up with `--n` / `--queries`. `--n` and
+//! `--queries` must be positive and every budget finite and positive; any
+//! other value is a usage error (exit 2).
 
 use grafite_bench::experiments;
 use grafite_bench::harness::RunConfig;
@@ -67,13 +69,17 @@ fn main() {
             std::process::exit(2);
         });
         match flag {
-            "--n" => cfg.n = parse_or_exit(flag, value),
-            "--queries" => cfg.queries = parse_or_exit(flag, value),
-            "--seed" => cfg.seed = parse_or_exit(flag, value),
+            "--n" => cfg.n = parse_or_exit(flag, value, |&n| n > 0),
+            "--queries" => cfg.queries = parse_or_exit(flag, value, |&q| q > 0),
+            "--seed" => cfg.seed = parse_or_exit(flag, value, |_| true),
             "--out" => cfg.out_dir = value.into(),
             "--data" => cfg.data_dir = value.into(),
             "--budgets" => {
-                cfg.budgets = value.split(',').map(|s| parse_or_exit(flag, s)).collect();
+                let positive = |b: &f64| b.is_finite() && *b > 0.0;
+                cfg.budgets = value
+                    .split(',')
+                    .map(|s| parse_or_exit(flag, s, positive))
+                    .collect();
             }
             _ => {
                 eprintln!("unknown flag {flag}");
@@ -92,12 +98,18 @@ fn main() {
     println!("[repro] done in {:.1}s", start.elapsed().as_secs_f64());
 }
 
-/// Parses one flag value, or reports the flag and exits 2 (a usage error).
-fn parse_or_exit<T: std::str::FromStr>(flag: &str, value: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("invalid value '{value}' for {flag}");
-        usage_and_exit();
-    })
+/// Parses one flag value that `valid` accepts, or reports the flag and exits
+/// 2 (a usage error). Counts must be positive and budgets positive and
+/// finite: no experiment can run on zero keys or queries, and no filter
+/// can be sized from a budget that is not.
+fn parse_or_exit<T: std::str::FromStr>(flag: &str, value: &str, valid: impl Fn(&T) -> bool) -> T {
+    match value.parse() {
+        Ok(parsed) if valid(&parsed) => parsed,
+        _ => {
+            eprintln!("invalid value '{value}' for {flag}");
+            usage_and_exit();
+        }
+    }
 }
 
 fn usage_and_exit() -> ! {

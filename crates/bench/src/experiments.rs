@@ -4,6 +4,14 @@
 //! `results/BENCH_*.json` baselines (`serve`, `scale`, `hotpath`). Each
 //! prints the paper's rows/series as a text table and writes a CSV under
 //! the configured output directory.
+//!
+//! The grid figures (1, 3–6, the Fb study and the Normal check) share one
+//! pipeline. A figure names its workloads (keys plus a `Draw` of queries),
+//! range sizes, filters and budgets; `measure_cells` builds and measures
+//! every combination into typed `Cell`s, and the figure's table — stdout
+//! and CSV alike — is a projection of those cells onto `Col`umns. Side
+//! outputs (Figures 4/5's average times, the Normal check's best filter)
+//! are folds over the same cells.
 
 use grafite_core::registry::FilterSpec;
 use grafite_core::{
@@ -16,108 +24,191 @@ use grafite_workloads::{
     uncorrelated_queries, RangeQuery,
 };
 
-use crate::harness::{fmt_fpr, measure, time_it, RunConfig};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
+
+use crate::harness::{fmt_fpr, measure, measured_bits_per_key, time_it, Measurement, RunConfig};
 use crate::report::Table;
 
 /// The paper's three query sizes: point (2^0), small (2^5), large (2^10).
-pub const RANGE_SIZES: [(u64, &str); 3] = [(1, "point"), (32, "small"), (1024, "large")];
+pub const RANGE_SIZES: [RangeSize; 3] = [(1, "point"), (32, "small"), (1024, "large")];
+
+/// A query range size `L` and its name in the paper.
+type RangeSize = (u64, &'static str);
+
+/// Queries in every auto-tuner sample ([`FilterConfig::sample`]).
+const SAMPLE_QUERIES: usize = 1024;
 
 fn queries_as_pairs(qs: &[RangeQuery]) -> Vec<(u64, u64)> {
     qs.iter().map(|q| (q.lo, q.hi)).collect()
 }
 
-/// Figure 1 (intro teaser): FPR and query time vs correlation degree for the
-/// six headline filters, small ranges, 20 bits/key.
-pub fn fig1(cfg: &RunConfig) {
-    println!("== Figure 1: FPR and time vs correlation degree (small ranges, 20 bits/key) ==");
-    run_correlation_sweep(cfg, &FilterSpec::FIG1, &[(32, "small")], "fig1");
+/// How a figure row draws its queries from its keys.
+#[derive(Clone, Copy, Debug)]
+enum Draw {
+    /// Empty ranges at correlation degree `D` to the keys (§6.1).
+    Correlated(f64),
+    /// Empty ranges anywhere in the key universe.
+    Uncorrelated,
+    /// Ranges that each hold at least one key (§6.5).
+    NonEmpty,
+    /// Empty ranges whose left endpoints are extracted from the keys (§6.1).
+    Real,
 }
 
-/// Figure 3 (§6.2): the full robustness grid — nine filters, three range
-/// sizes, correlation degree swept 0 → 1 at 20 bits/key.
-pub fn fig3(cfg: &RunConfig) {
-    println!("== Figure 3: robustness to key-query correlation (20 bits/key) ==");
-    run_correlation_sweep(cfg, &FilterSpec::ALL_FIG3, &RANGE_SIZES, "fig3");
+impl Draw {
+    /// The keys a filter is built on — all of `keys` but the endpoints a
+    /// real workload extracted — and `n` queries of width `l`.
+    fn take(self, keys: &[u64], n: usize, l: u64, seed: u64) -> (Cow<'_, [u64]>, Vec<RangeQuery>) {
+        let queries = match self {
+            Draw::Correlated(degree) => correlated_queries(keys, n, l, degree, seed),
+            Draw::Uncorrelated => uncorrelated_queries(keys, n, l, seed),
+            Draw::NonEmpty => non_empty_queries(keys, n, l, seed),
+            Draw::Real => {
+                let (remaining, queries) = extract_real_queries(keys, n, l, seed);
+                return (remaining.into(), queries);
+            }
+        };
+        (keys.into(), queries)
+    }
 }
 
-fn run_correlation_sweep(
+/// A figure's workload: its name, its keys, how it draws queries, and the
+/// salts xored into the seed for the measured queries and the tuning sample.
+type Workload<'k> = (&'static str, &'k [u64], Draw, [u64; 2]);
+
+/// One point of the evaluation grid: `spec` built at `budget` bits/key on a
+/// workload's keys and measured on its queries of one range size.
+#[derive(Clone, Copy, Debug)]
+struct Cell {
+    workload: &'static str,
+    range: RangeSize,
+    draw: Draw,
+    budget: f64,
+    spec: FilterSpec,
+    /// `None` when the filter declined the build (e.g. below its space floor).
+    measurement: Option<Measurement>,
+}
+
+/// The one build-measure loop of the paper's grid figures. Every range size
+/// and workload makes a row (keys, queries, tuning sample); every budget and
+/// spec on a row makes a cell, in that nesting order. A row without queries
+/// makes none.
+fn measure_cells(
     cfg: &RunConfig,
+    sizes: &[RangeSize],
+    workloads: &[Workload],
     specs: &[FilterSpec],
-    sizes: &[(u64, &str)],
-    csv_name: &str,
-) {
+    budgets: &[f64],
+) -> Vec<Cell> {
     let registry = standard_registry();
-    let keys = sosd::dataset_or_synthetic(Dataset::Uniform, cfg.n, cfg.seed, &cfg.data_dir);
-    let degrees = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
-    let mut table = Table::new(&["range", "degree", "filter", "bits/key", "fpr", "ns/query"]);
-    for &(l, size_name) in sizes {
-        for &degree in &degrees {
-            let queries = correlated_queries(&keys, cfg.queries, l, degree, cfg.seed ^ 0xF163);
+    let mut cells = Vec::new();
+    for &range in sizes {
+        for &(workload, keys, draw, [salt, sample_salt]) in workloads {
+            let (build_keys, queries) = draw.take(keys, cfg.queries, range.0, cfg.seed ^ salt);
             if queries.is_empty() {
                 continue;
             }
-            let sample =
-                queries_as_pairs(&correlated_queries(&keys, 1024, l, degree, cfg.seed ^ 0x5A));
-            let fc = FilterConfig::new(&keys)
-                .bits_per_key(20.0)
-                .max_range(l)
-                .sample(&sample)
-                .seed(cfg.seed);
-            for &spec in specs {
-                // Per the paper (§6.1): hashed suffixes for point queries.
-                let spec = if spec == FilterSpec::SurfReal && l == 1 {
-                    FilterSpec::SurfHash
-                } else {
-                    spec
-                };
-                let Ok(filter) = registry.build(spec, &fc) else {
-                    continue;
-                };
-                let m = measure(filter.as_ref(), &queries);
-                table.row(vec![
-                    size_name.to_string(),
-                    format!("{degree:.1}"),
-                    spec.label().to_string(),
-                    format!("{:.1}", m.bits_per_key),
-                    fmt_fpr(m.positive_rate),
-                    format!("{:.0}", m.ns_per_query),
-                ]);
+            // The auto-tuners learn from empty ranges.
+            let sample_draw = match draw {
+                Draw::NonEmpty => Draw::Uncorrelated,
+                empty => empty,
+            };
+            let (_, sample) =
+                sample_draw.take(keys, SAMPLE_QUERIES, range.0, cfg.seed ^ sample_salt);
+            let sample = queries_as_pairs(&sample);
+            for &budget in budgets {
+                let fc = FilterConfig::new(&build_keys)
+                    .bits_per_key(budget)
+                    .max_range(range.0)
+                    .sample(&sample)
+                    .seed(cfg.seed);
+                for &spec in specs {
+                    // Per the paper (§6.1): hashed suffixes for point queries.
+                    let spec = match spec {
+                        FilterSpec::SurfReal if range.0 == 1 => FilterSpec::SurfHash,
+                        spec => spec,
+                    };
+                    let built = registry.build(spec, &fc).ok();
+                    let measurement = built.map(|filter| measure(filter.as_ref(), &queries));
+                    cells.push(Cell {
+                        workload,
+                        range,
+                        draw,
+                        budget,
+                        spec,
+                        measurement,
+                    });
+                }
             }
+        }
+    }
+    cells
+}
+
+/// A column of a figure table: its header and its value in a cell.
+type Col = (&'static str, fn(&Cell) -> String);
+
+/// `value` of the cell's measurement to `decimals` places; `-` for a
+/// declined build.
+fn shown(cell: &Cell, value: fn(&Measurement) -> f64, decimals: usize) -> String {
+    let render = |m| format!("{:.*}", decimals, value(&m));
+    cell.measurement.map_or_else(|| "-".into(), render)
+}
+
+const WORKLOAD: Col = ("workload", |c| c.workload.into());
+const DATASET: Col = ("dataset", |c| c.workload.into());
+const RANGE: Col = ("range", |c| c.range.1.into());
+const FILTER: Col = ("filter", |c| c.spec.label().into());
+const BITS: Col = ("bits/key", |c| shown(c, |m| m.bits_per_key, 1));
+const NS: Col = ("ns/query", |c| shown(c, |m| m.ns_per_query, 0));
+const POSITIVE_RATE: Col = ("positive_rate", |c| shown(c, |m| m.positive_rate, 3));
+const DEGREE: Col = ("degree", |c| match c.draw {
+    Draw::Correlated(degree) => format!("{degree:.1}"),
+    _ => "-".into(),
+});
+/// The positive rate in the paper's log-scale notation; a declined build
+/// names its budget.
+const FPR: Col = ("fpr", |c| match c.measurement {
+    Some(m) => fmt_fpr(m.positive_rate),
+    None => format!("infeasible at {}", c.budget),
+});
+
+/// Projects the cells onto `cols` — the built ones, or all of them when
+/// `declined_too` — then prints the table and writes `<csv_name>.csv`.
+fn report(cfg: &RunConfig, csv_name: &str, cols: &[Col], cells: &[Cell], declined_too: bool) {
+    let header: Vec<&str> = cols.iter().map(|col| col.0).collect();
+    let mut table = Table::new(&header);
+    for cell in cells {
+        if declined_too || cell.measurement.is_some() {
+            table.row(cols.iter().map(|col| (col.1)(cell)).collect());
         }
     }
     table.print();
     let _ = table.write_csv(&cfg.out_dir, csv_name);
 }
 
-/// The four dataset/workload rows of Figures 4 and 5. Returns, per row:
-/// `(label, filter-build keys, queries per range size, tuning sample)`.
-#[allow(clippy::type_complexity)]
-fn figure_grid_rows(
-    cfg: &RunConfig,
-    l: u64,
-) -> Vec<(&'static str, Vec<u64>, Vec<RangeQuery>, Vec<(u64, u64)>)> {
-    let uniform = sosd::dataset_or_synthetic(Dataset::Uniform, cfg.n, cfg.seed, &cfg.data_dir);
-    let books = sosd::dataset_or_synthetic(Dataset::Books, cfg.n, cfg.seed, &cfg.data_dir);
-    let osm = sosd::dataset_or_synthetic(Dataset::Osm, cfg.n, cfg.seed, &cfg.data_dir);
-    let mut rows = Vec::new();
+/// Figure 1 (intro teaser): FPR and query time vs correlation degree for the
+/// six headline filters, small ranges, 20 bits/key.
+pub fn fig1(cfg: &RunConfig) {
+    println!("== Figure 1: FPR and time vs correlation degree (small ranges, 20 bits/key) ==");
+    correlation_sweep(cfg, &FilterSpec::FIG1, &[RANGE_SIZES[1]], "fig1");
+}
 
-    // Correlated on Uniform (D = 0.8, the paper's default).
-    let q = correlated_queries(&uniform, cfg.queries, l, 0.8, cfg.seed ^ 0xC0);
-    let s = queries_as_pairs(&correlated_queries(&uniform, 1024, l, 0.8, cfg.seed ^ 0xC1));
-    rows.push(("Correlated", uniform.clone(), q, s));
+/// Figure 3 (§6.2): the full robustness grid — nine filters, three range
+/// sizes, correlation degree swept 0 → 1 at 20 bits/key.
+pub fn fig3(cfg: &RunConfig) {
+    println!("== Figure 3: robustness to key-query correlation (20 bits/key) ==");
+    correlation_sweep(cfg, &FilterSpec::ALL_FIG3, &RANGE_SIZES, "fig3");
+}
 
-    // Uncorrelated on Uniform.
-    let q = uncorrelated_queries(&uniform, cfg.queries, l, cfg.seed ^ 0xD0);
-    let s = queries_as_pairs(&uncorrelated_queries(&uniform, 1024, l, cfg.seed ^ 0xD1));
-    rows.push(("Uncorrelated", uniform, q, s));
-
-    // Real workloads: left endpoints extracted (and removed) from the data.
-    for (name, keys) in [("Books", books), ("Osm", osm)] {
-        let (remaining, q) = extract_real_queries(&keys, cfg.queries, l, cfg.seed ^ 0xE0);
-        let (_, s_q) = extract_real_queries(&keys, 1024, l, cfg.seed ^ 0xE1);
-        rows.push((name, remaining, q, queries_as_pairs(&s_q)));
-    }
-    rows
+fn correlation_sweep(cfg: &RunConfig, specs: &[FilterSpec], sizes: &[RangeSize], csv_name: &str) {
+    let keys = sosd::dataset_or_synthetic(Dataset::Uniform, cfg.n, cfg.seed, &cfg.data_dir);
+    let workload = |d| ("Uniform", &keys[..], Draw::Correlated(d), [0xF163, 0x5A]);
+    let workloads = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0].map(workload);
+    let cells = measure_cells(cfg, sizes, &workloads, specs, &[20.0]);
+    let cols = [RANGE, DEGREE, FILTER, BITS, FPR, NS];
+    report(cfg, csv_name, &cols, &cells, false);
 }
 
 /// Figures 4 and 5 (§6.3/§6.4): FPR vs space budget over the four
@@ -125,72 +216,43 @@ fn figure_grid_rows(
 /// query-time tables.
 pub fn fig4(cfg: &RunConfig) {
     println!("== Figure 4: heuristic filters, FPR vs space ==");
-    run_space_grid(cfg, &FilterSpec::HEURISTIC, "fig4");
+    space_grid(cfg, &FilterSpec::HEURISTIC, "fig4");
 }
 
 /// Figure 5 (§6.4): the robust filters on the same grid.
 pub fn fig5(cfg: &RunConfig) {
     println!("== Figure 5: robust filters, FPR vs space ==");
-    run_space_grid(cfg, &FilterSpec::ROBUST, "fig5");
+    space_grid(cfg, &FilterSpec::ROBUST, "fig5");
 }
 
-fn run_space_grid(cfg: &RunConfig, specs: &[FilterSpec], csv_name: &str) {
-    let registry = standard_registry();
-    let mut table = Table::new(&["workload", "range", "filter", "bits/key", "fpr", "ns/query"]);
-    let mut avg_time: std::collections::HashMap<(&str, &str), (f64, usize)> =
-        std::collections::HashMap::new();
-    for &(l, size_name) in &RANGE_SIZES {
-        for (row_name, keys, queries, sample) in figure_grid_rows(cfg, l) {
-            if queries.is_empty() {
-                continue;
-            }
-            for &budget in &cfg.budgets {
-                let fc = FilterConfig::new(&keys)
-                    .bits_per_key(budget)
-                    .max_range(l)
-                    .sample(&sample)
-                    .seed(cfg.seed);
-                for &spec in specs {
-                    let spec = if spec == FilterSpec::SurfReal && l == 1 {
-                        FilterSpec::SurfHash
-                    } else {
-                        spec
-                    };
-                    let Ok(filter) = registry.build(spec, &fc) else {
-                        continue;
-                    };
-                    let m = measure(filter.as_ref(), &queries);
-                    let e = avg_time.entry((row_name, spec.label())).or_insert((0.0, 0));
-                    e.0 += m.ns_per_query;
-                    e.1 += 1;
-                    table.row(vec![
-                        row_name.to_string(),
-                        size_name.to_string(),
-                        spec.label().to_string(),
-                        format!("{:.1}", m.bits_per_key),
-                        fmt_fpr(m.positive_rate),
-                        format!("{:.0}", m.ns_per_query),
-                    ]);
-                }
-            }
-        }
-    }
-    table.print();
-    let _ = table.write_csv(&cfg.out_dir, csv_name);
+fn space_grid(cfg: &RunConfig, specs: &[FilterSpec], csv_name: &str) {
+    let [uniform, books, osm] = [Dataset::Uniform, Dataset::Books, Dataset::Osm]
+        .map(|d| sosd::dataset_or_synthetic(d, cfg.n, cfg.seed, &cfg.data_dir));
+    // Correlated (D = 0.8, the paper's default) and uncorrelated on Uniform,
+    // then the real workloads, whose query endpoints leave the data.
+    let workloads: [Workload; 4] = [
+        ("Correlated", &uniform, Draw::Correlated(0.8), [0xC0, 0xC1]),
+        ("Uncorrelated", &uniform, Draw::Uncorrelated, [0xD0, 0xD1]),
+        ("Books", &books, Draw::Real, [0xE0, 0xE1]),
+        ("Osm", &osm, Draw::Real, [0xE0, 0xE1]),
+    ];
+    let cells = measure_cells(cfg, &RANGE_SIZES, &workloads, specs, &cfg.budgets);
+    let cols = [WORKLOAD, RANGE, FILTER, BITS, FPR, NS];
+    report(cfg, csv_name, &cols, &cells, false);
 
     // The per-row average-time side tables of Figures 4/5.
     println!("-- average query time per workload row (all budgets & sizes) --");
+    let mut times: BTreeMap<(&str, &str), Vec<f64>> = BTreeMap::new();
+    for (cell, m) in cells.iter().filter_map(|c| Some((c, c.measurement?))) {
+        let key = (cell.workload, cell.spec.label());
+        times.entry(key).or_default().push(m.ns_per_query);
+    }
     let mut time_table = Table::new(&["workload", "filter", "avg ns/query"]);
-    let mut entries: Vec<_> = avg_time.into_iter().collect();
-    entries.sort_by(|a, b| {
-        (a.0 .0, (a.1 .0 / a.1 .1 as f64) as u64).cmp(&(b.0 .0, (b.1 .0 / b.1 .1 as f64) as u64))
-    });
-    for ((row, filter), (total, count)) in entries {
-        time_table.row(vec![
-            row.to_string(),
-            filter.to_string(),
-            format!("{:.0}", total / count as f64),
-        ]);
+    let mean = |ns: &[f64]| ns.iter().sum::<f64>() / ns.len() as f64;
+    let mut rows: Vec<_> = times.iter().map(|(&key, ns)| (key, mean(ns))).collect();
+    rows.sort_by_key(|&((workload, _), avg)| (workload, avg as u64));
+    for ((workload, filter), avg) in rows {
+        time_table.row(vec![workload.into(), filter.into(), format!("{avg:.0}")]);
     }
     time_table.print();
     let _ = time_table.write_csv(&cfg.out_dir, &format!("{csv_name}_times"));
@@ -199,40 +261,12 @@ fn run_space_grid(cfg: &RunConfig, specs: &[FilterSpec], csv_name: &str) {
 /// Figure 6 (§6.5): query time on *non-empty* queries vs space budget.
 pub fn fig6(cfg: &RunConfig) {
     println!("== Figure 6: query time on non-empty queries ==");
-    let registry = standard_registry();
     let keys = sosd::dataset_or_synthetic(Dataset::Uniform, cfg.n, cfg.seed, &cfg.data_dir);
-    let mut table = Table::new(&["range", "filter", "bits/key", "ns/query", "positive_rate"]);
-    for &(l, size_name) in &RANGE_SIZES {
-        let queries = non_empty_queries(&keys, cfg.queries, l, cfg.seed ^ 0x6E);
-        let sample = queries_as_pairs(&uncorrelated_queries(&keys, 1024, l, cfg.seed ^ 0x6F));
-        for &budget in &cfg.budgets {
-            let fc = FilterConfig::new(&keys)
-                .bits_per_key(budget)
-                .max_range(l)
-                .sample(&sample)
-                .seed(cfg.seed);
-            for &spec in &FilterSpec::ALL_FIG3 {
-                let spec = if spec == FilterSpec::SurfReal && l == 1 {
-                    FilterSpec::SurfHash
-                } else {
-                    spec
-                };
-                let Ok(filter) = registry.build(spec, &fc) else {
-                    continue;
-                };
-                let m = measure(filter.as_ref(), &queries);
-                table.row(vec![
-                    size_name.to_string(),
-                    spec.label().to_string(),
-                    format!("{:.1}", m.bits_per_key),
-                    format!("{:.0}", m.ns_per_query),
-                    format!("{:.3}", m.positive_rate),
-                ]);
-            }
-        }
-    }
-    table.print();
-    let _ = table.write_csv(&cfg.out_dir, "fig6");
+    let workload = ("Uniform", &keys[..], Draw::NonEmpty, [0x6E, 0x6F]);
+    let specs = FilterSpec::ALL_FIG3;
+    let cells = measure_cells(cfg, &RANGE_SIZES, &[workload], &specs, &cfg.budgets);
+    let cols = [RANGE, FILTER, BITS, NS, POSITIVE_RATE];
+    report(cfg, "fig6", &cols, &cells, false);
 }
 
 /// Figure 7 (§6.6): construction time per key as n grows, averaged over two
@@ -346,7 +380,7 @@ pub fn table1(cfg: &RunConfig) {
     ] {
         let measured = registry
             .build(spec, &fc)
-            .map(|f| format!("{:.1}", f.bits_per_key()))
+            .map(|f| format!("{:.1}", measured_bits_per_key(f.as_ref())))
             .unwrap_or_else(|_| "-".into());
         let theory_s = if theory.is_nan() {
             "?".into()
@@ -364,35 +398,11 @@ pub fn table1(cfg: &RunConfig) {
 /// while heuristic filters still err.
 pub fn fb(cfg: &RunConfig) {
     println!("== Fb case study (§6.1): Grafite at 12 bits/key ==");
-    let registry = standard_registry();
     let keys = sosd::dataset_or_synthetic(Dataset::Fb, cfg.n, cfg.seed, &cfg.data_dir);
-    let l = 32u64;
-    let queries = correlated_queries(&keys, cfg.queries, l, 0.8, cfg.seed ^ 0xFB);
-    let sample = queries_as_pairs(&correlated_queries(&keys, 1024, l, 0.8, cfg.seed ^ 0xFC));
-    let fc = FilterConfig::new(&keys)
-        .bits_per_key(12.0)
-        .max_range(l)
-        .sample(&sample)
-        .seed(cfg.seed);
-    let mut table = Table::new(&["filter", "bits/key", "fpr"]);
-    for &spec in &FilterSpec::ALL_FIG3 {
-        let Ok(filter) = registry.build(spec, &fc) else {
-            table.row(vec![
-                spec.label().into(),
-                "-".into(),
-                "infeasible at 12".into(),
-            ]);
-            continue;
-        };
-        let m = measure(filter.as_ref(), &queries);
-        table.row(vec![
-            spec.label().into(),
-            format!("{:.1}", m.bits_per_key),
-            fmt_fpr(m.positive_rate),
-        ]);
-    }
-    table.print();
-    let _ = table.write_csv(&cfg.out_dir, "fb");
+    let workload = ("Fb", &keys[..], Draw::Correlated(0.8), [0xFB, 0xFC]);
+    let (small, specs) = ([RANGE_SIZES[1]], FilterSpec::ALL_FIG3);
+    let cells = measure_cells(cfg, &small, &[workload], &specs, &[12.0]);
+    report(cfg, "fb", &[FILTER, BITS, FPR], &cells, true);
 }
 
 /// §6.6 text: multi-threaded construction sorting (the paper reports
@@ -580,43 +590,27 @@ pub fn ablation_bucketing(cfg: &RunConfig) {
 /// "no interesting change" and omits the plots; we verify the claim).
 pub fn normal_check(cfg: &RunConfig) {
     println!("== Normal-dataset check (§6.1): relative ranking vs Uniform ==");
-    let registry = standard_registry();
-    let l = 32u64;
-    let mut table = Table::new(&["dataset", "filter", "fpr", "ns/query"]);
-    let mut rankings: Vec<Vec<(String, f64)>> = Vec::new();
-    for dataset in [Dataset::Uniform, Dataset::Normal] {
-        let keys = sosd::dataset_or_synthetic(dataset, cfg.n, cfg.seed, &cfg.data_dir);
-        let queries = correlated_queries(&keys, cfg.queries, l, 0.8, cfg.seed ^ 0x42);
-        let sample = queries_as_pairs(&correlated_queries(&keys, 1024, l, 0.8, cfg.seed ^ 0x43));
-        let fc = FilterConfig::new(&keys)
-            .bits_per_key(20.0)
-            .max_range(l)
-            .sample(&sample)
-            .seed(cfg.seed);
-        let mut ranking = Vec::new();
-        for &spec in &FilterSpec::ALL_FIG3 {
-            let Ok(filter) = registry.build(spec, &fc) else {
-                continue;
-            };
-            let m = measure(filter.as_ref(), &queries);
-            ranking.push((spec.label().to_string(), m.positive_rate));
-            table.row(vec![
-                dataset.name().to_string(),
-                spec.label().to_string(),
-                fmt_fpr(m.positive_rate),
-                format!("{:.0}", m.ns_per_query),
-            ]);
-        }
-        ranking.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-        rankings.push(ranking);
-    }
-    table.print();
-    let _ = table.write_csv(&cfg.out_dir, "normal_check");
-    let best = |r: &Vec<(String, f64)>| r.first().map(|x| x.0.clone()).unwrap_or_default();
+    let [uniform, normal] = [Dataset::Uniform, Dataset::Normal]
+        .map(|d| sosd::dataset_or_synthetic(d, cfg.n, cfg.seed, &cfg.data_dir));
+    let workloads: [Workload; 2] = [
+        ("Uniform", &uniform, Draw::Correlated(0.8), [0x42, 0x43]),
+        ("Normal", &normal, Draw::Correlated(0.8), [0x42, 0x43]),
+    ];
+    let (small, specs) = ([RANGE_SIZES[1]], FilterSpec::ALL_FIG3);
+    let cells = measure_cells(cfg, &small, &workloads, &specs, &[20.0]);
+    let cols = [DATASET, FILTER, FPR, NS];
+    report(cfg, "normal_check", &cols, &cells, false);
+    // The lowest FPR per dataset; ties go to the first filter in spec order.
+    let best = |dataset: &str| {
+        let built = cells.iter().filter(|c| c.workload == dataset);
+        let fprs = built.filter_map(|c| Some((c.spec.label(), c.measurement?.positive_rate)));
+        fprs.min_by(|a, b| a.1.total_cmp(&b.1))
+            .map_or("", |best| best.0)
+    };
     println!(
         "best filter on Uniform: {}; on Normal: {} (paper: relative performance unchanged)",
-        best(&rankings[0]),
-        best(&rankings[1])
+        best("Uniform"),
+        best("Normal")
     );
 }
 

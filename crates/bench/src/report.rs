@@ -49,17 +49,28 @@ impl Table {
         }
     }
 
-    /// Writes the table as CSV to `dir/name.csv`.
+    /// Writes the table as CSV to `dir/name.csv`, quoting fields per
+    /// RFC 4180.
     pub fn write_csv(&self, dir: &Path, name: &str) -> std::io::Result<()> {
         fs::create_dir_all(dir)?;
         let path = dir.join(format!("{name}.csv"));
         let mut f = fs::File::create(&path)?;
-        writeln!(f, "{}", self.header.join(","))?;
-        for row in &self.rows {
-            writeln!(f, "{}", row.join(","))?;
+        for row in std::iter::once(&self.header).chain(&self.rows) {
+            let fields: Vec<String> = row.iter().map(|cell| csv_field(cell)).collect();
+            writeln!(f, "{}", fields.join(","))?;
         }
         eprintln!("  [csv] {}", path.display());
         Ok(())
+    }
+}
+
+/// One CSV field: quoted, with its quotes doubled, when it holds a comma, a
+/// quote or a line break; otherwise as is.
+fn csv_field(cell: &str) -> String {
+    if cell.contains([',', '"', '\n', '\r']) {
+        format!("\"{}\"", cell.replace('"', "\"\""))
+    } else {
+        cell.to_string()
     }
 }
 
@@ -174,6 +185,21 @@ mod tests {
         let body = std::fs::read_to_string(dir.join("t.csv")).unwrap();
         assert_eq!(body.lines().count(), 3);
         assert!(body.starts_with("a,b\n"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn csv_quotes_fields_with_separators_quotes_and_newlines() {
+        let mut t = Table::new(&["note", "n"]);
+        t.row(vec!["point Bloom at eps/L, O(L) query".into(), "1".into()]);
+        t.row(vec!["say \"hi\"".into(), "two\nlines".into()]);
+        let dir = std::env::temp_dir().join("grafite_report_quoting_test");
+        t.write_csv(&dir, "t").unwrap();
+        let body = std::fs::read_to_string(dir.join("t.csv")).unwrap();
+        assert_eq!(
+            body,
+            "note,n\n\"point Bloom at eps/L, O(L) query\",1\n\"say \"\"hi\"\"\",\"two\nlines\"\n"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -19,17 +19,27 @@ impl BloomFilter {
     /// Creates a filter with `m` bits and `k` hash functions.
     ///
     /// # Panics
-    /// Panics if `m == 0` or `k == 0`.
+    /// Panics if `m == 0` or `k == 0`, or if the `m` bits cannot be
+    /// allocated.
     pub fn new(m: usize, k: u32, seed: u64) -> Self {
+        Self::try_new(m, k, seed).expect("Bloom filter bits allocated")
+    }
+
+    /// Like [`BloomFilter::new`], but `None` when the `m` bits cannot be
+    /// allocated.
+    ///
+    /// # Panics
+    /// Panics if `m == 0` or `k == 0`.
+    pub fn try_new(m: usize, k: u32, seed: u64) -> Option<Self> {
         assert!(m > 0, "Bloom filter needs at least one bit");
         assert!(k > 0, "Bloom filter needs at least one hash");
-        Self {
-            bits: BitVec::zeros(m),
+        Some(Self {
+            bits: BitVec::try_zeros(m)?,
             m: m as u64,
             k,
             seed,
             items: 0,
-        }
+        })
     }
 
     /// Sizes a filter for `n` items at false-positive rate `fpr`

@@ -23,14 +23,24 @@ impl PrefixBloomFilter {
     /// hashes.
     ///
     /// # Panics
-    /// Panics if `prefix_len` is 0 or exceeds 64.
+    /// Panics if `prefix_len` is 0 or exceeds 64, or if the `m` bits cannot
+    /// be allocated.
     pub fn new(prefix_len: u32, m: usize, k: u32, seed: u64) -> Self {
+        Self::try_new(prefix_len, m, k, seed).expect("prefix Bloom filter bits allocated")
+    }
+
+    /// Like [`PrefixBloomFilter::new`], but `None` when the `m` bits cannot
+    /// be allocated.
+    ///
+    /// # Panics
+    /// Panics if `prefix_len` is 0 or exceeds 64.
+    pub fn try_new(prefix_len: u32, m: usize, k: u32, seed: u64) -> Option<Self> {
         assert!((1..=64).contains(&prefix_len), "prefix length {prefix_len}");
-        Self {
-            bloom: BloomFilter::new(m, k, seed),
+        Some(Self {
+            bloom: BloomFilter::try_new(m, k, seed)?,
             prefix_len,
             max_probes: 1 << 12,
-        }
+        })
     }
 
     /// Overrides the probe budget.

@@ -14,7 +14,9 @@ pub enum FilterError {
     InvalidEpsilon(f64),
     /// The maximum range size `L` must be at least 1.
     InvalidMaxRange(u64),
-    /// The bits-per-key budget must exceed the 2-bit Elias–Fano overhead.
+    /// The bits-per-key budget is out of the family's range: not finite and
+    /// positive, not above Grafite's 2-bit Elias–Fano overhead, or more bits
+    /// in total than the allocator can provide.
     InvalidBudget(f64),
     /// The bucket size `s` must be at least 1.
     InvalidBucketSize(u64),
@@ -130,7 +132,8 @@ impl fmt::Display for FilterError {
             }
             FilterError::InvalidBudget(b) => write!(
                 f,
-                "bits-per-key budget must exceed 2 (the Elias-Fano overhead), got {b}"
+                "bits-per-key budget {b:?} is out of range: it must be finite, exceed 2 \
+                 for Grafite (the Elias-Fano overhead), and fit in memory"
             ),
             FilterError::InvalidBucketSize(s) => {
                 write!(f, "bucket size must be >= 1, got {s}")

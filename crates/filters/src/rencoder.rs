@@ -300,7 +300,11 @@ impl BuildableFilter for REncoder {
         // probe at the leaves) supplies the discrimination k would.
         let k = 1;
         let mut f = Self {
-            bits: BitVec::zeros(m as usize),
+            // A finite but huge budget asks for more bits than exist.
+            bits: usize::try_from(m)
+                .ok()
+                .and_then(BitVec::try_zeros)
+                .ok_or(FilterError::InvalidBudget(bits_per_key))?,
             m,
             k,
             rounds,

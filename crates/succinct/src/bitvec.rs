@@ -29,6 +29,16 @@ impl BitVec {
         }
     }
 
+    /// Like [`BitVec::zeros`], but `None` when the allocator cannot provide
+    /// the words, where [`BitVec::zeros`] would abort the process.
+    pub fn try_zeros(len: usize) -> Option<Self> {
+        let n_words = div_ceil(len.max(1), WORD_BITS);
+        let mut words = Vec::new();
+        words.try_reserve_exact(n_words).ok()?;
+        words.resize(n_words, 0);
+        Some(Self { words, len })
+    }
+
     /// Wraps already-packed `words` as a bit vector of `len` bits — the
     /// word-level construction path used when the caller sets bits directly
     /// in a word buffer (e.g. Elias–Fano's high-bits build) instead of

@@ -316,3 +316,50 @@ fn registry_reports_unregistered_specs() {
     // The standard registry covers all eleven.
     assert_eq!(standard_registry().registered().count(), FilterSpec::COUNT);
 }
+
+/// A finite but huge budget ends in a typed error or a working filter, never
+/// in an aborted allocation. Proteus and the REncoder variants size their
+/// bits from `bits_per_key · n`, so at 1e300 bits/key they must refuse.
+#[test]
+fn huge_budgets_end_in_a_typed_error_or_a_working_filter() {
+    let keys = conformance_keys();
+    let mut sorted = keys.clone();
+    sorted.sort_unstable();
+    let sample = empty_sample(&sorted);
+    let registry = standard_registry();
+    let cfg = FilterConfig::new(&keys)
+        .bits_per_key(1e300)
+        .max_range(64)
+        .sample(&sample)
+        .seed(5);
+    let sized_from_budget = [
+        FilterSpec::Proteus,
+        FilterSpec::REncoder,
+        FilterSpec::REncoderSS,
+        FilterSpec::REncoderSE,
+    ];
+    for spec in FilterSpec::ALL {
+        match registry.build(spec, &cfg) {
+            Ok(filter) => {
+                assert!(!sized_from_budget.contains(&spec), "{}", spec.label());
+                for &k in &keys {
+                    assert!(
+                        filter.may_contain(k),
+                        "{}: false negative on {k}",
+                        spec.label()
+                    );
+                }
+            }
+            Err(e) => {
+                assert!(
+                    matches!(
+                        e,
+                        FilterError::InvalidBudget(_) | FilterError::ReducedUniverseTooLarge { .. }
+                    ),
+                    "{}: {e}",
+                    spec.label()
+                );
+            }
+        }
+    }
+}

@@ -1,6 +1,7 @@
 //! Integration tests pinning the *qualitative* results of the paper's
-//! evaluation — the claims EXPERIMENTS.md reports. These run small versions
-//! of the Figure 1/3/4/5 comparisons and assert who wins, not by how much.
+//! evaluation — the claims `repro fig1`, `repro fig3` and `repro fig4`
+//! report. These run small versions of the Figure 1/3/4/5 comparisons and
+//! assert who wins, not by how much.
 
 use grafite::{BucketingFilter, BuildableFilter, FilterConfig, GrafiteFilter, RangeFilter};
 use grafite_filters::{Rosetta, RosettaTuning, Snarf, SuffixStyle, Surf, SurfTuning};
