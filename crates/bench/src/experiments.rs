@@ -6,12 +6,12 @@
 //! the configured output directory.
 //!
 //! The grid figures (1, 3–6, the Fb study and the Normal check) share one
-//! pipeline. A figure names its workloads (keys plus a `Draw` of queries),
-//! range sizes, filters and budgets; `measure_cells` builds and measures
-//! every combination into typed `Cell`s, and the figure's table — stdout
-//! and CSV alike — is a projection of those cells onto `Col`umns. Side
-//! outputs (Figures 4/5's average times, the Normal check's best filter)
-//! are folds over the same cells.
+//! pipeline. A figure names its workloads (keys plus the `Draw`s of its
+//! queries and tuning sample), range sizes, filters and budgets;
+//! `measure_cells` builds and measures every combination into typed
+//! `Cell`s, and the figure's table — stdout and CSV alike — is a projection
+//! of those cells onto `Col`umns. Side outputs (Figures 4/5's average
+//! times, the Normal check's best filter) are folds over the same cells.
 
 use grafite_core::registry::FilterSpec;
 use grafite_core::{
@@ -73,9 +73,9 @@ impl Draw {
     }
 }
 
-/// A figure's workload: its name, its keys, how it draws queries, and the
-/// salts xored into the seed for the measured queries and the tuning sample.
-type Workload<'k> = (&'static str, &'k [u64], Draw, [u64; 2]);
+/// A figure's workload: its name, its keys, and how it draws the measured
+/// queries and the tuning sample, each with the salt xored into the seed.
+type Workload<'k> = (&'static str, &'k [u64], [Draw; 2], [u64; 2]);
 
 /// One point of the evaluation grid: `spec` built at `budget` bits/key on a
 /// workload's keys and measured on its queries of one range size.
@@ -104,16 +104,11 @@ fn measure_cells(
     let registry = standard_registry();
     let mut cells = Vec::new();
     for &range in sizes {
-        for &(workload, keys, draw, [salt, sample_salt]) in workloads {
+        for &(workload, keys, [draw, sample_draw], [salt, sample_salt]) in workloads {
             let (build_keys, queries) = draw.take(keys, cfg.queries, range.0, cfg.seed ^ salt);
             if queries.is_empty() {
                 continue;
             }
-            // The auto-tuners learn from empty ranges.
-            let sample_draw = match draw {
-                Draw::NonEmpty => Draw::Uncorrelated,
-                empty => empty,
-            };
             let (_, sample) =
                 sample_draw.take(keys, SAMPLE_QUERIES, range.0, cfg.seed ^ sample_salt);
             let sample = queries_as_pairs(&sample);
@@ -174,15 +169,23 @@ const FPR: Col = ("fpr", |c| match c.measurement {
     None => format!("infeasible at {}", c.budget),
 });
 
-/// Projects the cells onto `cols` — the built ones, or all of them when
-/// `declined_too` — then prints the table and writes `<csv_name>.csv`.
-fn report(cfg: &RunConfig, csv_name: &str, cols: &[Col], cells: &[Cell], declined_too: bool) {
+/// Whether the filter of `cell` was built (and measured).
+fn built(cell: &&Cell) -> bool {
+    cell.measurement.is_some()
+}
+
+/// Projects `cells` onto `cols`, then prints the table and writes
+/// `<csv_name>.csv`.
+fn report<'c>(
+    cfg: &RunConfig,
+    csv_name: &str,
+    cols: &[Col],
+    cells: impl Iterator<Item = &'c Cell>,
+) {
     let header: Vec<&str> = cols.iter().map(|col| col.0).collect();
     let mut table = Table::new(&header);
     for cell in cells {
-        if declined_too || cell.measurement.is_some() {
-            table.row(cols.iter().map(|col| (col.1)(cell)).collect());
-        }
+        table.row(cols.iter().map(|col| (col.1)(cell)).collect());
     }
     table.print();
     let _ = table.write_csv(&cfg.out_dir, csv_name);
@@ -204,11 +207,11 @@ pub fn fig3(cfg: &RunConfig) {
 
 fn correlation_sweep(cfg: &RunConfig, specs: &[FilterSpec], sizes: &[RangeSize], csv_name: &str) {
     let keys = sosd::dataset_or_synthetic(Dataset::Uniform, cfg.n, cfg.seed, &cfg.data_dir);
-    let workload = |d| ("Uniform", &keys[..], Draw::Correlated(d), [0xF163, 0x5A]);
-    let workloads = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0].map(workload);
+    let draws = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0].map(|d| [Draw::Correlated(d); 2]);
+    let workloads = draws.map(|draws| ("Uniform", &keys[..], draws, [0xF163, 0x5A]));
     let cells = measure_cells(cfg, sizes, &workloads, specs, &[20.0]);
     let cols = [RANGE, DEGREE, FILTER, BITS, FPR, NS];
-    report(cfg, csv_name, &cols, &cells, false);
+    report(cfg, csv_name, &cols, cells.iter().filter(built));
 }
 
 /// Figures 4 and 5 (§6.3/§6.4): FPR vs space budget over the four
@@ -230,15 +233,16 @@ fn space_grid(cfg: &RunConfig, specs: &[FilterSpec], csv_name: &str) {
         .map(|d| sosd::dataset_or_synthetic(d, cfg.n, cfg.seed, &cfg.data_dir));
     // Correlated (D = 0.8, the paper's default) and uncorrelated on Uniform,
     // then the real workloads, whose query endpoints leave the data.
+    let (correlated, uncorrelated) = ([Draw::Correlated(0.8); 2], [Draw::Uncorrelated; 2]);
     let workloads: [Workload; 4] = [
-        ("Correlated", &uniform, Draw::Correlated(0.8), [0xC0, 0xC1]),
-        ("Uncorrelated", &uniform, Draw::Uncorrelated, [0xD0, 0xD1]),
-        ("Books", &books, Draw::Real, [0xE0, 0xE1]),
-        ("Osm", &osm, Draw::Real, [0xE0, 0xE1]),
+        ("Correlated", &uniform, correlated, [0xC0, 0xC1]),
+        ("Uncorrelated", &uniform, uncorrelated, [0xD0, 0xD1]),
+        ("Books", &books, [Draw::Real; 2], [0xE0, 0xE1]),
+        ("Osm", &osm, [Draw::Real; 2], [0xE0, 0xE1]),
     ];
     let cells = measure_cells(cfg, &RANGE_SIZES, &workloads, specs, &cfg.budgets);
     let cols = [WORKLOAD, RANGE, FILTER, BITS, FPR, NS];
-    report(cfg, csv_name, &cols, &cells, false);
+    report(cfg, csv_name, &cols, cells.iter().filter(built));
 
     // The per-row average-time side tables of Figures 4/5.
     println!("-- average query time per workload row (all budgets & sizes) --");
@@ -262,11 +266,13 @@ fn space_grid(cfg: &RunConfig, specs: &[FilterSpec], csv_name: &str) {
 pub fn fig6(cfg: &RunConfig) {
     println!("== Figure 6: query time on non-empty queries ==");
     let keys = sosd::dataset_or_synthetic(Dataset::Uniform, cfg.n, cfg.seed, &cfg.data_dir);
-    let workload = ("Uniform", &keys[..], Draw::NonEmpty, [0x6E, 0x6F]);
+    // The auto-tuners learn from empty ranges.
+    let draws = [Draw::NonEmpty, Draw::Uncorrelated];
+    let workload = ("Uniform", &keys[..], draws, [0x6E, 0x6F]);
     let specs = FilterSpec::ALL_FIG3;
     let cells = measure_cells(cfg, &RANGE_SIZES, &[workload], &specs, &cfg.budgets);
     let cols = [RANGE, FILTER, BITS, NS, POSITIVE_RATE];
-    report(cfg, "fig6", &cols, &cells, false);
+    report(cfg, "fig6", &cols, cells.iter().filter(built));
 }
 
 /// Figure 7 (§6.6): construction time per key as n grows, averaged over two
@@ -399,10 +405,11 @@ pub fn table1(cfg: &RunConfig) {
 pub fn fb(cfg: &RunConfig) {
     println!("== Fb case study (§6.1): Grafite at 12 bits/key ==");
     let keys = sosd::dataset_or_synthetic(Dataset::Fb, cfg.n, cfg.seed, &cfg.data_dir);
-    let workload = ("Fb", &keys[..], Draw::Correlated(0.8), [0xFB, 0xFC]);
+    let workload = ("Fb", &keys[..], [Draw::Correlated(0.8); 2], [0xFB, 0xFC]);
     let (small, specs) = ([RANGE_SIZES[1]], FilterSpec::ALL_FIG3);
     let cells = measure_cells(cfg, &small, &[workload], &specs, &[12.0]);
-    report(cfg, "fb", &[FILTER, BITS, FPR], &cells, true);
+    // Declined builds stay in, as the paper's "infeasible" rows.
+    report(cfg, "fb", &[FILTER, BITS, FPR], cells.iter());
 }
 
 /// §6.6 text: multi-threaded construction sorting (the paper reports
@@ -592,14 +599,15 @@ pub fn normal_check(cfg: &RunConfig) {
     println!("== Normal-dataset check (§6.1): relative ranking vs Uniform ==");
     let [uniform, normal] = [Dataset::Uniform, Dataset::Normal]
         .map(|d| sosd::dataset_or_synthetic(d, cfg.n, cfg.seed, &cfg.data_dir));
+    let draws = [Draw::Correlated(0.8); 2];
     let workloads: [Workload; 2] = [
-        ("Uniform", &uniform, Draw::Correlated(0.8), [0x42, 0x43]),
-        ("Normal", &normal, Draw::Correlated(0.8), [0x42, 0x43]),
+        ("Uniform", &uniform, draws, [0x42, 0x43]),
+        ("Normal", &normal, draws, [0x42, 0x43]),
     ];
     let (small, specs) = ([RANGE_SIZES[1]], FilterSpec::ALL_FIG3);
     let cells = measure_cells(cfg, &small, &workloads, &specs, &[20.0]);
     let cols = [DATASET, FILTER, FPR, NS];
-    report(cfg, "normal_check", &cols, &cells, false);
+    report(cfg, "normal_check", &cols, cells.iter().filter(built));
     // The lowest FPR per dataset; ties go to the first filter in spec order.
     let best = |dataset: &str| {
         let built = cells.iter().filter(|c| c.workload == dataset);

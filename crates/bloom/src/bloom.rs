@@ -16,21 +16,12 @@ pub struct BloomFilter {
 }
 
 impl BloomFilter {
-    /// Creates a filter with `m` bits and `k` hash functions.
-    ///
-    /// # Panics
-    /// Panics if `m == 0` or `k == 0`, or if the `m` bits cannot be
-    /// allocated.
-    pub fn new(m: usize, k: u32, seed: u64) -> Self {
-        Self::try_new(m, k, seed).expect("Bloom filter bits allocated")
-    }
-
-    /// Like [`BloomFilter::new`], but `None` when the `m` bits cannot be
-    /// allocated.
+    /// Creates a filter with `m` bits and `k` hash functions, or `None` when
+    /// the `m` bits cannot be allocated.
     ///
     /// # Panics
     /// Panics if `m == 0` or `k == 0`.
-    pub fn try_new(m: usize, k: u32, seed: u64) -> Option<Self> {
+    pub fn new(m: usize, k: u32, seed: u64) -> Option<Self> {
         assert!(m > 0, "Bloom filter needs at least one bit");
         assert!(k > 0, "Bloom filter needs at least one hash");
         Some(Self {
@@ -44,12 +35,16 @@ impl BloomFilter {
 
     /// Sizes a filter for `n` items at false-positive rate `fpr`
     /// (`m = −n·ln(fpr)/ln2²`, `k = (m/n)·ln2`).
+    ///
+    /// # Panics
+    /// Panics if the `m` bits cannot be allocated. The FPR is clamped to
+    /// at least 1e-12, so `m` stays below 58 bits per item.
     pub fn for_fpr(n: usize, fpr: f64, seed: u64) -> Self {
         let n = n.max(1) as f64;
         let fpr = fpr.clamp(1e-12, 0.9999);
         let m = (-n * fpr.ln() / (std::f64::consts::LN_2 * std::f64::consts::LN_2)).ceil() as usize;
         let k = Self::optimal_k(m.max(1), n as usize);
-        Self::new(m.max(1), k, seed)
+        Self::new(m.max(1), k, seed).expect("Bloom filter bits allocated")
     }
 
     /// The k minimising the FPR for `m` bits and `n` items.
@@ -161,7 +156,7 @@ mod tests {
 
     #[test]
     fn no_false_negatives() {
-        let mut bf = BloomFilter::new(10_000, 5, 1);
+        let mut bf = BloomFilter::new(10_000, 5, 1).unwrap();
         let items: Vec<u64> = (0..500u64).map(|i| i * 7919).collect();
         for &x in &items {
             bf.insert(x);
@@ -203,7 +198,7 @@ mod tests {
 
     #[test]
     fn tiny_filters_work() {
-        let mut bf = BloomFilter::new(1, 1, 0);
+        let mut bf = BloomFilter::new(1, 1, 0).unwrap();
         bf.insert(7);
         assert!(bf.contains(7));
         // Everything collides in a 1-bit filter: full FPR, zero FNs.
@@ -213,6 +208,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one bit")]
     fn zero_bits_rejected() {
-        BloomFilter::new(0, 1, 0);
+        let _ = BloomFilter::new(0, 1, 0);
     }
 }

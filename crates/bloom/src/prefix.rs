@@ -20,24 +20,14 @@ pub struct PrefixBloomFilter {
 
 impl PrefixBloomFilter {
     /// Creates a filter for `prefix_len`-bit prefixes with `m` bits and `k`
-    /// hashes.
-    ///
-    /// # Panics
-    /// Panics if `prefix_len` is 0 or exceeds 64, or if the `m` bits cannot
-    /// be allocated.
-    pub fn new(prefix_len: u32, m: usize, k: u32, seed: u64) -> Self {
-        Self::try_new(prefix_len, m, k, seed).expect("prefix Bloom filter bits allocated")
-    }
-
-    /// Like [`PrefixBloomFilter::new`], but `None` when the `m` bits cannot
-    /// be allocated.
+    /// hashes, or `None` when the `m` bits cannot be allocated.
     ///
     /// # Panics
     /// Panics if `prefix_len` is 0 or exceeds 64.
-    pub fn try_new(prefix_len: u32, m: usize, k: u32, seed: u64) -> Option<Self> {
+    pub fn new(prefix_len: u32, m: usize, k: u32, seed: u64) -> Option<Self> {
         assert!((1..=64).contains(&prefix_len), "prefix length {prefix_len}");
         Some(Self {
-            bloom: BloomFilter::try_new(m, k, seed)?,
+            bloom: BloomFilter::new(m, k, seed)?,
             prefix_len,
             max_probes: 1 << 12,
         })
@@ -142,7 +132,7 @@ mod tests {
             .map(|i| i.wrapping_mul(0xABCDEF1234567))
             .collect();
         for prefix_len in [8u32, 24, 40, 64] {
-            let mut f = PrefixBloomFilter::new(prefix_len, 1 << 14, 4, 3);
+            let mut f = PrefixBloomFilter::new(prefix_len, 1 << 14, 4, 3).unwrap();
             for &k in &keys {
                 f.insert(k);
             }
@@ -157,7 +147,7 @@ mod tests {
     #[test]
     fn filters_far_ranges() {
         // Keys in the low half; probes in the high half must mostly miss.
-        let mut f = PrefixBloomFilter::new(24, 1 << 14, 5, 7);
+        let mut f = PrefixBloomFilter::new(24, 1 << 14, 5, 7).unwrap();
         for i in 0..200u64 {
             f.insert(i << 20);
         }
@@ -176,14 +166,16 @@ mod tests {
 
     #[test]
     fn wide_ranges_hit_probe_budget() {
-        let f = PrefixBloomFilter::new(40, 1 << 10, 3, 0).with_max_probes(16);
+        let f = PrefixBloomFilter::new(40, 1 << 10, 3, 0)
+            .unwrap()
+            .with_max_probes(16);
         // Range covering 2^24+ values at 40-bit prefixes = 2^? prefixes > 16.
         assert!(f.may_contain_range(0, 1 << 30));
     }
 
     #[test]
     fn prefix_64_is_point_bloom() {
-        let mut f = PrefixBloomFilter::new(64, 1 << 12, 4, 1);
+        let mut f = PrefixBloomFilter::new(64, 1 << 12, 4, 1).unwrap();
         f.insert(123456789);
         assert!(f.may_contain_range(123456789, 123456789));
     }

@@ -372,7 +372,7 @@ impl BuildableFilter for Proteus {
             let n2 = d2_tables[(l2 / 4 - 1) as usize].len();
             let k = BloomFilter::optimal_k(m, n2);
             // A finite but huge budget asks for more bits than exist.
-            let mut pbf = PrefixBloomFilter::try_new(l2, m, k, seed)
+            let mut pbf = PrefixBloomFilter::new(l2, m, k, seed)
                 .ok_or(FilterError::InvalidBudget(bits_per_key))?
                 .with_max_probes(MAX_PROBES);
             for &key in &sorted {

@@ -158,7 +158,7 @@ impl BuildableFilter for Rosetta {
 
         if n == 0 {
             let blooms = (0..num_levels)
-                .map(|i| BloomFilter::new(1, 1, seed ^ i as u64))
+                .map(|i| BloomFilter::new(1, 1, seed ^ i as u64).expect("one bit allocated"))
                 .collect();
             return Ok(Self {
                 blooms,
@@ -224,6 +224,11 @@ impl BuildableFilter for Rosetta {
             }
         }
         let weight_sum: f64 = weights.iter().sum();
+        // Above ~1,560 bits/key ε underflows to 0 and the bottom level's
+        // weight is infinite: the budget cannot be split across the levels.
+        if !weight_sum.is_finite() {
+            return Err(FilterError::InvalidBudget(bits_per_key));
+        }
         let blooms: Vec<BloomFilter> = weights
             .iter()
             .enumerate()
@@ -234,7 +239,9 @@ impl BuildableFilter for Rosetta {
                 let k = BloomFilter::optimal_k(m, items);
                 BloomFilter::new(m, k, seed ^ (level as u64).wrapping_mul(0x9E3779B97F4A7C15))
             })
-            .collect();
+            .collect::<Option<_>>()
+            // A finite but huge budget asks for more bits than exist.
+            .ok_or(FilterError::InvalidBudget(bits_per_key))?;
 
         let mut rosetta = Self {
             blooms,

@@ -22,15 +22,16 @@ impl BitVec {
     }
 
     /// Creates a bit vector of `len` zero bits.
+    ///
+    /// # Panics
+    /// Panics if the allocator cannot provide the words; a caller sized by
+    /// an untrusted budget uses [`BitVec::try_zeros`] and refuses instead.
     pub fn zeros(len: usize) -> Self {
-        Self {
-            words: vec![0u64; div_ceil(len.max(1), WORD_BITS)],
-            len,
-        }
+        Self::try_zeros(len).expect("bit vector words allocated")
     }
 
-    /// Like [`BitVec::zeros`], but `None` when the allocator cannot provide
-    /// the words, where [`BitVec::zeros`] would abort the process.
+    /// A bit vector of `len` zero bits, or `None` when the allocator cannot
+    /// provide the words.
     pub fn try_zeros(len: usize) -> Option<Self> {
         let n_words = div_ceil(len.max(1), WORD_BITS);
         let mut words = Vec::new();
@@ -164,6 +165,7 @@ impl BitVec {
     }
 
     /// Writes the `width` low bits of `value` at bit position `pos`.
+    #[inline]
     pub fn set_bits(&mut self, pos: usize, value: u64, width: usize) {
         assert!(width <= 64);
         assert!(pos + width <= self.len, "bit field out of range");

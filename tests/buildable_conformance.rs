@@ -318,8 +318,8 @@ fn registry_reports_unregistered_specs() {
 }
 
 /// A finite but huge budget ends in a typed error or a working filter, never
-/// in an aborted allocation. Proteus and the REncoder variants size their
-/// bits from `bits_per_key · n`, so at 1e300 bits/key they must refuse.
+/// in an aborted allocation. Rosetta, Proteus and the REncoder variants size
+/// their bits from `bits_per_key · n`, so at 1e300 bits/key they must refuse.
 #[test]
 fn huge_budgets_end_in_a_typed_error_or_a_working_filter() {
     let keys = conformance_keys();
@@ -333,6 +333,7 @@ fn huge_budgets_end_in_a_typed_error_or_a_working_filter() {
         .sample(&sample)
         .seed(5);
     let sized_from_budget = [
+        FilterSpec::Rosetta,
         FilterSpec::Proteus,
         FilterSpec::REncoder,
         FilterSpec::REncoderSS,
