@@ -282,7 +282,7 @@ pub fn fig7(cfg: &RunConfig) {
     println!("== Figure 7: construction time vs number of keys ==");
     let registry = standard_registry();
     let mut table = Table::new(&["n", "filter", "ns/key"]);
-    let sizes = [10_000usize, 100_000, 1_000_000].map(|n| n.min(cfg.n.max(10_000)));
+    let sizes = [10_000usize, 100_000, 1_000_000].map(|n| n.min(cfg.n));
     let mut seen = std::collections::HashSet::new();
     for n in sizes {
         if !seen.insert(n) {
@@ -426,9 +426,15 @@ pub fn sort_ablation(cfg: &RunConfig) {
          speedups need >= 2)"
     );
     let n = cfg.n.max(1_000_000);
-    let keys = grafite_workloads::generate(Dataset::Uniform, n, cfg.seed);
+    let mut keys = grafite_workloads::generate(Dataset::Uniform, n, cfg.seed);
     let r = (n as u64) << 14;
     let codes: Vec<u64> = keys.iter().map(|&k| k % r).collect();
+    // `generate` returns sorted keys, and pdqsort finishes a sorted run in
+    // one pass: shuffle them (Fisher–Yates) so the row times a real sort.
+    let mut rng = grafite_workloads::WorkloadRng::new(cfg.seed);
+    for i in (1..keys.len()).rev() {
+        keys.swap(i, rng.below(i as u64 + 1) as usize);
+    }
     let mut table = Table::new(&["input", "sort", "ns/key", "speedup vs std"]);
     for (input, values) in [("uniform u64", &keys), ("codes < n*2^14", &codes)] {
         let (std_secs, _) = time_it(|| {

@@ -136,4 +136,10 @@ fn figures_run_and_write_well_formed_csvs() {
     for &(experiment, csvs) in FIGURES {
         assert_runs_and_writes(experiment, csvs, &out_dir);
     }
+    // fig7 builds at most `--n` keys: every row's `n` (the first column)
+    // is the 4000 asked for.
+    let fig7 = std::fs::read_to_string(out_dir.join("fig7.csv")).unwrap();
+    let mut lines = fig7.lines();
+    assert!(lines.next().is_some_and(|h| h.starts_with("n,")), "{fig7}");
+    assert!(lines.all(|row| row.starts_with("4000,")), "{fig7}");
 }

@@ -82,8 +82,6 @@ impl ServerHandle {
     /// Whether a `SHUTDOWN` frame (or [`ServerHandle::shutdown`]) has
     /// stopped the accept loop.
     pub fn is_stopped(&self) -> bool {
-        // ordering: Relaxed-flag; no data is published alongside the stop
-        // flag, so relaxed reads are enough for a poll.
         self.stop.load(Ordering::Relaxed)
     }
 
@@ -108,6 +106,8 @@ impl ServerHandle {
 struct Shared {
     store: Arc<FilterStore>,
     telemetry: Arc<Telemetry>,
+    /// Set once to stop the server. `Relaxed` throughout: no data rides
+    /// on it.
     stop: Arc<AtomicBool>,
     /// The bound address, which a `SHUTDOWN` connects to to wake the
     /// acceptor.
@@ -149,9 +149,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
     loop {
         let accepted = listener.accept();
-        // ordering: Relaxed-flag; stop poll, no data is published through
-        // it. A stop stores the flag before it makes the wake-up
-        // connection this `accept` returned.
+        // A stop stores the flag before it makes the wake-up connection
+        // this `accept` returned.
         if shared.stop.load(Ordering::Relaxed) {
             break;
         }
@@ -202,9 +201,8 @@ fn is_transient_accept_error(e: &io::Error) -> bool {
 /// Sets the stop flag, then wakes the acceptor out of its blocking
 /// `accept` with a loopback connection to the bound port.
 fn stop_and_wake(stop: &AtomicBool, addr: SocketAddr) {
-    // ordering: Relaxed-flag; no data rides on the stop flag. The store
-    // precedes the wake-up connect below, and connection threads poll it
-    // between frames.
+    // The store precedes the wake-up connect below, and connection
+    // threads poll the flag between frames.
     stop.store(true, Ordering::Relaxed);
     let _ = TcpStream::connect_timeout(&wake_addr(addr), WAKE_TIMEOUT);
 }
@@ -233,7 +231,6 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
     };
     let mut writer = stream;
     loop {
-        // ordering: Relaxed-flag; stop poll, no data is published through it.
         if shared.stop.load(Ordering::Relaxed) {
             return;
         }

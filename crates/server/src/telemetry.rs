@@ -49,15 +49,13 @@ use grafite_store::{FilterStore, Histogram};
 
 /// Relaxed monotonic add — every counter in this module goes through here.
 fn add(counter: &AtomicU64, n: u64) {
-    // ordering: Relaxed-counter; pure monotonic event counter, nothing
-    // synchronizes on it.
     counter.fetch_add(n, Ordering::Relaxed);
 }
 
 /// Relaxed counter read for reporting.
 fn get(counter: &AtomicU64) -> u64 {
-    // ordering: Relaxed-counter; statistical snapshot read — slight
-    // tearing across counters is acceptable for telemetry.
+    // Counters are read one by one: a STATS export may tear slightly
+    // across them, which telemetry tolerates.
     counter.load(Ordering::Relaxed)
 }
 
@@ -212,8 +210,6 @@ impl Telemetry {
     /// positives are numbered `0, 1, 2, …` in the order they are recorded,
     /// and the server refutes number `p` iff `p % REFUTE_EVERY == 0`.
     pub fn record_positives(&self, n: u64) -> u64 {
-        // ordering: Relaxed-counter; the returned count only numbers
-        // positives for sampling, nothing synchronizes on it.
         self.positives.fetch_add(n, Ordering::Relaxed)
     }
 
@@ -373,7 +369,8 @@ pub fn render_json(t: &Telemetry, store: &FilterStore) -> String {
     out.push_str(&format!(
         "\"store\":{{\"version\":{},\"published_version\":{},\"num_shards\":{},\"resident_key_bytes\":{},\"lazy_shard_loads\":{},\"shard_load_errors\":{},\"reloads\":{},\"degraded\":{},\"merged_shards\":{},\"rebuilt_shards\":{},",
         snap.version(),
-        store.version(),
+        // `published_version` stays in schema v1 and equals `version`.
+        snap.version(),
         snap.num_shards(),
         snap.resident_key_bytes(),
         stats.lazy_shard_loads(),

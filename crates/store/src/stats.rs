@@ -7,8 +7,11 @@
 //! query-path metrics: per-query counting belongs to the server's
 //! telemetry module, where it can be sampled and histogrammed without
 //! taxing the store's lock-free read path.
+//!
+//! Every atomic here is `Relaxed`: no counter publishes other data, so
+//! nothing synchronizes on one.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A log₂-bucketed streaming histogram of `u64` samples: bucket `i` holds
 /// samples whose bit length is `i` (value 0 lands in bucket 0). Quantiles
@@ -32,8 +35,6 @@ impl Histogram {
     pub fn record(&self, value: u64) {
         let idx = (64 - value.leading_zeros() as usize).min(63);
         if let Some(bucket) = self.buckets.get(idx) {
-            // ordering: Relaxed-counter; pure monotonic event counter,
-            // nothing synchronizes on it.
             bucket.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -41,8 +42,8 @@ impl Histogram {
     /// Snapshot of every bucket's count: entry `i` counts the samples of
     /// bit length `i`.
     pub(crate) fn counts(&self) -> [u64; 64] {
-        // ordering: Relaxed-counter; statistical snapshot read — slight
-        // tearing across buckets is acceptable for telemetry.
+        // A concurrent `record` may tear this snapshot across buckets
+        // slightly, which telemetry tolerates.
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 
@@ -93,11 +94,6 @@ pub struct StoreStats {
     lazy_shard_loads: AtomicU64,
     shard_load_errors: AtomicU64,
     reloads: AtomicU64,
-    /// Set (and never cleared) once any shard materialization fails —
-    /// that shard now serves pass-all placeholders. Published with
-    /// `Release` so a reader that observes the flag also observes the
-    /// error count that preceded it.
-    degraded: AtomicBool,
     /// Worker-thread count of the most recent build or update-batch
     /// rebuild fan-out (0 until the first one).
     rebuild_workers: AtomicU64,
@@ -112,35 +108,23 @@ pub struct StoreStats {
 impl StoreStats {
     /// Records one lazy shard materialization attempt.
     pub(crate) fn record_lazy_load(&self) {
-        // ordering: Relaxed-counter; pure monotonic event counter, nothing
-        // synchronizes on it.
         self.lazy_shard_loads.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one failed shard materialization (the shard now serves
     /// pass-all).
     pub(crate) fn record_load_error(&self) {
-        // ordering: Relaxed-counter; pure monotonic event counter, nothing
-        // synchronizes on it.
         self.shard_load_errors.fetch_add(1, Ordering::Relaxed);
-        // ordering: Release->Acquire pairs-with degraded.load; the flag
-        // publishes the error increment above — a reader that sees
-        // `degraded` also sees a non-zero error count.
-        self.degraded.store(true, Ordering::Release);
     }
 
     /// Records one successful manifest hot-reload.
     pub(crate) fn record_reload(&self) {
-        // ordering: Relaxed-counter; pure monotonic event counter, nothing
-        // synchronizes on it.
         self.reloads.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Lazy shard materialization attempts so far (mapped stores only;
     /// eagerly opened stores never increment this).
     pub fn lazy_shard_loads(&self) -> u64 {
-        // ordering: Relaxed-counter; independent read for reporting, no
-        // ordering relationship with other memory is implied.
         self.lazy_shard_loads.load(Ordering::Relaxed)
     }
 
@@ -148,41 +132,29 @@ impl StoreStats {
     /// placeholder. Non-zero means queries are safe (no false negatives)
     /// but degraded (every query on that shard answers `true`).
     pub fn shard_load_errors(&self) -> u64 {
-        // ordering: Relaxed-counter; independent read for reporting, no
-        // ordering relationship with other memory is implied.
         self.shard_load_errors.load(Ordering::Relaxed)
     }
 
     /// Whether any shard materialization has ever failed: queries stay
     /// safe (no false negatives) but the failed shard answers pass-all,
-    /// so the store's precision is degraded. Observing `true` here
-    /// happens-after the failure's [`StoreStats::shard_load_errors`]
-    /// increment.
+    /// so the store's precision is degraded.
     pub fn is_degraded(&self) -> bool {
-        // ordering: Release->Acquire pairs-with degraded.store; observing
-        // the flag also observes the error count recorded before it.
-        self.degraded.load(Ordering::Acquire)
+        self.shard_load_errors() > 0
     }
 
     /// Successful manifest hot-reloads since the store opened.
     pub fn reloads(&self) -> u64 {
-        // ordering: Relaxed-counter; independent read for reporting, no
-        // ordering relationship with other memory is implied.
         self.reloads.load(Ordering::Relaxed)
     }
 
     /// Records the worker count a build/rebuild fan-out ran with.
     pub(crate) fn record_rebuild_workers(&self, workers: u64) {
-        // ordering: Relaxed-counter; advisory last-value gauge for
-        // telemetry, nothing synchronizes on it.
         self.rebuild_workers.store(workers, Ordering::Relaxed);
     }
 
     /// Records how one update batch changed its dirty shards: `merged` by
     /// a merge into their filters, `rebuilt` from their keys.
     pub(crate) fn record_apply_shards(&self, merged: u64, rebuilt: u64) {
-        // ordering: Relaxed-counter; pure monotonic event counters,
-        // nothing synchronizes on them.
         self.merged_shards.fetch_add(merged, Ordering::Relaxed);
         self.rebuilt_shards.fetch_add(rebuilt, Ordering::Relaxed);
     }
@@ -190,15 +162,11 @@ impl StoreStats {
     /// Dirty shards that update batches merged into their filters instead
     /// of rebuilding them.
     pub fn merged_shards(&self) -> u64 {
-        // ordering: Relaxed-counter; independent read for reporting, no
-        // ordering relationship with other memory is implied.
         self.merged_shards.load(Ordering::Relaxed)
     }
 
     /// Dirty shards that update batches rebuilt from their keys.
     pub fn rebuilt_shards(&self) -> u64 {
-        // ordering: Relaxed-counter; independent read for reporting, no
-        // ordering relationship with other memory is implied.
         self.rebuilt_shards.load(Ordering::Relaxed)
     }
 
@@ -211,8 +179,6 @@ impl StoreStats {
     /// rebuild fan-out (0 if the store has never built a shard — e.g. it
     /// was opened from a manifest and not yet updated).
     pub fn rebuild_workers(&self) -> u64 {
-        // ordering: Relaxed-counter; independent read for reporting, no
-        // ordering relationship with other memory is implied.
         self.rebuild_workers.load(Ordering::Relaxed)
     }
 
@@ -239,6 +205,7 @@ mod tests {
         assert_eq!(stats.lazy_shard_loads(), 0);
         assert_eq!(stats.shard_load_errors(), 0);
         assert_eq!(stats.reloads(), 0);
+        assert!(!stats.is_degraded());
         stats.record_lazy_load();
         stats.record_lazy_load();
         stats.record_load_error();
@@ -247,6 +214,7 @@ mod tests {
         stats.record_apply_shards(0, 1);
         assert_eq!(stats.lazy_shard_loads(), 2);
         assert_eq!(stats.shard_load_errors(), 1);
+        assert!(stats.is_degraded());
         assert_eq!(stats.reloads(), 1);
         assert_eq!((stats.merged_shards(), stats.rebuilt_shards()), (2, 2));
     }

@@ -24,7 +24,6 @@ use std::borrow::Cow;
 use std::io;
 use std::ops::Range;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use grafite_core::registry::Registry;
@@ -786,12 +785,6 @@ pub struct FilterStore {
     config: RwLock<StoreConfig>,
     stats: Arc<StoreStats>,
     current: RwLock<Arc<Snapshot>>,
-    /// The version of the last snapshot swapped into `current`, published
-    /// with `Release` after each swap so [`FilterStore::version`] is a
-    /// lock-free change detector: a poller that observes version `n` here
-    /// happens-after the swap that produced `n`, and a `snapshot()` taken
-    /// next is guaranteed to be at least that new.
-    published_version: AtomicU64,
     /// Serializes writers; readers never touch it.
     writer: Mutex<()>,
 }
@@ -870,7 +863,6 @@ impl FilterStore {
             config: RwLock::new(config),
             stats,
             current: RwLock::new(Arc::new(Snapshot::from_parts(routing, shards, 0))),
-            published_version: AtomicU64::new(0),
             writer: Mutex::new(()),
         }
     }
@@ -1039,10 +1031,6 @@ impl FilterStore {
             version: report.version,
         });
         *self.current.write().expect("store lock poisoned") = next;
-        // ordering: Release->Acquire pairs-with published_version.load;
-        // publishes the snapshot swap above to lock-free version pollers.
-        self.published_version
-            .store(report.version, Ordering::Release);
         Ok(report)
     }
 
@@ -1151,23 +1139,8 @@ impl FilterStore {
         *self.config.write().expect("store lock poisoned") = config;
         *self.current.write().expect("store lock poisoned") =
             Arc::new(Snapshot::from_parts(routing, shards, version));
-        // ordering: Release->Acquire pairs-with published_version.load;
-        // publishes the snapshot swap above to lock-free version pollers.
-        self.published_version.store(version, Ordering::Release);
         self.stats.record_reload();
         Ok(version)
-    }
-
-    /// The version of the most recently installed snapshot, without
-    /// touching the snapshot lock. Useful as a cheap change detector: a
-    /// telemetry poller or cache can compare versions and only take a real
-    /// [`FilterStore::snapshot`] when the number moved. Reading version
-    /// `n` here happens-after the swap that produced `n`, so a snapshot
-    /// taken afterwards is at least that new.
-    pub fn version(&self) -> u64 {
-        // ordering: Release->Acquire pairs-with published_version.store;
-        // a version observed here happens-after the swap that produced it.
-        self.published_version.load(Ordering::Acquire)
     }
 
     /// [`Snapshot::may_contain_range`] on a fresh snapshot — convenience

@@ -172,9 +172,16 @@ fn parallel_apply_under_concurrent_readers() {
         for _ in 0..READERS {
             s.spawn(|| {
                 let mut first = true;
+                let mut last_version = 0;
                 while first || !stop.load(Ordering::Relaxed) {
                     first = false;
                     let snap = store.snapshot();
+                    assert!(
+                        snap.version() >= last_version,
+                        "snapshot version went back from {last_version} to {}",
+                        snap.version()
+                    );
+                    last_version = snap.version();
                     for &k in core.iter().step_by(3) {
                         assert!(
                             snap.may_contain(k),
@@ -201,6 +208,8 @@ fn parallel_apply_under_concurrent_readers() {
         });
     });
     assert_eq!(store.num_keys(), core.len());
+    // Every `apply` published exactly one version.
+    assert_eq!(store.snapshot().version(), 2 * ROUNDS as u64);
     // The telemetry gauge must reflect the 8-way fan-out request (capped
     // by how many shards the final batch actually dirtied).
     let workers = store.stats().rebuild_workers();

@@ -88,7 +88,7 @@ static LEVEL_CACHE: AtomicU8 = AtomicU8::new(0);
 /// The dispatch level in effect for this process: hardware detection
 /// capped by `GRAFITE_SIMD`, resolved once and cached.
 pub fn level() -> SimdLevel {
-    // ordering: the cache is a monotone write-once memo of a pure
+    // The cache is a monotone write-once memo of a pure
     // computation — any thread recomputing it stores the same value, so
     // relaxed loads/stores cannot expose inconsistent state.
     let cached = LEVEL_CACHE.load(Ordering::Relaxed);
@@ -102,7 +102,7 @@ pub fn level() -> SimdLevel {
         Ok(v) => SimdLevel::parse(&v).map_or(detected, |req| req.min(detected)),
         Err(_) => detected,
     };
-    // ordering: see the load above — write-once memo of a pure value.
+    // See the load above: a write-once memo of a pure value.
     LEVEL_CACHE.store(effective as u8 + 1, Ordering::Relaxed);
     effective
 }

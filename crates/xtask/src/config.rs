@@ -78,14 +78,15 @@ pub const UNSAFE_KERNEL_FILES: &[&str] = &["crates/succinct/src/simd/kernels.rs"
 pub const SAFETY_JUSTIFICATION: &str = "safety:";
 
 /// How many lines above an `unsafe` token L6 searches for the
-/// justification comment. Wider than L8's window: soundness arguments
-/// for gathers and raw loads legitimately run several comment lines.
+/// justification comment: soundness arguments for gathers and raw loads
+/// legitimately run several comment lines.
 pub const SAFETY_COMMENT_WINDOW: usize = 5;
 
-/// Directory prefixes L6 sweeps for `unsafe` tokens — every source tree
-/// of the workspace (libraries, binaries, benches, integration tests,
-/// examples, shims). `crates/xtask/tests/` is deliberately absent: the
-/// seeded-violation fixtures plant `unsafe` on purpose.
+/// Directory prefixes L6 sweeps for `unsafe` tokens and atomic orderings
+/// other than `Relaxed` — every source tree of the workspace (libraries,
+/// binaries, benches, integration tests, examples, shims).
+/// `crates/xtask/tests/` is deliberately absent: the seeded-violation
+/// fixtures plant both on purpose.
 pub const UNSAFE_SCAN_GLOBS: &[&str] = &[
     "src/",
     "examples/",
@@ -160,68 +161,6 @@ pub const TAINT_SANITIZER_METHODS: &[&str] = &["min", "clamp"];
 
 /// Method-name prefixes that launder taint for L7.
 pub const TAINT_SANITIZER_PREFIXES: &[&str] = &["checked_", "saturating_"];
-
-// ---------------------------------------------------------------------------
-// L8 — atomics happens-before. Every atomic op in the audit globs must
-// declare its protocol in a machine-checkable `// ordering:` grammar:
-//
-//     // ordering: <class> [pairs-with <var>.<method>[, <var>.<method>…]]
-//     //           [; free-prose rationale]
-//
-// where `<class>` is one of [`ORDERING_CLASSES`]. `Relaxed-*` classes must
-// not declare a publish edge; `Release->Acquire`/`AcqRel` must, and every
-// named `<var>.<method>` target must resolve to a real opposite-side site
-// of the same atomic somewhere in the audited tree.
-// ---------------------------------------------------------------------------
-
-/// Atomic op method names L8 recognizes as sites (receiver`.method(…,
-/// Ordering::…)`).
-pub const ATOMIC_OP_METHODS: &[&str] = &[
-    "load",
-    "store",
-    "swap",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_or",
-    "fetch_and",
-    "fetch_xor",
-    "fetch_max",
-    "fetch_min",
-    "fetch_update",
-    "compare_exchange",
-    "compare_exchange_weak",
-];
-
-/// The classes of the `// ordering:` grammar. `Relaxed-counter` is a
-/// statistic that tolerates staleness; `Relaxed-flag` is a monotonic
-/// latch with no data published behind it; `Release->Acquire` is one side
-/// of a publish edge; `AcqRel` is a read-modify-write participating in
-/// both directions. SeqCst has no class: redesign or `lint:allow`.
-pub const ORDERING_CLASSES: &[&str] = &[
-    "Relaxed-counter",
-    "Relaxed-flag",
-    "Release->Acquire",
-    "AcqRel",
-];
-
-/// The keyword introducing pairing targets in the `// ordering:` grammar.
-pub const ORDERING_PAIRS_WITH: &str = "pairs-with";
-
-/// Where the atomics audit (L8) looks. Every
-/// `Ordering::{Relaxed,Acquire,Release,AcqRel,SeqCst}` in these trees must
-/// carry an `// ordering:` justification comment.
-pub const ATOMIC_AUDIT_GLOBS: &[&str] = &["crates/store/src/", "crates/server/src/"];
-
-/// The atomic memory orderings L8 recognizes (`std::cmp::Ordering`'s
-/// variants deliberately excluded).
-pub const ATOMIC_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-
-/// The comment marker that justifies an atomic ordering for L8.
-pub const ORDERING_JUSTIFICATION: &str = "ordering:";
-
-/// How many lines above an `Ordering::` use L8 searches for the
-/// justification comment.
-pub const ORDERING_COMMENT_WINDOW: usize = 3;
 
 /// Keywords that may legitimately precede a `[` without it being an index
 /// expression (slice patterns, array types, `in [..]` iteration, …).

@@ -1,6 +1,6 @@
 //! Repo-specific static analysis for the Grafite workspace.
 //!
-//! `cargo run -p xtask -- lint` runs six lints (see [`lints`]) that
+//! `cargo run -p xtask -- lint` runs five lints (see [`lints`]) that
 //! encode this repository's correctness contract:
 //!
 //! - **L1 panic-freedom** — no `unwrap`/`expect`/panicking macros/bare
@@ -9,19 +9,16 @@
 //!   (gated crates may deny) and warns on `missing_docs`;
 //! - **L3 format-constant consistency** — version/spec-id constants agree
 //!   with the committed golden blobs;
-//! - **L6 unsafe-kernel confinement** — `unsafe` only in the allowlisted
-//!   SIMD kernel module, every block `// safety:`-justified;
+//! - **L6 confinement** — `unsafe` only in the allowlisted SIMD kernel
+//!   module, every block `// safety:`-justified, and no atomic ordering
+//!   but `Relaxed` anywhere in the sweep;
 //! - **L7 dataflow taint** — a value *derived from attacker bytes*
 //!   (whatever it is named) never reaches an allocation size, slice
 //!   index, raw-read offset, shift amount, or bare `+`/`*` operand
 //!   without passing a `checked_*`/`saturating_*`/`min`/`clamp`
-//!   sanitizer or an explicit bounds comparison ([`dataflow`]);
-//! - **L8 happens-before pairing** — every atomic `Ordering::` in the
-//!   audited crates carries an `// ordering:` comment that follows the
-//!   machine-checkable grammar in [`config`], and every declared publish
-//!   edge resolves to a live Release/Acquire partner site.
+//!   sanitizer or an explicit bounds comparison ([`dataflow`]).
 //!
-//! There are no L4 or L5: lint ids are never reused.
+//! There are no L4, L5 or L8: lint ids are never reused.
 //!
 //! The crate is dependency-free and fully offline: plain `std::fs` walks
 //! plus a hand-rolled Rust lexer ([`scan`]) that masks comments and
@@ -48,13 +45,13 @@ use lints::{Finding, Scopes, Sink};
 use scan::{AllowUse, SourceFile};
 
 /// The lint ids, in report order.
-pub const LINT_IDS: [&str; 6] = ["L1", "L2", "L3", "L6", "L7", "L8"];
+pub const LINT_IDS: [&str; 5] = ["L1", "L2", "L3", "L6", "L7"];
 
 /// Per-lint cost and yield, for the summary footer and the CI step
 /// summary.
 #[derive(Clone, Debug)]
 pub struct LintStat {
-    /// Lint id (`"L1"`…`"L8"`).
+    /// Lint id (`"L1"`…`"L7"`).
     pub lint: &'static str,
     /// Violations this lint reported.
     pub findings: usize,
@@ -110,11 +107,11 @@ fn walk_rs(root: &Path, prefix: &str) -> Vec<String> {
     out
 }
 
-/// Runs all six lints from `root` and returns the combined report.
+/// Runs all five lints from `root` and returns the combined report.
 ///
 /// Every `.rs` file any scoped lint cares about is read from disk and
 /// tokenized exactly once; the resulting [`SourceFile`] cache is shared
-/// by L1/L6/L7/L8 (L2/L3 additionally read manifests and golden
+/// by L1/L6/L7 (L2/L3 additionally read manifests and golden
 /// blobs, which are not Rust sources).
 pub fn run_lints(root: &Path) -> LintReport {
     let mut sink = Sink::default();
@@ -125,9 +122,6 @@ pub fn run_lints(root: &Path) -> LintReport {
         .map(|s| s.to_string())
         .collect();
     for glob in config::UNTRUSTED_FN_GLOBS {
-        scoped_files.extend(walk_rs(root, glob));
-    }
-    for glob in config::ATOMIC_AUDIT_GLOBS {
         scoped_files.extend(walk_rs(root, glob));
     }
     for glob in config::UNSAFE_SCAN_GLOBS {
@@ -167,18 +161,8 @@ pub fn run_lints(root: &Path) -> LintReport {
         });
     }
 
-    // L8 site collection over the atomic-audit globs; L6 over the
-    // unsafe-scan globs.
-    let mut sites = Vec::new();
+    // L6 over the unsafe-scan globs.
     for (rel, file) in &cache {
-        if config::ATOMIC_AUDIT_GLOBS
-            .iter()
-            .any(|g| rel.starts_with(g))
-        {
-            let t = Instant::now();
-            sites.extend(lints::happens_before::collect(file, &mut sink));
-            *wall.entry("L8").or_default() += t.elapsed();
-        }
         if config::UNSAFE_SCAN_GLOBS.iter().any(|g| rel.starts_with(g)) {
             let allowlisted = config::UNSAFE_KERNEL_FILES.contains(&rel.as_str());
             timed(&mut wall, "L6", &mut sink, &mut |s| {
@@ -186,10 +170,6 @@ pub fn run_lints(root: &Path) -> LintReport {
             });
         }
     }
-    // L8's pairing pass is global: partners may live in other files.
-    let t = Instant::now();
-    lints::happens_before::check_global(&sites, &cache, &mut sink);
-    *wall.entry("L8").or_default() += t.elapsed();
 
     timed(&mut wall, "L2", &mut sink, &mut |s| {
         lints::headers::check(root, s);

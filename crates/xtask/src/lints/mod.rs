@@ -1,20 +1,18 @@
-//! The six repo-specific lints behind `cargo run -p xtask -- lint`.
+//! The five repo-specific lints behind `cargo run -p xtask -- lint`.
 //!
 //! | id | name | what it proves |
 //! |---|---|---|
 //! | L1 | panic-freedom | no `unwrap`/`expect`/`panic!`-family macro/bare indexing in untrusted-input scopes |
 //! | L2 | crate-header conformance | every workspace crate forbids `unsafe_code` (gated crates may deny) and warns on `missing_docs` |
 //! | L3 | format-constant consistency | version/spec-id constants agree with the committed golden blobs |
-//! | L6 | unsafe-kernel confinement | `unsafe` appears only in the allowlisted SIMD kernel module, every block `// safety:`-justified |
+//! | L6 | confinement | `unsafe` appears only in the allowlisted SIMD kernel module, every block `// safety:`-justified; no atomic ordering but `Relaxed` appears at all |
 //! | L7 | dataflow taint | no untrusted value reaches an allocation size / index / shift / raw read / bare `+`/`*` without a guard |
-//! | L8 | happens-before pairing | every atomic `Ordering::` in the audited crates carries an `// ordering:` comment that parses under the grammar, and every `Release` names a live `Acquire` partner |
 //!
-//! L1, L7, and L8 honour the `// lint:allow(reason)` escape hatch
+//! L1, L6's `// safety:` rule, and L7 honour the `// lint:allow(reason)` escape hatch
 //! (same line or the line directly above); suppressions are counted and
 //! reported, never silent.
 
 pub mod format_consts;
-pub mod happens_before;
 pub mod headers;
 pub mod panic_freedom;
 pub mod taint;

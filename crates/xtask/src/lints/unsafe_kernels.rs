@@ -1,4 +1,4 @@
-//! L6 — unsafe-kernel confinement.
+//! L6 — confinement of `unsafe` and of atomic orderings.
 //!
 //! The workspace is `unsafe`-free by policy (L2), with exactly one
 //! carve-out: the SIMD kernel module(s) listed in
@@ -10,25 +10,52 @@
 //!   such, never an inline waiver;
 //! * inside an allowlisted file, every `unsafe` token must carry a
 //!   `// safety: …` justification on the same line or within the few
-//!   lines above (mirroring L8's `// ordering:` discipline), stating the
-//!   invariant that makes the block sound — the CPU-feature check, the
-//!   bounds argument for a raw load or gather.
+//!   lines above, stating the invariant that makes the block sound — the
+//!   CPU-feature check, the bounds argument for a raw load or gather.
 //!
-//! The scan runs over lexed tokens of masked source, so `unsafe` in
-//! comments, strings, or doc text never matches, and the module-level
-//! `#![allow(unsafe_code)]` attribute (identifier `unsafe_code`) is a
-//! different token and is ignored.
+//! Every atomic in the swept trees is `Relaxed`: atomics count events or
+//! latch a flag, and no data is published through one (shared state
+//! moves behind locks and `Arc` swaps). So the token sequence
+//! `Ordering :: {Acquire|Release|AcqRel|SeqCst}` is a violation outright
+//! too, with no inline waiver: a protocol that needs one is a design
+//! change, reviewed as such.
+//!
+//! The scan runs over lexed tokens of masked source, so `unsafe` or an
+//! ordering in comments, strings, or doc text never matches, and the
+//! module-level `#![allow(unsafe_code)]` attribute (identifier
+//! `unsafe_code`) is a different token and is ignored. `#[cfg(test)]`
+//! code is skipped.
 
 use crate::config::{SAFETY_COMMENT_WINDOW, SAFETY_JUSTIFICATION};
 use crate::lints::Sink;
 use crate::scan::SourceFile;
 
+/// The atomic orderings stronger than `Relaxed`, none of which may appear.
+const STRONG_ORDERINGS: &[&str] = &["Acquire", "Release", "AcqRel", "SeqCst"];
+
 /// Runs L6 over `file` (already filtered to the sweep globs by the
 /// caller). `allowlisted` says whether the file may contain justified
 /// `unsafe` at all.
 pub fn check(file: &SourceFile, allowlisted: bool, sink: &mut Sink) {
-    for t in &file.tokens {
-        if t.text != "unsafe" || file.in_test_code(t.line) {
+    let toks = &file.tokens;
+    for (i, t) in toks.iter().enumerate() {
+        if file.in_test_code(t.line) {
+            continue;
+        }
+        if t.text == "Ordering" {
+            if let (Some(sep), Some(v)) = (toks.get(i + 1), toks.get(i + 2)) {
+                if sep.text == "::" && STRONG_ORDERINGS.contains(&v.text.as_str()) {
+                    sink.emit_unconditional(
+                        file.rel.clone(),
+                        "L6",
+                        t.line,
+                        format!("`Ordering::{}`: every atomic must be `Relaxed`", v.text),
+                    );
+                }
+            }
+            continue;
+        }
+        if t.text != "unsafe" {
             continue;
         }
         if !allowlisted {
@@ -100,5 +127,39 @@ mod tests {
             false,
         );
         assert!(found.is_empty(), "{found:?}");
+    }
+
+    /// Every ordering but `Relaxed` flags wherever it appears outside test
+    /// code, even in an allowlisted file and under a `lint:allow`; the
+    /// same words in a comment, a string, `std::cmp::Ordering` or a
+    /// `#[cfg(test)]` module do not.
+    #[test]
+    fn only_relaxed_orderings_pass() {
+        // `@` stands for `Ordering::`, so a text search of the tree for
+        // strong orderings finds none in this fixture.
+        let src = "\
+pub fn f(a: &AtomicU64) -> u64 {
+    a.fetch_add(1, @Relaxed);
+    // lint:allow(a waiver does not apply)
+    a.load(@Acquire)
+}
+pub fn g(a: &AtomicU64) { a.store(1, std::sync::atomic::@Release) }
+pub fn h(a: &AtomicU64) { let _ = a.compare_exchange(0, 1, @AcqRel, @SeqCst); }
+pub fn k(x: u8) -> bool { x.cmp(&1) == std::cmp::@Less } // @SeqCst
+pub const S: &str = \"@Acquire\";
+#[cfg(test)]
+mod tests {
+    fn t(a: &AtomicU64) -> u64 { a.load(@SeqCst) }
+}
+"
+        .replace('@', "Ordering::");
+        for allowlisted in [false, true] {
+            let found = run(&src, allowlisted);
+            let lines: Vec<&str> = found
+                .iter()
+                .map(|f| f.split(": [L6]").next().unwrap_or(""))
+                .collect();
+            assert_eq!(lines, ["t.rs:4", "t.rs:6", "t.rs:7", "t.rs:7"], "{found:?}");
+        }
     }
 }

@@ -9,8 +9,8 @@ fn usage() -> ExitCode {
     eprintln!("usage: cargo run -p xtask -- lint");
     eprintln!();
     eprintln!("Runs the repo-specific lints (L1 panic-freedom, L2 crate headers,");
-    eprintln!("L3 format-constant consistency, L6 unsafe-kernel confinement,");
-    eprintln!("L7 dataflow taint, L8 atomics happens-before pairing).");
+    eprintln!("L3 format-constant consistency, L6 unsafe and atomic-ordering");
+    eprintln!("confinement, L7 dataflow taint).");
     eprintln!("Exits 1 if any violation is found.");
     ExitCode::from(2)
 }

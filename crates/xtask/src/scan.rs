@@ -10,7 +10,7 @@
 //! * a **token stream** over the masked text (identifiers, numbers,
 //!   punctuation) with line numbers;
 //! * per-line **comment text**, which backs the `// lint:allow(reason)`
-//!   escape hatch and the `// ordering:` justification convention;
+//!   escape hatch and the `// safety:` justification convention;
 //! * structural helpers: `#[cfg(test)]` module extents and the brace
 //!   extents of named functions, both found by brace matching over the
 //!   masked text (safe precisely because strings are masked).

@@ -1,4 +1,4 @@
-//! Seeded missing-`// ordering:` (L8) and store-version violations.
+//! Seeded store-version (L3) and atomic-ordering (L6) violations.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -9,6 +9,5 @@ pub fn bump(counter: &AtomicU64) -> u64 {
 }
 
 pub fn load_count(counter: &AtomicU64) -> u64 {
-    // ordering: fixture-level justification for the audit
     counter.load(Ordering::Acquire)
 }

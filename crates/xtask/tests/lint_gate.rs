@@ -60,25 +60,16 @@ fn seeded_fixture_fires_every_lint() {
     // and STORE_FORMAT_VERSION=0 is out of range.
     expect("L3", "tests/golden/v9/manifest.txt", 1);
     expect("L3", "crates/store/src/manifest.rs", 1);
-    // L6 unsafe confinement: an unjustified `unsafe` inside the
-    // allowlisted kernel file, and any `unsafe` outside the allowlist.
+    // L6 confinement: an unjustified `unsafe` inside the allowlisted
+    // kernel file, any `unsafe` outside the allowlist, and an atomic
+    // ordering other than `Relaxed`.
     expect("L6", "crates/succinct/src/simd/kernels.rs", 12);
     expect("L6", "crates/core/src/persist.rs", 16);
+    expect("L6", "crates/store/src/manifest.rs", 12);
     // L7 dataflow taint: the frame-declared `quota` reaches
     // `with_capacity` unlaundered, and a decoded word reaches a bare `*`.
     expect("L7", "crates/server/src/protocol.rs", 6);
     expect("L7", "crates/succinct/src/io.rs", 5);
-    // L8 happens-before: `Ordering::Relaxed` with no `// ordering:`
-    // comment at all…
-    expect("L8", "crates/store/src/manifest.rs", 8);
-    // …a prose `// ordering:` comment that fails the machine grammar…
-    expect("L8", "crates/store/src/manifest.rs", 13);
-    // …a declared publish edge has no Acquire-side partner anywhere…
-    expect("L8", "crates/store/src/swap.rs", 9);
-    // …an Acquire op declared as a Relaxed class…
-    expect("L8", "crates/store/src/swap.rs", 14);
-    // …and a Relaxed class claiming a pairing it cannot have.
-    expect("L8", "crates/store/src/swap.rs", 19);
 
     // Both L2 headers are reported for the fixture root.
     assert_eq!(
@@ -107,12 +98,13 @@ fn seeded_fixture_fires_every_lint() {
         2,
         "exactly two taint violations are seeded"
     );
-    // One finding per seeded defect: a malformed declaration is dropped
-    // from the global pairing pass rather than reported twice.
+    // The `Relaxed` twin (manifest.rs line 8) must NOT fire.
     assert_eq!(
-        got.iter().filter(|(l, _, _)| l == "L8").count(),
-        5,
-        "exactly five happens-before violations are seeded"
+        got.iter()
+            .filter(|(l, f, _)| l == "L6" && f == "crates/store/src/manifest.rs")
+            .count(),
+        1,
+        "only the Acquire load may fire, not its Relaxed twin"
     );
 
     // The `// safety:`-justified unsafe (kernels.rs line 6) must NOT fire.

@@ -43,7 +43,6 @@ const FRAGMENTS: &[&str] = &[
     "let x = 1;",
     "v[i]",
     "Ordering::Relaxed",
-    "// ordering: Relaxed-counter\n",
     "#[cfg(test)]",
     "ident",
     "0xFF",

@@ -564,6 +564,7 @@ fn shard_damage_under_reforged_checksums_is_caught_per_shard() {
 
             let path = temp_manifest(&format!("reforged-{}-{target}", spec.label()), &bad);
             let mapped = FilterStore::open_mapped(&registry, &path).unwrap();
+            assert!(!mapped.stats().is_degraded(), "{}", spec.label());
             let snap = mapped.snapshot();
             for &k in &keys {
                 assert!(
@@ -581,6 +582,7 @@ fn shard_damage_under_reforged_checksums_is_caught_per_shard() {
                 .collect();
             assert_eq!(degraded, vec![target], "{}", spec.label());
             assert_eq!(mapped.stats().shard_load_errors(), 1, "{}", spec.label());
+            assert!(mapped.stats().is_degraded(), "{}", spec.label());
             let _ = std::fs::remove_file(&path);
         }
     }
@@ -657,7 +659,7 @@ fn key_damage_after_open_fails_typed_where_keys_are_read() {
     let mut after = Vec::new();
     snap.query_ranges(&queries, &mut after);
     assert_eq!(after, before, "file damage changed an answer");
-    let version = mapped.version();
+    let version = mapped.snapshot().version();
     let into_shard_1 = Update::Insert(shard_keys[10] + 1);
     assert!(
         matches!(
@@ -666,7 +668,6 @@ fn key_damage_after_open_fails_typed_where_keys_are_read() {
         ),
         "apply rebuilt from damaged keys"
     );
-    assert_eq!(mapped.version(), version);
     assert_eq!(mapped.snapshot().version(), version);
     let mut sink = Vec::new();
     assert!(
@@ -716,6 +717,7 @@ fn every_key_record_flip_degrades_only_its_shard() {
         std::fs::write(&path, &bad).unwrap();
         let mapped = FilterStore::open_mapped(&registry, &path)
             .unwrap_or_else(|e| panic!("byte {at}: open_mapped failed: {e}"));
+        assert!(!mapped.stats().is_degraded(), "byte {at}");
         let snap = mapped.snapshot();
         for &k in &keys {
             assert!(snap.may_contain(k), "byte {at}: false negative at {k}");
@@ -734,6 +736,7 @@ fn every_key_record_flip_degrades_only_its_shard() {
             }
         }
         assert_eq!(mapped.stats().shard_load_errors(), 1, "byte {at}");
+        assert!(mapped.stats().is_degraded(), "byte {at}");
     }
     let _ = std::fs::remove_file(&path);
 }
