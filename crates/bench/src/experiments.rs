@@ -830,7 +830,7 @@ fn peak_rss_kb() -> u64 {
 /// The parallel-construction experiment behind `results/BENCH_build.json`:
 /// sweeps build-thread counts {1, 2, 4, 8} across two key-set sizes
 /// through the whole pipeline — parallel key sort, shard fan-out, per-shard
-/// hash → partitioned radix sort → chunked Elias–Fano assembly — on a
+/// hash → partitioned radix sort → Elias–Fano encode — on a
 /// 16-shard range-partitioned store and on a single-shard Grafite build,
 /// recording build throughput (keys/s), peak RSS, BPK drift, and the
 /// byte-identity of every artifact against its serial (threads = 1) twin.

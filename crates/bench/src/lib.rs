@@ -6,9 +6,6 @@
 //! Entry point: the `repro` binary (`cargo run --release -p grafite-bench
 //! --bin repro -- <experiment>`).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod experiments;
 pub mod harness;
 pub mod report;

@@ -11,9 +11,6 @@
 //!   time. Grafite matches its space while cutting the query time to `O(1)`
 //!   — this baseline exists so the benchmark can show exactly that.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod bloom;
 pub mod prefix;
 pub mod trivial;

@@ -56,9 +56,9 @@ impl GrafiteFilter {
 
     /// [`GrafiteFilter::from_hash`] with an explicit thread budget for the
     /// hash→sort→encode pipeline: the hash evaluations run on immutable
-    /// key chunks, the codes sort through
-    /// [`sort::partition_radix_sort`], and the Elias–Fano high bits
-    /// assemble chunked. Bit-identical to the serial path at every thread
+    /// key chunks and the codes sort through
+    /// [`sort::partition_radix_sort`]; the Elias–Fano encode is serial.
+    /// Bit-identical to the serial path at every thread
     /// count — parallelism here is purely a wall-clock knob.
     fn from_hash_parallel(h: LocalityHash, keys: &[u64], parallelism: Parallelism) -> Self {
         let r = h.r();
@@ -81,7 +81,7 @@ impl GrafiteFilter {
             keys.iter().map(|&k| h.eval(k)).collect()
         };
         sort::partition_radix_sort(&mut codes, threads);
-        let codes = EliasFano::new_parallel(&codes, r, threads);
+        let codes = EliasFano::new(&codes, r);
         Self {
             h,
             codes,

@@ -47,9 +47,6 @@
 //! `grafite_filters::standard_registry()` (the competitor filters live
 //! downstream of this crate).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod bucketing;
 pub mod error;
 pub mod grafite;

@@ -11,8 +11,8 @@
 //! # Determinism
 //!
 //! The thread count **never** changes any produced bytes: every parallel
-//! build path in the workspace (the partitioned radix sort, the chunked
-//! Elias–Fano assembly, the store's fanned-out shard builds) is
+//! build path in the workspace (the chunked hashing, the partitioned radix
+//! sort, the store's fanned-out shard builds) is
 //! bit-identical to its serial twin. Parallelism is purely a wall-clock
 //! knob, which is what lets CI re-run the determinism suite under a forced
 //! `GRAFITE_THREADS=1` leg and byte-compare the artifacts.

@@ -316,6 +316,31 @@ mod tests {
         assert_eq!(FilterSpec::Bucketing.spec_id(), 2);
         assert_eq!(FilterSpec::from_spec_id(0), None);
         assert_eq!(FilterSpec::from_spec_id(999), None);
+
+        // The spec-id table is append-only: every id, registry spec or
+        // not, names exactly one format. A new constant joins this list.
+        use crate::persist::spec_id::*;
+        let mut ids = [
+            GRAFITE,
+            BUCKETING,
+            SNARF,
+            SURF_REAL,
+            SURF_HASH,
+            PROTEUS,
+            ROSETTA,
+            RENCODER,
+            RENCODER_SS,
+            RENCODER_SE,
+            TRIVIAL_BLOOM,
+            STRING_GRAFITE,
+            WORKLOAD_AWARE_BUCKETING,
+            SURF_BASE,
+        ];
+        ids.sort_unstable();
+        assert!(
+            ids.windows(2).all(|w| w[0] != w[1]),
+            "duplicate spec ids: {ids:?}"
+        );
     }
 
     #[test]

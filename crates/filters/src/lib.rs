@@ -12,9 +12,6 @@
 //! | Proteus | l1-deep trie + l2 prefix Bloom, sample-tuned | `grafite-fst` + `grafite-bloom` |
 //! | REncoder | local range-tree encoder in a bit array | `grafite-succinct::bitvec` |
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod dyadic;
 pub mod proteus;
 pub mod rencoder;

@@ -20,9 +20,6 @@
 //! levels (256-bit label/child bitmaps per node) and composes the two into
 //! the full LOUDS-DS layout ([`FstDs`]), which SuRF uses by default.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod builder;
 pub mod louds_dense;
 pub mod trie;

@@ -12,9 +12,6 @@
 //! * [`mix`] — 64-bit finalizer mixers and a SplitMix64 generator used for
 //!   Bloom-filter double hashing and deterministic parameter generation.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod divide;
 pub mod locality;
 pub mod mix;

@@ -40,9 +40,6 @@
 //! handle.join();
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod batch;
 pub mod client;
 pub mod protocol;

@@ -2,9 +2,6 @@
 //! over TCP (`serve`), or run an end-to-end self-check against a freshly
 //! started server (`smoke`).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;

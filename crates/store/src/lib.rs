@@ -66,9 +66,6 @@
 //! assert!(reopened.may_contain(7));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod family;
 pub mod manifest;
 mod mapped;

@@ -1,7 +1,7 @@
 //! Parallel builds must be byte-identical to serial builds.
 //!
-//! The construction pipeline (partitioned radix sort, chunked Elias–Fano
-//! assembly, shard fan-out) is parallel only in *schedule*, never in
+//! The construction pipeline (chunked hashing, partitioned radix sort,
+//! shard fan-out) is parallel only in *schedule*, never in
 //! *outcome*: for every servable family, both partitionings, and any
 //! thread count, `FilterStore::build` and `apply` must produce the same
 //! serialized manifest as a forced-serial run. This is what lets CI pin
@@ -172,9 +172,8 @@ fn auto_parallelism_matches_forced_serial() {
 }
 
 /// Filter-level byte identity at a size that actually crosses the
-/// parallel thresholds (`PARTITION_PARALLEL_MIN` / `EF_PARALLEL_MIN`
-/// are both 1 << 15), so the partitioned sort, parallel hashing, and
-/// chunked Elias–Fano assembly all genuinely run.
+/// parallel threshold (`PARTITION_PARALLEL_MIN` is 1 << 15), so the
+/// partitioned sort and parallel hashing both genuinely run.
 #[test]
 fn grafite_filter_parallel_paths_byte_identical() {
     let n = (1 << 15) + 4113;

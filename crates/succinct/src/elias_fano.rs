@@ -51,11 +51,6 @@ const LINEAR_SCAN_MAX: usize = 48;
 /// probe ~100 ns, so the crossover sits at a few dozen bits of `H`.
 const GALLOP_BITS: usize = 64;
 
-/// Below this element count [`EliasFano::new_parallel`] encodes serially
-/// regardless of the requested thread count — spawn overhead cannot pay
-/// for itself on sequences that encode in tens of microseconds.
-const EF_PARALLEL_MIN: usize = 1 << 15;
-
 /// The encoder's low width `l = floor(log2(universe / n))` (0 when the
 /// universe is not larger than `n`), for `n > 0`.
 fn low_bit_width(n: usize, universe: u64) -> usize {
@@ -94,25 +89,6 @@ impl EliasFano {
     /// # Panics
     /// Panics if the values are not non-decreasing or exceed the universe.
     pub fn new(values: &[u64], universe: u64) -> Self {
-        Self::new_parallel(values, universe, 1)
-    }
-
-    /// [`EliasFano::new`] with a chunked parallel high-bits assembly.
-    ///
-    /// The high-bit positions `(z_i >> l) + i` are strictly increasing in
-    /// `i`, so splitting `values` into index chunks splits `H` into word
-    /// ranges that overlap only at chunk-boundary words. Each scoped worker
-    /// encodes its chunk into a local word buffer; the splice ORs those
-    /// buffers into the shared word array (adjacent chunks can share at
-    /// most the one boundary word, and the serial encoder also ORs every
-    /// bit in), so the produced words — and therefore the serialized
-    /// sequence — are **bit-identical** to [`EliasFano::new`] for every
-    /// input and thread count. `threads <= 1` or small inputs take the
-    /// serial encode loop directly.
-    ///
-    /// # Panics
-    /// Panics if the values are not non-decreasing or exceed the universe.
-    pub fn new_parallel(values: &[u64], universe: u64, threads: usize) -> Self {
         let n = values.len();
         if n == 0 {
             return Self {
@@ -148,50 +124,14 @@ impl EliasFano {
         let hi_max = (universe - 1) >> low_bits;
         let high_len = (hi_max as usize) + n + 1;
         let mut high_words = vec![0u64; crate::div_ceil(high_len.max(1), WORD_BITS)];
-        let workers = threads.max(1).min(n);
-        if workers > 1 && n >= EF_PARALLEL_MIN {
-            let chunk_len = n.div_ceil(workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = values
-                    .chunks(chunk_len)
-                    .enumerate()
-                    .map(|(c, chunk)| {
-                        scope.spawn(move || {
-                            let base = c * chunk_len;
-                            let first_pos = (chunk[0] >> low_bits) as usize + base;
-                            let last_pos =
-                                (chunk[chunk.len() - 1] >> low_bits) as usize + base + chunk.len()
-                                    - 1;
-                            let start_word = first_pos / WORD_BITS;
-                            let mut words = vec![0u64; last_pos / WORD_BITS - start_word + 1];
-                            for (i, &v) in chunk.iter().enumerate() {
-                                let pos = (v >> low_bits) as usize + base + i;
-                                words[pos / WORD_BITS - start_word] |= 1u64 << (pos % WORD_BITS);
-                            }
-                            (start_word, words)
-                        })
-                    })
-                    .collect();
-                // Splice: strictly increasing positions mean only the word
-                // straddling a chunk boundary is touched by two buffers, and
-                // OR makes that case order-independent.
-                for handle in handles {
-                    let (start_word, words) = handle.join().expect("encode worker panicked");
-                    for (j, w) in words.into_iter().enumerate() {
-                        high_words[start_word + j] |= w;
-                    }
-                }
-            });
-        } else {
-            for (i, &v) in values.iter().enumerate() {
-                debug_assert!(v < universe, "value {v} >= universe {universe}");
-                debug_assert!(
-                    i == 0 || v >= values[i - 1],
-                    "values must be non-decreasing"
-                );
-                let pos = (v >> low_bits) as usize + i;
-                high_words[pos / WORD_BITS] |= 1u64 << (pos % WORD_BITS);
-            }
+        for (i, &v) in values.iter().enumerate() {
+            debug_assert!(v < universe, "value {v} >= universe {universe}");
+            debug_assert!(
+                i == 0 || v >= values[i - 1],
+                "values must be non-decreasing"
+            );
+            let pos = (v >> low_bits) as usize + i;
+            high_words[pos / WORD_BITS] |= 1u64 << (pos % WORD_BITS);
         }
         let mut low = IntVec::with_capacity(low_bits, n);
         for &v in values {
@@ -657,7 +597,7 @@ impl EliasFano {
         if low.len() != n {
             return Err(DecodeError::Invalid("Elias-Fano low array shape"));
         }
-        // The shape `new_parallel` writes: an empty sequence is one zero
+        // The shape `new` writes: an empty sequence is one zero
         // bit and no low bits; otherwise `l` and `|H|` follow from `(n, u)`.
         let (want_low_bits, want_high_len) = if n == 0 {
             (0, Some(1))
@@ -905,74 +845,23 @@ mod tests {
         assert_eq!(ef.successor(1), Some(u64::MAX - 1));
     }
 
-    fn serialized(ef: &EliasFano) -> Vec<u8> {
-        use crate::io::WordWriter;
-        let mut bytes = Vec::new();
-        ef.write_to(&mut WordWriter::new(&mut bytes)).unwrap();
-        bytes
-    }
-
-    /// The parallel encoder's whole contract: serialized output is
-    /// byte-identical to the serial encoder's for every thread count, over
-    /// sequence shapes that exercise every chunk-boundary case — sparse
-    /// (wide low bits), dense (`low_bits == 0`), duplicate-heavy (many
-    /// positions landing in shared words), and clustered.
+    /// The encoder's exact bits for Example 3.2's codes: with `l = 3`,
+    /// element `i` sets bit `(z_i >> 3) + i` of `H` and keeps
+    /// `z_i & 7` as its low field, and `|H| = ((r − 1) >> l) + n + 1`. An
+    /// empty sequence is one zero bit of `H` and no low bits.
     #[test]
-    fn parallel_encode_is_byte_identical() {
-        let n = EF_PARALLEL_MIN + 1031;
-        let mut state = 99u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state
-        };
-        let shapes: Vec<(Vec<u64>, u64)> = vec![
-            // Sparse: wide low bits.
-            {
-                let mut v: Vec<u64> = (0..n).map(|_| next() % (1u64 << 50)).collect();
-                v.sort_unstable();
-                (v, 1u64 << 50)
-            },
-            // Dense: universe == n, zero low bits.
-            ((0..n as u64).collect(), n as u64),
-            // Duplicate-heavy: many equal values share high-bit buckets.
-            {
-                let mut v: Vec<u64> = (0..n).map(|_| next() % 512).collect();
-                v.sort_unstable();
-                (v, 512)
-            },
-            // Clustered: long runs of near-equal values around chunk joins.
-            {
-                let mut v: Vec<u64> = (0..n as u64).map(|i| (i / 97) * 1_000_003).collect();
-                v.sort_unstable();
-                let max = *v.last().unwrap();
-                (v, max + 1)
-            },
-        ];
-        for (i, (values, universe)) in shapes.iter().enumerate() {
-            let serial = serialized(&EliasFano::new(values, *universe));
-            for threads in [2usize, 3, 7, 8, 64] {
-                let parallel = serialized(&EliasFano::new_parallel(values, *universe, threads));
-                assert_eq!(serial, parallel, "shape {i} threads {threads}");
-            }
-        }
-    }
+    fn small_and_empty_encodes_write_the_exact_layout() {
+        let codes = [6u64, 14, 32, 51, 53, 55, 66, 70, 91, 94];
+        let ef = EliasFano::new(&codes, 100);
+        let ones: Vec<usize> = (0..ef.high.len()).filter(|&i| ef.high.get(i)).collect();
+        assert_eq!(ones, [0, 2, 6, 9, 10, 11, 14, 15, 19, 20]);
+        assert_eq!(ef.high.len(), (99 >> 3) + 10 + 1);
+        let low: Vec<u64> = (0..ef.low.len()).map(|i| ef.low.get(i)).collect();
+        assert_eq!(low, [6, 6, 0, 3, 5, 7, 2, 6, 3, 6]);
 
-    /// Below the parallel threshold (and at threads=1) `new_parallel` is
-    /// exactly `new`, including on empty input.
-    #[test]
-    fn parallel_encode_small_and_serial_fallbacks() {
-        let values = [6u64, 14, 32, 51, 53, 55, 66, 70, 91, 94];
-        let serial = serialized(&EliasFano::new(&values, 100));
-        for threads in [1usize, 8] {
-            assert_eq!(
-                serial,
-                serialized(&EliasFano::new_parallel(&values, 100, threads))
-            );
-        }
-        let empty = serialized(&EliasFano::new(&[], 1000));
-        assert_eq!(empty, serialized(&EliasFano::new_parallel(&[], 1000, 8)));
+        let empty = EliasFano::new(&[], 1000);
+        assert_eq!((empty.high.len(), empty.high.get(0)), (1, false));
+        assert_eq!((empty.low_bits, empty.low.len()), (0, 0));
     }
 
     #[test]

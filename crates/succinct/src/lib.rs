@@ -34,12 +34,6 @@
 //! through, and the counts that follow from the bits are derived in memory
 //! when a structure is built or loaded, never stored.
 
-// Deny rather than forbid: `simd::kernels` is the one module allowed to
-// opt back in (xtask lint L6 enforces the allowlist and requires a
-// `// safety:` justification on every unsafe block there).
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod bitvec;
 pub mod broadword;
 pub mod ef_block;

@@ -19,9 +19,6 @@
 //! enforced by discarding ranges that intersect the keys. A separate
 //! generator produces the §6.5 *non-empty* queries.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod datasets;
 pub mod queries;
 pub mod rng;

@@ -2,7 +2,7 @@
 //!
 //! Everything here is a *policy declaration*: which files parse
 //! attacker-controllable bytes, which functions in otherwise-trusted files
-//! do, and what a conforming crate header looks like. The lints in
+//! do, and where `unsafe` may appear. The lints in
 //! [`crate::lints`] are mechanisms; this module is the contract they
 //! enforce. Grow these tables as new load paths land (the server/mmap/LSM
 //! work on the ROADMAP) — a new `read_from` in a listed crate is picked up
@@ -52,21 +52,6 @@ pub const UNTRUSTED_FN_GLOBS: &[&str] = &[
     "crates/filters/src/",
     "crates/server/src/",
 ];
-
-/// The header every workspace crate must carry (L2): memory safety is
-/// forbidden outright, and public API must be documented. Checked against
-/// the crate root (`src/lib.rs`, or `src/main.rs` for binaries).
-pub const REQUIRED_HEADERS: &[&str] = &["#![forbid(unsafe_code)]", "#![warn(missing_docs)]"];
-
-/// Crates allowed to *deny* rather than *forbid* `unsafe_code` at the
-/// root, because one allowlisted kernel module opts back in (`forbid`
-/// cannot be overridden per-module). L2 accepts either spelling for
-/// these; L6 polices the actual `unsafe` tokens.
-pub const UNSAFE_GATED_CRATES: &[&str] = &["crates/succinct"];
-
-/// The `deny` spelling of the unsafe header L2 accepts for
-/// [`UNSAFE_GATED_CRATES`].
-pub const DENY_UNSAFE_HEADER: &str = "#![deny(unsafe_code)]";
 
 /// The only files allowed to contain `unsafe` at all (L6): the SIMD
 /// kernel module, where every `unsafe` block must carry an adjacent

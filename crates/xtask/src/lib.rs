@@ -1,14 +1,11 @@
 //! Repo-specific static analysis for the Grafite workspace.
 //!
-//! `cargo run -p xtask -- lint` runs five lints (see [`lints`]) that
-//! encode this repository's correctness contract:
+//! `cargo run -p xtask -- lint` runs three lints (see [`lints`]) that
+//! encode the parts of this repository's correctness contract rustc and
+//! clippy cannot express:
 //!
 //! - **L1 panic-freedom** — no `unwrap`/`expect`/panicking macros/bare
 //!   indexing in untrusted-input scopes;
-//! - **L2 crate-header conformance** — every crate forbids `unsafe_code`
-//!   (gated crates may deny) and warns on `missing_docs`;
-//! - **L3 format-constant consistency** — version/spec-id constants agree
-//!   with the committed golden blobs;
 //! - **L6 confinement** — `unsafe` only in the allowlisted SIMD kernel
 //!   module, every block `// safety:`-justified, and no atomic ordering
 //!   but `Relaxed` anywhere in the sweep;
@@ -18,7 +15,11 @@
 //!   without passing a `checked_*`/`saturating_*`/`min`/`clamp`
 //!   sanitizer or an explicit bounds comparison ([`dataflow`]).
 //!
-//! There are no L4, L5 or L8: lint ids are never reused.
+//! There are no L2, L3, L4, L5 or L8: lint ids are never reused. The
+//! workspace's `[workspace.lints]` table makes rustc forbid `unsafe_code`
+//! and warn on `missing_docs`, and the golden suites in
+//! `tests/format_golden.rs` fail when a format version moves without its
+//! regenerated goldens.
 //!
 //! The crate is dependency-free and fully offline: plain `std::fs` walks
 //! plus a hand-rolled Rust lexer ([`scan`]) that masks comments and
@@ -28,9 +29,6 @@
 //! dependencies, and rules that are trivially auditable in [`config`].
 //! Each source file is read and tokenized exactly once per run; the
 //! report carries per-lint wall time so the cost stays observable.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod config;
 pub mod dataflow;
@@ -45,7 +43,7 @@ use lints::{Finding, Scopes, Sink};
 use scan::{AllowUse, SourceFile};
 
 /// The lint ids, in report order.
-pub const LINT_IDS: [&str; 5] = ["L1", "L2", "L3", "L6", "L7"];
+pub const LINT_IDS: [&str; 3] = ["L1", "L6", "L7"];
 
 /// Per-lint cost and yield, for the summary footer and the CI step
 /// summary.
@@ -107,12 +105,11 @@ fn walk_rs(root: &Path, prefix: &str) -> Vec<String> {
     out
 }
 
-/// Runs all five lints from `root` and returns the combined report.
+/// Runs all three lints from `root` and returns the combined report.
 ///
-/// Every `.rs` file any scoped lint cares about is read from disk and
-/// tokenized exactly once; the resulting [`SourceFile`] cache is shared
-/// by L1/L6/L7 (L2/L3 additionally read manifests and golden
-/// blobs, which are not Rust sources).
+/// Every `.rs` file any lint cares about is read from disk and tokenized
+/// exactly once; the resulting [`SourceFile`] cache is shared by L1, L6
+/// and L7.
 pub fn run_lints(root: &Path) -> LintReport {
     let mut sink = Sink::default();
 
@@ -170,13 +167,6 @@ pub fn run_lints(root: &Path) -> LintReport {
             });
         }
     }
-
-    timed(&mut wall, "L2", &mut sink, &mut |s| {
-        lints::headers::check(root, s);
-    });
-    timed(&mut wall, "L3", &mut sink, &mut |s| {
-        lints::format_consts::check(root, s);
-    });
 
     sink.findings
         .sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));

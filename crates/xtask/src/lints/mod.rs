@@ -1,10 +1,8 @@
-//! The five repo-specific lints behind `cargo run -p xtask -- lint`.
+//! The three repo-specific lints behind `cargo run -p xtask -- lint`.
 //!
 //! | id | name | what it proves |
 //! |---|---|---|
 //! | L1 | panic-freedom | no `unwrap`/`expect`/`panic!`-family macro/bare indexing in untrusted-input scopes |
-//! | L2 | crate-header conformance | every workspace crate forbids `unsafe_code` (gated crates may deny) and warns on `missing_docs` |
-//! | L3 | format-constant consistency | version/spec-id constants agree with the committed golden blobs |
 //! | L6 | confinement | `unsafe` appears only in the allowlisted SIMD kernel module, every block `// safety:`-justified; no atomic ordering but `Relaxed` appears at all |
 //! | L7 | dataflow taint | no untrusted value reaches an allocation size / index / shift / raw read / bare `+`/`*` without a guard |
 //!
@@ -12,8 +10,6 @@
 //! (same line or the line directly above); suppressions are counted and
 //! reported, never silent.
 
-pub mod format_consts;
-pub mod headers;
 pub mod panic_freedom;
 pub mod taint;
 pub mod unsafe_kernels;
@@ -74,8 +70,8 @@ impl Sink {
         }
     }
 
-    /// Reports a violation with no allow-comment escape (structural lints:
-    /// L2/L3 conformance cannot be waived inline).
+    /// Reports a violation with no allow-comment escape (L6's confinement
+    /// and ordering rules cannot be waived inline).
     pub fn emit_unconditional(
         &mut self,
         file: String,

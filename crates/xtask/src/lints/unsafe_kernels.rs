@@ -1,6 +1,7 @@
 //! L6 — confinement of `unsafe` and of atomic orderings.
 //!
-//! The workspace is `unsafe`-free by policy (L2), with exactly one
+//! The workspace is `unsafe`-free by policy (`[workspace.lints]` forbids
+//! `unsafe_code`; `grafite-succinct` denies it), with exactly one
 //! carve-out: the SIMD kernel module(s) listed in
 //! [`crate::config::UNSAFE_KERNEL_FILES`]. This lint makes the carve-out
 //! auditable from both sides:

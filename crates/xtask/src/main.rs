@@ -1,16 +1,12 @@
 //! `cargo run -p xtask -- lint` — the workspace's static-analysis gate.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!("usage: cargo run -p xtask -- lint");
     eprintln!();
-    eprintln!("Runs the repo-specific lints (L1 panic-freedom, L2 crate headers,");
-    eprintln!("L3 format-constant consistency, L6 unsafe and atomic-ordering");
-    eprintln!("confinement, L7 dataflow taint).");
+    eprintln!("Runs the repo-specific lints (L1 panic-freedom, L6 unsafe and");
+    eprintln!("atomic-ordering confinement, L7 dataflow taint).");
     eprintln!("Exits 1 if any violation is found.");
     ExitCode::from(2)
 }

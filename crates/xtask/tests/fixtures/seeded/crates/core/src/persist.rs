@@ -1,12 +1,4 @@
-//! Seeded L3: version bumped with no regenerated goldens.
-
-pub const FORMAT_VERSION: u32 = 9;
-
-/// Spec table stub.
-pub mod spec_id {
-    /// Grafite.
-    pub const GRAFITE: u32 = 1;
-}
+//! Seeded L1: a bare index inside a `read_from` body of a core file.
 
 pub fn read_from(words: &[u64]) -> u64 {
     words[3]

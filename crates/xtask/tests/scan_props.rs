@@ -8,9 +8,6 @@
 //! because masking only ever removes comment/literal delimiters, never
 //! introduces them.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use proptest::prelude::*;
 use xtask::scan::SourceFile;
 

@@ -118,9 +118,6 @@
 //! assert_eq!(reopened.num_keys(), store.num_keys());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use grafite_bloom;
 pub use grafite_core;
 pub use grafite_filters;

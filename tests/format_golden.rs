@@ -33,6 +33,16 @@ use grafite_core::registry::FilterSpec;
 use grafite_core::{FilterConfig, FilterError, PersistentFilter, StringGrafite};
 use grafite_filters::standard_registry;
 
+/// The command that rewrites the filter golden set; a `FORMAT_VERSION`
+/// bump requires running it.
+const REGENERATE_GOLDENS: &str =
+    "cargo test --test format_golden -- --ignored regenerate_golden_files";
+
+/// The command that rewrites the store golden; a `STORE_FORMAT_VERSION`
+/// bump requires running it.
+const REGENERATE_STORE_GOLDEN: &str =
+    "cargo test --test format_golden -- --ignored regenerate_store_golden";
+
 /// The current-format golden set.
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -146,8 +156,13 @@ fn regenerate_golden_files() {
 
 fn read_manifest() -> BTreeMap<String, (u32, u64)> {
     let path = golden_dir().join("manifest.txt");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|_| panic!("{} missing — run the regenerate test", path.display()));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "{} missing ({e}): a FORMAT_VERSION bump requires regenerating the golden set \
+             with `{REGENERATE_GOLDENS}`",
+            path.display()
+        )
+    });
     text.lines()
         .map(|line| {
             let mut parts = line.split_whitespace();
@@ -170,12 +185,19 @@ fn committed_goldens_still_load_and_answer_identically() {
     let registry = standard_registry();
     let manifest = read_manifest();
     for (name, spec) in families() {
-        let (want_spec, want_fp) = manifest[&name];
+        let (want_spec, want_fp) = *manifest.get(&name).unwrap_or_else(|| {
+            panic!(
+                "{name} has no line in the golden manifest: regenerate with `{REGENERATE_GOLDENS}`"
+            )
+        });
         let blob = std::fs::read(dir.join(format!("{name}.bin")))
             .unwrap_or_else(|e| panic!("golden blob for {name} missing: {e}"));
-        let filter = registry
-            .load(&blob)
-            .unwrap_or_else(|e| panic!("golden {name} no longer loads: {e}"));
+        let filter = registry.load(&blob).unwrap_or_else(|e| {
+            panic!(
+                "golden {name} no longer loads: {e}; a format change requires a \
+                     FORMAT_VERSION bump and regenerating with `{REGENERATE_GOLDENS}`"
+            )
+        });
         assert_eq!(filter.spec_id(), want_spec, "{name}: spec id drifted");
         assert_eq!(
             filter.spec_id(),
@@ -195,7 +217,7 @@ fn committed_goldens_still_load_and_answer_identically() {
             want_fp,
             "{name}: loaded answers drifted from the committed fingerprint — \
              the on-disk format changed semantically; if intentional, bump \
-             FORMAT_VERSION and regenerate"
+             FORMAT_VERSION and regenerate with `{REGENERATE_GOLDENS}`"
         );
     }
     // StringGrafite golden.
@@ -420,7 +442,8 @@ fn committed_store_golden_reserializes_and_answers_identically() {
     let path = dir.join("store.bin");
     let golden = std::fs::read(&path).unwrap_or_else(|e| {
         panic!(
-            "{} missing — run regenerate_store_golden: {e}",
+            "{} missing ({e}): a STORE_FORMAT_VERSION bump requires regenerating the store \
+             golden with `{REGENERATE_STORE_GOLDEN}`",
             path.display()
         )
     });
@@ -435,7 +458,8 @@ fn committed_store_golden_reserializes_and_answers_identically() {
             store_fingerprint(store),
             want,
             "{what}: store golden answers drifted — if the manifest format changed \
-             intentionally, bump STORE_FORMAT_VERSION and regenerate"
+             intentionally, bump STORE_FORMAT_VERSION and regenerate with \
+             `{REGENERATE_STORE_GOLDEN}`"
         );
         for &k in &store_golden_keys() {
             assert!(store.may_contain(k), "{what}: store golden lost key {k}");
